@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import constants as _sc
 
 from .errors import FitError, ParameterError, SchemaError
 from .quantities import CODATA, UncertainQuantity
@@ -142,7 +141,7 @@ def drude_from_transport(
     """
     if carrier_density_per_m3 <= 0 or mobility_m2_per_vs <= 0:
         raise ParameterError("carrier density and mobility must be positive")
-    m_star = effective_mass_ratio * _sc.m_e
+    m_star = effective_mass_ratio * CODATA.m_e
     omega_p = math.sqrt(
         carrier_density_per_m3 * CODATA.e**2 / (CODATA.eps0 * m_star)
     )

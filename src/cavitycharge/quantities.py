@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import constants as _sc
 
 from .errors import DimensionError, EvaluationError, ParameterError
 
@@ -193,21 +192,30 @@ def as_quantity(x, dimension: str = DIMENSIONLESS) -> UncertainQuantity:
     return UncertainQuantity(float(x), 0.0, dimension)
 
 
+# shared with the derived fields hbar and k_e
+_H = 6.62607015e-34
+_EPS0 = 8.8541878188e-12
+
+
 @dataclass(frozen=True)
 class Constants:
-    """CODATA values used throughout; immutable by construction.
+    """CODATA 2022 values used throughout; immutable by construction.
 
-    k_e = 1/(4 pi eps0) is the Coulomb constant; s_q factors used by the
-    electrostatics module are test_charge * k_e.
+    Every value is pinned to the 2022 adjustment (Mohr et al., Rev. Mod.
+    Phys. 97, 025002 (2025)), named by ``edition``, so results do not depend
+    on the installed libraries. k_e = 1/(4 pi eps0) is the Coulomb constant;
+    s_q factors used by the electrostatics module are test_charge * k_e.
     """
 
-    e: float = _sc.e                      # elementary charge, C
-    eps0: float = _sc.epsilon_0           # vacuum permittivity, F/m
-    hbar: float = _sc.hbar                # reduced Planck constant, J*s
-    h: float = _sc.h                      # Planck constant, J*s
-    c: float = _sc.c                      # speed of light, m/s
-    amu: float = _sc.physical_constants["atomic mass constant"][0]  # kg
-    k_e: float = 1.0 / (4.0 * math.pi * _sc.epsilon_0)  # N*m^2/C^2
+    e: float = 1.602176634e-19            # elementary charge, C (exact)
+    eps0: float = _EPS0                   # vacuum permittivity, F/m
+    hbar: float = _H / (2 * math.pi)      # reduced Planck constant, J*s
+    h: float = _H                         # Planck constant, J*s (exact)
+    c: float = 299792458.0                # speed of light, m/s (exact)
+    amu: float = 1.66053906892e-27        # atomic mass constant, kg
+    k_e: float = 1.0 / (4.0 * math.pi * _EPS0)  # N*m^2/C^2
+    m_e: float = 9.1093837139e-31         # electron mass, kg
+    edition: str = "CODATA 2022"
 
 
 CODATA = Constants()

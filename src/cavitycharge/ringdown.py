@@ -18,9 +18,9 @@ s^2 (J^T J)^-1 with s^2 = SSR/(n-2).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -65,6 +65,12 @@ class RingdownTrace:
             raise ParameterError("times and voltages must be 1-d arrays of equal length")
         if t.size < MIN_SAMPLES:
             raise ParameterError(f"need at least {MIN_SAMPLES} samples, got {t.size}")
+        bad = ~(np.isfinite(t) & np.isfinite(v))
+        if bad.any():
+            raise ParameterError(
+                f"{np.count_nonzero(bad)} non-finite samples, the first at index "
+                f"{int(np.argmax(bad))}"
+            )
         if not np.all(np.diff(t) > 0):
             raise ParameterError("timestamps must be strictly increasing")
         t.flags.writeable = False
@@ -328,33 +334,61 @@ def fsr_from_length(d_m: float) -> float:
     return CODATA.c / (2.0 * d_m)
 
 
-def load_trace_csv(path) -> RingdownTrace:
-    """Read a two-column CSV trace (t_seconds, v_volts).
+_CSV_COLUMNS = {
+    "delimiter": ",", "comments": None, "usecols": (0, 1), "ndmin": 2, "encoding": "utf-8"
+}
 
-    A single header line is allowed; '#' lines and blank lines are skipped.
+
+def _is_row(line: str) -> bool:
+    """False for the blank, whitespace-only and '#' lines a trace CSV skips."""
+    text = line.strip()
+    return bool(text) and not text.startswith("#")
+
+
+def load_trace_csv(path) -> RingdownTrace:
+    """Read a UTF-8 CSV trace of (t_seconds, v_volts) rows.
+
+    Lines end in \\n, \\r\\n or \\r. Blank and whitespace-only lines are
+    skipped, and so are lines whose first non-blank character is '#'. The
+    first remaining line is a header, and is skipped, when its first two
+    fields are not both numbers; every later line is a data row. A row has
+    at least two comma-separated fields, the time and the voltage, read as
+    float() reads them (without '_' digit separators); whitespace around a
+    field and any further columns are ignored. Anything else after the data
+    on a row, a '#' comment included, is an error.
+
+    Raises ParameterError for a malformed row, fewer than MIN_SAMPLES rows,
+    or samples RingdownTrace rejects.
     """
-    times, volts = [], []
-    header_seen = False
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) < 2:
-            raise ParameterError(f"{path}: expected two comma-separated columns")
-        try:
-            t, v = float(parts[0]), float(parts[1])
-        except ValueError:
-            if header_seen or times:
-                raise ParameterError(f"{path}: unparsable line {line!r}") from None
-            header_seen = True
-            continue
-        times.append(t)
-        volts.append(v)
-    if len(times) < MIN_SAMPLES:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = ((k, line) for k, line in enumerate(fh) if _is_row(line))
+            start, line = next(rows, (-1, ""))
+            fields = line.split(",")
+            if start >= 0 and len(fields) < 2:
+                raise ValueError("expected two comma-separated columns")
+            try:
+                float(fields[0]), float(fields[1])
+            except ValueError:  # a header, or no line at all
+                start, line = next(rows, (-1, ""))
+        if start < 0:
+            data = np.empty((0, 2))
+        else:
+            try:
+                data = np.loadtxt(path, skiprows=start, **_CSV_COLUMNS)
+            except ValueError:
+                # The C tokenizer skips empty lines only. Parse again without
+                # the other lines the grammar skips, so only a bad row raises.
+                with open(path, encoding="utf-8") as fh:
+                    lines = [ln for ln in itertools.islice(fh, start, None) if _is_row(ln)]
+                data = np.loadtxt(lines, **_CSV_COLUMNS)
+    except ValueError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
+    if len(data) < MIN_SAMPLES:
         raise ParameterError(
-            f"{path}: {len(times)} samples, need at least {MIN_SAMPLES}"
+            f"{path}: {len(data)} samples, need at least {MIN_SAMPLES}"
         )
-    t = np.asarray(times)
-    rate = 1.0 / float(np.median(np.diff(t))) if t.size > 1 else 0.0
-    return RingdownTrace(t, np.asarray(volts), rate, float(t[0]))
+    # contiguous columns: strided views could change the fit's dot-product rounding
+    t, v = data.T.copy()
+    dt = float(np.median(np.diff(t)))
+    return RingdownTrace(t, v, 1.0 / dt if dt > 0 else 0.0, float(t[0]))

@@ -79,6 +79,17 @@ def test_fit_ringdown_skips_bad_files_but_continues(tmp_path, capsys):
     assert "# finesse" in captured.out
 
 
+def test_fit_ringdown_skips_trace_with_nan_sample(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    rows = [f"{k * 1e-9},{'nan' if k == 9 else 0.9**k}" for k in range(40)]
+    bad.write_text("t,v\n" + "\n".join(rows) + "\n")
+    good = bundled_trace_paths()[0]
+    assert main(["fit-ringdown", "--fsr-hz", "7.410e9", str(bad), good]) == 0
+    captured = capsys.readouterr()
+    assert "nan.csv: 1 non-finite samples, the first at index 9" in captured.err
+    assert "nan.csv" not in captured.out
+
+
 def test_fit_ringdown_requires_exactly_one_fsr_source(tmp_path, capsys):
     trace = bundled_trace_paths()[0]
     assert main(["fit-ringdown", trace]) == 2

@@ -66,6 +66,17 @@ def test_trace_invariants():
         RingdownTrace(t, np.ones(20))
 
 
+def test_trace_rejects_non_finite_samples():
+    t = np.arange(20) * 1e-9
+    v = np.exp(-t / 5e-9)
+    v[[7, 12]] = [np.nan, np.inf]
+    with pytest.raises(ParameterError, match="2 non-finite samples, the first at index 7"):
+        RingdownTrace(t, v)
+    t[3] = -np.inf
+    with pytest.raises(ParameterError, match="3 non-finite samples, the first at index 3"):
+        RingdownTrace(t, v)
+
+
 # -- fitting -----------------------------------------------------------------
 
 
@@ -203,3 +214,83 @@ def test_trace_csv_rejects_short_or_empty(tmp_path):
     short.write_text("t,v\n0,1\n1e-9,0.9\n")
     with pytest.raises(ParameterError):
         load_trace_csv(short)
+
+
+# Loader contract: each case is a list of CSV lines (joined with "\n" unless
+# the case sets its own text) and either the expected rows of (t, v) fields
+# or ParameterError. Expected values are float() of each field, bit for bit.
+_T = [repr(k * 1e-9) for k in range(20)]
+_V = ["1.0000000000000002", "5e-324", "-0.0", ".5", "5.", "+1", "2.5E+3", "0.1",
+      "1e308", "123456789012345678901234567890", "0.3", "-7.25e-12", "1", "2",
+      "3", "4", "5", "6", "7", "8"]
+_ROWS = list(zip(_T, _V))
+_DATA = [f"{t},{v}" for t, v in _ROWS]
+
+_LOADER_CASES = {
+    "header": (["t_seconds,v_volts", *_DATA], _ROWS),
+    "headerless": (_DATA, _ROWS),
+    "comment_lines": (
+        ["# scope export", "t,v", "#units: s,V", *_DATA[:7], "# mid", *_DATA[7:], "#end"],
+        _ROWS,
+    ),
+    "indented_comment_lines": (
+        ["   # lead", "t,v", *_DATA[:5], "\t# tab", "  #x", *_DATA[5:], "    # tail"],
+        _ROWS,
+    ),
+    "blank_and_whitespace_lines": (
+        ["", "   ", "t,v", "", *_DATA[:9], "\t \t", "", "  ", *_DATA[9:], "", " "],
+        _ROWS,
+    ),
+    "crlf": ("\r\n".join(["t,v", *_DATA]) + "\r\n", _ROWS),
+    "padded_fields": (
+        [" t , v ", *[f"  {t} ,\t{v}  " for t, v in _ROWS]],
+        _ROWS,
+    ),
+    "three_columns": (
+        ["t,v,flag", *[f"{t},{v},{k if k % 2 else 'x'}" for k, (t, v) in enumerate(_ROWS)]],
+        _ROWS,
+    ),
+    "one_column_row": (["t,v", *_DATA[:17], "5", *_DATA[17:]], ParameterError),
+    "unparsable_row_after_data": (["t,v", *_DATA[:17], "2e-8,abc"], ParameterError),
+    "second_header": (["t,v", "t,v", *_DATA], ParameterError),
+    "trailing_comment_on_data_row": (
+        ["t,v", *_DATA[:3], f"{_DATA[3]} # note", *_DATA[4:]],
+        ParameterError,
+    ),
+    "empty_file": ("", ParameterError),
+    "header_and_comments_only": (["# only", "t,v", "# nothing"], ParameterError),
+    "fewer_than_16_samples": (["t,v", *_DATA[:15]], ParameterError),
+    "nan_sample": (["t,v", *_DATA[:4], f"{_T[4]},nan", *_DATA[5:]], ParameterError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOADER_CASES))
+def test_trace_csv_loader_contract(tmp_path, case):
+    lines, expected = _LOADER_CASES[case]
+    text = lines if isinstance(lines, str) else "\n".join(lines) + "\n"
+    path = tmp_path / f"{case}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    if expected is ParameterError:
+        with pytest.raises(ParameterError):
+            load_trace_csv(path)
+        return
+    trace = load_trace_csv(path)
+    want_t = np.array([float(t) for t, _ in expected])
+    want_v = np.array([float(v) for _, v in expected])
+    assert trace.times.tobytes() == want_t.tobytes()
+    assert trace.voltages.tobytes() == want_v.tobytes()
+    assert trace.trigger_time == want_t[0]
+
+
+def test_trace_csv_repeated_timestamps_is_parameter_error(tmp_path):
+    path = tmp_path / "flat.csv"
+    path.write_text("t,v\n" + "".join(f"1e-9,{k}\n" for k in range(20)))
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        load_trace_csv(path)
+
+
+def test_trace_csv_not_utf8_is_parameter_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"t,v\n" + b"".join(b"%d,1\n" % k for k in range(20)) + b"9\xb5s,1\n")
+    with pytest.raises(ParameterError, match="utf-8"):
+        load_trace_csv(path)
