@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, ParameterError
-from .quantities import UncertainQuantity, as_quantity, propagate_linear
+from .quantities import UncertainQuantity, as_quantity, propagate_linear, propagate_monte_carlo
 
 __all__ = [
     "MirrorState",
@@ -163,8 +163,10 @@ def extinction_from_finesse(
     """Film extinction coefficient from the finesse pair.
 
     The central value is the deterministic chain F00,F01,h -> r0,r1 ->
-    kappa; the uncertainty is the Monte-Carlo standard deviation over
-    normal draws of F00, F01 and h with a fixed seed.
+    kappa; the uncertainty is the propagate_monte_carlo standard deviation
+    over normal draws of F00, F01 and h with a fixed seed. Draws with a
+    non-positive F00, F01 or h are non-finite samples under that engine's
+    1% policy.
     """
     q00 = as_quantity(f00)
     q01 = as_quantity(f01)
@@ -184,18 +186,14 @@ def extinction_from_finesse(
             stacklevel=2,
         )
 
-    rng = np.random.default_rng(seed)
-    f00_s = rng.normal(q00.value, q00.sigma, mc_samples)
-    f01_s = rng.normal(q01.value, q01.sigma, mc_samples)
-    h_s = rng.normal(h.value, h.sigma, mc_samples)
-    ok = (f00_s > 0) & (f01_s > 0) & (h_s > 0)
-    r0_s = _r0_scalar(f00_s[ok])
-    r1_s = _r0_scalar(f01_s[ok]) ** 2 / r0_s
-    kappa_s = -(wavelength_m / (8.0 * math.pi * h_s[ok])) * np.log(
-        1.0 - r0_s**2 + r1_s**2
-    )
-    sigma = float(np.std(kappa_s, ddof=1)) if kappa_s.size > 1 else 0.0
-    return UncertainQuantity(central, sigma)
+    def kappa(f00_s, f01_s, h_s):
+        r0_s = _r0_scalar(f00_s)
+        r1_s = _r0_scalar(f01_s) ** 2 / r0_s
+        k = -(wavelength_m / (8.0 * math.pi * h_s)) * np.log(1.0 - r0_s**2 + r1_s**2)
+        return np.where((f00_s > 0) & (f01_s > 0) & (h_s > 0), k, np.nan)
+
+    mc = propagate_monte_carlo(kappa, [q00, q01, h], mc_samples, seed)
+    return UncertainQuantity(central, mc.sigma)
 
 
 def extinction_first_order(f00: float, f01: float, thickness_m: float, wavelength_m: float) -> float:

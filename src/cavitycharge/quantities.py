@@ -220,6 +220,9 @@ class Constants:
 
 CODATA = Constants()
 
+#: Fewest Monte-Carlo draws propagate_monte_carlo accepts.
+MIN_MC_SAMPLES = 1000
+
 # finite-difference step rule: relative 1e-6 with an absolute floor
 _FD_REL_STEP = 1e-6
 _FD_ABS_STEP = 1e-12
@@ -273,23 +276,21 @@ def propagate_monte_carlo(
 
     Draws independent normal samples for each input and returns the sample
     mean and standard deviation of f. Repeated calls with the same seed are
-    bit-identical. f should accept numpy arrays elementwise; plain scalar
-    functions are vectorized as a fallback.
+    bit-identical. f is called once, with one array of draws per input, and
+    must return an array of shape (sample_count,), else ParameterError; an
+    exception raised by f propagates unchanged.
 
     Non-finite samples are tolerated up to 1% of the draws (with a warning);
     beyond that an EvaluationError is raised.
     """
-    if sample_count < 1000:
-        raise ParameterError(f"sample_count must be >= 1000, got {sample_count}")
+    if sample_count < MIN_MC_SAMPLES:
+        raise ParameterError(f"sample_count must be >= {MIN_MC_SAMPLES}, got {sample_count}")
     rng = np.random.default_rng(seed)
     draws = [rng.normal(q.value, q.sigma, size=sample_count) for q in inputs]
     with np.errstate(all="ignore"):  # non-finite samples are counted below
-        try:
-            samples = np.asarray(f(*draws), dtype=float)
-            if samples.shape != (sample_count,):
-                raise TypeError("function did not vectorize")
-        except (TypeError, ValueError):
-            samples = np.asarray(np.vectorize(f)(*draws), dtype=float)
+        samples = np.asarray(f(*draws), dtype=float)
+    if samples.shape != (sample_count,):
+        raise ParameterError(f"f returned shape {samples.shape}, expected ({sample_count},)")
     finite = np.isfinite(samples)
     n_bad = int(sample_count - finite.sum())
     if n_bad > 0.01 * sample_count:
@@ -303,8 +304,6 @@ def propagate_monte_carlo(
             stacklevel=2,
         )
         samples = samples[finite]
-    if samples.size > 1:
-        sigma = float(np.std(samples, ddof=1))
-    else:
-        sigma = 0.0
+    # sample_count >= MIN_MC_SAMPLES and at most 1% discarded: never fewer than 2
+    sigma = float(np.std(samples, ddof=1))
     return UncertainQuantity(float(np.mean(samples)), sigma, dimension)

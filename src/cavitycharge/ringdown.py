@@ -10,10 +10,14 @@ relates as tau = 1/(2 pi dnu). Fitting that model to the photodetector
 record gives the linewidth; together with the free spectral range
 nu_FSR = c/(2 d) it yields the finesse F = nu_FSR / dnu.
 
-The fitter seeds itself with a log-linear regression of the samples above
-the noise floor, then refines V0 and dnu with damped Gauss-Newton
-iterations. Parameter uncertainties come from the fit covariance
-s^2 (J^T J)^-1 with s^2 = SSR/(n-2).
+One fitter serves a single trace and an ensemble sharing dnu. V0 enters
+linearly, so for a trial dnu each amplitude has a closed form and damped
+Gauss-Newton iterations run on dnu alone (variable projection; Golub &
+Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)). The seed is the mean
+log-linear slope above each trace's noise floor. Time runs from the
+earliest first sample, so absolute timestamps cannot overflow the decay
+factors. Uncertainties come from s^2 (J^T J)^-1 over dnu and the k
+amplitudes, s^2 = SSR/(n - 1 - k), with V0 mapped back to t = 0.
 """
 
 from __future__ import annotations
@@ -132,109 +136,122 @@ def synthesize_trace(
     return RingdownTrace(t + trigger_time, v, sample_rate_hz, trigger_time)
 
 
-def _noise_floor(trace: RingdownTrace) -> float:
-    """Median |V| over the trailing tenth of the record."""
-    n_tail = max(8, len(trace) // 10)
-    return float(np.median(np.abs(trace.voltages[-n_tail:])))
-
-
-def _log_linear_seed(trace: RingdownTrace, floor: float) -> tuple[float, float]:
+def _seed_linewidth(trace: RingdownTrace, t_rel: np.ndarray) -> float:
+    """Log-linear slope of the samples above the noise floor, as a linewidth."""
     v = trace.voltages
-    keep = v > _SEED_CLIP_FACTOR * floor
-    if keep.sum() < 2:
-        keep = v > 0
-    if keep.sum() < 2:
-        raise ParameterError("too few positive samples to seed the fit")
-    t_sel = trace.times[keep]
-    slope, intercept = np.polyfit(t_sel, np.log(v[keep]), 1)
-    v0 = math.exp(intercept)
-    lw = -slope / (2.0 * math.pi)
-    if lw <= 0:
-        lw = 1.0 / (2.0 * math.pi * (t_sel[-1] - t_sel[0]))
-    return v0, lw
-
-
-def _model(t: np.ndarray, v0: float, lw: float) -> np.ndarray:
-    return v0 * np.exp(-2.0 * math.pi * lw * t)
-
-
-def fit_ringdown(trace: RingdownTrace) -> RingdownFit:
-    """Least-squares fit of V0*exp(-2 pi dnu t) to a trace.
-
-    Raises FitError (carrying the last iterate) on non-convergence or a
-    negative fitted linewidth.
-    """
-    floor = _noise_floor(trace)
-    peak = float(np.max(trace.voltages))
+    floor = float(np.median(np.abs(v[-max(8, v.size // 10):])))  # trailing tenth
+    peak = float(np.max(v))
     if peak <= _PEAK_TO_NOISE_MIN * floor:
         raise ParameterError(
             f"peak/noise = {peak / floor if floor else math.inf:.2f} is below "
             f"the minimum of {_PEAK_TO_NOISE_MIN}"
         )
-    t = trace.times
-    v = trace.voltages
-    v0, lw = _log_linear_seed(trace, floor)
+    keep = v > _SEED_CLIP_FACTOR * floor
+    if keep.sum() < 2:
+        keep = v > 0
+    if keep.sum() < 2:
+        raise ParameterError("too few positive samples to seed the fit")
+    t_sel = t_rel[keep]
+    t_c = t_sel - t_sel.mean()  # least-squares slope of log V against t
+    lw = -float(t_c @ np.log(v[keep])) / float(t_c @ t_c) / (2.0 * math.pi)
+    if lw <= 0:
+        lw = 1.0 / (2.0 * math.pi * (t_sel[-1] - t_sel[0]))
+    return lw
 
-    ssr = float(np.sum((v - _model(t, v0, lw)) ** 2))
-    converged = False
-    iterations = 0
+
+def _fit(
+    traces: Sequence[RingdownTrace], share_v0: bool
+) -> tuple[UncertainQuantity, list[UncertainQuantity], float, int]:
+    """Variable-projection fit of V0_k exp(-2 pi dnu t) with one shared dnu.
+
+    For a trial dnu the amplitudes a = sum(d v)/sum(d d), with
+    d = exp(-2 pi dnu (t - t_ref)), are summed per trace or, with share_v0,
+    over all traces. Returns (linewidth, V0s at t = 0, residual_rms, iterations).
+    """
+    t_ref = min(float(tr.times[0]) for tr in traces)
+    t_rels = [tr.times - t_ref for tr in traces]
+    lw = float(np.mean([_seed_linewidth(tr, t) for tr, t in zip(traces, t_rels)]))
+    x = -2.0 * math.pi * np.concatenate(t_rels)  # d = exp(dnu x), u = dd/d(dnu) = x d
+    v = np.concatenate([tr.voltages for tr in traces])
+    counts = [x.size] if share_v0 else [len(tr) for tr in traces]
+    starts = np.cumsum([0, *counts[:-1]])
+
+    def sums(y: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(y, starts)
+
+    def project(lw: float):
+        # non-finite values mark a rejected trial step through the SSR
+        with np.errstate(all="ignore"):
+            d = np.exp(lw * x)
+            dd = sums(d * d)
+            amps = sums(d * v) / dd
+            r = v - np.repeat(amps, counts) * d
+            return d, dd, amps, r, float(r @ r)
+
+    state = project(lw)
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        decay = np.exp(-2.0 * math.pi * lw * t)
-        j_v0 = decay
-        j_lw = -2.0 * math.pi * t * v0 * decay
-        r = v - v0 * decay
-        jtj = np.array(
-            [
-                [np.dot(j_v0, j_v0), np.dot(j_v0, j_lw)],
-                [np.dot(j_lw, j_v0), np.dot(j_lw, j_lw)],
-            ]
-        )
-        jtr = np.array([np.dot(j_v0, r), np.dot(j_lw, r)])
-        try:
-            step = np.linalg.solve(jtj, jtr)
-        except np.linalg.LinAlgError as exc:
-            raise FitError(f"singular normal equations: {exc}", (v0, lw)) from exc
+        d, dd, amps, r, ssr = state
+        # r is orthogonal to d, so J.r loses the da/d(dnu) term
+        u = x * d
+        ud = sums(u * d)
+        da = (sums(u * v) - 2.0 * amps * ud) / dd
+        jr = -float(np.sum(amps * sums(u * r)))
+        jj = float(np.sum(amps**2 * sums(u * u) + 2.0 * amps * da * ud + da**2 * dd))
+        if not jj > 0:
+            raise FitError(f"singular normal equation: J.J = {jj}", lw)
+        step = -jr / jj
 
         # backtracking damping: halve the step while it increases the SSR
         scale = 1.0
         for _ in range(40):
-            cand = (v0 + scale * step[0], lw + scale * step[1])
-            cand_ssr = float(np.sum((v - _model(t, *cand)) ** 2))
-            if cand_ssr <= ssr or not math.isfinite(cand_ssr):
-                if math.isfinite(cand_ssr):
-                    break
+            cand = project(lw + scale * step)
+            if cand[-1] <= ssr and math.isfinite(cand[-1]):
+                break
             scale *= 0.5
         else:
-            cand = (v0, lw)
-            cand_ssr = ssr
-        rel_change = max(
-            abs(scale * step[0]) / max(abs(v0), 1e-300),
-            abs(scale * step[1]) / max(abs(lw), 1e-300),
-        )
-        v0, lw = cand
-        ssr = cand_ssr
-        if rel_change < _REL_TOL:
-            converged = True
+            scale, cand = 0.0, state
+        delta = scale * step
+        converged = abs(delta) < _REL_TOL * max(abs(lw), 1e-300)
+        lw, state = lw + delta, cand
+        if converged:
             break
-    if not converged:
-        raise FitError(
-            f"no convergence after {_MAX_ITERATIONS} iterations", (v0, lw)
-        )
+    else:
+        raise FitError(f"no convergence after {_MAX_ITERATIONS} iterations", lw)
     if lw <= 0:
-        raise FitError(f"fitted linewidth is non-positive: {lw}", (v0, lw))
+        raise FitError(f"fitted linewidth is non-positive: {lw}", lw)
 
-    decay = np.exp(-2.0 * math.pi * lw * t)
-    jac = np.column_stack([decay, -2.0 * math.pi * t * v0 * decay])
-    dof = max(len(trace) - 2, 1)
-    s2 = ssr / dof
-    cov = s2 * np.linalg.inv(jac.T @ jac)
-    sig_v0, sig_lw = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    return RingdownFit(
-        v0=UncertainQuantity(v0, float(sig_v0)),
-        linewidth=UncertainQuantity(lw, float(sig_lw), "Hz"),
-        residual_rms=math.sqrt(ssr / len(trace)),
-        iterations=iterations,
-    )
+    d, dd, amps, _, ssr = state
+    u = x * d
+    jtj = np.diag(np.concatenate([[np.sum(amps**2 * sums(u * u))], dd]))
+    jtj[0, 1:] = jtj[1:, 0] = amps * sums(u * d)
+    cov = ssr / max(x.size - 1 - amps.size, 1) * np.linalg.inv(jtj)
+    # V0 = a g with g = exp(2 pi dnu t_ref); its variance by the delta method
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.exp(2.0 * math.pi * lw * t_ref)
+        v0 = amps * g
+    if not np.all(np.isfinite(v0)):
+        raise ParameterError(
+            f"V0 at t = 0 overflows: the first sample is at {t_ref:g} s, "
+            f"{2.0 * math.pi * lw * t_ref:.4g} decay times after t = 0"
+        )
+    dv0 = 2.0 * math.pi * t_ref * v0  # dV0/d(dnu)
+    var = np.diag(cov).copy()
+    var[1:] = dv0**2 * var[0] + 2.0 * dv0 * g * cov[0, 1:] + g**2 * var[1:]
+    sig = np.sqrt(np.maximum(var, 0.0))
+    amplitudes = [UncertainQuantity(float(a), float(s)) for a, s in zip(v0, sig[1:])]
+    linewidth = UncertainQuantity(lw, float(sig[0]), "Hz")
+    return linewidth, amplitudes, math.sqrt(ssr / x.size), iterations
+
+
+def fit_ringdown(trace: RingdownTrace) -> RingdownFit:
+    """Least-squares fit of V0*exp(-2 pi dnu t) to a trace.
+
+    Raises ParameterError for a trace too noisy to seed or whose V0 at
+    t = 0 overflows, and FitError (carrying the last linewidth iterate)
+    on non-convergence or a non-positive fitted linewidth.
+    """
+    linewidth, (v0,), residual_rms, iterations = _fit([trace], share_v0=False)
+    return RingdownFit(v0, linewidth, residual_rms, iterations)
 
 
 def fit_ringdown_ensemble(
@@ -244,59 +261,12 @@ def fit_ringdown_ensemble(
 
     By default each trace keeps its own amplitude (per-trace V0); with
     share_v0=True a single V0 is fitted across all traces. Returns
-    (linewidth, amplitudes, residual_rms).
+    (linewidth, amplitudes, residual_rms). One trace gives exactly the
+    fit_ringdown result.
     """
     if not traces:
         raise ParameterError("need at least one trace")
-    seeds = [fit_ringdown(tr) for tr in traces]
-    lw = float(np.mean([f.linewidth.value for f in seeds]))
-    if share_v0:
-        v0s = np.array([float(np.mean([f.v0.value for f in seeds]))])
-    else:
-        v0s = np.array([f.v0.value for f in seeds])
-
-    def residual_and_jac(lw: float, v0s: np.ndarray):
-        res, rows = [], []
-        n_amp = v0s.size
-        for k, tr in enumerate(traces):
-            a = v0s[0] if share_v0 else v0s[k]
-            decay = np.exp(-2.0 * math.pi * lw * tr.times)
-            res.append(tr.voltages - a * decay)
-            block = np.zeros((len(tr), 1 + n_amp))
-            block[:, 0] = -2.0 * math.pi * tr.times * a * decay
-            block[:, 1 + (0 if share_v0 else k)] = decay
-            rows.append(block)
-        return np.concatenate(res), np.vstack(rows)
-
-    r, jac = residual_and_jac(lw, v0s)
-    ssr = float(r @ r)
-    for _ in range(_MAX_ITERATIONS):
-        step, *_ = np.linalg.lstsq(jac, r, rcond=None)
-        scale = 1.0
-        for _ in range(40):
-            lw_c = lw + scale * step[0]
-            v0_c = v0s + scale * step[1:]
-            r_c, jac_c = residual_and_jac(lw_c, v0_c)
-            ssr_c = float(r_c @ r_c)
-            if ssr_c <= ssr and math.isfinite(ssr_c):
-                break
-            scale *= 0.5
-        rel = abs(scale * step[0]) / max(abs(lw), 1e-300)
-        lw, v0s, r, jac, ssr = lw_c, v0_c, r_c, jac_c, ssr_c
-        if rel < _REL_TOL:
-            break
-    else:
-        raise FitError("ensemble fit did not converge", (lw, v0s))
-    if lw <= 0:
-        raise FitError(f"fitted linewidth is non-positive: {lw}", (lw, v0s))
-    dof = max(r.size - (1 + v0s.size), 1)
-    cov = (ssr / dof) * np.linalg.inv(jac.T @ jac)
-    sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    linewidth = UncertainQuantity(lw, float(sig[0]), "Hz")
-    amplitudes = [
-        UncertainQuantity(float(a), float(s)) for a, s in zip(v0s, sig[1:])
-    ]
-    return linewidth, amplitudes, math.sqrt(ssr / r.size)
+    return _fit(traces, share_v0)[:3]
 
 
 def pool_linewidths(fits: Sequence[RingdownFit]) -> UncertainQuantity:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .electrostatics import charge_for_field, single_charge_field
+from .electrostatics import charge_for_field
 from .errors import ParameterError
 
 __all__ = [
@@ -121,8 +121,3 @@ def charge_for_coherence_time(
         raise ParameterError(f"tau_pi must be positive, got {tau_pi_s}")
     field = 1.0 / math.sqrt(cfg.polarizability_hz * tau_pi_s)
     return ChargeFieldBudget(charge_for_field(field, x_q_m), field)
-
-
-def field_from_charge(q1_e: float, x_q_m: float) -> float:
-    """Convenience re-export: field at the atom from one charge at x_Q."""
-    return single_charge_field(q1_e, x_q_m)

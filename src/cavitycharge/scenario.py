@@ -11,6 +11,7 @@ are byte-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -19,7 +20,7 @@ from .charging import FilmSample, IlluminationScenario
 from .electrostatics import ChargeScenario
 from .errors import SchemaError
 from .ion_impact import GateParams, TrapConfig
-from .quantities import UncertainQuantity
+from .quantities import MIN_MC_SAMPLES, UncertainQuantity
 from .ringdown import fsr_from_length
 from .rydberg_impact import RydbergConfig
 
@@ -198,13 +199,13 @@ class Scenario:
 
 # --------------------------------------------------------------------------
 # schema: section -> key -> (python type, required, constraint)
-# constraints: pos, nonneg, unit (in [0,1]), any
+# constraints: pos, nonneg, unit (in [0,1]), mc (>= MIN_MC_SAMPLES), any
 
 _SCHEMA: dict[str, dict[str, tuple[type, bool, str]]] = {
     "meta": {
         "name": (str, False, "any"),
         "seed": (int, False, "nonneg"),
-        "mc_samples": (int, False, "pos"),
+        "mc_samples": (int, False, "mc"),
     },
     "cavity": {
         "f00": (float, True, "pos"),
@@ -278,6 +279,8 @@ def _convert(section: str, key: str, token: str):
             f"key '{key}' in [{section}]: cannot parse {token!r} as {typ.__name__}"
         ) from None
     if typ is not str:
+        if not math.isfinite(value):
+            raise SchemaError(f"key '{key}' in [{section}] must be finite, got {value}")
         if constraint == "pos" and not value > 0:
             raise SchemaError(f"key '{key}' in [{section}] must be > 0, got {value}")
         if constraint == "nonneg" and not value >= 0:
@@ -285,6 +288,10 @@ def _convert(section: str, key: str, token: str):
         if constraint == "unit" and not 0 <= value <= 1:
             raise SchemaError(
                 f"key '{key}' in [{section}] must be in [0, 1], got {value}"
+            )
+        if constraint == "mc" and not value >= MIN_MC_SAMPLES:
+            raise SchemaError(
+                f"key '{key}' in [{section}] must be >= {MIN_MC_SAMPLES}, got {value}"
             )
     return value
 

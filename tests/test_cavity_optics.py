@@ -181,6 +181,39 @@ def test_extinction_monte_carlo_vs_linear_sigma():
     assert mc.sigma == pytest.approx(linear.sigma, rel=0.20)
 
 
+def test_extinction_sigma_is_the_std_of_direct_draws():
+    # reference: draws of F00, F01 and h, in that order, from one generator
+    inputs = (
+        UncertainQuantity(F00, 60.0),
+        UncertainQuantity(14160.0, 250.0),
+        UncertainQuantity(THICKNESS, 2e-9, "m"),
+    )
+    rng = np.random.default_rng(5)
+    f00, f01, h = (rng.normal(q.value, q.sigma, 20_000) for q in inputs)
+
+    def r0(f):
+        return (np.sqrt(4.0 * f**2 + np.pi**2) - np.pi) / (2.0 * f)
+
+    r1 = r0(f01) ** 2 / r0(f00)
+    draws = -(WAVELENGTH / (8.0 * np.pi * h)) * np.log(1.0 - r0(f00) ** 2 + r1**2)
+    kappa = extinction_from_finesse(*inputs, WAVELENGTH, mc_samples=20_000, seed=5)
+    assert kappa.sigma == pytest.approx(float(np.std(draws, ddof=1)), rel=1e-9)
+
+
+def test_extinction_non_physical_draws_fall_under_the_one_percent_policy():
+    from cavitycharge.errors import EvaluationError
+
+    # F01 = 500 +/- 250: about 2% of the draws are non-positive
+    with pytest.raises(EvaluationError, match="non-finite"):
+        extinction_from_finesse(
+            UncertainQuantity(F00, 60.0),
+            UncertainQuantity(500.0, 250.0),
+            UncertainQuantity(THICKNESS, 2e-9, "m"),
+            WAVELENGTH,
+            mc_samples=10_000,
+        )
+
+
 def test_extinction_domain_error_for_invalid_reflectivities():
     from cavitycharge.errors import DomainError
 

@@ -1,3 +1,4 @@
+import math
 from importlib import resources
 
 import pytest
@@ -88,6 +89,21 @@ def test_fit_ringdown_skips_trace_with_nan_sample(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "nan.csv: 1 non-finite samples, the first at index 9" in captured.err
     assert "nan.csv" not in captured.out
+
+
+def test_fit_ringdown_skips_trace_starting_1ms_after_zero(tmp_path, capsys):
+    tau = 1.0 / (2.0 * math.pi * 523e3)
+    tr = synthesize_trace(1.0, 523e3, 8 * tau, 20_000 / (8 * tau), 0.01, 3, 1e-3)
+    offset = tmp_path / "offset.csv"
+    rows = zip(tr.times.tolist(), tr.voltages.tolist())
+    offset.write_text("\n".join(f"{t!r},{v!r}" for t, v in rows))
+    good = bundled_trace_paths()[0]
+    assert main(["fit-ringdown", "--fsr-hz", "7.410e9", str(offset), good]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "offset.csv: V0 at t = 0 overflows" in err[0]
+    assert main(["fit-ringdown", "--fsr-hz", "7.410e9", str(offset)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "no trace could be fitted" in err
 
 
 def test_fit_ringdown_requires_exactly_one_fsr_source(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cavitycharge.errors import DimensionError, EvaluationError, ParameterError
+from cavitycharge.errors import DimensionError, DomainError, EvaluationError, ParameterError
 from cavitycharge.quantities import (
     CODATA,
     UncertainQuantity,
@@ -94,6 +94,23 @@ def test_monte_carlo_nonfinite_fraction_errors():
         propagate_monte_carlo(
             np.sqrt, [UncertainQuantity(0.0, 1.0)], sample_count=2000, seed=0
         )
+
+
+def test_monte_carlo_error_from_f_propagates_after_one_call():
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        raise DomainError("outside the domain")
+
+    with pytest.raises(DomainError, match="outside the domain"):
+        propagate_monte_carlo(f, [UncertainQuantity(1.0, 0.1)], 1000, seed=0)
+    assert calls == [(1000,)]
+
+
+def test_monte_carlo_rejects_f_that_is_not_elementwise():
+    with pytest.raises(ParameterError, match=r"shape \(\), expected \(1000,\)"):
+        propagate_monte_carlo(lambda x: 2.0, [UncertainQuantity(1.0, 0.1)], 1000, seed=0)
 
 
 def test_linear_nonfinite_evaluation_errors():

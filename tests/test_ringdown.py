@@ -121,6 +121,13 @@ def test_fit_amplitude_scale_invariance():
     assert f1.v0.value == pytest.approx(7.0 * f0.v0.value, rel=1e-9)
 
 
+def test_fit_trace_starting_1ms_after_zero_is_parameter_error():
+    # 1 ms is ~3300 decay times: V0 at t = 0 is not a finite float
+    tr = synthesize_trace(1.0, TRUE_LINEWIDTH, 8 * TAU, 20_000 / (8 * TAU), 0.01, 3, 1e-3)
+    with pytest.raises(ParameterError, match="V0 at t = 0 overflows"):
+        fit_ringdown(tr)
+
+
 def test_fit_rejects_pure_noise():
     rng = np.random.default_rng(0)
     t = np.arange(1000) * 1e-9
@@ -144,6 +151,16 @@ def test_ensemble_shared_linewidth():
     lw_shared, amps_shared, _ = fit_ringdown_ensemble(traces, share_v0=True)
     assert len(amps_shared) == 1
     assert lw_shared.value == pytest.approx(TRUE_LINEWIDTH, rel=0.01)
+
+
+def test_ensemble_of_one_trace_is_fit_ringdown():
+    tr = make_trace(noise=0.02, seed=8, n=4000)
+    fit = fit_ringdown(tr)
+    lw, (v0,), rms = fit_ringdown_ensemble([tr])
+    assert lw.value == fit.linewidth.value
+    assert (lw.sigma, v0.value, v0.sigma, rms) == (
+        fit.linewidth.sigma, fit.v0.value, fit.v0.sigma, fit.residual_rms
+    )
 
 
 def test_pooling_inverse_variance():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cavitycharge.errors import SchemaError
@@ -105,6 +107,25 @@ def test_missing_required_key_named():
 def test_integer_keys_reject_floats():
     with pytest.raises(SchemaError, match=r"seed"):
         parse_scenario(MINIMAL.replace("seed = 7", "seed = 7.5"))
+
+
+@pytest.mark.parametrize(
+    "section,key,token",
+    [("charges", "q1_e", "nan"), ("cavity", "f00", "inf"), ("charges", "xq_m", "inf"),
+     ("charges", "q2_e", "-inf")],
+)
+def test_non_finite_numbers_rejected(section, key, token):
+    text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {token}", bundled_scenario_text())
+    with pytest.raises(SchemaError, match=rf"'{key}' in \[{section}\] must be finite"):
+        parse_scenario(text)
+
+
+def test_mc_samples_bounded_at_parse_time():
+    # the Monte-Carlo engine's minimum draw count, checked before any report runs
+    with_mc = MINIMAL.replace("seed = 7", "seed = 7\nmc_samples = 1000")
+    assert parse_scenario(with_mc).mc_samples == 1000
+    with pytest.raises(SchemaError, match=r"'mc_samples' in \[meta\] must be >= 1000, got 999"):
+        parse_scenario(with_mc.replace("= 1000", "= 999"))
 
 
 def test_cavity_needs_fsr_or_length():
