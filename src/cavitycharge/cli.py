@@ -7,7 +7,8 @@ Subcommands::
     toolkit budget --scenario paper_yb.scenario --target cooling
 
 Exit codes: 0 success, 1 acceptance failure, 2 input error. The
-environment variable TOOLKIT_SEED overrides the scenario seed.
+environment variable TOOLKIT_SEED, an integer >= 0, overrides the
+scenario seed.
 """
 
 from __future__ import annotations
@@ -34,9 +35,12 @@ def _seed_override() -> int | None:
     if not raw:
         return None
     try:
-        return int(raw, 10)
+        seed = int(raw, 10)
     except ValueError:
-        raise SchemaError(f"TOOLKIT_SEED must be an integer, got {raw!r}") from None
+        seed = None
+    if seed is None or seed < 0:
+        raise SchemaError(f"TOOLKIT_SEED must be an integer >= 0, got {raw!r}")
+    return seed
 
 
 def _cmd_fit_ringdown(args) -> int:

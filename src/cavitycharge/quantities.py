@@ -19,6 +19,7 @@ tags is dimensionless, and any other cross-dimension product is rejected.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -265,6 +266,18 @@ def propagate_linear(
     return UncertainQuantity(y0, math.sqrt(var), dimension)
 
 
+@functools.lru_cache(maxsize=1)
+def _standard_normals(seed: int, sample_count: int, n_inputs: int) -> np.ndarray:
+    """Read-only (n_inputs, sample_count) standard normals of default_rng(seed).
+
+    Row k is the stream rng.normal draws for input k, so q.value + q.sigma
+    * z[k] equals rng.normal(q.value, q.sigma, sample_count) bit for bit.
+    """
+    z = np.random.default_rng(seed).standard_normal((n_inputs, sample_count))
+    z.flags.writeable = False
+    return z
+
+
 def propagate_monte_carlo(
     f: Callable[..., float],
     inputs: Sequence[UncertainQuantity],
@@ -275,18 +288,26 @@ def propagate_monte_carlo(
     """Monte-Carlo uncertainty propagation with an explicit seed.
 
     Draws independent normal samples for each input and returns the sample
-    mean and standard deviation of f. Repeated calls with the same seed are
-    bit-identical. f is called once, with one array of draws per input, and
-    must return an array of shape (sample_count,), else ParameterError; an
-    exception raised by f propagates unchanged.
+    mean and standard deviation of f. seed must be an int >= 0, else
+    ParameterError. Repeated calls with the same seed are bit-identical. f
+    is called once, with one array of draws per input, and must return an
+    array of shape (sample_count,), else ParameterError; an exception
+    raised by f propagates unchanged.
+
+    Calls with the same seed, sample_count and input count share one block
+    of standard normals (common random numbers): the last call's block,
+    8 * len(inputs) * sample_count bytes (2.4 MB for 3 inputs at the
+    default 1e5 draws), stays in memory until a call with other arguments.
 
     Non-finite samples are tolerated up to 1% of the draws (with a warning);
     beyond that an EvaluationError is raised.
     """
     if sample_count < MIN_MC_SAMPLES:
         raise ParameterError(f"sample_count must be >= {MIN_MC_SAMPLES}, got {sample_count}")
-    rng = np.random.default_rng(seed)
-    draws = [rng.normal(q.value, q.sigma, size=sample_count) for q in inputs]
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be an int >= 0, got {seed!r}")
+    z = _standard_normals(seed, sample_count, len(inputs))
+    draws = [q.value + q.sigma * z_k for q, z_k in zip(inputs, z)]
     with np.errstate(all="ignore"):  # non-finite samples are counted below
         samples = np.asarray(f(*draws), dtype=float)
     if samples.shape != (sample_count,):

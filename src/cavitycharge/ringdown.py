@@ -166,14 +166,18 @@ def _fit(
 
     For a trial dnu the amplitudes a = sum(d v)/sum(d d), with
     d = exp(-2 pi dnu (t - t_ref)), are summed per trace or, with share_v0,
-    over all traces. Returns (linewidth, V0s at t = 0, residual_rms, iterations).
+    over all traces. t_ref is each trace's first sample or, with share_v0,
+    the earliest first sample. Returns (linewidth, V0s at t = 0,
+    residual_rms, iterations).
     """
-    t_ref = min(float(tr.times[0]) for tr in traces)
-    t_rels = [tr.times - t_ref for tr in traces]
+    firsts = np.array([float(tr.times[0]) for tr in traces])
+    t_refs = np.full_like(firsts, firsts.min()) if share_v0 else firsts
+    t_rels = [tr.times - t_ref for tr, t_ref in zip(traces, t_refs)]
     lw = float(np.mean([_seed_linewidth(tr, t) for tr, t in zip(traces, t_rels)]))
     x = -2.0 * math.pi * np.concatenate(t_rels)  # d = exp(dnu x), u = dd/d(dnu) = x d
     v = np.concatenate([tr.voltages for tr in traces])
-    counts = [x.size] if share_v0 else [len(tr) for tr in traces]
+    lengths = [len(tr) for tr in traces]
+    counts = [x.size] if share_v0 else lengths
     starts = np.cumsum([0, *counts[:-1]])
 
     def sums(y: np.ndarray) -> np.ndarray:
@@ -221,25 +225,37 @@ def _fit(
         raise FitError(f"fitted linewidth is non-positive: {lw}", lw)
 
     d, dd, amps, _, ssr = state
+    # a trace whose largest d*d is 0 adds nothing to any sum: it was not fitted
+    # (only a trace that starts after a shared t_ref can have one)
+    if not np.all(d[np.cumsum([0, *lengths[:-1]])] ** 2 > 0):
+        span = float(firsts.max() - t_refs[0])
+        raise ParameterError(
+            f"shared V0: the traces start {span:g} s apart, "
+            f"{2.0 * math.pi * lw * span:.4g} decay times, so the squared decay "
+            "factors of the later traces underflow to 0 at the earliest start"
+        )
     u = x * d
     jtj = np.diag(np.concatenate([[np.sum(amps**2 * sums(u * u))], dd]))
     jtj[0, 1:] = jtj[1:, 0] = amps * sums(u * d)
     cov = ssr / max(x.size - 1 - amps.size, 1) * np.linalg.inv(jtj)
-    # V0 = a g with g = exp(2 pi dnu t_ref); its variance by the delta method
+    # V0 = a g with g = exp(2 pi dnu t_ref). By the delta method its sigma is
+    # g sqrt(w), w = k^2 var(dnu) + 2 k cov(dnu, a) + var(a) with
+    # k = 2 pi t_ref a, so it overflows only where V0 (nearly) does.
+    t_ref = t_refs[: amps.size]
+    k = 2.0 * math.pi * t_ref * amps
+    w = k**2 * cov[0, 0] + 2.0 * k * cov[0, 1:] + np.diag(cov)[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.exp(2.0 * math.pi * lw * t_ref)
         v0 = amps * g
-    if not np.all(np.isfinite(v0)):
+        sig = g * np.sqrt(np.maximum(w, 0.0))
+    if not np.all(np.isfinite(v0) & np.isfinite(sig)):
+        t_last = float(t_ref.max())
         raise ParameterError(
-            f"V0 at t = 0 overflows: the first sample is at {t_ref:g} s, "
-            f"{2.0 * math.pi * lw * t_ref:.4g} decay times after t = 0"
+            f"V0 at t = 0 overflows, or its sigma does: a first sample is at "
+            f"{t_last:g} s, {2.0 * math.pi * lw * t_last:.4g} decay times after t = 0"
         )
-    dv0 = 2.0 * math.pi * t_ref * v0  # dV0/d(dnu)
-    var = np.diag(cov).copy()
-    var[1:] = dv0**2 * var[0] + 2.0 * dv0 * g * cov[0, 1:] + g**2 * var[1:]
-    sig = np.sqrt(np.maximum(var, 0.0))
-    amplitudes = [UncertainQuantity(float(a), float(s)) for a, s in zip(v0, sig[1:])]
-    linewidth = UncertainQuantity(lw, float(sig[0]), "Hz")
+    amplitudes = [UncertainQuantity(float(a), float(s)) for a, s in zip(v0, sig)]
+    linewidth = UncertainQuantity(lw, math.sqrt(max(cov[0, 0], 0.0)), "Hz")
     return linewidth, amplitudes, math.sqrt(ssr / x.size), iterations
 
 
@@ -259,10 +275,12 @@ def fit_ringdown_ensemble(
 ) -> tuple[UncertainQuantity, list[UncertainQuantity], float]:
     """Joint fit of several traces with a shared linewidth.
 
-    By default each trace keeps its own amplitude (per-trace V0); with
-    share_v0=True a single V0 is fitted across all traces. Returns
-    (linewidth, amplitudes, residual_rms). One trace gives exactly the
-    fit_ringdown result.
+    By default each trace keeps its own amplitude (per-trace V0), fitted at
+    the trace's first sample; with share_v0=True a single V0 is fitted
+    across all traces, at the earliest first sample, and traces that start
+    so much later that their squared decay factors underflow there raise
+    ParameterError. Returns (linewidth, amplitudes, residual_rms), each V0
+    at t = 0. One trace gives exactly the fit_ringdown result.
     """
     if not traces:
         raise ParameterError("need at least one trace")

@@ -153,6 +153,12 @@ def test_malformed_seed_override_is_input_error(capsys, monkeypatch):
     assert "TOOLKIT_SEED" in capsys.readouterr().err
 
 
+def test_negative_seed_override_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("TOOLKIT_SEED", "-1")
+    assert main(["reproduce-paper"]) == 2
+    assert "TOOLKIT_SEED must be an integer >= 0" in capsys.readouterr().err
+
+
 def test_budget_cooling(tmp_path, capsys):
     scenario = tmp_path / "run.scenario"
     scenario.write_text(bundled_scenario_text())

@@ -7,9 +7,11 @@ from cavitycharge.errors import DimensionError, DomainError, EvaluationError, Pa
 from cavitycharge.quantities import (
     CODATA,
     UncertainQuantity,
+    _standard_normals,
     propagate_linear,
     propagate_monte_carlo,
 )
+from cavitycharge.reports import build_report
 
 LINEWIDTH = UncertainQuantity(523e3, 9e3, "Hz")
 FSR = UncertainQuantity(7.410e9, 0.013e9, "Hz")
@@ -111,6 +113,73 @@ def test_monte_carlo_error_from_f_propagates_after_one_call():
 def test_monte_carlo_rejects_f_that_is_not_elementwise():
     with pytest.raises(ParameterError, match=r"shape \(\), expected \(1000,\)"):
         propagate_monte_carlo(lambda x: 2.0, [UncertainQuantity(1.0, 0.1)], 1000, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        [(2.0, 0.3)],
+        [(523e3, 9e3), (7.41e9, 0.0)],
+        [(22_000.0, 500.0), (-1.5, 2.0), (4e-8, 1e-9)],
+    ],
+)
+def test_monte_carlo_draws_equal_rng_normal_per_input(seed, inputs):
+    seen = []
+
+    def f(*draws):
+        seen.extend(np.array(d) for d in draws)
+        return draws[0]
+
+    quantities = [UncertainQuantity(v, s) for v, s in inputs]
+    propagate_monte_carlo(f, quantities, 2000, seed=np.int64(seed))
+    rng = np.random.default_rng(seed)
+    for q, draw in zip(quantities, seen, strict=True):
+        assert np.array_equal(draw, rng.normal(q.value, q.sigma, 2000))
+
+
+def test_report_rows_do_not_depend_on_earlier_monte_carlo_calls():
+    _standard_normals.cache_clear()
+    cold = build_report(seed=5)
+    propagate_monte_carlo(lambda a, b, c: a * b / c, [LINEWIDTH, FSR, LINEWIDTH], 100_000, seed=6)
+    after_other_seed = build_report(seed=5)
+    propagate_monte_carlo(ratio, [LINEWIDTH, FSR], 100_000, seed=5)
+    after_two_inputs = build_report(seed=5)
+    assert cold == after_other_seed == after_two_inputs
+
+
+def test_monte_carlo_f_writing_into_its_draws_changes_no_later_result():
+    inputs = [UncertainQuantity(2.0, 0.3), UncertainQuantity(5.0, 0.2)]
+    before = propagate_monte_carlo(lambda x, y: x * y, inputs, 5000, seed=42)
+
+    def vandal(x, y):
+        x[:] = 0.0
+        y *= 3.0
+        return x + y
+
+    propagate_monte_carlo(vandal, inputs, 5000, seed=42)
+    after = propagate_monte_carlo(lambda x, y: x * y, inputs, 5000, seed=42)
+    assert (after.value, after.sigma) == (before.value, before.sigma)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        None,
+        -1,
+        np.int64(-3),
+        1.0,
+        "0",
+        np.random.default_rng(0),
+        np.random.SeedSequence(0),
+    ],
+    ids=["none", "negative-int", "negative-np-integer", "float", "str", "generator", "seed-sequence"],
+)
+def test_monte_carlo_rejects_seed_that_is_not_a_nonnegative_int(seed):
+    _standard_normals.cache_clear()
+    with pytest.raises(ParameterError, match="seed must be an int >= 0"):
+        propagate_monte_carlo(lambda x: x, [UncertainQuantity(1.0, 0.1)], 1000, seed=seed)
+    assert _standard_normals.cache_info().misses == 0
 
 
 def test_linear_nonfinite_evaluation_errors():

@@ -163,6 +163,30 @@ def test_ensemble_of_one_trace_is_fit_ringdown():
     )
 
 
+def _trace_pair(shift=1e-3):
+    # at 100 kHz, 1 ms is ~630 decay times: d*d underflows at a common origin
+    lw = 1e5
+    tau = 1.0 / (2.0 * math.pi * lw)
+    first = synthesize_trace(1.0, lw, 8 * tau, 256 / (8 * tau), 0.01, 1)
+    later = synthesize_trace(1.0, lw, 8 * tau, 256 / (8 * tau), 0.01, 2, shift)
+    return first, later
+
+
+def test_ensemble_fits_each_amplitude_at_its_own_trace_start():
+    lw, (_, v0_late), _ = fit_ringdown_ensemble(_trace_pair())
+    lw_0, (_, v0_0), _ = fit_ringdown_ensemble(_trace_pair(shift=0.0))
+    assert lw.value == pytest.approx(lw_0.value, rel=1e-9)
+    assert lw.value == pytest.approx(1e5, abs=5 * lw.sigma)
+    growth = math.exp(2.0 * math.pi * lw.value * 1e-3)
+    assert v0_late.value == pytest.approx(v0_0.value * growth, rel=1e-6)
+    assert math.isfinite(v0_late.sigma)
+
+
+def test_ensemble_shared_v0_rejects_traces_that_underflow_at_the_common_origin():
+    with pytest.raises(ParameterError, match=r"start 0\.001 s apart, .* decay times"):
+        fit_ringdown_ensemble(_trace_pair(), share_v0=True)
+
+
 def test_pooling_inverse_variance():
     fits = [fit_ringdown(make_trace(noise=0.02, seed=s, n=2000)) for s in range(6)]
     pooled = pool_linewidths(fits)
