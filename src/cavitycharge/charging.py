@@ -148,7 +148,10 @@ def film_resistance(f: FilmSample) -> FilmResistance:
 def equilibrium_charge(
     resistance_ohm: float, capacitance_f: float, current_a: float
 ) -> EquilibriumCharge:
-    """Steady-state V = IR, Q = RCI (in elementary charges), and RC time."""
+    """Steady-state V = IR, Q = RCI (in elementary charges), and RC time.
+
+    current_a may be an array; V and Q then hold one value per current.
+    """
     if resistance_ohm <= 0 or capacitance_f <= 0:
         raise ParameterError("resistance and capacitance must be positive")
     v = current_a * resistance_ohm

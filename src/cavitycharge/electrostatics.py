@@ -23,12 +23,18 @@ r, whose on-axis potential is
 For a 125 um disc seen from 200 um the disc/point ratios are
 U_m/U_p = 0.92 and E_m/E_p = 0.78, close enough to unity that the
 point-charge model is used for the budgets.
+
+The charges of a ChargeScenario, and the positions and charges passed to
+field_at and single_charge_field, may be NumPy arrays: each element is one
+scenario, with the bits of a scalar call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, ParameterError
 from .quantities import CODATA
@@ -49,7 +55,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChargeScenario:
-    """Stray charges q1 at -x_Q and q2 at +x_Q, in elementary charges."""
+    """Stray charges q1 at -x_Q and q2 at +x_Q, in elementary charges.
+
+    q1_e and q2_e may be arrays (one scenario per element); x_Q is a float.
+    """
 
     q1_e: float
     q2_e: float
@@ -84,10 +93,10 @@ def expansion_coefficients(s: ChargeScenario) -> ExpansionCoefficients:
     )
 
 
-def _check_domain(x_m: float, x_q_m: float) -> None:
-    if abs(x_m) >= x_q_m:
+def _check_domain(x_m, x_q_m: float) -> None:
+    if np.any(abs(x_m) >= x_q_m):
         raise DomainError(
-            f"|x| = {abs(x_m)} m is outside the model domain |x| < {x_q_m} m"
+            f"|x| = {np.max(abs(x_m))} m is outside the model domain |x| < {x_q_m} m"
         )
 
 

@@ -19,11 +19,10 @@ tags is dimensionless, and any other cross-dimension product is rejected.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -266,16 +265,57 @@ def propagate_linear(
     return UncertainQuantity(y0, math.sqrt(var), dimension)
 
 
-@functools.lru_cache(maxsize=1)
-def _standard_normals(seed: int, sample_count: int, n_inputs: int) -> np.ndarray:
-    """Read-only (n_inputs, sample_count) standard normals of default_rng(seed).
+class _NormalsInfo(NamedTuple):
+    hits: int
+    misses: int
+    normals_drawn: int
+
+
+class _StandardNormals:
+    """Read-only standard normals of default_rng(seed), one row per input.
 
     Row k is the stream rng.normal draws for input k, so q.value + q.sigma
     * z[k] equals rng.normal(q.value, q.sigma, sample_count) bit for bit.
+    One seed and sample_count are kept, with their generator: a call that
+    needs more rows copies the kept rows into a larger block and draws
+    only the missing ones, which continue the same stream, so a 2-input
+    and a 3-input call share their first two rows. A call with another
+    seed or sample_count starts over.
     """
-    z = np.random.default_rng(seed).standard_normal((n_inputs, sample_count))
-    z.flags.writeable = False
-    return z
+
+    def __init__(self) -> None:
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self._key = None
+        self._rng = None
+        self._block = np.empty((0, 0))
+        self.hits = self.misses = self.normals_drawn = 0
+
+    def cache_info(self) -> _NormalsInfo:
+        """Calls served from the kept rows, calls that drew, normals drawn."""
+        return _NormalsInfo(self.hits, self.misses, self.normals_drawn)
+
+    def __call__(self, seed: int, sample_count: int, n_inputs: int) -> np.ndarray:
+        if self._key != (seed, sample_count):
+            self._key = (seed, sample_count)
+            self._rng = np.random.default_rng(seed)
+            self._block = np.empty((0, sample_count))
+        kept = len(self._block)
+        if n_inputs > kept:
+            block = np.empty((n_inputs, sample_count))
+            block[:kept] = self._block
+            self._rng.standard_normal(out=block[kept:])
+            block.flags.writeable = False
+            self._block = block
+            self.misses += 1
+            self.normals_drawn += (n_inputs - kept) * sample_count
+        else:
+            self.hits += 1
+        return self._block[:n_inputs]
+
+
+_standard_normals = _StandardNormals()
 
 
 def propagate_monte_carlo(
@@ -294,10 +334,11 @@ def propagate_monte_carlo(
     array of shape (sample_count,), else ParameterError; an exception
     raised by f propagates unchanged.
 
-    Calls with the same seed, sample_count and input count share one block
-    of standard normals (common random numbers): the last call's block,
-    8 * len(inputs) * sample_count bytes (2.4 MB for 3 inputs at the
-    default 1e5 draws), stays in memory until a call with other arguments.
+    Calls with the same seed and sample_count share their standard normals
+    (common random numbers): input k of every such call gets the same row.
+    The rows of the last seed, 8 * sample_count bytes per row (2.4 MB for
+    3 inputs at the default 1e5 draws), stay in memory until a call with
+    another seed or sample_count.
 
     Non-finite samples are tolerated up to 1% of the draws (with a warning);
     beyond that an EvaluationError is raised.

@@ -63,6 +63,7 @@ __all__ = [
     "render_csv",
     "budget_report",
     "BUDGET_TARGETS",
+    "SWEEP_POINTS",
 ]
 
 _FLOAT_GUARD = 1e-9  # relative guard against last-ulp tolerance failures
@@ -545,8 +546,14 @@ def render_csv(rows: list[ReportRow]) -> str:
 # budgets
 
 
-def _sweep_grid(upper: float, points: int = 200) -> np.ndarray:
-    return np.linspace(upper / points, upper, points)
+#: Points in every budget sweep.
+SWEEP_POINTS = 200
+
+
+def _sweep(upper: float, figure_of_merit) -> np.ndarray:
+    """(x, y) rows: SWEEP_POINTS x values up to upper, y = f(x) in one call."""
+    grid = np.linspace(upper / SWEEP_POINTS, upper, SWEEP_POINTS)
+    return np.column_stack((grid, figure_of_merit(grid)))
 
 
 def budget_report(
@@ -557,12 +564,12 @@ def budget_report(
     displacement_m: Optional[float] = None,
     tau_pi_s: float = 5e-6,
     target_infidelity: float = 0.01,
-    sweep_points: int = 200,
 ):
     """Budget rows plus a (sweep_variable, figure_of_merit) table.
 
-    Returns (rows, sweep_header, sweep_rows) where rows is a list of
-    (name, value, unit) tuples.
+    Returns (rows, sweep_header, sweep) where rows is a list of
+    (name, value, unit) tuples and sweep is a (SWEEP_POINTS, 2) array of
+    (x, y) rows, its y column evaluated as one array call on the x grid.
     """
     if target not in BUDGET_TARGETS:
         raise ParameterError(
@@ -573,15 +580,20 @@ def budget_report(
         film, illum, current, resistance, steady = _charging_parts(
             _Context(scn, scn.seed)
         )
-        first_principles = (
-            illum.quantum_efficiency
-            * illum.power_w
-            * illum.wavelength_m
-            / (CODATA.h * CODATA.c)
-        )
+
+        def first_principles_rate(power_w):
+            return (
+                illum.quantum_efficiency * power_w * illum.wavelength_m
+                / (CODATA.h * CODATA.c)
+            )
+
         rows = [
             ("photoelectron_rate", current.rate_per_s, "1/s"),
-            ("photoelectron_rate_first_principles", first_principles, "1/s"),
+            (
+                "photoelectron_rate_first_principles",
+                first_principles_rate(illum.power_w),
+                "1/s",
+            ),
             ("photocurrent", current.current_a, "A"),
             ("sheet_resistance", resistance.sheet_resistance_ohm_sq, "Ohm/sq"),
             ("film_resistance", resistance.resistance_ohm, "Ohm"),
@@ -596,17 +608,14 @@ def budget_report(
                 "",
             ),
         ]
-        powers = _sweep_grid(2.0 * max(illum.power_w, 1e-12), sweep_points)
-        sweep = []
-        for p in powers:
-            rate = (
-                illum.quantum_efficiency * p * illum.wavelength_m
-                / (CODATA.h * CODATA.c)
-            )
-            q = charging.equilibrium_charge(
-                resistance.resistance_ohm, film.capacitance_f, charging.CODATA.e * rate
-            )
-            sweep.append((p, q.charge_e))
+        sweep = _sweep(
+            2.0 * max(illum.power_w, 1e-12),
+            lambda p: charging.equilibrium_charge(
+                resistance.resistance_ohm,
+                film.capacitance_f,
+                CODATA.e * first_principles_rate(p),
+            ).charge_e,
+        )
         return rows, "power_w,equilibrium_charge_e", sweep
 
     trap = scn.trap_config()
@@ -620,17 +629,13 @@ def budget_report(
             ("equilibrium_displacement", budget.x_tilde_m, "m"),
             ("field_at_ion", budget.field_v_per_m, "V/m"),
         ]
-        grid = _sweep_grid(2.0 * budget.q1_e, sweep_points)
-        sweep = [
-            (
-                q,
-                ion_impact.carrier_intensity_factor(
-                    ion_impact.micromotion_of_single_charge(trap, x_q, q),
-                    trap.cooling_wavelength_m,
-                ),
-            )
-            for q in grid
-        ]
+        sweep = _sweep(
+            2.0 * budget.q1_e,
+            lambda q: ion_impact.carrier_intensity_factor(
+                ion_impact.micromotion_of_single_charge(trap, x_q, q),
+                trap.cooling_wavelength_m,
+            ),
+        )
         return rows, "q1_e,carrier_intensity_factor", sweep
 
     if target == "coupling":
@@ -644,16 +649,12 @@ def budget_report(
             ("q1_max", q1, "e"),
             ("field_at_ion", electrostatics.field_at(s, x_target), "V/m"),
         ]
-        grid = _sweep_grid(2.0 * max(q1, 1.0), sweep_points)
-        sweep = [
-            (
-                q,
-                ion_impact.equilibrium_position(
-                    trap, electrostatics.ChargeScenario(q, 0.0, x_q)
-                ),
-            )
-            for q in grid
-        ]
+        sweep = _sweep(
+            2.0 * max(q1, 1.0),
+            lambda q: ion_impact.equilibrium_position(
+                trap, electrostatics.ChargeScenario(q, 0.0, x_q)
+            ),
+        )
         return rows, "q1_e,equilibrium_displacement_m", sweep
 
     if target == "lamb-dicke":
@@ -666,10 +667,10 @@ def budget_report(
             ("field_at_ion", budget.field_v_per_m, "V/m"),
         ]
         k = 2.0 * math.pi / trap.gate_wavelength_m
-        grid = _sweep_grid(2.0 * max(budget.q1_max_e, 1.0), sweep_points)
-        sweep = [
-            (q, k * ion_impact.micromotion_of_single_charge(trap, x_q, q)) for q in grid
-        ]
+        sweep = _sweep(
+            2.0 * max(budget.q1_max_e, 1.0),
+            lambda q: k * ion_impact.micromotion_of_single_charge(trap, x_q, q),
+        )
         return rows, "q1_e,gate_modulation_index", sweep
 
     if target == "gate":
@@ -684,13 +685,12 @@ def budget_report(
             ("equal_charge_bound", bound, "e"),
         ]
         q_scale = max(abs(scn.charge_scenario().q1_e), bound, 1.0)
-        grid = _sweep_grid(2.0 * q_scale, sweep_points)
-        sweep = []
-        for q in grid:
-            v = ion_impact.gate_detuning_verdict(
+        sweep = _sweep(
+            2.0 * q_scale,
+            lambda q: ion_impact.gate_detuning_verdict(
                 trap, electrostatics.ChargeScenario(q, q, x_q), gate
-            )
-            sweep.append((q, v.ratio_rabi))
+            ).ratio_rabi,
+        )
         return rows, "q1_e,detuning_over_rabi", sweep
 
     rydberg = scn.rydberg_config()
@@ -706,16 +706,12 @@ def budget_report(
                 "Hz",
             ),
         ]
-        grid = _sweep_grid(2.0 * budget.q1_e, sweep_points)
-        sweep = [
-            (
-                q,
-                rydberg_impact.decoherence_time(
-                    rydberg, electrostatics.single_charge_field(q, x_q)
-                ),
-            )
-            for q in grid
-        ]
+        sweep = _sweep(
+            2.0 * budget.q1_e,
+            lambda q: rydberg_impact.decoherence_time(
+                rydberg, electrostatics.single_charge_field(q, x_q)
+            ),
+        )
         return rows, "q1_e,decoherence_time_s", sweep
 
     # rydberg-gate
@@ -725,10 +721,13 @@ def budget_report(
         ("q1_max", budget.q1_e, "e"),
         ("field_at_atom", budget.field_v_per_m, "V/m"),
     ]
-    grid = _sweep_grid(2.0 * budget.q1_e, sweep_points)
-    sweep = []
-    for q in grid:
-        field = electrostatics.single_charge_field(q, x_q)
-        shift = rydberg_impact.stark_shift(rydberg, field)
-        sweep.append((q, rydberg_impact.blockade_infidelity(rydberg, shift)))
+    sweep = _sweep(
+        2.0 * budget.q1_e,
+        lambda q: rydberg_impact.blockade_infidelity(
+            rydberg,
+            rydberg_impact.stark_shift(
+                rydberg, electrostatics.single_charge_field(q, x_q)
+            ),
+        ),
+    )
     return rows, "q1_e,blockade_infidelity", sweep

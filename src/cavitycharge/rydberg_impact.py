@@ -14,6 +14,9 @@ infidelity (1/2)(delta_R/Omega_R)^2.
 Convention: alpha is stored in Hz/(V/m)^2 and delta_R/2pi, Omega_R/2pi are
 ordinary frequencies, so tau_pi = 1/(alpha E^2) holds as written and the
 blockade ratio is frequency-convention free.
+
+stark_shift, decoherence_time and blockade_infidelity take a float or a
+NumPy array of fields (or shifts) and evaluate every element at once.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .electrostatics import charge_for_field
 from .errors import ParameterError
@@ -81,9 +86,8 @@ def dephasing(cfg: RydbergConfig, field_v_per_m: float, tau_s: float) -> float:
 
 def decoherence_time(cfg: RydbergConfig, field_v_per_m: float) -> float:
     """Full-decoherence time tau_pi = 1/(alpha E^2); +inf at zero field."""
-    if field_v_per_m == 0.0:
-        return math.inf
-    return 1.0 / (cfg.polarizability_hz * field_v_per_m**2)
+    with np.errstate(divide="ignore"):
+        return np.divide(1.0, cfg.polarizability_hz * field_v_per_m**2)
 
 
 def blockade_infidelity(cfg: RydbergConfig, stark_shift_hz: float) -> float:

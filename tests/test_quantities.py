@@ -11,7 +11,7 @@ from cavitycharge.quantities import (
     propagate_linear,
     propagate_monte_carlo,
 )
-from cavitycharge.reports import build_report
+from cavitycharge.reports import build_report, bundled_scenario
 
 LINEWIDTH = UncertainQuantity(523e3, 9e3, "Hz")
 FSR = UncertainQuantity(7.410e9, 0.013e9, "Hz")
@@ -262,3 +262,14 @@ def test_constants_are_frozen_and_consistent():
     assert CODATA.h == pytest.approx(2.0 * math.pi * CODATA.hbar, rel=1e-14)
     with pytest.raises(Exception):
         CODATA.e = 1.0
+
+
+def test_new_seed_report_draws_each_row_of_normals_once():
+    build_report(seed=5)
+    before = _standard_normals.cache_info().normals_drawn
+    build_report(seed=6)
+    mc_samples = bundled_scenario().mc_samples
+    # the 3-input extinction and the 2-input ratio share their first two rows
+    assert _standard_normals.cache_info().normals_drawn - before == 3 * mc_samples
+    build_report(seed=6)
+    assert _standard_normals.cache_info().normals_drawn - before == 3 * mc_samples
