@@ -223,6 +223,10 @@ CODATA = Constants()
 #: Fewest Monte-Carlo draws propagate_monte_carlo accepts.
 MIN_MC_SAMPLES = 1000
 
+# Most draws f sees at once: its 64 KB temporaries stay below the
+# allocator's mmap threshold, so freed memory is reused, not faulted in anew.
+_MC_CHUNK = 8192
+
 # finite-difference step rule: relative 1e-6 with an absolute floor
 _FD_REL_STEP = 1e-6
 _FD_ABS_STEP = 1e-12
@@ -329,10 +333,14 @@ def propagate_monte_carlo(
 
     Draws independent normal samples for each input and returns the sample
     mean and standard deviation of f. seed must be an int >= 0, else
-    ParameterError. Repeated calls with the same seed are bit-identical. f
-    is called once, with one array of draws per input, and must return an
-    array of shape (sample_count,), else ParameterError; an exception
-    raised by f propagates unchanged.
+    ParameterError. Repeated calls with the same seed are bit-identical.
+
+    f must be elementwise: sample j of its output may depend only on draw j
+    of each input. It is called once per block of at most 8,192 draws
+    (_MC_CHUNK), with one array of draws per input, and must return an
+    array of the block's shape (n,), else ParameterError; an exception
+    raised by f propagates unchanged. The blocks are written into one
+    output array, so the result equals one call of f on all the draws.
 
     Calls with the same seed and sample_count share their standard normals
     (common random numbers): input k of every such call gets the same row.
@@ -340,19 +348,26 @@ def propagate_monte_carlo(
     3 inputs at the default 1e5 draws), stay in memory until a call with
     another seed or sample_count.
 
-    Non-finite samples are tolerated up to 1% of the draws (with a warning);
-    beyond that an EvaluationError is raised.
+    Non-finite samples are tolerated up to 1% of all sample_count draws
+    (with a warning), counted over the whole output, not per block; beyond
+    that an EvaluationError is raised.
     """
     if sample_count < MIN_MC_SAMPLES:
         raise ParameterError(f"sample_count must be >= {MIN_MC_SAMPLES}, got {sample_count}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ParameterError(f"seed must be an int >= 0, got {seed!r}")
     z = _standard_normals(seed, sample_count, len(inputs))
-    draws = [q.value + q.sigma * z_k for q, z_k in zip(inputs, z)]
-    with np.errstate(all="ignore"):  # non-finite samples are counted below
-        samples = np.asarray(f(*draws), dtype=float)
-    if samples.shape != (sample_count,):
-        raise ParameterError(f"f returned shape {samples.shape}, expected ({sample_count},)")
+    samples = np.empty(sample_count)
+    for start in range(0, sample_count, _MC_CHUNK):
+        part = slice(start, min(start + _MC_CHUNK, sample_count))
+        draws = [q.value + q.sigma * z_k[part] for q, z_k in zip(inputs, z)]
+        with np.errstate(all="ignore"):  # non-finite samples are counted below
+            block = np.asarray(f(*draws), dtype=float)
+        n = part.stop - start
+        # checked per block: slice assignment would broadcast a scalar
+        if block.shape != (n,):
+            raise ParameterError(f"f returned shape {block.shape}, expected ({n},)")
+        samples[part] = block
     finite = np.isfinite(samples)
     n_bad = int(sample_count - finite.sum())
     if n_bad > 0.01 * sample_count:

@@ -136,10 +136,15 @@ def synthesize_trace(
     return RingdownTrace(t + trigger_time, v, sample_rate_hz, trigger_time)
 
 
+def _noise_floor(v: np.ndarray) -> float:
+    """Median magnitude of the trailing tenth (at least 8 samples)."""
+    return float(np.median(np.abs(v[-max(8, v.size // 10):])))
+
+
 def _seed_linewidth(trace: RingdownTrace, t_rel: np.ndarray) -> float:
     """Log-linear slope of the samples above the noise floor, as a linewidth."""
     v = trace.voltages
-    floor = float(np.median(np.abs(v[-max(8, v.size // 10):])))  # trailing tenth
+    floor = _noise_floor(v)
     peak = float(np.max(v))
     if peak <= _PEAK_TO_NOISE_MIN * floor:
         raise ParameterError(
@@ -225,15 +230,23 @@ def _fit(
         raise FitError(f"fitted linewidth is non-positive: {lw}", lw)
 
     d, dd, amps, _, ssr = state
-    # a trace whose largest d*d is 0 adds nothing to any sum: it was not fitted
-    # (only a trace that starts after a shared t_ref can have one)
-    if not np.all(d[np.cumsum([0, *lengths[:-1]])] ** 2 > 0):
-        span = float(firsts.max() - t_refs[0])
-        raise ParameterError(
-            f"shared V0: the traces start {span:g} s apart, "
-            f"{2.0 * math.pi * lw * span:.4g} decay times, so the squared decay "
-            "factors of the later traces underflow to 0 at the earliest start"
-        )
+    if share_v0:
+        # A trace whose modelled peak at its first sample is below its noise
+        # floor carries no information on the shared V0; one whose largest d*d
+        # underflows to 0 adds nothing to any sum. Neither was fitted.
+        d_first = d[np.cumsum([0, *lengths[:-1]])]
+        peaks = amps[0] * d_first
+        floors = np.array([_noise_floor(tr.voltages) for tr in traces])
+        lost = np.flatnonzero(~((peaks > floors) & (d_first**2 > 0)))
+        if lost.size:
+            k = int(lost[0])
+            span = float(firsts.max() - t_refs[0])
+            raise ParameterError(
+                f"shared V0: the traces start {span:g} s apart, "
+                f"{2.0 * math.pi * lw * span:.4g} decay times; the model of trace "
+                f"{k} peaks at {peaks[k]:.3g} at its first sample, against its "
+                f"noise floor of {floors[k]:.3g}, so it carries no information on V0"
+            )
     u = x * d
     jtj = np.diag(np.concatenate([[np.sum(amps**2 * sums(u * u))], dd]))
     jtj[0, 1:] = jtj[1:, 0] = amps * sums(u * d)
@@ -277,10 +290,12 @@ def fit_ringdown_ensemble(
 
     By default each trace keeps its own amplitude (per-trace V0), fitted at
     the trace's first sample; with share_v0=True a single V0 is fitted
-    across all traces, at the earliest first sample, and traces that start
-    so much later that their squared decay factors underflow there raise
-    ParameterError. Returns (linewidth, amplitudes, residual_rms), each V0
-    at t = 0. One trace gives exactly the fit_ringdown result.
+    across all traces, at the earliest first sample, and a trace whose
+    modelled peak at its own first sample is not above its noise floor
+    (the median magnitude of its trailing tenth) raises ParameterError,
+    naming the trace (0-based) and the spread of the starts in decay
+    times. Returns (linewidth, amplitudes, residual_rms), each V0 at t = 0.
+    One trace gives exactly the fit_ringdown result.
     """
     if not traces:
         raise ParameterError("need at least one trace")

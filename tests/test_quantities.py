@@ -115,6 +115,69 @@ def test_monte_carlo_rejects_f_that_is_not_elementwise():
         propagate_monte_carlo(lambda x: 2.0, [UncertainQuantity(1.0, 0.1)], 1000, seed=0)
 
 
+def _elementwise(*draws):
+    y = np.cos(draws[0])
+    for x in draws[1:]:
+        y = y * x + np.sqrt(np.abs(x))
+    return y
+
+
+@pytest.mark.parametrize("sample_count", [1000, 8192, 8193, 100_000])
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        [(2.0, 0.3)],
+        [(523e3, 9e3), (7.41e9, 0.013e9)],
+        [(22_000.0, 500.0), (-1.5, 2.0), (4e-8, 1e-9)],
+    ],
+)
+def test_monte_carlo_blocks_equal_one_call_on_all_draws(sample_count, inputs):
+    sizes = []
+
+    def f(*draws):
+        sizes.append(draws[0].size)
+        return _elementwise(*draws)
+
+    quantities = [UncertainQuantity(v, s) for v, s in inputs]
+    mc = propagate_monte_carlo(f, quantities, sample_count, seed=4)
+    z = np.random.default_rng(4).standard_normal((len(inputs), sample_count))
+    y = _elementwise(*(q.value + q.sigma * z[i] for i, q in enumerate(quantities)))
+    assert (mc.value, mc.sigma) == (float(np.mean(y)), float(np.std(y, ddof=1)))
+    assert max(sizes) <= 8192
+    assert sum(sizes) == sample_count
+
+
+def test_monte_carlo_checks_the_shape_of_every_block():
+    def f(x):
+        return x if x.size == 8192 else x[1:]
+
+    with pytest.raises(ParameterError, match=r"shape \(3615,\), expected \(3616,\)"):
+        propagate_monte_carlo(f, [UncertainQuantity(1.0, 0.1)], 20_000, seed=0)
+
+
+def _nan_in_first_block(n_nan):
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        y = x.copy()
+        if len(calls) == 1:
+            y[:n_nan] = np.nan
+        return y
+
+    return f
+
+
+def test_monte_carlo_nonfinite_policy_counts_over_the_whole_output():
+    # 1,100 NaNs are 13% of the first 8,192-draw block but 1.1% of all draws
+    with pytest.raises(EvaluationError, match="1100/100000"):
+        propagate_monte_carlo(_nan_in_first_block(1100), [UncertainQuantity(1.0, 0.1)], 100_000)
+    # 900 NaNs are 11% of that block but 0.9% of all draws: a warning only
+    with pytest.warns(RuntimeWarning, match="discarded 900/100000"):
+        mc = propagate_monte_carlo(_nan_in_first_block(900), [UncertainQuantity(1.0, 0.1)], 100_000)
+    assert math.isfinite(mc.value) and math.isfinite(mc.sigma)
+
+
 @pytest.mark.parametrize("seed", [0, 7, 12345])
 @pytest.mark.parametrize(
     "inputs",

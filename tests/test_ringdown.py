@@ -163,9 +163,8 @@ def test_ensemble_of_one_trace_is_fit_ringdown():
     )
 
 
-def _trace_pair(shift=1e-3):
+def _trace_pair(shift=1e-3, lw=1e5):
     # at 100 kHz, 1 ms is ~630 decay times: d*d underflows at a common origin
-    lw = 1e5
     tau = 1.0 / (2.0 * math.pi * lw)
     first = synthesize_trace(1.0, lw, 8 * tau, 256 / (8 * tau), 0.01, 1)
     later = synthesize_trace(1.0, lw, 8 * tau, 256 / (8 * tau), 0.01, 2, shift)
@@ -185,6 +184,22 @@ def test_ensemble_fits_each_amplitude_at_its_own_trace_start():
 def test_ensemble_shared_v0_rejects_traces_that_underflow_at_the_common_origin():
     with pytest.raises(ParameterError, match=r"start 0\.001 s apart, .* decay times"):
         fit_ringdown_ensemble(_trace_pair(), share_v0=True)
+
+
+@pytest.mark.parametrize(
+    "shift, decay_times",
+    [(1e-3, r"31\d\.\d"), (6.0 / (2.0 * math.pi * 5e4), r"5\.\d+")],
+    ids=["314-decay-times", "6-decay-times"],
+)
+def test_ensemble_shared_v0_rejects_a_trace_modelled_below_its_noise_floor(shift, decay_times):
+    # at 50 kHz no decay factor underflows, but the later trace's modelled
+    # peak at its own start is below its 1% noise floor
+    with pytest.raises(
+        ParameterError,
+        match=rf"{decay_times} decay times; the model of trace 1 peaks at .* noise floor",
+    ):
+        fit_ringdown_ensemble(_trace_pair(shift, lw=5e4), share_v0=True)
+    fit_ringdown_ensemble(_trace_pair(shift, lw=5e4))
 
 
 def test_pooling_inverse_variance():
