@@ -6,86 +6,99 @@ for what stray surface charge on the mirrors does to trapped ions and
 Rydberg atoms, and for how laser-induced photocurrent charges a grounded
 conductive film. Measured values carry one-sigma uncertainties and are
 propagated linearly or by Monte Carlo.
+
+The namespace is lazy (PEP 562): importing the package loads no
+submodule. ``cavitycharge.fit_ringdown`` or ``from cavitycharge import
+charging`` imports the defining module on first use, so a command loads
+only the modules it runs.
 """
 
-from .quantities import (
-    CODATA,
-    Constants,
-    UncertainQuantity,
-    propagate_linear,
-    propagate_monte_carlo,
-)
-from .ringdown import (
-    RingdownFit,
-    RingdownTrace,
-    finesse,
-    fit_ringdown,
-    fit_ringdown_ensemble,
-    fsr_from_length,
-    load_trace_csv,
-    pool_linewidths,
-    synthesize_trace,
-)
-from .cavity_optics import (
-    CavityAssembly,
-    MirrorState,
-    excess_reflection_loss,
-    extinction_from_finesse,
-    finesse_from_reflectivities,
-    r0_from_symmetric_finesse,
-    r1_from_asymmetric_finesse,
-    resonant_response,
-)
-from .film_optics import (
-    AbsorptionSpectrum,
-    ComplexIndex,
-    DrudeModel,
-    drude_from_transport,
-    drude_index,
-    lambda_cubed_ratio,
-    power_attenuation,
-    tauc_bandgap,
-)
-from .electrostatics import (
-    ChargeScenario,
-    disc_point_ratios,
-    expansion_coefficients,
-    field_at,
-    potential_exact,
-    potential_quadratic,
-    sheet_pair_field,
-)
-from .ion_impact import (
-    GateParams,
-    TrapConfig,
-    bessel_j0,
-    carrier_intensity_factor,
-    equilibrium_position,
-    gate_detuning_verdict,
-    lamb_dicke_budget,
-    max_charge_for_cooling,
-    micromotion_amplitude,
-    shifted_frequency,
-    zero_point_spread,
-)
-from .rydberg_impact import (
-    RydbergConfig,
-    blockade_infidelity,
-    decoherence_time,
-    dephasing,
-    max_charge_for_infidelity,
-    stark_shift,
-)
-from .charging import (
-    FilmSample,
-    IlluminationScenario,
-    TransportSample,
-    equilibrium_charge,
-    film_resistance,
-    gaussian_clipping_factor,
-    photocurrent,
-    transport_consistency,
-)
-from .scenario import Scenario, load_scenario, parse_scenario, serialize_scenario
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# the `budget` targets; here so the CLI parser can list them without
+# importing `reports`, which re-exports this tuple
+BUDGET_TARGETS = (
+    "cooling",
+    "coupling",
+    "lamb-dicke",
+    "gate",
+    "rydberg-coherence",
+    "rydberg-gate",
+    "charging",
+)
+
+# public name -> defining submodule
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "quantities": (
+            "CODATA", "Constants", "UncertainQuantity", "propagate_linear",
+            "propagate_monte_carlo",
+        ),
+        "ringdown": (
+            "RingdownFit", "RingdownTrace", "finesse", "fit_ringdown",
+            "fit_ringdown_ensemble", "fsr_from_length", "load_trace_csv",
+            "pool_linewidths", "synthesize_trace",
+        ),
+        "cavity_optics": (
+            "CavityAssembly", "MirrorState", "excess_reflection_loss",
+            "extinction_from_finesse", "finesse_from_reflectivities",
+            "r0_from_symmetric_finesse", "r1_from_asymmetric_finesse",
+            "resonant_response",
+        ),
+        "film_optics": (
+            "AbsorptionSpectrum", "ComplexIndex", "DrudeModel",
+            "drude_from_transport", "drude_index", "lambda_cubed_ratio",
+            "power_attenuation", "tauc_bandgap",
+        ),
+        "electrostatics": (
+            "ChargeScenario", "disc_point_ratios", "expansion_coefficients",
+            "field_at", "potential_exact", "potential_quadratic",
+            "sheet_pair_field",
+        ),
+        "ion_impact": (
+            "GateParams", "TrapConfig", "bessel_j0", "carrier_intensity_factor",
+            "equilibrium_position", "gate_detuning_verdict", "lamb_dicke_budget",
+            "max_charge_for_cooling", "micromotion_amplitude",
+            "shifted_frequency", "zero_point_spread",
+        ),
+        "rydberg_impact": (
+            "RydbergConfig", "blockade_infidelity", "decoherence_time",
+            "dephasing", "max_charge_for_infidelity", "stark_shift",
+        ),
+        "charging": (
+            "FilmSample", "IlluminationScenario", "TransportSample",
+            "equilibrium_charge", "film_resistance", "gaussian_clipping_factor",
+            "photocurrent", "transport_consistency",
+        ),
+        "scenario": (
+            "Scenario", "load_scenario", "parse_scenario", "serialize_scenario",
+        ),
+    }.items()
+    for name in names
+}
+
+_SUBMODULES = frozenset({
+    "cavity_optics", "charging", "cli", "electrostatics", "errors",
+    "film_optics", "ion_impact", "quantities", "reports", "ringdown",
+    "rydberg_impact", "scenario",
+})
+
+__all__ = ["BUDGET_TARGETS", *_EXPORTS]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")  # the import binds it here
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -9,6 +9,10 @@ Subcommands::
 Exit codes: 0 success, 1 acceptance failure, 2 input error. The
 environment variable TOOLKIT_SEED, an integer >= 0, overrides the
 scenario seed.
+
+Each subcommand imports only what it runs. This module loads `errors`,
+`quantities` and `ringdown` (all that fit-ringdown needs); reproduce-paper
+and budget import `reports`, and budget `scenario`, when they run.
 """
 
 from __future__ import annotations
@@ -19,11 +23,10 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from . import reports
+from . import BUDGET_TARGETS
 from .errors import SchemaError, ToolkitError
 from .quantities import UncertainQuantity
 from .ringdown import finesse, fit_ringdown, fsr_from_length, load_trace_csv, pool_linewidths
-from .scenario import load_scenario, parse_scenario
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 1
@@ -78,6 +81,8 @@ def _cmd_fit_ringdown(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from . import reports
+
     scn = reports.bundled_scenario()
     rows = reports.build_report(scn, seed=_seed_override())
     sys.stdout.write(reports.render_text(rows))
@@ -87,17 +92,21 @@ def _cmd_reproduce(args) -> int:
 
 
 def _load_scenario_arg(spec: str):
+    from . import scenario
+
     path = Path(spec)
     if path.exists():
-        return load_scenario(path)
+        return scenario.load_scenario(path)
     # fall back to the bundled scenarios, so the stock file works by name
     bundled = resources.files("cavitycharge").joinpath(f"data/{spec}")
     if "/" not in spec and bundled.is_file():
-        return parse_scenario(bundled.read_text(encoding="utf-8"))
+        return scenario.parse_scenario(bundled.read_text(encoding="utf-8"))
     raise FileNotFoundError(f"scenario file not found: {spec}")
 
 
 def _cmd_budget(args) -> int:
+    from . import reports
+
     scn = _load_scenario_arg(args.scenario)
     rows, sweep_header, sweep = reports.budget_report(
         scn,
@@ -145,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bud.add_argument("--scenario", required=True,
                        help="scenario file path (bare names fall back to the "
                             "bundled scenarios, e.g. paper_yb.scenario)")
-    p_bud.add_argument("--target", required=True, choices=reports.BUDGET_TARGETS)
+    p_bud.add_argument("--target", required=True, choices=BUDGET_TARGETS)
     p_bud.add_argument("--intensity-floor", type=float, default=0.5,
                        help="carrier-intensity floor for the cooling target")
     p_bud.add_argument("--modulation-limit", type=float, default=0.2,

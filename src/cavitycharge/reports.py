@@ -45,7 +45,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import cavity_optics, charging, electrostatics, ion_impact, rydberg_impact
+from . import BUDGET_TARGETS, cavity_optics, charging, electrostatics, ion_impact, rydberg_impact
 from .errors import ParameterError
 from .quantities import CODATA, UncertainQuantity, propagate_monte_carlo
 from .ringdown import finesse, fsr_from_length
@@ -70,16 +70,6 @@ _FLOAT_GUARD = 1e-9  # relative guard against last-ulp tolerance failures
 
 EXPECTED_DOCUMENTED = frozenset(
     {"kappa_zno_128d", "gate_ratio_rabi", "photocurrent_rate"}
-)
-
-BUDGET_TARGETS = (
-    "cooling",
-    "coupling",
-    "lamb-dicke",
-    "gate",
-    "rydberg-coherence",
-    "rydberg-gate",
-    "charging",
 )
 
 

@@ -158,9 +158,17 @@ def _seed_linewidth(trace: RingdownTrace, t_rel: np.ndarray) -> float:
         raise ParameterError("too few positive samples to seed the fit")
     t_sel = t_rel[keep]
     t_c = t_sel - t_sel.mean()  # least-squares slope of log V against t
-    lw = -float(t_c @ np.log(v[keep])) / float(t_c @ t_c) / (2.0 * math.pi)
+    spread = float(t_c @ t_c)
+    if not spread > 0:
+        raise ParameterError(
+            "the sample times above the noise floor have no resolvable spread "
+            f"(sum of squared deviations {spread!r} s^2)"
+        )
+    lw = -float(t_c @ np.log(v[keep])) / spread / (2.0 * math.pi)
     if lw <= 0:
         lw = 1.0 / (2.0 * math.pi * (t_sel[-1] - t_sel[0]))
+    if not math.isfinite(lw):
+        raise ParameterError(f"seed linewidth {lw!r} Hz is not finite")
     return lw
 
 

@@ -106,6 +106,20 @@ def test_fit_ringdown_skips_trace_starting_1ms_after_zero(tmp_path, capsys):
     assert "Traceback" not in err and "no trace could be fitted" in err
 
 
+def test_fit_ringdown_skips_trace_with_1e_300_s_sample_spacing(tmp_path, capsys):
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("".join(f"{k * 1e-300!r},{math.exp(-k / 40.0)!r}\n" for k in range(256)))
+    good = bundled_trace_paths()[0]
+    assert main(["fit-ringdown", "--fsr-hz", "7.410e9", str(tiny), good]) == 0
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "tiny.csv: the sample times above the noise floor" in err[0]
+    assert "# finesse" in captured.out and "tiny.csv" not in captured.out
+    assert main(["fit-ringdown", "--fsr-hz", "7.410e9", str(tiny)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "no trace could be fitted" in err
+
+
 def test_fit_ringdown_requires_exactly_one_fsr_source(tmp_path, capsys):
     trace = bundled_trace_paths()[0]
     assert main(["fit-ringdown", trace]) == 2

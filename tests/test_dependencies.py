@@ -1,13 +1,58 @@
-"""Guards on what the package depends on: pinned constants, no scipy at run time."""
+"""Guards on what the package depends on and loads: pinned constants, no scipy
+at run time, a lazy namespace, and the modules each subcommand imports."""
 
+import json
 import math
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
+
+import pytest
 
 import cavitycharge
 from cavitycharge.quantities import CODATA
+
+# every name the package namespace exported when it imported its modules eagerly
+OLD_EXPORTS = {
+    "quantities": "CODATA Constants UncertainQuantity propagate_linear propagate_monte_carlo",
+    "ringdown": "RingdownFit RingdownTrace finesse fit_ringdown fit_ringdown_ensemble "
+                "fsr_from_length load_trace_csv pool_linewidths synthesize_trace",
+    "cavity_optics": "CavityAssembly MirrorState excess_reflection_loss extinction_from_finesse "
+                     "finesse_from_reflectivities r0_from_symmetric_finesse "
+                     "r1_from_asymmetric_finesse resonant_response",
+    "film_optics": "AbsorptionSpectrum ComplexIndex DrudeModel drude_from_transport drude_index "
+                   "lambda_cubed_ratio power_attenuation tauc_bandgap",
+    "electrostatics": "ChargeScenario disc_point_ratios expansion_coefficients field_at "
+                      "potential_exact potential_quadratic sheet_pair_field",
+    "ion_impact": "GateParams TrapConfig bessel_j0 carrier_intensity_factor equilibrium_position "
+                  "gate_detuning_verdict lamb_dicke_budget max_charge_for_cooling "
+                  "micromotion_amplitude shifted_frequency zero_point_spread",
+    "rydberg_impact": "RydbergConfig blockade_infidelity decoherence_time dephasing "
+                      "max_charge_for_infidelity stark_shift",
+    "charging": "FilmSample IlluminationScenario TransportSample equilibrium_charge "
+                "film_resistance gaussian_clipping_factor photocurrent transport_consistency",
+    "scenario": "Scenario load_scenario parse_scenario serialize_scenario",
+}
+SUBMODULES = (
+    "cavity_optics", "charging", "cli", "electrostatics", "errors", "film_optics",
+    "ion_impact", "quantities", "reports", "ringdown", "rydberg_impact", "scenario",
+)
+# what the benchmark's set-up probe calls and its tracer rebinds on `cli`
+CLI_TRACED = ("load_trace_csv", "fit_ringdown", "finesse", "pool_linewidths")
+
+
+def _probe(code: str, cwd=None) -> str:
+    """stdout of `python -c code` in a fresh interpreter on this source tree."""
+    src = str(Path(cavitycharge.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, cwd=cwd, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return out.stdout
 
 
 def test_codata_2022_values_are_pinned():
@@ -23,15 +68,80 @@ def test_codata_2022_values_are_pinned():
 
 
 def test_cli_import_loads_no_scipy():
-    src = str(Path(cavitycharge.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     probe = (
         "import sys, cavitycharge.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
+    assert _probe(probe).strip() == "[]"
+
+
+def test_lazy_namespace_keeps_the_old_surface():
+    star = {}
+    exec("from cavitycharge import *", star)
+    names = [(m, n) for m, listed in OLD_EXPORTS.items() for n in listed.split()]
+    assert len(names) == 66
+    for module_name, name in names:
+        assert name in cavitycharge.__all__ and name in dir(cavitycharge)
+        defined = getattr(getattr(cavitycharge, module_name), name)
+        assert getattr(cavitycharge, name) is defined
+        assert star[name] is defined
+    from cavitycharge import reports
+
+    assert reports.BUDGET_TARGETS is cavitycharge.BUDGET_TARGETS
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cavitycharge.no_such_name
+
+
+def test_package_import_loads_no_submodule_and_resolves_each_on_access():
+    probe = (
+        "import json, sys, cavitycharge as cc; "
+        "before = sorted(m for m in sys.modules if m.startswith('cavitycharge')); "
+        f"names = {SUBMODULES!r}; "
+        "resolved = [getattr(cc, n).__name__ for n in names]; "
+        "from cavitycharge import charging; "
+        "print(json.dumps([before, resolved, charging is cc.charging]))"
     )
-    assert out.stdout.strip() == "[]"
+    before, resolved, same = json.loads(_probe(probe))
+    assert before == ["cavitycharge"]
+    assert resolved == [f"cavitycharge.{n}" for n in SUBMODULES]
+    assert same
+
+
+def _loaded_by(argv, cwd=None) -> tuple[int, list[str]]:
+    """Exit code and the cavitycharge modules loaded by one `toolkit` command."""
+    probe = (
+        "import json, sys\n"
+        "from cavitycharge import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'cavitycharge')\n"
+        "print(json.dumps([code, mods]))\n"
+    )
+    code, mods = json.loads(_probe(probe, cwd).splitlines()[-1])
+    return code, mods
+
+
+def test_fit_ringdown_loads_only_cli_errors_quantities_and_ringdown():
+    trace = str(resources.files("cavitycharge").joinpath("data/traces/ringdown_01.csv"))
+    code, mods = _loaded_by(["fit-ringdown", "--fsr-hz", "7.41e9", trace])
+    assert code == 0
+    assert mods == ["cavitycharge"] + [
+        f"cavitycharge.{m}" for m in ("cli", "errors", "quantities", "ringdown")
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["budget", "--scenario", "paper_yb.scenario", "--target", "gate", "--out", "sweep.csv"],
+    ["reproduce-paper"],
+])
+def test_budget_and_reproduce_paper_load_no_film_optics(argv, tmp_path):
+    code, mods = _loaded_by(argv, tmp_path)
+    assert code == 0
+    assert "cavitycharge.reports" in mods and "cavitycharge.film_optics" not in mods
+
+
+def test_fresh_cli_import_exposes_what_the_benchmark_rebinds():
+    probe = (
+        "import cavitycharge.cli as cli; "
+        f"print([callable(getattr(cli, n, None)) for n in {CLI_TRACED!r}])"
+    )
+    assert _probe(probe).strip() == str([True] * len(CLI_TRACED))

@@ -128,6 +128,14 @@ def test_fit_trace_starting_1ms_after_zero_is_parameter_error():
         fit_ringdown(tr)
 
 
+def test_fit_trace_with_1e_300_s_sample_spacing_is_parameter_error():
+    # the centred times' sum of squares underflows to 0 in the log-linear seed
+    k = np.arange(256)
+    tr = RingdownTrace(k * 1e-300, np.exp(-k / 40.0))
+    with pytest.raises(ParameterError, match="no resolvable spread"):
+        fit_ringdown(tr)
+
+
 def test_fit_rejects_pure_noise():
     rng = np.random.default_rng(0)
     t = np.arange(1000) * 1e-9
