@@ -13,12 +13,12 @@ charging`` imports the defining module on first use, so a command loads
 only the modules it runs.
 """
 
-from importlib import import_module
+import sys
 
 __version__ = "0.1.0"
 
 # the `budget` targets; here so the CLI parser can list them without
-# importing `reports`, which re-exports this tuple
+# importing `budgets` or `reports`, which re-export this tuple
 BUDGET_TARGETS = (
     "cooling",
     "coupling",
@@ -81,7 +81,7 @@ _EXPORTS = {
 }
 
 _SUBMODULES = frozenset({
-    "cavity_optics", "charging", "cli", "electrostatics", "errors",
+    "budgets", "cavity_optics", "charging", "cli", "electrostatics", "errors",
     "film_optics", "ion_impact", "quantities", "reports", "ringdown",
     "rydberg_impact", "scenario",
 })
@@ -89,13 +89,20 @@ _SUBMODULES = frozenset({
 __all__ = ["BUDGET_TARGETS", *_EXPORTS]
 
 
+def _submodule(name):
+    # __import__, unlike importlib.import_module, goes through the
+    # interpreter's import statement path, which `-X importtime` logs
+    __import__(f"{__name__}.{name}")  # the import binds it here
+    return sys.modules[f"{__name__}.{name}"]
+
+
 def __getattr__(name):
     if name in _SUBMODULES:
-        return import_module(f"{__name__}.{name}")  # the import binds it here
+        return _submodule(name)
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{module}"), name)
+    value = getattr(_submodule(module), name)
     globals()[name] = value
     return value
 

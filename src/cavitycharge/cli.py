@@ -12,12 +12,17 @@ scenario seed.
 
 Each subcommand imports only what it runs. This module loads `errors`,
 `quantities` and `ringdown` (all that fit-ringdown needs); reproduce-paper
-and budget import `reports`, and budget `scenario`, when they run.
+imports `reports`, and budget `budgets` and `scenario`, when they run.
+
+The `toolkit` console script calls `run`, which ends the process without
+the interpreter's exit-time garbage collection; `main` is what tests and
+other in-process callers use.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from importlib import resources
@@ -105,10 +110,10 @@ def _load_scenario_arg(spec: str):
 
 
 def _cmd_budget(args) -> int:
-    from . import reports
+    from . import budgets
 
     scn = _load_scenario_arg(args.scenario)
-    rows, sweep_header, sweep = reports.budget_report(
+    rows, sweep_header, sweep = budgets.budget_report(
         scn,
         args.target,
         intensity_floor=args.intensity_floor,
@@ -180,5 +185,18 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def run() -> None:
+    """Console entry point: exit with main()'s code.
+
+    Freezing the collector first leaves every object alive at exit out of
+    the interpreter's final collections, which would otherwise walk and
+    free every tracked container just before the process ends. atexit
+    handlers still run and stdout/stderr are still flushed.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -33,19 +33,20 @@ Three discrepancies are expected and documented:
                          follow from P lambda/(h c) = 3.7e14 1/s for the
                          stated power; the first-principles value is
                          reported alongside, flagged.
+
+``budget_report`` and ``SWEEP_POINTS`` live in ``budgets`` and are
+re-exported here.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import BUDGET_TARGETS, cavity_optics, charging, electrostatics, ion_impact, rydberg_impact
+from .budgets import SWEEP_POINTS, _charging_parts, budget_report
 from .errors import ParameterError
 from .quantities import CODATA, UncertainQuantity, propagate_monte_carlo
 from .ringdown import finesse, fsr_from_length
@@ -247,17 +248,6 @@ def _transport_row(ctx: _Context, spec: dict) -> tuple[float, float]:
     return check.predicted_resistivity_ohm_m, 0.0
 
 
-def _charging_parts(ctx: _Context):
-    film = ctx.scn.film_sample()
-    illum = ctx.scn.illumination_scenario()
-    current = charging.photocurrent(illum)
-    resistance = charging.film_resistance(film)
-    steady = charging.equilibrium_charge(
-        resistance.resistance_ohm, film.capacitance_f, current.current_a
-    )
-    return film, illum, current, resistance, steady
-
-
 def _computers() -> dict[str, Callable[[_Context, dict], tuple[float, float]]]:
     def fsr_length(ctx, spec):
         return fsr_from_length(ctx.scn.cavity.length_m), 0.0
@@ -393,11 +383,11 @@ def _computers() -> dict[str, Callable[[_Context, dict], tuple[float, float]]]:
         return charging.film_resistance(ctx.scn.film_sample()).resistance_ohm, 0.0
 
     def charge_row(ctx, spec):
-        *_, steady = _charging_parts(ctx)
+        *_, steady = _charging_parts(ctx.scn)
         return steady.charge_e, 0.0
 
     def rc_row(ctx, spec):
-        *_, steady = _charging_parts(ctx)
+        *_, steady = _charging_parts(ctx.scn)
         return steady.rc_time_s, 0.0
 
     def clipping_row(ctx, spec):
@@ -530,194 +520,3 @@ def render_csv(rows: list[ReportRow]) -> str:
             f"{r.status},{note}"
         )
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# budgets
-
-
-#: Points in every budget sweep.
-SWEEP_POINTS = 200
-
-
-def _sweep(upper: float, figure_of_merit) -> np.ndarray:
-    """(x, y) rows: SWEEP_POINTS x values up to upper, y = f(x) in one call."""
-    grid = np.linspace(upper / SWEEP_POINTS, upper, SWEEP_POINTS)
-    return np.column_stack((grid, figure_of_merit(grid)))
-
-
-def budget_report(
-    scn: Scenario,
-    target: str,
-    intensity_floor: float = 0.5,
-    modulation_limit: float = 0.2,
-    displacement_m: Optional[float] = None,
-    tau_pi_s: float = 5e-6,
-    target_infidelity: float = 0.01,
-):
-    """Budget rows plus a (sweep_variable, figure_of_merit) table.
-
-    Returns (rows, sweep_header, sweep) where rows is a list of
-    (name, value, unit) tuples and sweep is a (SWEEP_POINTS, 2) array of
-    (x, y) rows, its y column evaluated as one array call on the x grid.
-    """
-    if target not in BUDGET_TARGETS:
-        raise ParameterError(
-            f"unknown budget target {target!r}; expected one of {BUDGET_TARGETS}"
-        )
-
-    if target == "charging":
-        film, illum, current, resistance, steady = _charging_parts(
-            _Context(scn, scn.seed)
-        )
-
-        def first_principles_rate(power_w):
-            return (
-                illum.quantum_efficiency * power_w * illum.wavelength_m
-                / (CODATA.h * CODATA.c)
-            )
-
-        rows = [
-            ("photoelectron_rate", current.rate_per_s, "1/s"),
-            (
-                "photoelectron_rate_first_principles",
-                first_principles_rate(illum.power_w),
-                "1/s",
-            ),
-            ("photocurrent", current.current_a, "A"),
-            ("sheet_resistance", resistance.sheet_resistance_ohm_sq, "Ohm/sq"),
-            ("film_resistance", resistance.resistance_ohm, "Ohm"),
-            ("film_voltage", steady.voltage_v, "V"),
-            ("equilibrium_charge", steady.charge_e, "e"),
-            ("rc_time", steady.rc_time_s, "s"),
-            (
-                "clipping_factor",
-                charging.gaussian_clipping_factor(
-                    illum.beam_waist_m, illum.mirror_distance_m
-                ),
-                "",
-            ),
-        ]
-        sweep = _sweep(
-            2.0 * max(illum.power_w, 1e-12),
-            lambda p: charging.equilibrium_charge(
-                resistance.resistance_ohm,
-                film.capacitance_f,
-                CODATA.e * first_principles_rate(p),
-            ).charge_e,
-        )
-        return rows, "power_w,equilibrium_charge_e", sweep
-
-    trap = scn.trap_config()
-    x_q = scn.charge_scenario().x_q_m
-
-    if target == "cooling":
-        budget = ion_impact.max_charge_for_cooling(trap, x_q, intensity_floor)
-        rows = [
-            ("intensity_floor", intensity_floor, ""),
-            ("q1_max", budget.q1_e, "e"),
-            ("equilibrium_displacement", budget.x_tilde_m, "m"),
-            ("field_at_ion", budget.field_v_per_m, "V/m"),
-        ]
-        sweep = _sweep(
-            2.0 * budget.q1_e,
-            lambda q: ion_impact.carrier_intensity_factor(
-                ion_impact.micromotion_of_single_charge(trap, x_q, q),
-                trap.cooling_wavelength_m,
-            ),
-        )
-        return rows, "q1_e,carrier_intensity_factor", sweep
-
-    if target == "coupling":
-        x_target = (
-            trap.cavity_wavelength_m / 8.0 if displacement_m is None else displacement_m
-        )
-        q1 = ion_impact.charge_for_displacement(trap, x_q, x_target)
-        s = electrostatics.ChargeScenario(q1, 0.0, x_q)
-        rows = [
-            ("displacement_target", x_target, "m"),
-            ("q1_max", q1, "e"),
-            ("field_at_ion", electrostatics.field_at(s, x_target), "V/m"),
-        ]
-        sweep = _sweep(
-            2.0 * max(q1, 1.0),
-            lambda q: ion_impact.equilibrium_position(
-                trap, electrostatics.ChargeScenario(q, 0.0, x_q)
-            ),
-        )
-        return rows, "q1_e,equilibrium_displacement_m", sweep
-
-    if target == "lamb-dicke":
-        budget = ion_impact.lamb_dicke_budget(trap, x_q, modulation_limit)
-        rows = [
-            ("modulation_limit", modulation_limit, ""),
-            ("q1_max", budget.q1_max_e, "e"),
-            ("equilibrium_displacement", budget.x_tilde_max_m, "m"),
-            ("micromotion_amplitude", budget.x_micromotion_max_m, "m"),
-            ("field_at_ion", budget.field_v_per_m, "V/m"),
-        ]
-        k = 2.0 * math.pi / trap.gate_wavelength_m
-        sweep = _sweep(
-            2.0 * max(budget.q1_max_e, 1.0),
-            lambda q: k * ion_impact.micromotion_of_single_charge(trap, x_q, q),
-        )
-        return rows, "q1_e,gate_modulation_index", sweep
-
-    if target == "gate":
-        gate = scn.gate_params()
-        verdict = ion_impact.gate_detuning_verdict(trap, scn.charge_scenario(), gate)
-        bound = ion_impact.max_equal_charge_for_gate(trap, x_q, gate)
-        rows = [
-            ("delta_x", verdict.delta_x_rad_s, "rad/s"),
-            ("delta_x_over_rabi", verdict.ratio_rabi, ""),
-            ("delta_x_over_secular", verdict.ratio_secular, ""),
-            ("within_threshold", float(verdict.within_threshold), ""),
-            ("equal_charge_bound", bound, "e"),
-        ]
-        q_scale = max(abs(scn.charge_scenario().q1_e), bound, 1.0)
-        sweep = _sweep(
-            2.0 * q_scale,
-            lambda q: ion_impact.gate_detuning_verdict(
-                trap, electrostatics.ChargeScenario(q, q, x_q), gate
-            ).ratio_rabi,
-        )
-        return rows, "q1_e,detuning_over_rabi", sweep
-
-    rydberg = scn.rydberg_config()
-    if target == "rydberg-coherence":
-        budget = rydberg_impact.charge_for_coherence_time(rydberg, tau_pi_s, x_q)
-        rows = [
-            ("tau_pi_goal", tau_pi_s, "s"),
-            ("q1_max", budget.q1_e, "e"),
-            ("field_at_atom", budget.field_v_per_m, "V/m"),
-            (
-                "stark_shift",
-                rydberg_impact.stark_shift(rydberg, budget.field_v_per_m),
-                "Hz",
-            ),
-        ]
-        sweep = _sweep(
-            2.0 * budget.q1_e,
-            lambda q: rydberg_impact.decoherence_time(
-                rydberg, electrostatics.single_charge_field(q, x_q)
-            ),
-        )
-        return rows, "q1_e,decoherence_time_s", sweep
-
-    # rydberg-gate
-    budget = rydberg_impact.max_charge_for_infidelity(rydberg, target_infidelity, x_q)
-    rows = [
-        ("target_infidelity", target_infidelity, ""),
-        ("q1_max", budget.q1_e, "e"),
-        ("field_at_atom", budget.field_v_per_m, "V/m"),
-    ]
-    sweep = _sweep(
-        2.0 * budget.q1_e,
-        lambda q: rydberg_impact.blockade_infidelity(
-            rydberg,
-            rydberg_impact.stark_shift(
-                rydberg, electrostatics.single_charge_field(q, x_q)
-            ),
-        ),
-    )
-    return rows, "q1_e,blockade_infidelity", sweep

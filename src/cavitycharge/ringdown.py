@@ -136,9 +136,24 @@ def synthesize_trace(
     return RingdownTrace(t + trigger_time, v, sample_rate_hz, trigger_time)
 
 
+def _median(a: np.ndarray) -> float:
+    """np.median of a non-empty, finite 1-d array, bit for bit.
+
+    The same partition as numpy's median (its kth includes the last
+    index, as numpy's does) and the mean of the middle one or two values,
+    so ties, signed zeros included, resolve as in np.median. It skips the
+    NaN check, which imports numpy.ma; RingdownTrace admits only finite
+    samples.
+    """
+    h = a.size // 2
+    odd = a.size % 2
+    part = np.partition(a, [h, -1] if odd else [h - 1, h, -1])
+    return float(np.mean(part[h - 1 + odd : h + 1]))
+
+
 def _noise_floor(v: np.ndarray) -> float:
     """Median magnitude of the trailing tenth (at least 8 samples)."""
-    return float(np.median(np.abs(v[-max(8, v.size // 10):])))
+    return _median(np.abs(v[-max(8, v.size // 10):]))
 
 
 def _seed_linewidth(trace: RingdownTrace, t_rel: np.ndarray) -> float:
@@ -258,7 +273,15 @@ def _fit(
     u = x * d
     jtj = np.diag(np.concatenate([[np.sum(amps**2 * sums(u * u))], dd]))
     jtj[0, 1:] = jtj[1:, 0] = amps * sums(u * d)
-    cov = ssr / max(x.size - 1 - amps.size, 1) * np.linalg.inv(jtj)
+    with np.errstate(over="ignore"):
+        cov = ssr / max(x.size - 1 - amps.size, 1) * np.linalg.inv(jtj)
+    if not np.all(np.isfinite(cov)):
+        span = float(x.max() - x.min()) / (2.0 * math.pi)
+        raise ParameterError(
+            f"the fit covariance s^2 (J^T J)^-1 overflows: J^T J is too near "
+            f"singular to invert (its linewidth entry is {jtj[0, 0]:.3g}; the "
+            f"samples span {span:g} s)"
+        )
     # V0 = a g with g = exp(2 pi dnu t_ref). By the delta method its sigma is
     # g sqrt(w), w = k^2 var(dnu) + 2 k cov(dnu, a) + var(a) with
     # k = 2 pi t_ref a, so it overflows only where V0 (nearly) does.
@@ -283,9 +306,9 @@ def _fit(
 def fit_ringdown(trace: RingdownTrace) -> RingdownFit:
     """Least-squares fit of V0*exp(-2 pi dnu t) to a trace.
 
-    Raises ParameterError for a trace too noisy to seed or whose V0 at
-    t = 0 overflows, and FitError (carrying the last linewidth iterate)
-    on non-convergence or a non-positive fitted linewidth.
+    Raises ParameterError for a trace too noisy to seed or whose covariance
+    or V0 at t = 0 overflows, and FitError (carrying the last linewidth
+    iterate) on non-convergence or a non-positive fitted linewidth.
     """
     linewidth, (v0,), residual_rms, iterations = _fit([trace], share_v0=False)
     return RingdownFit(v0, linewidth, residual_rms, iterations)
@@ -401,5 +424,5 @@ def load_trace_csv(path) -> RingdownTrace:
         )
     # contiguous columns: strided views could change the fit's dot-product rounding
     t, v = data.T.copy()
-    dt = float(np.median(np.diff(t)))
+    dt = _median(np.diff(t))  # RingdownTrace rejects non-finite times below
     return RingdownTrace(t, v, 1.0 / dt if dt > 0 else 0.0, float(t[0]))

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import cavitycharge
 from cavitycharge.cli import main
 from cavitycharge.reports import bundled_scenario_text
 from cavitycharge.ringdown import (
@@ -249,3 +254,64 @@ def test_budget_resolves_bundled_scenario_by_name(tmp_path, capsys, monkeypatch)
     )
     assert code == 0
     assert "delta_x_over_rabi" in capsys.readouterr().out
+
+
+# -- the console entry point --------------------------------------------------
+
+
+def _toolkit(argv, cwd, seed, patch, call):
+    """(exit code, stdout, stderr, files written) of one fresh `toolkit`
+    process: `python -m cavitycharge.cli` when call is None, else `call`
+    after `patch`."""
+    src = str(Path(cavitycharge.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "TOOLKIT_SEED"}
+    env.update(PYTHONPATH=path, **({"TOOLKIT_SEED": seed} if seed else {}))
+    if call is None:
+        command = ["-m", "cavitycharge.cli"]
+    else:
+        command = ["-c", f"import sys\nfrom cavitycharge import cli, reports\n{patch}\n{call}"]
+    cwd.mkdir()
+    done = subprocess.run(
+        [sys.executable, *command, *argv],
+        cwd=cwd, env=env, capture_output=True, timeout=120,
+    )
+    files = {f.name: f.read_bytes() for f in sorted(cwd.iterdir())}
+    return done.returncode, done.stdout, done.stderr, files
+
+
+# case -> (argv, TOOLKIT_SEED, patch run first, exit code)
+_RUN_CASES = {
+    "fit-ringdown": (["fit-ringdown", "--fsr-hz", "7.41e9", "--out", "fits.csv", "{trace}"],
+                     None, "", 0),
+    "fit-ringdown-no-fsr": (["fit-ringdown", "{trace}"], None, "", 2),
+    "fit-ringdown-no-trace-fits": (["fit-ringdown", "--fsr-hz", "1e9", "nope.csv"], None, "", 2),
+    "reproduce-paper": (["reproduce-paper", "--out", "report.csv"], "12345", "", 0),
+    "reproduce-paper-acceptance-failure": (
+        ["reproduce-paper", "--out", "report.csv"], "7",
+        "reports.report_exit_code = lambda rows: 1", 1,
+    ),
+    "reproduce-paper-bad-seed": (["reproduce-paper"], "-1", "", 2),
+    "budget": (["budget", "--scenario", "paper_yb.scenario", "--target", "charging",
+                "--out", "sweep.csv"], None, "", 0),
+    "budget-non-finite": (["budget", "--scenario", "{overflow}", "--target", "cooling",
+                           "--out", "sweep.csv"], None, "", 2),
+    "budget-missing-scenario": (["budget", "--scenario", "missing.scenario",
+                                 "--target", "gate"], None, "", 2),
+    "budget-bad-target": (["budget", "--scenario", "paper_yb.scenario",
+                           "--target", "warp-drive"], None, "", 2),
+    "help": (["--help"], None, "", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RUN_CASES))
+def test_run_matches_main_in_output_files_and_exit_code(case, tmp_path):
+    argv, seed, patch, code = _RUN_CASES[case]
+    overflow = tmp_path / "overflow.scenario"
+    overflow.write_text(bundled_scenario_text().replace("xq_m = 0.0002", "xq_m = 1e300"))
+    argv = [a.format(trace=bundled_trace_paths()[0], overflow=overflow) for a in argv]
+    old = _toolkit(argv, tmp_path / "main", seed, patch, "sys.exit(cli.main())")
+    assert old[0] == code
+    assert _toolkit(argv, tmp_path / "run", seed, patch, "cli.run()") == old
+    if not patch:
+        assert _toolkit(argv, tmp_path / "module", seed, patch, None) == old

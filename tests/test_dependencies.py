@@ -1,6 +1,7 @@
 """Guards on what the package depends on and loads: pinned constants, no scipy
 at run time, a lazy namespace, and the modules each subcommand imports."""
 
+import ast
 import json
 import math
 import os
@@ -36,23 +37,24 @@ OLD_EXPORTS = {
     "scenario": "Scenario load_scenario parse_scenario serialize_scenario",
 }
 SUBMODULES = (
-    "cavity_optics", "charging", "cli", "electrostatics", "errors", "film_optics",
+    "budgets", "cavity_optics", "charging", "cli", "electrostatics", "errors", "film_optics",
     "ion_impact", "quantities", "reports", "ringdown", "rydberg_impact", "scenario",
 )
 # what the benchmark's set-up probe calls and its tracer rebinds on `cli`
 CLI_TRACED = ("load_trace_csv", "fit_ringdown", "finesse", "pool_linewidths")
 
 
-def _probe(code: str, cwd=None) -> str:
-    """stdout of `python -c code` in a fresh interpreter on this source tree."""
+def _probe(code: str, cwd=None, flags=()) -> str:
+    """stdout of `python -c code` in a fresh interpreter on this source tree
+    (stderr instead when interpreter flags are given)."""
     src = str(Path(cavitycharge.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         env=env, cwd=cwd, capture_output=True, text=True, check=True, timeout=60,
     )
-    return out.stdout
+    return out.stderr if flags else out.stdout
 
 
 def test_codata_2022_values_are_pinned():
@@ -85,9 +87,11 @@ def test_lazy_namespace_keeps_the_old_surface():
         defined = getattr(getattr(cavitycharge, module_name), name)
         assert getattr(cavitycharge, name) is defined
         assert star[name] is defined
-    from cavitycharge import reports
+    from cavitycharge import budgets, reports
 
     assert reports.BUDGET_TARGETS is cavitycharge.BUDGET_TARGETS
+    assert reports.budget_report is budgets.budget_report
+    assert reports.SWEEP_POINTS == budgets.SWEEP_POINTS == 200
     with pytest.raises(AttributeError, match="no_such_name"):
         cavitycharge.no_such_name
 
@@ -108,15 +112,14 @@ def test_package_import_loads_no_submodule_and_resolves_each_on_access():
 
 
 def _loaded_by(argv, cwd=None) -> tuple[int, list[str]]:
-    """Exit code and the cavitycharge modules loaded by one `toolkit` command."""
+    """Exit code and every module loaded by one `toolkit` command."""
     probe = (
-        "import json, sys\n"
+        "import sys\n"
         "from cavitycharge import cli\n"
         f"code = cli.main({argv!r})\n"
-        "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'cavitycharge')\n"
-        "print(json.dumps([code, mods]))\n"
+        "print(repr([code, sorted(sys.modules)]))\n"
     )
-    code, mods = json.loads(_probe(probe, cwd).splitlines()[-1])
+    code, mods = ast.literal_eval(_probe(probe, cwd).splitlines()[-1])
     return code, mods
 
 
@@ -124,9 +127,10 @@ def test_fit_ringdown_loads_only_cli_errors_quantities_and_ringdown():
     trace = str(resources.files("cavitycharge").joinpath("data/traces/ringdown_01.csv"))
     code, mods = _loaded_by(["fit-ringdown", "--fsr-hz", "7.41e9", trace])
     assert code == 0
-    assert mods == ["cavitycharge"] + [
+    assert [m for m in mods if m.split(".")[0] == "cavitycharge"] == ["cavitycharge"] + [
         f"cavitycharge.{m}" for m in ("cli", "errors", "quantities", "ringdown")
     ]
+    assert "numpy.ma" not in mods  # np.median's NaN check imports it
 
 
 @pytest.mark.parametrize("argv", [
@@ -136,7 +140,20 @@ def test_fit_ringdown_loads_only_cli_errors_quantities_and_ringdown():
 def test_budget_and_reproduce_paper_load_no_film_optics(argv, tmp_path):
     code, mods = _loaded_by(argv, tmp_path)
     assert code == 0
-    assert "cavitycharge.reports" in mods and "cavitycharge.film_optics" not in mods
+    assert "cavitycharge.film_optics" not in mods
+    if argv[0] == "budget":
+        assert "cavitycharge.budgets" in mods
+        assert not {"cavitycharge.reports", "cavitycharge.cavity_optics", "json"} & set(mods)
+    else:
+        assert "cavitycharge.reports" in mods
+
+
+def test_lazy_submodule_imports_are_logged_by_importtime():
+    # perfbench counts loaded modules from this log
+    log = _probe("import cavitycharge.reports", flags=("-X", "importtime"))
+    logged = {line.rsplit("|", 1)[-1].strip() for line in log.splitlines()}
+    for name in ("ion_impact", "charging", "electrostatics", "rydberg_impact", "cavity_optics"):
+        assert f"cavitycharge.{name}" in logged
 
 
 def test_fresh_cli_import_exposes_what_the_benchmark_rebinds():

@@ -1,8 +1,13 @@
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cavitycharge import ringdown
 from cavitycharge.errors import ParameterError
 from cavitycharge.quantities import CODATA, UncertainQuantity
 from cavitycharge.ringdown import (
@@ -134,6 +139,18 @@ def test_fit_trace_with_1e_300_s_sample_spacing_is_parameter_error():
     tr = RingdownTrace(k * 1e-300, np.exp(-k / 40.0))
     with pytest.raises(ParameterError, match="no resolvable spread"):
         fit_ringdown(tr)
+
+
+@pytest.mark.parametrize("step_s", [1e-157, 1e-160, 1e-163])
+def test_fit_trace_whose_covariance_overflows_names_the_covariance(step_s):
+    # the linewidth entry of J^T J is ~1e-309 to 1e-321, so (J^T J)^-1 overflows;
+    # V0 at t = 0 is 1.0 and fine
+    k = np.arange(256)
+    tr = RingdownTrace(k * step_s, np.exp(-k / 40.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=r"covariance s\^2 \(J\^T J\)\^-1 overflows"):
+            fit_ringdown(tr)
 
 
 def test_fit_rejects_pure_noise():
@@ -358,3 +375,34 @@ def test_trace_csv_not_utf8_is_parameter_error(tmp_path):
     path.write_bytes(b"t,v\n" + b"".join(b"%d,1\n" % k for k in range(20)) + b"9\xb5s,1\n")
     with pytest.raises(ParameterError, match="utf-8"):
         load_trace_csv(path)
+
+
+# -- median without numpy.ma --------------------------------------------------
+
+_MEDIAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(
+        lambda exponent, sign: sign * 10.0**exponent,
+        st.floats(-300.0, 300.0),
+        st.sampled_from([1.0, -1.0]),
+    ),
+)
+
+
+@settings(max_examples=200)
+@given(
+    size=st.one_of(st.integers(1, 200), st.just(200_000)),
+    pool=st.lists(_MEDIAN_VALUES, min_size=1, max_size=8),
+    tie_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_median_equals_np_median_bit_for_bit(size, pool, tie_share, seed):
+    # ties from a small pool (with +0.0 and -0.0), the rest log-uniform in
+    # magnitude from 1e-300 to 1e300, either sign
+    rng = np.random.default_rng(seed)
+    spread = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300.0, 300.0, size)
+    a = np.where(rng.random(size) < tie_share, rng.choice(np.array(pool), size), spread)
+    before = a.copy()
+    got, want = ringdown._median(a), float(np.median(a))
+    assert struct.pack("<d", got) == struct.pack("<d", want)
+    assert np.array_equal(a, before)
