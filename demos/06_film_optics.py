@@ -1,20 +1,13 @@
-"""Free-carrier absorption and band-gap extraction for a doped oxide film.
+"""Free-carrier absorption in a doped oxide film.
 
-Builds a Drude model from measured transport numbers, checks the
-lambda^3 scaling of the intraband extinction, and pulls a direct band
-gap out of a synthetic Tauc plot. Run:  python demos/06_film_optics.py
+Builds a Drude model from measured transport numbers and checks the
+lambda^3 scaling of the intraband extinction.
+Run:  python demos/06_film_optics.py
 """
 
 import numpy as np
 
-from cavitycharge import (
-    AbsorptionSpectrum,
-    drude_from_transport,
-    drude_index,
-    lambda_cubed_ratio,
-    power_attenuation,
-    tauc_bandgap,
-)
+from cavitycharge import drude_from_transport, drude_index, lambda_cubed_ratio, power_attenuation
 
 # why a lossy film kills a cavity: a 10 nm film with kappa = 0.04 costs
 # ~0.65% per round trip (double pass), capping the finesse near 1000
@@ -40,17 +33,4 @@ print("(an as-deposited conductive film: free carriers dominate the NIR loss)\n"
 clean = drude_from_transport(2e23, 370e-4)   # 100x fewer carriers, 10x mobility
 out = lambda_cubed_ratio(clean, 1650e-9)
 print(f"kappa(3300 nm)/kappa(1650 nm) = {out.ratio:.2f} "
-      f"(expect 8; regime ok: {out.regime_ok})\n")
-
-# Tauc plot: (alpha E)^2 vs E is linear above a direct gap
-energies = np.linspace(3.0, 4.0, 201)
-alpha = np.where(energies > 3.3, 2e7 * np.sqrt(np.clip(energies - 3.3, 0, None)) / energies, 0.0)
-spectrum = AbsorptionSpectrum(energies, alpha)
-gap = tauc_bandgap(spectrum, edge_window=(3.35, 3.9))
-print(f"Tauc band gap: {gap.value:.3f} +/- {gap.sigma:.1e} eV")
-
-# an annealed film with weaker absorption but the same edge: same gap,
-# i.e. no band-filling shift
-annealed = AbsorptionSpectrum(energies, 0.6 * alpha)
-gap_a = tauc_bandgap(annealed, edge_window=(3.35, 3.9))
-print(f"after annealing:  {gap_a.value:.3f} eV (unchanged edge)")
+      f"(expect 8; regime ok: {out.regime_ok})")

@@ -12,6 +12,7 @@ from cavitycharge import (
     propagate_monte_carlo,
     serialize_scenario,
 )
+from cavitycharge.errors import DimensionError
 from cavitycharge.reports import bundled_scenario
 
 linewidth = UncertainQuantity(523e3, 9e3, "Hz")
@@ -25,11 +26,11 @@ print(f"  linear (finite differences): {linear}")
 print(f"  Monte Carlo (2e5 samples):   {mc}")
 print(f"  sigma ratio MC/linear:       {mc.sigma / linear.sigma:.4f}\n")
 
-# dimension tags catch unit mistakes early
+# dimension tags are checked when a quantity is made
 try:
-    linewidth + UncertainQuantity(30e-9, 2e-9, "m")
-except Exception as exc:
-    print(f"adding Hz to m raises: {type(exc).__name__}: {exc}\n")
+    UncertainQuantity(30e-9, 2e-9, "nm")
+except DimensionError as exc:
+    print(f"an unknown tag raises DimensionError: {exc}\n")
 
 # the bundled scenario binds every input of the reproduction report
 scn = bundled_scenario()

@@ -29,6 +29,16 @@ BUDGET_TARGETS = (
     "charging",
 )
 
+# the `budget` options and their defaults, read by `budgets` and by the
+# CLI parser; displacement_m None means the cavity wavelength / 8
+BUDGET_DEFAULTS = {
+    "intensity_floor": 0.5,      # cooling: carrier-intensity floor
+    "modulation_limit": 0.2,     # lamb-dicke: cap on k * x_um
+    "displacement_m": None,      # coupling: displacement goal
+    "tau_pi_s": 5e-6,            # rydberg-coherence: decoherence-time goal
+    "target_infidelity": 0.01,   # rydberg-gate: infidelity goal
+}
+
 # public name -> defining submodule
 _EXPORTS = {
     name: module
@@ -43,15 +53,14 @@ _EXPORTS = {
             "pool_linewidths", "synthesize_trace",
         ),
         "cavity_optics": (
-            "CavityAssembly", "MirrorState", "excess_reflection_loss",
+            "MirrorState", "excess_reflection_loss",
             "extinction_from_finesse", "finesse_from_reflectivities",
             "r0_from_symmetric_finesse", "r1_from_asymmetric_finesse",
             "resonant_response",
         ),
         "film_optics": (
-            "AbsorptionSpectrum", "ComplexIndex", "DrudeModel",
-            "drude_from_transport", "drude_index", "lambda_cubed_ratio",
-            "power_attenuation", "tauc_bandgap",
+            "ComplexIndex", "DrudeModel", "drude_from_transport",
+            "drude_index", "lambda_cubed_ratio", "power_attenuation",
         ),
         "electrostatics": (
             "ChargeScenario", "disc_point_ratios", "expansion_coefficients",
@@ -86,7 +95,7 @@ _SUBMODULES = frozenset({
     "rydberg_impact", "scenario",
 })
 
-__all__ = ["BUDGET_TARGETS", *_EXPORTS]
+__all__ = ["BUDGET_DEFAULTS", "BUDGET_TARGETS", *_EXPORTS]
 
 
 def _submodule(name):

@@ -37,7 +37,6 @@ from .quantities import UncertainQuantity, as_quantity, propagate_linear, propag
 
 __all__ = [
     "MirrorState",
-    "CavityAssembly",
     "NegativeExtinctionWarning",
     "finesse_from_reflectivities",
     "r0_from_symmetric_finesse",
@@ -74,22 +73,6 @@ class MirrorState:
     def loss(self) -> float:
         """Fractional power loss 1 - r^2 - T."""
         return 1.0 - self.r**2 - self.T
-
-
-@dataclass(frozen=True)
-class CavityAssembly:
-    """Mirror pair plus the geometry needed for loss extraction."""
-
-    mirror_a: MirrorState
-    mirror_b: MirrorState
-    length_m: float
-    fsr: UncertainQuantity
-    film_thickness: UncertainQuantity
-    wavelength_m: float
-
-    def __post_init__(self) -> None:
-        if self.length_m <= 0 or self.wavelength_m <= 0:
-            raise ParameterError("cavity length and wavelength must be positive")
 
 
 def finesse_from_reflectivities(r_i: float, r_j: float) -> float:

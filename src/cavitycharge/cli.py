@@ -28,7 +28,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from . import BUDGET_TARGETS
+from . import BUDGET_DEFAULTS, BUDGET_TARGETS
 from .errors import SchemaError, ToolkitError
 from .quantities import UncertainQuantity
 from .ringdown import finesse, fit_ringdown, fsr_from_length, load_trace_csv, pool_linewidths
@@ -114,13 +114,7 @@ def _cmd_budget(args) -> int:
 
     scn = _load_scenario_arg(args.scenario)
     rows, sweep_header, sweep = budgets.budget_report(
-        scn,
-        args.target,
-        intensity_floor=args.intensity_floor,
-        modulation_limit=args.modulation_limit,
-        displacement_m=args.displacement_m,
-        tau_pi_s=args.tau_pi_s,
-        target_infidelity=args.infidelity,
+        scn, args.target, **{option: getattr(args, option) for option in BUDGET_DEFAULTS}
     )
     print(f"# budget target: {args.target} (scenario {scn.name!r})")
     print("quantity,value,unit")
@@ -160,17 +154,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scenario file path (bare names fall back to the "
                             "bundled scenarios, e.g. paper_yb.scenario)")
     p_bud.add_argument("--target", required=True, choices=BUDGET_TARGETS)
-    p_bud.add_argument("--intensity-floor", type=float, default=0.5,
-                       help="carrier-intensity floor for the cooling target")
-    p_bud.add_argument("--modulation-limit", type=float, default=0.2,
-                       help="k*x_um cap for the lamb-dicke target")
-    p_bud.add_argument("--displacement-m", type=float, default=None,
-                       help="displacement goal for the coupling target "
-                            "(default: cavity wavelength / 8)")
-    p_bud.add_argument("--tau-pi-s", type=float, default=5e-6,
-                       help="decoherence-time goal for rydberg-coherence")
-    p_bud.add_argument("--infidelity", type=float, default=0.01,
-                       help="infidelity goal for rydberg-gate")
+    for flag, option, text in (
+        ("--intensity-floor", "intensity_floor",
+         "carrier-intensity floor for the cooling target"),
+        ("--modulation-limit", "modulation_limit", "k*x_um cap for the lamb-dicke target"),
+        ("--displacement-m", "displacement_m",
+         "displacement goal for the coupling target (default: cavity wavelength / 8)"),
+        ("--tau-pi-s", "tau_pi_s", "decoherence-time goal for rydberg-coherence"),
+        ("--infidelity", "target_infidelity", "infidelity goal for rydberg-gate"),
+    ):
+        p_bud.add_argument(flag, dest=option, type=float, default=BUDGET_DEFAULTS[option],
+                           help=text)
     p_bud.add_argument("--out", default=None, help="sweep CSV path")
     p_bud.set_defaults(func=_cmd_budget)
     return parser

@@ -100,6 +100,14 @@ class TrapConfig:
                 f"RF drive ({self.rf_hz} Hz) must exceed the secular "
                 f"frequency ({self.secular_hz} Hz)"
             )
+        omega_x = self.omega_x
+        k_t = 0.5 * self.mass_kg * (omega_x * omega_x)  # self.k_t, but inf where ** raises
+        if not 0.0 < k_t < math.inf:
+            raise ParameterError(
+                f"trap curvature k_t = m omega_x^2 / 2 = {k_t!r} J/m^2 is not positive "
+                f"and finite for mass {self.mass_amu} amu and secular frequency "
+                f"{self.secular_hz} Hz"
+            )
 
     @property
     def mass_kg(self) -> float:

@@ -12,9 +12,13 @@ are provided:
   input and report the sample mean and standard deviation of f.
 
 Uncertainties are treated as symmetric Gaussian one-sigma throughout;
-inputs are assumed uncorrelated. The dimension tags support scaling and
-ratios, not full unit algebra: sums require matching tags, a ratio of like
-tags is dimensionless, and any other cross-dimension product is rejected.
+inputs are assumed uncorrelated. A quantity does no arithmetic of its own:
+derived values come from the propagation engines, and the dimension tag is
+a label checked against DIMENSIONS, not a unit algebra.
+
+:func:`finite_evaluation` is the finite-output gate of the report and
+budget chains: every value they return is finite, and numerics that
+overflow, divide by zero or end non-finite raise EvaluationError.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, EvaluationError, ParameterError
+from .errors import DimensionError, EvaluationError, ParameterError, ToolkitError
 
 __all__ = [
     "DIMENSIONS",
@@ -35,6 +39,7 @@ __all__ = [
     "Constants",
     "CODATA",
     "as_quantity",
+    "finite_evaluation",
     "propagate_linear",
     "propagate_monte_carlo",
 ]
@@ -81,104 +86,6 @@ class UncertainQuantity:
                 f"unknown dimension tag {self.dimension!r}; expected one of "
                 f"{sorted(DIMENSIONS)}"
             )
-
-    @property
-    def relative_sigma(self) -> float:
-        return self.sigma / abs(self.value) if self.value != 0 else math.inf
-
-    def _coerce(self, other) -> "UncertainQuantity":
-        if isinstance(other, UncertainQuantity):
-            return other
-        if isinstance(other, (int, float)):
-            # bare numbers are exact values in this quantity's dimension
-            return UncertainQuantity(float(other), 0.0, self.dimension)
-        return NotImplemented
-
-    def __add__(self, other):
-        q = self._coerce(other)
-        if q is NotImplemented:
-            return NotImplemented
-        if q.dimension != self.dimension:
-            raise DimensionError(
-                f"cannot add {self.dimension!r} and {q.dimension!r}"
-            )
-        return UncertainQuantity(
-            self.value + q.value, math.hypot(self.sigma, q.sigma), self.dimension
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        q = self._coerce(other)
-        if q is NotImplemented:
-            return NotImplemented
-        if q.dimension != self.dimension:
-            raise DimensionError(
-                f"cannot subtract {q.dimension!r} from {self.dimension!r}"
-            )
-        return UncertainQuantity(
-            self.value - q.value, math.hypot(self.sigma, q.sigma), self.dimension
-        )
-
-    def __rsub__(self, other):
-        q = self._coerce(other)
-        if q is NotImplemented:
-            return NotImplemented
-        return q - self
-
-    def __neg__(self):
-        return UncertainQuantity(-self.value, self.sigma, self.dimension)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return UncertainQuantity(
-                self.value * other, self.sigma * abs(other), self.dimension
-            )
-        if isinstance(other, UncertainQuantity):
-            if other.dimension == DIMENSIONLESS:
-                dim = self.dimension
-            elif self.dimension == DIMENSIONLESS:
-                dim = other.dimension
-            else:
-                raise DimensionError(
-                    f"product of {self.dimension!r} and {other.dimension!r} "
-                    "is outside the supported tag set"
-                )
-            value = self.value * other.value
-            sigma = math.hypot(self.sigma * other.value, other.sigma * self.value)
-            return UncertainQuantity(value, sigma, dim)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
-        if isinstance(other, UncertainQuantity):
-            if other.dimension == self.dimension:
-                dim = DIMENSIONLESS
-            elif other.dimension == DIMENSIONLESS:
-                dim = self.dimension
-            else:
-                raise DimensionError(
-                    f"ratio of {self.dimension!r} to {other.dimension!r} "
-                    "is outside the supported tag set"
-                )
-            value = self.value / other.value
-            sigma = abs(value) * math.hypot(
-                self.relative_sigma if self.value != 0 else 0.0,
-                other.relative_sigma if other.value != 0 else 0.0,
-            )
-            if self.value == 0:
-                sigma = self.sigma / abs(other.value)
-            return UncertainQuantity(value, sigma, dim)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        q = self._coerce(other)
-        if q is NotImplemented:
-            return NotImplemented
-        return q / self
 
     def __str__(self) -> str:
         unit = "" if self.dimension == DIMENSIONLESS else f" {self.dimension}"
@@ -237,6 +144,43 @@ def _check_finite(y: float, context: str) -> float:
     if not math.isfinite(y):
         raise EvaluationError(f"non-finite function value during {context}: {y}")
     return y
+
+
+class finite_evaluation:
+    """The finite-output gate: ``with finite_evaluation(label) as check:``.
+
+    The block runs with NumPy's floating-point warnings off. An
+    ArithmeticError it raises (overflow, division by zero) becomes an
+    EvaluationError chained to it, and any ToolkitError gets the prefix
+    "label: ". check returns value, a float or an UncertainQuantity, and
+    raises EvaluationError naming it when the value is not finite (an
+    UncertainQuantity's value and sigma are finite by construction).
+    """
+
+    def __init__(self, label: str):
+        self.label = label
+        self._errstate = np.errstate(all="ignore")
+
+    def __enter__(self):
+        self._errstate.__enter__()
+        return _require_finite
+
+    def __exit__(self, kind, exc, traceback):
+        self._errstate.__exit__(kind, exc, traceback)
+        if isinstance(exc, ArithmeticError):
+            raise EvaluationError(
+                f"{self.label}: {type(exc).__name__}: {exc}; a scenario value is "
+                "outside the floating-point range of the formulas"
+            ) from exc
+        if isinstance(exc, ToolkitError):
+            exc.args = (f"{self.label}: {exc}", *exc.args[1:])
+        return False
+
+
+def _require_finite(name: str, value):
+    if not isinstance(value, UncertainQuantity) and not math.isfinite(value):
+        raise EvaluationError(f"{name} = {float(value)!r} is not finite")
+    return value
 
 
 def propagate_linear(

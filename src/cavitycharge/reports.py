@@ -34,8 +34,13 @@ Three discrepancies are expected and documented:
                          stated power; the first-principles value is
                          reported alongside, flagged.
 
-``budget_report`` and ``SWEEP_POINTS`` live in ``budgets`` and are
-re-exported here.
+Rows come from two tables. BUDGET_ROWS maps a row id to the budget
+target and row it reads through ``budgets.budget_rows``, so a budget
+number has one code path whether ``reproduce-paper`` or ``budget`` prints
+it; ROWS maps every other row id to f(scn, seed, **manifest inputs). A row
+is finite or build_report raises a ToolkitError that names its row id or
+budget target. ``budget_report`` and ``SWEEP_POINTS`` live in ``budgets``
+and are re-exported here.
 """
 
 from __future__ import annotations
@@ -43,12 +48,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Optional
+from typing import Optional
 
 from . import BUDGET_TARGETS, cavity_optics, charging, electrostatics, ion_impact, rydberg_impact
-from .budgets import SWEEP_POINTS, _charging_parts, budget_report
+from .budgets import SWEEP_POINTS, budget_report, budget_rows
 from .errors import ParameterError
-from .quantities import CODATA, UncertainQuantity, propagate_monte_carlo
+from .quantities import UncertainQuantity, finite_evaluation, propagate_monte_carlo
 from .ringdown import finesse, fsr_from_length
 from .scenario import Scenario, parse_scenario
 
@@ -126,7 +131,13 @@ def _within(kind: str, computed: float, reference, tol) -> bool:
     raise ParameterError(f"unknown tolerance kind {kind!r}")
 
 
-def _make_row(spec: dict, computed: float, sigma: float) -> ReportRow:
+def _make_row(spec: dict, computed) -> ReportRow:
+    """The row of spec for a computed float or UncertainQuantity."""
+    computed, sigma = (
+        (computed.value, computed.sigma)
+        if isinstance(computed, UncertainQuantity)
+        else (computed, 0.0)
+    )
     kind = spec["kind"]
     reference = spec.get("reference")
     deviation = (
@@ -158,315 +169,153 @@ def _make_row(spec: dict, computed: float, sigma: float) -> ReportRow:
 # ---------------------------------------------------------------------------
 # row computations
 
-
-class _Context:
-    """Shared, lazily computed intermediates for the report rows."""
-
-    def __init__(self, scn: Scenario, seed: int):
-        self.scn = scn
-        self.seed = seed
-        self._cache: dict[str, object] = {}
-
-    def _get(self, key: str, builder: Callable[[], object]):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
-    def trap(self) -> ion_impact.TrapConfig:
-        return self._get("trap", self.scn.trap_config)
-
-    @property
-    def x_q(self) -> float:
-        return self.scn.charge_scenario().x_q_m
-
-    @property
-    def rydberg(self) -> rydberg_impact.RydbergConfig:
-        return self._get("rydberg", self.scn.rydberg_config)
-
-    @property
-    def cooling(self) -> ion_impact.CoolingBudget:
-        return self._get(
-            "cooling",
-            lambda: ion_impact.max_charge_for_cooling(self.trap, self.x_q, 0.5),
-        )
-
-    @property
-    def lamb_dicke(self) -> ion_impact.LambDickeBudget:
-        return self._get(
-            "lamb_dicke",
-            lambda: ion_impact.lamb_dicke_budget(self.trap, self.x_q, 0.2),
-        )
-
-    @property
-    def gate_verdict(self) -> ion_impact.GateDetuning:
-        return self._get(
-            "gate_verdict",
-            lambda: ion_impact.gate_detuning_verdict(
-                self.trap, self.scn.charge_scenario(), self.scn.gate_params()
-            ),
-        )
-
-    def finesse_quantity(self) -> UncertainQuantity:
-        return self._get(
-            "finesse_q",
-            lambda: finesse(self.scn.linewidth_quantity(), self.scn.fsr_quantity()),
-        )
+# rows read from a budget target: row id -> (target, budget row name). The
+# manifest inputs of these rows are the target's options (tau_pi_s,
+# target_infidelity) and are passed through as such.
+BUDGET_ROWS = {
+    "cooling_q1": ("cooling", "q1_max"),
+    "cooling_field": ("cooling", "field_at_ion"),
+    "cooling_displacement": ("cooling", "equilibrium_displacement"),
+    "coupling_q1": ("coupling", "q1_max"),
+    "lamb_dicke_q1": ("lamb-dicke", "q1_max"),
+    "lamb_dicke_field": ("lamb-dicke", "field_at_ion"),
+    "lamb_dicke_displacement": ("lamb-dicke", "equilibrium_displacement"),
+    "lamb_dicke_micromotion": ("lamb-dicke", "micromotion_amplitude"),
+    "gate_ratio_secular": ("gate", "delta_x_over_secular"),
+    "gate_ratio_rabi": ("gate", "delta_x_over_rabi"),
+    "gate_charge_bound": ("gate", "equal_charge_bound"),
+    "coherence_charge": ("rydberg-coherence", "q1_max"),
+    "blockade_q1": ("rydberg-gate", "q1_max"),
+    "blockade_field": ("rydberg-gate", "field_at_atom"),
+    "film_resistance": ("charging", "film_resistance"),
+    "equilibrium_charge_e": ("charging", "equilibrium_charge"),
+    "rc_time": ("charging", "rc_time"),
+    "clipping_factor": ("charging", "clipping_factor"),
+    "photocurrent_rate": ("charging", "photoelectron_rate_first_principles"),
+}
 
 
-def _kappa_row(ctx: _Context, spec: dict) -> tuple[float, float]:
-    inputs = spec["inputs"]
-    q = cavity_optics.extinction_from_finesse(
-        ctx.scn.f00_quantity(),
-        UncertainQuantity(inputs["f01"], inputs["f01_sigma"]),
-        ctx.scn.film_thickness_quantity(),
-        ctx.scn.cavity.wavelength_m,
-        mc_samples=ctx.scn.mc_samples,
-        seed=ctx.seed,
+def _finesse(scn: Scenario, seed: int) -> UncertainQuantity:
+    return finesse(scn.linewidth_quantity(), scn.fsr_quantity())
+
+
+def _finesse_mc_over_linear_sigma(scn: Scenario, seed: int) -> float:
+    mc = propagate_monte_carlo(
+        lambda d, f: f / d, [scn.linewidth_quantity(), scn.fsr_quantity()],
+        sample_count=scn.mc_samples, seed=seed,
     )
-    return q.value, q.sigma
+    return mc.sigma / _finesse(scn, seed).sigma
 
 
-def _refl_row(ctx: _Context, spec: dict) -> tuple[float, float]:
-    inputs = spec["inputs"]
-    q = cavity_optics.excess_reflection_loss(
-        ctx.scn.f00_quantity(),
-        UncertainQuantity(inputs["f01"], inputs["f01_sigma"]),
+def _kappa(scn: Scenario, seed: int, f01: float, f01_sigma: float) -> UncertainQuantity:
+    return cavity_optics.extinction_from_finesse(
+        scn.f00_quantity(), UncertainQuantity(f01, f01_sigma), scn.film_thickness_quantity(),
+        scn.cavity.wavelength_m, mc_samples=scn.mc_samples, seed=seed,
     )
-    return q.value, q.sigma
 
 
-def _transport_row(ctx: _Context, spec: dict) -> tuple[float, float]:
-    inputs = spec["inputs"]
-    check = charging.transport_consistency(
-        charging.TransportSample(
-            resistivity_ohm_m=inputs["hall_resistivity_ohm_m"],
-            carrier_density_per_m3=inputs["carrier_density_per_m3"],
-            mobility_m2_per_vs=inputs["mobility_m2_per_vs"],
-        )
+def _resonant_transmission(scn: Scenario, seed: int, vendor_transmission: float) -> float:
+    r0 = cavity_optics.r0_from_symmetric_finesse(scn.f00_quantity()).value
+    mirror = cavity_optics.MirrorState(r0, vendor_transmission, label="M0")
+    return cavity_optics.resonant_response(mirror, mirror)["transmission"]
+
+
+def _single_charge(scn: Scenario, q1_e: float):
+    """(scenario of charge q1_e alone, the ion's equilibrium position in it)."""
+    s = electrostatics.ChargeScenario(q1_e, 0.0, scn.charge_scenario().x_q_m)
+    return s, ion_impact.equilibrium_position(scn.trap_config(), s)
+
+
+def _field(scn: Scenario, seed: int, q1_e: float) -> float:
+    return electrostatics.single_charge_field(q1_e, scn.charge_scenario().x_q_m)
+
+
+def _blockade_infidelity(scn: Scenario, seed: int, q1_e: float) -> float:
+    rydberg = scn.rydberg_config()
+    shift = rydberg_impact.stark_shift(rydberg, _field(scn, seed, q1_e))
+    return rydberg_impact.blockade_infidelity(rydberg, shift)
+
+
+def _transport(scn: Scenario, seed: int, hall_resistivity_ohm_m: float,
+               carrier_density_per_m3: float, mobility_m2_per_vs: float) -> float:
+    sample = charging.TransportSample(
+        hall_resistivity_ohm_m, carrier_density_per_m3, mobility_m2_per_vs
     )
-    return check.predicted_resistivity_ohm_m, 0.0
+    return charging.transport_consistency(sample).predicted_resistivity_ohm_m
 
 
-def _computers() -> dict[str, Callable[[_Context, dict], tuple[float, float]]]:
-    def fsr_length(ctx, spec):
-        return fsr_from_length(ctx.scn.cavity.length_m), 0.0
-
-    def finesse_row(ctx, spec):
-        q = ctx.finesse_quantity()
-        return q.value, q.sigma
-
-    def finesse_mc_ratio(ctx, spec):
-        linear = ctx.finesse_quantity()
-        mc = propagate_monte_carlo(
-            lambda d, f: f / d,
-            [ctx.scn.linewidth_quantity(), ctx.scn.fsr_quantity()],
-            sample_count=ctx.scn.mc_samples,
-            seed=ctx.seed,
-        )
-        return mc.sigma / linear.sigma, 0.0
-
-    def resonant_transmission(ctx, spec):
-        r0 = cavity_optics.r0_from_symmetric_finesse(ctx.scn.f00_quantity()).value
-        vendor_t = spec["inputs"]["vendor_transmission"]
-        mirror = cavity_optics.MirrorState(r0, vendor_t, label="M0")
-        return cavity_optics.resonant_response(mirror, mirror)["transmission"], 0.0
-
-    def disc_u(ctx, spec):
-        i = spec["inputs"]
-        return (
-            electrostatics.disc_point_ratios(i["radius_m"], i["distance_m"])["u_ratio"],
-            0.0,
-        )
-
-    def disc_e(ctx, spec):
-        i = spec["inputs"]
-        return (
-            electrostatics.disc_point_ratios(i["radius_m"], i["distance_m"])["e_ratio"],
-            0.0,
-        )
-
-    def cooling_q1(ctx, spec):
-        return ctx.cooling.q1_e, 0.0
-
-    def cooling_field(ctx, spec):
-        return ctx.cooling.field_v_per_m, 0.0
-
-    def cooling_displacement(ctx, spec):
-        return ctx.cooling.x_tilde_m, 0.0
-
-    def coupling_q1(ctx, spec):
-        target = ctx.trap.cavity_wavelength_m / 8.0
-        return ion_impact.charge_for_displacement(ctx.trap, ctx.x_q, target), 0.0
-
-    def coupling_displacement(ctx, spec):
-        s = electrostatics.ChargeScenario(spec["inputs"]["q1_e"], 0.0, ctx.x_q)
-        return ion_impact.equilibrium_position(ctx.trap, s), 0.0
-
-    def coupling_field(ctx, spec):
-        s = electrostatics.ChargeScenario(spec["inputs"]["q1_e"], 0.0, ctx.x_q)
-        x_t = ion_impact.equilibrium_position(ctx.trap, s)
-        return electrostatics.field_at(s, x_t), 0.0
-
-    def ld_q1(ctx, spec):
-        return ctx.lamb_dicke.q1_max_e, 0.0
-
-    def ld_field(ctx, spec):
-        return ctx.lamb_dicke.field_v_per_m, 0.0
-
-    def ld_displacement(ctx, spec):
-        return ctx.lamb_dicke.x_tilde_max_m, 0.0
-
-    def ld_micromotion(ctx, spec):
-        return ctx.lamb_dicke.x_micromotion_max_m, 0.0
-
-    def zero_point(ctx, spec):
-        return (
-            ion_impact.zero_point_spread(ctx.trap.mass_kg, ctx.trap.omega_x),
-            0.0,
-        )
-
-    def gate_secular(ctx, spec):
-        return ctx.gate_verdict.ratio_secular, 0.0
-
-    def gate_rabi(ctx, spec):
-        return ctx.gate_verdict.ratio_rabi, 0.0
-
-    def gate_bound(ctx, spec):
-        return (
-            ion_impact.max_equal_charge_for_gate(
-                ctx.trap, ctx.x_q, ctx.scn.gate_params()
-            ),
-            0.0,
-        )
-
-    def rydberg_field(ctx, spec):
-        return (
-            electrostatics.single_charge_field(spec["inputs"]["q1_e"], ctx.x_q),
-            0.0,
-        )
-
-    def stark_at_reference_field(ctx, spec):
-        return (
-            rydberg_impact.stark_shift(ctx.rydberg, spec["inputs"]["field_v_per_m"]),
-            0.0,
-        )
-
-    def coherence_time(ctx, spec):
-        field = electrostatics.single_charge_field(spec["inputs"]["q1_e"], ctx.x_q)
-        return rydberg_impact.decoherence_time(ctx.rydberg, field), 0.0
-
-    def coherence_charge(ctx, spec):
-        budget = rydberg_impact.charge_for_coherence_time(
-            ctx.rydberg, spec["inputs"]["tau_pi_s"], ctx.x_q
-        )
-        return budget.q1_e, 0.0
-
-    def blockade_infidelity_at(ctx, spec):
-        field = electrostatics.single_charge_field(spec["inputs"]["q1_e"], ctx.x_q)
-        shift = rydberg_impact.stark_shift(ctx.rydberg, field)
-        return rydberg_impact.blockade_infidelity(ctx.rydberg, shift), 0.0
-
-    def blockade_q1(ctx, spec):
-        budget = rydberg_impact.max_charge_for_infidelity(
-            ctx.rydberg, spec["inputs"]["target_infidelity"], ctx.x_q
-        )
-        return budget.q1_e, 0.0
-
-    def blockade_field(ctx, spec):
-        budget = rydberg_impact.max_charge_for_infidelity(
-            ctx.rydberg, spec["inputs"]["target_infidelity"], ctx.x_q
-        )
-        return budget.field_v_per_m, 0.0
-
-    def film_resistance_row(ctx, spec):
-        return charging.film_resistance(ctx.scn.film_sample()).resistance_ohm, 0.0
-
-    def charge_row(ctx, spec):
-        *_, steady = _charging_parts(ctx.scn)
-        return steady.charge_e, 0.0
-
-    def rc_row(ctx, spec):
-        *_, steady = _charging_parts(ctx.scn)
-        return steady.rc_time_s, 0.0
-
-    def clipping_row(ctx, spec):
-        illum = ctx.scn.illumination_scenario()
-        return (
-            charging.gaussian_clipping_factor(
-                illum.beam_waist_m, illum.mirror_distance_m
-            ),
-            0.0,
-        )
-
-    def photocurrent_rate(ctx, spec):
-        illum = ctx.scn.illumination_scenario()
-        i = ctx.scn.illumination
-        first_principles = (
-            i.quantum_efficiency
-            * i.power_w
-            * i.wavelength_m
-            / (CODATA.h * CODATA.c)
-        )
-        return first_principles, 0.0
-
-    return {
-        "fsr_from_length": fsr_length,
-        "finesse_from_linewidth": finesse_row,
-        "finesse_mc_linear_sigma": finesse_mc_ratio,
-        "kappa_zno_27d": _kappa_row,
-        "kappa_zno_69d": _kappa_row,
-        "kappa_zno_128d": _kappa_row,
-        "kappa_ann_69d": _kappa_row,
-        "kappa_ann_128d": _kappa_row,
-        "refl_var_69d": _refl_row,
-        "refl_var_128d": _refl_row,
-        "resonant_transmission": resonant_transmission,
-        "disc_u_ratio": disc_u,
-        "disc_e_ratio": disc_e,
-        "cooling_q1": cooling_q1,
-        "cooling_field": cooling_field,
-        "cooling_displacement": cooling_displacement,
-        "coupling_q1": coupling_q1,
-        "coupling_displacement": coupling_displacement,
-        "coupling_field": coupling_field,
-        "lamb_dicke_q1": ld_q1,
-        "lamb_dicke_field": ld_field,
-        "lamb_dicke_displacement": ld_displacement,
-        "lamb_dicke_micromotion": ld_micromotion,
-        "zero_point_spread": zero_point,
-        "gate_ratio_secular": gate_secular,
-        "gate_ratio_rabi": gate_rabi,
-        "gate_charge_bound": gate_bound,
-        "rydberg_field_54e": rydberg_field,
-        "stark_shift_ref_field": stark_at_reference_field,
-        "coherence_time_54e": coherence_time,
-        "coherence_charge": coherence_charge,
-        "blockade_infidelity_140e": blockade_infidelity_at,
-        "blockade_q1": blockade_q1,
-        "blockade_field": blockade_field,
-        "film_resistance": film_resistance_row,
-        "equilibrium_charge_e": charge_row,
-        "rc_time": rc_row,
-        "clipping_factor": clipping_row,
-        "photocurrent_rate": photocurrent_rate,
-        "transport_zno1": _transport_row,
-        "transport_zno2": _transport_row,
-    }
+# every other row: row id -> f(scn, seed, **manifest inputs), a float or an
+# UncertainQuantity
+ROWS = {
+    "fsr_from_length": lambda scn, seed: fsr_from_length(scn.cavity.length_m),
+    "finesse_from_linewidth": _finesse,
+    "finesse_mc_linear_sigma": _finesse_mc_over_linear_sigma,
+    **dict.fromkeys(
+        ("kappa_zno_27d", "kappa_zno_69d", "kappa_zno_128d", "kappa_ann_69d", "kappa_ann_128d"),
+        _kappa,
+    ),
+    **dict.fromkeys(
+        ("refl_var_69d", "refl_var_128d"),
+        lambda scn, seed, f01, f01_sigma: cavity_optics.excess_reflection_loss(
+            scn.f00_quantity(), UncertainQuantity(f01, f01_sigma)
+        ),
+    ),
+    "resonant_transmission": _resonant_transmission,
+    "disc_u_ratio": lambda scn, seed, radius_m, distance_m: (
+        electrostatics.disc_point_ratios(radius_m, distance_m)["u_ratio"]
+    ),
+    "disc_e_ratio": lambda scn, seed, radius_m, distance_m: (
+        electrostatics.disc_point_ratios(radius_m, distance_m)["e_ratio"]
+    ),
+    "coupling_displacement": lambda scn, seed, q1_e: _single_charge(scn, q1_e)[1],
+    "coupling_field": lambda scn, seed, q1_e: electrostatics.field_at(
+        *_single_charge(scn, q1_e)
+    ),
+    "zero_point_spread": lambda scn, seed: ion_impact.zero_point_spread(
+        scn.trap_config().mass_kg, scn.trap_config().omega_x
+    ),
+    "rydberg_field_54e": _field,
+    "stark_shift_ref_field": lambda scn, seed, field_v_per_m: rydberg_impact.stark_shift(
+        scn.rydberg_config(), field_v_per_m
+    ),
+    "coherence_time_54e": lambda scn, seed, q1_e: rydberg_impact.decoherence_time(
+        scn.rydberg_config(), _field(scn, seed, q1_e)
+    ),
+    "blockade_infidelity_140e": _blockade_infidelity,
+    "transport_zno1": _transport,
+    "transport_zno2": _transport,
+}
 
 
 def build_report(
     scn: Optional[Scenario] = None, seed: Optional[int] = None
 ) -> list[ReportRow]:
-    """Compute every row of the reference-reproduction report."""
+    """Compute every row of the reference-reproduction report.
+
+    A row in BUDGET_ROWS reads its value from budgets.budget_rows, one call
+    per (target, manifest inputs); every other row runs its ROWS entry
+    under quantities.finite_evaluation. Either way a row is finite or the
+    call raises a ToolkitError: EvaluationError for overflow, division by
+    zero or a non-finite value, its message starting with "row <id>: " or
+    "target <target>: ".
+    """
     scn = bundled_scenario() if scn is None else scn
     seed = scn.seed if seed is None else seed
-    ctx = _Context(scn, seed)
-    computers = _computers()
+    budgets = {}
     rows = []
     for spec in load_manifest():
-        computed, sigma = computers[spec["id"]](ctx, spec)
-        rows.append(_make_row(spec, computed, sigma))
+        row_id = spec["id"]
+        inputs = spec.get("inputs", {})
+        if row_id in BUDGET_ROWS:
+            target, name = BUDGET_ROWS[row_id]
+            key = (target, *sorted(inputs.items()))
+            if key not in budgets:
+                budgets[key] = budget_rows(scn, target, **inputs)
+            computed = budgets[key][name]
+        else:
+            with finite_evaluation(f"row {row_id}") as check:
+                computed = check(row_id, ROWS[row_id](scn, seed, **inputs))
+        rows.append(_make_row(spec, computed))
     return rows
 
 

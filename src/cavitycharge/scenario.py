@@ -174,10 +174,6 @@ class Scenario:
         c = self._require("cavity")
         return UncertainQuantity(c.f00, c.f00_sigma)
 
-    def f01_quantity(self) -> UncertainQuantity:
-        c = self._require("cavity")
-        return UncertainQuantity(c.f01, c.f01_sigma)
-
     def fsr_quantity(self) -> UncertainQuantity:
         c = self._require("cavity")
         if c.fsr_hz is not None:

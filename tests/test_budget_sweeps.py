@@ -15,10 +15,13 @@ from cavitycharge import rydberg_impact as ryd
 from cavitycharge.errors import StabilityError
 from cavitycharge.quantities import CODATA
 from cavitycharge.reports import (
+    BUDGET_ROWS,
     BUDGET_TARGETS,
     SWEEP_POINTS,
     budget_report,
+    build_report,
     bundled_scenario_text,
+    load_manifest,
 )
 from cavitycharge.scenario import parse_scenario
 
@@ -89,8 +92,20 @@ def _assert_sweep_matches_scalar_chain(text):
         assert np.all(np.abs(y - expected) <= 1e-15 * np.abs(expected)), target
 
 
+def _assert_report_rows_are_budget_rows(text):
+    """Each budget-backed report row is its budget_report row, bit for bit."""
+    scn = parse_scenario(text)
+    computed = {row.row_id: row.computed for row in build_report(scn)}
+    inputs = {spec["id"]: spec.get("inputs", {}) for spec in load_manifest()}
+    for row_id, (target, name) in BUDGET_ROWS.items():
+        rows, _header, _sweep = budget_report(scn, target, **inputs[row_id])
+        value = {n: v for n, v, _unit in rows}[name]
+        assert computed[row_id].hex() == float(value).hex(), row_id
+
+
 def test_bundled_sweeps_match_scalar_chain():
     _assert_sweep_matches_scalar_chain(bundled_scenario_text())
+    _assert_report_rows_are_budget_rows(bundled_scenario_text())
 
 
 _factor = st.floats(0.8, 1.25)
@@ -105,6 +120,7 @@ def test_variant_sweeps_match_scalar_chain(xq, secular, alpha, charges, power):
          "q1_e": charges, "q2_e": charges, "power_w": power},
     )
     _assert_sweep_matches_scalar_chain(text)
+    _assert_report_rows_are_budget_rows(text)
 
 
 def test_array_micromotion_raises_when_any_charge_opens_the_well():

@@ -1,6 +1,7 @@
-"""The budget chain's failure contract: every row and sweep point it returns
-is finite, and numerics that overflow, divide by zero or end non-finite
-exit 2 with one line instead of a traceback, a crash or NaN output."""
+"""The failure contract of the budget chain and the report: every row and
+sweep point they return is finite, and numerics that overflow, divide by
+zero or end non-finite raise one ToolkitError (exit 2 with one line from
+the CLI) instead of a traceback, a crash or NaN output."""
 
 import re
 import warnings
@@ -9,8 +10,8 @@ import pytest
 
 from cavitycharge import budgets
 from cavitycharge.cli import main
-from cavitycharge.errors import EvaluationError
-from cavitycharge.reports import bundled_scenario_text
+from cavitycharge.errors import EvaluationError, ParameterError
+from cavitycharge.reports import build_report, bundled_scenario_text
 from cavitycharge.scenario import parse_scenario
 
 
@@ -74,3 +75,51 @@ def test_non_finite_sweep_is_evaluation_error_naming_the_first_point():
                        match=r"200 of 200 sweep points are not finite, the first "
                              r"\(q1_e,decoherence_time_s\) = "):
         budgets.budget_report(scn, "rydberg-coherence")
+
+
+@pytest.mark.parametrize("key, value, target", [
+    # each used to blame stray charge or to exit 0 with q1_max = 0.0
+    ("mass_amu", "1e-300", "lamb-dicke"),
+    ("mass_amu", "1e-300", "coupling"),
+    ("secular_hz", "1e-300", "cooling"),
+])
+def test_trap_curvature_that_underflows_exits_2_naming_mass_and_frequency(
+    key, value, target, tmp_path, capsys
+):
+    scenario = tmp_path / "run.scenario"
+    scenario.write_text(_with(key, value))
+    code = main(["budget", "--scenario", str(scenario), "--target", target,
+                 "--out", str(tmp_path / "sweep.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"toolkit budget: target {target}: trap curvature k_t ")
+    assert "mass" in err[0] and "secular frequency" in err[0]
+
+
+# (scenario key, value, error, message start); each used to raise a bare
+# ArithmeticError from build_report or to return an inf row
+REPORT_OUT_OF_RANGE = [
+    ("xq_m", "1e-300", EvaluationError, "target cooling: ZeroDivisionError: "),
+    ("mass_amu", "1e-300", ParameterError, "target cooling: trap curvature k_t "),
+    ("xq_m", "1e300", EvaluationError, "target cooling: OverflowError: "),
+    ("waist_m", "1e300", EvaluationError, "target charging: OverflowError: "),
+    ("power_w", "1e300", EvaluationError,
+     "target charging: photoelectron_rate_first_principles = inf is not finite"),
+    ("length_m", "1e-320", EvaluationError,
+     "row fsr_from_length: fsr_from_length = inf is not finite"),
+]
+
+
+@pytest.mark.parametrize("key, value, error, start", REPORT_OUT_OF_RANGE,
+                         ids=[f"{key}={value}" for key, value, *_ in REPORT_OUT_OF_RANGE])
+def test_out_of_range_report_raises_one_toolkit_error(key, value, error, start):
+    scn = parse_scenario(_with(key, value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            build_report(scn)
+    message = str(info.value)
+    assert message.startswith(start) and "\n" not in message
+    if "Error: " in start:
+        assert isinstance(info.value.__cause__, ArithmeticError)

@@ -336,21 +336,3 @@ def test_mirror_state_validation():
         MirrorState(0.9, 0.5)  # T above the 1-r^2 budget
     m = MirrorState(0.9, 0.1, label="M0")
     assert m.loss == pytest.approx(1.0 - 0.81 - 0.1, rel=1e-12)
-
-
-def test_cavity_assembly():
-    from cavitycharge.cavity_optics import CavityAssembly
-
-    r0 = r0_from_symmetric_finesse(F00).value
-    mirror = MirrorState(r0, 1.18e-4, label="M0")
-    cavity = CavityAssembly(
-        mirror_a=mirror,
-        mirror_b=mirror,
-        length_m=20.2e-3,
-        fsr=UncertainQuantity(7.410e9, 0.013e9, "Hz"),
-        film_thickness=UncertainQuantity(30e-9, 2e-9, "m"),
-        wavelength_m=WAVELENGTH,
-    )
-    assert cavity.fsr.value == 7.410e9
-    with pytest.raises(ParameterError):
-        CavityAssembly(mirror, mirror, -1.0, cavity.fsr, cavity.film_thickness, WAVELENGTH)

@@ -4,18 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from cavitycharge.errors import FitError, ParameterError, SchemaError
 from cavitycharge.film_optics import (
-    AbsorptionSpectrum,
     DrudeModel,
     alpha_from_kappa,
     drude_from_transport,
     drude_index,
     kappa_from_alpha,
     lambda_cubed_ratio,
-    load_spectrum_csv,
     power_attenuation,
-    tauc_bandgap,
 )
 from cavitycharge.quantities import CODATA
 
@@ -133,93 +129,3 @@ def test_lambda_cubed_ratio_weak_damping_limit():
     out = lambda_cubed_ratio(model, 1650e-9)
     assert out.regime_ok
     assert out.ratio == pytest.approx(8.0, rel=0.01)
-
-
-# -- Tauc gap ----------------------------------------------------------------
-
-
-def direct_gap_spectrum(gap_ev=3.3, strength=2e7):
-    # direct-gap edge: alpha ~ sqrt(E - gap)/E so (alpha E)^2 is linear
-    energies = np.linspace(2.8, 4.0, 241)
-    alpha = np.where(
-        energies > gap_ev,
-        strength * np.sqrt(np.clip(energies - gap_ev, 0.0, None)) / energies,
-        0.0,
-    )
-    return AbsorptionSpectrum(energies, alpha)
-
-
-def test_tauc_exact_on_linear_data():
-    spectrum = direct_gap_spectrum()
-    gap = tauc_bandgap(spectrum, (3.32, 3.9))
-    assert gap.value == pytest.approx(3.3, abs=1e-12)
-    assert gap.sigma < 1e-9
-
-
-def test_tauc_threshold_synthetic_edge():
-    # absorption rising linearly past 3.3 eV: the (alpha E)^2 edge fit near
-    # threshold extrapolates back to the gap
-    energies = np.linspace(3.0, 3.6, 601)
-    alpha = np.where(energies > 3.3, 5e6 * (energies - 3.3), 0.0)
-    spectrum = AbsorptionSpectrum(energies, alpha)
-    gap = tauc_bandgap(spectrum, (3.301, 3.34))
-    assert gap.value == pytest.approx(3.3, abs=0.02)
-
-
-def test_tauc_identical_edges_give_identical_gaps():
-    # pre/post-anneal spectra sharing the band edge: no band-filling shift
-    pre = direct_gap_spectrum(strength=2e7)
-    post = direct_gap_spectrum(strength=1.4e7)
-    g_pre = tauc_bandgap(pre, (3.35, 3.9))
-    g_post = tauc_bandgap(post, (3.35, 3.9))
-    assert g_pre.value == pytest.approx(g_post.value, abs=1e-10)
-
-
-def test_tauc_rejects_bad_windows():
-    spectrum = direct_gap_spectrum()
-    with pytest.raises(ParameterError):
-        tauc_bandgap(spectrum, (3.301, 3.305))  # fewer than 4 points
-    with pytest.raises(FitError):
-        tauc_bandgap(spectrum, (2.8, 3.2))  # flat region, no positive slope
-
-
-def test_absorption_spectrum_invariants():
-    with pytest.raises(ParameterError):
-        AbsorptionSpectrum(np.array([1.0, 1.0, 2.0, 3.0]), np.zeros(4))
-    with pytest.raises(ParameterError):
-        AbsorptionSpectrum(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.0, -1.0, 0.0, 0.0]))
-
-
-# -- CSV ingestion -----------------------------------------------------------
-
-
-def test_load_index_spectrum(tmp_path):
-    path = tmp_path / "index.csv"
-    path.write_text(
-        "wavelength_nm,n,kappa\n"
-        "400.0,2.1,0.30\n"
-        "375.0,2.2,0.40\n"
-        "350.0,2.3,0.50\n"
-    )
-    spec = load_spectrum_csv(path)
-    assert spec.energies_ev.size == 3
-    assert np.all(np.diff(spec.energies_ev) > 0)
-    e_expected = CODATA.h * CODATA.c / (400e-9 * CODATA.e)
-    assert spec.energies_ev[0] == pytest.approx(e_expected, rel=1e-12)
-    assert spec.alpha_per_m[0] == pytest.approx(4 * math.pi * 0.30 / 400e-9, rel=1e-12)
-
-
-def test_load_alpha_spectrum(tmp_path):
-    path = tmp_path / "alpha.csv"
-    path.write_text(
-        "energy_eV,alpha_per_cm\n# comment\n3.0,10.0\n3.2,200.0\n3.4,4000.0\n"
-    )
-    spec = load_spectrum_csv(path)
-    assert spec.alpha_per_m[0] == pytest.approx(1000.0)
-
-
-def test_load_spectrum_rejects_unknown_header(tmp_path):
-    path = tmp_path / "odd.csv"
-    path.write_text("frequency,loss\n1,2\n")
-    with pytest.raises(SchemaError):
-        load_spectrum_csv(path)

@@ -311,6 +311,18 @@ def test_trap_config_validation():
         TrapConfig(-1.0, 500e3, 30e6, 369e-9, 355e-9, 1650e-9)
 
 
+@pytest.mark.parametrize("mass_amu, secular_hz", [
+    (1e-300, 500e3),   # m omega_x^2 / 2 underflows to 0
+    (171.0, 1e-300),
+    (1e300, 1e200),    # omega_x**2 overflows
+])
+def test_trap_curvature_must_be_positive_and_finite_in_si_units(mass_amu, secular_hz):
+    with pytest.raises(ParameterError, match="trap curvature") as info:
+        TrapConfig(mass_amu, secular_hz, 1e250, 369e-9, 355e-9, 1650e-9)
+    assert f"mass {mass_amu} amu" in str(info.value)
+    assert f"secular frequency {secular_hz} Hz" in str(info.value)
+
+
 def test_gate_params_validation():
     with pytest.raises(ParameterError):
         GateParams(rabi_hz=0.0)

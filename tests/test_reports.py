@@ -2,8 +2,14 @@ import dataclasses
 
 import pytest
 
+from cavitycharge import BUDGET_DEFAULTS
+from cavitycharge.budgets import budget_rows
+from cavitycharge.cli import build_parser
 from cavitycharge.reports import (
+    BUDGET_ROWS,
+    BUDGET_TARGETS,
     EXPECTED_DOCUMENTED,
+    ROWS,
     ReportRow,
     budget_report,
     build_report,
@@ -24,6 +30,12 @@ def test_manifest_covers_every_computer():
     ids = [spec["id"] for spec in load_manifest()]
     assert len(ids) == len(set(ids))
     assert set(EXPECTED_DOCUMENTED) <= set(ids)
+
+
+def test_every_manifest_row_is_in_exactly_one_table():
+    ids = [spec["id"] for spec in load_manifest()]
+    assert sorted(ids) == sorted([*BUDGET_ROWS, *ROWS])
+    assert (len(BUDGET_ROWS), len(ROWS)) == (19, 22)
 
 
 def test_no_undocumented_mismatch(rows):
@@ -157,3 +169,16 @@ def test_budget_charging_rows(scn):
 def test_budget_unknown_target(scn):
     with pytest.raises(Exception):
         budget_report(scn, "warp-drive")
+
+
+def test_budget_rows_are_budget_report_rows_without_the_sweep(scn):
+    for target in BUDGET_TARGETS:
+        rows, _header, _sweep = budget_report(scn, target, tau_pi_s=4e-6)
+        assert budget_rows(scn, target, tau_pi_s=4e-6) == {n: v for n, v, _unit in rows}
+    with pytest.raises(TypeError, match="intensity_flor"):
+        budget_rows(scn, "cooling", intensity_flor=0.4)
+
+
+def test_cli_budget_options_default_to_budget_defaults():
+    args = build_parser().parse_args(["budget", "--scenario", "s", "--target", "gate"])
+    assert {option: getattr(args, option) for option in BUDGET_DEFAULTS} == BUDGET_DEFAULTS
