@@ -62,8 +62,13 @@ def _cmd_fit_ringdown(args) -> int:
     csv_lines = ["trace,linewidth_hz,sigma_hz,v0"]
     for path in args.traces:
         try:
-            fit = fit_ringdown(load_trace_csv(path))
-        except (ToolkitError, OSError) as exc:
+            trace = load_trace_csv(path)
+        except (ToolkitError, OSError) as exc:  # both name the file
+            print(f"fit-ringdown: {exc}", file=sys.stderr)
+            continue
+        try:
+            fit = fit_ringdown(trace)
+        except ToolkitError as exc:
             print(f"fit-ringdown: {path}: {exc}", file=sys.stderr)
             continue
         fits.append(fit)

@@ -1,7 +1,7 @@
 """Stray-charge potentials and fields along the cavity axis.
 
-A positive test charge q near the origin interacts with stationary charges
-Q1, Q2 placed at -x_Q and +x_Q:
+A test charge q = +e near the origin (the ion) interacts with stationary
+charges Q1, Q2 placed at -x_Q and +x_Q:
 
     U(x) = s_q (Q1/|x + x_Q| + Q2/|x - x_Q|),   s_q = q/(4 pi eps0)
 
@@ -63,7 +63,6 @@ class ChargeScenario:
     q1_e: float
     q2_e: float
     x_q_m: float
-    test_charge_e: float = 1.0
 
     def __post_init__(self) -> None:
         if self.x_q_m <= 0:
@@ -88,7 +87,7 @@ def expansion_coefficients(s: ChargeScenario) -> ExpansionCoefficients:
         A=(q2 - q1) / s.x_q_m**2,
         B=(q1 + q2) / s.x_q_m**3,
         C_const=(q1 + q2) / s.x_q_m,
-        s_q=s.test_charge_e * CODATA.e * CODATA.k_e,
+        s_q=CODATA.e * CODATA.k_e,
         x_q_m=s.x_q_m,
     )
 
@@ -103,7 +102,7 @@ def _check_domain(x_m, x_q_m: float) -> None:
 def potential_exact(s: ChargeScenario, x_m: float) -> float:
     """Exact two-point-charge interaction energy (J) for |x| < x_Q."""
     _check_domain(x_m, s.x_q_m)
-    s_q = s.test_charge_e * CODATA.e * CODATA.k_e
+    s_q = CODATA.e * CODATA.k_e
     q1 = s.q1_e * CODATA.e
     q2 = s.q2_e * CODATA.e
     return s_q * (q1 / abs(x_m + s.x_q_m) + q2 / abs(x_m - s.x_q_m))

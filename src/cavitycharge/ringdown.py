@@ -59,8 +59,6 @@ class RingdownTrace:
 
     times: np.ndarray
     voltages: np.ndarray
-    sample_rate: float = 0.0
-    trigger_time: float = 0.0
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -99,11 +97,6 @@ class RingdownFit:
         if self.linewidth.value <= 0:
             raise ParameterError("fitted linewidth must be positive")
 
-    @property
-    def decay_time(self) -> float:
-        """1/e decay time tau = 1/(2 pi dnu) in seconds."""
-        return 1.0 / (2.0 * math.pi * self.linewidth.value)
-
 
 def synthesize_trace(
     v0: float,
@@ -112,7 +105,6 @@ def synthesize_trace(
     sample_rate_hz: float,
     noise_sigma: float = 0.0,
     seed: int = 0,
-    trigger_time: float = 0.0,
 ) -> RingdownTrace:
     """Generate a synthetic ring-down trace with additive Gaussian noise.
 
@@ -133,7 +125,7 @@ def synthesize_trace(
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         v = v + rng.normal(0.0, noise_sigma, size=n)
-    return RingdownTrace(t + trigger_time, v, sample_rate_hz, trigger_time)
+    return RingdownTrace(t, v)
 
 
 def _median(a: np.ndarray) -> float:
@@ -391,8 +383,8 @@ def load_trace_csv(path) -> RingdownTrace:
     field and any further columns are ignored. Anything else after the data
     on a row, a '#' comment included, is an error.
 
-    Raises ParameterError for a malformed row, fewer than MIN_SAMPLES rows,
-    or samples RingdownTrace rejects.
+    Raises ParameterError, naming the file, for a malformed row, fewer than
+    MIN_SAMPLES rows, or samples RingdownTrace rejects.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -424,5 +416,7 @@ def load_trace_csv(path) -> RingdownTrace:
         )
     # contiguous columns: strided views could change the fit's dot-product rounding
     t, v = data.T.copy()
-    dt = _median(np.diff(t))  # RingdownTrace rejects non-finite times below
-    return RingdownTrace(t, v, 1.0 / dt if dt > 0 else 0.0, float(t[0]))
+    try:
+        return RingdownTrace(t, v)
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None

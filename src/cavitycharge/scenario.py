@@ -7,14 +7,17 @@ Unknown sections and keys are rejected rather than ignored, and
 serialization is canonical (fixed section/key order, shortest round-trip
 float formatting) so parse(serialize(s)) == s and repeated serializations
 are byte-identical.
+
+Each key is declared once, as a field of its section class (`[meta]` keys are
+`Scenario`'s own): its annotation is its type, it is required when it has no
+default, optional when the default is None, and its range rule is metadata.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional, get_args
 
 from .charging import FilmSample, IlluminationScenario
 from .electrostatics import ChargeScenario
@@ -37,73 +40,83 @@ __all__ = [
     "load_scenario",
 ]
 
-DEFAULT_SEED = 0
-DEFAULT_MC_SAMPLES = 100_000
+
+# range rules: (test, what a value must be)
+_POS = (lambda v: v > 0, "> 0")
+_NONNEG = (lambda v: v >= 0, ">= 0")
+_UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
+_MC = (lambda v: v >= MIN_MC_SAMPLES, f">= {MIN_MC_SAMPLES}")
+# a parsed value is one stripped line, so a name must be too
+_LINE = (lambda v: v == v.strip() and len(v.splitlines()) < 2, "one line without outer blanks")
+
+
+def _key(rule, default=MISSING):
+    return field(default=default, metadata={"rule": rule})
 
 
 @dataclass(frozen=True)
 class CavitySection:
-    f00: float
-    f00_sigma: float
-    f01: float
-    f01_sigma: float
-    film_thickness_m: float
-    film_thickness_sigma_m: float
-    wavelength_m: float
-    fsr_hz: Optional[float] = None
-    fsr_sigma_hz: float = 0.0
-    length_m: Optional[float] = None
-    linewidth_hz: Optional[float] = None
-    linewidth_sigma_hz: float = 0.0
+    f00: float = _key(_POS)
+    f00_sigma: float = _key(_NONNEG)
+    f01: float = _key(_POS)
+    f01_sigma: float = _key(_NONNEG)
+    film_thickness_m: float = _key(_POS)
+    film_thickness_sigma_m: float = _key(_NONNEG)
+    wavelength_m: float = _key(_POS)
+    fsr_hz: Optional[float] = _key(_POS, None)
+    fsr_sigma_hz: float = _key(_NONNEG, 0.0)
+    length_m: Optional[float] = _key(_POS, None)
+    linewidth_hz: Optional[float] = _key(_POS, None)
+    linewidth_sigma_hz: float = _key(_NONNEG, 0.0)
 
 
 @dataclass(frozen=True)
 class TrapSection:
-    mass_amu: float
-    secular_hz: float
-    rf_hz: float
-    cooling_wavelength_m: float
-    gate_wavelength_m: float
-    cavity_wavelength_m: float
-    gate_rabi_hz: Optional[float] = None
-    gate_occupation: int = 50
+    mass_amu: float = _key(_POS)
+    secular_hz: float = _key(_POS)
+    rf_hz: float = _key(_POS)
+    cooling_wavelength_m: float = _key(_POS)
+    gate_wavelength_m: float = _key(_POS)
+    cavity_wavelength_m: float = _key(_POS)
+    gate_rabi_hz: Optional[float] = _key(_POS, None)
+    gate_occupation: int = _key(_NONNEG, 50)
 
 
 @dataclass(frozen=True)
 class ChargesSection:
     q1_e: float
     q2_e: float
-    xq_m: float
+    xq_m: float = _key(_POS)
 
 
 @dataclass(frozen=True)
 class RydbergSection:
-    alpha: float          # polarizability, Hz/(V/m)^2
-    rabi_hz: float
+    alpha: float = _key(_POS)  # polarizability, Hz/(V/m)^2
+    rabi_hz: float = _key(_POS)
 
 
 @dataclass(frozen=True)
 class FilmSection:
-    rho_ohm_m: float
-    thickness_m: float
-    radius_m: float
-    capacitance_f: float
+    rho_ohm_m: float = _key(_POS)
+    thickness_m: float = _key(_POS)
+    radius_m: float = _key(_POS)
+    capacitance_f: float = _key(_POS)
 
 
 @dataclass(frozen=True)
 class IlluminationSection:
-    power_w: float
-    wavelength_m: float
-    quantum_efficiency: float
-    waist_m: float
-    photon_rate_per_s: Optional[float] = None
+    power_w: float = _key(_NONNEG)
+    wavelength_m: float = _key(_POS)
+    quantum_efficiency: float = _key(_UNIT)
+    waist_m: float = _key(_POS)
+    photon_rate_per_s: Optional[float] = _key(_NONNEG, None)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str = "unnamed"
-    seed: int = DEFAULT_SEED
-    mc_samples: int = DEFAULT_MC_SAMPLES
+    name: str = _key(_LINE, "unnamed")
+    seed: int = _key(_NONNEG, 0)
+    mc_samples: int = _key(_MC, 100_000)
     cavity: Optional[CavitySection] = None
     trap: Optional[TrapSection] = None
     charges: Optional[ChargesSection] = None
@@ -194,102 +207,51 @@ class Scenario:
 
 
 # --------------------------------------------------------------------------
-# schema: section -> key -> (python type, required, constraint)
-# constraints: pos, nonneg, unit (in [0,1]), mc (>= MIN_MC_SAMPLES), any
+# the key table, derived from the declarations above
 
-_SCHEMA: dict[str, dict[str, tuple[type, bool, str]]] = {
-    "meta": {
-        "name": (str, False, "any"),
-        "seed": (int, False, "nonneg"),
-        "mc_samples": (int, False, "mc"),
-    },
-    "cavity": {
-        "f00": (float, True, "pos"),
-        "f00_sigma": (float, True, "nonneg"),
-        "f01": (float, True, "pos"),
-        "f01_sigma": (float, True, "nonneg"),
-        "film_thickness_m": (float, True, "pos"),
-        "film_thickness_sigma_m": (float, True, "nonneg"),
-        "wavelength_m": (float, True, "pos"),
-        "fsr_hz": (float, False, "pos"),
-        "fsr_sigma_hz": (float, False, "nonneg"),
-        "length_m": (float, False, "pos"),
-        "linewidth_hz": (float, False, "pos"),
-        "linewidth_sigma_hz": (float, False, "nonneg"),
-    },
-    "trap": {
-        "mass_amu": (float, True, "pos"),
-        "secular_hz": (float, True, "pos"),
-        "rf_hz": (float, True, "pos"),
-        "cooling_wavelength_m": (float, True, "pos"),
-        "gate_wavelength_m": (float, True, "pos"),
-        "cavity_wavelength_m": (float, True, "pos"),
-        "gate_rabi_hz": (float, False, "pos"),
-        "gate_occupation": (int, False, "nonneg"),
-    },
-    "charges": {
-        "q1_e": (float, True, "any"),
-        "q2_e": (float, True, "any"),
-        "xq_m": (float, True, "pos"),
-    },
-    "rydberg": {
-        "alpha": (float, True, "pos"),
-        "rabi_hz": (float, True, "pos"),
-    },
-    "film": {
-        "rho_ohm_m": (float, True, "pos"),
-        "thickness_m": (float, True, "pos"),
-        "radius_m": (float, True, "pos"),
-        "capacitance_f": (float, True, "pos"),
-    },
-    "illumination": {
-        "power_w": (float, True, "nonneg"),
-        "wavelength_m": (float, True, "pos"),
-        "quantum_efficiency": (float, True, "unit"),
-        "waist_m": (float, True, "pos"),
-        "photon_rate_per_s": (float, False, "nonneg"),
-    },
+
+class _Key(NamedTuple):
+    type: type            # float, int or str
+    default: object       # MISSING for a required key, None for an optional one
+    rule: Optional[tuple]  # (test, text), see _POS
+
+
+def _plain(annotation):
+    """float for Optional[float]; any other annotation as it is."""
+    return next((a for a in get_args(annotation) if a is not type(None)), annotation)
+
+
+def _keys(declared) -> dict[str, _Key]:
+    return {f.name: _Key(_plain(f.type), f.default, f.metadata.get("rule")) for f in declared}
+
+
+# section name -> section class, and section name -> key name -> _Key
+_SECTIONS = {f.name: _plain(f.type) for f in fields(Scenario) if is_dataclass(_plain(f.type))}
+_KEYS = {
+    "meta": _keys(f for f in fields(Scenario) if f.name not in _SECTIONS),
+    **{section: _keys(fields(cls)) for section, cls in _SECTIONS.items()},
 }
-
-_SECTION_TYPES = {
-    "cavity": CavitySection,
-    "trap": TrapSection,
-    "charges": ChargesSection,
-    "rydberg": RydbergSection,
-    "film": FilmSection,
-    "illumination": IlluminationSection,
-}
+# what a value of each key type may be before serialize converts it
+_ACCEPTED = {float: numbers.Real, int: numbers.Integral, str: str}
 
 
-def _convert(section: str, key: str, token: str):
-    typ, _required, constraint = _SCHEMA[section][key]
-    try:
-        if typ is str:
-            value = token
-        elif typ is int:
-            value = int(token, 10)
-        else:
-            value = float(token)
-    except ValueError:
-        raise SchemaError(
-            f"key '{key}' in [{section}]: cannot parse {token!r} as {typ.__name__}"
-        ) from None
-    if typ is not str:
-        if not math.isfinite(value):
-            raise SchemaError(f"key '{key}' in [{section}] must be finite, got {value}")
-        if constraint == "pos" and not value > 0:
-            raise SchemaError(f"key '{key}' in [{section}] must be > 0, got {value}")
-        if constraint == "nonneg" and not value >= 0:
-            raise SchemaError(f"key '{key}' in [{section}] must be >= 0, got {value}")
-        if constraint == "unit" and not 0 <= value <= 1:
-            raise SchemaError(
-                f"key '{key}' in [{section}] must be in [0, 1], got {value}"
-            )
-        if constraint == "mc" and not value >= MIN_MC_SAMPLES:
-            raise SchemaError(
-                f"key '{key}' in [{section}] must be >= {MIN_MC_SAMPLES}, got {value}"
-            )
+def _check(section: str, key: str, spec: _Key, value):
+    if spec.type is float and not math.isfinite(value):
+        raise SchemaError(f"key '{key}' in [{section}] must be finite, got {value}")
+    if spec.rule is not None and not spec.rule[0](value):
+        raise SchemaError(f"key '{key}' in [{section}] must be {spec.rule[1]}, got {value!r}")
     return value
+
+
+def _check_document(collected: dict[str, dict[str, object]]) -> None:
+    """Required keys and the cross-key rule, over section -> key -> value."""
+    for section, values in collected.items():
+        for key, spec in _KEYS[section].items():
+            if spec.default is MISSING and key not in values:
+                raise SchemaError(f"missing required key '{key}' in [{section}]")
+    cavity = collected.get("cavity")
+    if cavity is not None and "fsr_hz" not in cavity and "length_m" not in cavity:
+        raise SchemaError("section [cavity] needs 'fsr_hz' or 'length_m'")
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -302,11 +264,12 @@ def parse_scenario(text: str) -> Scenario:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _KEYS:
                 raise SchemaError(f"line {lineno}: unknown section [{section}]")
             if section in collected:
                 raise SchemaError(f"line {lineno}: duplicate section [{section}]")
-            collected[section] = {}
+            keys = _KEYS[section]
+            values = collected[section] = {}
             continue
         if "=" not in line:
             raise SchemaError(f"line {lineno}: expected 'key = value', got {line!r}")
@@ -315,62 +278,58 @@ def parse_scenario(text: str) -> Scenario:
         key, _, token = line.partition("=")
         key = key.strip()
         token = token.strip()
-        if key not in _SCHEMA[section]:
+        spec = keys.get(key)
+        if spec is None:
             raise SchemaError(f"line {lineno}: unknown key '{key}' in [{section}]")
-        if key in collected[section]:
+        if key in values:
             raise SchemaError(f"line {lineno}: duplicate key '{key}' in [{section}]")
-        collected[section][key] = _convert(section, key, token)
-
-    for sec, keys in collected.items():
-        for key, (_typ, required, _c) in _SCHEMA[sec].items():
-            if required and key not in keys:
-                raise SchemaError(f"missing required key '{key}' in [{sec}]")
-
-    cavity = collected.get("cavity")
-    if cavity is not None and "fsr_hz" not in cavity and "length_m" not in cavity:
-        raise SchemaError("section [cavity] needs 'fsr_hz' or 'length_m'")
-
-    meta = collected.get("meta", {})
-    kwargs = {
-        "name": meta.get("name", "unnamed"),
-        "seed": meta.get("seed", DEFAULT_SEED),
-        "mc_samples": meta.get("mc_samples", DEFAULT_MC_SAMPLES),
-    }
-    for sec, cls in _SECTION_TYPES.items():
-        if sec in collected:
-            kwargs[sec] = cls(**collected[sec])
-    return Scenario(**kwargs)
+        try:
+            value = spec.type(token)  # int() reads base 10 only
+        except ValueError:
+            raise SchemaError(
+                f"key '{key}' in [{section}]: cannot parse {token!r} as {spec.type.__name__}"
+            ) from None
+        values[key] = _check(section, key, spec, value)
+    _check_document(collected)
+    meta = collected.pop("meta", {})
+    return Scenario(**meta, **{sec: _SECTIONS[sec](**v) for sec, v in collected.items()})
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        raise SchemaError("boolean scenario values are not supported")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _typed(section: str, key: str, spec: _Key, value):
+    """value as parse_scenario would read its text, if its type allows."""
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTED[spec.type]):
+        raise SchemaError(f"key '{key}' in [{section}] must be of type {spec.type.__name__}, "
+                          f"got {value!r}")
+    try:
+        return spec.type(value)
+    except OverflowError:  # an int beyond the float range reads as inf, as its text would
+        return math.inf if value > 0 else -math.inf
 
 
 def serialize_scenario(s: Scenario) -> str:
-    """Canonical text form; parse(serialize(s)) == s, byte-stable."""
-    lines = ["[meta]"]
-    lines.append(f"name = {s.name}")
-    lines.append(f"seed = {s.seed}")
-    lines.append(f"mc_samples = {s.mc_samples}")
-    for sec, cls in _SECTION_TYPES.items():
-        value = getattr(s, sec)
-        if value is None:
+    """Canonical text form; parse(serialize(s)) == s, byte-stable. Raises
+    SchemaError for any value parse_scenario would reject."""
+    collected = {}
+    for section, keys in _KEYS.items():
+        obj = s if section == "meta" else getattr(s, section)
+        if obj is None:
             continue
-        lines.append("")
-        lines.append(f"[{sec}]")
-        for f in fields(cls):
-            v = getattr(value, f.name)
-            if v is None:
-                continue
-            lines.append(f"{f.name} = {_format_value(v)}")
-    return "\n".join(lines) + "\n"
+        collected[section] = {
+            key: _check(section, key, spec, _typed(section, key, spec, value))
+            for key, spec in keys.items()
+            if (value := getattr(obj, key)) is not None or spec.default is not None
+        }
+    _check_document(collected)
+    return "\n\n".join(
+        "\n".join([f"[{section}]", *(f"{k} = {v}" for k, v in values.items())])
+        for section, values in collected.items()
+    ) + "\n"
 
 
 def load_scenario(path) -> Scenario:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
+    return parse_scenario(text)

@@ -98,9 +98,9 @@ def test_fit_ringdown_skips_trace_with_nan_sample(tmp_path, capsys):
 
 def test_fit_ringdown_skips_trace_starting_1ms_after_zero(tmp_path, capsys):
     tau = 1.0 / (2.0 * math.pi * 523e3)
-    tr = synthesize_trace(1.0, 523e3, 8 * tau, 20_000 / (8 * tau), 0.01, 3, 1e-3)
+    tr = synthesize_trace(1.0, 523e3, 8 * tau, 20_000 / (8 * tau), 0.01, 3)
     offset = tmp_path / "offset.csv"
-    rows = zip(tr.times.tolist(), tr.voltages.tolist())
+    rows = zip((tr.times + 1e-3).tolist(), tr.voltages.tolist())
     offset.write_text("\n".join(f"{t!r},{v!r}" for t, v in rows))
     good = bundled_trace_paths()[0]
     assert main(["fit-ringdown", "--fsr-hz", "7.410e9", str(offset), good]) == 0
@@ -123,6 +123,24 @@ def test_fit_ringdown_skips_trace_with_1e_300_s_sample_spacing(tmp_path, capsys)
     assert main(["fit-ringdown", "--fsr-hz", "7.410e9", str(tiny)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "no trace could be fitted" in err
+
+
+_FAILING_TRACES = {
+    "short": "t,v\n0,1\n1,0.5\n",
+    "missing": None,
+    "repeated-times": "".join(f"{k // 2},{0.9**k!r}\n" for k in range(32)),
+    "unfittable": "".join(f"{k},1.0\n" for k in range(32)),  # peak/noise = 1
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILING_TRACES))
+def test_fit_ringdown_names_a_failing_trace_once(tmp_path, capsys, case):
+    path = tmp_path / f"{case}-trace.csv"
+    if _FAILING_TRACES[case] is not None:
+        path.write_text(_FAILING_TRACES[case])
+    assert main(["fit-ringdown", "--fsr-hz", "7.410e9", str(path)]) == 2
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("fit-ringdown: ") and first.count(str(path)) == 1, first
 
 
 def test_fit_ringdown_requires_exactly_one_fsr_source(tmp_path, capsys):
@@ -298,6 +316,8 @@ _RUN_CASES = {
                            "--out", "sweep.csv"], None, "", 2),
     "budget-missing-scenario": (["budget", "--scenario", "missing.scenario",
                                  "--target", "gate"], None, "", 2),
+    "budget-non-utf8-scenario": (["budget", "--scenario", "{non_utf8}", "--target", "gate"],
+                                 None, "", 2),
     "budget-bad-target": (["budget", "--scenario", "paper_yb.scenario",
                            "--target", "warp-drive"], None, "", 2),
     "help": (["--help"], None, "", 0),
@@ -309,7 +329,10 @@ def test_run_matches_main_in_output_files_and_exit_code(case, tmp_path):
     argv, seed, patch, code = _RUN_CASES[case]
     overflow = tmp_path / "overflow.scenario"
     overflow.write_text(bundled_scenario_text().replace("xq_m = 0.0002", "xq_m = 1e300"))
-    argv = [a.format(trace=bundled_trace_paths()[0], overflow=overflow) for a in argv]
+    non_utf8 = tmp_path / "non_utf8.scenario"
+    non_utf8.write_bytes(b"\xff\xfe[meta]\n")
+    argv = [a.format(trace=bundled_trace_paths()[0], overflow=overflow, non_utf8=non_utf8)
+            for a in argv]
     old = _toolkit(argv, tmp_path / "main", seed, patch, "sys.exit(cli.main())")
     assert old[0] == code
     assert _toolkit(argv, tmp_path / "run", seed, patch, "cli.run()") == old

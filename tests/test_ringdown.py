@@ -109,7 +109,7 @@ def test_noisy_fits_track_truth_over_many_seeds():
 def test_fit_shift_invariance():
     t0 = 3.7e-7
     base = make_trace()
-    shifted = RingdownTrace(base.times + t0, base.voltages, base.sample_rate, t0)
+    shifted = RingdownTrace(base.times + t0, base.voltages)
     f0 = fit_ringdown(base)
     f1 = fit_ringdown(shifted)
     assert f1.linewidth.value == pytest.approx(f0.linewidth.value, rel=1e-9)
@@ -119,7 +119,7 @@ def test_fit_shift_invariance():
 
 def test_fit_amplitude_scale_invariance():
     base = make_trace(noise=0.005, seed=4)
-    scaled = RingdownTrace(base.times, 7.0 * base.voltages, base.sample_rate)
+    scaled = RingdownTrace(base.times, 7.0 * base.voltages)
     f0 = fit_ringdown(base)
     f1 = fit_ringdown(scaled)
     assert f1.linewidth.value == pytest.approx(f0.linewidth.value, rel=1e-9)
@@ -128,7 +128,8 @@ def test_fit_amplitude_scale_invariance():
 
 def test_fit_trace_starting_1ms_after_zero_is_parameter_error():
     # 1 ms is ~3300 decay times: V0 at t = 0 is not a finite float
-    tr = synthesize_trace(1.0, TRUE_LINEWIDTH, 8 * TAU, 20_000 / (8 * TAU), 0.01, 3, 1e-3)
+    tr = synthesize_trace(1.0, TRUE_LINEWIDTH, 8 * TAU, 20_000 / (8 * TAU), 0.01, 3)
+    tr = RingdownTrace(tr.times + 1e-3, tr.voltages)
     with pytest.raises(ParameterError, match="V0 at t = 0 overflows"):
         fit_ringdown(tr)
 
@@ -192,7 +193,8 @@ def _trace_pair(shift=1e-3, lw=1e5):
     # at 100 kHz, 1 ms is ~630 decay times: d*d underflows at a common origin
     tau = 1.0 / (2.0 * math.pi * lw)
     first = synthesize_trace(1.0, lw, 8 * tau, 256 / (8 * tau), 0.01, 1)
-    later = synthesize_trace(1.0, lw, 8 * tau, 256 / (8 * tau), 0.01, 2, shift)
+    later = synthesize_trace(1.0, lw, 8 * tau, 256 / (8 * tau), 0.01, 2)
+    later = RingdownTrace(later.times + shift, later.voltages)
     return first, later
 
 
@@ -276,7 +278,6 @@ def test_trace_csv_round_trip(tmp_path):
     loaded = load_trace_csv(path)
     assert np.array_equal(loaded.times, tr.times)
     assert np.array_equal(loaded.voltages, tr.voltages)
-    assert loaded.sample_rate == pytest.approx(tr.sample_rate, rel=1e-9)
 
 
 def test_trace_csv_headerless(tmp_path):
@@ -360,7 +361,6 @@ def test_trace_csv_loader_contract(tmp_path, case):
     want_v = np.array([float(v) for _, v in expected])
     assert trace.times.tobytes() == want_t.tobytes()
     assert trace.voltages.tobytes() == want_v.tobytes()
-    assert trace.trigger_time == want_t[0]
 
 
 def test_trace_csv_repeated_timestamps_is_parameter_error(tmp_path):

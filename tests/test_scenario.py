@@ -1,10 +1,16 @@
+import dataclasses
+import math
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cavitycharge.errors import SchemaError
 from cavitycharge.reports import bundled_scenario_text
 from cavitycharge.scenario import (
+    _KEYS,
+    _SECTIONS,
     Scenario,
     load_scenario,
     parse_scenario,
@@ -109,6 +115,11 @@ def test_integer_keys_reject_floats():
         parse_scenario(MINIMAL.replace("seed = 7", "seed = 7.5"))
 
 
+def test_integer_keys_are_not_bound_by_the_float_range():
+    big = "1" * 400  # no float holds it; an int key is exact
+    assert parse_scenario(MINIMAL.replace("seed = 7", f"seed = {big}")).seed == int(big)
+
+
 @pytest.mark.parametrize(
     "section,key,token",
     [("charges", "q1_e", "nan"), ("cavity", "f00", "inf"), ("charges", "xq_m", "inf"),
@@ -190,3 +201,130 @@ def test_scenario_defaults():
     assert scn.seed == 0
     with pytest.raises(SchemaError):
         scn.trap_config()
+
+
+def test_non_utf8_file_is_a_schema_error_naming_file_and_byte(tmp_path):
+    path = tmp_path / "latin1.scenario"
+    path.write_bytes(MINIMAL.replace("minimal", "caf\xe9").encode("latin-1"))
+    with pytest.raises(SchemaError, match=rf"{re.escape(str(path))}: not UTF-8 text: .* at byte offset 17$"):
+        load_scenario(path)
+
+
+# -- serialize_scenario enforces what parse_scenario enforces ------------------
+
+
+def _with(scn, section, **values):
+    if section == "meta":
+        return dataclasses.replace(scn, **values)
+    return dataclasses.replace(scn, **{section: dataclasses.replace(getattr(scn, section), **values)})
+
+
+def test_serialize_writes_numpy_floats_as_floats():
+    scn = _with(parse_scenario(bundled_scenario_text()), "charges", xq_m=np.float64(0.0002))
+    assert serialize_scenario(scn) == bundled_scenario_text()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("charges", "xq_m", -1.0, r"'xq_m' in \[charges\] must be > 0, got -1.0"),
+        ("cavity", "f00", math.nan, r"'f00' in \[cavity\] must be finite, got nan"),
+        ("meta", "mc_samples", 10, r"'mc_samples' in \[meta\] must be >= 1000, got 10"),
+        ("meta", "name", "two\nlines", r"'name' in \[meta\] must be one line"),
+        ("meta", "name", " x", r"'name' in \[meta\] must be one line without outer blanks"),
+        ("meta", "seed", True, r"'seed' in \[meta\] must be of type int, got True"),
+        ("trap", "gate_occupation", 7.0, r"'gate_occupation' in \[trap\] must be of type int, got 7.0"),
+        ("charges", "q1_e", 10**400, r"'q1_e' in \[charges\] must be finite, got inf"),
+    ],
+    ids=["negative", "nan", "few-draws", "two-lines", "outer-blank", "bool", "float-for-int",
+         "int-beyond-float"],
+)
+def test_serialize_rejects_what_parse_rejects(section, key, value, message):
+    scn = _with(parse_scenario(bundled_scenario_text()), section, **{key: value})
+    with pytest.raises(SchemaError, match=message):
+        serialize_scenario(scn)
+
+
+def test_serialize_applies_the_fsr_or_length_rule():
+    scn = _with(parse_scenario(bundled_scenario_text()), "cavity", fsr_hz=None, length_m=None)
+    with pytest.raises(SchemaError, match=r"fsr_hz.*length_m"):
+        serialize_scenario(scn)
+
+
+# Properties over the key table that parse and serialize share. Every value a
+# key's declaration admits must round-trip; any other must be refused by name.
+
+_ANY_VALUE = {
+    float: st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), st.floats(0.0, 1.0),
+        st.integers(-10**6, 10**6),
+    ),
+    int: st.integers(0, 2**64),
+    str: st.text(),
+}
+
+
+def _valid_value(spec):
+    values = _ANY_VALUE[spec.type]
+    if spec.rule is not None:
+        values = values.filter(spec.rule[0])
+    if spec.type is float:  # numpy floats are floats too
+        values = values | values.map(np.float64)
+    return st.none() | values if spec.default is None else values
+
+
+def _valid_keys(section):
+    return st.fixed_dictionaries({key: _valid_value(spec) for key, spec in _KEYS[section].items()})
+
+
+def _valid_section(section):
+    values = _valid_keys(section)
+    if section == "cavity":
+        values = values.filter(lambda v: v["fsr_hz"] is not None or v["length_m"] is not None)
+    return st.none() | values.map(lambda v: _SECTIONS[section](**v))
+
+
+_SCENARIOS = st.builds(
+    lambda meta, sections: Scenario(**meta, **sections),
+    _valid_keys("meta"),
+    st.fixed_dictionaries({section: _valid_section(section) for section in _SECTIONS}),
+)
+
+
+@settings(max_examples=200)
+@given(_SCENARIOS)
+def test_every_declared_value_round_trips(scn):
+    text = serialize_scenario(scn)
+    back = parse_scenario(text)
+    assert back == scn
+    assert serialize_scenario(back) == text
+
+
+def _invalid_value(spec):
+    bad = [math.nan, math.inf, -math.inf, True, False, "1.0", 10**400]
+    if spec.type is int:
+        bad = [True, False, 7.0, "7", -1]
+    elif spec.type is str:
+        bad = ["a\nb", "a\rb", "a\u2028b", " a", "a\t", 7]
+    if spec.default is not None:
+        bad.append(None)
+    values = st.sampled_from(bad)
+    if spec.rule is not None:
+        values |= _ANY_VALUE[spec.type].filter(lambda v: not spec.rule[0](v))
+    return values
+
+
+_INVALID = {
+    (section, key): _invalid_value(spec) for section, keys in _KEYS.items()
+    for key, spec in keys.items()
+}
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(sorted(_INVALID)), st.data())
+def test_serialize_refuses_any_undeclared_value_by_key(section_key, data):
+    section, key = section_key  # the bundled scenario sets every key
+    bad = data.draw(_INVALID[section_key])
+    scn = _with(parse_scenario(bundled_scenario_text()), section, **{key: bad})
+    with pytest.raises(SchemaError, match=rf"'{key}' in \[{section}\]"):
+        serialize_scenario(scn)
