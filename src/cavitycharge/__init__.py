@@ -49,8 +49,7 @@ _EXPORTS = {
         ),
         "ringdown": (
             "RingdownFit", "RingdownTrace", "finesse", "fit_ringdown",
-            "fit_ringdown_ensemble", "fsr_from_length", "load_trace_csv",
-            "pool_linewidths", "synthesize_trace",
+            "fsr_from_length", "load_trace_csv", "pool_linewidths", "synthesize_trace",
         ),
         "cavity_optics": (
             "MirrorState", "excess_reflection_loss",

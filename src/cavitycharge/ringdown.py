@@ -10,14 +10,15 @@ relates as tau = 1/(2 pi dnu). Fitting that model to the photodetector
 record gives the linewidth; together with the free spectral range
 nu_FSR = c/(2 d) it yields the finesse F = nu_FSR / dnu.
 
-One fitter serves a single trace and an ensemble sharing dnu. V0 enters
-linearly, so for a trial dnu each amplitude has a closed form and damped
-Gauss-Newton iterations run on dnu alone (variable projection; Golub &
-Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)). The seed is the mean
-log-linear slope above each trace's noise floor. Time runs from the
-earliest first sample, so absolute timestamps cannot overflow the decay
-factors. Uncertainties come from s^2 (J^T J)^-1 over dnu and the k
-amplitudes, s^2 = SSR/(n - 1 - k), with V0 mapped back to t = 0.
+fit_ringdown fits one trace. V0 enters linearly, so for a trial dnu its
+amplitude has a closed form and damped Gauss-Newton iterations run on dnu
+alone (variable projection; Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+(1973)). The seed is the log-linear slope above the trace's noise floor.
+Time is measured from the trace's first sample, so absolute timestamps
+cannot overflow the decay factor, and V0 is mapped back to t = 0 at the
+end. Uncertainties come from s^2 (J^T J)^-1 over dnu and V0, with
+s^2 = SSR/(n - 2). Several traces are combined by pool_linewidths, the
+inverse-variance mean of their separate fits.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "RingdownFit",
     "synthesize_trace",
     "fit_ringdown",
-    "fit_ringdown_ensemble",
     "pool_linewidths",
     "finesse",
     "fsr_from_length",
@@ -143,15 +143,10 @@ def _median(a: np.ndarray) -> float:
     return float(np.mean(part[h - 1 + odd : h + 1]))
 
 
-def _noise_floor(v: np.ndarray) -> float:
-    """Median magnitude of the trailing tenth (at least 8 samples)."""
-    return _median(np.abs(v[-max(8, v.size // 10):]))
-
-
-def _seed_linewidth(trace: RingdownTrace, t_rel: np.ndarray) -> float:
-    """Log-linear slope of the samples above the noise floor, as a linewidth."""
-    v = trace.voltages
-    floor = _noise_floor(v)
+def _seed_linewidth(v: np.ndarray, t_rel: np.ndarray) -> float:
+    """Log-linear slope of the samples above the noise floor, as a linewidth.
+    The floor is the median magnitude of the trailing tenth (at least 8 samples)."""
+    floor = _median(np.abs(v[-max(8, v.size // 10):]))
     peak = float(np.max(v))
     if peak <= _PEAK_TO_NOISE_MIN * floor:
         raise ParameterError(
@@ -179,48 +174,41 @@ def _seed_linewidth(trace: RingdownTrace, t_rel: np.ndarray) -> float:
     return lw
 
 
-def _fit(
-    traces: Sequence[RingdownTrace], share_v0: bool
-) -> tuple[UncertainQuantity, list[UncertainQuantity], float, int]:
-    """Variable-projection fit of V0_k exp(-2 pi dnu t) with one shared dnu.
+def fit_ringdown(trace: RingdownTrace) -> RingdownFit:
+    """Least-squares fit of V0*exp(-2 pi dnu t) to a trace.
 
-    For a trial dnu the amplitudes a = sum(d v)/sum(d d), with
-    d = exp(-2 pi dnu (t - t_ref)), are summed per trace or, with share_v0,
-    over all traces. t_ref is each trace's first sample or, with share_v0,
-    the earliest first sample. Returns (linewidth, V0s at t = 0,
-    residual_rms, iterations).
+    For a trial dnu the amplitude is a = (d.v)/(d.d), with
+    d = exp(-2 pi dnu (t - t_ref)) and t_ref the first sample. a is V0 at
+    t_ref; it is mapped back to t = 0 once dnu has converged.
+
+    Raises ParameterError for a trace too noisy to seed or whose covariance
+    or V0 at t = 0 overflows, and FitError (carrying the last linewidth
+    iterate) on non-convergence or a non-positive fitted linewidth.
     """
-    firsts = np.array([float(tr.times[0]) for tr in traces])
-    t_refs = np.full_like(firsts, firsts.min()) if share_v0 else firsts
-    t_rels = [tr.times - t_ref for tr, t_ref in zip(traces, t_refs)]
-    lw = float(np.mean([_seed_linewidth(tr, t) for tr, t in zip(traces, t_rels)]))
-    x = -2.0 * math.pi * np.concatenate(t_rels)  # d = exp(dnu x), u = dd/d(dnu) = x d
-    v = np.concatenate([tr.voltages for tr in traces])
-    lengths = [len(tr) for tr in traces]
-    counts = [x.size] if share_v0 else lengths
-    starts = np.cumsum([0, *counts[:-1]])
-
-    def sums(y: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(y, starts)
+    t_ref = float(trace.times[0])
+    t_rel = trace.times - t_ref
+    v = trace.voltages
+    lw = _seed_linewidth(v, t_rel)
+    x = -2.0 * math.pi * t_rel  # d = exp(dnu x), u = dd/d(dnu) = x d
 
     def project(lw: float):
         # non-finite values mark a rejected trial step through the SSR
         with np.errstate(all="ignore"):
             d = np.exp(lw * x)
-            dd = sums(d * d)
-            amps = sums(d * v) / dd
-            r = v - np.repeat(amps, counts) * d
-            return d, dd, amps, r, float(r @ r)
+            dd = d @ d
+            a = (d @ v) / dd
+            r = v - a * d
+            return d, dd, a, r, float(r @ r)
 
     state = project(lw)
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        d, dd, amps, r, ssr = state
+        d, dd, a, r, ssr = state
         # r is orthogonal to d, so J.r loses the da/d(dnu) term
         u = x * d
-        ud = sums(u * d)
-        da = (sums(u * v) - 2.0 * amps * ud) / dd
-        jr = -float(np.sum(amps * sums(u * r)))
-        jj = float(np.sum(amps**2 * sums(u * u) + 2.0 * amps * da * ud + da**2 * dd))
+        ud = u @ d
+        da = (u @ v - 2.0 * a * ud) / dd
+        jr = -float(a * (u @ r))
+        jj = float(a**2 * (u @ u) + 2.0 * a * da * ud + da**2 * dd)
         if not jj > 0:
             raise FitError(f"singular normal equation: J.J = {jj}", lw)
         step = -jr / jj
@@ -244,85 +232,38 @@ def _fit(
     if lw <= 0:
         raise FitError(f"fitted linewidth is non-positive: {lw}", lw)
 
-    d, dd, amps, _, ssr = state
-    if share_v0:
-        # A trace whose modelled peak at its first sample is below its noise
-        # floor carries no information on the shared V0; one whose largest d*d
-        # underflows to 0 adds nothing to any sum. Neither was fitted.
-        d_first = d[np.cumsum([0, *lengths[:-1]])]
-        peaks = amps[0] * d_first
-        floors = np.array([_noise_floor(tr.voltages) for tr in traces])
-        lost = np.flatnonzero(~((peaks > floors) & (d_first**2 > 0)))
-        if lost.size:
-            k = int(lost[0])
-            span = float(firsts.max() - t_refs[0])
-            raise ParameterError(
-                f"shared V0: the traces start {span:g} s apart, "
-                f"{2.0 * math.pi * lw * span:.4g} decay times; the model of trace "
-                f"{k} peaks at {peaks[k]:.3g} at its first sample, against its "
-                f"noise floor of {floors[k]:.3g}, so it carries no information on V0"
-            )
+    d, dd, a, _, ssr = state
     u = x * d
-    jtj = np.diag(np.concatenate([[np.sum(amps**2 * sums(u * u))], dd]))
-    jtj[0, 1:] = jtj[1:, 0] = amps * sums(u * d)
+    cross = a * (u @ d)
+    jtj = np.array([[a**2 * (u @ u), cross], [cross, dd]])
     with np.errstate(over="ignore"):
-        cov = ssr / max(x.size - 1 - amps.size, 1) * np.linalg.inv(jtj)
+        cov = ssr / (x.size - 2) * np.linalg.inv(jtj)
     if not np.all(np.isfinite(cov)):
-        span = float(x.max() - x.min()) / (2.0 * math.pi)
         raise ParameterError(
             f"the fit covariance s^2 (J^T J)^-1 overflows: J^T J is too near "
             f"singular to invert (its linewidth entry is {jtj[0, 0]:.3g}; the "
-            f"samples span {span:g} s)"
+            f"samples span {t_rel[-1]:g} s)"
         )
     # V0 = a g with g = exp(2 pi dnu t_ref). By the delta method its sigma is
     # g sqrt(w), w = k^2 var(dnu) + 2 k cov(dnu, a) + var(a) with
     # k = 2 pi t_ref a, so it overflows only where V0 (nearly) does.
-    t_ref = t_refs[: amps.size]
-    k = 2.0 * math.pi * t_ref * amps
-    w = k**2 * cov[0, 0] + 2.0 * k * cov[0, 1:] + np.diag(cov)[1:]
+    k = 2.0 * math.pi * t_ref * a
+    w = k**2 * cov[0, 0] + 2.0 * k * cov[0, 1] + cov[1, 1]
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.exp(2.0 * math.pi * lw * t_ref)
-        v0 = amps * g
-        sig = g * np.sqrt(np.maximum(w, 0.0))
-    if not np.all(np.isfinite(v0) & np.isfinite(sig)):
-        t_last = float(t_ref.max())
+        v0 = a * g
+        sig = g * np.sqrt(max(w, 0.0))
+    if not (np.isfinite(v0) and np.isfinite(sig)):
         raise ParameterError(
             f"V0 at t = 0 overflows, or its sigma does: a first sample is at "
-            f"{t_last:g} s, {2.0 * math.pi * lw * t_last:.4g} decay times after t = 0"
+            f"{t_ref:g} s, {2.0 * math.pi * lw * t_ref:.4g} decay times after t = 0"
         )
-    amplitudes = [UncertainQuantity(float(a), float(s)) for a, s in zip(v0, sig)]
-    linewidth = UncertainQuantity(lw, math.sqrt(max(cov[0, 0], 0.0)), "Hz")
-    return linewidth, amplitudes, math.sqrt(ssr / x.size), iterations
-
-
-def fit_ringdown(trace: RingdownTrace) -> RingdownFit:
-    """Least-squares fit of V0*exp(-2 pi dnu t) to a trace.
-
-    Raises ParameterError for a trace too noisy to seed or whose covariance
-    or V0 at t = 0 overflows, and FitError (carrying the last linewidth
-    iterate) on non-convergence or a non-positive fitted linewidth.
-    """
-    linewidth, (v0,), residual_rms, iterations = _fit([trace], share_v0=False)
-    return RingdownFit(v0, linewidth, residual_rms, iterations)
-
-
-def fit_ringdown_ensemble(
-    traces: Sequence[RingdownTrace], share_v0: bool = False
-) -> tuple[UncertainQuantity, list[UncertainQuantity], float]:
-    """Joint fit of several traces with a shared linewidth.
-
-    By default each trace keeps its own amplitude (per-trace V0), fitted at
-    the trace's first sample; with share_v0=True a single V0 is fitted
-    across all traces, at the earliest first sample, and a trace whose
-    modelled peak at its own first sample is not above its noise floor
-    (the median magnitude of its trailing tenth) raises ParameterError,
-    naming the trace (0-based) and the spread of the starts in decay
-    times. Returns (linewidth, amplitudes, residual_rms), each V0 at t = 0.
-    One trace gives exactly the fit_ringdown result.
-    """
-    if not traces:
-        raise ParameterError("need at least one trace")
-    return _fit(traces, share_v0)[:3]
+    return RingdownFit(
+        UncertainQuantity(float(v0), float(sig)),
+        UncertainQuantity(lw, math.sqrt(max(cov[0, 0], 0.0)), "Hz"),
+        math.sqrt(ssr / x.size),
+        iterations,
+    )
 
 
 def pool_linewidths(fits: Sequence[RingdownFit]) -> UncertainQuantity:

@@ -321,14 +321,25 @@ def serialize_scenario(s: Scenario) -> str:
         }
     _check_document(collected)
     return "\n\n".join(
-        "\n".join([f"[{section}]", *(f"{k} = {v}" for k, v in values.items())])
+        "\n".join([f"[{section}]", *(_line(section, k, v) for k, v in values.items())])
         for section, values in collected.items()
     ) + "\n"
 
 
+def _line(section: str, key: str, value) -> str:
+    try:
+        return f"{key} = {value}"
+    except ValueError:  # an int past sys.get_int_max_str_digits(), which int() cannot read back
+        raise SchemaError(
+            f"key '{key}' in [{section}]: cannot write a {value.bit_length()}-bit int as text"
+        ) from None
+
+
 def load_scenario(path) -> Scenario:
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        # a leading byte-order mark, as some editors save UTF-8, is not text;
+        # it is dropped after decoding so error offsets count from the file start
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise SchemaError(
             f"{path}: not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None

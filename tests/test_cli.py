@@ -52,6 +52,35 @@ def test_fit_ringdown_matches_library_oracle(tmp_path, capsys):
         assert float(cols[3]) == fit.v0.value
 
 
+def _labelled_numbers(stdout):
+    """(label, numbers) per line of fit-ringdown stdout; a row is labelled by
+    its trace's file name, a '# name = value +/- sigma' line by its name."""
+    rows = []
+    for line in stdout.splitlines():
+        if line.startswith("# "):
+            name, _, values = line[2:].partition(" = ")
+            rows.append((name, [float(x) for x in values.split(" +/- ")]))
+        elif line.startswith("trace,"):
+            rows.append((line, []))
+        else:
+            path, *values = line.split(",")
+            rows.append((Path(path).name, [float(x) for x in values]))
+    return rows
+
+
+def test_fit_ringdown_reproduces_the_recorded_bundled_fits(capsys):
+    # Recorded before the fit's sums became dot products, which round
+    # differently: each value moved by at most ~1.4e-9 relative.
+    argv = ["fit-ringdown", "--fsr-hz", "7.410e9", "--fsr-sigma-hz", "0.013e9"]
+    assert main([*argv, *bundled_trace_paths()]) == 0
+    got = _labelled_numbers(capsys.readouterr().out)
+    recorded = Path(__file__).parent / "data" / "fit_ringdown_bundled.txt"
+    want = _labelled_numbers(recorded.read_text(encoding="utf-8"))
+    assert [label for label, _ in got] == [label for label, _ in want]
+    for (label, values), (_, expected) in zip(got, want):
+        assert values == pytest.approx(expected, rel=1e-8, abs=0.0), label
+
+
 def test_fit_ringdown_single_noiseless_trace(tmp_path, capsys):
     tr = synthesize_trace(1.0, 523e3, 1.6e-6, 2.5e9, 0.0, 0)
     path = tmp_path / "clean.csv"

@@ -210,6 +210,15 @@ def test_non_utf8_file_is_a_schema_error_naming_file_and_byte(tmp_path):
         load_scenario(path)
 
 
+def test_utf8_byte_order_mark_is_skipped(tmp_path):
+    path = tmp_path / "bom.scenario"
+    path.write_bytes(b"\xef\xbb\xbf" + MINIMAL.encode("utf-8"))
+    assert load_scenario(path) == parse_scenario(MINIMAL)
+    path.write_bytes(b"\xef\xbb\xbf" + MINIMAL.replace("minimal", "caf\xe9").encode("latin-1"))
+    with pytest.raises(SchemaError, match=r"not UTF-8 text: .* at byte offset 20$"):
+        load_scenario(path)
+
+
 # -- serialize_scenario enforces what parse_scenario enforces ------------------
 
 
@@ -235,9 +244,10 @@ def test_serialize_writes_numpy_floats_as_floats():
         ("meta", "seed", True, r"'seed' in \[meta\] must be of type int, got True"),
         ("trap", "gate_occupation", 7.0, r"'gate_occupation' in \[trap\] must be of type int, got 7.0"),
         ("charges", "q1_e", 10**400, r"'q1_e' in \[charges\] must be finite, got inf"),
+        ("meta", "seed", 10**5000, r"'seed' in \[meta\]: cannot write a 16610-bit int as text"),
     ],
     ids=["negative", "nan", "few-draws", "two-lines", "outer-blank", "bool", "float-for-int",
-         "int-beyond-float"],
+         "int-beyond-float", "int-beyond-str-digits"],
 )
 def test_serialize_rejects_what_parse_rejects(section, key, value, message):
     scn = _with(parse_scenario(bundled_scenario_text()), section, **{key: value})
