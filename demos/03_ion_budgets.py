@@ -8,7 +8,6 @@ can each application tolerate?  Run:  python demos/03_ion_budgets.py
 from cavitycharge import (
     ChargeScenario,
     GateParams,
-    TrapConfig,
     carrier_intensity_factor,
     equilibrium_position,
     gate_detuning_verdict,
@@ -20,8 +19,9 @@ from cavitycharge import (
 )
 from cavitycharge.electrostatics import field_at
 from cavitycharge.ion_impact import charge_for_displacement, max_equal_charge_for_gate
+from cavitycharge.scenario import TrapSection
 
-trap = TrapConfig(
+trap = TrapSection(
     mass_amu=171,
     secular_hz=500e3,
     rf_hz=30e6,
@@ -58,7 +58,7 @@ ld = lamb_dicke_budget(trap, X_Q, modulation_limit=0.2)
 print(f"Lamb-Dicke budget: q1 < {ld.q1_max_e:7.0f} e  "
       f"(E = {ld.field_v_per_m:5.1f} V/m, x_um = {ld.x_micromotion_max_m * 1e9:.1f} nm)")
 print(f"   zero-point spread for scale: "
-      f"{zero_point_spread(trap.mass_kg, trap.omega_x) * 1e9:.1f} nm\n")
+      f"{zero_point_spread(trap) * 1e9:.1f} nm\n")
 
 # budget 4: secular-frequency error against a 10 kHz two-qubit gate
 gate = GateParams(rabi_hz=10e3)

@@ -7,7 +7,6 @@ Run:  python demos/04_rydberg_budgets.py
 """
 
 from cavitycharge import (
-    RydbergConfig,
     blockade_infidelity,
     decoherence_time,
     dephasing,
@@ -16,12 +15,14 @@ from cavitycharge import (
 )
 from cavitycharge.electrostatics import single_charge_field
 from cavitycharge.rydberg_impact import charge_for_coherence_time
+from cavitycharge.scenario import RydbergSection
 
-cfg = RydbergConfig(rabi_hz=5e6)   # two-photon Rabi frequency 5 MHz
+# 70S polarizability, Hz per (V/m)^2, and two-photon Rabi frequency 5 MHz
+cfg = RydbergSection(alpha=53.4e3, rabi_hz=5e6)
 X_Q = 200e-6
 
-print(f"polarizability: {cfg.polarizability_hz / 1e3:.1f} kHz per (V/m)^2")
-print(f"states: |g> = {cfg.ground_label}, |r> = {cfg.rydberg_label}\n")
+print(f"polarizability: {cfg.alpha / 1e3:.1f} kHz per (V/m)^2")
+print("states: |g> = 5S1/2, |r> = 70S1/2\n")
 
 # a single 54 e charge 200 um away
 field = single_charge_field(54, X_Q)

@@ -52,32 +52,27 @@ _EXPORTS = {
             "fsr_from_length", "load_trace_csv", "pool_linewidths", "synthesize_trace",
         ),
         "cavity_optics": (
-            "MirrorState", "excess_reflection_loss",
-            "extinction_from_finesse", "finesse_from_reflectivities",
-            "r0_from_symmetric_finesse", "r1_from_asymmetric_finesse",
-            "resonant_response",
+            "MirrorState", "excess_reflection_loss", "extinction_from_finesse",
+            "r0_from_symmetric_finesse", "r1_from_asymmetric_finesse", "resonant_response",
         ),
         "film_optics": (
             "ComplexIndex", "DrudeModel", "drude_from_transport",
             "drude_index", "lambda_cubed_ratio", "power_attenuation",
         ),
         "electrostatics": (
-            "ChargeScenario", "disc_point_ratios", "expansion_coefficients",
-            "field_at", "potential_exact", "potential_quadratic",
-            "sheet_pair_field",
+            "ChargeScenario", "disc_point_ratios", "expansion_coefficients", "field_at",
         ),
         "ion_impact": (
-            "GateParams", "TrapConfig", "bessel_j0", "carrier_intensity_factor",
+            "GateParams", "bessel_j0", "carrier_intensity_factor",
             "equilibrium_position", "gate_detuning_verdict", "lamb_dicke_budget",
             "max_charge_for_cooling", "micromotion_amplitude",
             "shifted_frequency", "zero_point_spread",
         ),
         "rydberg_impact": (
-            "RydbergConfig", "blockade_infidelity", "decoherence_time",
-            "dephasing", "max_charge_for_infidelity", "stark_shift",
+            "blockade_infidelity", "decoherence_time", "dephasing",
+            "max_charge_for_infidelity", "stark_shift",
         ),
         "charging": (
-            "FilmSample", "IlluminationScenario", "TransportSample",
             "equilibrium_charge", "film_resistance", "gaussian_clipping_factor",
             "photocurrent", "transport_consistency",
         ),

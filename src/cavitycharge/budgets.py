@@ -95,13 +95,12 @@ def _options(target: str, options: dict) -> dict:
 
 
 def _charging(scn, **_) -> _Target:
-    film = scn.film_sample()
-    illum = scn.illumination_scenario()
+    film = scn._require("film")
+    illum = scn._require("illumination")
+    x_q = scn._require("charges").xq_m
     current = charging.photocurrent(illum)
     resistance = charging.film_resistance(film)
-    steady = charging.equilibrium_charge(
-        resistance.resistance_ohm, film.capacitance_f, current.current_a
-    )
+    steady = charging.equilibrium_charge(resistance, film.capacitance_f, current.current_a)
 
     def first_principles_rate(power_w):
         return (
@@ -117,32 +116,24 @@ def _charging(scn, **_) -> _Target:
             "1/s",
         ),
         ("photocurrent", current.current_a, "A"),
-        ("sheet_resistance", resistance.sheet_resistance_ohm_sq, "Ohm/sq"),
-        ("film_resistance", resistance.resistance_ohm, "Ohm"),
+        ("sheet_resistance", resistance, "Ohm/sq"),
+        ("film_resistance", resistance, "Ohm"),
         ("film_voltage", steady.voltage_v, "V"),
         ("equilibrium_charge", steady.charge_e, "e"),
         ("rc_time", steady.rc_time_s, "s"),
-        (
-            "clipping_factor",
-            charging.gaussian_clipping_factor(
-                illum.beam_waist_m, illum.mirror_distance_m
-            ),
-            "",
-        ),
+        ("clipping_factor", charging.gaussian_clipping_factor(illum.waist_m, x_q), ""),
     ]
     return _Target(
         rows, "power_w,equilibrium_charge_e", 2.0 * max(illum.power_w, 1e-12),
         lambda p: charging.equilibrium_charge(
-            resistance.resistance_ohm,
-            film.capacitance_f,
-            CODATA.e * first_principles_rate(p),
+            resistance, film.capacitance_f, CODATA.e * first_principles_rate(p),
         ).charge_e,
     )
 
 
 def _cooling(scn, intensity_floor, **_) -> _Target:
-    trap = scn.trap_config()
-    x_q = scn.charge_scenario().x_q_m
+    trap = scn._require("trap")
+    x_q = scn._require("charges").xq_m
     budget = ion_impact.max_charge_for_cooling(trap, x_q, intensity_floor)
     rows = [
         ("intensity_floor", intensity_floor, ""),
@@ -160,8 +151,8 @@ def _cooling(scn, intensity_floor, **_) -> _Target:
 
 
 def _coupling(scn, displacement_m, **_) -> _Target:
-    trap = scn.trap_config()
-    x_q = scn.charge_scenario().x_q_m
+    trap = scn._require("trap")
+    x_q = scn._require("charges").xq_m
     x_target = trap.cavity_wavelength_m / 8.0 if displacement_m is None else displacement_m
     q1 = ion_impact.charge_for_displacement(trap, x_q, x_target)
     s = electrostatics.ChargeScenario(q1, 0.0, x_q)
@@ -179,8 +170,8 @@ def _coupling(scn, displacement_m, **_) -> _Target:
 
 
 def _lamb_dicke(scn, modulation_limit, **_) -> _Target:
-    trap = scn.trap_config()
-    x_q = scn.charge_scenario().x_q_m
+    trap = scn._require("trap")
+    x_q = scn._require("charges").xq_m
     budget = ion_impact.lamb_dicke_budget(trap, x_q, modulation_limit)
     rows = [
         ("modulation_limit", modulation_limit, ""),
@@ -197,7 +188,7 @@ def _lamb_dicke(scn, modulation_limit, **_) -> _Target:
 
 
 def _gate(scn, **_) -> _Target:
-    trap = scn.trap_config()
+    trap = scn._require("trap")
     charges = scn.charge_scenario()
     x_q = charges.x_q_m
     gate = scn.gate_params()
@@ -219,8 +210,8 @@ def _gate(scn, **_) -> _Target:
 
 
 def _rydberg_coherence(scn, tau_pi_s, **_) -> _Target:
-    rydberg = scn.rydberg_config()
-    x_q = scn.charge_scenario().x_q_m
+    rydberg = scn._require("rydberg")
+    x_q = scn._require("charges").xq_m
     budget = rydberg_impact.charge_for_coherence_time(rydberg, tau_pi_s, x_q)
     rows = [
         ("tau_pi_goal", tau_pi_s, "s"),
@@ -237,8 +228,8 @@ def _rydberg_coherence(scn, tau_pi_s, **_) -> _Target:
 
 
 def _rydberg_gate(scn, target_infidelity, **_) -> _Target:
-    rydberg = scn.rydberg_config()
-    x_q = scn.charge_scenario().x_q_m
+    rydberg = scn._require("rydberg")
+    x_q = scn._require("charges").xq_m
     budget = rydberg_impact.max_charge_for_infidelity(rydberg, target_infidelity, x_q)
     rows = [
         ("target_infidelity", target_infidelity, ""),

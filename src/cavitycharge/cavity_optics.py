@@ -38,12 +38,10 @@ from .quantities import UncertainQuantity, as_quantity, propagate_linear, propag
 __all__ = [
     "MirrorState",
     "NegativeExtinctionWarning",
-    "finesse_from_reflectivities",
     "r0_from_symmetric_finesse",
     "r1_from_asymmetric_finesse",
     "extinction_from_reflectivities",
     "extinction_from_finesse",
-    "extinction_first_order",
     "excess_reflection_loss",
     "resonant_response",
 ]
@@ -73,21 +71,6 @@ class MirrorState:
     def loss(self) -> float:
         """Fractional power loss 1 - r^2 - T."""
         return 1.0 - self.r**2 - self.T
-
-
-def finesse_from_reflectivities(r_i: float, r_j: float) -> float:
-    """F_ij = pi sqrt(r_i r_j) / (1 - r_i r_j).
-
-    1 - r_i r_j is evaluated through the (exactly representable) loss
-    terms 1-r, which keeps the high-finesse regime fully conditioned.
-    """
-    for r in (r_i, r_j):
-        if not 0.0 < r < 1.0:
-            raise ParameterError(f"reflectivity must be in (0,1), got {r}")
-    d_i = 1.0 - r_i
-    d_j = 1.0 - r_j
-    one_minus_prod = d_i + d_j - d_i * d_j
-    return math.pi * math.sqrt(r_i * r_j) / one_minus_prod
 
 
 def _r0_scalar(f00):
@@ -177,11 +160,6 @@ def extinction_from_finesse(
 
     mc = propagate_monte_carlo(kappa, [q00, q01, h], mc_samples, seed)
     return UncertainQuantity(central, mc.sigma)
-
-
-def extinction_first_order(f00: float, f01: float, thickness_m: float, wavelength_m: float) -> float:
-    """Small-loss expansion kappa ~ (lambda/(4h)) (1/F01 - 1/F00)."""
-    return (wavelength_m / (4.0 * thickness_m)) * (1.0 / f01 - 1.0 / f00)
 
 
 def excess_reflection_loss(f00, f01) -> UncertainQuantity:

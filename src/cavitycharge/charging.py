@@ -12,22 +12,27 @@ capacitance C the steady state is
 A beam of waist w0 focused midway between mirrors at +/- x_Q clips the
 mirror at relative intensity exp(-x_Q^2/w0^2)^2, which is what makes the
 direct-illumination assumption pessimistic.
+
+photocurrent reads a scenario [illumination] section
+(scenario.IlluminationSection): power_w, wavelength_m, quantum_efficiency
+and, when set, photon_rate_per_s. film_resistance reads a [film] section
+(scenario.FilmSection): rho_ohm_m and thickness_m. The other functions
+take plain floats; the mirror distance is the [charges] key xq_m.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParameterError
 from .quantities import CODATA
 
+if TYPE_CHECKING:
+    from .scenario import FilmSection, IlluminationSection
+
 __all__ = [
-    "FilmSample",
-    "IlluminationScenario",
-    "TransportSample",
     "Photocurrent",
-    "FilmResistance",
     "EquilibriumCharge",
     "CapacitanceBreakdown",
     "TransportCheck",
@@ -40,78 +45,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FilmSample:
-    resistivity_ohm_m: float
-    thickness_m: float
-    mirror_radius_m: float
-    capacitance_f: float = 0.1e-12
-
-    def __post_init__(self) -> None:
-        if min(
-            self.resistivity_ohm_m,
-            self.thickness_m,
-            self.mirror_radius_m,
-            self.capacitance_f,
-        ) <= 0:
-            raise ParameterError("film parameters must be positive")
-
-
-@dataclass(frozen=True)
-class IlluminationScenario:
-    power_w: float
-    wavelength_m: float
-    quantum_efficiency: float = 1.0
-    beam_waist_m: float = 100e-6
-    mirror_distance_m: float = 200e-6
-    #: optional direct photoelectron rate (1/s), bypassing the flux formula
-    photon_rate_override_per_s: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.power_w < 0 or self.wavelength_m <= 0:
-            raise ParameterError("power must be >= 0 and wavelength positive")
-        if not 0.0 <= self.quantum_efficiency <= 1.0:
-            raise ParameterError("quantum efficiency must be in [0, 1]")
-        if self.beam_waist_m <= 0 or self.mirror_distance_m < 0:
-            raise ParameterError("waist must be positive and distance >= 0")
-
-
-@dataclass(frozen=True)
-class TransportSample:
-    resistivity_ohm_m: float
-    carrier_density_per_m3: float
-    mobility_m2_per_vs: float
-
-    def __post_init__(self) -> None:
-        if min(
-            self.resistivity_ohm_m,
-            self.carrier_density_per_m3,
-            self.mobility_m2_per_vs,
-        ) <= 0:
-            raise ParameterError("transport parameters must be positive")
-
-
-@dataclass(frozen=True)
-class Photocurrent:
+class Photocurrent(NamedTuple):
     rate_per_s: float
     current_a: float
 
 
-@dataclass(frozen=True)
-class FilmResistance:
-    sheet_resistance_ohm_sq: float
-    resistance_ohm: float
-
-
-@dataclass(frozen=True)
-class EquilibriumCharge:
+class EquilibriumCharge(NamedTuple):
     voltage_v: float
     charge_e: float
     rc_time_s: float
 
 
-@dataclass(frozen=True)
-class CapacitanceBreakdown:
+class CapacitanceBreakdown(NamedTuple):
     self_f: float
     mirror_pair_f: float
     electrode_f: float
@@ -121,28 +66,29 @@ class CapacitanceBreakdown:
         return self.self_f + self.mirror_pair_f + self.electrode_f
 
 
-@dataclass(frozen=True)
-class TransportCheck:
+class TransportCheck(NamedTuple):
     predicted_resistivity_ohm_m: float
     relative_deviation: float
 
 
-def photocurrent(s: IlluminationScenario) -> Photocurrent:
+def photocurrent(illumination: IlluminationSection) -> Photocurrent:
     """Photoelectron rate eta P lambda/(h c) and the resulting current.
 
-    A rate override on the scenario takes precedence over the flux formula.
+    A photon_rate_per_s set in the section takes precedence over the flux
+    formula.
     """
-    if s.photon_rate_override_per_s is not None:
-        rate = s.photon_rate_override_per_s
+    if illumination.photon_rate_per_s is not None:
+        rate = illumination.photon_rate_per_s
     else:
-        rate = s.quantum_efficiency * s.power_w * s.wavelength_m / (CODATA.h * CODATA.c)
+        rate = (illumination.quantum_efficiency * illumination.power_w
+                * illumination.wavelength_m / (CODATA.h * CODATA.c))
     return Photocurrent(rate, CODATA.e * rate)
 
 
-def film_resistance(f: FilmSample) -> FilmResistance:
-    """Sheet resistance rho/h; the round grounded film counts as one square."""
-    r_s = f.resistivity_ohm_m / f.thickness_m
-    return FilmResistance(r_s, r_s)
+def film_resistance(film: FilmSection) -> float:
+    """Film resistance in Ohm: the sheet resistance rho/h, since the round
+    grounded film counts as one square."""
+    return film.rho_ohm_m / film.thickness_m
 
 
 def equilibrium_charge(
@@ -185,13 +131,18 @@ def capacitance_breakdown(
     )
 
 
-def transport_consistency(t: TransportSample) -> TransportCheck:
-    """Resistivity implied by carrier density and mobility, rho = 1/(n e mu).
+def transport_consistency(
+    resistivity_ohm_m: float, carrier_density_per_m3: float, mobility_m2_per_vs: float
+) -> TransportCheck:
+    """Resistivity implied by carrier density and mobility, rho = 1/(n e mu),
+    against the measured resistivity.
 
     relative_deviation is signed, (predicted - measured)/measured.
     """
-    predicted = 1.0 / (t.carrier_density_per_m3 * CODATA.e * t.mobility_m2_per_vs)
+    if min(resistivity_ohm_m, carrier_density_per_m3, mobility_m2_per_vs) <= 0:
+        raise ParameterError("transport parameters must be positive")
+    predicted = 1.0 / (carrier_density_per_m3 * CODATA.e * mobility_m2_per_vs)
     return TransportCheck(
         predicted,
-        (predicted - t.resistivity_ohm_m) / t.resistivity_ohm_m,
+        (predicted - resistivity_ohm_m) / resistivity_ohm_m,
     )

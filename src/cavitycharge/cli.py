@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import BUDGET_DEFAULTS, BUDGET_TARGETS
 from .errors import SchemaError, ToolkitError
-from .quantities import UncertainQuantity
+from .quantities import UncertainQuantity, finite_evaluation
 from .ringdown import finesse, fit_ringdown, fsr_from_length, load_trace_csv, pool_linewidths
 
 EXIT_OK = 0
@@ -80,7 +80,8 @@ def _cmd_fit_ringdown(args) -> int:
         return EXIT_INPUT
 
     pooled = pool_linewidths(fits)
-    cavity_finesse = finesse(pooled, fsr)
+    with finite_evaluation("finesse"):  # an FSR near the float range overflows its sigma
+        cavity_finesse = finesse(pooled, fsr)
     print("\n".join(csv_lines))
     print(f"# pooled_linewidth_hz = {pooled.value!r} +/- {pooled.sigma!r}")
     print(f"# fsr_hz = {fsr.value!r} +/- {fsr.sigma!r}")

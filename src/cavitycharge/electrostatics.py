@@ -13,10 +13,9 @@ Restricted to |x| < x_Q and expanded to second order,
 and the axial field is E(x) = -(1/q) dU/dx = -(A + 2 B x)/(4 pi eps0).
 The constant C never enters an observable; it is carried for completeness.
 
-Two companion models gauge how literally the point-charge picture should
-be taken: a pair of infinite charged sheets (uniform field
-(sigma2 - sigma1)/(2 eps0)) and a uniformly charged finite disc of radius
-r, whose on-axis potential is
+A companion model gauges how literally the point-charge picture should be
+taken: a uniformly charged finite disc of radius r, whose on-axis
+potential is
 
     U_disc(x) = 2 s_q Q (sqrt(r^2 + x^2) - x)/r^2.
 
@@ -32,7 +31,7 @@ scenario, with the bits of a scalar call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,34 +42,26 @@ __all__ = [
     "ChargeScenario",
     "ExpansionCoefficients",
     "expansion_coefficients",
-    "potential_exact",
-    "potential_quadratic",
     "field_at",
-    "sheet_pair_field",
     "disc_point_ratios",
     "single_charge_field",
     "charge_for_field",
 ]
 
 
-@dataclass(frozen=True)
-class ChargeScenario:
+class ChargeScenario(NamedTuple):
     """Stray charges q1 at -x_Q and q2 at +x_Q, in elementary charges.
 
-    q1_e and q2_e may be arrays (one scenario per element); x_Q is a float.
+    q1_e and q2_e may be arrays (one scenario per element); x_Q is a float,
+    checked positive by expansion_coefficients.
     """
 
     q1_e: float
     q2_e: float
     x_q_m: float
 
-    def __post_init__(self) -> None:
-        if self.x_q_m <= 0:
-            raise ParameterError(f"x_Q must be positive, got {self.x_q_m}")
 
-
-@dataclass(frozen=True)
-class ExpansionCoefficients:
+class ExpansionCoefficients(NamedTuple):
     """Second-order expansion U = s_q (A x + B x^2 + C), SI units."""
 
     A: float        # C/m^2
@@ -81,6 +72,8 @@ class ExpansionCoefficients:
 
 
 def expansion_coefficients(s: ChargeScenario) -> ExpansionCoefficients:
+    if s.x_q_m <= 0:
+        raise ParameterError(f"x_Q must be positive, got {s.x_q_m}")
     q1 = s.q1_e * CODATA.e
     q2 = s.q2_e * CODATA.e
     return ExpansionCoefficients(
@@ -99,31 +92,11 @@ def _check_domain(x_m, x_q_m: float) -> None:
         )
 
 
-def potential_exact(s: ChargeScenario, x_m: float) -> float:
-    """Exact two-point-charge interaction energy (J) for |x| < x_Q."""
-    _check_domain(x_m, s.x_q_m)
-    s_q = CODATA.e * CODATA.k_e
-    q1 = s.q1_e * CODATA.e
-    q2 = s.q2_e * CODATA.e
-    return s_q * (q1 / abs(x_m + s.x_q_m) + q2 / abs(x_m - s.x_q_m))
-
-
-def potential_quadratic(coeffs: ExpansionCoefficients, x_m: float) -> float:
-    """Second-order interaction energy s_q (A x + B x^2 + C), in J."""
-    _check_domain(x_m, coeffs.x_q_m)
-    return coeffs.s_q * (coeffs.A * x_m + coeffs.B * x_m**2 + coeffs.C_const)
-
-
 def field_at(s: ChargeScenario, x_m: float) -> float:
     """Axial stray field E(x) = -(A + 2Bx)/(4 pi eps0), in V/m."""
-    _check_domain(x_m, s.x_q_m)
     c = expansion_coefficients(s)
+    _check_domain(x_m, s.x_q_m)
     return -(c.A + 2.0 * c.B * x_m) * CODATA.k_e
-
-
-def sheet_pair_field(sigma1: float, sigma2: float) -> float:
-    """Uniform axial field (sigma2 - sigma1)/(2 eps0) between two sheets."""
-    return (sigma2 - sigma1) / (2.0 * CODATA.eps0)
 
 
 def disc_point_ratios(radius_m: float, distance_m: float) -> dict:

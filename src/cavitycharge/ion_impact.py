@@ -20,6 +20,14 @@ delta_x = |omega_x - omega~_x| against the two-qubit Rabi rate.
 Budget helpers invert these monotone chains by bisection to find the
 largest tolerable stray charge (q2 = 0 convention, charges in units of e).
 
+`trap` is a scenario [trap] section (scenario.TrapSection). Every function
+that takes it reads mass_amu, secular_hz and rf_hz, and raises
+ParameterError unless rf_hz > secular_hz and k_t is positive and finite;
+max_charge_for_cooling also reads cooling_wavelength_m, and
+lamb_dicke_budget gate_wavelength_m. `gate` is a GateParams; the gate
+functions raise ParameterError unless its Rabi rate and threshold are
+positive.
+
 The forward chain (equilibrium_position, shifted_frequency,
 micromotion_amplitude, micromotion_of_single_charge, bessel_j0,
 carrier_intensity_factor, gate_detuning_verdict) takes a float or a NumPy
@@ -32,7 +40,7 @@ ulp on about 0.1% of inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -45,8 +53,10 @@ from .electrostatics import (
 from .errors import ParameterError, SearchError, StabilityError
 from .quantities import CODATA
 
+if TYPE_CHECKING:
+    from .scenario import TrapSection
+
 __all__ = [
-    "TrapConfig",
     "GateParams",
     "CoolingBudget",
     "LambDickeBudget",
@@ -73,107 +83,67 @@ CHARGE_SEARCH_MAX_E = 1e9
 BESSEL_J0_FIRST_ZERO = 2.404825557695773
 
 
-@dataclass(frozen=True)
-class TrapConfig:
-    """Paul-trap and laser parameters; constructor units are amu and Hz."""
-
-    mass_amu: float
-    secular_hz: float
-    rf_hz: float
-    cooling_wavelength_m: float
-    gate_wavelength_m: float
-    cavity_wavelength_m: float
-
-    def __post_init__(self) -> None:
-        fields = (
-            self.mass_amu,
-            self.secular_hz,
-            self.rf_hz,
-            self.cooling_wavelength_m,
-            self.gate_wavelength_m,
-            self.cavity_wavelength_m,
-        )
-        if any(v <= 0 for v in fields):
-            raise ParameterError("all trap parameters must be positive")
-        if self.rf_hz <= self.secular_hz:
-            raise ParameterError(
-                f"RF drive ({self.rf_hz} Hz) must exceed the secular "
-                f"frequency ({self.secular_hz} Hz)"
-            )
-        omega_x = self.omega_x
-        k_t = 0.5 * self.mass_kg * (omega_x * omega_x)  # self.k_t, but inf where ** raises
-        if not 0.0 < k_t < math.inf:
-            raise ParameterError(
-                f"trap curvature k_t = m omega_x^2 / 2 = {k_t!r} J/m^2 is not positive "
-                f"and finite for mass {self.mass_amu} amu and secular frequency "
-                f"{self.secular_hz} Hz"
-            )
-
-    @property
-    def mass_kg(self) -> float:
-        return self.mass_amu * CODATA.amu
-
-    @property
-    def omega_x(self) -> float:
-        """Secular angular frequency, rad/s."""
-        return 2.0 * math.pi * self.secular_hz
-
-    @property
-    def omega_rf(self) -> float:
-        """RF drive angular frequency, rad/s."""
-        return 2.0 * math.pi * self.rf_hz
-
-    @property
-    def k_t(self) -> float:
-        """Harmonic-potential coefficient (1/2) m omega_x^2, J/m^2."""
-        return 0.5 * self.mass_kg * self.omega_x**2
-
-
-@dataclass(frozen=True)
-class GateParams:
-    """Two-qubit gate parameters; only the threshold rule is computed here.
-
-    The occupation and initial spin state are recorded for provenance; the
-    underlying fidelity curve lives in the cited gate literature.
-    """
+class GateParams(NamedTuple):
+    """Two-qubit gate Rabi rate, Hz, and the threshold on delta_x / Omega_2g;
+    the gate functions check both positive."""
 
     rabi_hz: float
-    occupation: int = 50
     threshold_ratio: float = 0.013
-    initial_spins: str = "down-down"
-
-    def __post_init__(self) -> None:
-        if self.rabi_hz <= 0:
-            raise ParameterError(f"Rabi rate must be positive, got {self.rabi_hz}")
-        if self.threshold_ratio <= 0:
-            raise ParameterError("threshold ratio must be positive")
-
-    @property
-    def omega_2g(self) -> float:
-        return 2.0 * math.pi * self.rabi_hz
 
 
-@dataclass(frozen=True)
-class CoolingBudget:
+class CoolingBudget(NamedTuple):
     q1_e: float
     field_v_per_m: float
     x_tilde_m: float
 
 
-@dataclass(frozen=True)
-class LambDickeBudget:
+class LambDickeBudget(NamedTuple):
     x_tilde_max_m: float
     x_micromotion_max_m: float
     q1_max_e: float
     field_v_per_m: float
 
 
-@dataclass(frozen=True)
-class GateDetuning:
+class GateDetuning(NamedTuple):
     delta_x_rad_s: float
     ratio_rabi: float      # delta_x / Omega_2g
     ratio_secular: float   # delta_x / omega_x
     within_threshold: bool
+
+
+def _trap(trap: TrapSection):
+    """(m, omega_x, Omega_RF, k_t) of a [trap] section, in kg, rad/s and J/m^2.
+
+    Raises ParameterError unless the RF drive is above the secular
+    frequency and k_t = (1/2) m omega_x^2 is positive and finite.
+    """
+    if trap.rf_hz <= trap.secular_hz:
+        raise ParameterError(
+            f"RF drive ({trap.rf_hz} Hz) must exceed the secular "
+            f"frequency ({trap.secular_hz} Hz)"
+        )
+    mass_kg = trap.mass_amu * CODATA.amu
+    omega_x = 2.0 * math.pi * trap.secular_hz
+    try:
+        k_t = 0.5 * mass_kg * omega_x**2
+    except OverflowError:  # a float's ** raises where * gives inf
+        k_t = math.inf
+    if not 0.0 < k_t < math.inf:
+        raise ParameterError(
+            f"trap curvature k_t = m omega_x^2 / 2 = {k_t!r} J/m^2 is not positive "
+            f"and finite for mass {trap.mass_amu} amu and secular frequency "
+            f"{trap.secular_hz} Hz"
+        )
+    return mass_kg, omega_x, 2.0 * math.pi * trap.rf_hz, k_t
+
+
+def _omega_2g(gate: GateParams) -> float:
+    """Two-qubit Rabi angular frequency 2 pi rabi_hz, rad/s."""
+    if gate.rabi_hz <= 0:
+        raise ParameterError(f"Rabi rate must be positive, got {gate.rabi_hz}")
+    if gate.threshold_ratio <= 0:
+        raise ParameterError("threshold ratio must be positive")
+    return 2.0 * math.pi * gate.rabi_hz
 
 
 def _any(flags) -> bool:
@@ -181,37 +151,35 @@ def _any(flags) -> bool:
     return flags.any() if isinstance(flags, np.ndarray) else flags
 
 
-def _well(trap: TrapConfig, c: ExpansionCoefficients):
+def _well(mass_kg: float, k_t: float, c: ExpansionCoefficients):
     """(x~, omega~_x) of the well k_t x^2 + s_q (A x + B x^2).
 
     Raises StabilityError when k_t + s_q B <= 0 (at any element).
     """
-    k_eff = trap.k_t + c.s_q * c.B
+    k_eff = k_t + c.s_q * c.B
     if _any(k_eff <= 0):
         raise StabilityError(
             "stray charge cancels the trap curvature "
             f"(k_t + s_q B = {np.min(k_eff):.3e})"
         )
-    return -0.5 * c.s_q * c.A / k_eff, np.sqrt(2.0 * k_eff / trap.mass_kg)
+    return -0.5 * c.s_q * c.A / k_eff, np.sqrt(2.0 * k_eff / mass_kg)
 
 
-def equilibrium_position(trap: TrapConfig, s: ChargeScenario) -> float:
+def equilibrium_position(trap: TrapSection, s: ChargeScenario) -> float:
     """Displaced equilibrium x~ = -(1/2) s_q A / (k_t + s_q B), in m."""
-    return _well(trap, expansion_coefficients(s))[0]
+    mass_kg, _, _, k_t = _trap(trap)
+    return _well(mass_kg, k_t, expansion_coefficients(s))[0]
 
 
-def shifted_frequency(trap: TrapConfig, s: ChargeScenario) -> float:
+def shifted_frequency(trap: TrapSection, s: ChargeScenario) -> float:
     """Perturbed secular frequency sqrt(2 (k_t + s_q B)/m), rad/s."""
-    return _well(trap, expansion_coefficients(s))[1]
+    mass_kg, _, _, k_t = _trap(trap)
+    return _well(mass_kg, k_t, expansion_coefficients(s))[1]
 
 
-def micromotion_amplitude(
-    trap: TrapConfig, x_tilde_m: float, omega_tilde: float
-) -> float:
+def micromotion_amplitude(trap: TrapSection, x_tilde_m: float, omega_tilde: float) -> float:
     """Excess micromotion sqrt(2) (omega~_x / Omega_RF) x~, in m."""
-    if trap.omega_rf <= 0:
-        raise ParameterError("RF frequency must be positive")
-    return math.sqrt(2.0) * (omega_tilde / trap.omega_rf) * x_tilde_m
+    return math.sqrt(2.0) * (omega_tilde / _trap(trap)[2]) * x_tilde_m
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +305,15 @@ def carrier_intensity_factor(x_micromotion_m: float, cooling_wavelength_m: float
     return bessel_j0(beta) ** 2
 
 
-def micromotion_of_single_charge(trap: TrapConfig, x_q_m: float, q1_e: float) -> float:
+def micromotion_of_single_charge(trap: TrapSection, x_q_m: float, q1_e: float) -> float:
     """Micromotion amplitude for a single charge q1 at x_Q (q2 = 0).
 
     Expands the charge once for both x~ and omega~_x. Zero charge gives
     0.0, not the -0.0 of the chain.
     """
-    x_t, omega_t = _well(trap, expansion_coefficients(ChargeScenario(q1_e, 0.0, x_q_m)))
-    return micromotion_amplitude(trap, x_t, omega_t) + 0.0
+    mass_kg, _, omega_rf, k_t = _trap(trap)
+    x_t, omega_t = _well(mass_kg, k_t, expansion_coefficients(ChargeScenario(q1_e, 0.0, x_q_m)))
+    return math.sqrt(2.0) * (omega_t / omega_rf) * x_t + 0.0
 
 
 def _bisect_increasing(f, target: float, lo: float, hi: float, rtol: float = 1e-6):
@@ -369,7 +338,7 @@ def _bisect_increasing(f, target: float, lo: float, hi: float, rtol: float = 1e-
 
 
 def max_charge_for_cooling(
-    trap: TrapConfig, x_q_m: float, intensity_floor: float
+    trap: TrapSection, x_q_m: float, intensity_floor: float
 ) -> CoolingBudget:
     """Largest q1 (q2 = 0) keeping the carrier intensity above a floor.
 
@@ -377,6 +346,7 @@ def max_charge_for_cooling(
     modulation indices below the first J0 zero where the factor is
     monotone. Relative tolerance 1e-6 on q1.
     """
+    _trap(trap)  # the trap's checks come before the option's
     if not 0.0 < intensity_floor < 1.0:
         raise ParameterError(
             f"intensity floor must be in (0,1), got {intensity_floor}"
@@ -405,9 +375,10 @@ def max_charge_for_cooling(
 
 
 def lamb_dicke_budget(
-    trap: TrapConfig, x_q_m: float, modulation_limit: float
+    trap: TrapSection, x_q_m: float, modulation_limit: float
 ) -> LambDickeBudget:
     """Charge budget from the gate-laser phase-modulation cap k x_um < limit."""
+    _trap(trap)  # the trap's checks come before the option's
     if modulation_limit <= 0:
         raise ParameterError("modulation limit must be positive")
     x_um_max = modulation_limit * trap.gate_wavelength_m / (2.0 * math.pi)
@@ -424,12 +395,13 @@ def lamb_dicke_budget(
     return LambDickeBudget(x_t, x_um_max, q1, field_at(s, x_t))
 
 
-def charge_for_displacement(trap: TrapConfig, x_q_m: float, x_tilde_m: float) -> float:
+def charge_for_displacement(trap: TrapSection, x_q_m: float, x_tilde_m: float) -> float:
     """q1 (q2 = 0) that displaces the equilibrium to x~, closed form.
 
     Solving x~ = (1/2) u q1 / x_q^2 / (k_t + u q1 / x_q^3) for q1 with
     u = e^2/(4 pi eps0); only displacements below x_q/2 are reachable.
     """
+    k_t = _trap(trap)[3]
     if not 0.0 <= x_tilde_m < 0.5 * x_q_m:
         raise ParameterError(
             f"displacement {x_tilde_m} m outside the reachable range "
@@ -439,18 +411,17 @@ def charge_for_displacement(trap: TrapConfig, x_q_m: float, x_tilde_m: float) ->
         return 0.0
     u = CODATA.e**2 * CODATA.k_e
     denom = u * (0.5 / x_q_m**2 - x_tilde_m / x_q_m**3)
-    return x_tilde_m * trap.k_t / denom
+    return x_tilde_m * k_t / denom
 
 
-def zero_point_spread(mass_kg: float, omega_x: float) -> float:
+def zero_point_spread(trap: TrapSection) -> float:
     """Ground-state wavepacket size sqrt(hbar/(2 m omega_x)), in m."""
-    if mass_kg <= 0 or omega_x <= 0:
-        raise ParameterError("mass and frequency must be positive")
+    mass_kg, omega_x, _, _ = _trap(trap)
     return math.sqrt(CODATA.hbar / (2.0 * mass_kg * omega_x))
 
 
 def gate_detuning_verdict(
-    trap: TrapConfig, s: ChargeScenario, gate: GateParams
+    trap: TrapSection, s: ChargeScenario, gate: GateParams
 ) -> GateDetuning:
     """Secular-frequency error against the gate threshold.
 
@@ -458,26 +429,27 @@ def gate_detuning_verdict(
     (ratio_rabi, thresholded) and to the secular frequency itself
     (ratio_secular, reported for reference).
     """
-    delta = abs(trap.omega_x - shifted_frequency(trap, s))
-    ratio_rabi = delta / gate.omega_2g
+    omega_x = _trap(trap)[1]
+    omega_2g = _omega_2g(gate)
+    delta = abs(omega_x - shifted_frequency(trap, s))
+    ratio_rabi = delta / omega_2g
     return GateDetuning(
         delta_x_rad_s=delta,
         ratio_rabi=ratio_rabi,
-        ratio_secular=delta / trap.omega_x,
+        ratio_secular=delta / omega_x,
         within_threshold=ratio_rabi < gate.threshold_ratio,
     )
 
 
-def max_equal_charge_for_gate(
-    trap: TrapConfig, x_q_m: float, gate: GateParams
-) -> float:
+def max_equal_charge_for_gate(trap: TrapSection, x_q_m: float, gate: GateParams) -> float:
     """Largest q1 = q2 keeping delta_x/Omega_2g below the gate threshold.
 
     With equal charges A = 0, so delta_x depends only on B: closed-form
     inversion of omega~_x = omega_x sqrt(1 + s_q B / k_t).
     """
-    delta_target = gate.threshold_ratio * gate.omega_2g
-    s_q_b = trap.k_t * ((1.0 + delta_target / trap.omega_x) ** 2 - 1.0)
+    _, omega_x, _, k_t = _trap(trap)
+    delta_target = gate.threshold_ratio * _omega_2g(gate)
+    s_q_b = k_t * ((1.0 + delta_target / omega_x) ** 2 - 1.0)
     b = s_q_b / (CODATA.e * CODATA.k_e)
     q_total_e = b * x_q_m**3 / CODATA.e
     return 0.5 * q_total_e

@@ -169,7 +169,7 @@ class finite_evaluation:
         self._errstate.__exit__(kind, exc, traceback)
         if isinstance(exc, ArithmeticError):
             raise EvaluationError(
-                f"{self.label}: {type(exc).__name__}: {exc}; a scenario value is "
+                f"{self.label}: {type(exc).__name__}: {exc}; an input value is "
                 "outside the floating-point range of the formulas"
             ) from exc
         if isinstance(exc, ToolkitError):

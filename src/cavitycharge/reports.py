@@ -52,7 +52,7 @@ from typing import Optional
 
 from . import BUDGET_TARGETS, cavity_optics, charging, electrostatics, ion_impact, rydberg_impact
 from .budgets import SWEEP_POINTS, budget_report, budget_rows
-from .errors import ParameterError
+from .errors import ParameterError, SchemaError
 from .quantities import UncertainQuantity, finite_evaluation, propagate_monte_carlo
 from .ringdown import finesse, fsr_from_length
 from .scenario import Scenario, parse_scenario
@@ -195,13 +195,37 @@ BUDGET_ROWS = {
 }
 
 
+def _f00(scn: Scenario) -> UncertainQuantity:
+    c = scn._require("cavity")
+    return UncertainQuantity(c.f00, c.f00_sigma)
+
+
+def _fsr(scn: Scenario) -> UncertainQuantity:
+    c = scn._require("cavity")
+    if c.fsr_hz is not None:
+        return UncertainQuantity(c.fsr_hz, c.fsr_sigma_hz, "Hz")
+    return UncertainQuantity(fsr_from_length(c.length_m), 0.0, "Hz")
+
+
+def _film_thickness(scn: Scenario) -> UncertainQuantity:
+    c = scn._require("cavity")
+    return UncertainQuantity(c.film_thickness_m, c.film_thickness_sigma_m, "m")
+
+
+def _linewidth(scn: Scenario) -> UncertainQuantity:
+    c = scn._require("cavity")
+    if c.linewidth_hz is None:
+        raise SchemaError(f"scenario {scn.name!r} is missing key 'linewidth_hz' in [cavity]")
+    return UncertainQuantity(c.linewidth_hz, c.linewidth_sigma_hz, "Hz")
+
+
 def _finesse(scn: Scenario, seed: int) -> UncertainQuantity:
-    return finesse(scn.linewidth_quantity(), scn.fsr_quantity())
+    return finesse(_linewidth(scn), _fsr(scn))
 
 
 def _finesse_mc_over_linear_sigma(scn: Scenario, seed: int) -> float:
     mc = propagate_monte_carlo(
-        lambda d, f: f / d, [scn.linewidth_quantity(), scn.fsr_quantity()],
+        lambda d, f: f / d, [_linewidth(scn), _fsr(scn)],
         sample_count=scn.mc_samples, seed=seed,
     )
     return mc.sigma / _finesse(scn, seed).sigma
@@ -209,39 +233,38 @@ def _finesse_mc_over_linear_sigma(scn: Scenario, seed: int) -> float:
 
 def _kappa(scn: Scenario, seed: int, f01: float, f01_sigma: float) -> UncertainQuantity:
     return cavity_optics.extinction_from_finesse(
-        scn.f00_quantity(), UncertainQuantity(f01, f01_sigma), scn.film_thickness_quantity(),
+        _f00(scn), UncertainQuantity(f01, f01_sigma), _film_thickness(scn),
         scn.cavity.wavelength_m, mc_samples=scn.mc_samples, seed=seed,
     )
 
 
 def _resonant_transmission(scn: Scenario, seed: int, vendor_transmission: float) -> float:
-    r0 = cavity_optics.r0_from_symmetric_finesse(scn.f00_quantity()).value
+    r0 = cavity_optics.r0_from_symmetric_finesse(_f00(scn)).value
     mirror = cavity_optics.MirrorState(r0, vendor_transmission, label="M0")
     return cavity_optics.resonant_response(mirror, mirror)["transmission"]
 
 
 def _single_charge(scn: Scenario, q1_e: float):
     """(scenario of charge q1_e alone, the ion's equilibrium position in it)."""
-    s = electrostatics.ChargeScenario(q1_e, 0.0, scn.charge_scenario().x_q_m)
-    return s, ion_impact.equilibrium_position(scn.trap_config(), s)
+    s = electrostatics.ChargeScenario(q1_e, 0.0, scn._require("charges").xq_m)
+    return s, ion_impact.equilibrium_position(scn._require("trap"), s)
 
 
 def _field(scn: Scenario, seed: int, q1_e: float) -> float:
-    return electrostatics.single_charge_field(q1_e, scn.charge_scenario().x_q_m)
+    return electrostatics.single_charge_field(q1_e, scn._require("charges").xq_m)
 
 
 def _blockade_infidelity(scn: Scenario, seed: int, q1_e: float) -> float:
-    rydberg = scn.rydberg_config()
+    rydberg = scn._require("rydberg")
     shift = rydberg_impact.stark_shift(rydberg, _field(scn, seed, q1_e))
     return rydberg_impact.blockade_infidelity(rydberg, shift)
 
 
 def _transport(scn: Scenario, seed: int, hall_resistivity_ohm_m: float,
                carrier_density_per_m3: float, mobility_m2_per_vs: float) -> float:
-    sample = charging.TransportSample(
+    return charging.transport_consistency(
         hall_resistivity_ohm_m, carrier_density_per_m3, mobility_m2_per_vs
-    )
-    return charging.transport_consistency(sample).predicted_resistivity_ohm_m
+    ).predicted_resistivity_ohm_m
 
 
 # every other row: row id -> f(scn, seed, **manifest inputs), a float or an
@@ -257,7 +280,7 @@ ROWS = {
     **dict.fromkeys(
         ("refl_var_69d", "refl_var_128d"),
         lambda scn, seed, f01, f01_sigma: cavity_optics.excess_reflection_loss(
-            scn.f00_quantity(), UncertainQuantity(f01, f01_sigma)
+            _f00(scn), UncertainQuantity(f01, f01_sigma)
         ),
     ),
     "resonant_transmission": _resonant_transmission,
@@ -271,15 +294,13 @@ ROWS = {
     "coupling_field": lambda scn, seed, q1_e: electrostatics.field_at(
         *_single_charge(scn, q1_e)
     ),
-    "zero_point_spread": lambda scn, seed: ion_impact.zero_point_spread(
-        scn.trap_config().mass_kg, scn.trap_config().omega_x
-    ),
+    "zero_point_spread": lambda scn, seed: ion_impact.zero_point_spread(scn._require("trap")),
     "rydberg_field_54e": _field,
     "stark_shift_ref_field": lambda scn, seed, field_v_per_m: rydberg_impact.stark_shift(
-        scn.rydberg_config(), field_v_per_m
+        scn._require("rydberg"), field_v_per_m
     ),
     "coherence_time_54e": lambda scn, seed, q1_e: rydberg_impact.decoherence_time(
-        scn.rydberg_config(), _field(scn, seed, q1_e)
+        scn._require("rydberg"), _field(scn, seed, q1_e)
     ),
     "blockade_infidelity_140e": _blockade_infidelity,
     "transport_zno1": _transport,

@@ -19,13 +19,8 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, get_args
 
-from .charging import FilmSample, IlluminationScenario
-from .electrostatics import ChargeScenario
 from .errors import SchemaError
-from .ion_impact import GateParams, TrapConfig
-from .quantities import MIN_MC_SAMPLES, UncertainQuantity
-from .ringdown import fsr_from_length
-from .rydberg_impact import RydbergConfig
+from .quantities import MIN_MC_SAMPLES
 
 __all__ = [
     "Scenario",
@@ -124,9 +119,8 @@ class Scenario:
     film: Optional[FilmSection] = None
     illumination: Optional[IlluminationSection] = None
 
-    # -- typed views used by the physics modules ---------------------------
-
     def _require(self, section: str):
+        """The named section; SchemaError naming it when the scenario has none."""
         value = getattr(self, section)
         if value is None:
             raise SchemaError(
@@ -135,75 +129,34 @@ class Scenario:
             )
         return value
 
-    def trap_config(self) -> TrapConfig:
-        t = self._require("trap")
-        return TrapConfig(
-            mass_amu=t.mass_amu,
-            secular_hz=t.secular_hz,
-            rf_hz=t.rf_hz,
-            cooling_wavelength_m=t.cooling_wavelength_m,
-            gate_wavelength_m=t.gate_wavelength_m,
-            cavity_wavelength_m=t.cavity_wavelength_m,
-        )
+    # The physics functions read the sections themselves. Four accessors
+    # remain: charge_scenario and gate_params build the records that the
+    # charge and gate functions take (budgets and the benchmark's budget
+    # check call them), importing their modules on first use so that this
+    # one loads no physics module; trap_config and rydberg_config return
+    # the section itself and remain only because that check calls them.
 
-    def gate_params(self) -> GateParams:
+    def trap_config(self) -> TrapSection:
+        return self._require("trap")
+
+    def rydberg_config(self) -> RydbergSection:
+        return self._require("rydberg")
+
+    def charge_scenario(self):
+        from .electrostatics import ChargeScenario
+
+        c = self._require("charges")
+        return ChargeScenario(c.q1_e, c.q2_e, c.xq_m)
+
+    def gate_params(self):
+        from .ion_impact import GateParams
+
         t = self._require("trap")
         if t.gate_rabi_hz is None:
             raise SchemaError(
                 f"scenario {self.name!r} is missing key 'gate_rabi_hz' in [trap]"
             )
-        return GateParams(rabi_hz=t.gate_rabi_hz, occupation=t.gate_occupation)
-
-    def charge_scenario(self) -> ChargeScenario:
-        c = self._require("charges")
-        return ChargeScenario(q1_e=c.q1_e, q2_e=c.q2_e, x_q_m=c.xq_m)
-
-    def rydberg_config(self) -> RydbergConfig:
-        r = self._require("rydberg")
-        return RydbergConfig(polarizability_hz=r.alpha, rabi_hz=r.rabi_hz)
-
-    def film_sample(self) -> FilmSample:
-        f = self._require("film")
-        return FilmSample(
-            resistivity_ohm_m=f.rho_ohm_m,
-            thickness_m=f.thickness_m,
-            mirror_radius_m=f.radius_m,
-            capacitance_f=f.capacitance_f,
-        )
-
-    def illumination_scenario(self) -> IlluminationScenario:
-        i = self._require("illumination")
-        c = self._require("charges")
-        return IlluminationScenario(
-            power_w=i.power_w,
-            wavelength_m=i.wavelength_m,
-            quantum_efficiency=i.quantum_efficiency,
-            beam_waist_m=i.waist_m,
-            mirror_distance_m=c.xq_m,
-            photon_rate_override_per_s=i.photon_rate_per_s,
-        )
-
-    def f00_quantity(self) -> UncertainQuantity:
-        c = self._require("cavity")
-        return UncertainQuantity(c.f00, c.f00_sigma)
-
-    def fsr_quantity(self) -> UncertainQuantity:
-        c = self._require("cavity")
-        if c.fsr_hz is not None:
-            return UncertainQuantity(c.fsr_hz, c.fsr_sigma_hz, "Hz")
-        return UncertainQuantity(fsr_from_length(c.length_m), 0.0, "Hz")
-
-    def film_thickness_quantity(self) -> UncertainQuantity:
-        c = self._require("cavity")
-        return UncertainQuantity(c.film_thickness_m, c.film_thickness_sigma_m, "m")
-
-    def linewidth_quantity(self) -> UncertainQuantity:
-        c = self._require("cavity")
-        if c.linewidth_hz is None:
-            raise SchemaError(
-                f"scenario {self.name!r} is missing key 'linewidth_hz' in [cavity]"
-            )
-        return UncertainQuantity(c.linewidth_hz, c.linewidth_sigma_hz, "Hz")
+        return GateParams(t.gate_rabi_hz)
 
 
 # --------------------------------------------------------------------------

@@ -9,16 +9,11 @@ import pytest
 
 from cavitycharge.cavity_optics import (
     excess_reflection_loss,
-    extinction_first_order,
     extinction_from_finesse,
-    finesse_from_reflectivities,
     r0_from_symmetric_finesse,
     r1_from_asymmetric_finesse,
 )
 from cavitycharge.charging import (
-    FilmSample,
-    IlluminationScenario,
-    TransportSample,
     equilibrium_charge,
     film_resistance,
     gaussian_clipping_factor,
@@ -30,13 +25,11 @@ from cavitycharge.electrostatics import (
     disc_point_ratios,
     expansion_coefficients,
     field_at,
-    potential_quadratic,
     single_charge_field,
 )
 from cavitycharge.film_optics import DrudeModel, lambda_cubed_ratio
 from cavitycharge.ion_impact import (
     GateParams,
-    TrapConfig,
     equilibrium_position,
     gate_detuning_verdict,
     lamb_dicke_budget,
@@ -48,20 +41,28 @@ from cavitycharge.quantities import CODATA, UncertainQuantity, propagate_monte_c
 from cavitycharge.reports import build_report
 from cavitycharge.ringdown import finesse, fit_ringdown, synthesize_trace
 from cavitycharge.rydberg_impact import (
-    RydbergConfig,
     decoherence_time,
     max_charge_for_infidelity,
     stark_shift,
 )
-from cavitycharge.scenario import parse_scenario, serialize_scenario
+from cavitycharge.scenario import (
+    FilmSection,
+    IlluminationSection,
+    RydbergSection,
+    TrapSection,
+    parse_scenario,
+    serialize_scenario,
+)
 from cavitycharge.reports import bundled_scenario_text
+from test_cavity_optics import finesse_of, first_order_kappa
+from test_electrostatics import potential_quadratic
 
 X_Q = 200e-6
 F00 = UncertainQuantity(23340.0, 60.0)
 THICKNESS = UncertainQuantity(30e-9, 2e-9, "m")
 WAVELENGTH = 1650e-9
 
-TRAP = TrapConfig(
+TRAP = TrapSection(
     mass_amu=171.0,
     secular_hz=500e3,
     rf_hz=30e6,
@@ -69,7 +70,7 @@ TRAP = TrapConfig(
     gate_wavelength_m=355e-9,
     cavity_wavelength_m=1650e-9,
 )
-RYDBERG = RydbergConfig(rabi_hz=5e6)
+RYDBERG = RydbergSection(alpha=53.4e3, rabi_hz=5e6)
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +167,7 @@ def test_06_ion_budgets():
     assert ld.x_tilde_max_m == pytest.approx(0.47e-6, rel=0.05)
     assert ld.x_micromotion_max_m == pytest.approx(11e-9, rel=0.10)
 
-    assert zero_point_spread(TRAP.mass_kg, TRAP.omega_x) == pytest.approx(8e-9, rel=0.05)
+    assert zero_point_spread(TRAP) == pytest.approx(8e-9, rel=0.05)
     ok(6, "cooling 1400 e / coupling lambda_c/8 / Lamb-Dicke 230 e / 8 nm spread")
 
 
@@ -194,8 +195,8 @@ def test_08_rydberg_budgets():
 
 
 def test_09_charging(report_rows):
-    film = FilmSample(1e-4, 30e-9, 125e-6, 0.1e-12)
-    resistance = film_resistance(film).resistance_ohm
+    film = FilmSection(1e-4, 30e-9, 125e-6, 0.1e-12)
+    resistance = film_resistance(film)
     # printed 3.3 kOhm at 1%, symmetric relative difference
     assert abs(resistance - 3300.0) / max(resistance, 3300.0) <= 0.01 * (1 + 1e-9)
     steady = equilibrium_charge(resistance, 0.1e-12, 4e11 * CODATA.e)
@@ -204,7 +205,8 @@ def test_09_charging(report_rows):
     clip = gaussian_clipping_factor(100e-6, 200e-6)
     assert clip == pytest.approx(3.35e-4, rel=0.01)
     rate = photocurrent(
-        IlluminationScenario(power_w=0.2e-3, wavelength_m=369e-9)
+        IlluminationSection(power_w=0.2e-3, wavelength_m=369e-9, quantum_efficiency=1.0,
+                            waist_m=100e-6)
     ).rate_per_s
     assert rate == pytest.approx(3.7e14, rel=0.01)
     assert report_rows["photocurrent_rate"].status == "MISMATCH-DOCUMENTED"
@@ -212,9 +214,9 @@ def test_09_charging(report_rows):
 
 
 def test_10_transport_consistency():
-    zno1 = transport_consistency(TransportSample(8.6e-5, 2e25, 3.7e-3))
+    zno1 = transport_consistency(8.6e-5, 2e25, 3.7e-3)
     assert abs(zno1.relative_deviation) < 0.05
-    zno2 = transport_consistency(TransportSample(1.32e-4, 1.5e25, 2.8e-3))
+    zno2 = transport_consistency(1.32e-4, 1.5e25, 2.8e-3)
     assert abs(zno2.relative_deviation) < 0.15
     ok(10, "predicted resistivities within 5% / 15% of Hall values")
 
@@ -225,13 +227,13 @@ def test_11_property_suites():
     # and the anchor finesse pair survives the trip through reflectivities
     for f in np.logspace(2, 6, 9):
         r = r0_from_symmetric_finesse(float(f)).value
-        r_back = r0_from_symmetric_finesse(finesse_from_reflectivities(r, r)).value
+        r_back = r0_from_symmetric_finesse(finesse_of(r, r)).value
         assert r_back == pytest.approx(r, rel=1e-12)
     for f00, f01 in ((23340.0, 14160.0), (23340.0, 19800.0)):
         r0 = r0_from_symmetric_finesse(f00).value
-        assert finesse_from_reflectivities(r0, r0) == pytest.approx(f00, rel=1e-12)
+        assert finesse_of(r0, r0) == pytest.approx(f00, rel=1e-12)
         r1 = r1_from_asymmetric_finesse(f01, r0).value
-        assert finesse_from_reflectivities(r0, r1) == pytest.approx(f01, rel=1e-12)
+        assert finesse_of(r0, r1) == pytest.approx(f01, rel=1e-12)
 
     # small-loss expansion of the extinction within 0.1% in the measured
     # finesse regime (the true expansion error scales as 1/F and only
@@ -241,7 +243,7 @@ def test_11_property_suites():
             UncertainQuantity(f00), UncertainQuantity(f01),
             UncertainQuantity(30e-9, 0, "m"), WAVELENGTH, mc_samples=1000,
         ).value
-        approx = extinction_first_order(f00, f01, 30e-9, WAVELENGTH)
+        approx = first_order_kappa(f00, f01, 30e-9, WAVELENGTH)
         assert approx == pytest.approx(exact, rel=1e-3)
 
     # field is the (negative) gradient of the quadratic potential to 1e-6

@@ -36,9 +36,9 @@ def _scaled(text, factors):
 
 def _scalar_reference(scn, target, rows):
     """(sweep upper end, figure of merit of one float) from the scalar API."""
-    trap = scn.trap_config()
-    x_q = scn.charge_scenario().x_q_m
-    rydberg = scn.rydberg_config()
+    trap = scn.trap
+    x_q = scn.charges.xq_m
+    rydberg = scn.rydberg
     values = {name: value for name, value, _unit in rows}
     if target == "cooling":
         return 2.0 * values["q1_max"], lambda q: ion.carrier_intensity_factor(
@@ -55,7 +55,7 @@ def _scalar_reference(scn, target, rows):
         )
     if target == "gate":
         gate = scn.gate_params()
-        upper = 2.0 * max(abs(scn.charge_scenario().q1_e), values["equal_charge_bound"], 1.0)
+        upper = 2.0 * max(abs(scn.charges.q1_e), values["equal_charge_bound"], 1.0)
         return upper, lambda q: ion.gate_detuning_verdict(
             trap, es.ChargeScenario(q, q, x_q), gate
         ).ratio_rabi
@@ -67,8 +67,8 @@ def _scalar_reference(scn, target, rows):
         return 2.0 * values["q1_max"], lambda q: ryd.blockade_infidelity(
             rydberg, ryd.stark_shift(rydberg, es.single_charge_field(q, x_q))
         )
-    film, illum = scn.film_sample(), scn.illumination_scenario()
-    resistance = charging.film_resistance(film).resistance_ohm
+    film, illum = scn.film, scn.illumination
+    resistance = charging.film_resistance(film)
 
     def charge(p):
         rate = illum.quantum_efficiency * p * illum.wavelength_m / (CODATA.h * CODATA.c)
@@ -124,13 +124,13 @@ def test_variant_sweeps_match_scalar_chain(xq, secular, alpha, charges, power):
 
 
 def test_array_micromotion_raises_when_any_charge_opens_the_well():
-    trap = parse_scenario(bundled_scenario_text()).trap_config()
+    trap = parse_scenario(bundled_scenario_text()).trap
     with pytest.raises(StabilityError):
         ion.micromotion_of_single_charge(trap, 200e-6, np.array([10.0, -1e9]))
 
 
 def test_zero_charge_gives_positive_zero_micromotion():
-    trap = parse_scenario(bundled_scenario_text()).trap_config()
+    trap = parse_scenario(bundled_scenario_text()).trap
     scalar = ion.micromotion_of_single_charge(trap, 200e-6, 0.0)
     array = ion.micromotion_of_single_charge(trap, 200e-6, np.array([0.0, 10.0]))
     assert scalar == 0.0 and math.copysign(1.0, scalar) == 1.0
@@ -146,7 +146,7 @@ def test_bessel_j0_array_equals_scalar_calls_bit_for_bit():
 
 
 def test_decoherence_time_is_inf_at_zero_field_for_floats_and_arrays():
-    cfg = ryd.RydbergConfig()
+    cfg = parse_scenario(bundled_scenario_text()).rydberg
     assert ryd.decoherence_time(cfg, 0.0) == math.inf
     times = ryd.decoherence_time(cfg, np.array([0.0, 2.0]))
     assert times[0] == math.inf

@@ -1,12 +1,10 @@
 import math
+from dataclasses import replace
 
 import pytest
 from scipy import constants as sc
 
 from cavitycharge.charging import (
-    FilmSample,
-    IlluminationScenario,
-    TransportSample,
     capacitance_breakdown,
     equilibrium_charge,
     film_resistance,
@@ -14,13 +12,14 @@ from cavitycharge.charging import (
     photocurrent,
     transport_consistency,
 )
-from cavitycharge.errors import ParameterError
+from cavitycharge.errors import ParameterError, SchemaError
+from cavitycharge.reports import bundled_scenario_text
+from cavitycharge.scenario import FilmSection, IlluminationSection, parse_scenario
 
-ILLUM = IlluminationScenario(power_w=0.2e-3, wavelength_m=369e-9)
-FILM = FilmSample(
-    resistivity_ohm_m=1e-4, thickness_m=30e-9, mirror_radius_m=125e-6,
-    capacitance_f=0.1e-12,
+ILLUM = IlluminationSection(
+    power_w=0.2e-3, wavelength_m=369e-9, quantum_efficiency=1.0, waist_m=100e-6
 )
+FILM = FilmSection(rho_ohm_m=1e-4, thickness_m=30e-9, radius_m=125e-6, capacitance_f=0.1e-12)
 
 
 def test_photocurrent_flux_formula():
@@ -32,53 +31,42 @@ def test_photocurrent_flux_formula():
 
 
 def test_photocurrent_zero_power():
-    out = photocurrent(IlluminationScenario(power_w=0.0, wavelength_m=369e-9))
+    out = photocurrent(replace(ILLUM, power_w=0.0))
     assert out.rate_per_s == 0.0
     assert out.current_a == 0.0
 
 
 def test_photocurrent_linear_scalings():
     base = photocurrent(ILLUM).rate_per_s
-    double_p = photocurrent(
-        IlluminationScenario(power_w=0.4e-3, wavelength_m=369e-9)
-    ).rate_per_s
-    double_lam = photocurrent(
-        IlluminationScenario(power_w=0.2e-3, wavelength_m=738e-9)
-    ).rate_per_s
+    double_p = photocurrent(replace(ILLUM, power_w=0.4e-3)).rate_per_s
+    double_lam = photocurrent(replace(ILLUM, wavelength_m=738e-9)).rate_per_s
     assert double_p == pytest.approx(2 * base, rel=1e-12)
     assert double_lam == pytest.approx(2 * base, rel=1e-12)
     # trading power against quantum efficiency leaves the rate unchanged
     half_eta = photocurrent(
-        IlluminationScenario(power_w=0.4e-3, wavelength_m=369e-9, quantum_efficiency=0.5)
+        replace(ILLUM, power_w=0.4e-3, quantum_efficiency=0.5)
     ).rate_per_s
     assert half_eta == pytest.approx(base, rel=1e-12)
 
 
 def test_photocurrent_override_takes_precedence():
-    out = photocurrent(
-        IlluminationScenario(
-            power_w=0.2e-3, wavelength_m=369e-9, photon_rate_override_per_s=4e11
-        )
-    )
+    out = photocurrent(replace(ILLUM, photon_rate_per_s=4e11))
     assert out.rate_per_s == 4e11
     assert out.current_a == pytest.approx(4e11 * sc.e, rel=1e-12)
 
 
 def test_film_resistance():
     out = film_resistance(FILM)
-    assert out.sheet_resistance_ohm_sq == pytest.approx(1e-4 / 30e-9, rel=1e-12)
-    assert out.resistance_ohm == out.sheet_resistance_ohm_sq
+    assert out == pytest.approx(1e-4 / 30e-9, rel=1e-12)
     # printed rounded reference, symmetric relative difference just at 1%
-    assert abs(out.resistance_ohm - 3300.0) / out.resistance_ohm <= 0.01 * (1 + 1e-9)
+    assert abs(out - 3300.0) / out <= 0.01 * (1 + 1e-9)
 
 
 def test_film_resistance_scalings():
-    thick = FilmSample(1e-4, 60e-9, 125e-6, 0.1e-12)
-    assert film_resistance(thick).sheet_resistance_ohm_sq == pytest.approx(
-        0.5 * film_resistance(FILM).sheet_resistance_ohm_sq, rel=1e-12
-    )
-    unit = FilmSample(0.5, 0.5, 125e-6, 0.1e-12)
-    assert film_resistance(unit).sheet_resistance_ohm_sq == pytest.approx(1.0)
+    thick = FilmSection(1e-4, 60e-9, 125e-6, 0.1e-12)
+    assert film_resistance(thick) == pytest.approx(0.5 * film_resistance(FILM), rel=1e-12)
+    unit = FilmSection(0.5, 0.5, 125e-6, 0.1e-12)
+    assert film_resistance(unit) == pytest.approx(1.0)
 
 
 def test_equilibrium_charge_reference_case():
@@ -128,11 +116,9 @@ def test_capacitance_breakdown():
 
 
 def test_transport_consistency_reference_rows():
-    zno1 = transport_consistency(
-        TransportSample(8.6e-5, 2e25, 3.7e-3)  # 8.6 mOhm cm, 2e19 cm^-3, 37 cm^2/Vs
-    )
+    zno1 = transport_consistency(8.6e-5, 2e25, 3.7e-3)  # 8.6 mOhm cm, 2e19 cm^-3, 37 cm^2/Vs
     assert abs(zno1.relative_deviation) < 0.05
-    zno2 = transport_consistency(TransportSample(1.32e-4, 1.5e25, 2.8e-3))
+    zno2 = transport_consistency(1.32e-4, 1.5e25, 2.8e-3)
     assert abs(zno2.relative_deviation) < 0.15
     assert zno1.predicted_resistivity_ohm_m == pytest.approx(
         1.0 / (2e25 * sc.e * 3.7e-3), rel=1e-12
@@ -141,17 +127,23 @@ def test_transport_consistency_reference_rows():
 
 def test_transport_unit_construction():
     n = 1.0 / (sc.e * 1.0)
-    out = transport_consistency(TransportSample(1.0, n, 1.0))
+    out = transport_consistency(1.0, n, 1.0)
     assert out.predicted_resistivity_ohm_m == pytest.approx(1.0, rel=1e-12)
     assert out.relative_deviation == pytest.approx(0.0, abs=1e-12)
 
 
 def test_validation():
-    with pytest.raises(ParameterError):
-        FilmSample(-1e-4, 30e-9, 125e-6, 1e-13)
-    with pytest.raises(ParameterError):
-        IlluminationScenario(power_w=1e-3, wavelength_m=369e-9, quantum_efficiency=1.5)
-    with pytest.raises(ParameterError):
-        TransportSample(1e-4, -2e25, 3.7e-3)
+    # the [film] and [illumination] keys are range-checked at parse
+    text = bundled_scenario_text()
+    for old, new, message in (
+        ("rho_ohm_m = 0.0001", "rho_ohm_m = -0.0001", r"'rho_ohm_m' in \[film\] must be > 0"),
+        ("quantum_efficiency = 1.0", "quantum_efficiency = 1.5",
+         r"'quantum_efficiency' in \[illumination\] must be in \[0, 1\]"),
+    ):
+        assert old in text
+        with pytest.raises(SchemaError, match=message):
+            parse_scenario(text.replace(old, new))
+    with pytest.raises(ParameterError, match="transport parameters must be positive"):
+        transport_consistency(1e-4, -2e25, 3.7e-3)
     with pytest.raises(ParameterError):
         equilibrium_charge(0.0, 1e-13, 1e-8)

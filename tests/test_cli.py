@@ -187,6 +187,20 @@ def test_fit_ringdown_accepts_length(capsys):
     )
 
 
+@pytest.mark.parametrize("fsr_args", [
+    ["--fsr-hz", "1e200", "--fsr-sigma-hz", "1e200"],
+    ["--fsr-hz", "1e308"],
+    ["--fsr-hz", "7e9", "--fsr-sigma-hz", "1e160"],
+], ids=["fsr-and-sigma-1e200", "fsr-1e308", "sigma-1e160"])
+def test_fit_ringdown_finesse_overflow_exits_2_with_one_line(fsr_args, capsys):
+    # the finesse sigma squares (d finesse / d fsr) * sigma, which overflows
+    assert main(["fit-ringdown", *fsr_args, bundled_trace_paths()[0]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("toolkit fit-ringdown: finesse: OverflowError: ")
+
+
 def test_reproduce_paper_exit_and_output(tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert main(["reproduce-paper", "--out", str(out)]) == 0

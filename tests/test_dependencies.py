@@ -16,26 +16,26 @@ import cavitycharge
 from cavitycharge.quantities import CODATA
 
 # every name the package namespace exported when it imported its modules
-# eagerly, less the since-deleted CavityAssembly, AbsorptionSpectrum, tauc_bandgap
-# and multi-trace ring-down fit
+# eagerly, less the since-deleted CavityAssembly, AbsorptionSpectrum, tauc_bandgap,
+# multi-trace ring-down fit, the configs that repeated the scenario sections
+# (TrapConfig, RydbergConfig, FilmSample, IlluminationScenario, TransportSample)
+# and the functions only tests called (finesse_from_reflectivities,
+# sheet_pair_field, potential_exact, potential_quadratic)
 OLD_EXPORTS = {
     "quantities": "CODATA Constants UncertainQuantity propagate_linear propagate_monte_carlo",
     "ringdown": "RingdownFit RingdownTrace finesse fit_ringdown fsr_from_length "
                 "load_trace_csv pool_linewidths synthesize_trace",
     "cavity_optics": "MirrorState excess_reflection_loss extinction_from_finesse "
-                     "finesse_from_reflectivities r0_from_symmetric_finesse "
-                     "r1_from_asymmetric_finesse resonant_response",
+                     "r0_from_symmetric_finesse r1_from_asymmetric_finesse resonant_response",
     "film_optics": "ComplexIndex DrudeModel drude_from_transport drude_index "
                    "lambda_cubed_ratio power_attenuation",
-    "electrostatics": "ChargeScenario disc_point_ratios expansion_coefficients field_at "
-                      "potential_exact potential_quadratic sheet_pair_field",
-    "ion_impact": "GateParams TrapConfig bessel_j0 carrier_intensity_factor equilibrium_position "
+    "electrostatics": "ChargeScenario disc_point_ratios expansion_coefficients field_at",
+    "ion_impact": "GateParams bessel_j0 carrier_intensity_factor equilibrium_position "
                   "gate_detuning_verdict lamb_dicke_budget max_charge_for_cooling "
                   "micromotion_amplitude shifted_frequency zero_point_spread",
-    "rydberg_impact": "RydbergConfig blockade_infidelity decoherence_time dephasing "
+    "rydberg_impact": "blockade_infidelity decoherence_time dephasing "
                       "max_charge_for_infidelity stark_shift",
-    "charging": "FilmSample IlluminationScenario TransportSample equilibrium_charge "
-                "film_resistance gaussian_clipping_factor photocurrent transport_consistency",
+    "charging": "equilibrium_charge film_resistance gaussian_clipping_factor photocurrent transport_consistency",
     "scenario": "Scenario load_scenario parse_scenario serialize_scenario",
 }
 SUBMODULES = (
@@ -83,7 +83,7 @@ def test_lazy_namespace_keeps_the_old_surface():
     star = {}
     exec("from cavitycharge import *", star)
     names = [(m, n) for m, listed in OLD_EXPORTS.items() for n in listed.split()]
-    assert len(names) == 62
+    assert len(names) == 53
     for module_name, name in names:
         assert name in cavitycharge.__all__ and name in dir(cavitycharge)
         defined = getattr(getattr(cavitycharge, module_name), name)
@@ -148,6 +148,29 @@ def test_budget_and_reproduce_paper_load_no_film_optics(argv, tmp_path):
         assert not {"cavitycharge.reports", "cavitycharge.cavity_optics", "json"} & set(mods)
     else:
         assert "cavitycharge.reports" in mods
+
+
+def test_scenario_loads_no_physics_module():
+    probe = "import sys, cavitycharge.scenario; print(sorted(sys.modules))"
+    loaded = set(ast.literal_eval(_probe(probe)))
+    physics = {"ion_impact", "electrostatics", "rydberg_impact", "charging", "ringdown"}
+    assert not {f"cavitycharge.{m}" for m in physics} & loaded
+
+
+def test_budget_path_defines_at_most_11_dataclasses():
+    # the 7 scenario classes, Constants, UncertainQuantity, RingdownFit, RingdownTrace
+    probe = (
+        "import dataclasses, inspect, sys\n"
+        "import cavitycharge.cli, cavitycharge.budgets, cavitycharge.scenario\n"
+        "print(sorted(\n"
+        "    f'{name}.{cls.__name__}'\n"
+        "    for name, module in list(sys.modules.items()) if name.startswith('cavitycharge')\n"
+        "    for cls in vars(module).values()\n"
+        "    if inspect.isclass(cls) and cls.__module__ == name and dataclasses.is_dataclass(cls)\n"
+        "))\n"
+    )
+    defined = ast.literal_eval(_probe(probe))
+    assert len(defined) <= 11, defined
 
 
 def test_lazy_submodule_imports_are_logged_by_importtime():

@@ -10,15 +10,35 @@ from cavitycharge.electrostatics import (
     disc_point_ratios,
     expansion_coefficients,
     field_at,
-    potential_exact,
-    potential_quadratic,
-    sheet_pair_field,
     single_charge_field,
 )
 from cavitycharge.errors import DomainError, ParameterError
+from cavitycharge.quantities import CODATA
 
 K_E = 1.0 / (4.0 * math.pi * sc.epsilon_0)
 X_Q = 200e-6
+
+
+# the two potentials expansion_coefficients is checked against
+
+def _check_domain(x_m, x_q_m):
+    if abs(x_m) >= x_q_m:
+        raise DomainError(f"|x| = {abs(x_m)} m is outside the model domain |x| < {x_q_m} m")
+
+
+def potential_exact(s, x_m):
+    """Exact two-point-charge interaction energy (J) for |x| < x_Q."""
+    _check_domain(x_m, s.x_q_m)
+    s_q = CODATA.e * CODATA.k_e
+    q1 = s.q1_e * CODATA.e
+    q2 = s.q2_e * CODATA.e
+    return s_q * (q1 / abs(x_m + s.x_q_m) + q2 / abs(x_m - s.x_q_m))
+
+
+def potential_quadratic(coeffs, x_m):
+    """Second-order interaction energy s_q (A x + B x^2 + C), in J."""
+    _check_domain(x_m, coeffs.x_q_m)
+    return coeffs.s_q * (coeffs.A * x_m + coeffs.B * x_m**2 + coeffs.C_const)
 
 
 def test_coefficients_symmetric_pair():
@@ -117,15 +137,6 @@ def test_field_matches_quadratic_potential_gradient():
         )
 
 
-def test_sheet_pair_field():
-    assert sheet_pair_field(3.0e-6, 3.0e-6) == 0.0
-    assert sheet_pair_field(0.0, 2.0 * sc.epsilon_0) == pytest.approx(1.0, rel=1e-12)
-    sigma = 5e-9
-    assert sheet_pair_field(0.0, sigma) == pytest.approx(
-        sigma / (2 * sc.epsilon_0), rel=1e-12
-    )
-
-
 def test_disc_point_calibration_ratios():
     out = disc_point_ratios(125e-6, 200e-6)
     assert out["u_ratio"] == pytest.approx(0.92, abs=0.005)
@@ -161,5 +172,7 @@ def test_single_charge_field_inverse():
 
 
 def test_scenario_validation():
-    with pytest.raises(ParameterError):
-        ChargeScenario(1.0, 1.0, 0.0)
+    s = ChargeScenario(1.0, 1.0, 0.0)
+    for call in (lambda: expansion_coefficients(s), lambda: field_at(s, 0.0)):
+        with pytest.raises(ParameterError, match="x_Q must be positive, got 0.0"):
+            call()

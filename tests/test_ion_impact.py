@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -11,7 +12,6 @@ from cavitycharge.ion_impact import (
     BESSEL_J0_FIRST_ZERO,
     CoolingBudget,
     GateParams,
-    TrapConfig,
     bessel_j0,
     carrier_intensity_factor,
     charge_for_displacement,
@@ -25,6 +25,7 @@ from cavitycharge.ion_impact import (
     shifted_frequency,
     zero_point_spread,
 )
+from cavitycharge.scenario import TrapSection
 
 mpmath.mp.dps = 50
 
@@ -33,7 +34,7 @@ X_Q = 200e-6
 
 @pytest.fixture(scope="module")
 def trap():
-    return TrapConfig(
+    return TrapSection(
         mass_amu=171.0,
         secular_hz=500e3,
         rf_hz=30e6,
@@ -41,6 +42,10 @@ def trap():
         gate_wavelength_m=355e-9,
         cavity_wavelength_m=1650e-9,
     )
+
+
+def omega_x(trap):
+    return 2.0 * math.pi * trap.secular_hz
 
 
 def exact_chain(trap, q1, q2=0.0):
@@ -127,17 +132,17 @@ def test_equilibrium_odd_under_charge_exchange(trap):
 
 def test_shifted_frequency_cases(trap):
     assert shifted_frequency(trap, ChargeScenario(0.0, 0.0, X_Q)) == pytest.approx(
-        trap.omega_x, rel=1e-14
+        omega_x(trap), rel=1e-14
     )
     # equal charges at the gate-analysis scale
     w_t = shifted_frequency(trap, ChargeScenario(630.0, 630.0, X_Q))
-    shift = (w_t - trap.omega_x) / trap.omega_x
+    shift = (w_t - omega_x(trap)) / omega_x(trap)
     oracle = exact_chain(trap, 630.0, 630.0)[1]
     assert w_t == pytest.approx(oracle, rel=1e-12)
     assert shift == pytest.approx(0.013, abs=0.001)
     # weak negative charge softens the well
     w_neg = shifted_frequency(trap, ChargeScenario(-40.0, -40.0, X_Q))
-    assert w_neg < trap.omega_x
+    assert w_neg < omega_x(trap)
 
 
 def test_shifted_frequency_depends_only_on_total_charge(trap):
@@ -160,7 +165,7 @@ def test_micromotion_amplitude(trap):
     assert x_um == pytest.approx(66e-9, rel=0.05)
     assert micromotion_amplitude(trap, 0.0, w_t) == 0.0
     # displacement at the gate budget scale
-    assert micromotion_amplitude(trap, 0.47e-6, trap.omega_x) == pytest.approx(
+    assert micromotion_amplitude(trap, 0.47e-6, omega_x(trap)) == pytest.approx(
         11e-9, rel=0.10
     )
 
@@ -207,7 +212,7 @@ def test_cooling_budget_validation(trap):
 
 def test_cooling_budget_unreachable_floor():
     # a huge RF frequency keeps micromotion negligible at any charge
-    stiff = TrapConfig(171.0, 500e3, 1e15, 369e-9, 355e-9, 1650e-9)
+    stiff = TrapSection(171.0, 500e3, 1e15, 369e-9, 355e-9, 1650e-9)
     with pytest.raises(SearchError):
         max_charge_for_cooling(stiff, X_Q, 0.5)
 
@@ -251,12 +256,15 @@ def test_charge_for_displacement_inverse(trap):
 
 
 def test_zero_point_spread(trap):
-    spread = zero_point_spread(trap.mass_kg, trap.omega_x)
+    spread = zero_point_spread(trap)
     assert spread == pytest.approx(8e-9, rel=0.05)
-    assert zero_point_spread(4 * trap.mass_kg, trap.omega_x) == pytest.approx(
+    assert spread == pytest.approx(
+        math.sqrt(sc.hbar / (2.0 * trap.mass_amu * sc.atomic_mass * omega_x(trap))), rel=1e-8
+    )
+    assert zero_point_spread(replace(trap, mass_amu=4 * trap.mass_amu)) == pytest.approx(
         spread / 2, rel=1e-12
     )
-    assert zero_point_spread(trap.mass_kg, 4 * trap.omega_x) == pytest.approx(
+    assert zero_point_spread(replace(trap, secular_hz=4 * trap.secular_hz)) == pytest.approx(
         spread / 2, rel=1e-12
     )
 
@@ -301,14 +309,31 @@ def test_budget_inversions_back_substitute(trap):
     assert abs(v.ratio_rabi - gate.threshold_ratio) < 1e-5 * gate.threshold_ratio
 
 
-# -- configuration validation ---------------------------------------------------
+# -- trap and gate validation, by the functions that read them -----------------
+
+# every function that reads the trap, with the other arguments of one call
+TRAP_READERS = {
+    "equilibrium_position": lambda t: equilibrium_position(t, ChargeScenario(1.0, 0.0, X_Q)),
+    "shifted_frequency": lambda t: shifted_frequency(t, ChargeScenario(1.0, 0.0, X_Q)),
+    "micromotion_amplitude": lambda t: micromotion_amplitude(t, 1e-7, 1e6),
+    "micromotion_of_single_charge": lambda t: micromotion_of_single_charge(t, X_Q, 1.0),
+    "max_charge_for_cooling": lambda t: max_charge_for_cooling(t, X_Q, 0.5),
+    "lamb_dicke_budget": lambda t: lamb_dicke_budget(t, X_Q, 0.2),
+    "charge_for_displacement": lambda t: charge_for_displacement(t, X_Q, 1e-7),
+    "zero_point_spread": zero_point_spread,
+    "gate_detuning_verdict": lambda t: gate_detuning_verdict(
+        t, ChargeScenario(1.0, 1.0, X_Q), GateParams(10e3)),
+    "max_equal_charge_for_gate": lambda t: max_equal_charge_for_gate(t, X_Q, GateParams(10e3)),
+}
 
 
 def test_trap_config_validation():
-    with pytest.raises(ParameterError):
-        TrapConfig(171.0, 500e3, 400e3, 369e-9, 355e-9, 1650e-9)  # RF below secular
-    with pytest.raises(ParameterError):
-        TrapConfig(-1.0, 500e3, 30e6, 369e-9, 355e-9, 1650e-9)
+    for call in TRAP_READERS.values():
+        with pytest.raises(ParameterError,
+                           match=r"RF drive \(400000.0 Hz\) must exceed the secular"):
+            call(TrapSection(171.0, 500e3, 400e3, 369e-9, 355e-9, 1650e-9))  # RF below secular
+        with pytest.raises(ParameterError, match="trap curvature"):
+            call(TrapSection(-1.0, 500e3, 30e6, 369e-9, 355e-9, 1650e-9))
 
 
 @pytest.mark.parametrize("mass_amu, secular_hz", [
@@ -317,17 +342,20 @@ def test_trap_config_validation():
     (1e300, 1e200),    # omega_x**2 overflows
 ])
 def test_trap_curvature_must_be_positive_and_finite_in_si_units(mass_amu, secular_hz):
-    with pytest.raises(ParameterError, match="trap curvature") as info:
-        TrapConfig(mass_amu, secular_hz, 1e250, 369e-9, 355e-9, 1650e-9)
-    assert f"mass {mass_amu} amu" in str(info.value)
-    assert f"secular frequency {secular_hz} Hz" in str(info.value)
+    trap = TrapSection(mass_amu, secular_hz, 1e250, 369e-9, 355e-9, 1650e-9)
+    for call in TRAP_READERS.values():
+        with pytest.raises(ParameterError, match="trap curvature") as info:
+            call(trap)
+        assert f"mass {mass_amu} amu" in str(info.value)
+        assert f"secular frequency {secular_hz} Hz" in str(info.value)
 
 
-def test_gate_params_validation():
-    with pytest.raises(ParameterError):
-        GateParams(rabi_hz=0.0)
-    with pytest.raises(ParameterError):
-        GateParams(rabi_hz=1e4, threshold_ratio=0.0)
-    gate = GateParams(rabi_hz=10e3)
-    assert gate.occupation == 50
-    assert gate.initial_spins == "down-down"
+def test_gate_params_validation(trap):
+    s = ChargeScenario(1.0, 1.0, X_Q)
+    for call in (lambda g: gate_detuning_verdict(trap, s, g),
+                 lambda g: max_equal_charge_for_gate(trap, X_Q, g)):
+        with pytest.raises(ParameterError, match="Rabi rate must be positive, got 0.0"):
+            call(GateParams(rabi_hz=0.0))
+        with pytest.raises(ParameterError, match="threshold ratio must be positive"):
+            call(GateParams(rabi_hz=1e4, threshold_ratio=0.0))
+    assert GateParams(rabi_hz=10e3).threshold_ratio == 0.013

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from cavitycharge.electrostatics import single_charge_field
-from cavitycharge.errors import ParameterError
+from cavitycharge.errors import ParameterError, SchemaError
 from cavitycharge.rydberg_impact import (
-    RydbergConfig,
     blockade_infidelity,
     charge_for_coherence_time,
     decoherence_time,
@@ -14,9 +13,10 @@ from cavitycharge.rydberg_impact import (
     max_charge_for_infidelity,
     stark_shift,
 )
+from cavitycharge.scenario import RydbergSection, parse_scenario
 
 X_Q = 200e-6
-CFG = RydbergConfig(rabi_hz=5e6)
+CFG = RydbergSection(alpha=53.4e3, rabi_hz=5e6)
 
 
 def test_stark_shift_at_printed_field():
@@ -104,12 +104,16 @@ def test_power_laws_in_charge():
 
 
 def test_config_metadata_and_validation():
-    cfg = RydbergConfig()
-    assert cfg.polarizability_hz == 53.4e3
-    assert cfg.ground_label == "5S1/2"
-    assert cfg.rydberg_label == "70S1/2"
-    assert cfg.splitting_j is None  # carried, never consumed
-    with pytest.raises(ParameterError):
-        RydbergConfig(polarizability_hz=-1.0)
-    with pytest.raises(ParameterError):
-        blockade_infidelity(RydbergConfig(rabi_hz=0.0), 1e3)
+    # the [rydberg] keys are checked where they are read: > 0 at parse
+    for key in ("alpha", "rabi_hz"):
+        text = "[rydberg]\nalpha = 53400.0\nrabi_hz = 5000000.0\n".replace(
+            f"{key} = ", f"{key} = -"
+        )
+        with pytest.raises(SchemaError, match=f"key '{key}' in \\[rydberg\\] must be > 0"):
+            parse_scenario(text)
+    # and a Rabi frequency of zero by the blockade formulas
+    unset = RydbergSection(alpha=53.4e3, rabi_hz=0.0)
+    with pytest.raises(ParameterError, match="blockade infidelity needs a positive Rabi"):
+        blockade_infidelity(unset, 1e3)
+    with pytest.raises(ParameterError, match="inversion needs a positive Rabi"):
+        max_charge_for_infidelity(unset, 0.01, X_Q)

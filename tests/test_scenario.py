@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cavitycharge import budgets, reports
 from cavitycharge.errors import SchemaError
 from cavitycharge.reports import bundled_scenario_text
 from cavitycharge.scenario import (
@@ -161,7 +162,7 @@ def test_missing_section_errors_name_the_section():
     with pytest.raises(SchemaError, match=r"\[rydberg\]"):
         scn.rydberg_config()
     with pytest.raises(SchemaError, match=r"\[film\]"):
-        scn.film_sample()
+        budgets.budget_report(scn, "charging")
 
 
 def test_missing_gate_rabi_named():
@@ -173,13 +174,12 @@ def test_missing_gate_rabi_named():
 
 def test_typed_views_build(tmp_path):
     scn = parse_scenario(bundled_scenario_text())
-    assert scn.trap_config().secular_hz == 500e3
+    assert scn.trap_config() is scn.trap and scn.trap.secular_hz == 500e3
+    assert scn.rydberg_config() is scn.rydberg and scn.rydberg.rabi_hz == 5e6
+    assert scn.charge_scenario() == (630.0, 630.0, 2e-4)
     assert scn.charge_scenario().x_q_m == 2e-4
-    assert scn.rydberg_config().rabi_hz == 5e6
-    assert scn.film_sample().thickness_m == 30e-9
-    assert scn.illumination_scenario().mirror_distance_m == 2e-4
-    assert scn.fsr_quantity().sigma == 0.013e9
-    assert scn.gate_params().rabi_hz == 10e3
+    assert scn.gate_params() == (10e3, 0.013)
+    assert reports._fsr(scn).sigma == 0.013e9
     path = tmp_path / "copy.scenario"
     path.write_text(serialize_scenario(scn))
     assert load_scenario(path) == scn
@@ -190,7 +190,7 @@ def test_fsr_quantity_falls_back_to_length():
         "fsr_sigma_hz = 13000000.0\n", ""
     )
     scn = parse_scenario(text)
-    q = scn.fsr_quantity()
+    q = reports._fsr(scn)
     assert q.value == pytest.approx(7.4206e9, rel=1e-4)
     assert q.sigma == 0.0
 
