@@ -14,8 +14,8 @@ target is evaluated starts with "target T: ".
 The options (intensity_floor, modulation_limit, displacement_m, tau_pi_s,
 target_infidelity) default to ``BUDGET_DEFAULTS``. ``reports`` re-exports
 ``budget_report`` and ``SWEEP_POINTS``; this module imports neither
-``reports`` nor the cavity-optics chain, so a ``budget`` command does not
-load them.
+``reports`` nor the cavity-optics chain, and each target imports only
+its own physics modules, so a ``budget`` command loads no other.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import (
-    BUDGET_DEFAULTS, BUDGET_TARGETS, charging, electrostatics, ion_impact, rydberg_impact,
-)
+from . import BUDGET_DEFAULTS, BUDGET_TARGETS
 from .errors import EvaluationError, ParameterError
 from .quantities import CODATA, finite_evaluation
 from .scenario import Scenario
@@ -95,6 +93,7 @@ def _options(target: str, options: dict) -> dict:
 
 
 def _charging(scn, **_) -> _Target:
+    from . import charging
     film = scn._require("film")
     illum = scn._require("illumination")
     x_q = scn._require("charges").xq_m
@@ -132,6 +131,7 @@ def _charging(scn, **_) -> _Target:
 
 
 def _cooling(scn, intensity_floor, **_) -> _Target:
+    from . import ion_impact
     trap = scn._require("trap")
     x_q = scn._require("charges").xq_m
     budget = ion_impact.max_charge_for_cooling(trap, x_q, intensity_floor)
@@ -151,6 +151,7 @@ def _cooling(scn, intensity_floor, **_) -> _Target:
 
 
 def _coupling(scn, displacement_m, **_) -> _Target:
+    from . import electrostatics, ion_impact
     trap = scn._require("trap")
     x_q = scn._require("charges").xq_m
     x_target = trap.cavity_wavelength_m / 8.0 if displacement_m is None else displacement_m
@@ -170,6 +171,7 @@ def _coupling(scn, displacement_m, **_) -> _Target:
 
 
 def _lamb_dicke(scn, modulation_limit, **_) -> _Target:
+    from . import ion_impact
     trap = scn._require("trap")
     x_q = scn._require("charges").xq_m
     budget = ion_impact.lamb_dicke_budget(trap, x_q, modulation_limit)
@@ -188,6 +190,7 @@ def _lamb_dicke(scn, modulation_limit, **_) -> _Target:
 
 
 def _gate(scn, **_) -> _Target:
+    from . import electrostatics, ion_impact
     trap = scn._require("trap")
     charges = scn.charge_scenario()
     x_q = charges.x_q_m
@@ -210,6 +213,7 @@ def _gate(scn, **_) -> _Target:
 
 
 def _rydberg_coherence(scn, tau_pi_s, **_) -> _Target:
+    from . import electrostatics, rydberg_impact
     rydberg = scn._require("rydberg")
     x_q = scn._require("charges").xq_m
     budget = rydberg_impact.charge_for_coherence_time(rydberg, tau_pi_s, x_q)
@@ -228,6 +232,7 @@ def _rydberg_coherence(scn, tau_pi_s, **_) -> _Target:
 
 
 def _rydberg_gate(scn, target_infidelity, **_) -> _Target:
+    from . import electrostatics, rydberg_impact
     rydberg = scn._require("rydberg")
     x_q = scn._require("charges").xq_m
     budget = rydberg_impact.max_charge_for_infidelity(rydberg, target_infidelity, x_q)

@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, ParameterError
-from .quantities import UncertainQuantity, as_quantity, propagate_linear, propagate_monte_carlo
+from .quantities import (
+    CheckedRecord, UncertainQuantity, as_quantity, propagate_linear, propagate_monte_carlo,
+)
 
 __all__ = [
     "MirrorState",
@@ -51,21 +53,22 @@ class NegativeExtinctionWarning(UserWarning):
     """The modified cavity has higher finesse; extracted kappa is negative."""
 
 
-@dataclass(frozen=True)
-class MirrorState:
+_Mirror = NamedTuple("_Mirror", [("r", float), ("T", float), ("label", str)])
+
+
+class MirrorState(CheckedRecord, _Mirror):
     """Amplitude reflectivity and power transmission of one mirror."""
 
-    r: float
-    T: float
-    label: str = "custom"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.r < 1.0:
-            raise ParameterError(f"amplitude reflectivity must be in (0,1), got {self.r}")
-        if not 0.0 <= self.T <= 1.0 - self.r**2:
+    def __new__(cls, r: float, T: float, label: str = "custom"):
+        if not 0.0 < r < 1.0:
+            raise ParameterError(f"amplitude reflectivity must be in (0,1), got {r}")
+        if not 0.0 <= T <= 1.0 - r**2:
             raise ParameterError(
-                f"transmission {self.T} exceeds the power budget 1-r^2 = {1 - self.r ** 2:.3e}"
+                f"transmission {T} exceeds the power budget 1-r^2 = {1 - r ** 2:.3e}"
             )
+        return super().__new__(cls, r, T, label)
 
     @property
     def loss(self) -> float:

@@ -14,12 +14,12 @@ so kappa(2 lambda)/kappa(lambda) -> 8.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
-from .quantities import CODATA
+from .quantities import CODATA, CheckedRecord
 
 __all__ = [
     "ComplexIndex",
@@ -34,30 +34,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ComplexIndex:
-    n: float
-    kappa: float
-    wavelength_m: float
+_Index = NamedTuple("_Index", [("n", float), ("kappa", float), ("wavelength_m", float)])
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.kappa < 0:
+
+class ComplexIndex(CheckedRecord, _Index):
+    __slots__ = ()
+
+    def __new__(cls, n: float, kappa: float, wavelength_m: float):
+        if n < 0 or kappa < 0:
             raise ParameterError("n and kappa must be non-negative")
+        return super().__new__(cls, n, kappa, wavelength_m)
 
 
-@dataclass(frozen=True)
-class DrudeModel:
-    """Free-carrier dielectric response parameters (angular frequencies)."""
+_Drude = NamedTuple("_Drude", [("eps_inf", float), ("plasma_frequency", float),
+                               ("damping", float)])
 
-    eps_inf: float
-    plasma_frequency: float  # rad/s
-    damping: float           # rad/s
 
-    def __post_init__(self) -> None:
-        if self.eps_inf <= 0:
+class DrudeModel(CheckedRecord, _Drude):
+    """Free-carrier dielectric response: plasma_frequency and damping are
+    angular frequencies, rad/s."""
+
+    __slots__ = ()
+
+    def __new__(cls, eps_inf: float, plasma_frequency: float, damping: float):
+        if eps_inf <= 0:
             raise ParameterError("eps_inf must be positive")
-        if self.plasma_frequency < 0 or self.damping < 0:
+        if plasma_frequency < 0 or damping < 0:
             raise ParameterError("plasma frequency and damping must be >= 0")
+        return super().__new__(cls, eps_inf, plasma_frequency, damping)
 
     def permittivity(self, omega: float) -> complex:
         return self.eps_inf - self.plasma_frequency**2 / (
@@ -65,8 +69,7 @@ class DrudeModel:
         )
 
 
-@dataclass(frozen=True)
-class LambdaCubedRatio:
+class LambdaCubedRatio(NamedTuple):
     ratio: float
     regime_ok: bool
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -66,26 +65,36 @@ DIMENSIONS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class UncertainQuantity:
+class CheckedRecord:
+    """Base of a NamedTuple subclass whose __new__ checks the fields; _replace runs it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+_Quantity = NamedTuple("_Quantity", [("value", float), ("sigma", float), ("dimension", str)])
+
+
+class UncertainQuantity(CheckedRecord, _Quantity):
     """A value with a symmetric one-sigma uncertainty and a dimension tag."""
 
-    value: float
-    sigma: float = 0.0
-    dimension: str = DIMENSIONLESS
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "sigma", float(self.sigma))
-        if not math.isfinite(self.value):
-            raise ParameterError(f"value must be finite, got {self.value}")
-        if not math.isfinite(self.sigma) or self.sigma < 0:
-            raise ParameterError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if self.dimension not in DIMENSIONS:
+    def __new__(cls, value: float, sigma: float = 0.0, dimension: str = DIMENSIONLESS):
+        value, sigma = float(value), float(sigma)
+        if not math.isfinite(value):
+            raise ParameterError(f"value must be finite, got {value}")
+        if not math.isfinite(sigma) or sigma < 0:
+            raise ParameterError(f"sigma must be finite and >= 0, got {sigma}")
+        if dimension not in DIMENSIONS:
             raise DimensionError(
-                f"unknown dimension tag {self.dimension!r}; expected one of "
+                f"unknown dimension tag {dimension!r}; expected one of "
                 f"{sorted(DIMENSIONS)}"
             )
+        return super().__new__(cls, value, sigma, dimension)
 
     def __str__(self) -> str:
         unit = "" if self.dimension == DIMENSIONLESS else f" {self.dimension}"
@@ -104,8 +113,7 @@ _H = 6.62607015e-34
 _EPS0 = 8.8541878188e-12
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(NamedTuple):
     """CODATA 2022 values used throughout; immutable by construction.
 
     Every value is pinned to the 2022 adjustment (Mohr et al., Rev. Mod.

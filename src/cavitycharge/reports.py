@@ -46,9 +46,8 @@ and are re-exported here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import BUDGET_TARGETS, cavity_optics, charging, electrostatics, ion_impact, rydberg_impact
 from .budgets import SWEEP_POINTS, budget_report, budget_rows
@@ -79,8 +78,7 @@ EXPECTED_DOCUMENTED = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     row_id: str
     label: str
     units: str

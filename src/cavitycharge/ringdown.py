@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import FitError, ParameterError
-from .quantities import CODATA, UncertainQuantity, as_quantity, propagate_linear
+from .quantities import CODATA, CheckedRecord, UncertainQuantity, as_quantity, propagate_linear
 
 __all__ = [
     "RingdownTrace",
@@ -53,16 +52,18 @@ _SEED_CLIP_FACTOR = 3.0   # drop samples below 3x noise floor before log seeding
 _PEAK_TO_NOISE_MIN = 5.0
 
 
-@dataclass(frozen=True)
-class RingdownTrace:
-    """Time-stamped photodetector samples of a cavity decay."""
+_Trace = NamedTuple("_Trace", [("times", np.ndarray), ("voltages", np.ndarray)])
 
-    times: np.ndarray
-    voltages: np.ndarray
 
-    def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.voltages, dtype=float)
+class RingdownTrace(CheckedRecord, _Trace):
+    """Time-stamped photodetector samples of a cavity decay; len() is the
+    sample count."""
+
+    __slots__ = ()
+
+    def __new__(cls, times, voltages):
+        t = np.asarray(times, dtype=float)
+        v = np.asarray(voltages, dtype=float)
         if t.ndim != 1 or t.shape != v.shape:
             raise ParameterError("times and voltages must be 1-d arrays of equal length")
         if t.size < MIN_SAMPLES:
@@ -77,25 +78,25 @@ class RingdownTrace:
             raise ParameterError("timestamps must be strictly increasing")
         t.flags.writeable = False
         v.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "voltages", v)
+        return super().__new__(cls, t, v)
 
     def __len__(self) -> int:
         return int(self.times.size)
 
 
-@dataclass(frozen=True)
-class RingdownFit:
-    """Result of an exponential ring-down fit."""
+_Fit = NamedTuple("_Fit", [("v0", UncertainQuantity), ("linewidth", UncertainQuantity),
+                           ("residual_rms", float), ("iterations", int)])
 
-    v0: UncertainQuantity
-    linewidth: UncertainQuantity       # FWHM linewidth dnu, Hz
-    residual_rms: float
-    iterations: int = 0
 
-    def __post_init__(self) -> None:
-        if self.linewidth.value <= 0:
+class RingdownFit(CheckedRecord, _Fit):
+    """Result of an exponential ring-down fit; linewidth is the FWHM dnu, Hz."""
+
+    __slots__ = ()
+
+    def __new__(cls, v0, linewidth, residual_rms, iterations=0):
+        if linewidth.value <= 0:
             raise ParameterError("fitted linewidth must be positive")
+        return super().__new__(cls, v0, linewidth, residual_rms, iterations)
 
 
 def synthesize_trace(
@@ -302,7 +303,7 @@ def fsr_from_length(d_m: float) -> float:
 
 
 _CSV_COLUMNS = {
-    "delimiter": ",", "comments": None, "usecols": (0, 1), "ndmin": 2, "encoding": "utf-8"
+    "delimiter": ",", "comments": None, "usecols": (0, 1), "ndmin": 2, "encoding": "utf-8-sig"
 }
 
 
@@ -313,7 +314,8 @@ def _is_row(line: str) -> bool:
 
 
 def load_trace_csv(path) -> RingdownTrace:
-    """Read a UTF-8 CSV trace of (t_seconds, v_volts) rows.
+    """Read a UTF-8 CSV trace of (t_seconds, v_volts) rows; a leading
+    byte-order mark is dropped.
 
     Lines end in \\n, \\r\\n or \\r. Blank and whitespace-only lines are
     skipped, and so are lines whose first non-blank character is '#'. The
@@ -328,7 +330,7 @@ def load_trace_csv(path) -> RingdownTrace:
     MIN_SAMPLES rows, or samples RingdownTrace rejects.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             rows = ((k, line) for k, line in enumerate(fh) if _is_row(line))
             start, line = next(rows, (-1, ""))
             fields = line.split(",")
@@ -346,7 +348,7 @@ def load_trace_csv(path) -> RingdownTrace:
             except ValueError:
                 # The C tokenizer skips empty lines only. Parse again without
                 # the other lines the grammar skips, so only a bad row raises.
-                with open(path, encoding="utf-8") as fh:
+                with open(path, encoding="utf-8-sig") as fh:
                     lines = [ln for ln in itertools.islice(fh, start, None) if _is_row(ln)]
                 data = np.loadtxt(lines, **_CSV_COLUMNS)
     except ValueError as exc:

@@ -10,14 +10,14 @@ are byte-identical.
 
 Each key is declared once, as a field of its section class (`[meta]` keys are
 `Scenario`'s own): its annotation is its type, it is required when it has no
-default, optional when the default is None, and its range rule is metadata.
+default, optional when the default is None, and its range rule, if any, is
+the annotation's metadata, `Annotated[type, rule]`.
 """
 
 import math
 import numbers
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional, get_args
+from typing import Annotated, NamedTuple, Optional, get_args, get_origin
 
 from .errors import SchemaError
 from .quantities import MIN_MC_SAMPLES
@@ -45,73 +45,62 @@ _MC = (lambda v: v >= MIN_MC_SAMPLES, f">= {MIN_MC_SAMPLES}")
 _LINE = (lambda v: v == v.strip() and len(v.splitlines()) < 2, "one line without outer blanks")
 
 
-def _key(rule, default=MISSING):
-    return field(default=default, metadata={"rule": rule})
+class CavitySection(NamedTuple):
+    f00: Annotated[float, _POS]
+    f00_sigma: Annotated[float, _NONNEG]
+    f01: Annotated[float, _POS]
+    f01_sigma: Annotated[float, _NONNEG]
+    film_thickness_m: Annotated[float, _POS]
+    film_thickness_sigma_m: Annotated[float, _NONNEG]
+    wavelength_m: Annotated[float, _POS]
+    fsr_hz: Annotated[Optional[float], _POS] = None
+    fsr_sigma_hz: Annotated[float, _NONNEG] = 0.0
+    length_m: Annotated[Optional[float], _POS] = None
+    linewidth_hz: Annotated[Optional[float], _POS] = None
+    linewidth_sigma_hz: Annotated[float, _NONNEG] = 0.0
 
 
-@dataclass(frozen=True)
-class CavitySection:
-    f00: float = _key(_POS)
-    f00_sigma: float = _key(_NONNEG)
-    f01: float = _key(_POS)
-    f01_sigma: float = _key(_NONNEG)
-    film_thickness_m: float = _key(_POS)
-    film_thickness_sigma_m: float = _key(_NONNEG)
-    wavelength_m: float = _key(_POS)
-    fsr_hz: Optional[float] = _key(_POS, None)
-    fsr_sigma_hz: float = _key(_NONNEG, 0.0)
-    length_m: Optional[float] = _key(_POS, None)
-    linewidth_hz: Optional[float] = _key(_POS, None)
-    linewidth_sigma_hz: float = _key(_NONNEG, 0.0)
+class TrapSection(NamedTuple):
+    mass_amu: Annotated[float, _POS]
+    secular_hz: Annotated[float, _POS]
+    rf_hz: Annotated[float, _POS]
+    cooling_wavelength_m: Annotated[float, _POS]
+    gate_wavelength_m: Annotated[float, _POS]
+    cavity_wavelength_m: Annotated[float, _POS]
+    gate_rabi_hz: Annotated[Optional[float], _POS] = None
+    gate_occupation: Annotated[int, _NONNEG] = 50
 
 
-@dataclass(frozen=True)
-class TrapSection:
-    mass_amu: float = _key(_POS)
-    secular_hz: float = _key(_POS)
-    rf_hz: float = _key(_POS)
-    cooling_wavelength_m: float = _key(_POS)
-    gate_wavelength_m: float = _key(_POS)
-    cavity_wavelength_m: float = _key(_POS)
-    gate_rabi_hz: Optional[float] = _key(_POS, None)
-    gate_occupation: int = _key(_NONNEG, 50)
-
-
-@dataclass(frozen=True)
-class ChargesSection:
+class ChargesSection(NamedTuple):
     q1_e: float
     q2_e: float
-    xq_m: float = _key(_POS)
+    xq_m: Annotated[float, _POS]
 
 
-@dataclass(frozen=True)
-class RydbergSection:
-    alpha: float = _key(_POS)  # polarizability, Hz/(V/m)^2
-    rabi_hz: float = _key(_POS)
+class RydbergSection(NamedTuple):
+    alpha: Annotated[float, _POS]  # polarizability, Hz/(V/m)^2
+    rabi_hz: Annotated[float, _POS]
 
 
-@dataclass(frozen=True)
-class FilmSection:
-    rho_ohm_m: float = _key(_POS)
-    thickness_m: float = _key(_POS)
-    radius_m: float = _key(_POS)
-    capacitance_f: float = _key(_POS)
+class FilmSection(NamedTuple):
+    rho_ohm_m: Annotated[float, _POS]
+    thickness_m: Annotated[float, _POS]
+    radius_m: Annotated[float, _POS]
+    capacitance_f: Annotated[float, _POS]
 
 
-@dataclass(frozen=True)
-class IlluminationSection:
-    power_w: float = _key(_NONNEG)
-    wavelength_m: float = _key(_POS)
-    quantum_efficiency: float = _key(_UNIT)
-    waist_m: float = _key(_POS)
-    photon_rate_per_s: Optional[float] = _key(_NONNEG, None)
+class IlluminationSection(NamedTuple):
+    power_w: Annotated[float, _NONNEG]
+    wavelength_m: Annotated[float, _POS]
+    quantum_efficiency: Annotated[float, _UNIT]
+    waist_m: Annotated[float, _POS]
+    photon_rate_per_s: Annotated[Optional[float], _NONNEG] = None
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str = _key(_LINE, "unnamed")
-    seed: int = _key(_NONNEG, 0)
-    mc_samples: int = _key(_MC, 100_000)
+class Scenario(NamedTuple):
+    name: Annotated[str, _LINE] = "unnamed"
+    seed: Annotated[int, _NONNEG] = 0
+    mc_samples: Annotated[int, _MC] = 100_000
     cavity: Optional[CavitySection] = None
     trap: Optional[TrapSection] = None
     charges: Optional[ChargesSection] = None
@@ -165,8 +154,11 @@ class Scenario:
 
 class _Key(NamedTuple):
     type: type            # float, int or str
-    default: object       # MISSING for a required key, None for an optional one
+    default: object       # _REQUIRED for a required key, None for an optional one
     rule: Optional[tuple]  # (test, text), see _POS
+
+
+_REQUIRED = object()
 
 
 def _plain(annotation):
@@ -174,15 +166,22 @@ def _plain(annotation):
     return next((a for a in get_args(annotation) if a is not type(None)), annotation)
 
 
-def _keys(declared) -> dict[str, _Key]:
-    return {f.name: _Key(_plain(f.type), f.default, f.metadata.get("rule")) for f in declared}
+def _keys(cls, names) -> dict[str, _Key]:
+    keys = {}
+    for name in names:
+        annotation, rule = cls.__annotations__[name], None
+        if get_origin(annotation) is Annotated:
+            annotation, rule = get_args(annotation)
+        keys[name] = _Key(_plain(annotation), cls._field_defaults.get(name, _REQUIRED), rule)
+    return keys
 
 
 # section name -> section class, and section name -> key name -> _Key
-_SECTIONS = {f.name: _plain(f.type) for f in fields(Scenario) if is_dataclass(_plain(f.type))}
+_SECTIONS = {name: _plain(annotation) for name, annotation in Scenario.__annotations__.items()
+             if hasattr(_plain(annotation), "_fields")}
 _KEYS = {
-    "meta": _keys(f for f in fields(Scenario) if f.name not in _SECTIONS),
-    **{section: _keys(fields(cls)) for section, cls in _SECTIONS.items()},
+    "meta": _keys(Scenario, [name for name in Scenario._fields if name not in _SECTIONS]),
+    **{section: _keys(cls, cls._fields) for section, cls in _SECTIONS.items()},
 }
 # what a value of each key type may be before serialize converts it
 _ACCEPTED = {float: numbers.Real, int: numbers.Integral, str: str}
@@ -200,7 +199,7 @@ def _check_document(collected: dict[str, dict[str, object]]) -> None:
     """Required keys and the cross-key rule, over section -> key -> value."""
     for section, values in collected.items():
         for key, spec in _KEYS[section].items():
-            if spec.default is MISSING and key not in values:
+            if spec.default is _REQUIRED and key not in values:
                 raise SchemaError(f"missing required key '{key}' in [{section}]")
     cavity = collected.get("cavity")
     if cavity is not None and "fsr_hz" not in cavity and "length_m" not in cavity:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from scipy import constants as sc
@@ -31,26 +30,26 @@ def test_photocurrent_flux_formula():
 
 
 def test_photocurrent_zero_power():
-    out = photocurrent(replace(ILLUM, power_w=0.0))
+    out = photocurrent(ILLUM._replace(power_w=0.0))
     assert out.rate_per_s == 0.0
     assert out.current_a == 0.0
 
 
 def test_photocurrent_linear_scalings():
     base = photocurrent(ILLUM).rate_per_s
-    double_p = photocurrent(replace(ILLUM, power_w=0.4e-3)).rate_per_s
-    double_lam = photocurrent(replace(ILLUM, wavelength_m=738e-9)).rate_per_s
+    double_p = photocurrent(ILLUM._replace(power_w=0.4e-3)).rate_per_s
+    double_lam = photocurrent(ILLUM._replace(wavelength_m=738e-9)).rate_per_s
     assert double_p == pytest.approx(2 * base, rel=1e-12)
     assert double_lam == pytest.approx(2 * base, rel=1e-12)
     # trading power against quantum efficiency leaves the rate unchanged
     half_eta = photocurrent(
-        replace(ILLUM, power_w=0.4e-3, quantum_efficiency=0.5)
+        ILLUM._replace(power_w=0.4e-3, quantum_efficiency=0.5)
     ).rate_per_s
     assert half_eta == pytest.approx(base, rel=1e-12)
 
 
 def test_photocurrent_override_takes_precedence():
-    out = photocurrent(replace(ILLUM, photon_rate_per_s=4e11))
+    out = photocurrent(ILLUM._replace(photon_rate_per_s=4e11))
     assert out.rate_per_s == 4e11
     assert out.current_a == pytest.approx(4e11 * sc.e, rel=1e-12)
 

@@ -157,20 +157,47 @@ def test_scenario_loads_no_physics_module():
     assert not {f"cavitycharge.{m}" for m in physics} & loaded
 
 
-def test_budget_path_defines_at_most_11_dataclasses():
-    # the 7 scenario classes, Constants, UncertainQuantity, RingdownFit, RingdownTrace
-    probe = (
-        "import dataclasses, inspect, sys\n"
-        "import cavitycharge.cli, cavitycharge.budgets, cavitycharge.scenario\n"
-        "print(sorted(\n"
-        "    f'{name}.{cls.__name__}'\n"
-        "    for name, module in list(sys.modules.items()) if name.startswith('cavitycharge')\n"
-        "    for cls in vars(module).values()\n"
-        "    if inspect.isclass(cls) and cls.__module__ == name and dataclasses.is_dataclass(cls)\n"
-        "))\n"
-    )
-    defined = ast.literal_eval(_probe(probe))
-    assert len(defined) <= 11, defined
+@pytest.mark.parametrize("argv", [
+    ["reproduce-paper"],
+    ["budget", "--scenario", "paper_yb.scenario", "--target", "gate", "--out", "sweep.csv"],
+    ["fit-ringdown", "--fsr-hz", "7.41e9",
+     str(resources.files("cavitycharge").joinpath("data/traces/ringdown_01.csv"))],
+], ids=lambda argv: argv[0])
+def test_commands_load_no_dataclasses(argv, tmp_path):
+    code, mods = _loaded_by(argv, tmp_path)
+    assert code == 0
+    assert "dataclasses" not in mods
+
+
+def test_no_module_imports_dataclasses():
+    package = Path(cavitycharge.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = (
+                [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                else [node.module] if isinstance(node, ast.ImportFrom) else []
+            )
+            assert "dataclasses" not in names, path.name
+
+
+# the cavitycharge submodules every `budget` command loads, and each target's physics
+BUDGET_PATH = {"budgets", "cli", "errors", "quantities", "ringdown", "scenario"}
+TARGET_PHYSICS = {
+    **dict.fromkeys(("cooling", "coupling", "lamb-dicke", "gate"),
+                    {"electrostatics", "ion_impact"}),
+    **dict.fromkeys(("rydberg-coherence", "rydberg-gate"),
+                    {"electrostatics", "rydberg_impact"}),
+    "charging": {"charging"},
+}
+
+
+@pytest.mark.parametrize("target", cavitycharge.BUDGET_TARGETS)
+def test_each_budget_target_loads_only_its_own_physics(target, tmp_path):
+    argv = ["budget", "--scenario", "paper_yb.scenario", "--target", target, "--out", "s.csv"]
+    code, mods = _loaded_by(argv, tmp_path)
+    assert code == 0
+    loaded = {m.split(".", 1)[1] for m in mods if m.startswith("cavitycharge.")}
+    assert loaded == BUDGET_PATH | TARGET_PHYSICS[target]
 
 
 def test_lazy_submodule_imports_are_logged_by_importtime():

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -261,10 +260,10 @@ def test_zero_point_spread(trap):
     assert spread == pytest.approx(
         math.sqrt(sc.hbar / (2.0 * trap.mass_amu * sc.atomic_mass * omega_x(trap))), rel=1e-8
     )
-    assert zero_point_spread(replace(trap, mass_amu=4 * trap.mass_amu)) == pytest.approx(
+    assert zero_point_spread(trap._replace(mass_amu=4 * trap.mass_amu)) == pytest.approx(
         spread / 2, rel=1e-12
     )
-    assert zero_point_spread(replace(trap, secular_hz=4 * trap.secular_hz)) == pytest.approx(
+    assert zero_point_spread(trap._replace(secular_hz=4 * trap.secular_hz)) == pytest.approx(
         spread / 2, rel=1e-12
     )
 

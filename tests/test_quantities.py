@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cavitycharge.cavity_optics import MirrorState
 from cavitycharge.errors import DimensionError, DomainError, EvaluationError, ParameterError
 from cavitycharge.quantities import (
     CODATA,
@@ -12,6 +13,7 @@ from cavitycharge.quantities import (
     propagate_monte_carlo,
 )
 from cavitycharge.reports import build_report, bundled_scenario
+from cavitycharge.ringdown import fit_ringdown, synthesize_trace
 
 LINEWIDTH = UncertainQuantity(523e3, 9e3, "Hz")
 FSR = UncertainQuantity(7.410e9, 0.013e9, "Hz")
@@ -24,6 +26,33 @@ def ratio(d, f):
 def analytic_ratio_sigma(d, sd, f, sf):
     # independent oracle: exact partial derivatives of f/d
     return math.hypot(f / d**2 * sd, sf / d)
+
+
+# -- records that check their fields -------------------------------------------
+
+
+def _noisy_trace():
+    return synthesize_trace(1.0, 5e3, 4e-4, 1e7, 0.005, 7)
+
+
+@pytest.mark.parametrize("record, change, message", [
+    (UncertainQuantity(1.0, 0.1), {"sigma": -0.1}, "sigma must be finite and >= 0"),
+    (MirrorState(0.99, 1e-4), {"r": 1.0}, r"amplitude reflectivity must be in \(0,1\)"),
+    (_noisy_trace(), {"times": np.arange(4000.0)[::-1]}, "strictly increasing"),
+    (fit_ringdown(_noisy_trace()), {"linewidth": UncertainQuantity(0.0, 1.0, "Hz")},
+     "fitted linewidth must be positive"),
+], ids=["UncertainQuantity", "MirrorState", "RingdownTrace", "RingdownFit"])
+def test_replace_runs_the_constructor_checks(record, change, message):
+    with pytest.raises(ParameterError, match=message):
+        type(record)(**{**record._asdict(), **change})
+    with pytest.raises(ParameterError, match=message):
+        record._replace(**change)
+
+
+def test_trace_length_is_its_sample_count():
+    trace = _noisy_trace()
+    assert len(trace) == trace.times.size == 4000
+    assert len(synthesize_trace(1.0, 5e3, 1e-4, 1e6)) == 100
 
 
 def test_identity_propagation():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from cavitycharge import BUDGET_DEFAULTS
@@ -87,7 +85,7 @@ def test_match_iff_within_declared_tolerance(rows):
 def test_report_is_deterministic():
     a = build_report()
     b = build_report()
-    assert [dataclasses.astuple(r) for r in a] == [dataclasses.astuple(r) for r in b]
+    assert [tuple(r) for r in a] == [tuple(r) for r in b]
     assert render_csv(a) == render_csv(b)
     assert render_text(a) == render_text(b)
 

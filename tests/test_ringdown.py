@@ -274,6 +274,9 @@ _LOADER_CASES = {
         _ROWS,
     ),
     "crlf": ("\r\n".join(["t,v", *_DATA]) + "\r\n", _ROWS),
+    # a UTF-8 byte-order mark, as some editors save it, is not part of a row
+    "byte_order_mark_header": ("\ufeff" + "\n".join(["t,v", *_DATA]) + "\n", _ROWS),
+    "byte_order_mark_headerless": ("\ufeff" + "\n".join(_DATA) + "\n", _ROWS),
     "padded_fields": (
         [" t , v ", *[f"  {t} ,\t{v}  " for t, v in _ROWS]],
         _ROWS,

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -224,8 +223,8 @@ def test_utf8_byte_order_mark_is_skipped(tmp_path):
 
 def _with(scn, section, **values):
     if section == "meta":
-        return dataclasses.replace(scn, **values)
-    return dataclasses.replace(scn, **{section: dataclasses.replace(getattr(scn, section), **values)})
+        return scn._replace(**values)
+    return scn._replace(**{section: getattr(scn, section)._replace(**values)})
 
 
 def test_serialize_writes_numpy_floats_as_floats():
