@@ -55,10 +55,7 @@ _EXPORTS = {
             "MirrorState", "excess_reflection_loss", "extinction_from_finesse",
             "r0_from_symmetric_finesse", "r1_from_asymmetric_finesse", "resonant_response",
         ),
-        "film_optics": (
-            "ComplexIndex", "DrudeModel", "drude_from_transport",
-            "drude_index", "lambda_cubed_ratio", "power_attenuation",
-        ),
+        "film_optics": ("drude_index",),
         "electrostatics": (
             "ChargeScenario", "disc_point_ratios", "expansion_coefficients", "field_at",
         ),

@@ -16,8 +16,9 @@ direct-illumination assumption pessimistic.
 photocurrent reads a scenario [illumination] section
 (scenario.IlluminationSection): power_w, wavelength_m, quantum_efficiency
 and, when set, photon_rate_per_s. film_resistance reads a [film] section
-(scenario.FilmSection): rho_ohm_m and thickness_m. The other functions
-take plain floats; the mirror distance is the [charges] key xq_m.
+(scenario.FilmSection): rho_ohm_m and thickness_m, the latter checked positive.
+The other functions take plain floats; the mirror distance is the [charges]
+key xq_m.
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ def photocurrent(illumination: IlluminationSection) -> Photocurrent:
 def film_resistance(film: FilmSection) -> float:
     """Film resistance in Ohm: the sheet resistance rho/h, since the round
     grounded film counts as one square."""
+    if not film.thickness_m > 0:
+        raise ParameterError(f"film thickness must be positive, got {film.thickness_m}")
     return film.rho_ohm_m / film.thickness_m
 
 

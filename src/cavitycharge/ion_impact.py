@@ -22,7 +22,7 @@ largest tolerable stray charge (q2 = 0 convention, charges in units of e).
 
 `trap` is a scenario [trap] section (scenario.TrapSection). Every function
 that takes it reads mass_amu, secular_hz and rf_hz, and raises
-ParameterError unless rf_hz > secular_hz and k_t is positive and finite;
+ParameterError unless 0 < secular_hz < rf_hz and k_t is positive and finite;
 max_charge_for_cooling also reads cooling_wavelength_m, and
 lamb_dicke_budget gate_wavelength_m. `gate` is a GateParams; the gate
 functions raise ParameterError unless its Rabi rate and threshold are
@@ -114,13 +114,13 @@ class GateDetuning(NamedTuple):
 def _trap(trap: TrapSection):
     """(m, omega_x, Omega_RF, k_t) of a [trap] section, in kg, rad/s and J/m^2.
 
-    Raises ParameterError unless the RF drive is above the secular
-    frequency and k_t = (1/2) m omega_x^2 is positive and finite.
+    Raises ParameterError unless 0 < secular frequency < RF drive and
+    k_t = (1/2) m omega_x^2 is positive and finite.
     """
-    if trap.rf_hz <= trap.secular_hz:
+    if not 0.0 < trap.secular_hz < trap.rf_hz:
         raise ParameterError(
             f"RF drive ({trap.rf_hz} Hz) must exceed the secular "
-            f"frequency ({trap.secular_hz} Hz)"
+            f"frequency ({trap.secular_hz} Hz), which must be positive"
         )
     mass_kg = trap.mass_amu * CODATA.amu
     omega_x = 2.0 * math.pi * trap.secular_hz

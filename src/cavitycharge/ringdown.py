@@ -149,10 +149,11 @@ def _seed_linewidth(v: np.ndarray, t_rel: np.ndarray) -> float:
     The floor is the median magnitude of the trailing tenth (at least 8 samples)."""
     floor = _median(np.abs(v[-max(8, v.size // 10):]))
     peak = float(np.max(v))
+    if peak <= 0:
+        raise ParameterError(f"the trace peak {peak!r} is not positive")
     if peak <= _PEAK_TO_NOISE_MIN * floor:
         raise ParameterError(
-            f"peak/noise = {peak / floor if floor else math.inf:.2f} is below "
-            f"the minimum of {_PEAK_TO_NOISE_MIN}"
+            f"peak/noise = {peak / floor:.2f} is below the minimum of {_PEAK_TO_NOISE_MIN}"
         )
     keep = v > _SEED_CLIP_FACTOR * floor
     if keep.sum() < 2:

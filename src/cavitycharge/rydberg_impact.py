@@ -18,7 +18,8 @@ blockade ratio is frequency-convention free.
 `rydberg` is a scenario [rydberg] section (scenario.RydbergSection): every
 function reads its polarizability `alpha`, and blockade_infidelity and
 max_charge_for_infidelity also its two-photon Rabi frequency `rabi_hz`
-(Omega_R/2pi), which they check positive.
+(Omega_R/2pi), which they check positive; the two charge inversions
+check alpha positive.
 
 stark_shift, decoherence_time and blockade_infidelity take a float or a
 NumPy array of fields (or shifts) and evaluate every element at once.
@@ -93,6 +94,8 @@ def max_charge_for_infidelity(
         )
     if rydberg.rabi_hz <= 0:
         raise ParameterError("inversion needs a positive Rabi frequency")
+    if not rydberg.alpha > 0:
+        raise ParameterError(f"polarizability must be positive, got {rydberg.alpha}")
     delta_hz = rydberg.rabi_hz * math.sqrt(2.0 * target_infidelity)
     field = math.sqrt(2.0 * delta_hz / rydberg.alpha)
     return ChargeFieldBudget(charge_for_field(field, x_q_m), field)
@@ -104,5 +107,7 @@ def charge_for_coherence_time(
     """Largest single charge compatible with a decoherence time tau_pi."""
     if tau_pi_s <= 0:
         raise ParameterError(f"tau_pi must be positive, got {tau_pi_s}")
+    if not rydberg.alpha > 0:
+        raise ParameterError(f"polarizability must be positive, got {rydberg.alpha}")
     field = 1.0 / math.sqrt(rydberg.alpha * tau_pi_s)
     return ChargeFieldBudget(charge_for_field(field, x_q_m), field)

@@ -154,22 +154,30 @@ def test_fit_ringdown_skips_trace_with_1e_300_s_sample_spacing(tmp_path, capsys)
     assert "Traceback" not in err and "no trace could be fitted" in err
 
 
+# case -> (trace CSV or None for a missing file, what the error says)
 _FAILING_TRACES = {
-    "short": "t,v\n0,1\n1,0.5\n",
-    "missing": None,
-    "repeated-times": "".join(f"{k // 2},{0.9**k!r}\n" for k in range(32)),
-    "unfittable": "".join(f"{k},1.0\n" for k in range(32)),  # peak/noise = 1
+    "short": ("t,v\n0,1\n1,0.5\n", "2 samples, need at least 16"),
+    "missing": (None, "No such file or directory"),
+    "repeated-times": ("".join(f"{k // 2},{0.9**k!r}\n" for k in range(32)),
+                       "timestamps must be strictly increasing"),
+    "unfittable": ("".join(f"{k},1.0\n" for k in range(32)),
+                   "peak/noise = 1.00 is below the minimum of 5.0"),
+    "all-zero": ("".join(f"{k},0.0\n" for k in range(32)), "the trace peak 0.0 is not positive"),
+    "all-negative": ("".join(f"{k},{-math.exp(-k / 8.0)!r}\n" for k in range(32)),
+                     "is not positive"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_FAILING_TRACES))
 def test_fit_ringdown_names_a_failing_trace_once(tmp_path, capsys, case):
+    text, message = _FAILING_TRACES[case]
     path = tmp_path / f"{case}-trace.csv"
-    if _FAILING_TRACES[case] is not None:
-        path.write_text(_FAILING_TRACES[case])
+    if text is not None:
+        path.write_text(text)
     assert main(["fit-ringdown", "--fsr-hz", "7.410e9", str(path)]) == 2
     first = capsys.readouterr().err.splitlines()[0]
     assert first.startswith("fit-ringdown: ") and first.count(str(path)) == 1, first
+    assert message in first, first
 
 
 def test_fit_ringdown_requires_exactly_one_fsr_source(tmp_path, capsys):

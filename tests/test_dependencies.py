@@ -20,15 +20,16 @@ from cavitycharge.quantities import CODATA
 # multi-trace ring-down fit, the configs that repeated the scenario sections
 # (TrapConfig, RydbergConfig, FilmSample, IlluminationScenario, TransportSample)
 # and the functions only tests called (finesse_from_reflectivities,
-# sheet_pair_field, potential_exact, potential_quadratic)
+# sheet_pair_field, potential_exact, potential_quadratic) and the film optics
+# that no command, report row or demo reached (ComplexIndex, DrudeModel,
+# drude_from_transport, lambda_cubed_ratio, power_attenuation)
 OLD_EXPORTS = {
     "quantities": "CODATA Constants UncertainQuantity propagate_linear propagate_monte_carlo",
     "ringdown": "RingdownFit RingdownTrace finesse fit_ringdown fsr_from_length "
                 "load_trace_csv pool_linewidths synthesize_trace",
     "cavity_optics": "MirrorState excess_reflection_loss extinction_from_finesse "
                      "r0_from_symmetric_finesse r1_from_asymmetric_finesse resonant_response",
-    "film_optics": "ComplexIndex DrudeModel drude_from_transport drude_index "
-                   "lambda_cubed_ratio power_attenuation",
+    "film_optics": "drude_index",
     "electrostatics": "ChargeScenario disc_point_ratios expansion_coefficients field_at",
     "ion_impact": "GateParams bessel_j0 carrier_intensity_factor equilibrium_position "
                   "gate_detuning_verdict lamb_dicke_budget max_charge_for_cooling "
@@ -83,7 +84,7 @@ def test_lazy_namespace_keeps_the_old_surface():
     star = {}
     exec("from cavitycharge import *", star)
     names = [(m, n) for m, listed in OLD_EXPORTS.items() for n in listed.split()]
-    assert len(names) == 53
+    assert len(names) == 48
     for module_name, name in names:
         assert name in cavitycharge.__all__ and name in dir(cavitycharge)
         defined = getattr(getattr(cavitycharge, module_name), name)
@@ -113,6 +114,15 @@ def test_package_import_loads_no_submodule_and_resolves_each_on_access():
     assert same
 
 
+def test_every_name_in_a_submodule_all_resolves():
+    modules = [getattr(cavitycharge, m) for m in SUBMODULES]
+    unresolved = [
+        f"{mod.__name__}.{name}"
+        for mod in modules for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)
+    ]
+    assert unresolved == []
+
+
 def _loaded_by(argv, cwd=None) -> tuple[int, list[str]]:
     """Exit code and every module loaded by one `toolkit` command."""
     probe = (
@@ -135,6 +145,13 @@ def test_fit_ringdown_loads_only_cli_errors_quantities_and_ringdown():
     assert "numpy.ma" not in mods  # np.median's NaN check imports it
 
 
+# the cavitycharge submodules `reproduce-paper` loads: every one but film_optics
+REPRODUCE_PAPER_PATH = {
+    "budgets", "cavity_optics", "charging", "cli", "electrostatics", "errors", "ion_impact",
+    "quantities", "reports", "ringdown", "rydberg_impact", "scenario",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["budget", "--scenario", "paper_yb.scenario", "--target", "gate", "--out", "sweep.csv"],
     ["reproduce-paper"],
@@ -147,7 +164,8 @@ def test_budget_and_reproduce_paper_load_no_film_optics(argv, tmp_path):
         assert "cavitycharge.budgets" in mods
         assert not {"cavitycharge.reports", "cavitycharge.cavity_optics", "json"} & set(mods)
     else:
-        assert "cavitycharge.reports" in mods
+        loaded = {m.split(".", 1)[1] for m in mods if m.startswith("cavitycharge.")}
+        assert loaded == REPRODUCE_PAPER_PATH
 
 
 def test_scenario_loads_no_physics_module():

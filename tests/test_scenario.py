@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavitycharge import budgets, reports
-from cavitycharge.errors import SchemaError
+from cavitycharge import budgets, charging, ion_impact, reports, rydberg_impact
+from cavitycharge.electrostatics import ChargeScenario
+from cavitycharge.errors import ParameterError, SchemaError
 from cavitycharge.reports import bundled_scenario_text
 from cavitycharge.scenario import (
     _KEYS,
     _SECTIONS,
+    FilmSection,
+    RydbergSection,
     Scenario,
+    TrapSection,
     load_scenario,
     parse_scenario,
     serialize_scenario,
@@ -337,3 +341,23 @@ def test_serialize_refuses_any_undeclared_value_by_key(section_key, data):
     scn = _with(parse_scenario(bundled_scenario_text()), section, **{key: bad})
     with pytest.raises(SchemaError, match=rf"'{key}' in \[{section}\]"):
         serialize_scenario(scn)
+
+
+_NEGATIVE_SECULAR = TrapSection(171.0, -5e5, 30e6, 369e-9, 355e-9, 1650e-9)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ion_impact.zero_point_spread(_NEGATIVE_SECULAR),
+    lambda: ion_impact.equilibrium_position(_NEGATIVE_SECULAR, ChargeScenario(54.0, 0.0, 2e-4)),
+    lambda: rydberg_impact.charge_for_coherence_time(RydbergSection(-1.0, 1e6), 5e-6, 2e-4),
+    lambda: rydberg_impact.charge_for_coherence_time(RydbergSection(0.0, 1e6), 5e-6, 2e-4),
+    lambda: rydberg_impact.max_charge_for_infidelity(RydbergSection(-1.0, 1e6), 0.01, 2e-4),
+    lambda: rydberg_impact.max_charge_for_infidelity(RydbergSection(0.0, 1e6), 0.01, 2e-4),
+    lambda: charging.film_resistance(FilmSection(1e-4, 0.0, 1e-3, 1e-13)),
+], ids=["zero-point-negative-secular", "equilibrium-negative-secular",
+        "coherence-negative-alpha", "coherence-zero-alpha", "infidelity-negative-alpha",
+        "infidelity-zero-alpha", "zero-film-thickness"])
+def test_a_section_built_in_python_out_of_range_raises_parameter_error(call):
+    # parse_scenario's range rules do not run on a section built directly
+    with pytest.raises(ParameterError):
+        call()
