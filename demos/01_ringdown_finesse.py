@@ -17,7 +17,7 @@ from cavitycharge import (
 )
 
 TRUE_LINEWIDTH = 523e3               # Hz, ground truth for the synthetic traces
-FSR = UncertainQuantity(7.410e9, 0.013e9, "Hz")
+FSR = UncertainQuantity(7.410e9, 0.013e9)
 
 tau = 1.0 / (2.0 * math.pi * TRUE_LINEWIDTH)
 print(f"decay time constant tau = {tau * 1e9:.1f} ns")

@@ -15,7 +15,7 @@ from cavitycharge import (
 )
 
 F00 = UncertainQuantity(23340, 60)        # both mirrors bare
-THICKNESS = UncertainQuantity(30e-9, 2e-9, "m")
+THICKNESS = UncertainQuantity(30e-9, 2e-9)
 WAVELENGTH = 1650e-9
 
 r0 = r0_from_symmetric_finesse(F00)

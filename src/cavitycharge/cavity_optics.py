@@ -53,7 +53,7 @@ class NegativeExtinctionWarning(UserWarning):
     """The modified cavity has higher finesse; extracted kappa is negative."""
 
 
-_Mirror = NamedTuple("_Mirror", [("r", float), ("T", float), ("label", str)])
+_Mirror = NamedTuple("_Mirror", [("r", float), ("T", float)])
 
 
 class MirrorState(CheckedRecord, _Mirror):
@@ -61,14 +61,14 @@ class MirrorState(CheckedRecord, _Mirror):
 
     __slots__ = ()
 
-    def __new__(cls, r: float, T: float, label: str = "custom"):
+    def __new__(cls, r: float, T: float):
         if not 0.0 < r < 1.0:
             raise ParameterError(f"amplitude reflectivity must be in (0,1), got {r}")
         if not 0.0 <= T <= 1.0 - r**2:
             raise ParameterError(
                 f"transmission {T} exceeds the power budget 1-r^2 = {1 - r ** 2:.3e}"
             )
-        return super().__new__(cls, r, T, label)
+        return super().__new__(cls, r, T)
 
     @property
     def loss(self) -> float:
@@ -139,7 +139,7 @@ def extinction_from_finesse(
     """
     q00 = as_quantity(f00)
     q01 = as_quantity(f01)
-    h = as_quantity(thickness, "m")
+    h = as_quantity(thickness)
     if q00.value <= 0 or q01.value <= 0:
         raise ParameterError("finesse values must be positive")
     if h.value <= 0:

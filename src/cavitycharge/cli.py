@@ -56,7 +56,7 @@ def _cmd_fit_ringdown(args) -> int:
         print("fit-ringdown: provide exactly one of --fsr-hz or --length-m", file=sys.stderr)
         return EXIT_INPUT
     fsr_value = args.fsr_hz if args.fsr_hz is not None else fsr_from_length(args.length_m)
-    fsr = UncertainQuantity(fsr_value, args.fsr_sigma_hz, "Hz")
+    fsr = UncertainQuantity(fsr_value, args.fsr_sigma_hz)
 
     fits = []
     csv_lines = ["trace,linewidth_hz,sigma_hz,v0"]

@@ -11,7 +11,7 @@ Restricted to |x| < x_Q and expanded to second order,
     A = (Q2 - Q1)/x_Q^2,  B = (Q1 + Q2)/x_Q^3,  C = (Q1 + Q2)/x_Q
 
 and the axial field is E(x) = -(1/q) dU/dx = -(A + 2 B x)/(4 pi eps0).
-The constant C never enters an observable; it is carried for completeness.
+The constant C never enters an observable, so it is not computed.
 
 A companion model gauges how literally the point-charge picture should be
 taken: a uniformly charged finite disc of radius r, whose on-axis
@@ -62,12 +62,11 @@ class ChargeScenario(NamedTuple):
 
 
 class ExpansionCoefficients(NamedTuple):
-    """Second-order expansion U = s_q (A x + B x^2 + C), SI units."""
+    """A and B of the second-order expansion U = s_q (A x + B x^2 + C), SI units."""
 
-    A: float        # C/m^2
-    B: float        # C/m^3
-    C_const: float  # C/m
-    s_q: float      # q/(4 pi eps0), V*m
+    A: float    # C/m^2
+    B: float    # C/m^3
+    s_q: float  # q/(4 pi eps0), V*m
     x_q_m: float
 
 
@@ -79,7 +78,6 @@ def expansion_coefficients(s: ChargeScenario) -> ExpansionCoefficients:
     return ExpansionCoefficients(
         A=(q2 - q1) / s.x_q_m**2,
         B=(q1 + q2) / s.x_q_m**3,
-        C_const=(q1 + q2) / s.x_q_m,
         s_q=CODATA.e * CODATA.k_e,
         x_q_m=s.x_q_m,
     )

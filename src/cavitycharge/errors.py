@@ -14,10 +14,6 @@ class ParameterError(ToolkitError, ValueError):
     """An argument violates a precondition (sign, range, shape)."""
 
 
-class DimensionError(ToolkitError, ValueError):
-    """Arithmetic attempted between dimensionally incompatible quantities."""
-
-
 class DomainError(ToolkitError, ValueError):
     """An input is outside the mathematical domain of the operation."""
 

@@ -24,9 +24,9 @@ largest tolerable stray charge (q2 = 0 convention, charges in units of e).
 that takes it reads mass_amu, secular_hz and rf_hz, and raises
 ParameterError unless 0 < secular_hz < rf_hz and k_t is positive and finite;
 max_charge_for_cooling also reads cooling_wavelength_m, and
-lamb_dicke_budget gate_wavelength_m. `gate` is a GateParams; the gate
-functions raise ParameterError unless its Rabi rate and threshold are
-positive.
+lamb_dicke_budget gate_wavelength_m, which it checks positive. `gate` is a
+GateParams; the gate functions raise ParameterError unless its Rabi rate
+and threshold are positive.
 
 The forward chain (equilibrium_position, shifted_frequency,
 micromotion_amplitude, micromotion_of_single_charge, bessel_j0,
@@ -316,7 +316,11 @@ def micromotion_of_single_charge(trap: TrapSection, x_q_m: float, q1_e: float) -
     return math.sqrt(2.0) * (omega_t / omega_rf) * x_t + 0.0
 
 
-def _bisect_increasing(f, target: float, lo: float, hi: float, rtol: float = 1e-6):
+#: Relative tolerance on q of every bisection.
+_BISECT_RTOL = 1e-6
+
+
+def _bisect_increasing(f, target: float, lo: float, hi: float):
     """Solve f(q) = target for increasing f on [lo, hi]."""
     f_lo, f_hi = f(lo), f(hi)
     if target <= f_lo:
@@ -332,7 +336,7 @@ def _bisect_increasing(f, target: float, lo: float, hi: float, rtol: float = 1e-
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rtol * max(abs(hi), 1e-30):
+        if hi - lo <= _BISECT_RTOL * max(abs(hi), 1e-30):
             break
     return 0.5 * (lo + hi)
 
@@ -379,6 +383,10 @@ def lamb_dicke_budget(
 ) -> LambDickeBudget:
     """Charge budget from the gate-laser phase-modulation cap k x_um < limit."""
     _trap(trap)  # the trap's checks come before the option's
+    if not trap.gate_wavelength_m > 0:
+        raise ParameterError(
+            f"gate wavelength must be positive, got {trap.gate_wavelength_m}"
+        )
     if modulation_limit <= 0:
         raise ParameterError("modulation limit must be positive")
     x_um_max = modulation_limit * trap.gate_wavelength_m / (2.0 * math.pi)

@@ -1,9 +1,8 @@
-"""Dimensioned values with one-sigma uncertainties and propagation engines.
+"""Values with one-sigma uncertainties and propagation engines.
 
 All measured inputs in this package are carried as an
-:class:`UncertainQuantity`: a central value, a symmetric one-standard-
-deviation uncertainty, and a coarse dimension tag. Two propagation engines
-are provided:
+:class:`UncertainQuantity`: a central value and a symmetric one-standard-
+deviation uncertainty. Two propagation engines are provided:
 
 * :func:`propagate_linear` -- first-order (delta-method) propagation with
   central finite-difference derivatives,
@@ -13,8 +12,7 @@ are provided:
 
 Uncertainties are treated as symmetric Gaussian one-sigma throughout;
 inputs are assumed uncorrelated. A quantity does no arithmetic of its own:
-derived values come from the propagation engines, and the dimension tag is
-a label checked against DIMENSIONS, not a unit algebra.
+derived values come from the propagation engines.
 
 :func:`finite_evaluation` is the finite-output gate of the report and
 budget chains: every value they return is finite, and numerics that
@@ -29,11 +27,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, EvaluationError, ParameterError, ToolkitError
+from .errors import EvaluationError, ParameterError, ToolkitError
 
 __all__ = [
-    "DIMENSIONS",
-    "DIMENSIONLESS",
     "UncertainQuantity",
     "Constants",
     "CODATA",
@@ -42,27 +38,6 @@ __all__ = [
     "propagate_linear",
     "propagate_monte_carlo",
 ]
-
-DIMENSIONLESS = "dimensionless"
-
-#: Allowed dimension tags. "e" counts elementary charges, "C" coulombs.
-DIMENSIONS = frozenset(
-    {
-        "Hz",
-        "m",
-        "s",
-        "e",
-        "C",
-        "V/m",
-        "J",
-        "Ohm",
-        "Ohm*m",
-        "F",
-        "W",
-        "eV",
-        DIMENSIONLESS,
-    }
-)
 
 
 class CheckedRecord:
@@ -75,37 +50,31 @@ class CheckedRecord:
         return cls(*iterable)
 
 
-_Quantity = NamedTuple("_Quantity", [("value", float), ("sigma", float), ("dimension", str)])
+_Quantity = NamedTuple("_Quantity", [("value", float), ("sigma", float)])
 
 
 class UncertainQuantity(CheckedRecord, _Quantity):
-    """A value with a symmetric one-sigma uncertainty and a dimension tag."""
+    """A value with a symmetric one-sigma uncertainty."""
 
     __slots__ = ()
 
-    def __new__(cls, value: float, sigma: float = 0.0, dimension: str = DIMENSIONLESS):
+    def __new__(cls, value: float, sigma: float = 0.0):
         value, sigma = float(value), float(sigma)
         if not math.isfinite(value):
             raise ParameterError(f"value must be finite, got {value}")
         if not math.isfinite(sigma) or sigma < 0:
             raise ParameterError(f"sigma must be finite and >= 0, got {sigma}")
-        if dimension not in DIMENSIONS:
-            raise DimensionError(
-                f"unknown dimension tag {dimension!r}; expected one of "
-                f"{sorted(DIMENSIONS)}"
-            )
-        return super().__new__(cls, value, sigma, dimension)
+        return super().__new__(cls, value, sigma)
 
     def __str__(self) -> str:
-        unit = "" if self.dimension == DIMENSIONLESS else f" {self.dimension}"
-        return f"{self.value:g} +/- {self.sigma:g}{unit}"
+        return f"{self.value:g} +/- {self.sigma:g}"
 
 
-def as_quantity(x, dimension: str = DIMENSIONLESS) -> UncertainQuantity:
+def as_quantity(x) -> UncertainQuantity:
     """Coerce a bare number into an exact UncertainQuantity."""
     if isinstance(x, UncertainQuantity):
         return x
-    return UncertainQuantity(float(x), 0.0, dimension)
+    return UncertainQuantity(float(x), 0.0)
 
 
 # shared with the derived fields hbar and k_e
@@ -194,7 +163,6 @@ def _require_finite(name: str, value):
 def propagate_linear(
     f: Callable[..., float],
     inputs: Sequence[UncertainQuantity],
-    dimension: str = DIMENSIONLESS,
 ) -> UncertainQuantity:
     """First-order uncertainty propagation through a scalar function.
 
@@ -218,7 +186,7 @@ def propagate_linear(
             - _check_finite(f(*lo), "propagate_linear stencil")
         ) / (2.0 * step)
         var += (deriv * q.sigma) ** 2
-    return UncertainQuantity(y0, math.sqrt(var), dimension)
+    return UncertainQuantity(y0, math.sqrt(var))
 
 
 class _NormalsInfo(NamedTuple):
@@ -279,7 +247,6 @@ def propagate_monte_carlo(
     inputs: Sequence[UncertainQuantity],
     sample_count: int = 100_000,
     seed: int = 0,
-    dimension: str = DIMENSIONLESS,
 ) -> UncertainQuantity:
     """Monte-Carlo uncertainty propagation with an explicit seed.
 
@@ -335,4 +302,4 @@ def propagate_monte_carlo(
         samples = samples[finite]
     # sample_count >= MIN_MC_SAMPLES and at most 1% discarded: never fewer than 2
     sigma = float(np.std(samples, ddof=1))
-    return UncertainQuantity(float(np.mean(samples)), sigma, dimension)
+    return UncertainQuantity(float(np.mean(samples)), sigma)

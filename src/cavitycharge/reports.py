@@ -201,20 +201,20 @@ def _f00(scn: Scenario) -> UncertainQuantity:
 def _fsr(scn: Scenario) -> UncertainQuantity:
     c = scn._require("cavity")
     if c.fsr_hz is not None:
-        return UncertainQuantity(c.fsr_hz, c.fsr_sigma_hz, "Hz")
-    return UncertainQuantity(fsr_from_length(c.length_m), 0.0, "Hz")
+        return UncertainQuantity(c.fsr_hz, c.fsr_sigma_hz)
+    return UncertainQuantity(fsr_from_length(c.length_m), 0.0)
 
 
 def _film_thickness(scn: Scenario) -> UncertainQuantity:
     c = scn._require("cavity")
-    return UncertainQuantity(c.film_thickness_m, c.film_thickness_sigma_m, "m")
+    return UncertainQuantity(c.film_thickness_m, c.film_thickness_sigma_m)
 
 
 def _linewidth(scn: Scenario) -> UncertainQuantity:
     c = scn._require("cavity")
     if c.linewidth_hz is None:
         raise SchemaError(f"scenario {scn.name!r} is missing key 'linewidth_hz' in [cavity]")
-    return UncertainQuantity(c.linewidth_hz, c.linewidth_sigma_hz, "Hz")
+    return UncertainQuantity(c.linewidth_hz, c.linewidth_sigma_hz)
 
 
 def _finesse(scn: Scenario, seed: int) -> UncertainQuantity:
@@ -238,7 +238,7 @@ def _kappa(scn: Scenario, seed: int, f01: float, f01_sigma: float) -> UncertainQ
 
 def _resonant_transmission(scn: Scenario, seed: int, vendor_transmission: float) -> float:
     r0 = cavity_optics.r0_from_symmetric_finesse(_f00(scn)).value
-    mirror = cavity_optics.MirrorState(r0, vendor_transmission, label="M0")
+    mirror = cavity_optics.MirrorState(r0, vendor_transmission)
     return cavity_optics.resonant_response(mirror, mirror)["transmission"]
 
 

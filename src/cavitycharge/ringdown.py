@@ -262,7 +262,7 @@ def fit_ringdown(trace: RingdownTrace) -> RingdownFit:
         )
     return RingdownFit(
         UncertainQuantity(float(v0), float(sig)),
-        UncertainQuantity(lw, math.sqrt(max(cov[0, 0], 0.0)), "Hz"),
+        UncertainQuantity(lw, math.sqrt(max(cov[0, 0], 0.0))),
         math.sqrt(ssr / x.size),
         iterations,
     )
@@ -276,19 +276,18 @@ def pool_linewidths(fits: Sequence[RingdownFit]) -> UncertainQuantity:
     sigmas = np.array([f.linewidth.sigma for f in fits])
     if np.any(sigmas <= 0):
         # degenerate (noise-free) fits: plain mean, no meaningful weighting
-        return UncertainQuantity(float(np.mean(values)), 0.0, "Hz")
+        return UncertainQuantity(float(np.mean(values)), 0.0)
     w = 1.0 / sigmas**2
     return UncertainQuantity(
         float(np.sum(w * values) / np.sum(w)),
         float(1.0 / math.sqrt(np.sum(w))),
-        "Hz",
     )
 
 
 def finesse(linewidth, fsr) -> UncertainQuantity:
     """Finesse = FSR / linewidth with linear uncertainty propagation."""
-    lw = as_quantity(linewidth, "Hz")
-    nu = as_quantity(fsr, "Hz")
+    lw = as_quantity(linewidth)
+    nu = as_quantity(fsr)
     if lw.value <= 0:
         raise ParameterError(f"linewidth must be positive, got {lw.value}")
     if nu.value <= 0:

@@ -48,8 +48,6 @@ _LINE = (lambda v: v == v.strip() and len(v.splitlines()) < 2, "one line without
 class CavitySection(NamedTuple):
     f00: Annotated[float, _POS]
     f00_sigma: Annotated[float, _NONNEG]
-    f01: Annotated[float, _POS]
-    f01_sigma: Annotated[float, _NONNEG]
     film_thickness_m: Annotated[float, _POS]
     film_thickness_sigma_m: Annotated[float, _NONNEG]
     wavelength_m: Annotated[float, _POS]
@@ -68,7 +66,6 @@ class TrapSection(NamedTuple):
     gate_wavelength_m: Annotated[float, _POS]
     cavity_wavelength_m: Annotated[float, _POS]
     gate_rabi_hz: Annotated[Optional[float], _POS] = None
-    gate_occupation: Annotated[int, _NONNEG] = 50
 
 
 class ChargesSection(NamedTuple):

@@ -129,7 +129,7 @@ def test_extinction_values_match_table():
         "annealed_69d": (6.7e-5, 1.1e-5),
         "annealed_128d": (3.2e-5, 0.4e-5),
     }
-    h = UncertainQuantity(THICKNESS, 2e-9, "m")
+    h = UncertainQuantity(THICKNESS, 2e-9)
     for key, (ref, ref_sigma) in printed.items():
         f01, f01_sigma = FINESSE_TABLE[key]
         kappa = extinction_from_finesse(
@@ -147,7 +147,7 @@ def test_extinction_documented_outlier():
     kappa = extinction_from_finesse(
         UncertainQuantity(F00, 60.0),
         UncertainQuantity(f01, f01_sigma),
-        UncertainQuantity(THICKNESS, 2e-9, "m"),
+        UncertainQuantity(THICKNESS, 2e-9),
         WAVELENGTH,
     )
     assert kappa.value == pytest.approx(1.053e-4, rel=2e-3)
@@ -160,7 +160,7 @@ def test_extinction_uncertainty_scale():
     kappa = extinction_from_finesse(
         UncertainQuantity(F00, 60.0),
         UncertainQuantity(14160.0, 250.0),
-        UncertainQuantity(THICKNESS, 2e-9, "m"),
+        UncertainQuantity(THICKNESS, 2e-9),
         WAVELENGTH,
         seed=0,
     )
@@ -170,7 +170,7 @@ def test_extinction_uncertainty_scale():
 def test_extinction_monte_carlo_vs_linear_sigma():
     f00 = UncertainQuantity(F00, 60.0)
     f01 = UncertainQuantity(14160.0, 250.0)
-    h = UncertainQuantity(THICKNESS, 2e-9, "m")
+    h = UncertainQuantity(THICKNESS, 2e-9)
     mc = extinction_from_finesse(f00, f01, h, WAVELENGTH, seed=1)
 
     def chain(a, b, hh):
@@ -187,7 +187,7 @@ def test_extinction_sigma_is_the_std_of_direct_draws():
     inputs = (
         UncertainQuantity(F00, 60.0),
         UncertainQuantity(14160.0, 250.0),
-        UncertainQuantity(THICKNESS, 2e-9, "m"),
+        UncertainQuantity(THICKNESS, 2e-9),
     )
     rng = np.random.default_rng(5)
     f00, f01, h = (rng.normal(q.value, q.sigma, 20_000) for q in inputs)
@@ -209,7 +209,7 @@ def test_extinction_non_physical_draws_fall_under_the_one_percent_policy():
         extinction_from_finesse(
             UncertainQuantity(F00, 60.0),
             UncertainQuantity(500.0, 250.0),
-            UncertainQuantity(THICKNESS, 2e-9, "m"),
+            UncertainQuantity(THICKNESS, 2e-9),
             WAVELENGTH,
             mc_samples=10_000,
         )
@@ -226,7 +226,7 @@ def test_extinction_no_excess_loss_is_zero():
     kappa = extinction_from_finesse(
         UncertainQuantity(F00, 0.0),
         UncertainQuantity(F00, 0.0),
-        UncertainQuantity(THICKNESS, 0.0, "m"),
+        UncertainQuantity(THICKNESS, 0.0),
         WAVELENGTH,
         mc_samples=1000,
     )
@@ -238,7 +238,7 @@ def test_extinction_negative_with_warning_when_finesse_improves():
         kappa = extinction_from_finesse(
             UncertainQuantity(F00, 0.0),
             UncertainQuantity(F00 * 1.05, 0.0),
-            UncertainQuantity(THICKNESS, 0.0, "m"),
+            UncertainQuantity(THICKNESS, 0.0),
             WAVELENGTH,
             mc_samples=1000,
         )
@@ -249,7 +249,7 @@ def exact_kappa(f00, f01):
     return extinction_from_finesse(
         UncertainQuantity(f00, 0.0),
         UncertainQuantity(f01, 0.0),
-        UncertainQuantity(THICKNESS, 0.0, "m"),
+        UncertainQuantity(THICKNESS, 0.0),
         WAVELENGTH,
         mc_samples=1000,
     ).value
@@ -284,7 +284,7 @@ def test_extinction_strictly_decreasing_in_f01():
         extinction_from_finesse(
             UncertainQuantity(F00, 0.0),
             UncertainQuantity(f, 0.0),
-            UncertainQuantity(THICKNESS, 0.0, "m"),
+            UncertainQuantity(THICKNESS, 0.0),
             WAVELENGTH,
             mc_samples=1000,
         ).value
@@ -315,7 +315,7 @@ def test_impedance_matched_cavity_transmits_fully():
 
 def test_vendor_transmission_case():
     r0 = r0_from_symmetric_finesse(F00).value
-    m = MirrorState(r0, 1.18e-4, label="M0")
+    m = MirrorState(r0, 1.18e-4)
     out = resonant_response(m, m)
     # all of 1-r^2 minus the vendor T is loss; T_c = (T/(T+L))^2
     expected = (1.18e-4 / (1.0 - r0**2)) ** 2
@@ -335,5 +335,5 @@ def test_mirror_state_validation():
         MirrorState(1.5, 0.0)
     with pytest.raises(ParameterError):
         MirrorState(0.9, 0.5)  # T above the 1-r^2 budget
-    m = MirrorState(0.9, 0.1, label="M0")
+    m = MirrorState(0.9, 0.1)
     assert m.loss == pytest.approx(1.0 - 0.81 - 0.1, rel=1e-12)

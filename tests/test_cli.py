@@ -38,7 +38,7 @@ def test_fit_ringdown_matches_library_oracle(tmp_path, capsys):
     # oracle: run the fitting chain directly on the same files
     fits = [fit_ringdown(load_trace_csv(p)) for p in paths]
     pooled = pool_linewidths(fits)
-    expected = finesse(pooled, UncertainQuantity(7.410e9, 0.013e9, "Hz"))
+    expected = finesse(pooled, UncertainQuantity(7.410e9, 0.013e9))
     assert f"# finesse = {expected.value!r}" in stdout
     assert 13600.0 < expected.value < 14700.0  # reproduces ~14168 +/- 245
     assert 200.0 < expected.sigma < 300.0

@@ -187,6 +187,26 @@ def test_commands_load_no_dataclasses(argv, tmp_path):
     assert "dataclasses" not in mods
 
 
+def test_every_scenario_key_is_read():
+    # read means read as an attribute outside the schema machinery, which
+    # touches every key: in another package module, in one of Scenario's
+    # accessors, in a demo or in the benchmark
+    from cavitycharge.scenario import _KEYS
+
+    repo = Path(__file__).resolve().parent.parent
+    package = repo / "src" / "cavitycharge"
+    read = set()
+    for path in [*package.glob("*.py"), *repo.glob("demos/*.py"), *repo.glob("perfbench/*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "scenario.py" and path.parent == package:
+            tree = next(node for node in tree.body
+                        if isinstance(node, ast.ClassDef) and node.name == "Scenario")
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unread = [f"[{section}] {key}" for section, keys in _KEYS.items()
+              for key in keys if key not in read]
+    assert unread == []
+
+
 def test_no_module_imports_dataclasses():
     package = Path(cavitycharge.__file__).resolve().parent
     for path in sorted(package.glob("*.py")):

@@ -35,17 +35,19 @@ def potential_exact(s, x_m):
     return s_q * (q1 / abs(x_m + s.x_q_m) + q2 / abs(x_m - s.x_q_m))
 
 
-def potential_quadratic(coeffs, x_m):
-    """Second-order interaction energy s_q (A x + B x^2 + C), in J."""
-    _check_domain(x_m, coeffs.x_q_m)
-    return coeffs.s_q * (coeffs.A * x_m + coeffs.B * x_m**2 + coeffs.C_const)
+def potential_quadratic(s, x_m):
+    """Second-order interaction energy s_q (A x + B x^2 + C), in J, with
+    C = (Q1 + Q2)/x_Q, which expansion_coefficients does not compute."""
+    coeffs = expansion_coefficients(s)
+    _check_domain(x_m, s.x_q_m)
+    c_const = (s.q1_e * CODATA.e + s.q2_e * CODATA.e) / s.x_q_m
+    return coeffs.s_q * (coeffs.A * x_m + coeffs.B * x_m**2 + c_const)
 
 
 def test_coefficients_symmetric_pair():
     c = expansion_coefficients(ChargeScenario(7.0, 7.0, X_Q))
     assert c.A == 0.0
     assert c.B == pytest.approx(2 * 7 * sc.e / X_Q**3, rel=1e-12)
-    assert c.C_const == pytest.approx(2 * 7 * sc.e / X_Q, rel=1e-12)
 
 
 def test_coefficients_single_charge():
@@ -56,7 +58,7 @@ def test_coefficients_single_charge():
 
 def test_coefficients_zero_charges():
     c = expansion_coefficients(ChargeScenario(0.0, 0.0, X_Q))
-    assert (c.A, c.B, c.C_const) == (0.0, 0.0, 0.0)
+    assert (c.A, c.B) == (0.0, 0.0)
 
 
 def test_coefficient_sign_invariants():
@@ -66,7 +68,6 @@ def test_coefficient_sign_invariants():
         c = expansion_coefficients(ChargeScenario(q1, q2, X_Q))
         assert math.copysign(1, c.A) == math.copysign(1, q2 - q1) or c.A == 0
         assert math.copysign(1, c.B) == math.copysign(1, q1 + q2) or c.B == 0
-        assert math.copysign(1, c.C_const) == math.copysign(1, q1 + q2) or c.C_const == 0
 
 
 def test_exact_potential_at_origin():
@@ -91,23 +92,22 @@ def test_domain_restriction():
     with pytest.raises(DomainError):
         field_at(s, -1.5 * X_Q)
     with pytest.raises(DomainError):
-        potential_quadratic(expansion_coefficients(s), X_Q)
+        potential_quadratic(s, X_Q)
 
 
 def test_quadratic_expansion_remainder_is_cubic():
     s = ChargeScenario(37.0, -12.0, X_Q)
-    coeffs = expansion_coefficients(s)
     xs = X_Q * np.array([0.02, 0.04, 0.06, 0.08, 0.10])
     ratios = []
     for x in xs:
-        diff = potential_exact(s, x) - potential_quadratic(coeffs, x)
+        diff = potential_exact(s, x) - potential_quadratic(s, x)
         ratios.append(abs(diff) / x**3)
     ratios = np.array(ratios)
     # bounded third-order coefficient: no blow-up as x -> 0
     assert ratios.max() < 3.0 * np.median(ratios)
     k_bound = 1.5 * ratios[-1]
     for x in xs:
-        diff = potential_exact(s, x) - potential_quadratic(coeffs, x)
+        diff = potential_exact(s, x) - potential_quadratic(s, x)
         assert abs(diff) <= k_bound * x**3
 
 
@@ -127,7 +127,7 @@ def test_field_matches_quadratic_potential_gradient():
     for x in np.linspace(-0.5 * X_Q, 0.5 * X_Q, 11):
         step = 1e-6 * X_Q
         grad = (
-            potential_quadratic(coeffs, x + step) - potential_quadratic(coeffs, x - step)
+            potential_quadratic(s, x + step) - potential_quadratic(s, x - step)
         ) / (2 * step)
         fd_field = -grad / sc.e  # unit test charge
         assert field_at(s, x) == pytest.approx(fd_field, rel=1e-6)

@@ -13,6 +13,7 @@ from cavitycharge.scenario import (
     _KEYS,
     _SECTIONS,
     FilmSection,
+    IlluminationSection,
     RydbergSection,
     Scenario,
     TrapSection,
@@ -87,6 +88,12 @@ def test_unknown_section_rejected():
 def test_unknown_key_rejected():
     with pytest.raises(SchemaError, match=r"unknown key 'q3_e'"):
         parse_scenario(MINIMAL + "q3_e = 1.0\n")
+    for section, line in [("cavity", "f01 = 14160.0"), ("cavity", "f01_sigma = 250.0"),
+                          ("trap", "gate_occupation = 50")]:
+        text = bundled_scenario_text().replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(SchemaError, match=rf"unknown key '{key}' in \[{section}\]"):
+            parse_scenario(text)
 
 
 def test_duplicate_key_rejected():
@@ -148,8 +155,6 @@ def test_cavity_needs_fsr_or_length():
 [cavity]
 f00 = 23340.0
 f00_sigma = 60.0
-f01 = 14160.0
-f01_sigma = 250.0
 film_thickness_m = 3e-08
 film_thickness_sigma_m = 2e-09
 wavelength_m = 1.65e-06
@@ -245,7 +250,7 @@ def test_serialize_writes_numpy_floats_as_floats():
         ("meta", "name", "two\nlines", r"'name' in \[meta\] must be one line"),
         ("meta", "name", " x", r"'name' in \[meta\] must be one line without outer blanks"),
         ("meta", "seed", True, r"'seed' in \[meta\] must be of type int, got True"),
-        ("trap", "gate_occupation", 7.0, r"'gate_occupation' in \[trap\] must be of type int, got 7.0"),
+        ("meta", "mc_samples", 7.0, r"'mc_samples' in \[meta\] must be of type int, got 7.0"),
         ("charges", "q1_e", 10**400, r"'q1_e' in \[charges\] must be finite, got inf"),
         ("meta", "seed", 10**5000, r"'seed' in \[meta\]: cannot write a 16610-bit int as text"),
     ],
@@ -346,6 +351,14 @@ def test_serialize_refuses_any_undeclared_value_by_key(section_key, data):
 _NEGATIVE_SECULAR = TrapSection(171.0, -5e5, 30e6, 369e-9, 355e-9, 1650e-9)
 
 
+def _trap(**values):
+    return TrapSection(171.0, 5e5, 30e6, 369e-9, 355e-9, 1650e-9)._replace(**values)
+
+
+def _illumination(**values):
+    return IlluminationSection(1e-3, 1e-6, 1.0, 1e-4)._replace(**values)
+
+
 @pytest.mark.parametrize("call", [
     lambda: ion_impact.zero_point_spread(_NEGATIVE_SECULAR),
     lambda: ion_impact.equilibrium_position(_NEGATIVE_SECULAR, ChargeScenario(54.0, 0.0, 2e-4)),
@@ -354,9 +367,20 @@ _NEGATIVE_SECULAR = TrapSection(171.0, -5e5, 30e6, 369e-9, 355e-9, 1650e-9)
     lambda: rydberg_impact.max_charge_for_infidelity(RydbergSection(-1.0, 1e6), 0.01, 2e-4),
     lambda: rydberg_impact.max_charge_for_infidelity(RydbergSection(0.0, 1e6), 0.01, 2e-4),
     lambda: charging.film_resistance(FilmSection(1e-4, 0.0, 1e-3, 1e-13)),
+    lambda: charging.photocurrent(_illumination(quantum_efficiency=2.0)),
+    lambda: charging.photocurrent(_illumination(wavelength_m=0.0)),
+    lambda: charging.photocurrent(_illumination(power_w=-1e-3)),
+    lambda: charging.photocurrent(_illumination(photon_rate_per_s=-4e11)),
+    lambda: ion_impact.lamb_dicke_budget(_trap(gate_wavelength_m=0.0), 2e-4, 0.2),
+    lambda: ion_impact.lamb_dicke_budget(_trap(gate_wavelength_m=-355e-9), 2e-4, 0.2),
+    lambda: budgets.budget_rows(
+        _with(parse_scenario(bundled_scenario_text()), "trap", cavity_wavelength_m=0.0), "coupling"),
 ], ids=["zero-point-negative-secular", "equilibrium-negative-secular",
         "coherence-negative-alpha", "coherence-zero-alpha", "infidelity-negative-alpha",
-        "infidelity-zero-alpha", "zero-film-thickness"])
+        "infidelity-zero-alpha", "zero-film-thickness", "photocurrent-efficiency-above-one",
+        "photocurrent-zero-wavelength", "photocurrent-negative-power",
+        "photocurrent-negative-photon-rate", "lamb-dicke-zero-gate-wavelength",
+        "lamb-dicke-negative-gate-wavelength", "coupling-zero-cavity-wavelength"])
 def test_a_section_built_in_python_out_of_range_raises_parameter_error(call):
     # parse_scenario's range rules do not run on a section built directly
     with pytest.raises(ParameterError):
