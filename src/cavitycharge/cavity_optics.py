@@ -70,13 +70,8 @@ class MirrorState(CheckedRecord, _Mirror):
             )
         return super().__new__(cls, r, T)
 
-    @property
-    def loss(self) -> float:
-        """Fractional power loss 1 - r^2 - T."""
-        return 1.0 - self.r**2 - self.T
 
-
-def _r0_scalar(f00):
+def _r0(f00):
     # 1 - r0 = 2 pi / (2F + pi + sqrt(4F^2 + pi^2)): cancellation-free
     # rearrangement of (sqrt(4F^2 + pi^2) - pi)/(2F)
     return 1.0 - 2.0 * math.pi / (
@@ -84,12 +79,17 @@ def _r0_scalar(f00):
     )
 
 
+def _r1(f01, r0):
+    # F01 fixes the product r0 r1 = _r0(F01)^2
+    return _r0(f01) ** 2 / r0
+
+
 def r0_from_symmetric_finesse(f00) -> UncertainQuantity:
     """Bare-mirror reflectivity from the symmetric-cavity finesse."""
     q = as_quantity(f00)
     if q.value <= 0:
         raise ParameterError(f"finesse must be positive, got {q.value}")
-    return propagate_linear(_r0_scalar, [q])
+    return propagate_linear(_r0, [q])
 
 
 def r1_from_asymmetric_finesse(f01, r0) -> UncertainQuantity:
@@ -100,13 +100,13 @@ def r1_from_asymmetric_finesse(f01, r0) -> UncertainQuantity:
         raise ParameterError(f"finesse must be positive, got {q01.value}")
     if not 0.0 < q0.value < 1.0:
         raise ParameterError(f"r0 must be in (0,1), got {q0.value}")
-    r1 = _r0_scalar(q01.value) ** 2 / q0.value
+    r1 = _r1(q01.value, q0.value)
     if not 0.0 < r1 < 1.0:
         raise ConsistencyError(
             f"implied r1 = {r1} is outside (0,1); finesse {q01.value} is "
             f"incompatible with r0 = {q0.value}"
         )
-    return propagate_linear(lambda f, r: _r0_scalar(f) ** 2 / r, [q01, q0])
+    return propagate_linear(_r1, [q01, q0])
 
 
 def extinction_from_reflectivities(
@@ -144,8 +144,8 @@ def extinction_from_finesse(
         raise ParameterError("finesse values must be positive")
     if h.value <= 0:
         raise ParameterError(f"film thickness must be positive, got {h.value}")
-    r0c = _r0_scalar(q00.value)
-    r1c = _r0_scalar(q01.value) ** 2 / r0c
+    r0c = _r0(q00.value)
+    r1c = _r1(q01.value, r0c)
     central = extinction_from_reflectivities(r0c, r1c, h.value, wavelength_m)
     if q01.value > q00.value:
         warnings.warn(
@@ -156,8 +156,8 @@ def extinction_from_finesse(
         )
 
     def kappa(f00_s, f01_s, h_s):
-        r0_s = _r0_scalar(f00_s)
-        r1_s = _r0_scalar(f01_s) ** 2 / r0_s
+        r0_s = _r0(f00_s)
+        r1_s = _r1(f01_s, r0_s)
         k = -(wavelength_m / (8.0 * math.pi * h_s)) * np.log(1.0 - r0_s**2 + r1_s**2)
         return np.where((f00_s > 0) & (f01_s > 0) & (h_s > 0), k, np.nan)
 
@@ -173,8 +173,8 @@ def excess_reflection_loss(f00, f01) -> UncertainQuantity:
         raise ParameterError("finesse values must be positive")
 
     def loss(f0, f1):
-        r0 = _r0_scalar(f0)
-        r1 = _r0_scalar(f1) ** 2 / r0
+        r0 = _r0(f0)
+        r1 = _r1(f1, r0)
         return r0**2 - r1**2
 
     return propagate_linear(loss, [q00, q01])

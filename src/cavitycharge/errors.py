@@ -35,12 +35,8 @@ class EvaluationError(ToolkitError, RuntimeError):
 
 
 class SearchError(ToolkitError, RuntimeError):
-    """A root/budget search could not bracket its target."""
+    """A budget's target is not reached within its charge range."""
 
 
 class FitError(ToolkitError, RuntimeError):
-    """A least-squares fit failed; carries the last iterate when available."""
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """A least-squares fit failed."""

@@ -9,7 +9,8 @@ frequency:
     omega~_x = sqrt(2 (k_t + s_q B) / m)
 
 An ion displaced from the RF null by x~ acquires excess micromotion of
-amplitude x_um = sqrt(2) (omega~_x / Omega_RF) x~. In the ion frame the
+amplitude x_um = sqrt(2) (omega~_x / Omega_RF) x~ (Berkeland et al.,
+J. Appl. Phys. 83, 5025 (1998)). In the ion frame the
 cooling laser is phase modulated at Omega_RF with index
 beta = 2 pi x_um / lambda_D, leaving a carrier intensity J0(beta)^2; a
 below-saturation scattering (hence Doppler cooling) rate scales by the
@@ -17,14 +18,15 @@ same factor. Laser-driven gates additionally require the Lamb-Dicke
 condition k x_um << 1 and a small secular-frequency error
 delta_x = |omega_x - omega~_x| against the two-qubit Rabi rate.
 
-Budget helpers invert these monotone chains by bisection to find the
-largest tolerable stray charge (q2 = 0 convention, charges in units of e).
+Budget helpers invert these monotone chains in closed form to find the
+largest tolerable stray charge (q2 = 0 convention, charges in units of e);
+only the cooling budget bisects, in beta rather than in the charge.
 
 `trap` is a scenario [trap] section (scenario.TrapSection). Every function
 that takes it reads mass_amu, secular_hz and rf_hz, and raises
 ParameterError unless 0 < secular_hz < rf_hz and k_t is positive and finite;
 max_charge_for_cooling also reads cooling_wavelength_m, and
-lamb_dicke_budget gate_wavelength_m, which it checks positive. `gate` is a
+lamb_dicke_budget gate_wavelength_m, which each checks positive. `gate` is a
 GateParams; the gate functions raise ParameterError unless its Rabi rate
 and threshold are positive.
 
@@ -76,7 +78,8 @@ __all__ = [
     "max_equal_charge_for_gate",
 ]
 
-#: Upper end of all charge searches, in elementary charges.
+#: Largest charge a budget returns, in elementary charges; a budget that
+#: needs more raises SearchError.
 CHARGE_SEARCH_MAX_E = 1e9
 
 #: First positive zero of J0.
@@ -282,7 +285,7 @@ def bessel_j0(x):
     """
     if not isinstance(x, np.ndarray):
         # floats stay Python floats: a numpy call on a float costs as much
-        # as the whole series, and each budget bisection makes ~25 calls
+        # as the whole series, and the cooling bisection makes 22 at a floor of 0.5
         x = abs(float(x))
         if not math.isfinite(x):
             raise ParameterError(f"argument must be finite, got {x}")
@@ -316,29 +319,8 @@ def micromotion_of_single_charge(trap: TrapSection, x_q_m: float, q1_e: float) -
     return math.sqrt(2.0) * (omega_t / omega_rf) * x_t + 0.0
 
 
-#: Relative tolerance on q of every bisection.
+#: Relative tolerance on beta of the cooling budget's bisection.
 _BISECT_RTOL = 1e-6
-
-
-def _bisect_increasing(f, target: float, lo: float, hi: float):
-    """Solve f(q) = target for increasing f on [lo, hi]."""
-    f_lo, f_hi = f(lo), f(hi)
-    if target <= f_lo:
-        return lo
-    if target > f_hi:
-        raise SearchError(
-            f"target {target:.6g} not reachable on [{lo:.6g}, {hi:.6g}] "
-            f"(f spans [{f_lo:.6g}, {f_hi:.6g}])"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_RTOL * max(abs(hi), 1e-30):
-            break
-    return 0.5 * (lo + hi)
 
 
 def max_charge_for_cooling(
@@ -346,33 +328,25 @@ def max_charge_for_cooling(
 ) -> CoolingBudget:
     """Largest q1 (q2 = 0) keeping the carrier intensity above a floor.
 
-    Bisection on the monotone chain q1 -> x~ -> x_um -> J0^2, restricted to
-    modulation indices below the first J0 zero where the factor is
-    monotone. Relative tolerance 1e-6 on q1.
+    Bisects the modulation index beta below the first J0 zero, where
+    J0(beta)^2 falls monotonically from 1 to 0, to relative tolerance 1e-6,
+    then inverts x_um = beta lambda_D / (2 pi) for q1 in closed form.
     """
     _trap(trap)  # the trap's checks come before the option's
     if not 0.0 < intensity_floor < 1.0:
-        raise ParameterError(
-            f"intensity floor must be in (0,1), got {intensity_floor}"
-        )
-    x_um_at_first_zero = (
-        BESSEL_J0_FIRST_ZERO * trap.cooling_wavelength_m / (2.0 * math.pi)
-    )
-    x_um = lambda q: micromotion_of_single_charge(trap, x_q_m, q)
-    if x_um(CHARGE_SEARCH_MAX_E) < x_um_at_first_zero:
-        q_cap = CHARGE_SEARCH_MAX_E
-    else:
-        q_cap = _bisect_increasing(x_um, x_um_at_first_zero, 0.0, CHARGE_SEARCH_MAX_E)
-
-    def factor_drop(q: float) -> float:
-        return 1.0 - carrier_intensity_factor(x_um(q), trap.cooling_wavelength_m)
-
-    if factor_drop(q_cap) < 1.0 - intensity_floor:
-        raise SearchError(
-            f"carrier factor never falls to {intensity_floor} for "
-            f"q1 <= {CHARGE_SEARCH_MAX_E:.0e} e"
-        )
-    q1 = _bisect_increasing(factor_drop, 1.0 - intensity_floor, 0.0, q_cap)
+        raise ParameterError(f"intensity floor must be in (0,1), got {intensity_floor}")
+    if not trap.cooling_wavelength_m > 0:
+        raise ParameterError(f"cooling wavelength must be positive, got "
+                             f"{trap.cooling_wavelength_m}")
+    lo, hi = 0.0, BESSEL_J0_FIRST_ZERO
+    while hi - lo > _BISECT_RTOL * hi:
+        mid = 0.5 * (lo + hi)
+        if bessel_j0(mid) ** 2 > intensity_floor:
+            lo = mid
+        else:
+            hi = mid
+    x_um = 0.5 * (lo + hi) * trap.cooling_wavelength_m / (2.0 * math.pi)
+    q1 = _charge_for_micromotion(trap, x_q_m, x_um)
     s = ChargeScenario(q1, 0.0, x_q_m)
     x_t = equilibrium_position(trap, s)
     return CoolingBudget(q1, field_at(s, x_t), x_t)
@@ -390,12 +364,7 @@ def lamb_dicke_budget(
     if modulation_limit <= 0:
         raise ParameterError("modulation limit must be positive")
     x_um_max = modulation_limit * trap.gate_wavelength_m / (2.0 * math.pi)
-    q1 = _bisect_increasing(
-        lambda q: micromotion_of_single_charge(trap, x_q_m, q),
-        x_um_max,
-        0.0,
-        CHARGE_SEARCH_MAX_E,
-    )
+    q1 = _charge_for_micromotion(trap, x_q_m, x_um_max)
     if q1 == 0.0:
         return LambDickeBudget(0.0, x_um_max, 0.0, 0.0)
     s = ChargeScenario(q1, 0.0, x_q_m)
@@ -420,6 +389,27 @@ def charge_for_displacement(trap: TrapSection, x_q_m: float, x_tilde_m: float) -
     u = CODATA.e**2 * CODATA.k_e
     denom = u * (0.5 / x_q_m**2 - x_tilde_m / x_q_m**3)
     return x_tilde_m * k_t / denom
+
+
+def _charge_for_micromotion(trap: TrapSection, x_q_m: float, x_um_m: float) -> float:
+    """q1 (q2 = 0) with excess micromotion x_um >= 0; SearchError past CHARGE_SEARCH_MAX_E.
+
+    x_um = c q / sqrt(k_t + b q) with u = e^2/(4 pi eps0), b = u/x_Q^3 and
+    c = u/(Omega_RF x_Q^2 sqrt(m)); its positive root, free of cancellation,
+    is q = x_um (b x_um + sqrt(b^2 x_um^2 + 4 c^2 k_t)) / (2 c^2).
+    """
+    mass_kg, _, omega_rf, k_t = _trap(trap)
+    if x_q_m <= 0:
+        raise ParameterError(f"x_Q must be positive, got {x_q_m}")
+    u = CODATA.e**2 * CODATA.k_e
+    b = u / x_q_m**3
+    c = u / (omega_rf * x_q_m**2 * math.sqrt(mass_kg))
+    bx = b * x_um_m
+    q = x_um_m * (bx + math.sqrt(bx * bx + 4.0 * c * c * k_t)) / (2.0 * c * c)
+    if q > CHARGE_SEARCH_MAX_E:
+        raise SearchError(f"micromotion amplitude {x_um_m:.6g} m needs q1 = {q:.6g} e, "
+                          f"above the {CHARGE_SEARCH_MAX_E:.0e} e limit")
+    return q
 
 
 def zero_point_spread(trap: TrapSection) -> float:

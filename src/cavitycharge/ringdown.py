@@ -184,8 +184,8 @@ def fit_ringdown(trace: RingdownTrace) -> RingdownFit:
     t_ref; it is mapped back to t = 0 once dnu has converged.
 
     Raises ParameterError for a trace too noisy to seed or whose covariance
-    or V0 at t = 0 overflows, and FitError (carrying the last linewidth
-    iterate) on non-convergence or a non-positive fitted linewidth.
+    or V0 at t = 0 overflows, and FitError on non-convergence or a
+    non-positive fitted linewidth.
     """
     t_ref = float(trace.times[0])
     t_rel = trace.times - t_ref
@@ -212,7 +212,7 @@ def fit_ringdown(trace: RingdownTrace) -> RingdownFit:
         jr = -float(a * (u @ r))
         jj = float(a**2 * (u @ u) + 2.0 * a * da * ud + da**2 * dd)
         if not jj > 0:
-            raise FitError(f"singular normal equation: J.J = {jj}", lw)
+            raise FitError(f"singular normal equation: J.J = {jj}")
         step = -jr / jj
 
         # backtracking damping: halve the step while it increases the SSR
@@ -230,9 +230,9 @@ def fit_ringdown(trace: RingdownTrace) -> RingdownFit:
         if converged:
             break
     else:
-        raise FitError(f"no convergence after {_MAX_ITERATIONS} iterations", lw)
+        raise FitError(f"no convergence after {_MAX_ITERATIONS} iterations")
     if lw <= 0:
-        raise FitError(f"fitted linewidth is non-positive: {lw}", lw)
+        raise FitError(f"fitted linewidth is non-positive: {lw}")
 
     d, dd, a, _, ssr = state
     u = x * d

@@ -284,11 +284,19 @@ def _line(section: str, key: str, value) -> str:
         ) from None
 
 
+#: Largest scenario file load_scenario reads, in bytes (1 MiB).
+_MAX_FILE_BYTES = 1 << 20
+
+
 def load_scenario(path) -> Scenario:
+    with Path(path).open("rb") as fh:
+        data = fh.read(_MAX_FILE_BYTES + 1)  # a device or pipe may never end
+    if len(data) > _MAX_FILE_BYTES:
+        raise SchemaError(f"{path}: larger than the {_MAX_FILE_BYTES}-byte scenario limit")
     try:
         # a leading byte-order mark, as some editors save UTF-8, is not text;
         # it is dropped after decoding so error offsets count from the file start
-        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise SchemaError(
             f"{path}: not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None

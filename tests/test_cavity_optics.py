@@ -335,5 +335,3 @@ def test_mirror_state_validation():
         MirrorState(1.5, 0.0)
     with pytest.raises(ParameterError):
         MirrorState(0.9, 0.5)  # T above the 1-r^2 budget
-    m = MirrorState(0.9, 0.1)
-    assert m.loss == pytest.approx(1.0 - 0.81 - 0.1, rel=1e-12)

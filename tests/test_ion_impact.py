@@ -9,6 +9,7 @@ from cavitycharge.electrostatics import ChargeScenario
 from cavitycharge.errors import ParameterError, SearchError, StabilityError
 from cavitycharge.ion_impact import (
     BESSEL_J0_FIRST_ZERO,
+    CHARGE_SEARCH_MAX_E,
     CoolingBudget,
     GateParams,
     bessel_j0,
@@ -24,6 +25,8 @@ from cavitycharge.ion_impact import (
     shifted_frequency,
     zero_point_spread,
 )
+from cavitycharge.ion_impact import _charge_for_micromotion
+from cavitycharge.reports import bundled_scenario
 from cavitycharge.scenario import TrapSection
 
 mpmath.mp.dps = 50
@@ -209,6 +212,32 @@ def test_cooling_budget_validation(trap):
         max_charge_for_cooling(trap, X_Q, 1.5)
 
 
+# the bundled trap and three scaled ones, with their x_Q
+_TRAP = bundled_scenario()._require("trap")
+_X_Q = bundled_scenario()._require("charges").xq_m
+COOLING_TRAPS = [
+    (_TRAP, _X_Q),
+    (_TRAP._replace(secular_hz=0.8 * _TRAP.secular_hz), 1.25 * _X_Q),
+    (_TRAP._replace(secular_hz=1.25 * _TRAP.secular_hz), 0.8 * _X_Q),
+    (_TRAP._replace(rf_hz=2.0 * _TRAP.rf_hz, mass_amu=0.25 * _TRAP.mass_amu), _X_Q),
+]
+
+
+@pytest.mark.parametrize("trap, x_q", COOLING_TRAPS,
+                         ids=["bundled", "soft-far", "stiff-near", "light-fast-rf"])
+@pytest.mark.parametrize("floor", [0.5, 0.1, 0.9])
+def test_cooling_budget_brackets_the_floor(trap, x_q, floor):
+    # as the benchmark's budget check: the forward model at q1 (1 -/+ 2e-6)
+    # lies on either side of the floor
+    q1 = max_charge_for_cooling(trap, x_q, floor).q1_e
+
+    def factor(q):
+        x_um = micromotion_of_single_charge(trap, x_q, q)
+        return carrier_intensity_factor(x_um, trap.cooling_wavelength_m)
+
+    assert factor(q1 * (1.0 + 2e-6)) <= floor <= factor(q1 * (1.0 - 2e-6))
+
+
 def test_cooling_budget_unreachable_floor():
     # a huge RF frequency keeps micromotion negligible at any charge
     stiff = TrapSection(171.0, 500e3, 1e15, 369e-9, 355e-9, 1650e-9)
@@ -230,7 +259,7 @@ def test_lamb_dicke_budget_reproduces_reference(trap):
 def test_lamb_dicke_back_substitution(trap):
     budget = lamb_dicke_budget(trap, X_Q, 0.2)
     x_um = micromotion_of_single_charge(trap, X_Q, budget.q1_max_e)
-    assert x_um == pytest.approx(budget.x_micromotion_max_m, rel=1e-5)
+    assert x_um == pytest.approx(budget.x_micromotion_max_m, rel=1e-12, abs=0.0)
 
 
 def test_lamb_dicke_limit_scalings(trap):
@@ -249,6 +278,18 @@ def test_charge_for_displacement_inverse(trap):
     assert charge_for_displacement(trap, X_Q, 0.0) == 0.0
     with pytest.raises(ParameterError):
         charge_for_displacement(trap, X_Q, 0.6 * X_Q)
+
+
+def test_charge_for_micromotion_inverse(trap):
+    for q1 in (1.0, 50.0, 700.0, 1e6):
+        x_um = micromotion_of_single_charge(trap, X_Q, q1)
+        assert _charge_for_micromotion(trap, X_Q, x_um) == pytest.approx(q1, rel=1e-12)
+    assert _charge_for_micromotion(trap, X_Q, 0.0) == 0.0
+    with pytest.raises(ParameterError, match="x_Q must be positive"):
+        _charge_for_micromotion(trap, 0.0, 1e-8)
+    x_beyond = micromotion_of_single_charge(trap, X_Q, 2.0 * CHARGE_SEARCH_MAX_E)
+    with pytest.raises(SearchError):
+        _charge_for_micromotion(trap, X_Q, x_beyond)
 
 
 # -- zero-point spread ---------------------------------------------------------

@@ -2,8 +2,10 @@
 
 The files under tests/data/ were written by `toolkit reproduce-paper --out`
 with TOOLKIT_SEED=12345 and by `toolkit budget --scenario paper_yb.scenario`
-for each target, before the budget chain took arrays. A change to any byte
-of them must be deliberate: regenerate the files and say why.
+for each target (every stdout line but the last). They were last regenerated
+when the cooling and Lamb-Dicke budgets moved from charge bisections to a
+closed-form inverse. A change to any byte of them must be deliberate:
+regenerate the files and say why.
 """
 
 from pathlib import Path

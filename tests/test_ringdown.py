@@ -171,14 +171,6 @@ def test_fit_rejects_pure_noise():
         fit_ringdown(RingdownTrace(t, rng.normal(0.0, 1.0, 1000)))
 
 
-def test_fit_error_carries_last_iterate():
-    from cavitycharge.errors import FitError
-
-    err = FitError("no convergence", last_iterate=(1.2, 5.1e5))
-    assert err.last_iterate == (1.2, 5.1e5)
-    assert "convergence" in str(err)
-
-
 def test_pooling_inverse_variance():
     fits = [fit_ringdown(make_trace(noise=0.02, seed=s, n=2000)) for s in range(6)]
     pooled = pool_linewidths(fits)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cavitycharge import budgets, charging, ion_impact, reports, rydberg_impact
 from cavitycharge.electrostatics import ChargeScenario
+from cavitycharge.cli import main
 from cavitycharge.errors import ParameterError, SchemaError
 from cavitycharge.reports import bundled_scenario_text
 from cavitycharge.scenario import (
@@ -227,6 +228,25 @@ def test_utf8_byte_order_mark_is_skipped(tmp_path):
         load_scenario(path)
 
 
+def test_file_over_one_mib_is_a_schema_error_naming_the_file(tmp_path, capsys):
+    # a valid scenario padded with comment lines: at 1 MiB it loads, one
+    # byte more and it is refused before it is parsed
+    text = bundled_scenario_text()
+    pad = (1 << 20) - len(text.encode("utf-8"))
+    path = tmp_path / "padded.scenario"
+    path.write_text("#" * (pad - 1) + "\n" + text, encoding="utf-8")
+    assert path.stat().st_size == 1 << 20
+    assert load_scenario(path) == parse_scenario(text)
+    path.write_text("#" * pad + "\n" + text, encoding="utf-8")
+    with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: larger than the "):
+        load_scenario(path)
+    argv = ["budget", "--scenario", str(path), "--target", "gate"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(path) in captured.err
+
+
 # -- serialize_scenario enforces what parse_scenario enforces ------------------
 
 
@@ -373,6 +393,8 @@ def _illumination(**values):
     lambda: charging.photocurrent(_illumination(photon_rate_per_s=-4e11)),
     lambda: ion_impact.lamb_dicke_budget(_trap(gate_wavelength_m=0.0), 2e-4, 0.2),
     lambda: ion_impact.lamb_dicke_budget(_trap(gate_wavelength_m=-355e-9), 2e-4, 0.2),
+    lambda: ion_impact.max_charge_for_cooling(_trap(cooling_wavelength_m=0.0), 2e-4, 0.5),
+    lambda: ion_impact.max_charge_for_cooling(_trap(cooling_wavelength_m=-369e-9), 2e-4, 0.5),
     lambda: budgets.budget_rows(
         _with(parse_scenario(bundled_scenario_text()), "trap", cavity_wavelength_m=0.0), "coupling"),
 ], ids=["zero-point-negative-secular", "equilibrium-negative-secular",
@@ -380,7 +402,8 @@ def _illumination(**values):
         "infidelity-zero-alpha", "zero-film-thickness", "photocurrent-efficiency-above-one",
         "photocurrent-zero-wavelength", "photocurrent-negative-power",
         "photocurrent-negative-photon-rate", "lamb-dicke-zero-gate-wavelength",
-        "lamb-dicke-negative-gate-wavelength", "coupling-zero-cavity-wavelength"])
+        "lamb-dicke-negative-gate-wavelength", "cooling-zero-cooling-wavelength",
+        "cooling-negative-cooling-wavelength", "coupling-zero-cavity-wavelength"])
 def test_a_section_built_in_python_out_of_range_raises_parameter_error(call):
     # parse_scenario's range rules do not run on a section built directly
     with pytest.raises(ParameterError):
