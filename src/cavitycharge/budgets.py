@@ -11,6 +11,11 @@ returned is finite; numerics that overflow, divide by zero or end
 non-finite raise EvaluationError, and any toolkit error raised while a
 target is evaluated starts with "target T: ".
 
+The sweep is evaluated with NumPy when it is already loaded (library
+callers, the reproduction report): one array call on the grid. Otherwise
+(a ``budget`` command) the figure of merit is called on each grid point,
+a float, and NumPy is never imported. Both give the same bits.
+
 The options (intensity_floor, modulation_limit, displacement_m, tau_pi_s,
 target_infidelity) default to ``BUDGET_DEFAULTS``. ``reports`` re-exports
 ``budget_report`` and ``SWEEP_POINTS``; this module imports neither
@@ -21,9 +26,8 @@ its own physics modules, so a ``budget`` command loads no other.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import BUDGET_DEFAULTS, BUDGET_TARGETS
 from .errors import EvaluationError, ParameterError
@@ -40,7 +44,7 @@ class _Target(NamedTuple):
     rows: list             # (name, value, unit)
     header: str            # sweep CSV header, "x_name,y_name"
     upper: float           # the sweep grid runs from upper / SWEEP_POINTS to upper
-    figure_of_merit: Callable  # y of an array of x, in one call
+    figure_of_merit: Callable  # y of x, a float or an array of floats
 
 
 def budget_rows(scn: Scenario, target: str, **options) -> dict[str, float]:
@@ -55,29 +59,47 @@ def budget_report(scn: Scenario, target: str, **options):
     """Budget rows plus a (sweep_variable, figure_of_merit) table.
 
     Returns (rows, sweep_header, sweep) where rows is a list of
-    (name, value, unit) tuples and sweep is a (SWEEP_POINTS, 2) array of
-    (x, y) rows, its y column evaluated as one array call on the x grid.
+    (name, value, unit) tuples and sweep is a sequence of SWEEP_POINTS
+    (x, y) rows: a (SWEEP_POINTS, 2) array, its y column one array call on
+    the x grid, when NumPy is loaded, else a list of float pairs, y called
+    on each x. The two hold the same bits.
 
     Raises ParameterError for an unknown target, TypeError for an unknown
     option, and EvaluationError when the numerics raise an ArithmeticError
     (overflow, division by zero) or leave a row or a sweep point non-finite.
     """
+    return _report(scn, target, options, sys.modules.get("numpy"))
+
+
+def _report(scn: Scenario, target: str, options: dict, np):
+    """budget_report with the sweep evaluated by np, or point by point if np is None."""
     options = _options(target, options)
     with finite_evaluation(f"target {target}") as check:
         rows, header, upper, figure_of_merit = _TARGETS[target](scn, **options)
         for name, value, _unit in rows:
             check(name, value)
-        grid = np.linspace(upper / SWEEP_POINTS, upper, SWEEP_POINTS)
-        sweep = np.column_stack((grid, figure_of_merit(grid)))
-        if not np.isfinite(sweep).all():
-            finite = np.isfinite(sweep).all(axis=1)
-            k = int(np.argmin(finite))
+        start = upper / SWEEP_POINTS
+        if np is not None:
+            grid = np.linspace(start, upper, SWEEP_POINTS)
+            sweep = np.column_stack((grid, figure_of_merit(grid)))
+            complete = np.isfinite(sweep).all()
+        else:
+            # np.linspace's grid: start + i * step, its last point upper itself
+            step = (upper - start) / (SWEEP_POINTS - 1)
+            grid = [i * step + start for i in range(SWEEP_POINTS - 1)] + [upper]
+            sweep = [(x, figure_of_merit(x)) for x in grid]
+            complete = all(map(_finite_row, sweep))
+        if not complete:
+            bad = [row for row in sweep if not _finite_row(row)]
             raise EvaluationError(
-                f"{np.count_nonzero(~finite)} of {len(sweep)} sweep points are not "
-                f"finite, the first ({header}) = "
-                f"({float(sweep[k, 0])!r}, {float(sweep[k, 1])!r})"
+                f"{len(bad)} of {len(sweep)} sweep points are not finite, the first "
+                f"({header}) = ({float(bad[0][0])!r}, {float(bad[0][1])!r})"
             )
     return rows, header, sweep
+
+
+def _finite_row(row) -> bool:
+    return math.isfinite(row[0]) and math.isfinite(row[1])
 
 
 def _options(target: str, options: dict) -> dict:

@@ -25,15 +25,14 @@ point-charge model is used for the budgets.
 
 The charges of a ChargeScenario, and the positions and charges passed to
 field_at and single_charge_field, may be NumPy arrays: each element is one
-scenario, with the bits of a scalar call.
+scenario, with the bits of a scalar call. The module itself never imports
+NumPy; an array's own methods do the work.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DomainError, ParameterError
 from .quantities import CODATA
@@ -83,11 +82,16 @@ def expansion_coefficients(s: ChargeScenario) -> ExpansionCoefficients:
     )
 
 
+def _any(flags) -> bool:
+    """Whether a bool, or any element of a NumPy bool array, is true."""
+    return flags if isinstance(flags, bool) else flags.any()
+
+
 def _check_domain(x_m, x_q_m: float) -> None:
-    if np.any(abs(x_m) >= x_q_m):
-        raise DomainError(
-            f"|x| = {np.max(abs(x_m))} m is outside the model domain |x| < {x_q_m} m"
-        )
+    outside = abs(x_m) >= x_q_m
+    if _any(outside):
+        far = abs(x_m) if isinstance(outside, bool) else abs(x_m).max()
+        raise DomainError(f"|x| = {far} m is outside the model domain |x| < {x_q_m} m")
 
 
 def field_at(s: ChargeScenario, x_m: float) -> float:

@@ -34,9 +34,11 @@ The forward chain (equilibrium_position, shifted_frequency,
 micromotion_amplitude, micromotion_of_single_charge, bessel_j0,
 carrier_intensity_factor, gate_detuning_verdict) takes a float or a NumPy
 array of charges (or of their downstream quantities) and evaluates every
-element at once; each element gets the bits of a scalar call, except that
-an array's x**2 is x*x where a float's is pow(x, 2), which differ by one
-ulp on about 0.1% of inputs.
+element at once; each element gets the bits of a scalar call (squares
+are written x * x: a float's x**2 is pow(x, 2), which differs from an
+array's x*x by one ulp on about 0.1% of inputs). A float is computed with
+`math` alone; the module imports NumPy only for an array, whose caller has
+loaded it.
 """
 
 from __future__ import annotations
@@ -44,11 +46,10 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
 from .electrostatics import (
     ChargeScenario,
     ExpansionCoefficients,
+    _any,
     expansion_coefficients,
     field_at,
 )
@@ -149,23 +150,29 @@ def _omega_2g(gate: GateParams) -> float:
     return 2.0 * math.pi * gate.rabi_hz
 
 
-def _any(flags) -> bool:
-    """Whether a bool, or any element of a bool array, is true."""
-    return flags.any() if isinstance(flags, np.ndarray) else flags
-
-
 def _well(mass_kg: float, k_t: float, c: ExpansionCoefficients):
     """(x~, omega~_x) of the well k_t x^2 + s_q (A x + B x^2).
 
     Raises StabilityError when k_t + s_q B <= 0 (at any element).
     """
     k_eff = k_t + c.s_q * c.B
-    if _any(k_eff <= 0):
+    unstable = k_eff <= 0
+    if _any(unstable):
+        lowest = k_eff if isinstance(unstable, bool) else k_eff.min()
         raise StabilityError(
-            "stray charge cancels the trap curvature "
-            f"(k_t + s_q B = {np.min(k_eff):.3e})"
+            f"stray charge cancels the trap curvature (k_t + s_q B = {lowest:.3e})"
         )
-    return -0.5 * c.s_q * c.A / k_eff, np.sqrt(2.0 * k_eff / mass_kg)
+    return -0.5 * c.s_q * c.A / k_eff, _math_of(k_eff).sqrt(2.0 * k_eff / mass_kg)
+
+
+def _math_of(x):
+    """math for a float, numpy for an array (whose caller has loaded it);
+    their sqrt, cos and sin give the same bits per element."""
+    if isinstance(x, float):
+        return math
+    import numpy
+
+    return numpy
 
 
 def equilibrium_position(trap: TrapSection, s: ChargeScenario) -> float:
@@ -271,7 +278,8 @@ def _j0_hankel(x):
     p = _polevl(z, _PP) / _polevl(z, _PQ)
     q = _polevl(z, _QP) / _p1evl(z, _QQ)
     xn = x - _PIO4
-    return _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(x)
+    m = _math_of(x)
+    return _SQ2OPI * (p * m.cos(xn) - w * q * m.sin(xn)) / m.sqrt(x)
 
 
 def bessel_j0(x):
@@ -283,13 +291,15 @@ def bessel_j0(x):
     beyond. Takes a float or a NumPy array; each element of an array gets
     the bits of a scalar call.
     """
-    if not isinstance(x, np.ndarray):
+    if isinstance(x, (int, float)):
         # floats stay Python floats: a numpy call on a float costs as much
         # as the whole series, and the cooling bisection makes 22 at a floor of 0.5
         x = abs(float(x))
         if not math.isfinite(x):
             raise ParameterError(f"argument must be finite, got {x}")
         return _j0_series(x) if x < 8.0 else _j0_hankel(x)
+    import numpy as np
+
     x = np.abs(x.astype(float))
     if not np.isfinite(x).all():
         raise ParameterError("argument must be finite")
@@ -305,7 +315,8 @@ def carrier_intensity_factor(x_micromotion_m: float, cooling_wavelength_m: float
     if cooling_wavelength_m <= 0:
         raise ParameterError("wavelength must be positive")
     beta = 2.0 * math.pi * x_micromotion_m / cooling_wavelength_m
-    return bessel_j0(beta) ** 2
+    j0 = bessel_j0(beta)
+    return j0 * j0
 
 
 def micromotion_of_single_charge(trap: TrapSection, x_q_m: float, q1_e: float) -> float:

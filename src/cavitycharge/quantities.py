@@ -17,15 +17,18 @@ derived values come from the propagation engines.
 :func:`finite_evaluation` is the finite-output gate of the report and
 budget chains: every value they return is finite, and numerics that
 overflow, divide by zero or end non-finite raise EvaluationError.
+
+This module imports NumPy only inside the Monte-Carlo engine, so a caller
+that never draws samples (a ``budget`` command) never loads it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 import warnings
 from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import EvaluationError, ParameterError, ToolkitError
 
@@ -126,7 +129,8 @@ def _check_finite(y: float, context: str) -> float:
 class finite_evaluation:
     """The finite-output gate: ``with finite_evaluation(label) as check:``.
 
-    The block runs with NumPy's floating-point warnings off. An
+    When NumPy is loaded, the block runs with its floating-point warnings
+    off; a block that runs without NumPy computes on floats alone. An
     ArithmeticError it raises (overflow, division by zero) becomes an
     EvaluationError chained to it, and any ToolkitError gets the prefix
     "label: ". check returns value, a float or an UncertainQuantity, and
@@ -136,7 +140,8 @@ class finite_evaluation:
 
     def __init__(self, label: str):
         self.label = label
-        self._errstate = np.errstate(all="ignore")
+        numpy = sys.modules.get("numpy")
+        self._errstate = numpy.errstate(all="ignore") if numpy else contextlib.nullcontext()
 
     def __enter__(self):
         self._errstate.__enter__()
@@ -213,14 +218,16 @@ class _StandardNormals:
     def cache_clear(self) -> None:
         self._key = None
         self._rng = None
-        self._block = np.empty((0, 0))
+        self._block = None  # set with _key on the next call
         self.hits = self.misses = self.normals_drawn = 0
 
     def cache_info(self) -> _NormalsInfo:
         """Calls served from the kept rows, calls that drew, normals drawn."""
         return _NormalsInfo(self.hits, self.misses, self.normals_drawn)
 
-    def __call__(self, seed: int, sample_count: int, n_inputs: int) -> np.ndarray:
+    def __call__(self, seed: int, sample_count: int, n_inputs: int):
+        import numpy as np
+
         if self._key != (seed, sample_count):
             self._key = (seed, sample_count)
             self._rng = np.random.default_rng(seed)
@@ -271,6 +278,8 @@ def propagate_monte_carlo(
     (with a warning), counted over the whole output, not per block; beyond
     that an EvaluationError is raised.
     """
+    import numpy as np
+
     if sample_count < MIN_MC_SAMPLES:
         raise ParameterError(f"sample_count must be >= {MIN_MC_SAMPLES}, got {sample_count}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:

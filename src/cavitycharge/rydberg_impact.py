@@ -22,15 +22,17 @@ max_charge_for_infidelity also its two-photon Rabi frequency `rabi_hz`
 check alpha positive.
 
 stark_shift, decoherence_time and blockade_infidelity take a float or a
-NumPy array of fields (or shifts) and evaluate every element at once.
+NumPy array of fields (or shifts) and evaluate every element at once, each
+element with the bits of a scalar call: they square as x * x, since a
+float's x**2 is pow(x, 2), one ulp off an array's x*x on about 0.1% of
+inputs. A float is computed with floats alone; the module imports NumPy
+only for an array, whose caller has loaded it.
 """
 
 from __future__ import annotations
 
 import math
 from typing import TYPE_CHECKING, NamedTuple
-
-import numpy as np
 
 from .electrostatics import charge_for_field
 from .errors import ParameterError
@@ -56,7 +58,7 @@ class ChargeFieldBudget(NamedTuple):
 
 def stark_shift(rydberg: RydbergSection, field_v_per_m: float) -> float:
     """Quadratic Stark shift delta_R/2pi = (1/2) alpha E^2, in Hz."""
-    return 0.5 * rydberg.alpha * field_v_per_m**2
+    return 0.5 * rydberg.alpha * (field_v_per_m * field_v_per_m)
 
 
 def dephasing(rydberg: RydbergSection, field_v_per_m: float, tau_s: float) -> float:
@@ -68,15 +70,21 @@ def dephasing(rydberg: RydbergSection, field_v_per_m: float, tau_s: float) -> fl
 
 def decoherence_time(rydberg: RydbergSection, field_v_per_m: float) -> float:
     """Full-decoherence time tau_pi = 1/(alpha E^2); +inf at zero field."""
+    rate = rydberg.alpha * (field_v_per_m * field_v_per_m)
+    if isinstance(rate, (int, float)):
+        return 1.0 / rate if rate else math.copysign(math.inf, rate)
+    import numpy as np
+
     with np.errstate(divide="ignore"):
-        return np.divide(1.0, rydberg.alpha * field_v_per_m**2)
+        return np.divide(1.0, rate)
 
 
 def blockade_infidelity(rydberg: RydbergSection, stark_shift_hz: float) -> float:
     """Blockade-gate infidelity (1/2)(delta_R/Omega_R)^2."""
     if rydberg.rabi_hz <= 0:
         raise ParameterError("blockade infidelity needs a positive Rabi frequency")
-    return 0.5 * (stark_shift_hz / rydberg.rabi_hz) ** 2
+    ratio = stark_shift_hz / rydberg.rabi_hz
+    return 0.5 * (ratio * ratio)
 
 
 def max_charge_for_infidelity(

@@ -1,4 +1,5 @@
-"""Each budget sweep is one array evaluation of the scalar forward chain."""
+"""Each budget sweep, one array call or one call per grid point, equals the
+scalar forward chain bit for bit."""
 
 import math
 import re
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavitycharge import charging
+from cavitycharge import budgets, charging
 from cavitycharge import electrostatics as es
 from cavitycharge import ion_impact as ion
 from cavitycharge import rydberg_impact as ryd
-from cavitycharge.errors import StabilityError
+from cavitycharge.errors import StabilityError, ToolkitError
 from cavitycharge.quantities import CODATA
 from cavitycharge.reports import (
     BUDGET_ROWS,
@@ -80,16 +81,18 @@ def _scalar_reference(scn, target, rows):
 
 
 def _assert_sweep_matches_scalar_chain(text):
+    """Both sweep evaluations equal scalar calls of the forward chain, bit for bit."""
     scn = parse_scenario(text)
     for target in BUDGET_TARGETS:
-        rows, _header, sweep = budget_report(scn, target)
-        upper, figure = _scalar_reference(scn, target, rows)
-        grid = np.linspace(upper / SWEEP_POINTS, upper, SWEEP_POINTS)
-        x, y = np.asarray(sweep, float).T
-        assert len(sweep) == SWEEP_POINTS
-        assert x.tobytes() == grid.tobytes(), target
-        expected = np.array([figure(q) for q in grid])
-        assert np.all(np.abs(y - expected) <= 1e-15 * np.abs(expected)), target
+        for numpy in (np, None):
+            rows, _header, sweep = budgets._report(scn, target, {}, numpy)
+            upper, figure = _scalar_reference(scn, target, rows)
+            grid = np.linspace(upper / SWEEP_POINTS, upper, SWEEP_POINTS)
+            x, y = np.asarray(sweep, float).T
+            assert len(sweep) == SWEEP_POINTS
+            assert x.tobytes() == grid.tobytes(), target
+            expected = np.array([figure(q) for q in grid])
+            assert y.tobytes() == expected.tobytes(), target
 
 
 def _assert_report_rows_are_budget_rows(text):
@@ -121,6 +124,32 @@ def test_variant_sweeps_match_scalar_chain(xq, secular, alpha, charges, power):
     )
     _assert_sweep_matches_scalar_chain(text)
     _assert_report_rows_are_budget_rows(text)
+
+
+_decades = st.floats(-12.0, 12.0)
+
+
+@settings(max_examples=200)
+@given(xq=_decades, secular=_decades, alpha=_decades, q1=_decades, q2=_decades,
+       power=_decades)
+def test_log_uniform_variants_sweep_alike_or_fail_alike(xq, secular, alpha, q1, q2, power):
+    # each key at its bundled value times 10**u, u uniform in [-12, 12]
+    text = _scaled(
+        bundled_scenario_text(),
+        {"xq_m": 10.0**xq, "secular_hz": 10.0**secular, "alpha": 10.0**alpha,
+         "q1_e": 10.0**q1, "q2_e": 10.0**q2, "power_w": 10.0**power},
+    )
+    scn = parse_scenario(text)
+    for target in BUDGET_TARGETS:
+        results = []
+        for numpy in (np, None):
+            try:  # any other exception, a math ValueError too, fails the test
+                rows, _header, sweep = budgets._report(scn, target, {}, numpy)
+            except ToolkitError:
+                results.append(None)
+            else:
+                results.append((rows, np.asarray(sweep, float).tobytes()))
+        assert results[0] == results[1], target
 
 
 def test_array_micromotion_raises_when_any_charge_opens_the_well():

@@ -6,11 +6,12 @@ the CLI) instead of a traceback, a crash or NaN output."""
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from cavitycharge import budgets
 from cavitycharge.cli import main
-from cavitycharge.errors import EvaluationError, ParameterError
+from cavitycharge.errors import EvaluationError, ParameterError, ToolkitError
 from cavitycharge.reports import build_report, bundled_scenario_text
 from cavitycharge.scenario import parse_scenario
 
@@ -62,6 +63,18 @@ def test_out_of_range_scenario_exits_2_with_one_line(key, value, target, tmp_pat
     assert len(err) == 1 and err[0].startswith(f"toolkit budget: target {target}: ")
 
 
+@pytest.mark.parametrize("key, value, target", OUT_OF_RANGE)
+def test_out_of_range_scenario_fails_alike_without_numpy(key, value, target):
+    # the CLI calls each sweep point on a float when numpy is not loaded
+    scn = parse_scenario(_with(key, value))
+    raised = []
+    for numpy in (np, None):
+        with pytest.raises(ToolkitError) as info:
+            budgets._report(scn, target, {}, numpy)
+        raised.append(type(info.value))
+    assert raised[0] is raised[1]
+
+
 def test_arithmetic_error_is_evaluation_error_with_its_cause():
     scn = parse_scenario(_with("xq_m", "1e300"))
     with pytest.raises(EvaluationError, match="OverflowError") as info:
@@ -75,6 +88,15 @@ def test_non_finite_sweep_is_evaluation_error_naming_the_first_point():
                        match=r"200 of 200 sweep points are not finite, the first "
                              r"\(q1_e,decoherence_time_s\) = "):
         budgets.budget_report(scn, "rydberg-coherence")
+    # E * E overflows from the 160th point on; both sweep evaluations name it
+    scn = parse_scenario(_with("alpha", "2e-302"))
+    messages = []
+    for numpy in (np, None):
+        with pytest.raises(EvaluationError) as info:
+            budgets._report(scn, "rydberg-gate", {}, numpy)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("target rydberg-gate: 41 of 200 sweep points are not finite")
 
 
 @pytest.mark.parametrize("key, value, target", [

@@ -219,7 +219,7 @@ def test_no_module_imports_dataclasses():
 
 
 # the cavitycharge submodules every `budget` command loads, and each target's physics
-BUDGET_PATH = {"budgets", "cli", "errors", "quantities", "ringdown", "scenario"}
+BUDGET_PATH = {"budgets", "cli", "errors", "quantities", "scenario"}
 TARGET_PHYSICS = {
     **dict.fromkeys(("cooling", "coupling", "lamb-dicke", "gate"),
                     {"electrostatics", "ion_impact"}),
@@ -236,6 +236,15 @@ def test_each_budget_target_loads_only_its_own_physics(target, tmp_path):
     assert code == 0
     loaded = {m.split(".", 1)[1] for m in mods if m.startswith("cavitycharge.")}
     assert loaded == BUDGET_PATH | TARGET_PHYSICS[target]
+
+
+@pytest.mark.parametrize("target", cavitycharge.BUDGET_TARGETS)
+def test_budget_commands_load_no_numpy(target, tmp_path):
+    argv = ["budget", "--scenario", "paper_yb.scenario", "--target", target, "--out", "s.csv"]
+    code, mods = _loaded_by(argv, tmp_path)
+    assert code == 0
+    assert "numpy" not in mods
+    assert "cavitycharge.ringdown" not in mods
 
 
 def test_lazy_submodule_imports_are_logged_by_importtime():

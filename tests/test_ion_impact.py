@@ -113,13 +113,13 @@ def test_bessel_j0_rejects_nonfinite():
 def test_equilibrium_matches_reference_and_oracle(trap):
     s = ChargeScenario(1400.0, 0.0, X_Q)
     x_t = equilibrium_position(trap, s)
-    assert x_t == pytest.approx(exact_chain(trap, 1400.0)[0], rel=1e-12)
-    assert x_t == pytest.approx(2.8e-6, rel=0.05)
+    assert x_t == pytest.approx(exact_chain(trap, 1400.0)[0], rel=1e-12, abs=0.0)
+    assert x_t == pytest.approx(2.8e-6, rel=0.05, abs=0.0)
 
 
 def test_equilibrium_coupling_displacement(trap):
     x_t = equilibrium_position(trap, ChargeScenario(100.0, 0.0, X_Q))
-    assert x_t == pytest.approx(trap.cavity_wavelength_m / 8.0, rel=0.05)
+    assert x_t == pytest.approx(trap.cavity_wavelength_m / 8.0, rel=0.05, abs=0.0)
 
 
 def test_equilibrium_symmetric_charges_stay_centered(trap):
@@ -129,7 +129,7 @@ def test_equilibrium_symmetric_charges_stay_centered(trap):
 def test_equilibrium_odd_under_charge_exchange(trap):
     a = equilibrium_position(trap, ChargeScenario(300.0, 20.0, X_Q))
     b = equilibrium_position(trap, ChargeScenario(20.0, 300.0, X_Q))
-    assert a == pytest.approx(-b, rel=1e-12)
+    assert a == pytest.approx(-b, rel=1e-12, abs=0.0)
 
 
 def test_shifted_frequency_cases(trap):
@@ -140,7 +140,7 @@ def test_shifted_frequency_cases(trap):
     w_t = shifted_frequency(trap, ChargeScenario(630.0, 630.0, X_Q))
     shift = (w_t - omega_x(trap)) / omega_x(trap)
     oracle = exact_chain(trap, 630.0, 630.0)[1]
-    assert w_t == pytest.approx(oracle, rel=1e-12)
+    assert w_t == pytest.approx(oracle, rel=1e-12, abs=0.0)
     assert shift == pytest.approx(0.013, abs=0.001)
     # weak negative charge softens the well
     w_neg = shifted_frequency(trap, ChargeScenario(-40.0, -40.0, X_Q))
@@ -150,7 +150,7 @@ def test_shifted_frequency_cases(trap):
 def test_shifted_frequency_depends_only_on_total_charge(trap):
     w_a = shifted_frequency(trap, ChargeScenario(500.0, 100.0, X_Q))
     w_b = shifted_frequency(trap, ChargeScenario(250.0, 350.0, X_Q))
-    assert w_a == pytest.approx(w_b, rel=1e-14)
+    assert w_a == pytest.approx(w_b, rel=1e-14, abs=0.0)
 
 
 def test_stability_error_for_strong_negative_charge(trap):
@@ -163,8 +163,8 @@ def test_micromotion_amplitude(trap):
     x_t = equilibrium_position(trap, s)
     w_t = shifted_frequency(trap, s)
     x_um = micromotion_amplitude(trap, x_t, w_t)
-    assert x_um == pytest.approx(exact_chain(trap, 1400.0)[2], rel=1e-12)
-    assert x_um == pytest.approx(66e-9, rel=0.05)
+    assert x_um == pytest.approx(exact_chain(trap, 1400.0)[2], rel=1e-12, abs=0.0)
+    assert x_um == pytest.approx(66e-9, rel=0.05, abs=0.0)
     assert micromotion_amplitude(trap, 0.0, w_t) == 0.0
     # displacement at the gate budget scale
     assert micromotion_amplitude(trap, 0.47e-6, omega_x(trap)) == pytest.approx(
@@ -178,7 +178,7 @@ def test_micromotion_amplitude(trap):
 def test_carrier_intensity_factor_cases(trap):
     assert carrier_intensity_factor(0.0, 369e-9) == 1.0
     x_um = exact_chain(trap, 1400.0)[2]
-    assert carrier_intensity_factor(x_um, 369e-9) == pytest.approx(0.5, rel=0.03)
+    assert carrier_intensity_factor(x_um, 369e-9) == pytest.approx(0.5, rel=0.03, abs=0.0)
     x_zero = BESSEL_J0_FIRST_ZERO * 369e-9 / (2.0 * math.pi)
     assert carrier_intensity_factor(x_zero, 369e-9) < 1e-20
     rng = np.random.default_rng(1)
@@ -189,9 +189,9 @@ def test_carrier_intensity_factor_cases(trap):
 def test_cooling_budget_reproduces_reference(trap):
     budget = max_charge_for_cooling(trap, X_Q, 0.5)
     assert isinstance(budget, CoolingBudget)
-    assert budget.q1_e == pytest.approx(1400.0, rel=0.05)
-    assert budget.field_v_per_m == pytest.approx(49.0, rel=0.05)
-    assert budget.x_tilde_m == pytest.approx(2.8e-6, rel=0.05)
+    assert budget.q1_e == pytest.approx(1400.0, rel=0.05, abs=0.0)
+    assert budget.field_v_per_m == pytest.approx(49.0, rel=0.05, abs=0.0)
+    assert budget.x_tilde_m == pytest.approx(2.8e-6, rel=0.05, abs=0.0)
 
 
 def test_cooling_budget_back_substitution(trap):
@@ -250,10 +250,10 @@ def test_cooling_budget_unreachable_floor():
 
 def test_lamb_dicke_budget_reproduces_reference(trap):
     budget = lamb_dicke_budget(trap, X_Q, 0.2)
-    assert budget.q1_max_e == pytest.approx(230.0, rel=0.05)
-    assert budget.field_v_per_m == pytest.approx(8.2, rel=0.05)
-    assert budget.x_tilde_max_m == pytest.approx(0.47e-6, rel=0.05)
-    assert budget.x_micromotion_max_m == pytest.approx(11e-9, rel=0.10)
+    assert budget.q1_max_e == pytest.approx(230.0, rel=0.05, abs=0.0)
+    assert budget.field_v_per_m == pytest.approx(8.2, rel=0.05, abs=0.0)
+    assert budget.x_tilde_max_m == pytest.approx(0.47e-6, rel=0.05, abs=0.0)
+    assert budget.x_micromotion_max_m == pytest.approx(11e-9, rel=0.10, abs=0.0)
 
 
 def test_lamb_dicke_back_substitution(trap):
@@ -268,13 +268,13 @@ def test_lamb_dicke_limit_scalings(trap):
     assert small.x_tilde_max_m < 1e-11
     a = lamb_dicke_budget(trap, X_Q, 0.1)
     b = lamb_dicke_budget(trap, X_Q, 0.2)
-    assert b.x_micromotion_max_m == pytest.approx(2 * a.x_micromotion_max_m, rel=1e-9)
+    assert b.x_micromotion_max_m == pytest.approx(2 * a.x_micromotion_max_m, rel=1e-9, abs=0.0)
 
 
 def test_charge_for_displacement_inverse(trap):
     for q1 in (50.0, 100.0, 700.0):
         x_t = equilibrium_position(trap, ChargeScenario(q1, 0.0, X_Q))
-        assert charge_for_displacement(trap, X_Q, x_t) == pytest.approx(q1, rel=1e-10)
+        assert charge_for_displacement(trap, X_Q, x_t) == pytest.approx(q1, rel=1e-10, abs=0.0)
     assert charge_for_displacement(trap, X_Q, 0.0) == 0.0
     with pytest.raises(ParameterError):
         charge_for_displacement(trap, X_Q, 0.6 * X_Q)
@@ -283,7 +283,7 @@ def test_charge_for_displacement_inverse(trap):
 def test_charge_for_micromotion_inverse(trap):
     for q1 in (1.0, 50.0, 700.0, 1e6):
         x_um = micromotion_of_single_charge(trap, X_Q, q1)
-        assert _charge_for_micromotion(trap, X_Q, x_um) == pytest.approx(q1, rel=1e-12)
+        assert _charge_for_micromotion(trap, X_Q, x_um) == pytest.approx(q1, rel=1e-12, abs=0.0)
     assert _charge_for_micromotion(trap, X_Q, 0.0) == 0.0
     with pytest.raises(ParameterError, match="x_Q must be positive"):
         _charge_for_micromotion(trap, 0.0, 1e-8)
@@ -297,7 +297,7 @@ def test_charge_for_micromotion_inverse(trap):
 
 def test_zero_point_spread(trap):
     spread = zero_point_spread(trap)
-    assert spread == pytest.approx(8e-9, rel=0.05)
+    assert spread == pytest.approx(8e-9, rel=0.05, abs=0.0)
     assert spread == pytest.approx(
         math.sqrt(sc.hbar / (2.0 * trap.mass_amu * sc.atomic_mass * omega_x(trap))), rel=1e-8
     )
@@ -322,7 +322,7 @@ def test_gate_verdict_no_charge(trap):
 def test_gate_verdict_at_printed_charge(trap):
     gate = GateParams(rabi_hz=10e3)
     v = gate_detuning_verdict(trap, ChargeScenario(630.0, 630.0, X_Q), gate)
-    assert v.ratio_rabi == pytest.approx(0.65, rel=0.02)
+    assert v.ratio_rabi == pytest.approx(0.65, rel=0.02, abs=0.0)
     assert v.ratio_secular == pytest.approx(0.013, abs=0.001)
     assert not v.within_threshold
 
@@ -337,9 +337,9 @@ def test_gate_verdict_small_equal_charges(trap):
 def test_gate_bound_charge(trap):
     gate = GateParams(rabi_hz=10e3)
     bound = max_equal_charge_for_gate(trap, X_Q, gate)
-    assert bound == pytest.approx(13.0, rel=0.10)
+    assert bound == pytest.approx(13.0, rel=0.10, abs=0.0)
     v = gate_detuning_verdict(trap, ChargeScenario(bound, bound, X_Q), gate)
-    assert v.ratio_rabi == pytest.approx(gate.threshold_ratio, rel=1e-9)
+    assert v.ratio_rabi == pytest.approx(gate.threshold_ratio, rel=1e-9, abs=0.0)
 
 
 def test_budget_inversions_back_substitute(trap):

@@ -1,19 +1,36 @@
-"""Byte-for-byte oracle: the reproduction CSV and the budget rows.
+"""Byte-for-byte oracle: the reproduction CSV, the budget rows and sweeps.
 
 The files under tests/data/ were written by `toolkit reproduce-paper --out`
 with TOOLKIT_SEED=12345 and by `toolkit budget --scenario paper_yb.scenario`
 for each target (every stdout line but the last). They were last regenerated
 when the cooling and Lamb-Dicke budgets moved from charge bisections to a
-closed-form inverse. A change to any byte of them must be deliberate:
-regenerate the files and say why.
+closed-form inverse. budget_sweeps_paper_yb.sha256 holds the sha256 of each
+target's default sweep CSV, as written when every sweep was one array call.
+A change to any byte of them must be deliberate: regenerate the files and
+say why.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import cavitycharge
 from cavitycharge.cli import main
 from cavitycharge.reports import BUDGET_TARGETS
 
 DATA = Path(__file__).resolve().parent / "data"
+
+
+def _pinned_sweep_hashes() -> dict:
+    lines = (DATA / "budget_sweeps_paper_yb.sha256").read_text(encoding="utf-8").splitlines()
+    return {name: digest for digest, name in (line.split() for line in lines)}
+
+
+def _sweep_hashes(directory: Path) -> dict:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in directory.glob("*.csv")}
 
 
 def test_reproduce_paper_csv_is_byte_identical(tmp_path, monkeypatch, capsys):
@@ -36,3 +53,22 @@ def test_budget_rows_are_byte_identical(tmp_path, capsys):
         blocks.extend(lines[:-1])
     expected = (DATA / "budget_rows_paper_yb.txt").read_text(encoding="utf-8")
     assert "\n".join(blocks) + "\n" == expected
+    assert _sweep_hashes(tmp_path) == _pinned_sweep_hashes()
+
+
+def test_numpy_free_budget_sweeps_match_the_pinned_hashes(tmp_path):
+    # a fresh interpreter never loads numpy, so each sweep is called point by point
+    probe = (
+        "import sys\n"
+        "from cavitycharge import BUDGET_TARGETS, cli\n"
+        "for target in BUDGET_TARGETS:\n"
+        "    argv = ['budget', '--scenario', 'paper_yb.scenario', '--target', target,\n"
+        "            '--out', f'{target}.csv']\n"
+        "    assert cli.main(argv) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = str(Path(cavitycharge.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, capture_output=True,
+                   env=dict(os.environ, PYTHONPATH=path), check=True, timeout=60)
+    assert _sweep_hashes(tmp_path) == _pinned_sweep_hashes()
