@@ -178,10 +178,6 @@ def _coupling(scn, displacement_m, **_) -> _Target:
     x_q = scn._require("charges").xq_m
     x_target = displacement_m
     if x_target is None:
-        if not trap.cavity_wavelength_m > 0:
-            raise ParameterError(
-                f"cavity wavelength must be positive, got {trap.cavity_wavelength_m}"
-            )
         x_target = trap.cavity_wavelength_m / 8.0
     q1 = ion_impact.charge_for_displacement(trap, x_q, x_target)
     s = electrostatics.ChargeScenario(q1, 0.0, x_q)

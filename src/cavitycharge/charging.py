@@ -15,11 +15,10 @@ direct-illumination assumption pessimistic.
 
 photocurrent reads a scenario [illumination] section
 (scenario.IlluminationSection): power_w, wavelength_m, quantum_efficiency
-and, when set, photon_rate_per_s, each checked against its key's range
-rule. film_resistance reads a [film] section
-(scenario.FilmSection): rho_ohm_m and thickness_m, the latter checked positive.
-The other functions take plain floats; the mirror distance is the [charges]
-key xq_m.
+and, when set, photon_rate_per_s. film_resistance reads a [film] section
+(scenario.FilmSection): rho_ohm_m and thickness_m. A section checks its
+keys' range rules when it is built. The other functions take plain floats,
+which they check; the mirror distance is the [charges] key xq_m.
 """
 
 from __future__ import annotations
@@ -79,19 +78,7 @@ def photocurrent(illumination: IlluminationSection) -> Photocurrent:
     A photon_rate_per_s set in the section takes precedence over the flux
     formula.
     """
-    if not illumination.power_w >= 0:
-        raise ParameterError(f"laser power must be >= 0, got {illumination.power_w}")
-    if not illumination.wavelength_m > 0:
-        raise ParameterError(f"wavelength must be positive, got {illumination.wavelength_m}")
-    if not 0 <= illumination.quantum_efficiency <= 1:
-        raise ParameterError(
-            f"quantum efficiency must be in [0, 1], got {illumination.quantum_efficiency}"
-        )
     if illumination.photon_rate_per_s is not None:
-        if not illumination.photon_rate_per_s >= 0:
-            raise ParameterError(
-                f"photon rate must be >= 0, got {illumination.photon_rate_per_s}"
-            )
         rate = illumination.photon_rate_per_s
     else:
         rate = (illumination.quantum_efficiency * illumination.power_w
@@ -102,8 +89,6 @@ def photocurrent(illumination: IlluminationSection) -> Photocurrent:
 def film_resistance(film: FilmSection) -> float:
     """Film resistance in Ohm: the sheet resistance rho/h, since the round
     grounded film counts as one square."""
-    if not film.thickness_m > 0:
-        raise ParameterError(f"film thickness must be positive, got {film.thickness_m}")
     return film.rho_ohm_m / film.thickness_m
 
 

@@ -22,13 +22,14 @@ Budget helpers invert these monotone chains in closed form to find the
 largest tolerable stray charge (q2 = 0 convention, charges in units of e);
 only the cooling budget bisects, in beta rather than in the charge.
 
-`trap` is a scenario [trap] section (scenario.TrapSection). Every function
+`trap` is a scenario [trap] section (scenario.TrapSection), whose keys
+were checked against their range rules when it was built. Every function
 that takes it reads mass_amu, secular_hz and rf_hz, and raises
-ParameterError unless 0 < secular_hz < rf_hz and k_t is positive and finite;
+ParameterError unless secular_hz < rf_hz and k_t is positive and finite;
 max_charge_for_cooling also reads cooling_wavelength_m, and
-lamb_dicke_budget gate_wavelength_m, which each checks positive. `gate` is a
-GateParams; the gate functions raise ParameterError unless its Rabi rate
-and threshold are positive.
+lamb_dicke_budget gate_wavelength_m. `gate` is a GateParams; the gate
+functions raise ParameterError unless its Rabi rate and threshold are
+positive.
 
 The forward chain (equilibrium_position, shifted_frequency,
 micromotion_amplitude, micromotion_of_single_charge, bessel_j0,
@@ -118,13 +119,13 @@ class GateDetuning(NamedTuple):
 def _trap(trap: TrapSection):
     """(m, omega_x, Omega_RF, k_t) of a [trap] section, in kg, rad/s and J/m^2.
 
-    Raises ParameterError unless 0 < secular frequency < RF drive and
-    k_t = (1/2) m omega_x^2 is positive and finite.
+    Raises ParameterError unless the secular frequency is below the RF drive
+    and k_t = (1/2) m omega_x^2 is positive and finite.
     """
-    if not 0.0 < trap.secular_hz < trap.rf_hz:
+    if not trap.secular_hz < trap.rf_hz:
         raise ParameterError(
-            f"RF drive ({trap.rf_hz} Hz) must exceed the secular "
-            f"frequency ({trap.secular_hz} Hz), which must be positive"
+            f"RF drive ({trap.rf_hz} Hz) must exceed the secular frequency "
+            f"({trap.secular_hz} Hz)"
         )
     mass_kg = trap.mass_amu * CODATA.amu
     omega_x = 2.0 * math.pi * trap.secular_hz
@@ -346,9 +347,6 @@ def max_charge_for_cooling(
     _trap(trap)  # the trap's checks come before the option's
     if not 0.0 < intensity_floor < 1.0:
         raise ParameterError(f"intensity floor must be in (0,1), got {intensity_floor}")
-    if not trap.cooling_wavelength_m > 0:
-        raise ParameterError(f"cooling wavelength must be positive, got "
-                             f"{trap.cooling_wavelength_m}")
     lo, hi = 0.0, BESSEL_J0_FIRST_ZERO
     while hi - lo > _BISECT_RTOL * hi:
         mid = 0.5 * (lo + hi)
@@ -368,10 +366,6 @@ def lamb_dicke_budget(
 ) -> LambDickeBudget:
     """Charge budget from the gate-laser phase-modulation cap k x_um < limit."""
     _trap(trap)  # the trap's checks come before the option's
-    if not trap.gate_wavelength_m > 0:
-        raise ParameterError(
-            f"gate wavelength must be positive, got {trap.gate_wavelength_m}"
-        )
     if modulation_limit <= 0:
         raise ParameterError("modulation limit must be positive")
     x_um_max = modulation_limit * trap.gate_wavelength_m / (2.0 * math.pi)

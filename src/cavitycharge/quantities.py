@@ -119,13 +119,6 @@ _FD_REL_STEP = 1e-6
 _FD_ABS_STEP = 1e-12
 
 
-def _check_finite(y: float, context: str) -> float:
-    y = float(y)
-    if not math.isfinite(y):
-        raise EvaluationError(f"non-finite function value during {context}: {y}")
-    return y
-
-
 class finite_evaluation:
     """The finite-output gate: ``with finite_evaluation(label) as check:``.
 
@@ -176,7 +169,8 @@ def propagate_linear(
     the sigmas are small against the local curvature scale.
     """
     values = [q.value for q in inputs]
-    y0 = _check_finite(f(*values), "propagate_linear evaluation")
+    # f's values as Python floats: a NumPy float's ** can differ by an ulp
+    y0 = _require_finite("f at the input values", float(f(*values)))
     var = 0.0
     for i, q in enumerate(inputs):
         if q.sigma == 0.0:
@@ -187,8 +181,8 @@ def propagate_linear(
         hi[i] += step
         lo[i] -= step
         deriv = (
-            _check_finite(f(*hi), "propagate_linear stencil")
-            - _check_finite(f(*lo), "propagate_linear stencil")
+            _require_finite("f at a finite-difference point", float(f(*hi)))
+            - _require_finite("f at a finite-difference point", float(f(*lo)))
         ) / (2.0 * step)
         var += (deriv * q.sigma) ** 2
     return UncertainQuantity(y0, math.sqrt(var))

@@ -15,11 +15,11 @@ Convention: alpha is stored in Hz/(V/m)^2 and delta_R/2pi, Omega_R/2pi are
 ordinary frequencies, so tau_pi = 1/(alpha E^2) holds as written and the
 blockade ratio is frequency-convention free.
 
-`rydberg` is a scenario [rydberg] section (scenario.RydbergSection): every
+`rydberg` is a scenario [rydberg] section (scenario.RydbergSection), whose
+`alpha` and `rabi_hz` were checked positive when it was built: every
 function reads its polarizability `alpha`, and blockade_infidelity and
 max_charge_for_infidelity also its two-photon Rabi frequency `rabi_hz`
-(Omega_R/2pi), which they check positive; the two charge inversions
-check alpha positive.
+(Omega_R/2pi).
 
 stark_shift, decoherence_time and blockade_infidelity take a float or a
 NumPy array of fields (or shifts) and evaluate every element at once, each
@@ -81,8 +81,6 @@ def decoherence_time(rydberg: RydbergSection, field_v_per_m: float) -> float:
 
 def blockade_infidelity(rydberg: RydbergSection, stark_shift_hz: float) -> float:
     """Blockade-gate infidelity (1/2)(delta_R/Omega_R)^2."""
-    if rydberg.rabi_hz <= 0:
-        raise ParameterError("blockade infidelity needs a positive Rabi frequency")
     ratio = stark_shift_hz / rydberg.rabi_hz
     return 0.5 * (ratio * ratio)
 
@@ -100,10 +98,6 @@ def max_charge_for_infidelity(
         raise ParameterError(
             f"target infidelity must be in (0, 0.5), got {target_infidelity}"
         )
-    if rydberg.rabi_hz <= 0:
-        raise ParameterError("inversion needs a positive Rabi frequency")
-    if not rydberg.alpha > 0:
-        raise ParameterError(f"polarizability must be positive, got {rydberg.alpha}")
     delta_hz = rydberg.rabi_hz * math.sqrt(2.0 * target_infidelity)
     field = math.sqrt(2.0 * delta_hz / rydberg.alpha)
     return ChargeFieldBudget(charge_for_field(field, x_q_m), field)
@@ -115,7 +109,5 @@ def charge_for_coherence_time(
     """Largest single charge compatible with a decoherence time tau_pi."""
     if tau_pi_s <= 0:
         raise ParameterError(f"tau_pi must be positive, got {tau_pi_s}")
-    if not rydberg.alpha > 0:
-        raise ParameterError(f"polarizability must be positive, got {rydberg.alpha}")
     field = 1.0 / math.sqrt(rydberg.alpha * tau_pi_s)
     return ChargeFieldBudget(charge_for_field(field, x_q_m), field)

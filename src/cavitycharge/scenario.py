@@ -12,10 +12,15 @@ Each key is declared once, as a field of its section class (`[meta]` keys are
 `Scenario`'s own): its annotation is its type, it is required when it has no
 default, optional when the default is None, and its range rule, if any, is
 the annotation's metadata, `Annotated[type, rule]`.
+
+The rules run once, when a section or a Scenario is built (by parse_scenario,
+in Python or by _replace): SchemaError names the key a value breaks, so no
+record holds one. serialize_scenario only formats.
 """
 
 import math
 import numbers
+import operator
 from pathlib import Path
 from typing import Annotated, NamedTuple, Optional, get_args, get_origin
 
@@ -45,6 +50,36 @@ _MC = (lambda v: v >= MIN_MC_SAMPLES, f">= {MIN_MC_SAMPLES}")
 _LINE = (lambda v: v == v.strip() and len(v.splitlines()) < 2, "one line without outer blanks")
 
 
+def _checked(cls):
+    """The NamedTuple cls, its construction checking every key: see _new."""
+    cls._unchecked_new, cls.__new__ = cls.__new__, staticmethod(_new)
+    cls._make = classmethod(lambda c, values: c(*values))  # so _replace checks too
+    return cls
+
+
+def _new(cls, *args, **kwargs):
+    """cls(*args, **kwargs), checked: SchemaError names the first key, in
+    declaration order, whose type, finiteness or range rule refuses its value,
+    or a [cavity] with neither fsr_hz nor length_m. An int or NumPy value of a
+    float key becomes a float. Scenario checks its [meta] keys only: its
+    sections were checked when they were built."""
+    record = cls._unchecked_new(cls, *args, **kwargs)
+    section, keys = _SPECS[cls]
+    values = []
+    for (key, spec), value in zip(keys.items(), record):
+        if value is not None or spec.default is not None:  # None leaves out an optional key
+            if type(value) is not spec.type:
+                value = _typed(section, key, spec, value)
+            _check(section, key, spec, value)
+        values.append(value)
+    if cls is CavitySection and record.fsr_hz is None and record.length_m is None:
+        raise SchemaError("section [cavity] needs 'fsr_hz' or 'length_m'")
+    if any(map(operator.is_not, values, record)):  # an int or NumPy float became a float
+        record = tuple.__new__(cls, (*values, *record[len(values):]))
+    return record
+
+
+@_checked
 class CavitySection(NamedTuple):
     f00: Annotated[float, _POS]
     f00_sigma: Annotated[float, _NONNEG]
@@ -58,6 +93,7 @@ class CavitySection(NamedTuple):
     linewidth_sigma_hz: Annotated[float, _NONNEG] = 0.0
 
 
+@_checked
 class TrapSection(NamedTuple):
     mass_amu: Annotated[float, _POS]
     secular_hz: Annotated[float, _POS]
@@ -68,17 +104,20 @@ class TrapSection(NamedTuple):
     gate_rabi_hz: Annotated[Optional[float], _POS] = None
 
 
+@_checked
 class ChargesSection(NamedTuple):
     q1_e: float
     q2_e: float
     xq_m: Annotated[float, _POS]
 
 
+@_checked
 class RydbergSection(NamedTuple):
     alpha: Annotated[float, _POS]  # polarizability, Hz/(V/m)^2
     rabi_hz: Annotated[float, _POS]
 
 
+@_checked
 class FilmSection(NamedTuple):
     rho_ohm_m: Annotated[float, _POS]
     thickness_m: Annotated[float, _POS]
@@ -86,6 +125,7 @@ class FilmSection(NamedTuple):
     capacitance_f: Annotated[float, _POS]
 
 
+@_checked
 class IlluminationSection(NamedTuple):
     power_w: Annotated[float, _NONNEG]
     wavelength_m: Annotated[float, _POS]
@@ -94,6 +134,7 @@ class IlluminationSection(NamedTuple):
     photon_rate_per_s: Annotated[Optional[float], _NONNEG] = None
 
 
+@_checked
 class Scenario(NamedTuple):
     name: Annotated[str, _LINE] = "unnamed"
     seed: Annotated[int, _NONNEG] = 0
@@ -180,31 +221,33 @@ _KEYS = {
     "meta": _keys(Scenario, [name for name in Scenario._fields if name not in _SECTIONS]),
     **{section: _keys(cls, cls._fields) for section, cls in _SECTIONS.items()},
 }
-# what a value of each key type may be before serialize converts it
+# section class -> (section name, its keys), for _new
+_SPECS = {cls: (section, _KEYS[section]) for section, cls in {"meta": Scenario, **_SECTIONS}.items()}
+# what a value of each key type may be before it is converted
 _ACCEPTED = {float: numbers.Real, int: numbers.Integral, str: str}
 
 
-def _check(section: str, key: str, spec: _Key, value):
+def _typed(section: str, key: str, spec: _Key, value):
+    """value as parse_scenario would read its text, if its type allows."""
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTED[spec.type]):
+        raise SchemaError(f"key '{key}' in [{section}] must be of type {spec.type.__name__}, "
+                          f"got {value!r}")
+    try:
+        return spec.type(value)
+    except OverflowError:  # an int beyond the float range reads as inf, as its text would
+        return math.inf if value > 0 else -math.inf
+
+
+def _check(section: str, key: str, spec: _Key, value) -> None:
     if spec.type is float and not math.isfinite(value):
         raise SchemaError(f"key '{key}' in [{section}] must be finite, got {value}")
     if spec.rule is not None and not spec.rule[0](value):
         raise SchemaError(f"key '{key}' in [{section}] must be {spec.rule[1]}, got {value!r}")
-    return value
-
-
-def _check_document(collected: dict[str, dict[str, object]]) -> None:
-    """Required keys and the cross-key rule, over section -> key -> value."""
-    for section, values in collected.items():
-        for key, spec in _KEYS[section].items():
-            if spec.default is _REQUIRED and key not in values:
-                raise SchemaError(f"missing required key '{key}' in [{section}]")
-    cavity = collected.get("cavity")
-    if cavity is not None and "fsr_hz" not in cavity and "length_m" not in cavity:
-        raise SchemaError("section [cavity] needs 'fsr_hz' or 'length_m'")
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document. Unknown keys are rejected."""
+    """Parse a scenario document; each section is checked as it is built.
+    Unknown keys are rejected."""
     section = None
     collected: dict[str, dict[str, object]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -233,46 +276,30 @@ def parse_scenario(text: str) -> Scenario:
         if key in values:
             raise SchemaError(f"line {lineno}: duplicate key '{key}' in [{section}]")
         try:
-            value = spec.type(token)  # int() reads base 10 only
+            values[key] = spec.type(token)  # int() reads base 10 only
         except ValueError:
             raise SchemaError(
                 f"key '{key}' in [{section}]: cannot parse {token!r} as {spec.type.__name__}"
             ) from None
-        values[key] = _check(section, key, spec, value)
-    _check_document(collected)
+    for section, values in collected.items():
+        for key, spec in _KEYS[section].items():
+            if spec.default is _REQUIRED and key not in values:
+                raise SchemaError(f"missing required key '{key}' in [{section}]")
     meta = collected.pop("meta", {})
     return Scenario(**meta, **{sec: _SECTIONS[sec](**v) for sec, v in collected.items()})
 
 
-def _typed(section: str, key: str, spec: _Key, value):
-    """value as parse_scenario would read its text, if its type allows."""
-    if isinstance(value, bool) or not isinstance(value, _ACCEPTED[spec.type]):
-        raise SchemaError(f"key '{key}' in [{section}] must be of type {spec.type.__name__}, "
-                          f"got {value!r}")
-    try:
-        return spec.type(value)
-    except OverflowError:  # an int beyond the float range reads as inf, as its text would
-        return math.inf if value > 0 else -math.inf
-
-
 def serialize_scenario(s: Scenario) -> str:
-    """Canonical text form; parse(serialize(s)) == s, byte-stable. Raises
-    SchemaError for any value parse_scenario would reject."""
-    collected = {}
+    """Canonical text form; parse(serialize(s)) == s, byte-stable. The values
+    were checked when s and its sections were built."""
+    blocks = []
     for section, keys in _KEYS.items():
         obj = s if section == "meta" else getattr(s, section)
-        if obj is None:
-            continue
-        collected[section] = {
-            key: _check(section, key, spec, _typed(section, key, spec, value))
-            for key, spec in keys.items()
-            if (value := getattr(obj, key)) is not None or spec.default is not None
-        }
-    _check_document(collected)
-    return "\n\n".join(
-        "\n".join([f"[{section}]", *(_line(section, k, v) for k, v in values.items())])
-        for section, values in collected.items()
-    ) + "\n"
+        if obj is not None:
+            blocks.append("\n".join([f"[{section}]", *(
+                _line(section, key, value)
+                for key in keys if (value := getattr(obj, key)) is not None)]))
+    return "\n\n".join(blocks) + "\n"
 
 
 def _line(section: str, key: str, value) -> str:

@@ -6,7 +6,7 @@ import pytest
 from scipy import constants as sc
 
 from cavitycharge.electrostatics import ChargeScenario
-from cavitycharge.errors import ParameterError, SearchError, StabilityError
+from cavitycharge.errors import ParameterError, SchemaError, SearchError, StabilityError
 from cavitycharge.ion_impact import (
     BESSEL_J0_FIRST_ZERO,
     CHARGE_SEARCH_MAX_E,
@@ -372,8 +372,9 @@ def test_trap_config_validation():
         with pytest.raises(ParameterError,
                            match=r"RF drive \(400000.0 Hz\) must exceed the secular"):
             call(TrapSection(171.0, 500e3, 400e3, 369e-9, 355e-9, 1650e-9))  # RF below secular
-        with pytest.raises(ParameterError, match="trap curvature"):
-            call(TrapSection(-1.0, 500e3, 30e6, 369e-9, 355e-9, 1650e-9))
+    # a mass <= 0 is refused when the section is built, before any reader sees it
+    with pytest.raises(SchemaError, match=r"^key 'mass_amu' in \[trap\] must be > 0, got -1.0$"):
+        TrapSection(-1.0, 500e3, 30e6, 369e-9, 355e-9, 1650e-9)
 
 
 @pytest.mark.parametrize("mass_amu, secular_hz", [

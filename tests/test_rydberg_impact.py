@@ -111,9 +111,9 @@ def test_config_metadata_and_validation():
         )
         with pytest.raises(SchemaError, match=f"key '{key}' in \\[rydberg\\] must be > 0"):
             parse_scenario(text)
-    # and a Rabi frequency of zero by the blockade formulas
-    unset = RydbergSection(alpha=53.4e3, rabi_hz=0.0)
-    with pytest.raises(ParameterError, match="blockade infidelity needs a positive Rabi"):
-        blockade_infidelity(unset, 1e3)
-    with pytest.raises(ParameterError, match="inversion needs a positive Rabi"):
-        max_charge_for_infidelity(unset, 0.01, X_Q)
+    # and a Rabi frequency of zero when the section is built, by its
+    # constructor or by _replace, before the blockade formulas see it
+    for call in (lambda: blockade_infidelity(RydbergSection(alpha=53.4e3, rabi_hz=0.0), 1e3),
+                 lambda: max_charge_for_infidelity(CFG._replace(rabi_hz=0.0), 0.01, X_Q)):
+        with pytest.raises(SchemaError, match=r"^key 'rabi_hz' in \[rydberg\] must be > 0, got 0.0$"):
+            call()

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cavitycharge import budgets, charging, ion_impact, reports, rydberg_impact
 from cavitycharge.electrostatics import ChargeScenario
 from cavitycharge.cli import main
-from cavitycharge.errors import ParameterError, SchemaError
+from cavitycharge.errors import SchemaError
 from cavitycharge.reports import bundled_scenario_text
 from cavitycharge.scenario import (
     _KEYS,
@@ -247,7 +247,7 @@ def test_file_over_one_mib_is_a_schema_error_naming_the_file(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and str(path) in captured.err
 
 
-# -- serialize_scenario enforces what parse_scenario enforces ------------------
+# -- a record refuses at construction what parse_scenario refuses --------------
 
 
 def _with(scn, section, **values):
@@ -278,19 +278,20 @@ def test_serialize_writes_numpy_floats_as_floats():
          "int-beyond-float", "int-beyond-str-digits"],
 )
 def test_serialize_rejects_what_parse_rejects(section, key, value, message):
-    scn = _with(parse_scenario(bundled_scenario_text()), section, **{key: value})
-    with pytest.raises(SchemaError, match=message):
-        serialize_scenario(scn)
+    # _replace refuses every value but the int too long to write as text, which
+    # only serialize_scenario refuses
+    scn = parse_scenario(bundled_scenario_text())
+    if "cannot write" in message:
+        with pytest.raises(SchemaError, match=message):
+            serialize_scenario(_with(scn, section, **{key: value}))
+    else:
+        with pytest.raises(SchemaError, match=message):
+            _with(scn, section, **{key: value})
 
 
-def test_serialize_applies_the_fsr_or_length_rule():
-    scn = _with(parse_scenario(bundled_scenario_text()), "cavity", fsr_hz=None, length_m=None)
-    with pytest.raises(SchemaError, match=r"fsr_hz.*length_m"):
-        serialize_scenario(scn)
-
-
-# Properties over the key table that parse and serialize share. Every value a
-# key's declaration admits must round-trip; any other must be refused by name.
+# Properties over the key table that parse and the records share. Every value
+# a key's declaration admits must round-trip; any other must be refused by name
+# when its record is built, so serialize_scenario never sees it.
 
 _ANY_VALUE = {
     float: st.one_of(
@@ -363,12 +364,12 @@ _INVALID = {
 def test_serialize_refuses_any_undeclared_value_by_key(section_key, data):
     section, key = section_key  # the bundled scenario sets every key
     bad = data.draw(_INVALID[section_key])
-    scn = _with(parse_scenario(bundled_scenario_text()), section, **{key: bad})
+    scn = parse_scenario(bundled_scenario_text())
+    record = scn if section == "meta" else getattr(scn, section)
     with pytest.raises(SchemaError, match=rf"'{key}' in \[{section}\]"):
-        serialize_scenario(scn)
-
-
-_NEGATIVE_SECULAR = TrapSection(171.0, -5e5, 30e6, 369e-9, 355e-9, 1650e-9)
+        _with(scn, section, **{key: bad})
+    with pytest.raises(SchemaError, match=rf"'{key}' in \[{section}\]"):
+        type(record)(**{**record._asdict(), key: bad})
 
 
 def _trap(**values):
@@ -380,8 +381,8 @@ def _illumination(**values):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: ion_impact.zero_point_spread(_NEGATIVE_SECULAR),
-    lambda: ion_impact.equilibrium_position(_NEGATIVE_SECULAR, ChargeScenario(54.0, 0.0, 2e-4)),
+    lambda: ion_impact.zero_point_spread(_trap(secular_hz=-5e5)),
+    lambda: ion_impact.equilibrium_position(_trap(secular_hz=-5e5), ChargeScenario(54.0, 0.0, 2e-4)),
     lambda: rydberg_impact.charge_for_coherence_time(RydbergSection(-1.0, 1e6), 5e-6, 2e-4),
     lambda: rydberg_impact.charge_for_coherence_time(RydbergSection(0.0, 1e6), 5e-6, 2e-4),
     lambda: rydberg_impact.max_charge_for_infidelity(RydbergSection(-1.0, 1e6), 0.01, 2e-4),
@@ -405,6 +406,41 @@ def _illumination(**values):
         "lamb-dicke-negative-gate-wavelength", "cooling-zero-cooling-wavelength",
         "cooling-negative-cooling-wavelength", "coupling-zero-cavity-wavelength"])
 def test_a_section_built_in_python_out_of_range_raises_parameter_error(call):
-    # parse_scenario's range rules do not run on a section built directly
-    with pytest.raises(ParameterError):
+    # each section is refused when it is built, by its constructor or by
+    # _replace, before the physics function could see it
+    with pytest.raises(SchemaError, match=r"^key '\w+' in \[\w+\] must be (> 0|>= 0|in \[0, 1\]), got "):
         call()
+
+
+def _rebuilt(section, **values):
+    """The bundled scenario, its section built anew by the section's constructor."""
+    scn = parse_scenario(bundled_scenario_text())
+    record = getattr(scn, section)
+    return scn._replace(**{section: type(record)(**{**record._asdict(), **values})})
+
+
+# (section, values, call, message); each used to reach the call and end in a bare TypeError
+WRONG_TYPE_OR_MISSING = [
+    ("illumination", {"power_w": "1e-3"}, lambda scn: budgets.budget_rows(scn, "charging"),
+     r"key 'power_w' in \[illumination\] must be of type float, got '1e-3'"),
+    ("charges", {"xq_m": None}, lambda scn: budgets.budget_rows(scn, "cooling"),
+     r"key 'xq_m' in \[charges\] must be of type float, got None"),
+    ("trap", {"rf_hz": None}, lambda scn: budgets.budget_rows(scn, "gate"),
+     r"key 'rf_hz' in \[trap\] must be of type float, got None"),
+    ("cavity", {"fsr_hz": None, "length_m": None}, reports.build_report,
+     r"section \[cavity\] needs 'fsr_hz' or 'length_m'"),
+]
+
+
+@pytest.mark.parametrize("build", ["constructor", "_replace"])
+@pytest.mark.parametrize("section, values, call, message", WRONG_TYPE_OR_MISSING,
+                         ids=["charging-power-str", "cooling-xq-none", "gate-rf-none",
+                              "report-no-fsr-or-length"])
+def test_a_section_built_in_python_with_a_refused_value_is_a_schema_error(
+    build, section, values, call, message
+):
+    with pytest.raises(SchemaError, match=rf"^{message}$"):
+        if build == "constructor":
+            call(_rebuilt(section, **values))
+        else:
+            call(_with(parse_scenario(bundled_scenario_text()), section, **values))
