@@ -87,7 +87,7 @@ def _report(scn: Scenario, target: str, options: dict, np):
             # np.linspace's grid: start + i * step, its last point upper itself
             step = (upper - start) / (SWEEP_POINTS - 1)
             grid = [i * step + start for i in range(SWEEP_POINTS - 1)] + [upper]
-            sweep = [(x, figure_of_merit(x)) for x in grid]
+            sweep = [(x, _at(figure_of_merit, x)) for x in grid]
             complete = all(map(_finite_row, sweep))
         if not complete:
             bad = [row for row in sweep if not _finite_row(row)]
@@ -96,6 +96,14 @@ def _report(scn: Scenario, target: str, options: dict, np):
                 f"({header}) = ({float(bad[0][0])!r}, {float(bad[0][1])!r})"
             )
     return rows, header, sweep
+
+
+def _at(figure_of_merit, x: float) -> float:
+    """figure_of_merit(x), or nan where an array call's element would be non-finite."""
+    try:
+        return figure_of_merit(x)
+    except ArithmeticError:
+        return math.nan
 
 
 def _finite_row(row) -> bool:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, ParameterError
 from .quantities import (
-    CheckedRecord, UncertainQuantity, as_quantity, propagate_linear, propagate_monte_carlo,
+    UncertainQuantity, as_quantity, checked, propagate_linear, propagate_monte_carlo,
 )
 
 __all__ = [
@@ -53,22 +53,21 @@ class NegativeExtinctionWarning(UserWarning):
     """The modified cavity has higher finesse; extracted kappa is negative."""
 
 
-_Mirror = NamedTuple("_Mirror", [("r", float), ("T", float)])
-
-
-class MirrorState(CheckedRecord, _Mirror):
+@checked
+class MirrorState(NamedTuple):
     """Amplitude reflectivity and power transmission of one mirror."""
 
-    __slots__ = ()
+    r: float
+    T: float
 
-    def __new__(cls, r: float, T: float):
-        if not 0.0 < r < 1.0:
-            raise ParameterError(f"amplitude reflectivity must be in (0,1), got {r}")
-        if not 0.0 <= T <= 1.0 - r**2:
+    def _checked(self):
+        if not 0.0 < self.r < 1.0:
+            raise ParameterError(f"amplitude reflectivity must be in (0,1), got {self.r}")
+        if not 0.0 <= self.T <= 1.0 - self.r**2:
             raise ParameterError(
-                f"transmission {T} exceeds the power budget 1-r^2 = {1 - r ** 2:.3e}"
+                f"transmission {self.T} exceeds the power budget 1-r^2 = {1 - self.r ** 2:.3e}"
             )
-        return super().__new__(cls, r, T)
+        return self
 
 
 def _r0(f00):

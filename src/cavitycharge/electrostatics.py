@@ -23,19 +23,21 @@ For a 125 um disc seen from 200 um the disc/point ratios are
 U_m/U_p = 0.92 and E_m/E_p = 0.78, close enough to unity that the
 point-charge model is used for the budgets.
 
-The charges of a ChargeScenario, and the positions and charges passed to
-field_at and single_charge_field, may be NumPy arrays: each element is one
-scenario, with the bits of a scalar call. The module itself never imports
-NumPy; an array's own methods do the work.
+A ChargeScenario's x_Q is checked finite and positive when it is built. Its
+charges, and the positions and charges passed to field_at and
+single_charge_field, may be NumPy arrays: each element is one scenario, with
+the bits of a scalar call. The module itself never imports NumPy; an array's
+own methods do the work.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 from .errors import DomainError, ParameterError
-from .quantities import CODATA
+from .quantities import CODATA, checked
 
 __all__ = [
     "ChargeScenario",
@@ -48,16 +50,22 @@ __all__ = [
 ]
 
 
+@checked
 class ChargeScenario(NamedTuple):
     """Stray charges q1 at -x_Q and q2 at +x_Q, in elementary charges.
 
-    q1_e and q2_e may be arrays (one scenario per element); x_Q is a float,
-    checked positive by expansion_coefficients.
+    q1_e and q2_e may be arrays (one scenario per element) and are not
+    checked; x_Q must be a real number, finite and > 0, else ParameterError.
     """
 
     q1_e: float
     q2_e: float
     x_q_m: float
+
+    def _checked(self):
+        if not (isinstance(self.x_q_m, (float, numbers.Real)) and 0 < self.x_q_m < math.inf):
+            raise ParameterError(f"x_Q must be positive, got {self.x_q_m!r}")
+        return self
 
 
 class ExpansionCoefficients(NamedTuple):
@@ -66,19 +74,15 @@ class ExpansionCoefficients(NamedTuple):
     A: float    # C/m^2
     B: float    # C/m^3
     s_q: float  # q/(4 pi eps0), V*m
-    x_q_m: float
 
 
 def expansion_coefficients(s: ChargeScenario) -> ExpansionCoefficients:
-    if s.x_q_m <= 0:
-        raise ParameterError(f"x_Q must be positive, got {s.x_q_m}")
     q1 = s.q1_e * CODATA.e
     q2 = s.q2_e * CODATA.e
     return ExpansionCoefficients(
         A=(q2 - q1) / s.x_q_m**2,
         B=(q1 + q2) / s.x_q_m**3,
         s_q=CODATA.e * CODATA.k_e,
-        x_q_m=s.x_q_m,
     )
 
 

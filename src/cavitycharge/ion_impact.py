@@ -27,9 +27,8 @@ were checked against their range rules when it was built. Every function
 that takes it reads mass_amu, secular_hz and rf_hz, and raises
 ParameterError unless secular_hz < rf_hz and k_t is positive and finite;
 max_charge_for_cooling also reads cooling_wavelength_m, and
-lamb_dicke_budget gate_wavelength_m. `gate` is a GateParams; the gate
-functions raise ParameterError unless its Rabi rate and threshold are
-positive.
+lamb_dicke_budget gate_wavelength_m. `gate` is a GateParams, whose Rabi
+rate and threshold were checked finite and positive when it was built.
 
 The forward chain (equilibrium_position, shifted_frequency,
 micromotion_amplitude, micromotion_of_single_charge, bessel_j0,
@@ -45,6 +44,7 @@ loaded it.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import TYPE_CHECKING, NamedTuple
 
 from .electrostatics import (
@@ -55,7 +55,7 @@ from .electrostatics import (
     field_at,
 )
 from .errors import ParameterError, SearchError, StabilityError
-from .quantities import CODATA
+from .quantities import CODATA, checked
 
 if TYPE_CHECKING:
     from .scenario import TrapSection
@@ -88,12 +88,19 @@ CHARGE_SEARCH_MAX_E = 1e9
 BESSEL_J0_FIRST_ZERO = 2.404825557695773
 
 
+@checked
 class GateParams(NamedTuple):
     """Two-qubit gate Rabi rate, Hz, and the threshold on delta_x / Omega_2g;
-    the gate functions check both positive."""
+    each must be a real number, finite and > 0, else ParameterError."""
 
     rabi_hz: float
     threshold_ratio: float = 0.013
+
+    def _checked(self):
+        for name, value in zip(("Rabi rate", "threshold ratio"), self):
+            if not (isinstance(value, (float, numbers.Real)) and 0 < value < math.inf):
+                raise ParameterError(f"{name} must be positive, got {value!r}")
+        return self
 
 
 class CoolingBudget(NamedTuple):
@@ -140,15 +147,6 @@ def _trap(trap: TrapSection):
             f"{trap.secular_hz} Hz"
         )
     return mass_kg, omega_x, 2.0 * math.pi * trap.rf_hz, k_t
-
-
-def _omega_2g(gate: GateParams) -> float:
-    """Two-qubit Rabi angular frequency 2 pi rabi_hz, rad/s."""
-    if gate.rabi_hz <= 0:
-        raise ParameterError(f"Rabi rate must be positive, got {gate.rabi_hz}")
-    if gate.threshold_ratio <= 0:
-        raise ParameterError("threshold ratio must be positive")
-    return 2.0 * math.pi * gate.rabi_hz
 
 
 def _well(mass_kg: float, k_t: float, c: ExpansionCoefficients):
@@ -433,7 +431,7 @@ def gate_detuning_verdict(
     (ratio_secular, reported for reference).
     """
     omega_x = _trap(trap)[1]
-    omega_2g = _omega_2g(gate)
+    omega_2g = 2.0 * math.pi * gate.rabi_hz
     delta = abs(omega_x - shifted_frequency(trap, s))
     ratio_rabi = delta / omega_2g
     return GateDetuning(
@@ -451,7 +449,7 @@ def max_equal_charge_for_gate(trap: TrapSection, x_q_m: float, gate: GateParams)
     inversion of omega~_x = omega_x sqrt(1 + s_q B / k_t).
     """
     _, omega_x, _, k_t = _trap(trap)
-    delta_target = gate.threshold_ratio * _omega_2g(gate)
+    delta_target = gate.threshold_ratio * (2.0 * math.pi * gate.rabi_hz)
     s_q_b = k_t * ((1.0 + delta_target / omega_x) ** 2 - 1.0)
     b = s_q_b / (CODATA.e * CODATA.k_e)
     q_total_e = b * x_q_m**3 / CODATA.e

@@ -14,6 +14,9 @@ Uncertainties are treated as symmetric Gaussian one-sigma throughout;
 inputs are assumed uncorrelated. A quantity does no arithmetic of its own:
 derived values come from the propagation engines.
 
+:func:`checked` declares every record that checks its fields: its
+constructor, _make and _replace all store the record's _checked().
+
 :func:`finite_evaluation` is the finite-output gate of the report and
 budget chains: every value they return is finite, and numerics that
 overflow, divide by zero or end non-finite raise EvaluationError.
@@ -43,31 +46,31 @@ __all__ = [
 ]
 
 
-class CheckedRecord:
-    """Base of a NamedTuple subclass whose __new__ checks the fields; _replace runs it."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
-_Quantity = NamedTuple("_Quantity", [("value", float), ("sigma", float)])
+def checked(cls):
+    """The NamedTuple class cls, whose cls(...), cls._make and so _replace store
+    record._checked(): the values as given, checked and converted, or a
+    ToolkitError naming the first one refused."""
+    unchecked = cls.__new__
+    cls.__new__ = staticmethod(lambda c, *args, **kwargs: tuple.__new__(
+        c, unchecked(c, *args, **kwargs)._checked()))
+    cls._make = classmethod(lambda c, values: c(*values))
+    return cls
 
 
-class UncertainQuantity(CheckedRecord, _Quantity):
+@checked
+class UncertainQuantity(NamedTuple):
     """A value with a symmetric one-sigma uncertainty."""
 
-    __slots__ = ()
+    value: float
+    sigma: float = 0.0
 
-    def __new__(cls, value: float, sigma: float = 0.0):
-        value, sigma = float(value), float(sigma)
+    def _checked(self):
+        value, sigma = float(self.value), float(self.sigma)
         if not math.isfinite(value):
             raise ParameterError(f"value must be finite, got {value}")
         if not math.isfinite(sigma) or sigma < 0:
             raise ParameterError(f"sigma must be finite and >= 0, got {sigma}")
-        return super().__new__(cls, value, sigma)
+        return value, sigma
 
     def __str__(self) -> str:
         return f"{self.value:g} +/- {self.sigma:g}"
@@ -75,9 +78,7 @@ class UncertainQuantity(CheckedRecord, _Quantity):
 
 def as_quantity(x) -> UncertainQuantity:
     """Coerce a bare number into an exact UncertainQuantity."""
-    if isinstance(x, UncertainQuantity):
-        return x
-    return UncertainQuantity(float(x), 0.0)
+    return x if isinstance(x, UncertainQuantity) else UncertainQuantity(x)
 
 
 # shared with the derived fields hbar and k_e

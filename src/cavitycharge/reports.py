@@ -205,6 +205,13 @@ def _fsr(scn: Scenario) -> UncertainQuantity:
     return UncertainQuantity(fsr_from_length(c.length_m), 0.0)
 
 
+def _fsr_from_length(scn: Scenario, seed: int) -> float:
+    c = scn._require("cavity")
+    if c.length_m is None:
+        raise SchemaError(f"scenario {scn.name!r} is missing key 'length_m' in [cavity]")
+    return fsr_from_length(c.length_m)
+
+
 def _film_thickness(scn: Scenario) -> UncertainQuantity:
     c = scn._require("cavity")
     return UncertainQuantity(c.film_thickness_m, c.film_thickness_sigma_m)
@@ -232,7 +239,7 @@ def _finesse_mc_over_linear_sigma(scn: Scenario, seed: int) -> float:
 def _kappa(scn: Scenario, seed: int, f01: float, f01_sigma: float) -> UncertainQuantity:
     return cavity_optics.extinction_from_finesse(
         _f00(scn), UncertainQuantity(f01, f01_sigma), _film_thickness(scn),
-        scn.cavity.wavelength_m, mc_samples=scn.mc_samples, seed=seed,
+        scn._require("cavity").wavelength_m, mc_samples=scn.mc_samples, seed=seed,
     )
 
 
@@ -268,7 +275,7 @@ def _transport(scn: Scenario, seed: int, hall_resistivity_ohm_m: float,
 # every other row: row id -> f(scn, seed, **manifest inputs), a float or an
 # UncertainQuantity
 ROWS = {
-    "fsr_from_length": lambda scn, seed: fsr_from_length(scn.cavity.length_m),
+    "fsr_from_length": _fsr_from_length,
     "finesse_from_linewidth": _finesse,
     "finesse_mc_linear_sigma": _finesse_mc_over_linear_sigma,
     **dict.fromkeys(

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import FitError, ParameterError
-from .quantities import CODATA, CheckedRecord, UncertainQuantity, as_quantity, propagate_linear
+from .quantities import CODATA, UncertainQuantity, as_quantity, checked, propagate_linear
 
 __all__ = [
     "RingdownTrace",
@@ -52,18 +52,16 @@ _SEED_CLIP_FACTOR = 3.0   # drop samples below 3x noise floor before log seeding
 _PEAK_TO_NOISE_MIN = 5.0
 
 
-_Trace = NamedTuple("_Trace", [("times", np.ndarray), ("voltages", np.ndarray)])
-
-
-class RingdownTrace(CheckedRecord, _Trace):
+@checked
+class RingdownTrace(NamedTuple):
     """Time-stamped photodetector samples of a cavity decay; len() is the
     sample count."""
 
-    __slots__ = ()
+    times: np.ndarray
+    voltages: np.ndarray
 
-    def __new__(cls, times, voltages):
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(voltages, dtype=float)
+    def _checked(self):
+        t, v = (np.asarray(samples, dtype=float) for samples in self)
         if t.ndim != 1 or t.shape != v.shape:
             raise ParameterError("times and voltages must be 1-d arrays of equal length")
         if t.size < MIN_SAMPLES:
@@ -78,25 +76,25 @@ class RingdownTrace(CheckedRecord, _Trace):
             raise ParameterError("timestamps must be strictly increasing")
         t.flags.writeable = False
         v.flags.writeable = False
-        return super().__new__(cls, t, v)
+        return t, v
 
     def __len__(self) -> int:
         return int(self.times.size)
 
 
-_Fit = NamedTuple("_Fit", [("v0", UncertainQuantity), ("linewidth", UncertainQuantity),
-                           ("residual_rms", float), ("iterations", int)])
-
-
-class RingdownFit(CheckedRecord, _Fit):
+@checked
+class RingdownFit(NamedTuple):
     """Result of an exponential ring-down fit; linewidth is the FWHM dnu, Hz."""
 
-    __slots__ = ()
+    v0: UncertainQuantity
+    linewidth: UncertainQuantity
+    residual_rms: float
+    iterations: int = 0
 
-    def __new__(cls, v0, linewidth, residual_rms, iterations=0):
-        if linewidth.value <= 0:
+    def _checked(self):
+        if self.linewidth.value <= 0:
             raise ParameterError("fitted linewidth must be positive")
-        return super().__new__(cls, v0, linewidth, residual_rms, iterations)
+        return self
 
 
 def synthesize_trace(

@@ -13,19 +13,19 @@ Each key is declared once, as a field of its section class (`[meta]` keys are
 default, optional when the default is None, and its range rule, if any, is
 the annotation's metadata, `Annotated[type, rule]`.
 
-The rules run once, when a section or a Scenario is built (by parse_scenario,
-in Python or by _replace): SchemaError names the key a value breaks, so no
-record holds one. serialize_scenario only formats.
+The rules run once, in _check_keys, when a section or a Scenario is built (by
+parse_scenario, in Python or by _replace; see quantities.checked): SchemaError
+names the key a value breaks, or a Scenario section that is not its section
+record or None, so no record holds one. serialize_scenario only formats.
 """
 
 import math
 import numbers
-import operator
 from pathlib import Path
 from typing import Annotated, NamedTuple, Optional, get_args, get_origin
 
 from .errors import SchemaError
-from .quantities import MIN_MC_SAMPLES
+from .quantities import MIN_MC_SAMPLES, checked
 
 __all__ = [
     "Scenario",
@@ -50,21 +50,13 @@ _MC = (lambda v: v >= MIN_MC_SAMPLES, f">= {MIN_MC_SAMPLES}")
 _LINE = (lambda v: v == v.strip() and len(v.splitlines()) < 2, "one line without outer blanks")
 
 
-def _checked(cls):
-    """The NamedTuple cls, its construction checking every key: see _new."""
-    cls._unchecked_new, cls.__new__ = cls.__new__, staticmethod(_new)
-    cls._make = classmethod(lambda c, values: c(*values))  # so _replace checks too
-    return cls
-
-
-def _new(cls, *args, **kwargs):
-    """cls(*args, **kwargs), checked: SchemaError names the first key, in
-    declaration order, whose type, finiteness or range rule refuses its value,
-    or a [cavity] with neither fsr_hz nor length_m. An int or NumPy value of a
-    float key becomes a float. Scenario checks its [meta] keys only: its
-    sections were checked when they were built."""
-    record = cls._unchecked_new(cls, *args, **kwargs)
-    section, keys = _SPECS[cls]
+def _check_keys(record):
+    """record's values, checked: SchemaError names the first key, in declaration
+    order, whose type, finiteness or range rule refuses its value, a [cavity]
+    with neither fsr_hz nor length_m, or a Scenario section that is not its
+    section record (which checked its keys when it was built) or None. An int or
+    NumPy value of a float key becomes a float."""
+    section, keys = _SPECS[type(record)]
     values = []
     for (key, spec), value in zip(keys.items(), record):
         if value is not None or spec.default is not None:  # None leaves out an optional key
@@ -72,14 +64,15 @@ def _new(cls, *args, **kwargs):
                 value = _typed(section, key, spec, value)
             _check(section, key, spec, value)
         values.append(value)
-    if cls is CavitySection and record.fsr_hz is None and record.length_m is None:
+    for (name, cls), value in zip(_SECTIONS.items(), record[len(values):]):
+        if value is not None and not isinstance(value, cls):
+            raise SchemaError(f"section [{name}] is a {type(value).__name__}, not {cls.__name__}")
+    if type(record) is CavitySection and record.fsr_hz is None and record.length_m is None:
         raise SchemaError("section [cavity] needs 'fsr_hz' or 'length_m'")
-    if any(map(operator.is_not, values, record)):  # an int or NumPy float became a float
-        record = tuple.__new__(cls, (*values, *record[len(values):]))
-    return record
+    return (*values, *record[len(values):])
 
 
-@_checked
+@checked
 class CavitySection(NamedTuple):
     f00: Annotated[float, _POS]
     f00_sigma: Annotated[float, _NONNEG]
@@ -93,7 +86,7 @@ class CavitySection(NamedTuple):
     linewidth_sigma_hz: Annotated[float, _NONNEG] = 0.0
 
 
-@_checked
+@checked
 class TrapSection(NamedTuple):
     mass_amu: Annotated[float, _POS]
     secular_hz: Annotated[float, _POS]
@@ -104,20 +97,20 @@ class TrapSection(NamedTuple):
     gate_rabi_hz: Annotated[Optional[float], _POS] = None
 
 
-@_checked
+@checked
 class ChargesSection(NamedTuple):
     q1_e: float
     q2_e: float
     xq_m: Annotated[float, _POS]
 
 
-@_checked
+@checked
 class RydbergSection(NamedTuple):
     alpha: Annotated[float, _POS]  # polarizability, Hz/(V/m)^2
     rabi_hz: Annotated[float, _POS]
 
 
-@_checked
+@checked
 class FilmSection(NamedTuple):
     rho_ohm_m: Annotated[float, _POS]
     thickness_m: Annotated[float, _POS]
@@ -125,7 +118,7 @@ class FilmSection(NamedTuple):
     capacitance_f: Annotated[float, _POS]
 
 
-@_checked
+@checked
 class IlluminationSection(NamedTuple):
     power_w: Annotated[float, _NONNEG]
     wavelength_m: Annotated[float, _POS]
@@ -134,7 +127,7 @@ class IlluminationSection(NamedTuple):
     photon_rate_per_s: Annotated[Optional[float], _NONNEG] = None
 
 
-@_checked
+@checked
 class Scenario(NamedTuple):
     name: Annotated[str, _LINE] = "unnamed"
     seed: Annotated[int, _NONNEG] = 0
@@ -221,8 +214,10 @@ _KEYS = {
     "meta": _keys(Scenario, [name for name in Scenario._fields if name not in _SECTIONS]),
     **{section: _keys(cls, cls._fields) for section, cls in _SECTIONS.items()},
 }
-# section class -> (section name, its keys), for _new
+# section class -> (section name, its keys), for _check_keys, the checked hook of each
 _SPECS = {cls: (section, _KEYS[section]) for section, cls in {"meta": Scenario, **_SECTIONS}.items()}
+for cls in _SPECS:
+    cls._checked = _check_keys
 # what a value of each key type may be before it is converted
 _ACCEPTED = {float: numbers.Real, int: numbers.Integral, str: str}
 

@@ -71,8 +71,8 @@ def test_out_of_range_scenario_fails_alike_without_numpy(key, value, target):
     for numpy in (np, None):
         with pytest.raises(ToolkitError) as info:
             budgets._report(scn, target, {}, numpy)
-        raised.append(type(info.value))
-    assert raised[0] is raised[1]
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
 
 
 def test_arithmetic_error_is_evaluation_error_with_its_cause():

@@ -172,7 +172,6 @@ def test_single_charge_field_inverse():
 
 
 def test_scenario_validation():
-    s = ChargeScenario(1.0, 1.0, 0.0)
-    for call in (lambda: expansion_coefficients(s), lambda: field_at(s, 0.0)):
-        with pytest.raises(ParameterError, match="x_Q must be positive, got 0.0"):
-            call()
+    # x_Q is checked when the record is built, before any function reads it
+    with pytest.raises(ParameterError, match="x_Q must be positive, got 0.0"):
+        ChargeScenario(1.0, 1.0, 0.0)

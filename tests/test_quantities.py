@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from cavitycharge.cavity_optics import MirrorState
+from cavitycharge.electrostatics import ChargeScenario
 from cavitycharge.errors import DomainError, EvaluationError, ParameterError
+from cavitycharge.ion_impact import GateParams
 from cavitycharge.quantities import (
     CODATA,
     UncertainQuantity,
@@ -41,7 +43,14 @@ def _noisy_trace():
     (_noisy_trace(), {"times": np.arange(4000.0)[::-1]}, "strictly increasing"),
     (fit_ringdown(_noisy_trace()), {"linewidth": UncertainQuantity(0.0, 1.0)},
      "fitted linewidth must be positive"),
-], ids=["UncertainQuantity", "MirrorState", "RingdownTrace", "RingdownFit"])
+    (GateParams(1e4), {"rabi_hz": "1e4"}, "Rabi rate must be positive, got '1e4'"),
+    (GateParams(1e4), {"rabi_hz": math.nan}, "Rabi rate must be positive, got nan"),
+    (GateParams(1e4), {"threshold_ratio": math.inf}, "threshold ratio must be positive, got inf"),
+    (ChargeScenario(1.0, 0.0, 2e-4), {"x_q_m": math.nan}, "x_Q must be positive, got nan"),
+    (ChargeScenario(1.0, 0.0, 2e-4), {"x_q_m": -2e-4}, "x_Q must be positive, got -0.0002"),
+], ids=["UncertainQuantity", "MirrorState", "RingdownTrace", "RingdownFit", "GateParams-str",
+        "GateParams-nan", "GateParams-threshold-inf", "ChargeScenario-nan",
+        "ChargeScenario-negative"])
 def test_replace_runs_the_constructor_checks(record, change, message):
     with pytest.raises(ParameterError, match=message):
         type(record)(**{**record._asdict(), **change})

@@ -172,6 +172,8 @@ def test_missing_section_errors_name_the_section():
         scn.rydberg_config()
     with pytest.raises(SchemaError, match=r"\[film\]"):
         budgets.budget_report(scn, "charging")
+    with pytest.raises(SchemaError, match=r"^row fsr_from_length: .* no \[cavity\] section"):
+        reports.build_report(scn)
 
 
 def test_missing_gate_rabi_named():
@@ -429,13 +431,15 @@ WRONG_TYPE_OR_MISSING = [
      r"key 'rf_hz' in \[trap\] must be of type float, got None"),
     ("cavity", {"fsr_hz": None, "length_m": None}, reports.build_report,
      r"section \[cavity\] needs 'fsr_hz' or 'length_m'"),
+    ("cavity", {"length_m": None}, reports.build_report,
+     r"row fsr_from_length: scenario 'paper_yb' is missing key 'length_m' in \[cavity\]"),
 ]
 
 
 @pytest.mark.parametrize("build", ["constructor", "_replace"])
 @pytest.mark.parametrize("section, values, call, message", WRONG_TYPE_OR_MISSING,
                          ids=["charging-power-str", "cooling-xq-none", "gate-rf-none",
-                              "report-no-fsr-or-length"])
+                              "report-no-fsr-or-length", "report-fsr-without-length"])
 def test_a_section_built_in_python_with_a_refused_value_is_a_schema_error(
     build, section, values, call, message
 ):
@@ -444,3 +448,18 @@ def test_a_section_built_in_python_with_a_refused_value_is_a_schema_error(
             call(_rebuilt(section, **values))
         else:
             call(_with(parse_scenario(bundled_scenario_text()), section, **values))
+
+
+@pytest.mark.parametrize("section, value", [
+    ("trap", "the [film] section"),
+    ("charges", (1.0, 2.0, 3e-4)),
+], ids=["trap-holds-film", "charges-holds-tuple"])
+def test_a_scenario_section_holds_its_section_record_or_none(section, value):
+    # each used to reach the budget and end in a bare AttributeError
+    scn = parse_scenario(bundled_scenario_text())
+    value = scn.film if value == "the [film] section" else value
+    message = rf"^section \[{section}\] is a {type(value).__name__}, not \w+Section$"
+    with pytest.raises(SchemaError, match=message):
+        budgets.budget_rows(scn._replace(**{section: value}), "cooling")
+    with pytest.raises(SchemaError, match=message):
+        Scenario(**{**scn._asdict(), section: value})
