@@ -30,12 +30,14 @@ series = [
     ("annealed, 128 d", 22120, 130),
 ]
 
+f01s = [UncertainQuantity(f01, sigma) for _, f01, sigma in series]
+# one Monte-Carlo pass for the whole series: F00 and h are shared
+kappas = extinction_from_finesse(F00, f01s, THICKNESS, WAVELENGTH, seed=0)
+
 print(f"\n{'configuration':16s} {'1 - r1':>10s} {'r0^2-r1^2':>11s} {'kappa':>20s}")
-for label, f01, sigma in series:
-    fq = UncertainQuantity(f01, sigma)
+for (label, _, _), fq, kappa in zip(series, f01s, kappas):
     r1 = r1_from_asymmetric_finesse(fq, r0)
     loss = excess_reflection_loss(F00, fq)
-    kappa = extinction_from_finesse(F00, fq, THICKNESS, WAVELENGTH, seed=0)
     print(
         f"{label:16s} {1 - r1.value:10.3e} {loss.value:11.3e} "
         f"{kappa.value:12.3e} +/- {kappa.sigma:.0e}"

@@ -1,10 +1,11 @@
-"""Minor page faults and CPU time per warm new-seed build_report.
+"""Minor page faults, CPU time and peak RSS per warm new-seed build_report.
 
 Runs build_report in this process, first 3 warm-up reports, then
 --reports more, each on a seed not used before, and prints one JSON line
 with the per-report minor faults (resource.getrusage ru_minflt), system
-and user CPU time, and the wall-time quartiles. Run from the root of a
-checkout:
+and user CPU time, the process's peak resident set size (ru_maxrss, in MB
+of 1e6 bytes, as the benchmark reports it) and the wall-time quartiles.
+Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/report_faults.py --reports 40
 """
@@ -41,6 +42,7 @@ def main() -> None:
     print(json.dumps({
         "reports": n,
         "minor_faults_per_report": (after.ru_minflt - before.ru_minflt) / n,
+        "peak_rss_mb": after.ru_maxrss * 1024 / 1e6,  # ru_maxrss is in KiB on Linux
         "system_ms_per_report": 1e3 * (after.ru_stime - before.ru_stime) / n,
         "user_ms_per_report": 1e3 * (after.ru_utime - before.ru_utime) / n,
         "wall_ms": {"p25": q1, "p50": q2, "p75": q3},

@@ -22,6 +22,11 @@ the excess loss r0^2 - r1^2 is ascribed entirely to absorption in the film
 A finesse increase (F01 > F00) yields a negative kappa; this is reported
 with a warning rather than rejected, since annealing can genuinely reduce
 mirror loss.
+
+A series of coated-mirror finesses measured against one bare cavity (a
+film at several ages) is one extinction_from_finesse call with a list of
+F01: the bare-mirror stage of its Monte-Carlo draws is shared by the whole
+series, and each element equals its single call bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, ParameterError
 from .quantities import (
-    UncertainQuantity, as_quantity, checked, propagate_linear, propagate_monte_carlo,
+    UncertainQuantity, _blocks, _normals, _summary, as_quantity, checked, propagate_linear,
 )
 
 __all__ = [
@@ -127,41 +132,65 @@ def extinction_from_finesse(
     wavelength_m: float,
     mc_samples: int = 100_000,
     seed: int = 0,
-) -> UncertainQuantity:
+):
     """Film extinction coefficient from the finesse pair.
 
+    f01 is one finesse, giving one UncertainQuantity, or a list of them
+    measured against the same bare cavity f00 and film thickness, giving
+    the list of their kappa in the same order; each element equals the
+    call with that f01 alone, bit for bit.
+
     The central value is the deterministic chain F00,F01,h -> r0,r1 ->
-    kappa; the uncertainty is the propagate_monte_carlo standard deviation
-    over normal draws of F00, F01 and h with a fixed seed. Draws with a
-    non-positive F00, F01 or h are non-finite samples under that engine's
-    1% policy.
+    kappa; the uncertainty is the standard deviation over normal draws of
+    F00, F01 and h with a fixed seed, from the standard normals that
+    propagate_monte_carlo calls with the same seed and mc_samples share
+    (rows 0, 1 and 2), under its 1% policy: draws with a non-positive F00,
+    F01 or h are non-finite samples. The bare-mirror stage (r0 and the
+    scale -lambda/(8 pi h) of each draw) is computed once for the whole
+    list; each F01 is then evaluated into one reused samples array.
     """
+    q01s = [as_quantity(q) for q in f01] if isinstance(f01, list) else [as_quantity(f01)]
     q00 = as_quantity(f00)
-    q01 = as_quantity(f01)
     h = as_quantity(thickness)
-    if q00.value <= 0 or q01.value <= 0:
+    if q00.value <= 0 or any(q01.value <= 0 for q01 in q01s):
         raise ParameterError("finesse values must be positive")
     if h.value <= 0:
         raise ParameterError(f"film thickness must be positive, got {h.value}")
     r0c = _r0(q00.value)
-    r1c = _r1(q01.value, r0c)
-    central = extinction_from_reflectivities(r0c, r1c, h.value, wavelength_m)
-    if q01.value > q00.value:
-        warnings.warn(
-            "modified cavity has higher finesse; kappa is negative "
-            "(excess loss removed rather than added)",
-            NegativeExtinctionWarning,
-            stacklevel=2,
-        )
+    central = []
+    for q01 in q01s:
+        r1c = _r1(q01.value, r0c)
+        central.append(extinction_from_reflectivities(r0c, r1c, h.value, wavelength_m))
+        if q01.value > q00.value:
+            warnings.warn(
+                "modified cavity has higher finesse; kappa is negative "
+                "(excess loss removed rather than added)",
+                NegativeExtinctionWarning,
+                stacklevel=2,
+            )
 
-    def kappa(f00_s, f01_s, h_s):
-        r0_s = _r0(f00_s)
-        r1_s = _r1(f01_s, r0_s)
-        k = -(wavelength_m / (8.0 * math.pi * h_s)) * np.log(1.0 - r0_s**2 + r1_s**2)
-        return np.where((f00_s > 0) & (f01_s > 0) & (h_s > 0), k, np.nan)
-
-    mc = propagate_monte_carlo(kappa, [q00, q01, h], mc_samples, seed)
-    return UncertainQuantity(central, mc.sigma)
+    z00, z01, zh = _normals(seed, mc_samples, 3)
+    r0 = np.empty(mc_samples)
+    scale = np.empty(mc_samples)
+    with np.errstate(all="ignore"):  # non-finite samples are counted by _summary
+        for part in _blocks(mc_samples):
+            f00_s = q00.value + q00.sigma * z00[part]
+            h_s = h.value + h.sigma * zh[part]
+            r0[part] = _r0(f00_s)
+            scale[part] = np.where((f00_s > 0) & (h_s > 0),
+                                   -(wavelength_m / (8.0 * math.pi * h_s)), np.nan)
+    samples = np.empty(mc_samples)
+    kappas = []
+    for q01, value in zip(q01s, central):
+        with np.errstate(all="ignore"):
+            for part in _blocks(mc_samples):
+                f01_s = q01.value + q01.sigma * z01[part]
+                r0_s = r0[part]
+                r1_s = _r1(f01_s, r0_s)
+                k = scale[part] * np.log(1.0 - r0_s**2 + r1_s**2)
+                samples[part] = np.where(f01_s > 0, k, np.nan)
+        kappas.append(UncertainQuantity(value, _summary(samples).sigma))
+    return kappas if isinstance(f01, list) else kappas[0]
 
 
 def excess_reflection_loss(f00, f01) -> UncertainQuantity:

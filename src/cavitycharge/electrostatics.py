@@ -23,21 +23,21 @@ For a 125 um disc seen from 200 um the disc/point ratios are
 U_m/U_p = 0.92 and E_m/E_p = 0.78, close enough to unity that the
 point-charge model is used for the budgets.
 
-A ChargeScenario's x_Q is checked finite and positive when it is built. Its
-charges, and the positions and charges passed to field_at and
-single_charge_field, may be NumPy arrays: each element is one scenario, with
-the bits of a scalar call. The module itself never imports NumPy; an array's
-own methods do the work.
+A ChargeScenario is checked when it is built: x_Q a real number, finite and
+positive; each charge a real number or a real-valued array (NumPy dtype kind
+f, i or u, read from the array's own dtype). The charges, and the positions
+and charges passed to field_at and single_charge_field, may be NumPy arrays:
+each element is one scenario, with the bits of a scalar call. The module
+itself never imports NumPy; an array's own methods do the work.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from typing import NamedTuple
 
 from .errors import DomainError, ParameterError
-from .quantities import CODATA, checked
+from .quantities import CODATA, checked, is_real_number
 
 __all__ = [
     "ChargeScenario",
@@ -54,8 +54,9 @@ __all__ = [
 class ChargeScenario(NamedTuple):
     """Stray charges q1 at -x_Q and q2 at +x_Q, in elementary charges.
 
-    q1_e and q2_e may be arrays (one scenario per element) and are not
-    checked; x_Q must be a real number, finite and > 0, else ParameterError.
+    q1_e and q2_e must each be a real number or a real-valued array (one
+    scenario per element), and x_Q a real number, finite and > 0, else
+    ParameterError; a bool is refused.
     """
 
     q1_e: float
@@ -63,7 +64,14 @@ class ChargeScenario(NamedTuple):
     x_q_m: float
 
     def _checked(self):
-        if not (isinstance(self.x_q_m, (float, numbers.Real)) and 0 < self.x_q_m < math.inf):
+        for name, charge in (("q1_e", self.q1_e), ("q2_e", self.q2_e)):
+            if not (is_real_number(charge)
+                    or getattr(getattr(charge, "dtype", None), "kind", "") in ("f", "i", "u")):
+                got = f"an array of {charge.dtype}" if hasattr(charge, "dtype") else repr(charge)
+                raise ParameterError(
+                    f"charge {name} must be a real number or a real-valued array, got {got}"
+                )
+        if not (is_real_number(self.x_q_m) and 0 < self.x_q_m < math.inf):
             raise ParameterError(f"x_Q must be positive, got {self.x_q_m!r}")
         return self
 

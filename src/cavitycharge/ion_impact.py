@@ -44,7 +44,6 @@ loaded it.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import TYPE_CHECKING, NamedTuple
 
 from .electrostatics import (
@@ -55,7 +54,7 @@ from .electrostatics import (
     field_at,
 )
 from .errors import ParameterError, SearchError, StabilityError
-from .quantities import CODATA, checked
+from .quantities import CODATA, checked, is_real_number
 
 if TYPE_CHECKING:
     from .scenario import TrapSection
@@ -91,14 +90,15 @@ BESSEL_J0_FIRST_ZERO = 2.404825557695773
 @checked
 class GateParams(NamedTuple):
     """Two-qubit gate Rabi rate, Hz, and the threshold on delta_x / Omega_2g;
-    each must be a real number, finite and > 0, else ParameterError."""
+    each must be a real number (not a bool), finite and > 0, else
+    ParameterError."""
 
     rabi_hz: float
     threshold_ratio: float = 0.013
 
     def _checked(self):
         for name, value in zip(("Rabi rate", "threshold ratio"), self):
-            if not (isinstance(value, (float, numbers.Real)) and 0 < value < math.inf):
+            if not (is_real_number(value) and 0 < value < math.inf):
                 raise ParameterError(f"{name} must be positive, got {value!r}")
         return self
 

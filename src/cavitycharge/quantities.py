@@ -10,12 +10,19 @@ deviation uncertainty. Two propagation engines are provided:
 * :func:`propagate_monte_carlo` -- draw independent normal samples per
   input and report the sample mean and standard deviation of f.
 
+The Monte-Carlo parts -- the shared standard normals (_normals), the
+blocks f is evaluated on (_blocks) and the 1% non-finite policy with the
+mean/sigma summary (_summary) -- are also what
+cavity_optics.extinction_from_finesse builds its extinction series from,
+so both have one policy and one common-random-number cache.
+
 Uncertainties are treated as symmetric Gaussian one-sigma throughout;
 inputs are assumed uncorrelated. A quantity does no arithmetic of its own:
 derived values come from the propagation engines.
 
 :func:`checked` declares every record that checks its fields: its
 constructor, _make and _replace all store the record's _checked().
+:func:`is_real_number` is their test for a real number (not a bool).
 
 :func:`finite_evaluation` is the finite-output gate of the report and
 budget chains: every value they return is finite, and numerics that
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import sys
 import warnings
 from typing import Callable, NamedTuple, Sequence
@@ -44,6 +52,14 @@ __all__ = [
     "propagate_linear",
     "propagate_monte_carlo",
 ]
+
+
+def is_real_number(value) -> bool:
+    """Whether value is a real number; a bool is not, as a scenario key's
+    check refuses it for a float."""
+    return type(value) is float or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
 
 
 def checked(cls):
@@ -196,15 +212,15 @@ class _NormalsInfo(NamedTuple):
 
 
 class _StandardNormals:
-    """Read-only standard normals of default_rng(seed), one row per input.
+    """Read-only standard normals of default_rng(seed), one array per input.
 
     Row k is the stream rng.normal draws for input k, so q.value + q.sigma
     * z[k] equals rng.normal(q.value, q.sigma, sample_count) bit for bit.
-    One seed and sample_count are kept, with their generator: a call that
-    needs more rows copies the kept rows into a larger block and draws
-    only the missing ones, which continue the same stream, so a 2-input
-    and a 3-input call share their first two rows. A call with another
-    seed or sample_count starts over.
+    One seed and sample_count are kept, with their generator and rows: a
+    call that needs more rows draws only the missing ones, which continue
+    the same stream, so a 2-input and a 3-input call share their first two
+    rows and no kept row is copied. A call with another seed or
+    sample_count starts over.
     """
 
     def __init__(self) -> None:
@@ -213,32 +229,31 @@ class _StandardNormals:
     def cache_clear(self) -> None:
         self._key = None
         self._rng = None
-        self._block = None  # set with _key on the next call
+        self._rows = []  # set with _key on the next call
         self.hits = self.misses = self.normals_drawn = 0
 
     def cache_info(self) -> _NormalsInfo:
         """Calls served from the kept rows, calls that drew, normals drawn."""
         return _NormalsInfo(self.hits, self.misses, self.normals_drawn)
 
-    def __call__(self, seed: int, sample_count: int, n_inputs: int):
+    def __call__(self, seed: int, sample_count: int, n_inputs: int) -> list:
         import numpy as np
 
         if self._key != (seed, sample_count):
             self._key = (seed, sample_count)
             self._rng = np.random.default_rng(seed)
-            self._block = np.empty((0, sample_count))
-        kept = len(self._block)
+            self._rows = []
+        kept = len(self._rows)
         if n_inputs > kept:
-            block = np.empty((n_inputs, sample_count))
-            block[:kept] = self._block
-            self._rng.standard_normal(out=block[kept:])
-            block.flags.writeable = False
-            self._block = block
+            for _ in range(kept, n_inputs):
+                row = self._rng.standard_normal(sample_count)
+                row.flags.writeable = False
+                self._rows.append(row)
             self.misses += 1
             self.normals_drawn += (n_inputs - kept) * sample_count
         else:
             self.hits += 1
-        return self._block[:n_inputs]
+        return self._rows[:n_inputs]
 
 
 _standard_normals = _StandardNormals()
@@ -265,9 +280,9 @@ def propagate_monte_carlo(
 
     Calls with the same seed and sample_count share their standard normals
     (common random numbers): input k of every such call gets the same row.
-    The rows of the last seed, 8 * sample_count bytes per row (2.4 MB for
-    3 inputs at the default 1e5 draws), stay in memory until a call with
-    another seed or sample_count.
+    The rows of the last seed, 8 * sample_count bytes per row (0.8 MB at
+    the default 1e5 draws), stay in memory until a call with another seed
+    or sample_count.
 
     Non-finite samples are tolerated up to 1% of all sample_count draws
     (with a warning), counted over the whole output, not per block; beyond
@@ -275,22 +290,49 @@ def propagate_monte_carlo(
     """
     import numpy as np
 
-    if sample_count < MIN_MC_SAMPLES:
-        raise ParameterError(f"sample_count must be >= {MIN_MC_SAMPLES}, got {sample_count}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ParameterError(f"seed must be an int >= 0, got {seed!r}")
-    z = _standard_normals(seed, sample_count, len(inputs))
+    z = _normals(seed, sample_count, len(inputs))
     samples = np.empty(sample_count)
-    for start in range(0, sample_count, _MC_CHUNK):
-        part = slice(start, min(start + _MC_CHUNK, sample_count))
+    for part in _blocks(sample_count):
         draws = [q.value + q.sigma * z_k[part] for q, z_k in zip(inputs, z)]
         with np.errstate(all="ignore"):  # non-finite samples are counted below
             block = np.asarray(f(*draws), dtype=float)
-        n = part.stop - start
+        n = part.stop - part.start
         # checked per block: slice assignment would broadcast a scalar
         if block.shape != (n,):
             raise ParameterError(f"f returned shape {block.shape}, expected ({n},)")
         samples[part] = block
+    return _summary(samples)
+
+
+def _normals(seed: int, sample_count: int, n_inputs: int) -> list:
+    """The n_inputs rows of standard normals shared by every Monte-Carlo
+    call with this seed and sample_count; ParameterError for a seed that is
+    not an int >= 0 or fewer than MIN_MC_SAMPLES draws."""
+    import numpy as np
+
+    if sample_count < MIN_MC_SAMPLES:
+        raise ParameterError(f"sample_count must be >= {MIN_MC_SAMPLES}, got {sample_count}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be an int >= 0, got {seed!r}")
+    return _standard_normals(seed, sample_count, n_inputs)
+
+
+def _blocks(sample_count: int):
+    """Consecutive slices of at most _MC_CHUNK draws covering sample_count."""
+    for start in range(0, sample_count, _MC_CHUNK):
+        yield slice(start, min(start + _MC_CHUNK, sample_count))
+
+
+def _summary(samples) -> UncertainQuantity:
+    """Sample mean and standard deviation of all Monte-Carlo samples.
+
+    Up to 1% of them may be non-finite: those are discarded with a
+    RuntimeWarning (pointing at the caller of the public function); beyond
+    that an EvaluationError is raised.
+    """
+    import numpy as np
+
+    sample_count = len(samples)
     finite = np.isfinite(samples)
     n_bad = int(sample_count - finite.sum())
     if n_bad > 0.01 * sample_count:
@@ -301,7 +343,7 @@ def propagate_monte_carlo(
         warnings.warn(
             f"discarded {n_bad}/{sample_count} non-finite Monte-Carlo samples",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
         samples = samples[finite]
     # sample_count >= MIN_MC_SAMPLES and at most 1% discarded: never fewer than 2

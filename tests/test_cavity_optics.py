@@ -16,7 +16,7 @@ from cavitycharge.cavity_optics import (
     resonant_response,
 )
 from cavitycharge.errors import ConsistencyError, ParameterError
-from cavitycharge.quantities import UncertainQuantity, propagate_linear
+from cavitycharge.quantities import UncertainQuantity, propagate_linear, propagate_monte_carlo
 
 mpmath.mp.dps = 50
 
@@ -199,6 +199,55 @@ def test_extinction_sigma_is_the_std_of_direct_draws():
     draws = -(WAVELENGTH / (8.0 * np.pi * h)) * np.log(1.0 - r0(f00) ** 2 + r1**2)
     kappa = extinction_from_finesse(*inputs, WAVELENGTH, mc_samples=20_000, seed=5)
     assert kappa.sigma == pytest.approx(float(np.std(draws, ddof=1)), rel=1e-9)
+
+
+def _kappa_draws(wavelength_m):
+    """The per-draw extinction as one generic Monte-Carlo function."""
+    def r0(f):
+        return 1.0 - 2.0 * math.pi / (2.0 * f + math.pi + np.sqrt(4.0 * f**2 + math.pi**2))
+
+    def kappa(f00_s, f01_s, h_s):
+        r0_s = r0(f00_s)
+        r1_s = r0(f01_s) ** 2 / r0_s
+        k = -(wavelength_m / (8.0 * math.pi * h_s)) * np.log(1.0 - r0_s**2 + r1_s**2)
+        return np.where((f00_s > 0) & (f01_s > 0) & (h_s > 0), k, np.nan)
+    return kappa
+
+
+@pytest.mark.parametrize("mc_samples", [1000, 8193, 100_000])
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+def test_extinction_series_equals_its_single_calls_bit_for_bit(seed, mc_samples):
+    f00 = UncertainQuantity(F00, 60.0)
+    h = UncertainQuantity(THICKNESS, 2e-9)
+    # the whole table plus one finesse above F00, whose kappa is negative
+    f01s = [UncertainQuantity(*FINESSE_TABLE[key]) for key in FINESSE_TABLE]
+    f01s.insert(2, UncertainQuantity(F00 + 500.0, 200.0))
+    with pytest.warns(NegativeExtinctionWarning) as caught:
+        series = extinction_from_finesse(f00, f01s, h, WAVELENGTH, mc_samples, seed)
+    assert len(caught) == 1
+    assert isinstance(series, list) and len(series) == len(f01s)
+    for f01, kappa in zip(f01s, series):
+        with warnings.catch_warnings(record=True) as single_caught:
+            warnings.simplefilter("always")
+            single = extinction_from_finesse(f00, f01, h, WAVELENGTH, mc_samples, seed)
+        assert len(single_caught) == (f01.value > F00)
+        assert (kappa.value, kappa.sigma) == (single.value, single.sigma)
+        # the generic engine on the same draws gives the same sigma
+        generic = propagate_monte_carlo(_kappa_draws(WAVELENGTH), [f00, f01, h], mc_samples, seed)
+        assert kappa.sigma == generic.sigma
+    assert series[2].value < 0 < series[0].value
+
+
+def test_extinction_series_of_one_is_a_list_of_one():
+    f00 = UncertainQuantity(F00, 60.0)
+    f01 = UncertainQuantity(14160.0, 250.0)
+    h = UncertainQuantity(THICKNESS, 2e-9)
+    single = extinction_from_finesse(f00, f01, h, WAVELENGTH, mc_samples=2000)
+    # an UncertainQuantity is a tuple, but only a list is a series
+    assert isinstance(single, UncertainQuantity)
+    assert extinction_from_finesse(f00, [f01], h, WAVELENGTH, mc_samples=2000) == [single]
+    with pytest.raises(ParameterError, match="finesse values must be positive"):
+        extinction_from_finesse(f00, [f01, UncertainQuantity(-1.0, 0.0)], h, WAVELENGTH)
 
 
 def test_extinction_non_physical_draws_fall_under_the_one_percent_policy():

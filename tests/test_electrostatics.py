@@ -175,3 +175,24 @@ def test_scenario_validation():
     # x_Q is checked when the record is built, before any function reads it
     with pytest.raises(ParameterError, match="x_Q must be positive, got 0.0"):
         ChargeScenario(1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("q1_e, q2_e, message", [
+    ("54", 0.0, "charge q1_e must be a real number or a real-valued array, got '54'"),
+    (54.0, True, "charge q2_e must be a real number or a real-valued array, got True"),
+    (1j, 0.0, r"charge q1_e .* got 1j"),
+    (np.array([1.0, 2.0]), np.array([True, False]), "charge q2_e .* got an array of bool"),
+    (np.array(["54"]), 0.0, "charge q1_e .* got an array of <U2"),
+    (None, 0.0, "charge q1_e .* got None"),
+], ids=["str", "bool", "complex", "bool-array", "str-array", "none"])
+def test_a_charge_is_a_real_number_or_a_real_valued_array(q1_e, q2_e, message):
+    with pytest.raises(ParameterError, match=message):
+        field_at(ChargeScenario(q1_e, q2_e, X_Q), 0.0)
+
+
+def test_charges_of_every_real_kind_are_accepted():
+    ints = np.arange(3)
+    expected = field_at(ChargeScenario(ints.astype(float), 1.0, X_Q), 0.0)
+    for q1 in (ints, ints.astype(np.uint8), ints.astype(np.float32).astype(float)):
+        assert np.array_equal(field_at(ChargeScenario(q1, 1, X_Q), 0.0), expected)
+    assert field_at(ChargeScenario(np.int64(2), np.float64(1.0), X_Q), 0.0) == expected[2]

@@ -48,9 +48,14 @@ def _noisy_trace():
     (GateParams(1e4), {"threshold_ratio": math.inf}, "threshold ratio must be positive, got inf"),
     (ChargeScenario(1.0, 0.0, 2e-4), {"x_q_m": math.nan}, "x_Q must be positive, got nan"),
     (ChargeScenario(1.0, 0.0, 2e-4), {"x_q_m": -2e-4}, "x_Q must be positive, got -0.0002"),
+    (GateParams(1e4), {"rabi_hz": True}, "Rabi rate must be positive, got True"),
+    (GateParams(1e4), {"threshold_ratio": True}, "threshold ratio must be positive, got True"),
+    (ChargeScenario(1.0, 0.0, 2e-4), {"x_q_m": True}, "x_Q must be positive, got True"),
+    (ChargeScenario(1.0, 0.0, 2e-4), {"q1_e": "54"}, "charge q1_e must be a real number"),
 ], ids=["UncertainQuantity", "MirrorState", "RingdownTrace", "RingdownFit", "GateParams-str",
         "GateParams-nan", "GateParams-threshold-inf", "ChargeScenario-nan",
-        "ChargeScenario-negative"])
+        "ChargeScenario-negative", "GateParams-bool", "GateParams-threshold-bool",
+        "ChargeScenario-bool", "ChargeScenario-str-charge"])
 def test_replace_runs_the_constructor_checks(record, change, message):
     with pytest.raises(ParameterError, match=message):
         type(record)(**{**record._asdict(), **change})
