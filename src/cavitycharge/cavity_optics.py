@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, ParameterError
 from .quantities import (
-    UncertainQuantity, _blocks, _normals, _summary, as_quantity, checked, propagate_linear,
+    UncertainQuantity, _blocks, _summary, _workspace, as_quantity, checked, propagate_linear,
 )
 
 __all__ = [
@@ -145,9 +145,10 @@ def extinction_from_finesse(
     F00, F01 and h with a fixed seed, from the standard normals that
     propagate_monte_carlo calls with the same seed and mc_samples share
     (rows 0, 1 and 2), under its 1% policy: draws with a non-positive F00,
-    F01 or h are non-finite samples. The bare-mirror stage (r0 and the
-    scale -lambda/(8 pi h) of each draw) is computed once for the whole
-    list; each F01 is then evaluated into one reused samples array.
+    F01 or h are non-finite samples. The bare-mirror stage (r0, 1 - r0^2
+    and the scale -lambda/(8 pi h) of each draw) is computed once for the
+    whole list; each F01 is then evaluated into one samples array. The
+    four arrays are the Monte-Carlo engine's kept scratch arrays.
     """
     q01s = [as_quantity(q) for q in f01] if isinstance(f01, list) else [as_quantity(f01)]
     q00 = as_quantity(f00)
@@ -169,27 +170,25 @@ def extinction_from_finesse(
                 stacklevel=2,
             )
 
-    z00, z01, zh = _normals(seed, mc_samples, 3)
-    r0 = np.empty(mc_samples)
-    scale = np.empty(mc_samples)
-    with np.errstate(all="ignore"):  # non-finite samples are counted by _summary
-        for part in _blocks(mc_samples):
-            f00_s = q00.value + q00.sigma * z00[part]
-            h_s = h.value + h.sigma * zh[part]
-            r0[part] = _r0(f00_s)
-            scale[part] = np.where((f00_s > 0) & (h_s > 0),
-                                   -(wavelength_m / (8.0 * math.pi * h_s)), np.nan)
-    samples = np.empty(mc_samples)
-    kappas = []
-    for q01, value in zip(q01s, central):
-        with np.errstate(all="ignore"):
+    with _workspace(seed, mc_samples, 3, 4) as ((z00, z01, zh), r0, loss0, scale, samples):
+        with np.errstate(all="ignore"):  # non-finite samples are counted by _summary
             for part in _blocks(mc_samples):
-                f01_s = q01.value + q01.sigma * z01[part]
-                r0_s = r0[part]
-                r1_s = _r1(f01_s, r0_s)
-                k = scale[part] * np.log(1.0 - r0_s**2 + r1_s**2)
-                samples[part] = np.where(f01_s > 0, k, np.nan)
-        kappas.append(UncertainQuantity(value, _summary(samples).sigma))
+                f00_s = q00.value + q00.sigma * z00[part]
+                h_s = h.value + h.sigma * zh[part]
+                r0[part] = _r0(f00_s)
+                loss0[part] = 1.0 - r0[part] ** 2
+                scale[part] = np.where((f00_s > 0) & (h_s > 0),
+                                       -(wavelength_m / (8.0 * math.pi * h_s)), np.nan)
+        kappas = []
+        for q01, value in zip(q01s, central):
+            with np.errstate(all="ignore"):
+                for part in _blocks(mc_samples):
+                    f01_s = q01.value + q01.sigma * z01[part]
+                    r1_s = _r1(f01_s, r0[part])
+                    # 1 - r0^2 + r1^2, added in that order
+                    k = scale[part] * np.log(loss0[part] + r1_s**2)
+                    samples[part] = np.where(f01_s > 0, k, np.nan)
+            kappas.append(UncertainQuantity(value, _summary(samples).sigma))
     return kappas if isinstance(f01, list) else kappas[0]
 
 

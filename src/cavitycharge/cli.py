@@ -6,9 +6,10 @@ Subcommands::
     toolkit reproduce-paper [--out report.csv]
     toolkit budget --scenario paper_yb.scenario --target cooling
 
-Exit codes: 0 success, 1 acceptance failure, 2 input error. The
-environment variable TOOLKIT_SEED, an integer >= 0, overrides the
-scenario seed.
+Exit codes: 0 success, 1 acceptance failure, 2 input error, 3 internal
+error (a fault in the toolkit, reported in one line; `toolkit --debug`
+shows its traceback). The environment variable TOOLKIT_SEED, an integer
+>= 0, overrides the scenario seed.
 
 Each subcommand imports only what it runs. This module loads `errors` and
 `quantities`, neither of which imports NumPy; fit-ringdown imports
@@ -36,6 +37,7 @@ from .quantities import UncertainQuantity, finite_evaluation
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 # fit-ringdown's `ringdown` functions, bound in this namespace on first use
 # so that no other subcommand imports ringdown (and NumPy); cli.<name> still
@@ -158,6 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="toolkit",
         description="Cavity loss metrology and stray-charge budget toolkit",
     )
+    parser.add_argument("--debug", action="store_true",
+                        help="show the traceback of an internal error (exit 3)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit-ringdown", help="fit decay traces and report finesse")
@@ -203,6 +207,12 @@ def main(argv=None) -> int:
     except (ToolkitError, OSError) as exc:
         print(f"toolkit {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a fault in the toolkit, never an acceptance failure
+        if args.debug:
+            raise
+        print(f"toolkit {args.command}: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

@@ -247,6 +247,25 @@ def test_negative_seed_override_is_input_error(capsys, monkeypatch):
     assert "TOOLKIT_SEED must be an integer >= 0" in capsys.readouterr().err
 
 
+def _fault(*args, **kwargs):
+    raise KeyError("injected")
+
+
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
+    # no real input is known to reach it, so the fault is injected
+    monkeypatch.setattr("cavitycharge.reports.build_report", _fault)
+    assert main(["reproduce-paper"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "toolkit reproduce-paper: internal error: KeyError: 'injected'\n"
+
+
+def test_internal_error_with_debug_raises(monkeypatch):
+    monkeypatch.setattr("cavitycharge.budgets.budget_report", _fault)
+    with pytest.raises(KeyError, match="injected"):
+        main(["--debug", "budget", "--scenario", "paper_yb.scenario", "--target", "gate"])
+
+
 def test_budget_cooling(tmp_path, capsys):
     scenario = tmp_path / "run.scenario"
     scenario.write_text(bundled_scenario_text())

@@ -1,15 +1,21 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cavitycharge.cavity_optics import MirrorState
+from cavitycharge.cavity_optics import MirrorState, extinction_from_finesse
 from cavitycharge.electrostatics import ChargeScenario
 from cavitycharge.errors import DomainError, EvaluationError, ParameterError
 from cavitycharge.ion_impact import GateParams
 from cavitycharge.quantities import (
     CODATA,
     UncertainQuantity,
+    _normals,
     _standard_normals,
     propagate_linear,
     propagate_monte_carlo,
@@ -338,3 +344,81 @@ def test_new_seed_report_draws_each_row_of_normals_once():
     assert _standard_normals.cache_info().normals_drawn - before == 3 * mc_samples
     build_report(seed=6)
     assert _standard_normals.cache_info().normals_drawn - before == 3 * mc_samples
+
+
+def test_warm_new_seed_report_faults_in_no_fresh_pages():
+    pytest.importorskip("resource")
+    if not sys.platform.startswith("linux"):
+        pytest.skip("ru_minflt counts minor page faults on Linux")
+    # a fresh interpreter: how many pages a report faults in depends on what
+    # the process allocated before, which here would be the other tests
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "report_faults.py"), "--reports", "10"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    # 3 warm-up reports, then 10 on new seeds; about 1,600 each when every
+    # Monte-Carlo call freed its full-length arrays and faulted them in again
+    assert json.loads(out)["minor_faults_per_report"] < 100
+
+
+EXTINCTION_INPUTS = (UncertainQuantity(22_000.0, 400.0), [UncertainQuantity(19_800.0, 180.0),
+                     UncertainQuantity(21_000.0, 300.0)], UncertainQuantity(30e-9, 2e-9), 1650e-9)
+
+
+def _mc_results(seed, sample_count):
+    return (
+        propagate_monte_carlo(ratio, [LINEWIDTH, FSR], sample_count, seed=seed),
+        extinction_from_finesse(*EXTINCTION_INPUTS, mc_samples=sample_count, seed=seed),
+    )
+
+
+def test_monte_carlo_results_do_not_depend_on_the_kept_arrays():
+    calls = [(3, 2000), (3, 100_000), (4, 100_000), (3, 2000), (4, 2000), (4, 100_000),
+             (5, 100_000), "clear", (5, 100_000), (3, 2000)]
+    fresh = {}
+    for seed, count in {call for call in calls if call != "clear"}:
+        _standard_normals.cache_clear()
+        fresh[seed, count] = _mc_results(seed, count)
+    for call in calls:
+        if call == "clear":
+            _standard_normals.cache_clear()
+        else:
+            assert _mc_results(*call) == fresh[call]
+
+
+@pytest.mark.parametrize("inner_seed,inner_count", [(9, 20_000), (10, 20_000), (9, 3000)],
+                         ids=["same-seed-and-count", "other-seed", "other-count"])
+def test_monte_carlo_nested_in_f_shares_no_array_with_its_caller(inner_seed, inner_count):
+    # 20,000 draws are three blocks: the inner calls run between the outer's writes
+    def inner():
+        return propagate_monte_carlo(ratio, [LINEWIDTH, FSR], inner_count, seed=inner_seed)
+
+    def product(x, y):
+        return x * y
+
+    inputs = [UncertainQuantity(2.0, 0.3), UncertainQuantity(5.0, 0.2)]
+    _standard_normals.cache_clear()
+    alone = propagate_monte_carlo(product, inputs, 20_000, seed=9), inner()
+    inner_results = []
+
+    def product_calling_inner(x, y):
+        inner_results.append(inner())
+        return product(x, y)
+
+    outer = propagate_monte_carlo(product_calling_inner, inputs, 20_000, seed=9)
+    assert outer == alone[0]
+    assert inner_results == [alone[1]] * 3
+
+
+def test_normals_rows_stay_read_only():
+    first = _normals(21, 2000, 3)
+    refilled = _normals(22, 2000, 3)
+    for row in first + refilled:
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+    propagate_monte_carlo(ratio, [LINEWIDTH, FSR], 2000, seed=23)
+    assert not any(row.flags.writeable for row in _normals(23, 2000, 3))
