@@ -39,7 +39,8 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, ParameterError
 from .quantities import (
-    UncertainQuantity, _blocks, _summary, _workspace, as_quantity, checked, propagate_linear,
+    UncertainQuantity, _blocks, _summary, _workspace, as_quantity, checked, is_real_number,
+    positive, propagate_linear,
 )
 
 __all__ = [
@@ -66,11 +67,12 @@ class MirrorState(NamedTuple):
     T: float
 
     def _checked(self):
-        if not 0.0 < self.r < 1.0:
-            raise ParameterError(f"amplitude reflectivity must be in (0,1), got {self.r}")
-        if not 0.0 <= self.T <= 1.0 - self.r**2:
+        r, t = self
+        if not (is_real_number(r) and 0.0 < r < 1.0):
+            raise ParameterError(f"amplitude reflectivity must be in (0,1), got {r!r}")
+        if not (is_real_number(t) and 0.0 <= t <= 1.0 - r**2):
             raise ParameterError(
-                f"transmission {self.T} exceeds the power budget 1-r^2 = {1 - self.r ** 2:.3e}"
+                f"transmission must be in [0, 1-r^2 = {1 - r ** 2:.3e}], got {t!r}"
             )
         return self
 
@@ -90,18 +92,13 @@ def _r1(f01, r0):
 
 def r0_from_symmetric_finesse(f00) -> UncertainQuantity:
     """Bare-mirror reflectivity from the symmetric-cavity finesse."""
-    q = as_quantity(f00)
-    if q.value <= 0:
-        raise ParameterError(f"finesse must be positive, got {q.value}")
-    return propagate_linear(_r0, [q])
+    return propagate_linear(_r0, [as_quantity(positive("finesse F00", f00))])
 
 
 def r1_from_asymmetric_finesse(f01, r0) -> UncertainQuantity:
     """Modified-mirror reflectivity from the mixed-cavity finesse."""
-    q01 = as_quantity(f01)
+    q01 = as_quantity(positive("finesse F01", f01))
     q0 = as_quantity(r0)
-    if q01.value <= 0:
-        raise ParameterError(f"finesse must be positive, got {q01.value}")
     if not 0.0 < q0.value < 1.0:
         raise ParameterError(f"r0 must be in (0,1), got {q0.value}")
     r1 = _r1(q01.value, q0.value)
@@ -117,8 +114,8 @@ def extinction_from_reflectivities(
     r0: float, r1: float, thickness_m: float, wavelength_m: float
 ) -> float:
     """kappa from the bare/modified reflectivity pair (double-pass path 2h)."""
-    if thickness_m <= 0 or wavelength_m <= 0:
-        raise ParameterError("film thickness and wavelength must be positive")
+    positive("film thickness", thickness_m)
+    positive("wavelength", wavelength_m)
     arg = 1.0 - r0**2 + r1**2
     if arg <= 0:
         raise DomainError(f"log argument 1 - r0^2 + r1^2 = {arg} is non-positive")
@@ -150,13 +147,10 @@ def extinction_from_finesse(
     whole list; each F01 is then evaluated into one samples array. The
     four arrays are the Monte-Carlo engine's kept scratch arrays.
     """
-    q01s = [as_quantity(q) for q in f01] if isinstance(f01, list) else [as_quantity(f01)]
-    q00 = as_quantity(f00)
-    h = as_quantity(thickness)
-    if q00.value <= 0 or any(q01.value <= 0 for q01 in q01s):
-        raise ParameterError("finesse values must be positive")
-    if h.value <= 0:
-        raise ParameterError(f"film thickness must be positive, got {h.value}")
+    q00 = as_quantity(positive("finesse F00", f00))
+    series = f01 if isinstance(f01, list) else [f01]
+    q01s = [as_quantity(positive("finesse F01", q)) for q in series]
+    h = as_quantity(positive("film thickness", thickness))
     r0c = _r0(q00.value)
     central = []
     for q01 in q01s:
@@ -194,10 +188,8 @@ def extinction_from_finesse(
 
 def excess_reflection_loss(f00, f01) -> UncertainQuantity:
     """Reflection variation r0^2 - r1^2 between bare and modified cavities."""
-    q00 = as_quantity(f00)
-    q01 = as_quantity(f01)
-    if q00.value <= 0 or q01.value <= 0:
-        raise ParameterError("finesse values must be positive")
+    q00 = as_quantity(positive("finesse F00", f00))
+    q01 = as_quantity(positive("finesse F01", f01))
 
     def loss(f0, f1):
         r0 = _r0(f0)

@@ -26,8 +26,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ParameterError
-from .quantities import CODATA
+from .quantities import CODATA, positive
 
 if TYPE_CHECKING:
     from .scenario import FilmSection, IlluminationSection
@@ -99,17 +98,15 @@ def equilibrium_charge(
 
     current_a may be an array; V and Q then hold one value per current.
     """
-    if resistance_ohm <= 0 or capacitance_f <= 0:
-        raise ParameterError("resistance and capacitance must be positive")
+    positive("resistance", resistance_ohm)
+    positive("capacitance", capacitance_f)
     v = current_a * resistance_ohm
     return EquilibriumCharge(v, capacitance_f * v / CODATA.e, resistance_ohm * capacitance_f)
 
 
 def gaussian_clipping_factor(beam_waist_m: float, x_q_m: float) -> float:
     """Relative mirror intensity exp(-x_Q^2/w0^2)^2 for a centered focus."""
-    if beam_waist_m <= 0:
-        raise ParameterError("beam waist must be positive")
-    return math.exp(-(x_q_m**2) / beam_waist_m**2) ** 2
+    return math.exp(-(x_q_m**2) / positive("beam waist", beam_waist_m)**2) ** 2
 
 
 def capacitance_breakdown(
@@ -123,8 +120,8 @@ def capacitance_breakdown(
     eps0 pi r^2/(2 x_Q), and the coupling to nearby trap electrodes
     (dominant, supplied as an input with a 0.1 pF default).
     """
-    if mirror_radius_m <= 0 or x_q_m <= 0:
-        raise ParameterError("radius and mirror distance must be positive")
+    positive("mirror radius", mirror_radius_m)
+    positive("x_Q", x_q_m)
     return CapacitanceBreakdown(
         self_f=8.0 * CODATA.eps0 * mirror_radius_m,
         mirror_pair_f=CODATA.eps0 * math.pi * mirror_radius_m**2 / (2.0 * x_q_m),
@@ -140,8 +137,9 @@ def transport_consistency(
 
     relative_deviation is signed, (predicted - measured)/measured.
     """
-    if min(resistivity_ohm_m, carrier_density_per_m3, mobility_m2_per_vs) <= 0:
-        raise ParameterError("transport parameters must be positive")
+    positive("resistivity", resistivity_ohm_m)
+    positive("carrier density", carrier_density_per_m3)
+    positive("mobility", mobility_m2_per_vs)
     predicted = 1.0 / (carrier_density_per_m3 * CODATA.e * mobility_m2_per_vs)
     return TransportCheck(
         predicted,

@@ -37,7 +37,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, ParameterError
-from .quantities import CODATA, checked, is_real_number
+from .quantities import CODATA, checked, is_real_number, positive
 
 __all__ = [
     "ChargeScenario",
@@ -71,8 +71,7 @@ class ChargeScenario(NamedTuple):
                 raise ParameterError(
                     f"charge {name} must be a real number or a real-valued array, got {got}"
                 )
-        if not (is_real_number(self.x_q_m) and 0 < self.x_q_m < math.inf):
-            raise ParameterError(f"x_Q must be positive, got {self.x_q_m!r}")
+        positive("x_Q", self.x_q_m)
         return self
 
 
@@ -121,9 +120,7 @@ def disc_point_ratios(radius_m: float, distance_m: float) -> dict:
 
     Both tend to 1 as r -> 0 or x >> r. Evaluated in cancellation-free form.
     """
-    if radius_m <= 0 or distance_m <= 0:
-        raise ParameterError("radius and distance must be positive")
-    r, x = radius_m, distance_m
+    r, x = positive("radius", radius_m), positive("distance", distance_m)
     hyp = math.hypot(r, x)
     # sqrt(r^2+x^2) - x = r^2/(hyp + x) avoids cancellation for r << x
     u_ratio = 2.0 * x / (hyp + x)
@@ -133,13 +130,9 @@ def disc_point_ratios(radius_m: float, distance_m: float) -> dict:
 
 def single_charge_field(q1_e: float, x_q_m: float) -> float:
     """Field at the origin from a single charge q1 at distance x_Q (V/m)."""
-    if x_q_m <= 0:
-        raise ParameterError(f"x_Q must be positive, got {x_q_m}")
-    return CODATA.k_e * q1_e * CODATA.e / x_q_m**2
+    return CODATA.k_e * q1_e * CODATA.e / positive("x_Q", x_q_m)**2
 
 
 def charge_for_field(field_v_per_m: float, x_q_m: float) -> float:
     """Charge (in e) at distance x_Q that produces a given field at origin."""
-    if x_q_m <= 0:
-        raise ParameterError(f"x_Q must be positive, got {x_q_m}")
-    return field_v_per_m * x_q_m**2 / (CODATA.k_e * CODATA.e)
+    return field_v_per_m * positive("x_Q", x_q_m)**2 / (CODATA.k_e * CODATA.e)

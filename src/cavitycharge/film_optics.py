@@ -16,8 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
-from .quantities import CODATA
+from .quantities import CODATA, positive
 
 __all__ = ["drude_index"]
 
@@ -31,10 +30,9 @@ def drude_index(
 ) -> complex:
     """Complex index n + i kappa of ZnO with the given carrier density (1/m^3)
     and Hall mobility (m^2/(V s)) at a vacuum wavelength (m)."""
-    if carrier_density_per_m3 <= 0 or mobility_m2_per_vs <= 0:
-        raise ParameterError("carrier density and mobility must be positive")
-    if wavelength_m <= 0:
-        raise ParameterError(f"wavelength must be positive, got {wavelength_m}")
+    positive("carrier density", carrier_density_per_m3)
+    positive("mobility", mobility_m2_per_vs)
+    positive("wavelength", wavelength_m)
     m_star = _EFFECTIVE_MASS_RATIO * CODATA.m_e
     omega_p = math.sqrt(carrier_density_per_m3 * CODATA.e**2 / (CODATA.eps0 * m_star))
     gamma = CODATA.e / (m_star * mobility_m2_per_vs)

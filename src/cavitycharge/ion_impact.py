@@ -54,7 +54,7 @@ from .electrostatics import (
     field_at,
 )
 from .errors import ParameterError, SearchError, StabilityError
-from .quantities import CODATA, checked, is_real_number
+from .quantities import CODATA, checked, positive
 
 if TYPE_CHECKING:
     from .scenario import TrapSection
@@ -97,9 +97,8 @@ class GateParams(NamedTuple):
     threshold_ratio: float = 0.013
 
     def _checked(self):
-        for name, value in zip(("Rabi rate", "threshold ratio"), self):
-            if not (is_real_number(value) and 0 < value < math.inf):
-                raise ParameterError(f"{name} must be positive, got {value!r}")
+        positive("Rabi rate", self.rabi_hz)
+        positive("threshold ratio", self.threshold_ratio)
         return self
 
 
@@ -311,9 +310,7 @@ def bessel_j0(x):
 
 def carrier_intensity_factor(x_micromotion_m: float, cooling_wavelength_m: float) -> float:
     """Carrier intensity reduction J0(beta)^2, beta = 2 pi x_um / lambda_D."""
-    if cooling_wavelength_m <= 0:
-        raise ParameterError("wavelength must be positive")
-    beta = 2.0 * math.pi * x_micromotion_m / cooling_wavelength_m
+    beta = 2.0 * math.pi * x_micromotion_m / positive("cooling wavelength", cooling_wavelength_m)
     j0 = bessel_j0(beta)
     return j0 * j0
 
@@ -364,8 +361,7 @@ def lamb_dicke_budget(
 ) -> LambDickeBudget:
     """Charge budget from the gate-laser phase-modulation cap k x_um < limit."""
     _trap(trap)  # the trap's checks come before the option's
-    if modulation_limit <= 0:
-        raise ParameterError("modulation limit must be positive")
+    positive("modulation limit", modulation_limit)
     x_um_max = modulation_limit * trap.gate_wavelength_m / (2.0 * math.pi)
     q1 = _charge_for_micromotion(trap, x_q_m, x_um_max)
     if q1 == 0.0:
@@ -402,8 +398,7 @@ def _charge_for_micromotion(trap: TrapSection, x_q_m: float, x_um_m: float) -> f
     is q = x_um (b x_um + sqrt(b^2 x_um^2 + 4 c^2 k_t)) / (2 c^2).
     """
     mass_kg, _, omega_rf, k_t = _trap(trap)
-    if x_q_m <= 0:
-        raise ParameterError(f"x_Q must be positive, got {x_q_m}")
+    positive("x_Q", x_q_m)
     u = CODATA.e**2 * CODATA.k_e
     b = u / x_q_m**3
     c = u / (omega_rf * x_q_m**2 * math.sqrt(mass_kg))

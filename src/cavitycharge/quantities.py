@@ -23,6 +23,9 @@ derived values come from the propagation engines.
 :func:`checked` declares every record that checks its fields: its
 constructor, _make and _replace all store the record's _checked().
 :func:`is_real_number` is their test for a real number (not a bool).
+:func:`positive` is the one check of a positive argument, in the
+library's functions and records alike: a real number (not a bool),
+finite and > 0, else ParameterError naming the argument.
 
 :func:`finite_evaluation` is the finite-output gate of the report and
 budget chains: every value they return is finite, and numerics that
@@ -62,6 +65,17 @@ def is_real_number(value) -> bool:
     )
 
 
+def positive(name: str, value):
+    """value, when it is a real number (not a bool), finite and > 0, or an
+    UncertainQuantity whose value is; else ParameterError "<name> must be
+    positive, got <the number!r>". NaN fails every comparison, so the test
+    is written as the range it accepts."""
+    number = value.value if isinstance(value, UncertainQuantity) else value
+    if not (is_real_number(number) and 0 < number < math.inf):
+        raise ParameterError(f"{name} must be positive, got {number!r}")
+    return value
+
+
 def checked(cls):
     """The NamedTuple class cls, whose cls(...), cls._make and so _replace store
     record._checked(): the values as given, checked and converted, or a
@@ -81,12 +95,12 @@ class UncertainQuantity(NamedTuple):
     sigma: float = 0.0
 
     def _checked(self):
-        value, sigma = float(self.value), float(self.sigma)
-        if not math.isfinite(value):
-            raise ParameterError(f"value must be finite, got {value}")
-        if not math.isfinite(sigma) or sigma < 0:
-            raise ParameterError(f"sigma must be finite and >= 0, got {sigma}")
-        return value, sigma
+        value, sigma = self
+        if not (is_real_number(value) and -math.inf < value < math.inf):
+            raise ParameterError(f"value must be a finite real number, got {value!r}")
+        if not (is_real_number(sigma) and 0 <= sigma < math.inf):
+            raise ParameterError(f"sigma must be finite and >= 0, got {sigma!r}")
+        return float(value), float(sigma)
 
     def __str__(self) -> str:
         return f"{self.value:g} +/- {self.sigma:g}"
@@ -282,8 +296,9 @@ def propagate_monte_carlo(
     """Monte-Carlo uncertainty propagation with an explicit seed.
 
     Draws independent normal samples for each input and returns the sample
-    mean and standard deviation of f. seed must be an int >= 0, else
-    ParameterError. Repeated calls with the same seed are bit-identical.
+    mean and standard deviation of f. seed must be an int >= 0 and
+    sample_count an int >= MIN_MC_SAMPLES, else ParameterError. Repeated
+    calls with the same seed are bit-identical.
 
     f must be elementwise: sample j of its output may depend only on draw j
     of each input. It is called once per block of at most 8,192 draws
@@ -320,14 +335,13 @@ def propagate_monte_carlo(
 def _normals(seed: int, sample_count: int, n_inputs: int) -> list:
     """The n_inputs rows of standard normals shared by every Monte-Carlo
     call with this seed and sample_count, until a call with another seed
-    refills them; ParameterError for a seed that is not an int >= 0 or
-    fewer than MIN_MC_SAMPLES draws."""
-    import numpy as np
-
-    if sample_count < MIN_MC_SAMPLES:
-        raise ParameterError(f"sample_count must be >= {MIN_MC_SAMPLES}, got {sample_count}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ParameterError(f"seed must be an int >= 0, got {seed!r}")
+    refills them; ParameterError for a seed that is not an int >= 0 or a
+    sample_count that is not an int >= MIN_MC_SAMPLES (a bool is neither)."""
+    for name, value, least in (("sample_count", sample_count, MIN_MC_SAMPLES), ("seed", seed, 0)):
+        # a NumPy integer is an Integral; a bool is one too, but not a count
+        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                and value >= least):
+            raise ParameterError(f"{name} must be an int >= {least}, got {value!r}")
     return _standard_normals(seed, sample_count, n_inputs)
 
 

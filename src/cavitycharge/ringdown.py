@@ -30,7 +30,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import FitError, ParameterError
-from .quantities import CODATA, UncertainQuantity, as_quantity, checked, propagate_linear
+from .quantities import (
+    CODATA, UncertainQuantity, as_quantity, checked, positive, propagate_linear,
+)
 
 __all__ = [
     "RingdownTrace",
@@ -61,7 +63,9 @@ class RingdownTrace(NamedTuple):
     voltages: np.ndarray
 
     def _checked(self):
-        t, v = (np.asarray(samples, dtype=float) for samples in self)
+        # copies, contiguous: the caller's arrays stay writeable, and a strided
+        # column could change the fit's dot-product rounding
+        t, v = (np.array(samples, dtype=float) for samples in self)
         if t.ndim != 1 or t.shape != v.shape:
             raise ParameterError("times and voltages must be 1-d arrays of equal length")
         if t.size < MIN_SAMPLES:
@@ -92,8 +96,7 @@ class RingdownFit(NamedTuple):
     iterations: int = 0
 
     def _checked(self):
-        if self.linewidth.value <= 0:
-            raise ParameterError("fitted linewidth must be positive")
+        positive("fitted linewidth", self.linewidth)
         return self
 
 
@@ -110,10 +113,11 @@ def synthesize_trace(
     Deterministic for a fixed seed; the t=0 sample equals v0 exactly when
     noise_sigma is zero.
     """
-    if linewidth_hz <= 0:
-        raise ParameterError(f"linewidth must be positive, got {linewidth_hz}")
-    if duration_s <= 0 or sample_rate_hz <= 0:
-        raise ParameterError("duration and sample rate must be positive")
+    positive("linewidth", linewidth_hz)
+    positive("duration", duration_s)
+    positive("sample rate", sample_rate_hz)
+    if not 0 <= noise_sigma < math.inf:
+        raise ParameterError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     n = int(round(duration_s * sample_rate_hz))
     if n < MIN_SAMPLES:
         raise ParameterError(
@@ -284,20 +288,14 @@ def pool_linewidths(fits: Sequence[RingdownFit]) -> UncertainQuantity:
 
 def finesse(linewidth, fsr) -> UncertainQuantity:
     """Finesse = FSR / linewidth with linear uncertainty propagation."""
-    lw = as_quantity(linewidth)
-    nu = as_quantity(fsr)
-    if lw.value <= 0:
-        raise ParameterError(f"linewidth must be positive, got {lw.value}")
-    if nu.value <= 0:
-        raise ParameterError(f"FSR must be positive, got {nu.value}")
+    lw = as_quantity(positive("linewidth", linewidth))
+    nu = as_quantity(positive("FSR", fsr))
     return propagate_linear(lambda d, f: f / d, [lw, nu])
 
 
 def fsr_from_length(d_m: float) -> float:
     """Free spectral range c/(2d) of a two-mirror cavity of length d."""
-    if d_m <= 0:
-        raise ParameterError(f"cavity length must be positive, got {d_m}")
-    return CODATA.c / (2.0 * d_m)
+    return CODATA.c / (2.0 * positive("cavity length", d_m))
 
 
 _CSV_COLUMNS = {
@@ -355,8 +353,7 @@ def load_trace_csv(path) -> RingdownTrace:
         raise ParameterError(
             f"{path}: {len(data)} samples, need at least {MIN_SAMPLES}"
         )
-    # contiguous columns: strided views could change the fit's dot-product rounding
-    t, v = data.T.copy()
+    t, v = data.T  # RingdownTrace copies each column once
     try:
         return RingdownTrace(t, v)
     except ParameterError as exc:

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .electrostatics import charge_for_field
 from .errors import ParameterError
+from .quantities import positive
 
 if TYPE_CHECKING:
     from .scenario import RydbergSection
@@ -63,8 +64,8 @@ def stark_shift(rydberg: RydbergSection, field_v_per_m: float) -> float:
 
 def dephasing(rydberg: RydbergSection, field_v_per_m: float, tau_s: float) -> float:
     """Accumulated Ramsey phase pi alpha E^2 tau, in radians."""
-    if tau_s < 0:
-        raise ParameterError(f"duration must be >= 0, got {tau_s}")
+    if not 0 <= tau_s < math.inf:
+        raise ParameterError(f"duration must be finite and >= 0, got {tau_s!r}")
     return math.pi * rydberg.alpha * field_v_per_m**2 * tau_s
 
 
@@ -107,7 +108,5 @@ def charge_for_coherence_time(
     rydberg: RydbergSection, tau_pi_s: float, x_q_m: float
 ) -> ChargeFieldBudget:
     """Largest single charge compatible with a decoherence time tau_pi."""
-    if tau_pi_s <= 0:
-        raise ParameterError(f"tau_pi must be positive, got {tau_pi_s}")
-    field = 1.0 / math.sqrt(rydberg.alpha * tau_pi_s)
+    field = 1.0 / math.sqrt(rydberg.alpha * positive("tau_pi", tau_pi_s))
     return ChargeFieldBudget(charge_for_field(field, x_q_m), field)

@@ -1,0 +1,99 @@
+"""Every plain-number argument the library requires positive is checked by
+one rule (quantities.positive): a real number, not a bool, finite and > 0,
+else ParameterError "<name> must be positive, got <value!r>"."""
+
+import math
+import re
+
+import pytest
+
+from cavitycharge import cavity_optics, charging, electrostatics, film_optics, ion_impact
+from cavitycharge import ringdown, rydberg_impact
+from cavitycharge.errors import ParameterError
+from cavitycharge.quantities import UncertainQuantity, positive
+from cavitycharge.scenario import RydbergSection, TrapSection
+
+TRAP = TrapSection(
+    mass_amu=171.0,
+    secular_hz=500e3,
+    rf_hz=30e6,
+    cooling_wavelength_m=369e-9,
+    gate_wavelength_m=355e-9,
+    cavity_wavelength_m=1650e-9,
+)
+RYDBERG = RydbergSection(alpha=53.4e3, rabi_hz=5e6)
+R0 = cavity_optics.r0_from_symmetric_finesse(15000.0).value
+LINEWIDTH = UncertainQuantity(523e3, 9e3)
+
+# (function, valid arguments, {index of a checked argument: its name in the message})
+CHECKED = [
+    (cavity_optics.r0_from_symmetric_finesse, (15000.0,), {0: "finesse F00"}),
+    (cavity_optics.r1_from_asymmetric_finesse, (14160.0, R0), {0: "finesse F01"}),
+    (cavity_optics.extinction_from_reflectivities, (R0, 0.9997, 30e-9, 1650e-9),
+     {2: "film thickness", 3: "wavelength"}),
+    (cavity_optics.extinction_from_finesse, (15000.0, 14160.0, 30e-9, 1650e-9),
+     {0: "finesse F00", 1: "finesse F01", 2: "film thickness", 3: "wavelength"}),
+    (cavity_optics.excess_reflection_loss, (15000.0, 14160.0),
+     {0: "finesse F00", 1: "finesse F01"}),
+    (charging.equilibrium_charge, (1e5, 1e-12, 1e-6), {0: "resistance", 1: "capacitance"}),
+    (charging.gaussian_clipping_factor, (1e-4, 2e-4), {0: "beam waist"}),
+    (charging.capacitance_breakdown, (125e-6, 2e-4), {0: "mirror radius", 1: "x_Q"}),
+    (charging.transport_consistency, (1e-4, 1e26, 1e-3),
+     {0: "resistivity", 1: "carrier density", 2: "mobility"}),
+    (electrostatics.ChargeScenario, (1.0, 0.0, 2e-4), {2: "x_Q"}),
+    (electrostatics.disc_point_ratios, (125e-6, 2e-4), {0: "radius", 1: "distance"}),
+    (electrostatics.single_charge_field, (10.0, 2e-4), {1: "x_Q"}),
+    (electrostatics.charge_for_field, (1.0, 2e-4), {1: "x_Q"}),
+    (film_optics.drude_index, (2e25, 37e-4, 1650e-9),
+     {0: "carrier density", 1: "mobility", 2: "wavelength"}),
+    (ion_impact.GateParams, (1e4, 0.013), {0: "Rabi rate", 1: "threshold ratio"}),
+    (ion_impact.carrier_intensity_factor, (1e-8, 369e-9), {1: "cooling wavelength"}),
+    (ion_impact.lamb_dicke_budget, (TRAP, 2e-4, 0.2), {1: "x_Q", 2: "modulation limit"}),
+    (ion_impact.max_charge_for_cooling, (TRAP, 2e-4, 0.5), {1: "x_Q"}),
+    (ringdown.synthesize_trace, (1.0, 5e3, 4e-4, 1e7),
+     {1: "linewidth", 2: "duration", 3: "sample rate"}),
+    (ringdown.finesse, (LINEWIDTH, 7.41e9), {0: "linewidth", 1: "FSR"}),
+    (ringdown.fsr_from_length, (20.2e-3,), {0: "cavity length"}),
+    (ringdown.RingdownFit, (UncertainQuantity(1.0), LINEWIDTH, 0.01), {1: "fitted linewidth"}),
+    (rydberg_impact.charge_for_coherence_time, (RYDBERG, 5e-6, 2e-4), {1: "tau_pi", 2: "x_Q"}),
+    (rydberg_impact.max_charge_for_infidelity, (RYDBERG, 1e-3, 2e-4), {2: "x_Q"}),
+]
+
+BAD = [math.nan, math.inf, 0.0, -1.0, "1", True]
+
+CASES = [
+    pytest.param(f, args, index, name, bad, id=f"{f.__name__}-{name}-{bad!r}")
+    for f, args, names in CHECKED
+    for index, name in names.items()
+    for bad in BAD
+]
+
+
+@pytest.mark.parametrize("f, args, index, name, bad", CASES)
+def test_a_positive_argument_refuses_nan_inf_nonpositive_str_and_bool(f, args, index, name, bad):
+    args = list(args)
+    args[index] = bad
+    message = f"{name} must be positive, got {bad!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        f(*args)
+
+
+def test_positive_returns_its_value_and_reads_a_quantity_by_its_value():
+    q = UncertainQuantity(2.0, 5.0)
+    assert positive("x", q) is q
+    assert positive("x", 3) == 3
+    with pytest.raises(ParameterError, match=r"^x must be positive, got -2\.0$"):
+        positive("x", UncertainQuantity(-2.0, 0.1))
+
+
+@pytest.mark.parametrize("sigma", [math.nan, -1.0, -math.inf, math.inf])
+def test_noise_sigma_is_finite_and_nonnegative(sigma):
+    with pytest.raises(ParameterError, match="noise_sigma must be finite and >= 0"):
+        ringdown.synthesize_trace(1.0, 5e3, 4e-4, 1e7, noise_sigma=sigma)
+
+
+@pytest.mark.parametrize("tau", [math.nan, -1e-6, math.inf])
+def test_dephasing_duration_is_finite_and_nonnegative(tau):
+    with pytest.raises(ParameterError, match="duration must be finite and >= 0"):
+        rydberg_impact.dephasing(RYDBERG, 1.0, tau)
+    assert rydberg_impact.dephasing(RYDBERG, 1.0, 0.0) == 0.0

@@ -246,7 +246,7 @@ def test_extinction_series_of_one_is_a_list_of_one():
     # an UncertainQuantity is a tuple, but only a list is a series
     assert isinstance(single, UncertainQuantity)
     assert extinction_from_finesse(f00, [f01], h, WAVELENGTH, mc_samples=2000) == [single]
-    with pytest.raises(ParameterError, match="finesse values must be positive"):
+    with pytest.raises(ParameterError, match="finesse F01 must be positive, got -1.0"):
         extinction_from_finesse(f00, [f01, UncertainQuantity(-1.0, 0.0)], h, WAVELENGTH)
 
 

@@ -142,7 +142,7 @@ def test_validation():
         assert old in text
         with pytest.raises(SchemaError, match=message):
             parse_scenario(text.replace(old, new))
-    with pytest.raises(ParameterError, match="transport parameters must be positive"):
+    with pytest.raises(ParameterError, match=r"carrier density must be positive, got -2e\+25"):
         transport_consistency(1e-4, -2e25, 3.7e-3)
     with pytest.raises(ParameterError):
         equilibrium_charge(0.0, 1e-13, 1e-8)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -58,10 +59,20 @@ def _noisy_trace():
     (GateParams(1e4), {"threshold_ratio": True}, "threshold ratio must be positive, got True"),
     (ChargeScenario(1.0, 0.0, 2e-4), {"x_q_m": True}, "x_Q must be positive, got True"),
     (ChargeScenario(1.0, 0.0, 2e-4), {"q1_e": "54"}, "charge q1_e must be a real number"),
+    (UncertainQuantity(1.0, 0.1), {"value": "1.5"},
+     "value must be a finite real number, got '1.5'"),
+    (UncertainQuantity(1.0, 0.1), {"sigma": "0.1"}, "sigma must be finite and >= 0, got '0.1'"),
+    (UncertainQuantity(1.0, 0.1), {"value": True}, "value must be a finite real number, got True"),
+    (MirrorState(0.99, 1e-4), {"r": "0.5"},
+     r"amplitude reflectivity must be in \(0,1\), got '0.5'"),
+    (MirrorState(0.5, 0.1), {"T": "0.1"},
+     r"transmission must be in \[0, 1-r\^2 = 7.500e-01\], got '0.1'"),
 ], ids=["UncertainQuantity", "MirrorState", "RingdownTrace", "RingdownFit", "GateParams-str",
         "GateParams-nan", "GateParams-threshold-inf", "ChargeScenario-nan",
         "ChargeScenario-negative", "GateParams-bool", "GateParams-threshold-bool",
-        "ChargeScenario-bool", "ChargeScenario-str-charge"])
+        "ChargeScenario-bool", "ChargeScenario-str-charge", "UncertainQuantity-str",
+        "UncertainQuantity-str-sigma", "UncertainQuantity-bool", "MirrorState-str",
+        "MirrorState-str-T"])
 def test_replace_runs_the_constructor_checks(record, change, message):
     with pytest.raises(ParameterError, match=message):
         type(record)(**{**record._asdict(), **change})
@@ -137,6 +148,15 @@ def test_monte_carlo_determinism():
 def test_monte_carlo_rejects_tiny_sample_count():
     with pytest.raises(ParameterError):
         propagate_monte_carlo(lambda x: x, [UncertainQuantity(1.0, 0.1)], 10, seed=0)
+
+
+@pytest.mark.parametrize("sample_count", [1000.5, "5000", True])
+def test_monte_carlo_sample_count_is_an_int(sample_count):
+    message = f"^sample_count must be an int >= 1000, got {re.escape(repr(sample_count))}$"
+    with pytest.raises(ParameterError, match=message):
+        propagate_monte_carlo(lambda x: x, [UncertainQuantity(1.0, 0.1)], sample_count)
+    with pytest.raises(ParameterError, match=message):
+        extinction_from_finesse(15000.0, 14160.0, 30e-9, 1650e-9, mc_samples=sample_count)
 
 
 def test_monte_carlo_nonfinite_fraction_errors():
@@ -284,8 +304,10 @@ def test_monte_carlo_f_writing_into_its_draws_changes_no_later_result():
         "0",
         np.random.default_rng(0),
         np.random.SeedSequence(0),
+        True,
     ],
-    ids=["none", "negative-int", "negative-np-integer", "float", "str", "generator", "seed-sequence"],
+    ids=["none", "negative-int", "negative-np-integer", "float", "str", "generator",
+         "seed-sequence", "bool"],
 )
 def test_monte_carlo_rejects_seed_that_is_not_a_nonnegative_int(seed):
     _standard_normals.cache_clear()
@@ -326,6 +348,12 @@ def test_validation():
         UncertainQuantity(1.0, -0.1)
     with pytest.raises(ParameterError):
         UncertainQuantity(math.nan, 0.0)
+
+
+def test_records_store_valid_numbers_as_before():
+    q = UncertainQuantity(np.float64(1.5), 1)
+    assert q == (1.5, 1.0) and type(q.value) is float and type(q.sigma) is float
+    assert MirrorState(0.5, 0.1) == (0.5, 0.1)
 
 
 def test_constants_are_frozen_and_consistent():

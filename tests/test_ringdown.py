@@ -81,6 +81,20 @@ def test_trace_rejects_non_finite_samples():
         RingdownTrace(t, v)
 
 
+def test_trace_copies_and_leaves_the_callers_arrays_writeable():
+    t = np.arange(20) * 1e-9
+    v = np.exp(-t / 5e-9)
+    tr = RingdownTrace(t, v)
+    assert tr.times is not t and tr.voltages is not v
+    t[0] = 1.0  # the caller's arrays stay theirs
+    v[0] = 2.0
+    assert tr.times[0] == 0.0 and tr.voltages[0] == 1.0
+    for samples in tr:
+        assert not samples.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            samples[0] = 3.0
+
+
 # -- fitting -----------------------------------------------------------------
 
 
@@ -220,6 +234,9 @@ def test_trace_csv_round_trip(tmp_path):
     loaded = load_trace_csv(path)
     assert np.array_equal(loaded.times, tr.times)
     assert np.array_equal(loaded.voltages, tr.voltages)
+    # each column is one contiguous array of its own, not a view of the table
+    for column in loaded:
+        assert column.flags.c_contiguous and column.flags.owndata
 
 
 def test_trace_csv_headerless(tmp_path):
