@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, ParameterError
 from .quantities import (
-    UncertainQuantity, _blocks, _summary, _workspace, as_quantity, checked, is_real_number,
+    UncertainQuantity, _summary, _workspace, as_quantity, checked, is_real_number,
     positive, propagate_linear,
 )
 
@@ -83,6 +83,24 @@ def _r0(f00):
     return 1.0 - 2.0 * math.pi / (
         2.0 * f00 + math.pi + np.sqrt(4.0 * f00**2 + math.pi**2)
     )
+
+
+def _r0_of_draws(q, z, f, tmp):
+    """f := _r0 of the draws q.value + q.sigma * z, by _r0's operations in
+    place, with tmp as the only scratch; returns the mask of draws <= 0."""
+    np.multiply(q.sigma, z, out=f)
+    f += q.value
+    bad = f <= 0
+    np.square(f, out=tmp)
+    tmp *= 4.0
+    tmp += math.pi**2
+    np.sqrt(tmp, out=tmp)
+    f *= 2.0
+    f += math.pi
+    f += tmp
+    np.divide(2.0 * math.pi, f, out=f)
+    np.subtract(1.0, f, out=f)
+    return bad
 
 
 def _r1(f01, r0):
@@ -144,8 +162,9 @@ def extinction_from_finesse(
     (rows 0, 1 and 2), under its 1% policy: draws with a non-positive F00,
     F01 or h are non-finite samples. The bare-mirror stage (r0, 1 - r0^2
     and the scale -lambda/(8 pi h) of each draw) is computed once for the
-    whole list; each F01 is then evaluated into one samples array. The
-    four arrays are the Monte-Carlo engine's kept scratch arrays.
+    whole list; each F01 is then evaluated into one samples array. Each
+    step is one in-place operation on all the draws, into five of the
+    Monte-Carlo engine's kept scratch arrays (one is _r0's scratch).
     """
     q00 = as_quantity(positive("finesse F00", f00))
     series = f01 if isinstance(f01, list) else [f01]
@@ -164,24 +183,30 @@ def extinction_from_finesse(
                 stacklevel=2,
             )
 
-    with _workspace(seed, mc_samples, 3, 4) as ((z00, z01, zh), r0, loss0, scale, samples):
+    with _workspace(seed, mc_samples, 3, 5) as (normals, r0, loss0, scale, samples, tmp):
+        z00, z01, zh = normals
         with np.errstate(all="ignore"):  # non-finite samples are counted by _summary
-            for part in _blocks(mc_samples):
-                f00_s = q00.value + q00.sigma * z00[part]
-                h_s = h.value + h.sigma * zh[part]
-                r0[part] = _r0(f00_s)
-                loss0[part] = 1.0 - r0[part] ** 2
-                scale[part] = np.where((f00_s > 0) & (h_s > 0),
-                                       -(wavelength_m / (8.0 * math.pi * h_s)), np.nan)
+            bad = _r0_of_draws(q00, z00, r0, tmp)
+            np.square(r0, out=loss0)  # 1 - r0^2
+            np.subtract(1.0, loss0, out=loss0)
+            np.multiply(h.sigma, zh, out=scale)  # -lambda/(8 pi h)
+            scale += h.value
+            bad |= scale <= 0
+            scale *= 8.0 * math.pi
+            np.divide(wavelength_m, scale, out=scale)
+            np.negative(scale, out=scale)
+            scale[bad] = np.nan
         kappas = []
         for q01, value in zip(q01s, central):
             with np.errstate(all="ignore"):
-                for part in _blocks(mc_samples):
-                    f01_s = q01.value + q01.sigma * z01[part]
-                    r1_s = _r1(f01_s, r0[part])
-                    # 1 - r0^2 + r1^2, added in that order
-                    k = scale[part] * np.log(loss0[part] + r1_s**2)
-                    samples[part] = np.where(f01_s > 0, k, np.nan)
+                bad = _r0_of_draws(q01, z01, samples, tmp)
+                np.square(samples, out=samples)  # r1 = _r0(F01)^2 / r0
+                samples /= r0
+                np.square(samples, out=samples)
+                np.add(loss0, samples, out=samples)  # 1 - r0^2 + r1^2, added in that order
+                np.log(samples, out=samples)
+                np.multiply(scale, samples, out=samples)
+                samples[bad] = np.nan
             kappas.append(UncertainQuantity(value, _summary(samples).sigma))
     return kappas if isinstance(f01, list) else kappas[0]
 

@@ -106,7 +106,9 @@ def equilibrium_charge(
 
 def gaussian_clipping_factor(beam_waist_m: float, x_q_m: float) -> float:
     """Relative mirror intensity exp(-x_Q^2/w0^2)^2 for a centered focus."""
-    return math.exp(-(x_q_m**2) / positive("beam waist", beam_waist_m)**2) ** 2
+    waist = positive("beam waist", beam_waist_m)
+    positive("x_Q", x_q_m)
+    return math.exp(-(x_q_m**2) / waist**2) ** 2
 
 
 def capacitance_breakdown(

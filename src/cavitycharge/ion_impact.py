@@ -444,6 +444,7 @@ def max_equal_charge_for_gate(trap: TrapSection, x_q_m: float, gate: GateParams)
     inversion of omega~_x = omega_x sqrt(1 + s_q B / k_t).
     """
     _, omega_x, _, k_t = _trap(trap)
+    positive("x_Q", x_q_m)
     delta_target = gate.threshold_ratio * (2.0 * math.pi * gate.rabi_hz)
     s_q_b = k_t * ((1.0 + delta_target / omega_x) ** 2 - 1.0)
     b = s_q_b / (CODATA.e * CODATA.k_e)

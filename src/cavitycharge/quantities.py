@@ -10,11 +10,10 @@ deviation uncertainty. Two propagation engines are provided:
 * :func:`propagate_monte_carlo` -- draw independent normal samples per
   input and report the sample mean and standard deviation of f.
 
-The Monte-Carlo parts -- the shared standard normals and full-length
-scratch arrays (_workspace), the blocks f is evaluated on (_blocks) and
-the 1% non-finite policy with the mean/sigma summary (_summary) -- are
-also what cavity_optics.extinction_from_finesse builds its extinction
-series from, so both have one policy and one kept working set.
+cavity_optics.extinction_from_finesse builds its extinction series from
+the same shared standard normals and kept full-length scratch arrays
+(_workspace) and the same 1% non-finite policy and mean/sigma summary
+(_summary), so both have one policy and one kept working set.
 
 Uncertainties are treated as symmetric Gaussian one-sigma throughout;
 inputs are assumed uncorrelated. A quantity does no arithmetic of its own:
@@ -69,9 +68,10 @@ def positive(name: str, value):
     """value, when it is a real number (not a bool), finite and > 0, or an
     UncertainQuantity whose value is; else ParameterError "<name> must be
     positive, got <the number!r>". NaN fails every comparison, so the test
-    is written as the range it accepts."""
+    is written as the range it accepts, up to the largest float: an int
+    past it (10**400) would overflow float()."""
     number = value.value if isinstance(value, UncertainQuantity) else value
-    if not (is_real_number(number) and 0 < number < math.inf):
+    if not (is_real_number(number) and 0 < number <= _FLOAT_MAX):
         raise ParameterError(f"{name} must be positive, got {number!r}")
     return value
 
@@ -96,9 +96,9 @@ class UncertainQuantity(NamedTuple):
 
     def _checked(self):
         value, sigma = self
-        if not (is_real_number(value) and -math.inf < value < math.inf):
+        if not (is_real_number(value) and -_FLOAT_MAX <= value <= _FLOAT_MAX):
             raise ParameterError(f"value must be a finite real number, got {value!r}")
-        if not (is_real_number(sigma) and 0 <= sigma < math.inf):
+        if not (is_real_number(sigma) and 0 <= sigma <= _FLOAT_MAX):
             raise ParameterError(f"sigma must be finite and >= 0, got {sigma!r}")
         return float(value), float(sigma)
 
@@ -111,6 +111,8 @@ def as_quantity(x) -> UncertainQuantity:
     return x if isinstance(x, UncertainQuantity) else UncertainQuantity(x)
 
 
+# the largest finite float; an int compares with it exactly
+_FLOAT_MAX = sys.float_info.max
 # shared with the derived fields hbar and k_e
 _H = 6.62607015e-34
 _EPS0 = 8.8541878188e-12
@@ -141,8 +143,8 @@ CODATA = Constants()
 #: Fewest Monte-Carlo draws propagate_monte_carlo accepts.
 MIN_MC_SAMPLES = 1000
 
-# Most draws f sees at once: its 64 KB temporaries stay below the allocator's
-# mmap threshold, so freed memory is reused; full-length arrays are kept.
+# Most draws propagate_monte_carlo's f sees at once: its 64 KB temporaries stay
+# below the allocator's mmap threshold, so freed memory is reused.
 _MC_CHUNK = 8192
 
 # finite-difference step rule: relative 1e-6 with an absolute floor
@@ -236,8 +238,8 @@ class _StandardNormals:
     the same stream, so a 2-input and a 3-input call share their first two
     rows and no kept row is copied. Another seed refills the rows in place
     (new rows while a running call reads them); another sample_count drops
-    rows and scratch arrays. A report keeps 3 rows and 4 scratch arrays:
-    5,600,000 bytes at 1e5 draws, so a warm report faults in no pages.
+    rows and scratch arrays. A report keeps 3 rows and 5 scratch arrays:
+    6,400,000 bytes at 1e5 draws, so a warm report faults in no pages.
     """
 
     def __init__(self) -> None:
@@ -382,7 +384,7 @@ def _summary(samples) -> UncertainQuantity:
 
     sample_count = len(samples)
     finite = np.isfinite(samples)
-    n_bad = int(sample_count - finite.sum())
+    n_bad = sample_count - np.count_nonzero(finite)
     if n_bad > 0.01 * sample_count:
         raise EvaluationError(
             f"{n_bad}/{sample_count} Monte-Carlo samples were non-finite"

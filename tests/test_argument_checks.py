@@ -36,7 +36,7 @@ CHECKED = [
     (cavity_optics.excess_reflection_loss, (15000.0, 14160.0),
      {0: "finesse F00", 1: "finesse F01"}),
     (charging.equilibrium_charge, (1e5, 1e-12, 1e-6), {0: "resistance", 1: "capacitance"}),
-    (charging.gaussian_clipping_factor, (1e-4, 2e-4), {0: "beam waist"}),
+    (charging.gaussian_clipping_factor, (1e-4, 2e-4), {0: "beam waist", 1: "x_Q"}),
     (charging.capacitance_breakdown, (125e-6, 2e-4), {0: "mirror radius", 1: "x_Q"}),
     (charging.transport_consistency, (1e-4, 1e26, 1e-3),
      {0: "resistivity", 1: "carrier density", 2: "mobility"}),
@@ -50,6 +50,7 @@ CHECKED = [
     (ion_impact.carrier_intensity_factor, (1e-8, 369e-9), {1: "cooling wavelength"}),
     (ion_impact.lamb_dicke_budget, (TRAP, 2e-4, 0.2), {1: "x_Q", 2: "modulation limit"}),
     (ion_impact.max_charge_for_cooling, (TRAP, 2e-4, 0.5), {1: "x_Q"}),
+    (ion_impact.max_equal_charge_for_gate, (TRAP, 2e-4, ion_impact.GateParams(1e4)), {1: "x_Q"}),
     (ringdown.synthesize_trace, (1.0, 5e3, 4e-4, 1e7),
      {1: "linewidth", 2: "duration", 3: "sample rate"}),
     (ringdown.finesse, (LINEWIDTH, 7.41e9), {0: "linewidth", 1: "FSR"}),
@@ -59,10 +60,11 @@ CHECKED = [
     (rydberg_impact.max_charge_for_infidelity, (RYDBERG, 1e-3, 2e-4), {2: "x_Q"}),
 ]
 
-BAD = [math.nan, math.inf, 0.0, -1.0, "1", True]
+# 10**400 is past the float range: float() of it raises OverflowError
+BAD = [math.nan, math.inf, 0.0, -1.0, "1", True, 10**400]
 
 CASES = [
-    pytest.param(f, args, index, name, bad, id=f"{f.__name__}-{name}-{bad!r}")
+    pytest.param(f, args, index, name, bad, id=f"{f.__name__}-{name}-{bad!r:.12}")
     for f, args, names in CHECKED
     for index, name in names.items()
     for bad in BAD
@@ -84,6 +86,16 @@ def test_positive_returns_its_value_and_reads_a_quantity_by_its_value():
     assert positive("x", 3) == 3
     with pytest.raises(ParameterError, match=r"^x must be positive, got -2\.0$"):
         positive("x", UncertainQuantity(-2.0, 0.1))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((10**400,), "value must be a finite real number"),
+    ((-10**400,), "value must be a finite real number"),
+    ((1.0, 10**400), "sigma must be finite and >= 0"),
+], ids=["value", "negative-value", "sigma"])
+def test_a_quantity_refuses_an_int_past_the_float_range(args, message):
+    with pytest.raises(ParameterError, match=f"^{message}, got {args[-1]!r}$"):
+        UncertainQuantity(*args)
 
 
 @pytest.mark.parametrize("sigma", [math.nan, -1.0, -math.inf, math.inf])

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavitycharge.cavity_optics import (
     MirrorState,
@@ -15,7 +18,7 @@ from cavitycharge.cavity_optics import (
     r1_from_asymmetric_finesse,
     resonant_response,
 )
-from cavitycharge.errors import ConsistencyError, ParameterError
+from cavitycharge.errors import ConsistencyError, ParameterError, ToolkitError
 from cavitycharge.quantities import UncertainQuantity, propagate_linear, propagate_monte_carlo
 
 mpmath.mp.dps = 50
@@ -236,6 +239,67 @@ def test_extinction_series_equals_its_single_calls_bit_for_bit(seed, mc_samples)
         generic = propagate_monte_carlo(_kappa_draws(WAVELENGTH), [f00, f01, h], mc_samples, seed)
         assert kappa.sigma == generic.sigma
     assert series[2].value < 0 < series[0].value
+
+
+def _outcome(call):
+    """(call()'s result, or the type and message of the ToolkitError it
+    raised, and the category and message of each warning it gave)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except ToolkitError as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+_finesse = st.floats(1e2, 1e5)
+# a relative sigma up to 0.45 puts up to ~1.3% of the draws at or below 0,
+# either side of the 1% limit on non-finite samples
+_rel_sigma = st.sampled_from([0.0, 1e-3, 0.02, 0.1, 0.3, 0.4, 0.45])
+
+
+@settings(max_examples=120)
+@given(f00=st.tuples(_finesse, _rel_sigma), f01s=st.lists(st.tuples(_finesse, _rel_sigma),
+       min_size=1, max_size=5), h_rel=_rel_sigma, seed=st.integers(0, 2**32),
+       mc_samples=st.sampled_from([1000, 1001, 8191, 8192, 8193, 20_000, 100_000]))
+def test_extinction_sigmas_are_the_generic_engine_on_the_same_draws(
+        f00, f01s, h_rel, seed, mc_samples):
+    f00 = UncertainQuantity(f00[0], f00[0] * f00[1])
+    f01s = [UncertainQuantity(value, value * rel) for value, rel in f01s]
+    h = UncertainQuantity(THICKNESS, THICKNESS * h_rel)
+    series, caught = _outcome(
+        lambda: extinction_from_finesse(f00, f01s, h, WAVELENGTH, mc_samples, seed))
+    # the central values warn first, once per F01 above F00
+    negative = sum(f01.value > f00.value for f01 in f01s)
+    assert [category for category, _ in caught[:negative]] == [NegativeExtinctionWarning] * negative
+    # the reference: each F01 through the generic engine, up to the first failure
+    expected, sigmas = [], []
+    for f01 in f01s:
+        generic, generic_caught = _outcome(lambda: propagate_monte_carlo(
+            _kappa_draws(WAVELENGTH), [f00, f01, h], mc_samples, seed))
+        expected += generic_caught
+        if not isinstance(generic, UncertainQuantity):
+            assert series == generic
+            break
+        sigmas.append(generic.sigma)
+    else:
+        assert [kappa.sigma for kappa in series] == sigmas
+    assert caught[negative:] == expected
+
+
+def test_a_warm_new_seed_series_allocates_less_than_one_full_length_array():
+    f00 = UncertainQuantity(F00, 60.0)
+    h = UncertainQuantity(THICKNESS, 2e-9)
+    f01s = [UncertainQuantity(*FINESSE_TABLE[key]) for key in FINESSE_TABLE]
+    extinction_from_finesse(f00, f01s, h, WAVELENGTH, 100_000, seed=1)  # keeps the arrays
+    tracemalloc.start()
+    try:
+        extinction_from_finesse(f00, f01s, h, WAVELENGTH, 100_000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 100_000, peak
 
 
 def test_extinction_series_of_one_is_a_list_of_one():

@@ -99,7 +99,9 @@ def test_gaussian_clipping_factor():
         math.exp(-4.0) ** 2, rel=1e-12
     )
     assert gaussian_clipping_factor(100e-6, 200e-6) == pytest.approx(3.35e-4, rel=0.01)
-    assert gaussian_clipping_factor(100e-6, 0.0) == 1.0
+    # x_Q is an ion-mirror distance, positive as everywhere else in the library
+    with pytest.raises(ParameterError, match=r"^x_Q must be positive, got 0\.0$"):
+        gaussian_clipping_factor(100e-6, 0.0)
     xs = [50e-6, 100e-6, 150e-6, 200e-6]
     factors = [gaussian_clipping_factor(100e-6, x) for x in xs]
     assert all(a > b for a, b in zip(factors, factors[1:]))
