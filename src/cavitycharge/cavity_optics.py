@@ -164,7 +164,8 @@ def extinction_from_finesse(
     and the scale -lambda/(8 pi h) of each draw) is computed once for the
     whole list; each F01 is then evaluated into one samples array. Each
     step is one in-place operation on all the draws, into five of the
-    Monte-Carlo engine's kept scratch arrays (one is _r0's scratch).
+    Monte-Carlo engine's kept scratch arrays (one is the scratch of _r0 and
+    of _summary).
     """
     q00 = as_quantity(positive("finesse F00", f00))
     series = f01 if isinstance(f01, list) else [f01]
@@ -207,7 +208,7 @@ def extinction_from_finesse(
                 np.log(samples, out=samples)
                 np.multiply(scale, samples, out=samples)
                 samples[bad] = np.nan
-            kappas.append(UncertainQuantity(value, _summary(samples).sigma))
+            kappas.append(UncertainQuantity(value, _summary(samples, tmp).sigma))
     return kappas if isinstance(f01, list) else kappas[0]
 
 

@@ -20,7 +20,7 @@ delta_x = |omega_x - omega~_x| against the two-qubit Rabi rate.
 
 Budget helpers invert these monotone chains in closed form to find the
 largest tolerable stray charge (q2 = 0 convention, charges in units of e);
-only the cooling budget bisects, in beta rather than in the charge.
+the cooling budget first solves J0(beta) = sqrt(floor) by Newton's method.
 
 `trap` is a scenario [trap] section (scenario.TrapSection), whose keys
 were checked against their range rules when it was built. Every function
@@ -251,20 +251,40 @@ def _p1evl(x, coef):
     return ans
 
 
-def _j0_series(x):
-    """sum_k (-1)^k (x^2/4)^k / (k!)^2, for 0 <= x < 8.
-
-    An array runs until its slowest element has converged. Past an
-    element's own stopping point the terms shrink and stay below half an
-    ulp of its sum, so they leave it unchanged: it keeps its scalar bits.
-    """
-    z = 0.25 * x * x
-    term = 1.0
-    total = 1.0
+def _j0_series(x, slope=False):
+    """(J0(x), J0'(x) or 0.0 without slope, k) for a float 0 <= x < 8: the sum
+    of (-1)^k (x^2/4)^k / (k!)^2 up to the first term k below 1e-17 of it, and
+    J0' = -J1 = -(x/2) sum_k (-1)^k (x^2/4)^k / (k! (k+1)!) over the same terms."""
+    nz = -0.25 * x * x
+    term = total = d = 1.0
     for k in range(1, 200):
-        term = term * (-z / (k * k))
-        total = total + term
-        if not _any(abs(term) > 1e-17 * abs(total) + 1e-300):
+        term *= nz / (k * k)
+        total += term
+        if slope:
+            d += term / (k + 1)
+        if not abs(term) > 1e-17 * abs(total) + 1e-300:
+            break
+    return total, -0.5 * x * d if slope else 0.0, k
+
+
+def _j0_series_array(x):
+    """_j0_series's J0 of each element of a non-empty array, with its bits.
+
+    The loop runs until its slowest element has converged: past an
+    element's own stopping point the terms stay below half an ulp of its
+    sum, so they leave it unchanged. No element stops before the largest,
+    so the test starts at the term where the largest one's series stops
+    (an element near a zero of J0 stops later)."""
+    import numpy as np
+
+    first_test = _j0_series(float(x.max()))[2]
+    nz = -0.25 * x * x
+    term, total, step = np.ones_like(x), np.ones_like(x), np.empty_like(x)
+    for k in range(1, 200):
+        np.divide(nz, k * k, out=step)
+        term *= step
+        total += term
+        if k >= first_test and not (abs(term) > 1e-17 * abs(total) + 1e-300).any():
             break
     return total
 
@@ -291,11 +311,11 @@ def bessel_j0(x):
     """
     if isinstance(x, (int, float)):
         # floats stay Python floats: a numpy call on a float costs as much
-        # as the whole series, and the cooling bisection makes 22 at a floor of 0.5
+        # as the whole series, and a sweep without numpy makes 200
         x = abs(float(x))
         if not math.isfinite(x):
             raise ParameterError(f"argument must be finite, got {x}")
-        return _j0_series(x) if x < 8.0 else _j0_hankel(x)
+        return _j0_series(x)[0] if x < 8.0 else _j0_hankel(x)
     import numpy as np
 
     x = np.abs(x.astype(float))
@@ -303,8 +323,9 @@ def bessel_j0(x):
         raise ParameterError("argument must be finite")
     out = np.empty_like(x)
     small = x < 8.0
-    out[small] = _j0_series(x[small])
-    out[~small] = _j0_hankel(x[~small])
+    for part, branch in ((small, _j0_series_array), (~small, _j0_hankel)):
+        if part.any():  # a budget grid stays below 8: Hankel never runs on one
+            out[part] = branch(x[part])
     return out
 
 
@@ -326,30 +347,37 @@ def micromotion_of_single_charge(trap: TrapSection, x_q_m: float, q1_e: float) -
     return math.sqrt(2.0) * (omega_t / omega_rf) * x_t + 0.0
 
 
-#: Relative tolerance on beta of the cooling budget's bisection.
-_BISECT_RTOL = 1e-6
-
-
 def max_charge_for_cooling(
     trap: TrapSection, x_q_m: float, intensity_floor: float
 ) -> CoolingBudget:
     """Largest q1 (q2 = 0) keeping the carrier intensity above a floor.
 
-    Bisects the modulation index beta below the first J0 zero, where
-    J0(beta)^2 falls monotonically from 1 to 0, to relative tolerance 1e-6,
-    then inverts x_um = beta lambda_D / (2 pi) for q1 in closed form.
+    Solves J0(beta) = sqrt(floor) below the first J0 zero, where J0 falls
+    monotonically from 1 to 0, by Newton's method with J0' = -J1 from the
+    same power series. A step that leaves the bracket of the points
+    evaluated so far goes to the bracket's midpoint. It stops at machine
+    precision: when a step would move beta by at most an ulp, or when no
+    float is left between the bracket's ends. Then it inverts
+    x_um = beta lambda_D / (2 pi) for q1 in closed form.
     """
     _trap(trap)  # the trap's checks come before the option's
     if not 0.0 < intensity_floor < 1.0:
         raise ParameterError(f"intensity floor must be in (0,1), got {intensity_floor}")
+    target = math.sqrt(intensity_floor)
     lo, hi = 0.0, BESSEL_J0_FIRST_ZERO
-    while hi - lo > _BISECT_RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        if bessel_j0(mid) ** 2 > intensity_floor:
-            lo = mid
-        else:
-            hi = mid
-    x_um = 0.5 * (lo + hi) * trap.cooling_wavelength_m / (2.0 * math.pi)
+    # J0 = 1 - b^2/4 + b^4/64 inverted, bent to rise to the zero as the floor falls to 0
+    w = 1.0 - math.sqrt(target)
+    beta = math.sqrt(8.0 * w - (8.0 - BESSEL_J0_FIRST_ZERO**2) * w**3)
+    while True:
+        j0, slope, _ = _j0_series(beta, slope=True)
+        lo, hi = (beta, hi) if j0 > target else (lo, beta)
+        newton = beta - (j0 - target) / slope
+        if abs(newton - beta) <= math.ulp(beta):
+            break
+        beta = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if beta in (lo, hi):
+            break
+    x_um = beta * trap.cooling_wavelength_m / (2.0 * math.pi)
     q1 = _charge_for_micromotion(trap, x_q_m, x_um)
     s = ChargeScenario(q1, 0.0, x_q_m)
     x_t = equilibrium_position(trap, s)

@@ -143,8 +143,8 @@ CODATA = Constants()
 #: Fewest Monte-Carlo draws propagate_monte_carlo accepts.
 MIN_MC_SAMPLES = 1000
 
-# Most draws propagate_monte_carlo's f sees at once: its 64 KB temporaries stay
-# below the allocator's mmap threshold, so freed memory is reused.
+# Most draws propagate_monte_carlo's f sees, or _summary compacts, at once: their
+# 64 KB temporaries stay below the allocator's mmap threshold, so freed memory is reused.
 _MC_CHUNK = 8192
 
 # finite-difference step rule: relative 1e-6 with an absolute floor
@@ -311,9 +311,10 @@ def propagate_monte_carlo(
 
     Calls with the same seed and sample_count share their standard normals
     (common random numbers): input k of every such call gets the same row.
-    The rows of the last seed and one samples array, 8 * sample_count
-    bytes each (800,000 at the default 1e5 draws), stay in memory and are
-    reused by the next call; a nested call in f gets arrays of its own.
+    The rows of the last seed, one samples array and one scratch array,
+    8 * sample_count bytes each (800,000 at the default 1e5 draws), stay
+    in memory and are reused by the next call; a nested call in f gets
+    arrays of its own.
 
     Non-finite samples are tolerated up to 1% of all sample_count draws
     (with a warning), counted over the whole output, not per block; beyond
@@ -321,7 +322,7 @@ def propagate_monte_carlo(
     """
     import numpy as np
 
-    with _workspace(seed, sample_count, len(inputs), 1) as (z, samples):
+    with _workspace(seed, sample_count, len(inputs), 2) as (z, samples, scratch):
         for part in _blocks(sample_count):
             draws = [q.value + q.sigma * z_k[part] for q, z_k in zip(inputs, z)]
             with np.errstate(all="ignore"):  # non-finite samples are counted below
@@ -331,7 +332,7 @@ def propagate_monte_carlo(
             if block.shape != (n,):
                 raise ParameterError(f"f returned shape {block.shape}, expected ({n},)")
             samples[part] = block
-        return _summary(samples)
+        return _summary(samples, scratch)
 
 
 def _normals(seed: int, sample_count: int, n_inputs: int) -> list:
@@ -372,13 +373,14 @@ def _blocks(sample_count: int):
         yield slice(start, min(start + _MC_CHUNK, sample_count))
 
 
-def _summary(samples) -> UncertainQuantity:
+def _summary(samples, scratch) -> UncertainQuantity:
     """Sample mean and standard deviation of all Monte-Carlo samples
-    (overwritten).
+    (overwritten, as is scratch, an array of their length).
 
     Up to 1% of them may be non-finite: those are discarded with a
-    RuntimeWarning (pointing at the caller of the public function); beyond
-    that an EvaluationError is raised.
+    RuntimeWarning (pointing at the caller of the public function), and
+    the finite ones are compacted into scratch; beyond that an
+    EvaluationError is raised.
     """
     import numpy as np
 
@@ -395,7 +397,13 @@ def _summary(samples) -> UncertainQuantity:
             RuntimeWarning,
             stacklevel=3,
         )
-        samples = samples[finite]
+        # block by block: no full-length temporary
+        n = 0
+        for part in _blocks(sample_count):
+            kept = samples[part][finite[part]]
+            scratch[n:n + len(kept)] = kept
+            n += len(kept)
+        samples = scratch[:n]
     # np.mean and np.std(ddof=1)'s bits, in place: no full-length temporary
     n = len(samples)  # >= MIN_MC_SAMPLES with at most 1% discarded: never < 2
     mean = np.add.reduce(samples) / n

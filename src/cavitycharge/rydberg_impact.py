@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .electrostatics import charge_for_field
 from .errors import ParameterError
-from .quantities import positive
+from .quantities import _FLOAT_MAX, positive
 
 if TYPE_CHECKING:
     from .scenario import RydbergSection
@@ -64,7 +64,7 @@ def stark_shift(rydberg: RydbergSection, field_v_per_m: float) -> float:
 
 def dephasing(rydberg: RydbergSection, field_v_per_m: float, tau_s: float) -> float:
     """Accumulated Ramsey phase pi alpha E^2 tau, in radians."""
-    if not 0 <= tau_s < math.inf:
+    if not 0 <= tau_s <= _FLOAT_MAX:  # an int past it would overflow float()
         raise ParameterError(f"duration must be finite and >= 0, got {tau_s!r}")
     return math.pi * rydberg.alpha * field_v_per_m**2 * tau_s
 

@@ -98,13 +98,15 @@ def test_a_quantity_refuses_an_int_past_the_float_range(args, message):
         UncertainQuantity(*args)
 
 
-@pytest.mark.parametrize("sigma", [math.nan, -1.0, -math.inf, math.inf])
+@pytest.mark.parametrize("sigma", [math.nan, -1.0, -math.inf, math.inf, 10**400],
+                         ids=lambda bad: f"{bad!r:.12}")
 def test_noise_sigma_is_finite_and_nonnegative(sigma):
     with pytest.raises(ParameterError, match="noise_sigma must be finite and >= 0"):
         ringdown.synthesize_trace(1.0, 5e3, 4e-4, 1e7, noise_sigma=sigma)
 
 
-@pytest.mark.parametrize("tau", [math.nan, -1e-6, math.inf])
+@pytest.mark.parametrize("tau", [math.nan, -1e-6, math.inf, 10**400],
+                         ids=lambda bad: f"{bad!r:.12}")
 def test_dephasing_duration_is_finite_and_nonnegative(tau):
     with pytest.raises(ParameterError, match="duration must be finite and >= 0"):
         rydberg_impact.dephasing(RYDBERG, 1.0, tau)

@@ -167,9 +167,38 @@ def test_zero_charge_gives_positive_zero_micromotion():
     assert array[1] == ion.micromotion_of_single_charge(trap, 200e-6, 10.0)
 
 
-def test_bessel_j0_array_equals_scalar_calls_bit_for_bit():
-    x = np.linspace(0.0, 20.0, 401)  # both branches: series below 8, Hankel from 8
+def _floats_around(x, n):
+    """The 2n + 1 floats nearest x, x among them."""
+    floats = [x]
+    for _ in range(n):
+        floats = [np.nextafter(floats[0], -np.inf), *floats, np.nextafter(floats[-1], np.inf)]
+    return floats
+
+
+# the first two zeros of J0, where the series sums to almost nothing
+_J0_ZEROS = [*_floats_around(2.404825557695773, 3), *_floats_around(5.520078110286311, 3)]
+
+
+@pytest.mark.parametrize("x", [
+    np.linspace(0.0, 20.0, 401),  # both branches: series below 8, Hankel from 8
+    np.array([]),
+    np.array([3.0]),
+    np.array([12.0]),
+    np.linspace(0.01, 7.99, 200),
+    np.linspace(8.0, 40.0, 200),
+    np.array([9.0, 0.5, 8.0, np.nextafter(8.0, 0.0), 30.0, 0.0]),
+    # each zero next to a larger element, whose series stops sooner
+    np.array([_J0_ZEROS[3], 3.0]),
+    np.array([*_J0_ZEROS, 7.9]),
+], ids=["both-branches", "empty", "one-below-8", "one-above-8", "all-below-8",
+        "all-above-8", "mixed", "first-zero-next-to-3", "zeros-next-to-7.9"])
+def test_bessel_j0_array_equals_scalar_calls_bit_for_bit(x, monkeypatch):
     scalar = np.array([ion.bessel_j0(float(v)) for v in x])
+    if (x < 8.0).all():
+        def hankel(part):
+            raise AssertionError(f"the Hankel branch ran on {part!r}")
+
+        monkeypatch.setattr(ion, "_j0_hankel", hankel)
     assert ion.bessel_j0(x).tobytes() == scalar.tobytes()
     assert ion.bessel_j0(-x).tobytes() == scalar.tobytes()
 

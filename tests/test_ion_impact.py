@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import constants as sc
 
+from cavitycharge import ion_impact
 from cavitycharge.electrostatics import ChargeScenario
 from cavitycharge.errors import ParameterError, SchemaError, SearchError, StabilityError
 from cavitycharge.ion_impact import (
@@ -223,19 +224,43 @@ COOLING_TRAPS = [
 ]
 
 
+# 60 log-spaced floors from 1e-6 to 0.99, and the floors the report and
+# the benchmark use
+BRACKET_FLOORS = sorted([*np.logspace(-6.0, math.log10(0.99), 60).tolist(), 0.1, 0.5, 0.9])
+
+
 @pytest.mark.parametrize("trap, x_q", COOLING_TRAPS,
                          ids=["bundled", "soft-far", "stiff-near", "light-fast-rf"])
-@pytest.mark.parametrize("floor", [0.5, 0.1, 0.9])
-def test_cooling_budget_brackets_the_floor(trap, x_q, floor):
-    # as the benchmark's budget check: the forward model at q1 (1 -/+ 2e-6)
-    # lies on either side of the floor
-    q1 = max_charge_for_cooling(trap, x_q, floor).q1_e
-
+def test_cooling_budget_brackets_the_floor(trap, x_q):
+    # beta is exact, so the forward model at q1 (1 -/+ 1e-10) lies on either
+    # side of the floor (the benchmark's budget check allows 2e-6)
     def factor(q):
         x_um = micromotion_of_single_charge(trap, x_q, q)
         return carrier_intensity_factor(x_um, trap.cooling_wavelength_m)
 
-    assert factor(q1 * (1.0 + 2e-6)) <= floor <= factor(q1 * (1.0 - 2e-6))
+    missed = []
+    for floor in BRACKET_FLOORS:
+        q1 = max_charge_for_cooling(trap, x_q, floor).q1_e
+        if not factor(q1 * (1.0 + 1e-10)) <= floor <= factor(q1 * (1.0 - 1e-10)):
+            missed.append(floor)
+    assert missed == []
+
+
+def test_cooling_budget_makes_at_most_eight_series_evaluations(monkeypatch):
+    calls = []
+    series = ion_impact._j0_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return series(*args, **kwargs)
+
+    monkeypatch.setattr(ion_impact, "_j0_series", counted)
+    most = 0
+    for floor in np.logspace(-12.0, math.log10(1.0 - 1e-12), 61).tolist():
+        calls.clear()
+        max_charge_for_cooling(_TRAP, _X_Q, floor)
+        most = max(most, len(calls))
+    assert most <= 8
 
 
 def test_cooling_budget_unreachable_floor():
