@@ -130,20 +130,10 @@ def _charging(scn, **_) -> _Target:
     current = charging.photocurrent(illum)
     resistance = charging.film_resistance(film)
     steady = charging.equilibrium_charge(resistance, film.capacitance_f, current.current_a)
-
-    def first_principles_rate(power_w):
-        return (
-            illum.quantum_efficiency * power_w * illum.wavelength_m
-            / (CODATA.h * CODATA.c)
-        )
-
     rows = [
         ("photoelectron_rate", current.rate_per_s, "1/s"),
-        (
-            "photoelectron_rate_first_principles",
-            first_principles_rate(illum.power_w),
-            "1/s",
-        ),
+        ("photoelectron_rate_first_principles",
+         charging.photoelectron_flux(illum, illum.power_w), "1/s"),
         ("photocurrent", current.current_a, "A"),
         ("sheet_resistance", resistance, "Ohm/sq"),
         ("film_resistance", resistance, "Ohm"),
@@ -155,7 +145,7 @@ def _charging(scn, **_) -> _Target:
     return _Target(
         rows, "power_w,equilibrium_charge_e", 2.0 * max(illum.power_w, 1e-12),
         lambda p: charging.equilibrium_charge(
-            resistance, film.capacitance_f, CODATA.e * first_principles_rate(p),
+            resistance, film.capacitance_f, CODATA.e * charging.photoelectron_flux(illum, p),
         ).charge_e,
     )
 

@@ -15,10 +15,13 @@ direct-illumination assumption pessimistic.
 
 photocurrent reads a scenario [illumination] section
 (scenario.IlluminationSection): power_w, wavelength_m, quantum_efficiency
-and, when set, photon_rate_per_s. film_resistance reads a [film] section
-(scenario.FilmSection): rho_ohm_m and thickness_m. A section checks its
-keys' range rules when it is built. The other functions take plain floats,
-which they check; the mirror distance is the [charges] key xq_m.
+and, when set, photon_rate_per_s; photoelectron_flux, the one home of the
+rate eta P lambda/(h c), takes the power apart so that a sweep can vary it.
+film_resistance reads a [film] section (scenario.FilmSection): rho_ohm_m
+and thickness_m, the thickness that the report's extinction rows read too.
+A section checks its keys' range rules when it is built. The other
+functions take plain floats, which they check; the mirror distance is the
+[charges] key xq_m.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "CapacitanceBreakdown",
     "TransportCheck",
     "photocurrent",
+    "photoelectron_flux",
     "film_resistance",
     "equilibrium_charge",
     "gaussian_clipping_factor",
@@ -77,12 +81,17 @@ def photocurrent(illumination: IlluminationSection) -> Photocurrent:
     A photon_rate_per_s set in the section takes precedence over the flux
     formula.
     """
-    if illumination.photon_rate_per_s is not None:
-        rate = illumination.photon_rate_per_s
-    else:
-        rate = (illumination.quantum_efficiency * illumination.power_w
-                * illumination.wavelength_m / (CODATA.h * CODATA.c))
+    rate = illumination.photon_rate_per_s
+    if rate is None:
+        rate = photoelectron_flux(illumination, illumination.power_w)
     return Photocurrent(rate, CODATA.e * rate)
+
+
+def photoelectron_flux(illumination: IlluminationSection, power_w):
+    """Photoelectrons per second, eta P lambda/(h c), at power_w (a float or
+    an array) and the section's wavelength and quantum efficiency."""
+    return (illumination.quantum_efficiency * power_w * illumination.wavelength_m
+            / (CODATA.h * CODATA.c))
 
 
 def film_resistance(film: FilmSection) -> float:

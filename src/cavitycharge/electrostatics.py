@@ -24,11 +24,13 @@ U_m/U_p = 0.92 and E_m/E_p = 0.78, close enough to unity that the
 point-charge model is used for the budgets.
 
 A ChargeScenario is checked when it is built: x_Q a real number, finite and
-positive; each charge a real number or a real-valued array (NumPy dtype kind
-f, i or u, read from the array's own dtype). The charges, and the positions
-and charges passed to field_at and single_charge_field, may be NumPy arrays:
-each element is one scenario, with the bits of a scalar call. The module
-itself never imports NumPy; an array's own methods do the work.
+positive; each charge a finite real number or a real-valued array (NumPy
+dtype kind f, i or u, read from the array's own dtype) of finite elements,
+as single_charge_field checks its charge and charge_for_field its field.
+The charges, and the positions and charges passed to field_at and
+single_charge_field, may be NumPy arrays: each element is one scenario,
+with the bits of a scalar call. The module imports NumPy only to test an
+array that it was given for finite elements.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, ParameterError
-from .quantities import CODATA, checked, is_real_number, positive
+from .quantities import CODATA, checked, finite, is_real_number, positive
 
 __all__ = [
     "ChargeScenario",
@@ -54,9 +56,9 @@ __all__ = [
 class ChargeScenario(NamedTuple):
     """Stray charges q1 at -x_Q and q2 at +x_Q, in elementary charges.
 
-    q1_e and q2_e must each be a real number or a real-valued array (one
-    scenario per element), and x_Q a real number, finite and > 0, else
-    ParameterError; a bool is refused.
+    q1_e and q2_e must each be a finite real number or a real-valued array of
+    finite elements (one scenario per element), and x_Q a real number, finite
+    and > 0, else ParameterError; a bool is refused.
     """
 
     q1_e: float
@@ -64,15 +66,26 @@ class ChargeScenario(NamedTuple):
     x_q_m: float
 
     def _checked(self):
-        for name, charge in (("q1_e", self.q1_e), ("q2_e", self.q2_e)):
-            if not (is_real_number(charge)
-                    or getattr(getattr(charge, "dtype", None), "kind", "") in ("f", "i", "u")):
-                got = f"an array of {charge.dtype}" if hasattr(charge, "dtype") else repr(charge)
-                raise ParameterError(
-                    f"charge {name} must be a real number or a real-valued array, got {got}"
-                )
+        _finite("charge q1_e", self.q1_e)
+        _finite("charge q2_e", self.q2_e)
         positive("x_Q", self.x_q_m)
         return self
+
+
+def _finite(name: str, value):
+    """value, when it is a finite real number (quantities.finite) or a
+    real-valued array of finite elements; else ParameterError naming it."""
+    if is_real_number(value):
+        return finite(name, value)
+    if getattr(getattr(value, "dtype", None), "kind", "") not in ("f", "i", "u"):
+        got = f"an array of {value.dtype}" if hasattr(value, "dtype") else repr(value)
+        raise ParameterError(f"{name} must be a real number or a real-valued array, got {got}")
+    import numpy as np  # loaded already: value is one of its arrays
+
+    if not np.isfinite(value).all():
+        raise ParameterError(f"{name} must be finite, got an array holding "
+                             f"{float(value[~np.isfinite(value)].flat[0])!r}")
+    return value
 
 
 class ExpansionCoefficients(NamedTuple):
@@ -99,9 +112,11 @@ def _any(flags) -> bool:
 
 
 def _check_domain(x_m, x_q_m: float) -> None:
-    outside = abs(x_m) >= x_q_m
-    if _any(outside):
-        far = abs(x_m) if isinstance(outside, bool) else abs(x_m).max()
+    """DomainError unless |x| < x_Q, for x a float or each element of an array;
+    the test is the range it accepts, so a NaN position is refused."""
+    inside = abs(x_m) < x_q_m
+    if not (inside if isinstance(inside, bool) else inside.all()):
+        far = abs(x_m) if isinstance(inside, bool) else abs(x_m).max()
         raise DomainError(f"|x| = {far} m is outside the model domain |x| < {x_q_m} m")
 
 
@@ -130,9 +145,9 @@ def disc_point_ratios(radius_m: float, distance_m: float) -> dict:
 
 def single_charge_field(q1_e: float, x_q_m: float) -> float:
     """Field at the origin from a single charge q1 at distance x_Q (V/m)."""
-    return CODATA.k_e * q1_e * CODATA.e / positive("x_Q", x_q_m)**2
+    return CODATA.k_e * _finite("charge q1_e", q1_e) * CODATA.e / positive("x_Q", x_q_m)**2
 
 
 def charge_for_field(field_v_per_m: float, x_q_m: float) -> float:
     """Charge (in e) at distance x_Q that produces a given field at origin."""
-    return field_v_per_m * positive("x_Q", x_q_m)**2 / (CODATA.k_e * CODATA.e)
+    return _finite("field", field_v_per_m) * positive("x_Q", x_q_m)**2 / (CODATA.k_e * CODATA.e)

@@ -12,9 +12,8 @@ kappa ~ lambda^3, so kappa(2 lambda)/kappa(lambda) -> 8.
 
 from __future__ import annotations
 
+import cmath
 import math
-
-import numpy as np
 
 from .quantities import CODATA, positive
 
@@ -37,6 +36,6 @@ def drude_index(
     omega_p = math.sqrt(carrier_density_per_m3 * CODATA.e**2 / (CODATA.eps0 * m_star))
     gamma = CODATA.e / (m_star * mobility_m2_per_vs)
     omega = 2.0 * math.pi * CODATA.c / wavelength_m
-    n_tilde = np.sqrt(complex(_EPS_INF - omega_p**2 / (omega**2 + 1j * gamma * omega)))
+    n_tilde = cmath.sqrt(_EPS_INF - omega_p**2 / (omega**2 + 1j * gamma * omega))
     # principal branch gives Re >= 0; imag can be -0.0 for real eps
-    return complex(float(n_tilde.real), abs(float(n_tilde.imag)))
+    return complex(n_tilde.real, abs(n_tilde.imag))

@@ -54,7 +54,7 @@ from .electrostatics import (
     field_at,
 )
 from .errors import ParameterError, SearchError, StabilityError
-from .quantities import CODATA, checked, positive
+from .quantities import CODATA, checked, is_real_number, positive
 
 if TYPE_CHECKING:
     from .scenario import TrapSection
@@ -361,8 +361,8 @@ def max_charge_for_cooling(
     x_um = beta lambda_D / (2 pi) for q1 in closed form.
     """
     _trap(trap)  # the trap's checks come before the option's
-    if not 0.0 < intensity_floor < 1.0:
-        raise ParameterError(f"intensity floor must be in (0,1), got {intensity_floor}")
+    if not (is_real_number(intensity_floor) and 0.0 < intensity_floor < 1.0):
+        raise ParameterError(f"intensity floor must be in (0,1), got {intensity_floor!r}")
     target = math.sqrt(intensity_floor)
     lo, hi = 0.0, BESSEL_J0_FIRST_ZERO
     # J0 = 1 - b^2/4 + b^4/64 inverted, bent to rise to the zero as the floor falls to 0
@@ -406,9 +406,10 @@ def charge_for_displacement(trap: TrapSection, x_q_m: float, x_tilde_m: float) -
     u = e^2/(4 pi eps0); only displacements below x_q/2 are reachable.
     """
     k_t = _trap(trap)[3]
-    if not 0.0 <= x_tilde_m < 0.5 * x_q_m:
+    positive("x_Q", x_q_m)
+    if not (is_real_number(x_tilde_m) and 0.0 <= x_tilde_m < 0.5 * x_q_m):
         raise ParameterError(
-            f"displacement {x_tilde_m} m outside the reachable range "
+            f"displacement {x_tilde_m!r} m outside the reachable range "
             f"[0, x_q/2 = {0.5 * x_q_m} m)"
         )
     if x_tilde_m == 0.0:

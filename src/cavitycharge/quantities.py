@@ -24,7 +24,8 @@ constructor, _make and _replace all store the record's _checked().
 :func:`is_real_number` is their test for a real number (not a bool).
 :func:`positive` is the one check of a positive argument, in the
 library's functions and records alike: a real number (not a bool),
-finite and > 0, else ParameterError naming the argument.
+finite and > 0, else ParameterError naming the argument;
+:func:`nonnegative` (>= 0) and :func:`finite` are its siblings.
 
 :func:`finite_evaluation` is the finite-output gate of the report and
 budget chains: every value they return is finite, and numerics that
@@ -76,6 +77,24 @@ def positive(name: str, value):
     return value
 
 
+def nonnegative(name: str, value):
+    """value, when it is a real number (not a bool), finite and >= 0; else
+    ParameterError "<name> must be finite and >= 0, got <value!r>". The test
+    is the range it accepts, as in positive."""
+    if not (is_real_number(value) and 0 <= value <= _FLOAT_MAX):
+        raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
+
+
+def finite(name: str, value):
+    """value, when it is a real number (not a bool) and finite; else
+    ParameterError "<name> must be a finite real number, got <value!r>". The
+    test is the range it accepts, as in positive."""
+    if not (is_real_number(value) and -_FLOAT_MAX <= value <= _FLOAT_MAX):
+        raise ParameterError(f"{name} must be a finite real number, got {value!r}")
+    return value
+
+
 def checked(cls):
     """The NamedTuple class cls, whose cls(...), cls._make and so _replace store
     record._checked(): the values as given, checked and converted, or a
@@ -95,12 +114,7 @@ class UncertainQuantity(NamedTuple):
     sigma: float = 0.0
 
     def _checked(self):
-        value, sigma = self
-        if not (is_real_number(value) and -_FLOAT_MAX <= value <= _FLOAT_MAX):
-            raise ParameterError(f"value must be a finite real number, got {value!r}")
-        if not (is_real_number(sigma) and 0 <= sigma <= _FLOAT_MAX):
-            raise ParameterError(f"sigma must be finite and >= 0, got {sigma!r}")
-        return float(value), float(sigma)
+        return float(finite("value", self.value)), float(nonnegative("sigma", self.sigma))
 
     def __str__(self) -> str:
         return f"{self.value:g} +/- {self.sigma:g}"

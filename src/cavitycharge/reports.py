@@ -38,8 +38,8 @@ Rows come from three tables. BUDGET_ROWS maps a row id to the budget
 target and row it reads through ``budgets.budget_rows``, so a budget
 number has one code path whether ``reproduce-paper`` or ``budget`` prints
 it; KAPPA_ROWS names the film-extinction rows, whose F01 series is one
-``extinction_from_finesse`` call against the scenario's F00 and film
-thickness; ROWS maps every other row id to f(scn, seed, **manifest
+``extinction_from_finesse`` call against the scenario's [cavity] F00 and
+[film] thickness; ROWS maps every other row id to f(scn, seed, **manifest
 inputs). A row is finite or build_report raises a ToolkitError that names
 its row id or budget target. ``budget_report`` and ``SWEEP_POINTS`` live
 in ``budgets`` and are re-exported here.
@@ -53,7 +53,7 @@ from typing import NamedTuple, Optional
 
 from . import BUDGET_TARGETS, cavity_optics, charging, electrostatics, ion_impact, rydberg_impact
 from .budgets import SWEEP_POINTS, budget_report, budget_rows
-from .errors import ParameterError, SchemaError
+from .errors import ParameterError
 from .quantities import UncertainQuantity, finite_evaluation, propagate_monte_carlo
 from .ringdown import finesse, fsr_from_length
 from .scenario import Scenario, parse_scenario
@@ -208,22 +208,16 @@ def _fsr(scn: Scenario) -> UncertainQuantity:
 
 
 def _fsr_from_length(scn: Scenario, seed: int) -> float:
-    c = scn._require("cavity")
-    if c.length_m is None:
-        raise SchemaError(f"scenario {scn.name!r} is missing key 'length_m' in [cavity]")
-    return fsr_from_length(c.length_m)
+    return fsr_from_length(scn._require("cavity", "length_m"))
 
 
 def _film_thickness(scn: Scenario) -> UncertainQuantity:
-    c = scn._require("cavity")
-    return UncertainQuantity(c.film_thickness_m, c.film_thickness_sigma_m)
+    film = scn._require("film")
+    return UncertainQuantity(film.thickness_m, film.thickness_sigma_m)
 
 
 def _linewidth(scn: Scenario) -> UncertainQuantity:
-    c = scn._require("cavity")
-    if c.linewidth_hz is None:
-        raise SchemaError(f"scenario {scn.name!r} is missing key 'linewidth_hz' in [cavity]")
-    return UncertainQuantity(c.linewidth_hz, c.linewidth_sigma_hz)
+    return UncertainQuantity(scn._require("cavity", "linewidth_hz"), scn.cavity.linewidth_sigma_hz)
 
 
 def _finesse(scn: Scenario, seed: int) -> UncertainQuantity:

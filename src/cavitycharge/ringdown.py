@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import FitError, ParameterError
 from .quantities import (
-    _FLOAT_MAX, CODATA, UncertainQuantity, as_quantity, checked, positive, propagate_linear,
+    CODATA, UncertainQuantity, as_quantity, checked, nonnegative, positive, propagate_linear,
 )
 
 __all__ = [
@@ -116,8 +116,7 @@ def synthesize_trace(
     positive("linewidth", linewidth_hz)
     positive("duration", duration_s)
     positive("sample rate", sample_rate_hz)
-    if not 0 <= noise_sigma <= _FLOAT_MAX:  # an int past it would overflow float()
-        raise ParameterError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
+    nonnegative("noise_sigma", noise_sigma)
     n = int(round(duration_s * sample_rate_hz))
     if n < MIN_SAMPLES:
         raise ParameterError(

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .electrostatics import charge_for_field
 from .errors import ParameterError
-from .quantities import _FLOAT_MAX, positive
+from .quantities import is_real_number, nonnegative, positive
 
 if TYPE_CHECKING:
     from .scenario import RydbergSection
@@ -64,8 +64,7 @@ def stark_shift(rydberg: RydbergSection, field_v_per_m: float) -> float:
 
 def dephasing(rydberg: RydbergSection, field_v_per_m: float, tau_s: float) -> float:
     """Accumulated Ramsey phase pi alpha E^2 tau, in radians."""
-    if not 0 <= tau_s <= _FLOAT_MAX:  # an int past it would overflow float()
-        raise ParameterError(f"duration must be finite and >= 0, got {tau_s!r}")
+    nonnegative("duration", tau_s)
     return math.pi * rydberg.alpha * field_v_per_m**2 * tau_s
 
 
@@ -95,9 +94,9 @@ def max_charge_for_infidelity(
     or above 0.5 correspond to delta_R >= Omega_R where the perturbative
     population formula no longer applies.
     """
-    if not 0.0 < target_infidelity < 0.5:
+    if not (is_real_number(target_infidelity) and 0.0 < target_infidelity < 0.5):
         raise ParameterError(
-            f"target infidelity must be in (0, 0.5), got {target_infidelity}"
+            f"target infidelity must be in (0, 0.5), got {target_infidelity!r}"
         )
     delta_hz = rydberg.rabi_hz * math.sqrt(2.0 * target_infidelity)
     field = math.sqrt(2.0 * delta_hz / rydberg.alpha)

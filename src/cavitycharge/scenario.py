@@ -76,8 +76,6 @@ def _check_keys(record):
 class CavitySection(NamedTuple):
     f00: Annotated[float, _POS]
     f00_sigma: Annotated[float, _NONNEG]
-    film_thickness_m: Annotated[float, _POS]
-    film_thickness_sigma_m: Annotated[float, _NONNEG]
     wavelength_m: Annotated[float, _POS]
     fsr_hz: Annotated[Optional[float], _POS] = None
     fsr_sigma_hz: Annotated[float, _NONNEG] = 0.0
@@ -116,6 +114,7 @@ class FilmSection(NamedTuple):
     thickness_m: Annotated[float, _POS]
     radius_m: Annotated[float, _POS]
     capacitance_f: Annotated[float, _POS]
+    thickness_sigma_m: Annotated[float, _NONNEG] = 0.0
 
 
 @checked
@@ -139,14 +138,17 @@ class Scenario(NamedTuple):
     film: Optional[FilmSection] = None
     illumination: Optional[IlluminationSection] = None
 
-    def _require(self, section: str):
-        """The named section; SchemaError naming it when the scenario has none."""
+    def _require(self, section: str, key: Optional[str] = None):
+        """The named section, or its key's value when a key is named; SchemaError
+        naming the section, or the key, when the scenario has none."""
         value = getattr(self, section)
         if value is None:
             raise SchemaError(
                 f"scenario {self.name!r} has no [{section}] section, "
                 "required for this computation"
             )
+        if key is not None and (value := getattr(value, key)) is None:
+            raise SchemaError(f"scenario {self.name!r} is missing key '{key}' in [{section}]")
         return value
 
     # The physics functions read the sections themselves. Four accessors
@@ -171,12 +173,7 @@ class Scenario(NamedTuple):
     def gate_params(self):
         from .ion_impact import GateParams
 
-        t = self._require("trap")
-        if t.gate_rabi_hz is None:
-            raise SchemaError(
-                f"scenario {self.name!r} is missing key 'gate_rabi_hz' in [trap]"
-            )
-        return GateParams(t.gate_rabi_hz)
+        return GateParams(self._require("trap", "gate_rabi_hz"))
 
 
 # --------------------------------------------------------------------------

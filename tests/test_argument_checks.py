@@ -1,16 +1,19 @@
 """Every plain-number argument the library requires positive is checked by
 one rule (quantities.positive): a real number, not a bool, finite and > 0,
-else ParameterError "<name> must be positive, got <value!r>"."""
+else ParameterError "<name> must be positive, got <value!r>". Its siblings
+nonnegative and finite check the arguments that may be zero or of either
+sign, and each interval option refuses what is not a real number."""
 
 import math
 import re
 
+import numpy as np
 import pytest
 
 from cavitycharge import cavity_optics, charging, electrostatics, film_optics, ion_impact
 from cavitycharge import ringdown, rydberg_impact
-from cavitycharge.errors import ParameterError
-from cavitycharge.quantities import UncertainQuantity, positive
+from cavitycharge.errors import DomainError, ParameterError
+from cavitycharge.quantities import UncertainQuantity, finite, nonnegative, positive
 from cavitycharge.scenario import RydbergSection, TrapSection
 
 TRAP = TrapSection(
@@ -50,6 +53,7 @@ CHECKED = [
     (ion_impact.carrier_intensity_factor, (1e-8, 369e-9), {1: "cooling wavelength"}),
     (ion_impact.lamb_dicke_budget, (TRAP, 2e-4, 0.2), {1: "x_Q", 2: "modulation limit"}),
     (ion_impact.max_charge_for_cooling, (TRAP, 2e-4, 0.5), {1: "x_Q"}),
+    (ion_impact.charge_for_displacement, (TRAP, 2e-4, 1e-7), {1: "x_Q"}),
     (ion_impact.max_equal_charge_for_gate, (TRAP, 2e-4, ion_impact.GateParams(1e4)), {1: "x_Q"}),
     (ringdown.synthesize_trace, (1.0, 5e3, 4e-4, 1e7),
      {1: "linewidth", 2: "duration", 3: "sample rate"}),
@@ -98,16 +102,87 @@ def test_a_quantity_refuses_an_int_past_the_float_range(args, message):
         UncertainQuantity(*args)
 
 
-@pytest.mark.parametrize("sigma", [math.nan, -1.0, -math.inf, math.inf, 10**400],
+@pytest.mark.parametrize("sigma", [math.nan, -1.0, -math.inf, math.inf, 10**400, "0.1", True],
                          ids=lambda bad: f"{bad!r:.12}")
 def test_noise_sigma_is_finite_and_nonnegative(sigma):
-    with pytest.raises(ParameterError, match="noise_sigma must be finite and >= 0"):
+    message = f"noise_sigma must be finite and >= 0, got {sigma!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         ringdown.synthesize_trace(1.0, 5e3, 4e-4, 1e7, noise_sigma=sigma)
 
 
-@pytest.mark.parametrize("tau", [math.nan, -1e-6, math.inf, 10**400],
+@pytest.mark.parametrize("tau", [math.nan, -1e-6, math.inf, 10**400, "1e-6", True],
                          ids=lambda bad: f"{bad!r:.12}")
 def test_dephasing_duration_is_finite_and_nonnegative(tau):
-    with pytest.raises(ParameterError, match="duration must be finite and >= 0"):
+    message = f"duration must be finite and >= 0, got {tau!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         rydberg_impact.dephasing(RYDBERG, 1.0, tau)
     assert rydberg_impact.dephasing(RYDBERG, 1.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("check, bad, message", [
+    (nonnegative, bad, "x must be finite and >= 0")
+    for bad in (math.nan, math.inf, -1e-300, "1", True, 10**400)
+] + [
+    (finite, bad, "x must be a finite real number")
+    for bad in (math.nan, math.inf, -math.inf, "1", True, 10**400, -10**400)
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_nonnegative_and_finite_refuse_what_is_outside_their_range(check, bad, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(f'{message}, got {bad!r}')}$"):
+        check("x", bad)
+
+
+def test_nonnegative_and_finite_return_their_value():
+    assert nonnegative("x", 0) == 0 and nonnegative("x", 2.5) == 2.5
+    assert finite("x", -3) == -3 and finite("x", 2.5) == 2.5
+
+
+# (call with one interval option replaced by bad, the start of its message)
+INTERVAL_OPTIONS = [
+    (lambda bad: ion_impact.max_charge_for_cooling(TRAP, 2e-4, bad),
+     "intensity floor must be in (0,1), got "),
+    (lambda bad: rydberg_impact.max_charge_for_infidelity(RYDBERG, bad, 2e-4),
+     "target infidelity must be in (0, 0.5), got "),
+    (lambda bad: ion_impact.charge_for_displacement(TRAP, 2e-4, bad),
+     "displacement "),
+]
+
+
+@pytest.mark.parametrize("call, message", INTERVAL_OPTIONS,
+                         ids=["intensity-floor", "target-infidelity", "displacement"])
+@pytest.mark.parametrize("bad", ["0.01", None], ids=repr)
+def test_an_interval_option_refuses_what_is_not_a_real_number(call, message, bad):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message + repr(bad))}"):
+        call(bad)
+
+
+# -- non-finite charges, fields and positions ------------------------------------
+
+
+@pytest.mark.parametrize("q1", [math.nan, math.inf, -math.inf, 10**400], ids=repr)
+def test_a_scalar_charge_is_finite(q1):
+    message = f"charge q1_e must be a finite real number, got {q1!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        electrostatics.ChargeScenario(q1, 0.0, 2e-4)
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        electrostatics.single_charge_field(q1, 2e-4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=repr)
+def test_every_element_of_a_charge_array_is_finite(bad):
+    with pytest.raises(ParameterError, match=f"^charge q2_e must be finite, got an array "
+                                             f"holding {bad!r}$"):
+        electrostatics.ChargeScenario(0.0, np.array([10.0, bad]), 2e-4)
+    with pytest.raises(ParameterError, match="^charge q1_e must be finite"):
+        electrostatics.single_charge_field(np.array([bad, 10.0]), 2e-4)
+
+
+@pytest.mark.parametrize("field", [math.nan, math.inf, "1.0", True], ids=repr)
+def test_charge_for_field_refuses_a_field_that_is_not_a_finite_number(field):
+    with pytest.raises(ParameterError, match=r"^field must be a "):
+        electrostatics.charge_for_field(field, 2e-4)
+
+
+@pytest.mark.parametrize("x", [math.nan, np.array([0.0, math.nan])], ids=["scalar", "array"])
+def test_a_nan_position_is_outside_the_model_domain(x):
+    with pytest.raises(DomainError, match=r"^\|x\| = nan m is outside the model domain"):
+        electrostatics.field_at(electrostatics.ChargeScenario(10.0, 0.0, 2e-4), x)

@@ -328,6 +328,17 @@ def test_budget_missing_section_exits_2(tmp_path, capsys):
     assert "[rydberg]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["film_thickness_m", "film_thickness_sigma_m"])
+def test_a_scenario_with_the_old_cavity_film_thickness_exits_2(key, tmp_path, capsys):
+    # the film thickness lives in [film] alone
+    scenario = tmp_path / "old.scenario"
+    scenario.write_text(bundled_scenario_text().replace("[cavity]\n", f"[cavity]\n{key} = 3e-08\n"))
+    code = main(["budget", "--scenario", str(scenario), "--target", "charging",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert f"unknown key '{key}' in [cavity]" in capsys.readouterr().err
+
+
 def test_budget_rejects_bad_scenario_path(capsys):
     assert main(
         ["budget", "--scenario", "/nonexistent/x.scenario", "--target", "cooling"]

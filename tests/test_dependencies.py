@@ -189,8 +189,9 @@ def test_commands_load_no_dataclasses(argv, tmp_path):
 
 def test_every_scenario_key_is_read():
     # read means read as an attribute outside the schema machinery, which
-    # touches every key: in another package module, in one of Scenario's
-    # accessors, in a demo or in the benchmark
+    # touches every key, or named to Scenario._require, which reads it by name:
+    # in another package module, in one of Scenario's accessors, in a demo or
+    # in the benchmark
     from cavitycharge.scenario import _KEYS
 
     repo = Path(__file__).resolve().parent.parent
@@ -202,6 +203,9 @@ def test_every_scenario_key_is_read():
             tree = next(node for node in tree.body
                         if isinstance(node, ast.ClassDef) and node.name == "Scenario")
         read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        read |= {node.args[1].value for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "_require"
+                 and len(node.args) == 2 and isinstance(node.args[1], ast.Constant)}
     unread = [f"[{section}] {key}" for section, keys in _KEYS.items()
               for key in keys if key not in read]
     assert unread == []
@@ -245,6 +249,11 @@ def test_budget_commands_load_no_numpy(target, tmp_path):
     assert code == 0
     assert "numpy" not in mods
     assert "cavitycharge.ringdown" not in mods
+
+
+def test_drude_index_loads_no_numpy():
+    probe = "import sys; from cavitycharge import drude_index; print('numpy' in sys.modules)"
+    assert _probe(probe).strip() == "False"
 
 
 def test_lazy_submodule_imports_are_logged_by_importtime():

@@ -37,6 +37,18 @@ def test_every_manifest_row_is_in_exactly_one_table():
     assert (len(BUDGET_ROWS), len(KAPPA_ROWS), len(ROWS)) == (19, 5, 17)
 
 
+def test_one_film_thickness_feeds_the_extinction_and_the_resistance_rows(rows):
+    # kappa = -lambda/(8 pi h) ln(...) and R = rho/h: doubling [film] thickness_m
+    # halves both, exactly in binary
+    scn = bundled_scenario()
+    thick = scn._replace(film=scn.film._replace(thickness_m=2 * scn.film.thickness_m))
+    doubled = {row.row_id: row.computed for row in build_report(thick)}
+    halved = [row.row_id for row in rows
+              if row.row_id in (*KAPPA_ROWS, "film_resistance")
+              and doubled[row.row_id] == row.computed / 2]
+    assert halved == [*KAPPA_ROWS, "film_resistance"]
+
+
 def test_no_undocumented_mismatch(rows):
     assert all(r.status != "MISMATCH" for r in rows)
 

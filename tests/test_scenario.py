@@ -90,6 +90,8 @@ def test_unknown_key_rejected():
     with pytest.raises(SchemaError, match=r"unknown key 'q3_e'"):
         parse_scenario(MINIMAL + "q3_e = 1.0\n")
     for section, line in [("cavity", "f01 = 14160.0"), ("cavity", "f01_sigma = 250.0"),
+                          ("cavity", "film_thickness_m = 3e-08"),
+                          ("cavity", "film_thickness_sigma_m = 2e-09"),
                           ("trap", "gate_occupation = 50")]:
         text = bundled_scenario_text().replace(f"[{section}]\n", f"[{section}]\n{line}\n")
         key = line.split()[0]
@@ -156,8 +158,6 @@ def test_cavity_needs_fsr_or_length():
 [cavity]
 f00 = 23340.0
 f00_sigma = 60.0
-film_thickness_m = 3e-08
-film_thickness_sigma_m = 2e-09
 wavelength_m = 1.65e-06
 """
     with pytest.raises(SchemaError, match=r"fsr_hz.*length_m"):
@@ -174,6 +174,16 @@ def test_missing_section_errors_name_the_section():
         budgets.budget_report(scn, "charging")
     with pytest.raises(SchemaError, match=r"^row fsr_from_length: .* no \[cavity\] section"):
         reports.build_report(scn)
+
+
+def test_the_film_thickness_has_one_home():
+    # [film] holds the one film thickness, its sigma the optional last key
+    assert sum(map(len, _KEYS.values())) == 33
+    assert list(_KEYS["film"])[-2:] == ["capacitance_f", "thickness_sigma_m"]
+    assert not any("thickness" in key for key in _KEYS["cavity"])
+    assert FilmSection(1e-4, 30e-9, 125e-6, 1e-13).thickness_sigma_m == 0.0
+    film = parse_scenario(bundled_scenario_text()).film
+    assert (film.thickness_m, film.thickness_sigma_m) == (3e-8, 2e-9)
 
 
 def test_missing_gate_rabi_named():
@@ -433,13 +443,19 @@ WRONG_TYPE_OR_MISSING = [
      r"section \[cavity\] needs 'fsr_hz' or 'length_m'"),
     ("cavity", {"length_m": None}, reports.build_report,
      r"row fsr_from_length: scenario 'paper_yb' is missing key 'length_m' in \[cavity\]"),
+    ("cavity", {"linewidth_hz": None}, reports.build_report,
+     r"row finesse_from_linewidth: scenario 'paper_yb' "
+     r"is missing key 'linewidth_hz' in \[cavity\]"),
+    ("trap", {"gate_rabi_hz": None}, lambda scn: budgets.budget_rows(scn, "gate"),
+     r"target gate: scenario 'paper_yb' is missing key 'gate_rabi_hz' in \[trap\]"),
 ]
 
 
 @pytest.mark.parametrize("build", ["constructor", "_replace"])
 @pytest.mark.parametrize("section, values, call, message", WRONG_TYPE_OR_MISSING,
                          ids=["charging-power-str", "cooling-xq-none", "gate-rf-none",
-                              "report-no-fsr-or-length", "report-fsr-without-length"])
+                              "report-no-fsr-or-length", "report-fsr-without-length",
+                              "report-no-linewidth", "gate-no-rabi"])
 def test_a_section_built_in_python_with_a_refused_value_is_a_schema_error(
     build, section, values, call, message
 ):
