@@ -247,7 +247,7 @@ def _rydberg_coherence(scn, tau_pi_s, **_) -> _Target:
     ]
     return _Target(
         rows, "q1_e,decoherence_time_s", 2.0 * budget.q1_e,
-        lambda q: rydberg_impact.decoherence_time(
+        lambda q: rydberg_impact._decoherence_time(
             rydberg, electrostatics.single_charge_field(q, x_q)
         ),
     )
@@ -265,9 +265,9 @@ def _rydberg_gate(scn, target_infidelity, **_) -> _Target:
     ]
     return _Target(
         rows, "q1_e,blockade_infidelity", 2.0 * budget.q1_e,
-        lambda q: rydberg_impact.blockade_infidelity(
+        lambda q: rydberg_impact._blockade_infidelity(
             rydberg,
-            rydberg_impact.stark_shift(
+            rydberg_impact._stark_shift(
                 rydberg, electrostatics.single_charge_field(q, x_q)
             ),
         ),

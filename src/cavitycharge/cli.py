@@ -16,6 +16,16 @@ Each subcommand imports only what it runs. This module loads `errors` and
 `ringdown`, reproduce-paper `reports`, and budget `budgets` and
 `scenario`, when they run. No budget target loads NumPy.
 
+fit-ringdown may fit its traces in forked worker processes. It forks only
+when the process runs one OS thread (counted in /proc/self/task; where that
+cannot be read, it does not fork), two or more CPUs are usable
+(os.sched_getaffinity), and each worker's share holds at least
+_FORK_MIN_SHARE_BYTES of trace bytes (by os.stat). The output, its order
+and its bytes are the same either way, and no worker returns from the
+command. `taskset -c 0` gives the serial path. So does an unpinned BLAS
+pool: NumPy's OpenBLAS starts threads when it is imported, unless
+OPENBLAS_NUM_THREADS=1.
+
 The `toolkit` console script calls `run`, which ends the process without
 the interpreter's exit-time garbage collection; `main` is what tests and
 other in-process callers use.
@@ -72,6 +82,127 @@ def _seed_override() -> int | None:
     return seed
 
 
+# A forked worker costs about 10-13 ms whatever it fits, mostly page faults
+# after the fork, while loading and fitting a 200k-sample trace (6.8 MB) costs
+# about 46 ms (2-vCPU Xeon VM, Python 3.11, numpy 2.4): a share of fewer trace
+# bytes than this is fitted sooner by the parent than by a fork.
+_FORK_MIN_SHARE_BYTES = 2_000_000
+
+
+def _single_threaded() -> bool:
+    """Whether this process runs one OS thread, so that os.fork is safe;
+    False where the count cannot be read (no /proc/self/task)."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _size(path) -> int:
+    try:
+        return os.stat(path).st_size
+    except (OSError, ValueError):  # load_trace_csv reports it
+        return 0
+
+
+def _shares(paths) -> list[list[int]]:
+    """The argument indices that each worker fits, the parent's share first.
+
+    A single-threaded process with two or more traces takes a worker per
+    usable CPU and per trace at most, each share holding at least
+    _FORK_MIN_SHARE_BYTES of trace bytes (os.stat sizes, read before any
+    trace is); the traces are dealt largest first to the lightest share.
+    Otherwise the parent fits every trace.
+    """
+    everything = [list(range(len(paths)))]
+    if len(paths) < 2 or not _single_threaded():
+        return everything
+    sizes = [_size(path) for path in paths]
+    most = min(_usable_cpus(), len(paths), sum(sizes) // _FORK_MIN_SHARE_BYTES)
+    for workers in range(most, 1, -1):
+        shares, loads = [[] for _ in range(workers)], [0] * workers
+        for k in sorted(range(len(paths)), key=lambda k: -sizes[k]):
+            lightest = loads.index(min(loads))
+            shares[lightest].append(k)
+            loads[lightest] += sizes[k]
+        if min(loads) >= _FORK_MIN_SHARE_BYTES:
+            return [sorted(share) for share in shares]
+    return everything
+
+
+def _fit_trace(path):
+    """(fit, None) for a trace that loads and fits, else (None, its error line)."""
+    try:
+        trace = load_trace_csv(path)
+    except (ToolkitError, OSError) as exc:  # both name the file
+        return None, f"fit-ringdown: {exc}"
+    try:
+        return fit_ringdown(trace), None
+    except ToolkitError as exc:
+        return None, f"fit-ringdown: {path}: {exc}"
+
+
+def _fit_share(paths, share) -> dict:
+    """{index: _fit_trace outcome} over the share's indices, in order; any
+    other exception takes its trace's place and ends the share, to be raised
+    when the outcomes are reported in argument order."""
+    outcomes = {}
+    for k in share:
+        try:
+            outcomes[k] = _fit_trace(paths[k])
+        except Exception as exc:
+            outcomes[k] = exc
+            break
+    return outcomes
+
+
+def _fork_share(paths, share):
+    """(pid, read end of its pipe, share) of a forked worker that pickles
+    _fit_share's outcomes into the pipe. The worker ends in os._exit, so it
+    never returns into its caller's stack."""
+    import pickle  # loaded with numpy already
+
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            payload = pickle.dumps(_fit_share(paths, share))
+            with open(write, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read, share
+
+
+def _collect(pid, read, share) -> dict:
+    """The outcomes a forked worker reported, once it has ended; a worker that
+    reported nothing leaves an internal error in its share's first place."""
+    import pickle
+
+    with open(read, "rb") as pipe:
+        payload = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    if payload:
+        return pickle.loads(payload)
+    code = os.waitstatus_to_exitcode(status)
+    return {share[0]: RuntimeError(f"fit-ringdown worker {pid} exited ({code}) before reporting")}
+
+
 def _cmd_fit_ringdown(args) -> int:
     if (args.fsr_hz is None) == (args.length_m is None):
         print("fit-ringdown: provide exactly one of --fsr-hz or --length-m", file=sys.stderr)
@@ -80,18 +211,28 @@ def _cmd_fit_ringdown(args) -> int:
     fsr_value = args.fsr_hz if args.fsr_hz is not None else fsr_from_length(args.length_m)
     fsr = UncertainQuantity(fsr_value, args.fsr_sigma_hz)
 
+    own, *others = _shares(args.traces)
+    workers = []
+    try:
+        for share in others:
+            try:
+                workers.append(_fork_share(args.traces, share))
+            except OSError:  # no process to spare: the parent fits the share
+                own = sorted(own + share)
+        outcomes = _fit_share(args.traces, own)
+    finally:
+        reported = [_collect(*worker) for worker in workers]  # reaps every worker
+    for shipped in reported:
+        outcomes.update(shipped)
+
     fits = []
     csv_lines = ["trace,linewidth_hz,sigma_hz,v0"]
-    for path in args.traces:
-        try:
-            trace = load_trace_csv(path)
-        except (ToolkitError, OSError) as exc:  # both name the file
-            print(f"fit-ringdown: {exc}", file=sys.stderr)
-            continue
-        try:
-            fit = fit_ringdown(trace)
-        except ToolkitError as exc:
-            print(f"fit-ringdown: {path}: {exc}", file=sys.stderr)
+    for k, path in enumerate(args.traces):
+        if isinstance(outcomes[k], Exception):
+            raise outcomes[k]
+        fit, error = outcomes[k]
+        if error is not None:
+            print(error, file=sys.stderr)
             continue
         fits.append(fit)
         csv_lines.append(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -46,6 +47,9 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 16
+# the largest trace file load_trace_csv reads: 256 MiB, about 7.5M samples at
+# the 34 bytes per row of a 200k-sample trace's 6.8 MB
+TRACE_MAX_BYTES = 2**28
 
 # fit control
 _MAX_ITERATIONS = 100
@@ -321,11 +325,17 @@ def load_trace_csv(path) -> RingdownTrace:
     field and any further columns are ignored. Anything else after the data
     on a row, a '#' comment included, is an error.
 
-    Raises ParameterError, naming the file, for a malformed row, fewer than
+    Raises ParameterError, naming the file, for a file larger than
+    TRACE_MAX_BYTES (before reading it), a malformed row, fewer than
     MIN_SAMPLES rows, or samples RingdownTrace rejects.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size > TRACE_MAX_BYTES:
+                raise ParameterError(
+                    f"{size} bytes, more than the {TRACE_MAX_BYTES}-byte cap on a trace file"
+                )
             rows = ((k, line) for k, line in enumerate(fh) if _is_row(line))
             start, line = next(rows, (-1, ""))
             fields = line.split(",")

@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import cavitycharge
+from cavitycharge import cli
 from cavitycharge.cli import main
 from cavitycharge.reports import bundled_scenario_text
 from cavitycharge.ringdown import (
@@ -419,3 +422,169 @@ def test_run_matches_main_in_output_files_and_exit_code(case, tmp_path):
     assert _toolkit(argv, tmp_path / "run", seed, patch, "cli.run()") == old
     if not patch:
         assert _toolkit(argv, tmp_path / "module", seed, patch, None) == old
+
+
+# -- fit-ringdown across forked workers ----------------------------------------
+
+_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+needs_two_cpus = pytest.mark.skipif(
+    len(_CPUS) < 2, reason="one usable CPU: fit-ringdown never forks a worker"
+)
+
+# cli.main(argv) in a fresh interpreter, counting its forks; after main, one
+# JSON line per process that gets there goes to the record file
+_FORK_PROBE = """\
+import json, os, sys
+from cavitycharge import cli
+record, argv = sys.argv[1], sys.argv[2:]
+forks, fork = [], os.fork
+def counted_fork():
+    forks.append(fork())
+    return forks[-1]
+os.fork = counted_fork
+{patch}
+try:
+    code = cli.main(argv)
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = True
+    except ChildProcessError:
+        left = False
+    with open(record, "a") as fh:
+        fh.write(json.dumps({{"pid": os.getpid(), "forks": len(forks), "left": left}}) + "\\n")
+sys.exit(code)
+"""
+
+# a load that fails inside whichever process fits `fault`, and says which one
+_FAULT = """\
+real_load = cli.load_trace_csv
+def load_trace_csv(path):
+    if path == {fault!r}:
+        with open(record + ".fault", "w") as fh:
+            fh.write(str(os.getpid()))
+        raise KeyError("injected")
+    return real_load(path)
+cli.load_trace_csv = load_trace_csv
+"""
+
+
+def _fit_ringdown_forking(argv, record, serial, patch="", options=()):
+    """(exit code, stdout, stderr, the probe's records) of one fit-ringdown
+    command, its CPU affinity one CPU when serial; BLAS pinned to one thread,
+    so that the process is single-threaded."""
+    src = str(Path(cavitycharge.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    one_cpu = {min(_CPUS)}
+    done = subprocess.run(
+        [sys.executable, "-c", _FORK_PROBE.format(patch=patch), str(record),
+         *options, "fit-ringdown", "--fsr-hz", "7.41e9", *argv],
+        env=env, capture_output=True, timeout=120,
+        preexec_fn=(lambda: os.sched_setaffinity(0, one_cpu)) if serial else None,
+    )
+    records = [json.loads(line) for line in record.read_text().splitlines()]
+    return done.returncode, done.stdout, done.stderr, records
+
+
+def _forked_and_serial(argv, tmp_path, patch="", options=()):
+    """Both runs of one command, each checked to have forked as it should
+    and to have left no child and no second return from main()."""
+    runs = []
+    for serial in (False, True):
+        record = tmp_path / ("serial.json" if serial else "forked.json")
+        code, out, err, records = _fit_ringdown_forking(argv, record, serial, patch, options)
+        assert len(records) == 1, records  # no worker returned into the caller
+        assert records[0]["forks"] == (0 if serial else 1)
+        assert not records[0]["left"]
+        runs.append((code, out, err, records[0]["pid"]))
+    return runs
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("mix", ["all-good", "bad-among-good", "all-bad"])
+def test_forked_fit_ringdown_matches_the_serial_path_byte_for_byte(mix, large_traces, tmp_path):
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text("t,v\n0,nonsense\n")
+    missing = tmp_path / "missing.csv"
+    nan = tmp_path / "nan.csv"
+    nan.write_text("t,v\n" + "".join(f"{k * 1e-9},{'nan' if k == 9 else 0.9**k}\n"
+                                     for k in range(40)))
+    if mix == "all-good":
+        argv = large_traces
+    elif mix == "bad-among-good":
+        argv = [str(malformed), large_traces[0], str(missing), str(nan), large_traces[1]]
+    else:  # the large traces, one with a malformed last row, one with a NaN there
+        argv = [str(tmp_path / "malformed_large.csv"), str(tmp_path / "nan_large.csv")]
+        for path, source, row in zip(argv, large_traces, ("1.0,nonsense\n", "1.0,nan\n")):
+            Path(path).write_text(Path(source).read_text() + row)
+    forked, serial = _forked_and_serial(argv, tmp_path)
+    assert forked[:3] == serial[:3]
+    code, out, err = forked[:3]
+    lines = err.decode().splitlines()
+    if mix == "all-good":
+        assert code == 0 and err == b"" and len(out.splitlines()) == 6
+    elif mix == "bad-among-good":
+        assert code == 0 and len(lines) == 3
+        assert all(str(path) in line for path, line in zip((malformed, missing, nan), lines))
+        assert [line.split(b",")[0] for line in out.splitlines()[1:3]] == [
+            large_traces[0].encode(), large_traces[1].encode()]
+    else:
+        assert code == 2 and out == b"" and len(lines) == 3
+        assert [line.split(": ")[1] for line in lines] == [*argv, "no trace could be fitted"]
+
+
+@needs_two_cpus
+def test_small_traces_are_fitted_without_a_fork(tmp_path):
+    # the bundled traces hold 9 KB each: a fork would cost more than it saves
+    code, out, err, records = _fit_ringdown_forking(bundled_trace_paths(), tmp_path / "r.json", False)
+    assert (code, err, len(out.splitlines())) == (0, b"", 9)
+    assert records == [{"pid": records[0]["pid"], "forks": 0, "left": False}]
+
+
+@needs_two_cpus
+def test_an_internal_error_in_a_forked_worker_exits_3_with_one_line(large_traces, tmp_path):
+    # the parent fits the larger trace, a worker the smaller, where the fault is
+    fault = min(large_traces, key=lambda path: os.stat(path).st_size)
+    patch = _FAULT.format(fault=fault)
+    forked, serial = _forked_and_serial(large_traces, tmp_path, patch)
+    assert int((tmp_path / "forked.json.fault").read_text()) != forked[3]
+    assert forked[:3] == serial[:3]
+    assert forked[:3] == (3, b"", b"toolkit fit-ringdown: internal error: KeyError: 'injected'\n")
+
+    debug = tmp_path / "debug"
+    debug.mkdir()
+    forked, serial = _forked_and_serial(large_traces, debug, patch, ["--debug"])
+    for code, out, err, _ in (forked, serial):
+        assert code == 1 and out == b""
+        assert err.startswith(b"Traceback") and err.endswith(b"KeyError: 'injected'\n")
+
+
+@needs_two_cpus
+def test_a_worker_that_ends_unreported_is_an_internal_error(large_traces, tmp_path):
+    # the worker's load ends its process before it reports (as a kill would)
+    fault = min(large_traces, key=lambda path: os.stat(path).st_size)
+    patch = _FAULT.format(fault=fault).replace('raise KeyError("injected")', "os._exit(9)")
+    record = tmp_path / "record.json"
+    code, out, err, records = _fit_ringdown_forking(large_traces, record, False, patch)
+    assert records[0]["forks"] == 1 and not records[0]["left"]
+    assert (code, out) == (3, b"")
+    assert re.fullmatch(rb"toolkit fit-ringdown: internal error: RuntimeError: fit-ringdown "
+                        rb"worker \d+ exited \(9\) before reporting\n", err), err
+
+
+def test_a_share_that_cannot_be_forked_is_fitted_by_the_parent(large_traces, monkeypatch, capsys):
+    argv = ["fit-ringdown", "--fsr-hz", "7.41e9", *large_traces]
+    monkeypatch.setattr(cli, "_single_threaded", lambda: False)
+    assert main(argv) == 0
+    serial = capsys.readouterr()
+
+    def no_process_to_spare():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(cli, "_single_threaded", lambda: True)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_process_to_spare)
+    assert len(cli._shares(large_traces)) == 2
+    assert main(argv) == 0
+    assert capsys.readouterr() == serial

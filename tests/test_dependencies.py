@@ -135,7 +135,7 @@ def _loaded_by(argv, cwd=None) -> tuple[int, list[str]]:
     return code, mods
 
 
-def test_fit_ringdown_loads_only_cli_errors_quantities_and_ringdown():
+def test_fit_ringdown_loads_only_cli_errors_quantities_and_ringdown(large_traces):
     trace = str(resources.files("cavitycharge").joinpath("data/traces/ringdown_01.csv"))
     code, mods = _loaded_by(["fit-ringdown", "--fsr-hz", "7.41e9", trace])
     assert code == 0
@@ -143,6 +143,23 @@ def test_fit_ringdown_loads_only_cli_errors_quantities_and_ringdown():
         f"cavitycharge.{m}" for m in ("cli", "errors", "quantities", "ringdown")
     ]
     assert "numpy.ma" not in mods  # np.median's NaN check imports it
+    if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
+        return  # one usable CPU: fit-ringdown forks no worker
+    # Two large traces fork a worker (BLAS pinned to one thread, so that the
+    # process is single-threaded). The fork needs os and pickle, and numpy
+    # loaded pickle already: no further module is loaded.
+    probe = (
+        "import os, sys\n"
+        "os.environ.update(OPENBLAS_NUM_THREADS='1', OMP_NUM_THREADS='1', MKL_NUM_THREADS='1')\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(fork()) or forks[-1]\n"
+        "from cavitycharge import cli\n"
+        f"code = cli.main({['fit-ringdown', '--fsr-hz', '7.41e9', *large_traces]!r})\n"
+        "print(repr([code, sorted(sys.modules), len(forks)]))\n"
+    )
+    code, forked_mods, forks = ast.literal_eval(_probe(probe).splitlines()[-1])
+    assert (code, forks) == (0, 1)
+    assert forked_mods == mods
 
 
 # the cavitycharge submodules `reproduce-paper` loads: every one but film_optics

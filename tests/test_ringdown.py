@@ -1,4 +1,6 @@
 import math
+import os
+import re
 import struct
 import warnings
 
@@ -336,6 +338,28 @@ def test_trace_csv_not_utf8_is_parameter_error(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"t,v\n" + b"".join(b"%d,1\n" % k for k in range(20)) + b"9\xb5s,1\n")
     with pytest.raises(ParameterError, match="utf-8"):
+        load_trace_csv(path)
+
+
+def test_trace_csv_one_byte_over_the_size_cap_is_refused_before_reading(tmp_path):
+    # sparse: the file takes no disk space, and the loader must not read it
+    path = tmp_path / "huge.csv"
+    path.write_text("t,v\n" + "".join(f"{k}e-9,{0.9**k!r}\n" for k in range(20)))
+    os.truncate(path, ringdown.TRACE_MAX_BYTES + 1)
+    message = f"{path}: {ringdown.TRACE_MAX_BYTES + 1} bytes, more than the " \
+              f"{ringdown.TRACE_MAX_BYTES}-byte cap on a trace file"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        load_trace_csv(path)
+
+
+def test_trace_csv_at_the_size_cap_is_read(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    path.write_text("t,v\n" + "".join(f"{k}e-9,{0.9**k!r}\n" for k in range(20)))
+    monkeypatch.setattr(ringdown, "TRACE_MAX_BYTES", path.stat().st_size)
+    assert len(load_trace_csv(path)) == 20
+    with path.open("a") as fh:
+        fh.write("\n")
+    with pytest.raises(ParameterError, match="-byte cap on a trace file"):
         load_trace_csv(path)
 
 

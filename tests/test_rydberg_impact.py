@@ -117,3 +117,25 @@ def test_config_metadata_and_validation():
                  lambda: max_charge_for_infidelity(CFG._replace(rabi_hz=0.0), 0.01, X_Q)):
         with pytest.raises(SchemaError, match=r"^key 'rabi_hz' in \[rydberg\] must be > 0, got 0.0$"):
             call()
+
+
+# function -> (the name its message gives the checked argument, call with that argument)
+_FIELD_OR_SHIFT = {
+    "stark_shift": ("field", lambda x: stark_shift(CFG, x)),
+    "dephasing": ("field", lambda x: dephasing(CFG, x, 1e-6)),
+    "decoherence_time": ("field", lambda x: decoherence_time(CFG, x)),
+    "blockade_infidelity": ("Stark shift", lambda x: blockade_infidelity(CFG, x)),
+}
+
+
+@pytest.mark.parametrize("function", sorted(_FIELD_OR_SHIFT))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_field_or_shift_is_refused(function, bad):
+    # each returned nan (or inf) for it
+    name, call = _FIELD_OR_SHIFT[function]
+    with pytest.raises(ParameterError, match=rf"^{name} must be a finite real number, got {bad!r}$"):
+        call(bad)
+    with pytest.raises(ParameterError, match=rf"^{name} must be finite, got an array holding {bad!r}$"):
+        call(np.array([1.0, bad, 2.0]))
+    with pytest.raises(ParameterError, match=rf"^{name} must be a real number"):
+        call(True)
