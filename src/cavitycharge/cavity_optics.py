@@ -87,15 +87,17 @@ def _r0(f00):
 
 def _r0_of_draws(q, z, f, tmp):
     """f := _r0 of the draws q.value + q.sigma * z, by _r0's operations in
-    place, with tmp as the only scratch; returns the mask of draws <= 0."""
-    np.multiply(q.sigma, z, out=f)
-    f += q.value
+    place, with tmp as the only scratch; returns the mask of draws <= 0.
+
+    f starts as 2F = 2 sigma z + 2 value and tmp as (2F)^2: scaling by 2 is
+    exact, so they carry the bits of 2.0 * F and 4.0 * F**2 (for draws
+    that neither overflow nor fall below the normal floats)."""
+    np.multiply(2.0 * q.sigma, z, out=f)  # 2F
+    f += 2.0 * q.value
     bad = f <= 0
-    np.square(f, out=tmp)
-    tmp *= 4.0
+    np.square(f, out=tmp)  # 4F^2
     tmp += math.pi**2
     np.sqrt(tmp, out=tmp)
-    f *= 2.0
     f += math.pi
     f += tmp
     np.divide(2.0 * math.pi, f, out=f)
@@ -165,7 +167,9 @@ def extinction_from_finesse(
     whole list; each F01 is then evaluated into one samples array. Each
     step is one in-place operation on all the draws, into five of the
     Monte-Carlo engine's kept scratch arrays (one is the scratch of _r0 and
-    of _summary).
+    of _summary), and no step is a pass that computes nothing: the scale
+    is one division of -lambda (IEEE division is sign-symmetric), and
+    _r0_of_draws forms 2F and 4F^2 directly.
     """
     q00 = as_quantity(positive("finesse F00", f00))
     series = f01 if isinstance(f01, list) else [f01]
@@ -194,8 +198,7 @@ def extinction_from_finesse(
             scale += h.value
             bad |= scale <= 0
             scale *= 8.0 * math.pi
-            np.divide(wavelength_m, scale, out=scale)
-            np.negative(scale, out=scale)
+            np.divide(-wavelength_m, scale, out=scale)
             scale[bad] = np.nan
         kappas = []
         for q01, value in zip(q01s, central):

@@ -13,7 +13,10 @@ deviation uncertainty. Two propagation engines are provided:
 cavity_optics.extinction_from_finesse builds its extinction series from
 the same shared standard normals and kept full-length scratch arrays
 (_workspace) and the same 1% non-finite policy and mean/sigma summary
-(_summary), so both have one policy and one kept working set.
+(_summary), so both have one policy and one kept working set. Their
+kernels make no full-length pass that computes nothing: _summary looks for
+non-finite samples only when their sum is not finite, and each block's
+draws are written in place, with the bits of value + sigma * z.
 
 Uncertainties are treated as symmetric Gaussian one-sigma throughout;
 inputs are assumed uncorrelated. A quantity does no arithmetic of its own:
@@ -322,6 +325,9 @@ def propagate_monte_carlo(
     array of the block's shape (n,), else ParameterError; an exception
     raised by f propagates unchanged. The blocks are written into one
     output array, so the result equals one call of f on all the draws.
+    Each block's draws, value + sigma * z bit for bit, are written in place
+    into one buffer per input and call, reused by the next block: f must
+    not keep its input arrays (its output is copied before the next block).
 
     Calls with the same seed and sample_count share their standard normals
     (common random numbers): input k of every such call gets the same row.
@@ -337,11 +343,15 @@ def propagate_monte_carlo(
     import numpy as np
 
     with _workspace(seed, sample_count, len(inputs), 2) as (z, samples, scratch):
+        buffers = [np.empty(min(sample_count, _MC_CHUNK)) for _ in inputs]
         for part in _blocks(sample_count):
-            draws = [q.value + q.sigma * z_k[part] for q, z_k in zip(inputs, z)]
+            n = part.stop - part.start
+            draws = [buffer[:n] for buffer in buffers]
+            for q, z_k, draw in zip(inputs, z, draws):  # q.value + q.sigma * z, in place
+                np.multiply(q.sigma, z_k[part], out=draw)
+                draw += q.value
             with np.errstate(all="ignore"):  # non-finite samples are counted below
                 block = np.asarray(f(*draws), dtype=float)
-            n = part.stop - part.start
             # checked per block: slice assignment would broadcast a scalar
             if block.shape != (n,):
                 raise ParameterError(f"f returned shape {block.shape}, expected ({n},)")
@@ -394,33 +404,39 @@ def _summary(samples, scratch) -> UncertainQuantity:
     Up to 1% of them may be non-finite: those are discarded with a
     RuntimeWarning (pointing at the caller of the public function), and
     the finite ones are compacted into scratch; beyond that an
-    EvaluationError is raised.
+    EvaluationError is raised. The sum that the mean needs comes first, and
+    the non-finite samples are looked for only when it is not finite (a
+    NaN or an infinity among the samples, or an overflow): a finite sum is
+    the sum of finite samples alone.
     """
     import numpy as np
 
     sample_count = len(samples)
-    finite = np.isfinite(samples)
-    n_bad = sample_count - np.count_nonzero(finite)
-    if n_bad > 0.01 * sample_count:
-        raise EvaluationError(
-            f"{n_bad}/{sample_count} Monte-Carlo samples were non-finite"
-        )
-    if n_bad:
-        warnings.warn(
-            f"discarded {n_bad}/{sample_count} non-finite Monte-Carlo samples",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        # block by block: no full-length temporary
-        n = 0
-        for part in _blocks(sample_count):
-            kept = samples[part][finite[part]]
-            scratch[n:n + len(kept)] = kept
-            n += len(kept)
-        samples = scratch[:n]
+    total = np.add.reduce(samples)
+    if not math.isfinite(total):  # an all-finite sum that overflows finds none
+        finite = np.isfinite(samples)
+        n_bad = sample_count - np.count_nonzero(finite)
+        if n_bad > 0.01 * sample_count:
+            raise EvaluationError(
+                f"{n_bad}/{sample_count} Monte-Carlo samples were non-finite"
+            )
+        if n_bad:
+            warnings.warn(
+                f"discarded {n_bad}/{sample_count} non-finite Monte-Carlo samples",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            # block by block: no full-length temporary
+            n = 0
+            for part in _blocks(sample_count):
+                kept = samples[part][finite[part]]
+                scratch[n:n + len(kept)] = kept
+                n += len(kept)
+            samples = scratch[:n]
+            total = np.add.reduce(samples)
     # np.mean and np.std(ddof=1)'s bits, in place: no full-length temporary
     n = len(samples)  # >= MIN_MC_SAMPLES with at most 1% discarded: never < 2
-    mean = np.add.reduce(samples) / n
+    mean = total / n
     samples -= mean
     samples *= samples
     sigma = float(np.sqrt(np.add.reduce(samples) / (n - 1)))

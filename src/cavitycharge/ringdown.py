@@ -23,9 +23,11 @@ inverse-variance mean of their separate fits.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import os
+import stat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -219,6 +221,9 @@ def fit_ringdown(trace: RingdownTrace) -> RingdownFit:
         if not jj > 0:
             raise FitError(f"singular normal equation: J.J = {jj}")
         step = -jr / jj
+        tol = _REL_TOL * max(abs(lw), 1e-300)
+        if abs(step) < tol:
+            break  # converged: a damped step would be smaller still
 
         # backtracking damping: halve the step while it increases the SSR
         scale = 1.0
@@ -230,7 +235,7 @@ def fit_ringdown(trace: RingdownTrace) -> RingdownFit:
         else:
             scale, cand = 0.0, state
         delta = scale * step
-        converged = abs(delta) < _REL_TOL * max(abs(lw), 1e-300)
+        converged = abs(delta) < tol
         lw, state = lw + delta, cand
         if converged:
             break
@@ -312,6 +317,14 @@ def _is_row(line: str) -> bool:
     return bool(text) and not text.startswith("#")
 
 
+def _loadtxt_rows(lines, start: int):
+    """The rows of lines from index start on, without the lines the grammar
+    skips: np.loadtxt's C tokenizer skips empty lines only, so only a bad
+    row raises."""
+    return np.loadtxt([ln for ln in itertools.islice(lines, start, None) if _is_row(ln)],
+                      **_CSV_COLUMNS)
+
+
 def load_trace_csv(path) -> RingdownTrace:
     """Read a UTF-8 CSV trace of (t_seconds, v_volts) rows; a leading
     byte-order mark is dropped.
@@ -325,18 +338,29 @@ def load_trace_csv(path) -> RingdownTrace:
     field and any further columns are ignored. Anything else after the data
     on a row, a '#' comment included, is an error.
 
+    A regular file is parsed by np.loadtxt from its path. Any other input,
+    a pipe, a FIFO or /dev/stdin, is read once, at most one byte past
+    TRACE_MAX_BYTES, and parsed from memory.
+
     Raises ParameterError, naming the file, for a file larger than
-    TRACE_MAX_BYTES (before reading it), a malformed row, fewer than
-    MIN_SAMPLES rows, or samples RingdownTrace rejects.
+    TRACE_MAX_BYTES (before reading it; a stream after reading the cap and
+    one byte), a malformed row, fewer than MIN_SAMPLES rows, or samples
+    RingdownTrace rejects.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            size = os.fstat(fh.fileno()).st_size
+            status = os.fstat(fh.fileno())
+            if stat.S_ISREG(status.st_mode):
+                size, text = status.st_size, None
+            else:  # a second open would not see the bytes read here
+                blob = fh.buffer.read(TRACE_MAX_BYTES + 1)
+                size, text = len(blob), blob.decode("utf-8-sig")
             if size > TRACE_MAX_BYTES:
                 raise ParameterError(
                     f"{size} bytes, more than the {TRACE_MAX_BYTES}-byte cap on a trace file"
                 )
-            rows = ((k, line) for k, line in enumerate(fh) if _is_row(line))
+            lines = fh if text is None else io.StringIO(text, newline=None)
+            rows = ((k, line) for k, line in enumerate(lines) if _is_row(line))
             start, line = next(rows, (-1, ""))
             fields = line.split(",")
             if start >= 0 and len(fields) < 2:
@@ -347,15 +371,14 @@ def load_trace_csv(path) -> RingdownTrace:
                 start, line = next(rows, (-1, ""))
         if start < 0:
             data = np.empty((0, 2))
+        elif text is not None:
+            data = _loadtxt_rows(io.StringIO(text, newline=None), start)
         else:
             try:
                 data = np.loadtxt(path, skiprows=start, **_CSV_COLUMNS)
             except ValueError:
-                # The C tokenizer skips empty lines only. Parse again without
-                # the other lines the grammar skips, so only a bad row raises.
                 with open(path, encoding="utf-8-sig") as fh:
-                    lines = [ln for ln in itertools.islice(fh, start, None) if _is_row(ln)]
-                data = np.loadtxt(lines, **_CSV_COLUMNS)
+                    data = _loadtxt_rows(fh, start)
     except ValueError as exc:
         raise ParameterError(f"{path}: {exc}") from None
     if len(data) < MIN_SAMPLES:

@@ -18,7 +18,7 @@ from cavitycharge.cavity_optics import (
     r1_from_asymmetric_finesse,
     resonant_response,
 )
-from cavitycharge.errors import ConsistencyError, ParameterError, ToolkitError
+from cavitycharge.errors import ConsistencyError, EvaluationError, ParameterError, ToolkitError
 from cavitycharge.quantities import UncertainQuantity, propagate_linear, propagate_monte_carlo
 
 mpmath.mp.dps = 50
@@ -286,6 +286,153 @@ def test_extinction_sigmas_are_the_generic_engine_on_the_same_draws(
     else:
         assert [kappa.sigma for kappa in series] == sigmas
     assert caught[negative:] == expected
+
+
+# -- bit identity with the plain operation order -----------------------------
+# The Monte-Carlo kernels skip passes that compute nothing: _summary looks for
+# non-finite samples only when their sum is not finite, _r0_of_draws forms 2F
+# and (2F)^2 directly (scaling by 2 is exact), the kappa scale divides -lambda
+# once, and propagate_monte_carlo writes each block's draws in place. The
+# references below keep the plain order: isfinite first, F then f *= 2 and
+# tmp *= 4, a divide then a negate, and value + sigma * z per block.
+
+def _reference_normals(seed, mc_samples, n_inputs):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(mc_samples) for _ in range(n_inputs)]
+
+
+def _reference_summary(samples):
+    sample_count = len(samples)
+    finite = np.isfinite(samples)
+    n_bad = sample_count - np.count_nonzero(finite)
+    if n_bad > 0.01 * sample_count:
+        raise EvaluationError(f"{n_bad}/{sample_count} Monte-Carlo samples were non-finite")
+    if n_bad:
+        warnings.warn(f"discarded {n_bad}/{sample_count} non-finite Monte-Carlo samples",
+                      RuntimeWarning)
+        samples = samples[finite]
+    n = len(samples)
+    mean = np.add.reduce(samples) / n
+    deviations = samples - mean
+    deviations *= deviations
+    return UncertainQuantity(float(mean), float(np.sqrt(np.add.reduce(deviations) / (n - 1))))
+
+
+def _reference_r0_of_draws(q, z):
+    f = q.sigma * z
+    f += q.value
+    bad = f <= 0
+    tmp = np.square(f)
+    tmp *= 4.0
+    tmp += math.pi**2
+    np.sqrt(tmp, out=tmp)
+    f *= 2.0
+    f += math.pi
+    f += tmp
+    return 1.0 - 2.0 * math.pi / f, bad
+
+
+def _reference_kappa_sigmas(q00, q01s, h, wavelength_m, mc_samples, seed):
+    """The sigma of each F01's kappa, up to the first that raises."""
+    z00, z01, zh = _reference_normals(seed, mc_samples, 3)
+    sigmas = []
+    with np.errstate(all="ignore"):
+        r0, bad0 = _reference_r0_of_draws(q00, z00)
+        loss0 = 1.0 - np.square(r0)
+        scale = h.sigma * zh
+        scale += h.value
+        bad0 |= scale <= 0
+        scale *= 8.0 * math.pi
+        scale = np.negative(wavelength_m / scale)
+        scale[bad0] = np.nan
+        for q01 in q01s:
+            r, bad = _reference_r0_of_draws(q01, z01)
+            samples = loss0 + (np.square(r) / r0) ** 2
+            samples = scale * np.log(samples)
+            samples[bad] = np.nan
+            sigmas.append(_reference_summary(samples).sigma)
+    return sigmas
+
+
+def _reference_monte_carlo(f, inputs, sample_count, seed):
+    z = _reference_normals(seed, sample_count, len(inputs))
+    samples = np.empty(sample_count)
+    for start in range(0, sample_count, 8192):
+        part = slice(start, min(start + 8192, sample_count))
+        with np.errstate(all="ignore"):
+            samples[part] = f(*(q.value + q.sigma * z_k[part] for q, z_k in zip(inputs, z)))
+    return _reference_summary(samples)
+
+
+def _bits(outcome):
+    """An _outcome with each number as its bits (NaN equals NaN)."""
+    result, caught = outcome
+    quantities = result if isinstance(result, list) else [result]
+    if all(isinstance(q, UncertainQuantity) for q in quantities):
+        result = [tuple(np.float64(x).tobytes() for x in q) for q in quantities]
+    return result, caught
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+
+
+def _log_uniform_quantity(low, high):
+    # relative sigmas up to 0.6 put up to ~5% of the draws at or below 0,
+    # either side of the 1% limit on non-finite samples
+    return st.tuples(_log_uniform(low, high), _log_uniform(1e-6, 0.6)).map(
+        lambda pair: UncertainQuantity(pair[0], pair[0] * pair[1]))
+
+
+@settings(max_examples=200)
+@given(f00=_log_uniform_quantity(1e2, 1e6),
+       f01s=st.lists(_log_uniform_quantity(1e2, 1e6), min_size=1, max_size=5),
+       h=_log_uniform_quantity(1e-9, 1e-5), wavelength_m=_log_uniform(1e-7, 1e-4),
+       seed=st.integers(0, 2**32))
+def test_monte_carlo_kernels_keep_the_plain_operation_order_bit_for_bit(
+        f00, f01s, h, wavelength_m, seed):
+    from cavitycharge.cavity_optics import _r0, _r1
+
+    def reference():
+        r0 = _r0(f00.value)
+        central = [extinction_from_reflectivities(r0, _r1(f01.value, r0), h.value, wavelength_m)
+                   for f01 in f01s]
+        sigmas = _reference_kappa_sigmas(f00, f01s, h, wavelength_m, 2000, seed)
+        return [UncertainQuantity(c, s) for c, s in zip(central, sigmas)]
+
+    def without_negative_warnings(outcome):
+        result, caught = outcome
+        return result, [w for w in caught if w[0] is not NegativeExtinctionWarning]
+
+    assert _bits(without_negative_warnings(_outcome(
+        lambda: extinction_from_finesse(f00, f01s, h, wavelength_m, 2000, seed)))) \
+        == _bits(_outcome(reference))
+    for f01 in f01s:
+        for f, inputs in ((_kappa_draws(wavelength_m), [f00, f01, h]),
+                          (lambda d, f: f / d, [f00, f01])):
+            assert _bits(_outcome(lambda: propagate_monte_carlo(f, inputs, 2000, seed))) \
+                == _bits(_outcome(lambda: _reference_monte_carlo(f, inputs, 2000, seed)))
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "overflowing sum", "finite"])
+def test_summary_finds_the_non_finite_samples_its_sum_shows(case):
+    from cavitycharge.quantities import _summary
+
+    samples = 1.0 + _reference_normals(3, 2000, 1)[0]
+    if case == "nan":
+        samples[17] = np.nan
+    elif case == "inf":
+        samples[1999] = np.inf
+    elif case == "overflowing sum":
+        samples *= 1e305  # every sample finite, their sum not
+        samples += 1e307
+    expected = _outcome(lambda: _reference_summary(samples.copy()))
+    assert _bits(_outcome(lambda: _summary(samples.copy(), np.empty(2000)))) == _bits(expected)
+    if case in ("nan", "inf"):
+        assert expected[1] == [(RuntimeWarning, "discarded 1/2000 non-finite Monte-Carlo samples")]
+    elif case == "overflowing sum":
+        assert np.isfinite(samples).all()
+        assert expected[0] == (ParameterError, "value must be a finite real number, got inf")
 
 
 @pytest.mark.parametrize("f01s", [

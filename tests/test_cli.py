@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from importlib import resources
 from pathlib import Path
 
@@ -588,3 +589,73 @@ def test_a_share_that_cannot_be_forked_is_fitted_by_the_parent(large_traces, mon
     assert len(cli._shares(large_traces)) == 2
     assert main(argv) == 0
     assert capsys.readouterr() == serial
+
+
+# -- a trace read from a pipe or a FIFO ------------------------------------------
+
+
+def _fit_ringdown_process(argv, timeout=60, patch="", **kwargs):
+    """(exit code, stdout, stderr) of fit-ringdown in a fresh process; a run
+    past timeout is killed and reaped by subprocess.run, and fails."""
+    src = str(Path(cavitycharge.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import sys\nfrom cavitycharge import cli, ringdown\n{patch}\nsys.exit(cli.main())"
+    done = subprocess.run([sys.executable, "-c", code, "fit-ringdown", "--fsr-hz", "7.41e9", *argv],
+                          env=env, capture_output=True, timeout=timeout, **kwargs)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _numbers(stdout):
+    """fit-ringdown stdout without its trace names: each row's numeric fields
+    (cut -d, -f2-) and the '#' lines."""
+    return [line if line.startswith(b"#") else line.split(b",", 1)[1]
+            for line in stdout.splitlines()]
+
+
+@pytest.mark.parametrize("trace", ["bundled", "large"])
+def test_fit_ringdown_reads_a_pipe_like_the_file(trace, large_traces):
+    # the bundled trace is 9 KB, more than one buffered read
+    path = bundled_trace_paths()[0] if trace == "bundled" else large_traces[0]
+    from_file = _fit_ringdown_process([path])
+    with open(path, "rb") as fh:
+        piped = _fit_ringdown_process(["/dev/stdin"], input=fh.read())
+    assert from_file[0] == 0 and from_file[2] == b""
+    assert piped[0] == 0 and piped[2] == b""
+    assert _numbers(piped[1]) == _numbers(from_file[1])
+
+
+def test_fit_ringdown_reads_a_fifo_once(tmp_path):
+    path = bundled_trace_paths()[1]
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        try:
+            with open(fifo, "wb") as fh:  # waits for the reader
+                fh.write(Path(path).read_bytes())
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        code, out, err = _fit_ringdown_process([str(fifo)], timeout=60)
+    finally:
+        # a writer still waiting for a reader gets one that is closed at once
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    assert (code, err) == (0, b"")
+    assert _numbers(out) == _numbers(_fit_ringdown_process([path])[1])
+
+
+def test_a_stream_over_the_size_cap_exits_2_naming_the_cap():
+    path = bundled_trace_paths()[0]
+    with open(path, "rb") as fh:
+        code, out, err = _fit_ringdown_process(
+            ["/dev/stdin"], patch="ringdown.TRACE_MAX_BYTES = 1000", input=fh.read())
+    assert (code, out) == (2, b"")
+    assert err.decode().splitlines() == [
+        "fit-ringdown: /dev/stdin: 1001 bytes, more than the 1000-byte cap on a trace file",
+        "fit-ringdown: no trace could be fitted",
+    ]

@@ -2,6 +2,7 @@ import math
 import os
 import re
 import struct
+import threading
 import warnings
 
 import numpy as np
@@ -178,6 +179,24 @@ def test_fit_trace_whose_covariance_overflows_names_the_covariance(step_s):
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match=r"covariance s\^2 \(J\^T J\)\^-1 overflows"):
             fit_ringdown(tr)
+
+
+def test_the_fit_stops_on_a_step_below_the_tolerance(monkeypatch):
+    # this trace's last step is below the tolerance, and halving it until the
+    # SSR stopped rising at rounding level cost 18 more projections (23 in all)
+    duration = 8.0 * TAU
+    trace = synthesize_trace(1.0, TRUE_LINEWIDTH, duration, 200_000 / duration, 0.01, seed=17)
+    exp, projections = np.exp, []
+
+    def counting_exp(x, *args, **kwargs):
+        projections.extend([x.size] if np.size(x) == len(trace) else [])
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    fit = fit_ringdown(trace)
+    assert fit.iterations == 5
+    # the seed's projection, then one per iteration that takes its step
+    assert len(projections) <= fit.iterations + 1, len(projections)
 
 
 def test_fit_rejects_pure_noise():
@@ -361,6 +380,24 @@ def test_trace_csv_at_the_size_cap_is_read(tmp_path, monkeypatch):
         fh.write("\n")
     with pytest.raises(ParameterError, match="-byte cap on a trace file"):
         load_trace_csv(path)
+
+
+def test_trace_csv_from_a_pipe_equals_the_file(tmp_path):
+    # more than one 8 KB buffer, with a header, a comment and \r\n endings
+    path = tmp_path / "trace.csv"
+    path.write_bytes(("t,v\r\n# a comment\r\n" + "".join(
+        f"{k}e-9,{0.999**k!r}\r\n" for k in range(2000))).encode())
+    read, write = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(write, path.read_bytes()), os.close(write)))
+    writer.start()
+    try:
+        piped = load_trace_csv(f"/dev/fd/{read}")
+    finally:
+        writer.join()
+        os.close(read)
+    expected = load_trace_csv(path)
+    assert np.array_equal(piped.times, expected.times)
+    assert np.array_equal(piped.voltages, expected.voltages)
 
 
 # -- median without numpy.ma --------------------------------------------------
