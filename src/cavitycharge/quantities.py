@@ -338,7 +338,7 @@ def propagate_monte_carlo(
 
     Non-finite samples are tolerated up to 1% of all sample_count draws
     (with a warning), counted over the whole output, not per block; beyond
-    that an EvaluationError is raised.
+    that, or when their sums overflow, an EvaluationError is raised.
     """
     import numpy as np
 
@@ -403,41 +403,43 @@ def _summary(samples, scratch) -> UncertainQuantity:
 
     Up to 1% of them may be non-finite: those are discarded with a
     RuntimeWarning (pointing at the caller of the public function), and
-    the finite ones are compacted into scratch; beyond that an
-    EvaluationError is raised. The sum that the mean needs comes first, and
-    the non-finite samples are looked for only when it is not finite (a
-    NaN or an infinity among the samples, or an overflow): a finite sum is
-    the sum of finite samples alone.
+    the finite ones are compacted into scratch. More, or finite samples
+    whose sum or squared deviations overflow, raise an EvaluationError.
+    The sum that the mean needs comes first, and the non-finite samples
+    are looked for only when it is not finite (a NaN or an infinity among
+    the samples, or an overflow): a finite sum is the sum of finite
+    samples alone.
     """
     import numpy as np
 
     sample_count = len(samples)
-    total = np.add.reduce(samples)
-    if not math.isfinite(total):  # an all-finite sum that overflows finds none
-        finite = np.isfinite(samples)
-        n_bad = sample_count - np.count_nonzero(finite)
-        if n_bad > 0.01 * sample_count:
-            raise EvaluationError(
-                f"{n_bad}/{sample_count} Monte-Carlo samples were non-finite"
-            )
-        if n_bad:
-            warnings.warn(
-                f"discarded {n_bad}/{sample_count} non-finite Monte-Carlo samples",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            # block by block: no full-length temporary
-            n = 0
-            for part in _blocks(sample_count):
-                kept = samples[part][finite[part]]
-                scratch[n:n + len(kept)] = kept
-                n += len(kept)
-            samples = scratch[:n]
-            total = np.add.reduce(samples)
-    # np.mean and np.std(ddof=1)'s bits, in place: no full-length temporary
-    n = len(samples)  # >= MIN_MC_SAMPLES with at most 1% discarded: never < 2
-    mean = total / n
-    samples -= mean
-    samples *= samples
-    sigma = float(np.sqrt(np.add.reduce(samples) / (n - 1)))
-    return UncertainQuantity(float(mean), sigma)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        total = np.add.reduce(samples)
+        if not math.isfinite(total):  # an all-finite sum that overflows finds none
+            finite = np.isfinite(samples)
+            n_bad = sample_count - np.count_nonzero(finite)
+            if n_bad > 0.01 * sample_count:
+                raise EvaluationError(
+                    f"{n_bad}/{sample_count} Monte-Carlo samples were non-finite"
+                )
+            if n_bad:
+                warnings.warn(f"discarded {n_bad}/{sample_count} non-finite Monte-Carlo samples",
+                              RuntimeWarning, stacklevel=3)
+                # block by block: no full-length temporary
+                n = 0
+                for part in _blocks(sample_count):
+                    kept = samples[part][finite[part]]
+                    scratch[n:n + len(kept)] = kept
+                    n += len(kept)
+                samples = scratch[:n]
+                total = np.add.reduce(samples)
+        # np.mean and np.std(ddof=1)'s bits, in place: no full-length temporary
+        n = len(samples)  # >= MIN_MC_SAMPLES with at most 1% discarded: never < 2
+        mean = total / n
+        samples -= mean
+        samples *= samples
+        squares = np.add.reduce(samples)
+    for name, value in (("sum", total), ("sum of squared deviations", squares)):
+        if not math.isfinite(value):
+            raise EvaluationError(f"the {name} of {n} finite Monte-Carlo samples overflows")
+    return UncertainQuantity(float(mean), float(np.sqrt(squares / (n - 1))))

@@ -427,12 +427,27 @@ def test_summary_finds_the_non_finite_samples_its_sum_shows(case):
         samples *= 1e305  # every sample finite, their sum not
         samples += 1e307
     expected = _outcome(lambda: _reference_summary(samples.copy()))
+    if case == "overflowing sum":  # the plain order leaks NumPy's overflow warning
+        assert np.isfinite(samples).all()
+        expected = ((EvaluationError, "the sum of 2000 finite Monte-Carlo samples overflows"), [])
     assert _bits(_outcome(lambda: _summary(samples.copy(), np.empty(2000)))) == _bits(expected)
     if case in ("nan", "inf"):
         assert expected[1] == [(RuntimeWarning, "discarded 1/2000 non-finite Monte-Carlo samples")]
-    elif case == "overflowing sum":
-        assert np.isfinite(samples).all()
-        assert expected[0] == (ParameterError, "value must be a finite real number, got inf")
+
+
+@pytest.mark.parametrize("call, overflowing", [
+    (lambda: propagate_monte_carlo(lambda x: x * 1e305, [UncertainQuantity(10.0, 1.0)], 2000, 0),
+     "sum"),
+    (lambda: propagate_monte_carlo(lambda x: x * 1e200, [UncertainQuantity(10.0, 1.0)], 2000, 0),
+     "sum of squared deviations"),
+    # kappa's scale -lambda/(8 pi h) is ~1e292 m^-1 for a 1e-300 m film
+    (lambda: extinction_from_finesse(UncertainQuantity(F00, 60.0), UncertainQuantity(14160.0, 250.0),
+                                     UncertainQuantity(1e-300, 1e-301), WAVELENGTH, 2000, 0),
+     "sum of squared deviations"),
+], ids=["sum", "squared_deviations", "extinction"])
+def test_finite_samples_whose_sums_overflow_are_an_evaluation_error(call, overflowing):
+    message = f"the {overflowing} of 2000 finite Monte-Carlo samples overflows"
+    assert _outcome(call) == ((EvaluationError, message), [])
 
 
 @pytest.mark.parametrize("f01s", [
