@@ -3,7 +3,7 @@
 Walks the loss-extraction chain: symmetric-cavity finesse -> bare
 reflectivity r0, mixed-cavity finesse -> modified reflectivity r1,
 excess loss r0^2 - r1^2 -> film extinction coefficient kappa, with
-Monte-Carlo uncertainties. Run:  python demos/02_mirror_loss_extraction.py
+propagated uncertainties. Run:  python demos/02_mirror_loss_extraction.py
 """
 
 from cavitycharge import (
@@ -31,8 +31,8 @@ series = [
 ]
 
 f01s = [UncertainQuantity(f01, sigma) for _, f01, sigma in series]
-# one Monte-Carlo pass for the whole series: F00 and h are shared
-kappas = extinction_from_finesse(F00, f01s, THICKNESS, WAVELENGTH, seed=0)
+# kappa's sigma by Gauss-Hermite cubature over F00, F01 and h: no draws, no seed
+kappas = [extinction_from_finesse(F00, fq, THICKNESS, WAVELENGTH) for fq in f01s]
 
 print(f"\n{'configuration':16s} {'1 - r1':>10s} {'r0^2-r1^2':>11s} {'kappa':>20s}")
 for (label, _, _), fq, kappa in zip(series, f01s, kappas):

@@ -5,7 +5,7 @@ reflectivity -> thin-film extinction coefficient, with companion models
 for what stray surface charge on the mirrors does to trapped ions and
 Rydberg atoms, and for how laser-induced photocurrent charges a grounded
 conductive film. Measured values carry one-sigma uncertainties and are
-propagated linearly or by Monte Carlo.
+propagated linearly, by Monte Carlo or by Gauss-Hermite cubature.
 
 The namespace is lazy (PEP 562): importing the package loads no
 submodule. ``cavitycharge.fit_ringdown`` or ``from cavitycharge import

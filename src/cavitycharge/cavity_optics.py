@@ -23,14 +23,16 @@ A finesse increase (F01 > F00) yields a negative kappa; this is reported
 with a warning rather than rejected, since annealing can genuinely reduce
 mirror loss.
 
-A series of coated-mirror finesses measured against one bare cavity (a
-film at several ages) is one extinction_from_finesse call with a list of
-F01: the bare-mirror stage of its Monte-Carlo draws is shared by the whole
-series, and each element equals its single call bit for bit.
+The excess loss is formed without cancellation: with u = 1 - r, which
+the inversion computes directly, r0 - r1 = (u01 - u00)(2 - u00 - u01)/r0
+for u01 = 1 - r0(F01), and kappa takes log1p(-(r0 - r1)(r0 + r1)).
+extinction_from_finesse's central value and its Gauss-Hermite sigma
+evaluate this one chain.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import NamedTuple
@@ -39,8 +41,8 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, ParameterError
 from .quantities import (
-    UncertainQuantity, _summary, _workspace, as_quantity, checked, is_real_number,
-    positive, propagate_linear,
+    _GH_NODES, UncertainQuantity, _cubature, as_quantity, checked, is_real_number, positive,
+    propagate_linear,
 )
 
 __all__ = [
@@ -77,32 +79,14 @@ class MirrorState(NamedTuple):
         return self
 
 
-def _r0(f00):
+def _u(f):
     # 1 - r0 = 2 pi / (2F + pi + sqrt(4F^2 + pi^2)): cancellation-free
-    # rearrangement of (sqrt(4F^2 + pi^2) - pi)/(2F)
-    return 1.0 - 2.0 * math.pi / (
-        2.0 * f00 + math.pi + np.sqrt(4.0 * f00**2 + math.pi**2)
-    )
+    # rearrangement of 1 - (sqrt(4F^2 + pi^2) - pi)/(2F)
+    return 2.0 * math.pi / (2.0 * f + math.pi + np.sqrt(4.0 * f**2 + math.pi**2))
 
 
-def _r0_of_draws(q, z, f, tmp):
-    """f := _r0 of the draws q.value + q.sigma * z, by _r0's operations in
-    place, with tmp as the only scratch; returns the mask of draws <= 0.
-
-    f starts as 2F = 2 sigma z + 2 value and tmp as (2F)^2: scaling by 2 is
-    exact, so they carry the bits of 2.0 * F and 4.0 * F**2 (for draws
-    that neither overflow nor fall below the normal floats)."""
-    np.multiply(2.0 * q.sigma, z, out=f)  # 2F
-    f += 2.0 * q.value
-    bad = f <= 0
-    np.square(f, out=tmp)  # 4F^2
-    tmp += math.pi**2
-    np.sqrt(tmp, out=tmp)
-    f += math.pi
-    f += tmp
-    np.divide(2.0 * math.pi, f, out=f)
-    np.subtract(1.0, f, out=f)
-    return bad
+def _r0(f00):
+    return 1.0 - _u(f00)
 
 
 def _r1(f01, r0):
@@ -142,77 +126,52 @@ def extinction_from_reflectivities(
     return -(wavelength_m / (8.0 * math.pi * thickness_m)) * math.log(arg)
 
 
-def extinction_from_finesse(
-    f00,
-    f01,
-    thickness,
-    wavelength_m: float,
-    mc_samples: int = 100_000,
-    seed: int = 0,
-):
-    """Film extinction coefficient from the finesse pair.
+def _kappa(wavelength_m, f00, f01, h):
+    """kappa of the finesse pair and film thickness h, floats or arrays:
+    -lambda/(8 pi h) log1p(-(r0^2 - r1^2)), the excess loss formed from u."""
+    u00, u01 = _u(f00), _u(f01)
+    r0 = 1.0 - u00
+    r1 = (1.0 - u01) ** 2 / r0
+    loss = (u01 - u00) * (2.0 - u00 - u01) / r0 * (r0 + r1)
+    return -wavelength_m / (8.0 * math.pi * h) * np.log1p(-loss)
 
-    f01 is one finesse, giving one UncertainQuantity, or a list of them
-    measured against the same bare cavity f00 and film thickness, giving
-    the list of their kappa in the same order; each element equals the
-    call with that f01 alone, bit for bit.
 
-    The central value is the deterministic chain F00,F01,h -> r0,r1 ->
-    kappa; the uncertainty is the standard deviation over normal draws of
-    F00, F01 and h with a fixed seed, from the standard normals that
-    propagate_monte_carlo calls with the same seed and mc_samples share
-    (rows 0, 1 and 2), under its 1% policy: draws with a non-positive F00,
-    F01 or h are non-finite samples. The bare-mirror stage (r0, 1 - r0^2
-    and the scale -lambda/(8 pi h) of each draw) is computed once for the
-    whole list; each F01 is then evaluated into one samples array. Each
-    step is one in-place operation on all the draws, into five of the
-    Monte-Carlo engine's kept scratch arrays (one is the scratch of _r0 and
-    of _summary), and no step is a pass that computes nothing: the scale
-    is one division of -lambda (IEEE division is sign-symmetric), and
-    _r0_of_draws forms 2F and 4F^2 directly.
+def extinction_from_finesse(f00, f01, thickness, wavelength_m: float) -> UncertainQuantity:
+    """Film extinction coefficient from the finesse pair F00, F01 and the
+    film thickness h, each a number or an UncertainQuantity.
+
+    The value is the chain F00, F01, h -> r0, r1 -> kappa at the inputs'
+    values. sigma is the standard deviation of the same chain over
+    independent normal F00, F01 and h by 8-node Gauss-Hermite cubature
+    (quantities._cubature): exact for a polynomial of degree <= 15 in
+    each input, and blind beyond value +/- 4.1445 sigma. Strictly, kappa
+    ~ 1/h over a normal h has no finite variance, since h <= 0 has a
+    positive probability; sigma is that of kappa within the nodes' span,
+    which is what a Monte Carlo sees while h <= 0 lies many sigma away.
+    An input at or below 0 at its lowest node, value - 4.1445 sigma, is a
+    DomainError naming it: the chain has no value there.
     """
-    q00 = as_quantity(positive("finesse F00", f00))
-    series = f01 if isinstance(f01, list) else [f01]
-    q01s = [as_quantity(positive("finesse F01", q)) for q in series]
-    h = as_quantity(positive("film thickness", thickness))
-    r0c = _r0(q00.value)
-    central = []
-    for q01 in q01s:
-        r1c = _r1(q01.value, r0c)
-        central.append(extinction_from_reflectivities(r0c, r1c, h.value, wavelength_m))
-        if q01.value > q00.value:
-            warnings.warn(
-                "modified cavity has higher finesse; kappa is negative "
-                "(excess loss removed rather than added)",
-                NegativeExtinctionWarning,
-                stacklevel=2,
-            )
-
-    with _workspace(seed, mc_samples, 3, 5) as (normals, r0, loss0, scale, samples, tmp):
-        z00, z01, zh = normals
-        with np.errstate(all="ignore"):  # non-finite samples are counted by _summary
-            bad = _r0_of_draws(q00, z00, r0, tmp)
-            np.square(r0, out=loss0)  # 1 - r0^2
-            np.subtract(1.0, loss0, out=loss0)
-            np.multiply(h.sigma, zh, out=scale)  # -lambda/(8 pi h)
-            scale += h.value
-            bad |= scale <= 0
-            scale *= 8.0 * math.pi
-            np.divide(-wavelength_m, scale, out=scale)
-            scale[bad] = np.nan
-        kappas = []
-        for q01, value in zip(q01s, central):
-            with np.errstate(all="ignore"):
-                bad = _r0_of_draws(q01, z01, samples, tmp)
-                np.square(samples, out=samples)  # r1 = _r0(F01)^2 / r0
-                samples /= r0
-                np.square(samples, out=samples)
-                np.add(loss0, samples, out=samples)  # 1 - r0^2 + r1^2, added in that order
-                np.log(samples, out=samples)
-                np.multiply(scale, samples, out=samples)
-                samples[bad] = np.nan
-            kappas.append(UncertainQuantity(value, _summary(samples, tmp).sigma))
-    return kappas if isinstance(f01, list) else kappas[0]
+    positive("wavelength", wavelength_m)
+    inputs = []
+    for name, x in (("finesse F00", f00), ("finesse F01", f01), ("film thickness", thickness)):
+        q = as_quantity(positive(name, x))
+        lowest = q.value - q.sigma * _GH_NODES[-1]
+        if lowest <= 0:
+            raise DomainError(f"{name} = {q} is {lowest:g} <= 0 at its lowest cubature node, "
+                              f"value - {_GH_NODES[-1]:.5g} sigma")
+        inputs.append(q)
+    q00, q01, h = inputs
+    if q01.value > q00.value:
+        warnings.warn(
+            "modified cavity has higher finesse; kappa is negative "
+            "(excess loss removed rather than added)",
+            NegativeExtinctionWarning,
+            stacklevel=2,
+        )
+    kappa = functools.partial(_kappa, wavelength_m)
+    # first: a kappa that is not finite at a node is an EvaluationError
+    sigma = _cubature(kappa, inputs).sigma
+    return UncertainQuantity(float(kappa(q00.value, q01.value, h.value)), sigma)
 
 
 def excess_reflection_loss(f00, f01) -> UncertainQuantity:

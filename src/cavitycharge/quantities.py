@@ -2,21 +2,22 @@
 
 All measured inputs in this package are carried as an
 :class:`UncertainQuantity`: a central value and a symmetric one-standard-
-deviation uncertainty. Two propagation engines are provided:
+deviation uncertainty. Three propagation engines are provided:
 
 * :func:`propagate_linear` -- first-order (delta-method) propagation with
   central finite-difference derivatives,
   sigma_y = sqrt(sum_i (df/dx_i * sigma_i)^2).
 * :func:`propagate_monte_carlo` -- draw independent normal samples per
   input and report the sample mean and standard deviation of f.
+* _cubature -- the mean and standard deviation of f over independent
+  normal inputs by tensor-product Gauss-Hermite cubature, 8 nodes per
+  input: no draws, no seed. The report's film-extinction sigmas use it.
 
-cavity_optics.extinction_from_finesse builds its extinction series from
-the same shared standard normals and kept full-length scratch arrays
-(_workspace) and the same 1% non-finite policy and mean/sigma summary
-(_summary), so both have one policy and one kept working set. Their
-kernels make no full-length pass that computes nothing: _summary looks for
-non-finite samples only when their sum is not finite, and each block's
-draws are written in place, with the bits of value + sigma * z.
+propagate_monte_carlo keeps its working set between calls: the standard
+normals of the last seed and its full-length arrays (_StandardNormals).
+Its kernel makes no full-length pass that computes nothing: _summary looks
+for non-finite samples only when their sum is not finite, and each
+block's draws are written in place, with the bits of value + sigma * z.
 
 Uncertainties are treated as symmetric Gaussian one-sigma throughout;
 inputs are assumed uncorrelated. A quantity does no arithmetic of its own:
@@ -34,8 +35,9 @@ finite and > 0, else ParameterError naming the argument;
 budget chains: every value they return is finite, and numerics that
 overflow, divide by zero or end non-finite raise EvaluationError.
 
-This module imports NumPy only inside the Monte-Carlo engine, so a caller
-that never draws samples (a ``budget`` command) never loads it.
+This module imports NumPy only inside the Monte-Carlo and cubature
+engines, so a caller that propagates neither (a ``budget`` command) never
+loads it.
 """
 
 from __future__ import annotations
@@ -255,8 +257,8 @@ class _StandardNormals:
     the same stream, so a 2-input and a 3-input call share their first two
     rows and no kept row is copied. Another seed refills the rows in place
     (new rows while a running call reads them); another sample_count drops
-    rows and scratch arrays. A report keeps 3 rows and 5 scratch arrays:
-    6,400,000 bytes at 1e5 draws, so a warm report faults in no pages.
+    rows and scratch arrays. A report keeps 2 rows and 2 scratch arrays:
+    3,200,000 bytes at 1e5 draws, so a warm report faults in no pages.
     """
 
     def __init__(self) -> None:
@@ -342,7 +344,13 @@ def propagate_monte_carlo(
     """
     import numpy as np
 
-    with _workspace(seed, sample_count, len(inputs), 2) as (z, samples, scratch):
+    z = _normals(seed, sample_count, len(inputs))
+    # the kept samples and scratch arrays, lent to this call: a call nested in f gets its own
+    cache = _standard_normals
+    samples, scratch = kept = [cache._spare.pop() if cache._spare else np.empty(sample_count)
+                               for _ in range(2)]
+    cache._lent += 1
+    try:
         buffers = [np.empty(min(sample_count, _MC_CHUNK)) for _ in inputs]
         for part in _blocks(sample_count):
             n = part.stop - part.start
@@ -357,6 +365,10 @@ def propagate_monte_carlo(
                 raise ParameterError(f"f returned shape {block.shape}, expected ({n},)")
             samples[part] = block
         return _summary(samples, scratch)
+    finally:
+        cache._lent -= 1
+        if cache._key is not None and cache._key[1] == sample_count:
+            cache._spare += kept
 
 
 def _normals(seed: int, sample_count: int, n_inputs: int) -> list:
@@ -370,25 +382,6 @@ def _normals(seed: int, sample_count: int, n_inputs: int) -> list:
                 and value >= least):
             raise ParameterError(f"{name} must be an int >= {least}, got {value!r}")
     return _standard_normals(seed, sample_count, n_inputs)
-
-
-@contextlib.contextmanager
-def _workspace(seed: int, sample_count: int, n_inputs: int, n_scratch: int):
-    """(rows of _normals, *n_scratch kept arrays of sample_count floats),
-    lent to the block: a call nested in it gets arrays of its own."""
-    import numpy as np
-
-    rows = _normals(seed, sample_count, n_inputs)
-    cache = _standard_normals
-    scratch = [cache._spare.pop() if cache._spare else np.empty(sample_count)
-               for _ in range(n_scratch)]
-    cache._lent += 1
-    try:
-        yield (rows, *scratch)
-    finally:
-        cache._lent -= 1
-        if cache._key is not None and cache._key[1] == sample_count:
-            cache._spare += scratch
 
 
 def _blocks(sample_count: int):
@@ -443,3 +436,53 @@ def _summary(samples, scratch) -> UncertainQuantity:
         if not math.isfinite(value):
             raise EvaluationError(f"the {name} of {n} finite Monte-Carlo samples overflows")
     return UncertainQuantity(float(mean), float(np.sqrt(squares / (n - 1))))
+
+
+# The probabilists' Gauss-Hermite rule of 8 nodes (weight exp(-x^2/2)), its
+# weights divided by their sum sqrt(2 pi): the expectation over one standard
+# normal, exact for polynomials of degree <= 15. The nodes are the eigenvalues
+# of the Jacobi matrix of the Hermite recurrence (Golub & Welsch, Math. Comp.
+# 23, 221 (1969)), as numpy.polynomial.hermite_e.hermegauss(8) gives them.
+_GH_NODES = (-4.1445471861258945, -2.8024858612875416, -1.636519042435108,
+             -0.5390798113513751, 0.5390798113513751, 1.636519042435108,
+             2.8024858612875416, 4.1445471861258945)
+_GH_WEIGHTS = (0.00011261453837536762, 0.009635220120788256, 0.11723990766175904,
+               0.3730122576790773, 0.3730122576790773, 0.11723990766175904,
+               0.009635220120788256, 0.00011261453837536762)
+
+
+def _cubature(f: Callable[..., float], inputs: Sequence[UncertainQuantity]) -> UncertainQuantity:
+    """Mean and standard deviation of f over independent normal inputs, by
+    tensor-product Gauss-Hermite cubature.
+
+    f is elementwise, as for propagate_monte_carlo, and is called once on
+    the grid of value + sigma * node over every input's nodes: the 8 of
+    _GH_NODES, or the value alone for an input with sigma = 0. The mean is
+    the weighted sum of f's values and the variance the weighted sum of
+    their squared deviations from it. A value of f that is not finite, or
+    a sum that overflows, raises EvaluationError; f's output must have the
+    grid's shape (n,), else ParameterError.
+    """
+    import numpy as np
+
+    rules = [(np.array(_GH_NODES), np.array(_GH_WEIGHTS)) if q.sigma else (np.zeros(1), np.ones(1))
+             for q in inputs]
+    grids = np.meshgrid(*(q.value + q.sigma * nodes for q, (nodes, _) in zip(inputs, rules)),
+                        indexing="ij")
+    weights = np.ones(1)
+    for _, w in rules:
+        weights = np.multiply.outer(weights, w).ravel()
+    n = len(weights)
+    with np.errstate(all="ignore"):  # a non-finite value is raised below
+        values = np.asarray(f(*(grid.ravel() for grid in grids)), dtype=float)
+        if values.shape != (n,):
+            raise ParameterError(f"f returned shape {values.shape}, expected ({n},)")
+        n_bad = n - np.count_nonzero(np.isfinite(values))
+        if n_bad:
+            raise EvaluationError(f"f is not finite at {n_bad}/{n} cubature nodes")
+        mean = np.add.reduce(weights * values)
+        variance = np.add.reduce(weights * np.square(values - mean))
+    for name, value in (("mean", mean), ("variance", variance)):
+        if not math.isfinite(value):
+            raise EvaluationError(f"the weighted {name} over {n} cubature nodes overflows")
+    return UncertainQuantity(float(mean), math.sqrt(variance))

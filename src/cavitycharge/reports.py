@@ -34,15 +34,13 @@ Three discrepancies are expected and documented:
                          stated power; the first-principles value is
                          reported alongside, flagged.
 
-Rows come from three tables. BUDGET_ROWS maps a row id to the budget
+Rows come from two tables. BUDGET_ROWS maps a row id to the budget
 target and row it reads through ``budgets.budget_rows``, so a budget
 number has one code path whether ``reproduce-paper`` or ``budget`` prints
-it; KAPPA_ROWS names the film-extinction rows, whose F01 series is one
-``extinction_from_finesse`` call against the scenario's [cavity] F00 and
-[film] thickness; ROWS maps every other row id to f(scn, seed, **manifest
-inputs). A row is finite or build_report raises a ToolkitError that names
-its row id or budget target. ``budget_report`` and ``SWEEP_POINTS`` live
-in ``budgets`` and are re-exported here.
+it; ROWS maps every other row id to f(scn, seed, **manifest inputs). A
+row is finite or build_report raises a ToolkitError that names its row id
+or budget target. ``budget_report`` and ``SWEEP_POINTS`` live in
+``budgets`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -232,21 +230,13 @@ def _finesse_mc_over_linear_sigma(scn: Scenario, seed: int) -> float:
     return mc.sigma / _finesse(scn, seed).sigma
 
 
-# the film-extinction rows: their manifest inputs (f01, f01_sigma) are one
-# coated-mirror finesse each, evaluated together by _kappas
-KAPPA_ROWS = ("kappa_zno_27d", "kappa_zno_69d", "kappa_zno_128d", "kappa_ann_69d",
-              "kappa_ann_128d")
-
-
-def _kappas(scn: Scenario, seed: int, specs: list[dict]) -> dict:
-    """row id -> kappa of every spec, from one extinction_from_finesse call."""
-    f01s = [UncertainQuantity(spec["inputs"]["f01"], spec["inputs"]["f01_sigma"])
-            for spec in specs]
-    kappas = cavity_optics.extinction_from_finesse(
-        _f00(scn), f01s, _film_thickness(scn),
-        scn._require("cavity").wavelength_m, mc_samples=scn.mc_samples, seed=seed,
+def _kappa(scn: Scenario, seed: int, f01: float, f01_sigma: float) -> UncertainQuantity:
+    """The film extinction of one coated-mirror finesse against the
+    scenario's [cavity] F00 and [film] thickness."""
+    return cavity_optics.extinction_from_finesse(
+        _f00(scn), UncertainQuantity(f01, f01_sigma), _film_thickness(scn),
+        scn._require("cavity").wavelength_m,
     )
-    return dict(zip((spec["id"] for spec in specs), kappas))
 
 
 def _resonant_transmission(scn: Scenario, seed: int, vendor_transmission: float) -> float:
@@ -285,6 +275,10 @@ ROWS = {
     "finesse_from_linewidth": _finesse,
     "finesse_mc_linear_sigma": _finesse_mc_over_linear_sigma,
     **dict.fromkeys(
+        ("kappa_zno_27d", "kappa_zno_69d", "kappa_zno_128d", "kappa_ann_69d", "kappa_ann_128d"),
+        _kappa,
+    ),
+    **dict.fromkeys(
         ("refl_var_69d", "refl_var_128d"),
         lambda scn, seed, f01, f01_sigma: cavity_optics.excess_reflection_loss(
             _f00(scn), UncertainQuantity(f01, f01_sigma)
@@ -321,19 +315,16 @@ def build_report(
     """Compute every row of the reference-reproduction report.
 
     A row in BUDGET_ROWS reads its value from budgets.budget_rows, one call
-    per (target, manifest inputs); the KAPPA_ROWS are computed together, at
-    the first of them and under its label; every other row runs its ROWS
-    entry under quantities.finite_evaluation. Either way a row is finite or
-    the call raises a ToolkitError: EvaluationError for overflow, division
-    by zero or a non-finite value, its message starting with "row <id>: "
-    or "target <target>: ". An error in the extinction series, from a
-    shared input or one row's F01, names the first kappa row.
+    per (target, manifest inputs); every other row runs its ROWS entry
+    under quantities.finite_evaluation. Either way a row is finite or the
+    call raises a ToolkitError: EvaluationError for overflow, division by
+    zero or a non-finite value, its message starting with "row <id>: " or
+    "target <target>: ".
     """
     scn = bundled_scenario() if scn is None else scn
     seed = scn.seed if seed is None else seed
     manifest = load_manifest()
     budgets = {}
-    kappas = {}
     rows = []
     for spec in manifest:
         row_id = spec["id"]
@@ -344,11 +335,6 @@ def build_report(
             if key not in budgets:
                 budgets[key] = budget_rows(scn, target, **inputs)
             computed = budgets[key][name]
-        elif row_id in KAPPA_ROWS:
-            if not kappas:
-                with finite_evaluation(f"row {row_id}"):
-                    kappas = _kappas(scn, seed, [s for s in manifest if s["id"] in KAPPA_ROWS])
-            computed = kappas[row_id]
         else:
             with finite_evaluation(f"row {row_id}") as check:
                 computed = check(row_id, ROWS[row_id](scn, seed, **inputs))

@@ -11,7 +11,7 @@ import pytest
 
 from cavitycharge import budgets
 from cavitycharge.cli import main
-from cavitycharge.errors import EvaluationError, ParameterError, ToolkitError
+from cavitycharge.errors import DomainError, EvaluationError, ParameterError, ToolkitError
 from cavitycharge.reports import build_report, bundled_scenario_text
 from cavitycharge.scenario import parse_scenario
 
@@ -130,9 +130,9 @@ REPORT_OUT_OF_RANGE = [
      "target charging: photoelectron_rate_first_principles = inf is not finite"),
     ("length_m", "1e-320", EvaluationError,
      "row fsr_from_length: fsr_from_length = inf is not finite"),
-    # a third of the F00 draws are <= 0: the shared input of the extinction
-    # series fails under the first kappa row's label
-    ("f00_sigma", "5e4", EvaluationError, "row kappa_zno_27d: "),
+    # F00 = 23340 +/- 5e4 is <= 0 at its lowest cubature node: the first
+    # kappa row fails, naming F00
+    ("f00_sigma", "5e4", DomainError, "row kappa_zno_27d: finesse F00 = "),
 ]
 
 

@@ -2,10 +2,14 @@
 
 The files under tests/data/ were written by `toolkit reproduce-paper --out`
 with TOOLKIT_SEED=12345 and by `toolkit budget --scenario paper_yb.scenario`
-for each target (every stdout line but the last). They were last regenerated
-when the cooling budget's bisection in the modulation index gave way to an
-exact root by Newton's method: the three cooling rows and the cooling sweep
-moved by about 1.4e-7 relative. budget_sweeps_paper_yb.sha256 holds the sha256 of each
+for each target (every stdout line but the last). The reproduction CSV was
+last regenerated when the five film-extinction rows took their sigma from
+Gauss-Hermite cubature instead of a Monte Carlo, and their excess loss
+without cancellation: their computed values moved by at most 5.6e-12
+relative. The budget files were last regenerated when the cooling budget's
+bisection in the modulation index gave way to an exact root by Newton's
+method: the three cooling rows and the cooling sweep moved by about 1.4e-7
+relative. budget_sweeps_paper_yb.sha256 holds the sha256 of each
 target's default sweep CSV, as written when every sweep was one array call.
 A change to any byte of them must be deliberate: regenerate the files and
 say why.

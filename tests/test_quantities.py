@@ -9,13 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavitycharge.cavity_optics import MirrorState, extinction_from_finesse
+from cavitycharge.cavity_optics import MirrorState
 from cavitycharge.electrostatics import ChargeScenario
 from cavitycharge.errors import DomainError, EvaluationError, ParameterError
 from cavitycharge.ion_impact import GateParams
 from cavitycharge.quantities import (
+    _GH_NODES,
+    _GH_WEIGHTS,
     CODATA,
     UncertainQuantity,
+    _cubature,
     _normals,
     _standard_normals,
     propagate_linear,
@@ -155,8 +158,6 @@ def test_monte_carlo_sample_count_is_an_int(sample_count):
     message = f"^sample_count must be an int >= 1000, got {re.escape(repr(sample_count))}$"
     with pytest.raises(ParameterError, match=message):
         propagate_monte_carlo(lambda x: x, [UncertainQuantity(1.0, 0.1)], sample_count)
-    with pytest.raises(ParameterError, match=message):
-        extinction_from_finesse(15000.0, 14160.0, 30e-9, 1650e-9, mc_samples=sample_count)
 
 
 def test_monte_carlo_nonfinite_fraction_errors():
@@ -368,10 +369,10 @@ def test_new_seed_report_draws_each_row_of_normals_once():
     before = _standard_normals.cache_info().normals_drawn
     build_report(seed=6)
     mc_samples = bundled_scenario().mc_samples
-    # the 3-input extinction and the 2-input ratio share their first two rows
-    assert _standard_normals.cache_info().normals_drawn - before == 3 * mc_samples
+    # the report's one Monte-Carlo call, the 2-input ratio
+    assert _standard_normals.cache_info().normals_drawn - before == 2 * mc_samples
     build_report(seed=6)
-    assert _standard_normals.cache_info().normals_drawn - before == 3 * mc_samples
+    assert _standard_normals.cache_info().normals_drawn - before == 2 * mc_samples
 
 
 def test_warm_new_seed_report_faults_in_no_fresh_pages():
@@ -392,14 +393,11 @@ def test_warm_new_seed_report_faults_in_no_fresh_pages():
     assert json.loads(out)["minor_faults_per_report"] < 100
 
 
-EXTINCTION_INPUTS = (UncertainQuantity(22_000.0, 400.0), [UncertainQuantity(19_800.0, 180.0),
-                     UncertainQuantity(21_000.0, 300.0)], UncertainQuantity(30e-9, 2e-9), 1650e-9)
-
-
 def _mc_results(seed, sample_count):
     return (
         propagate_monte_carlo(ratio, [LINEWIDTH, FSR], sample_count, seed=seed),
-        extinction_from_finesse(*EXTINCTION_INPUTS, mc_samples=sample_count, seed=seed),
+        propagate_monte_carlo(lambda a, b, c: a * b / c, [LINEWIDTH, FSR, LINEWIDTH],
+                              sample_count, seed=seed),
     )
 
 
@@ -450,3 +448,56 @@ def test_normals_rows_stay_read_only():
             row[0] = 0.0
     propagate_monte_carlo(ratio, [LINEWIDTH, FSR], 2000, seed=23)
     assert not any(row.flags.writeable for row in _normals(23, 2000, 3))
+
+
+# -- Gauss-Hermite cubature ----------------------------------------------------
+
+
+def test_cubature_rule_is_hermegauss_normalised_to_weight_one():
+    from numpy.polynomial.hermite_e import hermegauss
+
+    nodes, weights = hermegauss(8)
+    assert _GH_NODES == tuple(nodes.tolist())
+    assert _GH_WEIGHTS == tuple((weights / weights.sum()).tolist())
+
+
+@pytest.mark.parametrize("k", range(16))
+def test_cubature_rule_integrates_the_normal_moments_up_to_degree_15(k):
+    # E[Z^k] of a standard normal: 0 for odd k, (k - 1)!! for even k
+    exact = 0.0 if k % 2 else float(math.prod(range(k - 1, 0, -2)))
+    moment = math.fsum(w * x**k for x, w in zip(_GH_NODES, _GH_WEIGHTS))
+    assert moment == pytest.approx(exact, rel=1e-13, abs=1e-13)
+
+
+def test_cubature_gives_exact_moments_of_a_polynomial():
+    # x y over independent normals: mean 6, variance 3^2 0.2^2 + 2^2 0.1^2 + 0.1^2 0.2^2
+    q = _cubature(lambda x, y: x * y, [UncertainQuantity(3.0, 0.1), UncertainQuantity(2.0, 0.2)])
+    assert q.value == pytest.approx(6.0, rel=1e-14)
+    assert q.sigma == pytest.approx(math.sqrt(0.36 + 0.04 + 0.0004), rel=1e-13)
+
+
+def test_cubature_evaluates_an_exact_input_at_its_value_alone():
+    sizes = []
+
+    def f(x, y, z):
+        sizes.append(x.size)
+        assert (y == 4.0).all()
+        return x + y + z
+
+    inputs = [UncertainQuantity(1.0, 0.5), UncertainQuantity(4.0), UncertainQuantity(2.0, 1.0)]
+    q = _cubature(f, inputs)
+    assert sizes == [64]
+    assert q.value == pytest.approx(7.0, rel=1e-15)
+    assert q.sigma == pytest.approx(math.hypot(0.5, 1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("f, error, message", [
+    # the 4 nodes below the value 0 give NaN
+    (np.sqrt, EvaluationError, r"^f is not finite at 4/8 cubature nodes$"),
+    (lambda x: 2.0, ParameterError, r"^f returned shape \(\), expected \(8,\)$"),
+    (lambda x: x * 1e306, EvaluationError,
+     r"^the weighted variance over 8 cubature nodes overflows$"),
+], ids=["non-finite", "shape", "overflow"])
+def test_cubature_refuses_what_it_cannot_sum(f, error, message):
+    with pytest.raises(error, match=message):
+        _cubature(f, [UncertainQuantity(0.0, 1.0)])

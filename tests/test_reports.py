@@ -7,7 +7,6 @@ from cavitycharge.reports import (
     BUDGET_ROWS,
     BUDGET_TARGETS,
     EXPECTED_DOCUMENTED,
-    KAPPA_ROWS,
     ROWS,
     ReportRow,
     budget_report,
@@ -33,8 +32,8 @@ def test_manifest_covers_every_computer():
 
 def test_every_manifest_row_is_in_exactly_one_table():
     ids = [spec["id"] for spec in load_manifest()]
-    assert sorted(ids) == sorted([*BUDGET_ROWS, *KAPPA_ROWS, *ROWS])
-    assert (len(BUDGET_ROWS), len(KAPPA_ROWS), len(ROWS)) == (19, 5, 17)
+    assert sorted(ids) == sorted([*BUDGET_ROWS, *ROWS])
+    assert (len(BUDGET_ROWS), len(ROWS)) == (19, 22)
 
 
 def test_one_film_thickness_feeds_the_extinction_and_the_resistance_rows(rows):
@@ -43,10 +42,10 @@ def test_one_film_thickness_feeds_the_extinction_and_the_resistance_rows(rows):
     scn = bundled_scenario()
     thick = scn._replace(film=scn.film._replace(thickness_m=2 * scn.film.thickness_m))
     doubled = {row.row_id: row.computed for row in build_report(thick)}
+    film_rows = [row_id for row_id in ROWS if row_id.startswith("kappa_")] + ["film_resistance"]
     halved = [row.row_id for row in rows
-              if row.row_id in (*KAPPA_ROWS, "film_resistance")
-              and doubled[row.row_id] == row.computed / 2]
-    assert halved == [*KAPPA_ROWS, "film_resistance"]
+              if row.row_id in film_rows and doubled[row.row_id] == row.computed / 2]
+    assert halved == film_rows
 
 
 def test_no_undocumented_mismatch(rows):
@@ -108,8 +107,8 @@ def test_seed_changes_only_monte_carlo_sigmas(rows):
     for r0, r1 in zip(rows, other):
         assert r0.row_id == r1.row_id
         assert r0.status == r1.status
-        if not r0.row_id.startswith(("kappa_", "finesse_mc")):
-            assert r0.computed == r1.computed
+        if r0.row_id != "finesse_mc_linear_sigma":
+            assert r0 == r1
 
 
 def test_render_text_structure(rows):
