@@ -27,7 +27,8 @@ The excess loss is formed without cancellation: with u = 1 - r, which
 the inversion computes directly, r0 - r1 = (u01 - u00)(2 - u00 - u01)/r0
 for u01 = 1 - r0(F01), and kappa takes log1p(-(r0 - r1)(r0 + r1)).
 extinction_from_finesse's central value and its Gauss-Hermite sigma
-evaluate this one chain.
+evaluate this one chain. extinction_from_reflectivities, given r0 and r1
+themselves, takes the same log1p: r0 - r1 is exact for nearby r0, r1.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, ParameterError
 from .quantities import (
-    _GH_NODES, UncertainQuantity, _cubature, as_quantity, checked, is_real_number, positive,
-    propagate_linear,
+    UncertainQuantity, _cubature, _positive_at_nodes, as_quantity, checked, is_real_number,
+    positive, propagate_linear,
 )
 
 __all__ = [
@@ -120,10 +121,11 @@ def extinction_from_reflectivities(
     """kappa from the bare/modified reflectivity pair (double-pass path 2h)."""
     positive("film thickness", thickness_m)
     positive("wavelength", wavelength_m)
-    arg = 1.0 - r0**2 + r1**2
-    if arg <= 0:
-        raise DomainError(f"log argument 1 - r0^2 + r1^2 = {arg} is non-positive")
-    return -(wavelength_m / (8.0 * math.pi * thickness_m)) * math.log(arg)
+    # r0 - r1 is exact for r1/2 <= r0 <= 2 r1 (Sterbenz): no cancellation
+    loss = (r0 - r1) * (r0 + r1)
+    if loss >= 1:
+        raise DomainError(f"log argument 1 - r0^2 + r1^2 = {1.0 - loss} is non-positive")
+    return -(wavelength_m / (8.0 * math.pi * thickness_m)) * math.log1p(-loss)
 
 
 def _kappa(wavelength_m, f00, f01, h):
@@ -152,14 +154,8 @@ def extinction_from_finesse(f00, f01, thickness, wavelength_m: float) -> Uncerta
     DomainError naming it: the chain has no value there.
     """
     positive("wavelength", wavelength_m)
-    inputs = []
-    for name, x in (("finesse F00", f00), ("finesse F01", f01), ("film thickness", thickness)):
-        q = as_quantity(positive(name, x))
-        lowest = q.value - q.sigma * _GH_NODES[-1]
-        if lowest <= 0:
-            raise DomainError(f"{name} = {q} is {lowest:g} <= 0 at its lowest cubature node, "
-                              f"value - {_GH_NODES[-1]:.5g} sigma")
-        inputs.append(q)
+    inputs = [_positive_at_nodes(name, x) for name, x in (
+        ("finesse F00", f00), ("finesse F01", f01), ("film thickness", thickness))]
     q00, q01, h = inputs
     if q01.value > q00.value:
         warnings.warn(

@@ -9,7 +9,8 @@ Subcommands::
 Exit codes: 0 success, 1 acceptance failure, 2 input error, 3 internal
 error (a fault in the toolkit, reported in one line; `toolkit --debug`
 shows its traceback). The environment variable TOOLKIT_SEED, an integer
->= 0, overrides the scenario seed.
+>= 0, overrides the scenario seed; reproduce-paper checks it, but its
+report draws no random numbers, so no row depends on it.
 
 Each subcommand imports only what it runs. This module loads `errors` and
 `quantities`, neither of which imports NumPy; fit-ringdown imports

@@ -11,7 +11,8 @@ deviation uncertainty. Three propagation engines are provided:
   input and report the sample mean and standard deviation of f.
 * _cubature -- the mean and standard deviation of f over independent
   normal inputs by tensor-product Gauss-Hermite cubature, 8 nodes per
-  input: no draws, no seed. The report's film-extinction sigmas use it.
+  input: no draws, no seed. The report's film-extinction sigmas and its
+  finesse sigma use it; _positive_at_nodes is the domain rule of both.
 
 propagate_monte_carlo keeps its working set between calls: the standard
 normals of the last seed and its full-length arrays (_StandardNormals).
@@ -49,7 +50,7 @@ import sys
 import warnings
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import EvaluationError, ParameterError, ToolkitError
+from .errors import DomainError, EvaluationError, ParameterError, ToolkitError
 
 __all__ = [
     "UncertainQuantity",
@@ -376,12 +377,17 @@ def _normals(seed: int, sample_count: int, n_inputs: int) -> list:
     call with this seed and sample_count, until a call with another seed
     refills them; ParameterError for a seed that is not an int >= 0 or a
     sample_count that is not an int >= MIN_MC_SAMPLES (a bool is neither)."""
-    for name, value, least in (("sample_count", sample_count, MIN_MC_SAMPLES), ("seed", seed, 0)):
-        # a NumPy integer is an Integral; a bool is one too, but not a count
-        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-                and value >= least):
-            raise ParameterError(f"{name} must be an int >= {least}, got {value!r}")
+    _check_count("sample_count", sample_count, MIN_MC_SAMPLES)
+    _check_count("seed", seed, 0)
     return _standard_normals(seed, sample_count, n_inputs)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """ParameterError unless value is an int >= least."""
+    # a NumPy integer is an Integral; a bool is one too, but not a count
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least):
+        raise ParameterError(f"{name} must be an int >= {least}, got {value!r}")
 
 
 def _blocks(sample_count: int):
@@ -486,3 +492,16 @@ def _cubature(f: Callable[..., float], inputs: Sequence[UncertainQuantity]) -> U
         if not math.isfinite(value):
             raise EvaluationError(f"the weighted {name} over {n} cubature nodes overflows")
     return UncertainQuantity(float(mean), math.sqrt(variance))
+
+
+def _positive_at_nodes(name: str, x) -> UncertainQuantity:
+    """x as an UncertainQuantity when it is positive (else ParameterError,
+    as in positive) and still > 0 at its lowest cubature node, value -
+    4.1445 sigma; else DomainError naming it: a chain of 1/x or log x has
+    no value there, so _cubature would sum values past its pole."""
+    q = as_quantity(positive(name, x))
+    lowest = q.value - q.sigma * _GH_NODES[-1]
+    if lowest <= 0:
+        raise DomainError(f"{name} = {q} is {lowest:g} <= 0 at its lowest cubature node, "
+                          f"value - {_GH_NODES[-1]:.5g} sigma")
+    return q

@@ -37,10 +37,16 @@ Three discrepancies are expected and documented:
 Rows come from two tables. BUDGET_ROWS maps a row id to the budget
 target and row it reads through ``budgets.budget_rows``, so a budget
 number has one code path whether ``reproduce-paper`` or ``budget`` prints
-it; ROWS maps every other row id to f(scn, seed, **manifest inputs). A
+it; ROWS maps every other row id to f(scn, **manifest inputs). A
 row is finite or build_report raises a ToolkitError that names its row id
 or budget target. ``budget_report`` and ``SWEEP_POINTS`` live in
 ``budgets`` and are re-exported here.
+
+The report draws no random numbers: its non-linear sigmas (the five film
+extinctions and the finesse sigma that finesse_mc_linear_sigma compares
+with its linear sigma) come from Gauss-Hermite cubature, so no row
+depends on a seed. The cubature's check by Monte Carlo (JCGM 101:2008
+section 8) is a test, not a report row.
 """
 
 from __future__ import annotations
@@ -52,7 +58,9 @@ from typing import NamedTuple, Optional
 from . import BUDGET_TARGETS, cavity_optics, charging, electrostatics, ion_impact, rydberg_impact
 from .budgets import SWEEP_POINTS, budget_report, budget_rows
 from .errors import ParameterError
-from .quantities import UncertainQuantity, finite_evaluation, propagate_monte_carlo
+from .quantities import (
+    UncertainQuantity, _check_count, _cubature, _positive_at_nodes, finite_evaluation,
+)
 from .ringdown import finesse, fsr_from_length
 from .scenario import Scenario, parse_scenario
 
@@ -205,7 +213,7 @@ def _fsr(scn: Scenario) -> UncertainQuantity:
     return UncertainQuantity(fsr_from_length(c.length_m), 0.0)
 
 
-def _fsr_from_length(scn: Scenario, seed: int) -> float:
+def _fsr_from_length(scn: Scenario) -> float:
     return fsr_from_length(scn._require("cavity", "length_m"))
 
 
@@ -218,19 +226,30 @@ def _linewidth(scn: Scenario) -> UncertainQuantity:
     return UncertainQuantity(scn._require("cavity", "linewidth_hz"), scn.cavity.linewidth_sigma_hz)
 
 
-def _finesse(scn: Scenario, seed: int) -> UncertainQuantity:
+def _finesse(scn: Scenario) -> UncertainQuantity:
     return finesse(_linewidth(scn), _fsr(scn))
 
 
-def _finesse_mc_over_linear_sigma(scn: Scenario, seed: int) -> float:
-    mc = propagate_monte_carlo(
-        lambda d, f: f / d, [_linewidth(scn), _fsr(scn)],
-        sample_count=scn.mc_samples, seed=seed,
-    )
-    return mc.sigma / _finesse(scn, seed).sigma
+def _over(d, f):
+    return f / d
 
 
-def _kappa(scn: Scenario, seed: int, f01: float, f01_sigma: float) -> UncertainQuantity:
+def _finesse_sigma_ratio(scn: Scenario) -> float:
+    """The ratio of the sigma of F = FSR/linewidth, over independent normal
+    linewidth and FSR, to the finesse row's linear sigma, that sigma by
+    8x8-node Gauss-Hermite cubature (quantities._cubature). Strictly, f/d
+    over a normal d has no finite variance, since d <= 0 has a positive
+    probability; the sigma is that of f/d within the nodes' span, value
+    +/- 4.1445 sigma, which is what a Monte Carlo sees while d <= 0 lies
+    many sigma away. A linewidth or FSR at or below 0 at its lowest node
+    is a DomainError naming it: f/d has a pole there.
+    """
+    inputs = [_positive_at_nodes("linewidth", _linewidth(scn)),
+              _positive_at_nodes("FSR", _fsr(scn))]
+    return _cubature(_over, inputs).sigma / _finesse(scn).sigma
+
+
+def _kappa(scn: Scenario, f01: float, f01_sigma: float) -> UncertainQuantity:
     """The film extinction of one coated-mirror finesse against the
     scenario's [cavity] F00 and [film] thickness."""
     return cavity_optics.extinction_from_finesse(
@@ -239,7 +258,7 @@ def _kappa(scn: Scenario, seed: int, f01: float, f01_sigma: float) -> UncertainQ
     )
 
 
-def _resonant_transmission(scn: Scenario, seed: int, vendor_transmission: float) -> float:
+def _resonant_transmission(scn: Scenario, vendor_transmission: float) -> float:
     r0 = cavity_optics.r0_from_symmetric_finesse(_f00(scn)).value
     mirror = cavity_optics.MirrorState(r0, vendor_transmission)
     return cavity_optics.resonant_response(mirror, mirror)["transmission"]
@@ -251,57 +270,57 @@ def _single_charge(scn: Scenario, q1_e: float):
     return s, ion_impact.equilibrium_position(scn._require("trap"), s)
 
 
-def _field(scn: Scenario, seed: int, q1_e: float) -> float:
+def _field(scn: Scenario, q1_e: float) -> float:
     return electrostatics.single_charge_field(q1_e, scn._require("charges").xq_m)
 
 
-def _blockade_infidelity(scn: Scenario, seed: int, q1_e: float) -> float:
+def _blockade_infidelity(scn: Scenario, q1_e: float) -> float:
     rydberg = scn._require("rydberg")
-    shift = rydberg_impact.stark_shift(rydberg, _field(scn, seed, q1_e))
+    shift = rydberg_impact.stark_shift(rydberg, _field(scn, q1_e))
     return rydberg_impact.blockade_infidelity(rydberg, shift)
 
 
-def _transport(scn: Scenario, seed: int, hall_resistivity_ohm_m: float,
+def _transport(scn: Scenario, hall_resistivity_ohm_m: float,
                carrier_density_per_m3: float, mobility_m2_per_vs: float) -> float:
     return charging.transport_consistency(
         hall_resistivity_ohm_m, carrier_density_per_m3, mobility_m2_per_vs
     ).predicted_resistivity_ohm_m
 
 
-# every other row: row id -> f(scn, seed, **manifest inputs), a float or an
+# every other row: row id -> f(scn, **manifest inputs), a float or an
 # UncertainQuantity
 ROWS = {
     "fsr_from_length": _fsr_from_length,
     "finesse_from_linewidth": _finesse,
-    "finesse_mc_linear_sigma": _finesse_mc_over_linear_sigma,
+    "finesse_mc_linear_sigma": _finesse_sigma_ratio,
     **dict.fromkeys(
         ("kappa_zno_27d", "kappa_zno_69d", "kappa_zno_128d", "kappa_ann_69d", "kappa_ann_128d"),
         _kappa,
     ),
     **dict.fromkeys(
         ("refl_var_69d", "refl_var_128d"),
-        lambda scn, seed, f01, f01_sigma: cavity_optics.excess_reflection_loss(
+        lambda scn, f01, f01_sigma: cavity_optics.excess_reflection_loss(
             _f00(scn), UncertainQuantity(f01, f01_sigma)
         ),
     ),
     "resonant_transmission": _resonant_transmission,
-    "disc_u_ratio": lambda scn, seed, radius_m, distance_m: (
+    "disc_u_ratio": lambda scn, radius_m, distance_m: (
         electrostatics.disc_point_ratios(radius_m, distance_m)["u_ratio"]
     ),
-    "disc_e_ratio": lambda scn, seed, radius_m, distance_m: (
+    "disc_e_ratio": lambda scn, radius_m, distance_m: (
         electrostatics.disc_point_ratios(radius_m, distance_m)["e_ratio"]
     ),
-    "coupling_displacement": lambda scn, seed, q1_e: _single_charge(scn, q1_e)[1],
-    "coupling_field": lambda scn, seed, q1_e: electrostatics.field_at(
+    "coupling_displacement": lambda scn, q1_e: _single_charge(scn, q1_e)[1],
+    "coupling_field": lambda scn, q1_e: electrostatics.field_at(
         *_single_charge(scn, q1_e)
     ),
-    "zero_point_spread": lambda scn, seed: ion_impact.zero_point_spread(scn._require("trap")),
+    "zero_point_spread": lambda scn: ion_impact.zero_point_spread(scn._require("trap")),
     "rydberg_field_54e": _field,
-    "stark_shift_ref_field": lambda scn, seed, field_v_per_m: rydberg_impact.stark_shift(
+    "stark_shift_ref_field": lambda scn, field_v_per_m: rydberg_impact.stark_shift(
         scn._require("rydberg"), field_v_per_m
     ),
-    "coherence_time_54e": lambda scn, seed, q1_e: rydberg_impact.decoherence_time(
-        scn._require("rydberg"), _field(scn, seed, q1_e)
+    "coherence_time_54e": lambda scn, q1_e: rydberg_impact.decoherence_time(
+        scn._require("rydberg"), _field(scn, q1_e)
     ),
     "blockade_infidelity_140e": _blockade_infidelity,
     "transport_zno1": _transport,
@@ -314,6 +333,12 @@ def build_report(
 ) -> list[ReportRow]:
     """Compute every row of the reference-reproduction report.
 
+    The report draws no random numbers: every sigma comes from linear
+    propagation or Gauss-Hermite cubature, so no row reads seed. A seed
+    given is still checked, ParameterError unless it is an int >= 0, as
+    propagate_monte_carlo checks one, so a seeded caller's bad seed is
+    refused rather than dropped.
+
     A row in BUDGET_ROWS reads its value from budgets.budget_rows, one call
     per (target, manifest inputs); every other row runs its ROWS entry
     under quantities.finite_evaluation. Either way a row is finite or the
@@ -321,8 +346,9 @@ def build_report(
     zero or a non-finite value, its message starting with "row <id>: " or
     "target <target>: ".
     """
+    if seed is not None:
+        _check_count("seed", seed, 0)
     scn = bundled_scenario() if scn is None else scn
-    seed = scn.seed if seed is None else seed
     manifest = load_manifest()
     budgets = {}
     rows = []
@@ -337,7 +363,7 @@ def build_report(
             computed = budgets[key][name]
         else:
             with finite_evaluation(f"row {row_id}") as check:
-                computed = check(row_id, ROWS[row_id](scn, seed, **inputs))
+                computed = check(row_id, ROWS[row_id](scn, **inputs))
         rows.append(_make_row(spec, computed))
     return rows
 

@@ -133,6 +133,10 @@ REPORT_OUT_OF_RANGE = [
     # F00 = 23340 +/- 5e4 is <= 0 at its lowest cubature node: the first
     # kappa row fails, naming F00
     ("f00_sigma", "5e4", DomainError, "row kappa_zno_27d: finesse F00 = "),
+    # linewidth = 523 +/- 200 kHz is <= 0 at its lowest node: the finesse
+    # sigma row printed a ratio of 243, a MISMATCH past the pole of FSR/linewidth
+    ("linewidth_sigma_hz", "2e5", DomainError,
+     "row finesse_mc_linear_sigma: linewidth = 523000 +/- 200000 is "),
 ]
 
 
@@ -148,3 +152,15 @@ def test_out_of_range_report_raises_one_toolkit_error(key, value, error, start):
     assert message.startswith(start) and "\n" not in message
     if "Error: " in start:
         assert isinstance(info.value.__cause__, ArithmeticError)
+
+
+def test_linewidth_at_or_below_zero_at_its_lowest_node_exits_2(monkeypatch, capsys):
+    # an input error, where the report used to exit 1 on an acceptance failure
+    text = _with("linewidth_sigma_hz", "2e5")
+    monkeypatch.setattr("cavitycharge.reports.bundled_scenario_text", lambda: text)
+    assert main(["reproduce-paper"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "toolkit reproduce-paper: row finesse_mc_linear_sigma: linewidth = 523000 +/- 200000 is ")
+    assert captured.err.count("\n") == 1

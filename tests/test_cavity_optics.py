@@ -400,6 +400,22 @@ def test_extinction_without_cancellation_against_mpmath():
         assert abs(exact_kappa(F00, 23339.0) / exact - 1) <= 1e-11
 
 
+@pytest.mark.parametrize("f01", [14160.0, 22120.0, 23339.0])
+def test_extinction_from_reflectivities_against_mpmath(f01):
+    # kappa of the given floats r0, r1; the loss r0^2 - r1^2 is formed as
+    # (r0 - r1)(r0 + r1), r0 - r1 exact, where 1 - r0^2 + r1^2 lost up to
+    # 3.3e-9 (at F01 = 23339)
+    r0 = float(cavity_optics._r0(F00))
+    r1 = float(cavity_optics._r1(f01, r0))
+    kappa = extinction_from_reflectivities(r0, r1, THICKNESS, WAVELENGTH)
+    with mpmath.workdps(60):
+        r0_mp, r1_mp = mpmath.mpf(r0), mpmath.mpf(r1)
+        exact = -(mpmath.mpf(WAVELENGTH) / (8 * mpmath.pi * mpmath.mpf(THICKNESS))) * mpmath.log(
+            1 - r0_mp**2 + r1_mp**2
+        )
+        assert abs(kappa / exact - 1) <= 4e-15
+
+
 def test_first_order_expansion_identity():
     # kappa ~ (lambda/(4h)) (1/F01 - 1/F00): within 0.1% once both
     # finesses clear ~4e3; still within 0.3% down to 1e3

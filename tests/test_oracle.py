@@ -1,13 +1,18 @@
-"""Byte-for-byte oracle: the reproduction CSV, the budget rows and sweeps.
+"""Byte-for-byte oracle: the reproduction CSVs, the budget rows and sweeps.
 
 The files under tests/data/ were written by `toolkit reproduce-paper --out`
-with TOOLKIT_SEED=12345 and by `toolkit budget --scenario paper_yb.scenario`
-for each target (every stdout line but the last). The reproduction CSV was
-last regenerated when the five film-extinction rows took their sigma from
-Gauss-Hermite cubature instead of a Monte Carlo, and their excess loss
-without cancellation: their computed values moved by at most 5.6e-12
-relative. The budget files were last regenerated when the cooling budget's
-bisection in the modulation index gave way to an exact root by Newton's
+(reproduce_paper.csv, the same under any TOOLKIT_SEED or none) and by
+`toolkit budget --scenario paper_yb.scenario` for each target (every
+stdout line but the last). reproduce_paper.csv was written when the
+finesse-sigma row took its sigma from Gauss-Hermite cubature instead of a
+seeded Monte Carlo, so the report draws no random numbers; it replaced
+reproduce_paper_seed12345.csv, the TOOLKIT_SEED=12345 output, from which
+it differs only in that row's label, computed, relative_deviation and
+note cells. That pin was last regenerated before then when the five
+film-extinction rows took their sigma from cubature instead of a Monte
+Carlo, and their excess loss without cancellation: their computed values
+moved by at most 5.6e-12 relative. The budget files were last
+regenerated when the cooling budget's bisection in the modulation index gave way to an exact root by Newton's
 method: the three cooling rows and the cooling sweep moved by about 1.4e-7
 relative. budget_sweeps_paper_yb.sha256 holds the sha256 of each
 target's default sweep CSV, as written when every sweep was one array call.
@@ -39,11 +44,16 @@ def _sweep_hashes(directory: Path) -> dict:
 
 
 def test_reproduce_paper_csv_is_byte_identical(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TOOLKIT_SEED", "12345")
-    out = tmp_path / "report.csv"
-    assert main(["reproduce-paper", "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert out.read_bytes() == (DATA / "reproduce_paper_seed12345.csv").read_bytes()
+    # the same bytes under any seed: the report draws no random numbers
+    for seed in (None, "0", "12345"):
+        if seed is None:
+            monkeypatch.delenv("TOOLKIT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("TOOLKIT_SEED", seed)
+        out = tmp_path / f"report_{seed}.csv"
+        assert main(["reproduce-paper", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (DATA / "reproduce_paper.csv").read_bytes(), seed
 
 
 def test_budget_rows_are_byte_identical(tmp_path, capsys):

@@ -364,33 +364,33 @@ def test_constants_are_frozen_and_consistent():
         CODATA.e = 1.0
 
 
-def test_new_seed_report_draws_each_row_of_normals_once():
-    build_report(seed=5)
-    before = _standard_normals.cache_info().normals_drawn
-    build_report(seed=6)
+def test_new_seed_monte_carlo_draws_each_row_of_normals_once():
     mc_samples = bundled_scenario().mc_samples
-    # the report's one Monte-Carlo call, the 2-input ratio
+    propagate_monte_carlo(ratio, [LINEWIDTH, FSR], mc_samples, seed=5)
+    before = _standard_normals.cache_info().normals_drawn
+    propagate_monte_carlo(ratio, [LINEWIDTH, FSR], mc_samples, seed=6)
+    # one row of normals per input
     assert _standard_normals.cache_info().normals_drawn - before == 2 * mc_samples
-    build_report(seed=6)
+    propagate_monte_carlo(ratio, [LINEWIDTH, FSR], mc_samples, seed=6)
     assert _standard_normals.cache_info().normals_drawn - before == 2 * mc_samples
 
 
-def test_warm_new_seed_report_faults_in_no_fresh_pages():
+def test_warm_new_seed_monte_carlo_faults_in_no_fresh_pages():
     pytest.importorskip("resource")
     if not sys.platform.startswith("linux"):
         pytest.skip("ru_minflt counts minor page faults on Linux")
-    # a fresh interpreter: how many pages a report faults in depends on what
+    # a fresh interpreter: how many pages a call faults in depends on what
     # the process allocated before, which here would be the other tests
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, str(root / "scripts" / "report_faults.py"), "--reports", "10"],
+        [sys.executable, str(root / "scripts" / "mc_faults.py"), "--calls", "10"],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     ).stdout
-    # 3 warm-up reports, then 10 on new seeds; about 1,600 each when every
-    # Monte-Carlo call freed its full-length arrays and faulted them in again
-    assert json.loads(out)["minor_faults_per_report"] < 100
+    # 3 warm-up calls of the 1e5-draw finesse ratio, then 10 on new seeds; about
+    # 600 each when every call dropped its kept arrays and faulted them in again
+    assert json.loads(out)["minor_faults_per_call"] < 100
 
 
 def _mc_results(seed, sample_count):
