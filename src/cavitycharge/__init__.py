@@ -44,12 +44,12 @@ _EXPORTS = {
     name: module
     for module, names in {
         "quantities": (
-            "CODATA", "Constants", "UncertainQuantity", "propagate_linear",
-            "propagate_monte_carlo",
+            "CODATA", "Constants", "UncertainQuantity", "finesse", "fsr_from_length",
+            "propagate_linear", "propagate_monte_carlo",
         ),
         "ringdown": (
-            "RingdownFit", "RingdownTrace", "finesse", "fit_ringdown",
-            "fsr_from_length", "load_trace_csv", "pool_linewidths", "synthesize_trace",
+            "RingdownFit", "RingdownTrace", "fit_ringdown", "load_trace_csv",
+            "pool_linewidths", "synthesize_trace",
         ),
         "cavity_optics": (
             "MirrorState", "excess_reflection_loss", "extinction_from_finesse",

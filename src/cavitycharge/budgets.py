@@ -11,9 +11,9 @@ returned is finite; numerics that overflow, divide by zero or end
 non-finite raise EvaluationError, and any toolkit error raised while a
 target is evaluated starts with "target T: ".
 
-The sweep is evaluated with NumPy when it is already loaded (library
-callers, the reproduction report): one array call on the grid. Otherwise
-(a ``budget`` command) the figure of merit is called on each grid point,
+The sweep is evaluated with NumPy when it is already loaded (a library
+caller that has imported it): one array call on the grid. Otherwise (a
+``budget`` command) the figure of merit is called on each grid point,
 a float, and NumPy is never imported. Both give the same bits.
 
 The options (intensity_floor, modulation_limit, displacement_m, tau_pi_s,

@@ -15,7 +15,8 @@ report draws no random numbers, so no row depends on it.
 Each subcommand imports only what it runs. This module loads `errors` and
 `quantities`, neither of which imports NumPy; fit-ringdown imports
 `ringdown`, reproduce-paper `reports`, and budget `budgets` and
-`scenario`, when they run. No budget target loads NumPy.
+`scenario`, when they run. Only fit-ringdown loads NumPy: the report's
+cubature runs on floats, and no budget target loads it.
 
 fit-ringdown may fit its traces in forked worker processes. It forks only
 when the process runs one OS thread (counted in /proc/self/task; where that

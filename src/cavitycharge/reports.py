@@ -59,9 +59,9 @@ from . import BUDGET_TARGETS, cavity_optics, charging, electrostatics, ion_impac
 from .budgets import SWEEP_POINTS, budget_report, budget_rows
 from .errors import ParameterError
 from .quantities import (
-    UncertainQuantity, _check_count, _cubature, _positive_at_nodes, finite_evaluation,
+    UncertainQuantity, _check_count, _cubature, _positive_at_nodes, finesse, finite_evaluation,
+    fsr_from_length,
 )
-from .ringdown import finesse, fsr_from_length
 from .scenario import Scenario, parse_scenario
 
 __all__ = [

@@ -35,8 +35,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import FitError, ParameterError
+# finesse and fsr_from_length live in quantities, which the report reaches without
+# this module (and NumPy); they are re-exported here
 from .quantities import (
-    CODATA, UncertainQuantity, as_quantity, checked, nonnegative, positive, propagate_linear,
+    UncertainQuantity, checked, finesse, fsr_from_length, nonnegative, positive,
 )
 
 __all__ = [
@@ -290,18 +292,6 @@ def pool_linewidths(fits: Sequence[RingdownFit]) -> UncertainQuantity:
         float(np.sum(w * values) / np.sum(w)),
         float(1.0 / math.sqrt(np.sum(w))),
     )
-
-
-def finesse(linewidth, fsr) -> UncertainQuantity:
-    """Finesse = FSR / linewidth with linear uncertainty propagation."""
-    lw = as_quantity(positive("linewidth", linewidth))
-    nu = as_quantity(positive("FSR", fsr))
-    return propagate_linear(lambda d, f: f / d, [lw, nu])
-
-
-def fsr_from_length(d_m: float) -> float:
-    """Free spectral range c/(2d) of a two-mirror cavity of length d."""
-    return CODATA.c / (2.0 * positive("cavity length", d_m))
 
 
 _CSV_COLUMNS = {

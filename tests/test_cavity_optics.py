@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import warnings
 
@@ -23,7 +24,8 @@ from cavitycharge.errors import (
     ConsistencyError, DomainError, EvaluationError, ParameterError, ToolkitError,
 )
 from cavitycharge.quantities import (
-    UncertainQuantity, _standard_normals, propagate_linear, propagate_monte_carlo,
+    _GH_NODES, _GH_WEIGHTS, UncertainQuantity, _standard_normals, propagate_linear,
+    propagate_monte_carlo,
 )
 
 mpmath.mp.dps = 50
@@ -196,9 +198,8 @@ def test_extinction_cubature_sigma_is_within_two_standard_errors_of_monte_carlo(
     # Monte Carlo of the same chain; the standard error of a sample sigma s
     # from n draws is s/2 sqrt(2/(n-1) + (m4/s^4 - 3)/n), with the sample's
     # fourth central moment m4 from the same draws (common random numbers)
-    inputs = [UncertainQuantity(F00, 60.0), UncertainQuantity(*FINESSE_TABLE[key]),
-              UncertainQuantity(THICKNESS, 2e-9)]
-    kappa = functools.partial(cavity_optics._kappa, WAVELENGTH)
+    inputs = _report_inputs(key)
+    kappa = functools.partial(_kappa_on_arrays, WAVELENGTH)
     n = 1_000_000
     try:
         mc = propagate_monte_carlo(kappa, inputs, n, seed)
@@ -208,6 +209,69 @@ def test_extinction_cubature_sigma_is_within_two_standard_errors_of_monte_carlo(
     standard_error = 0.5 * mc.sigma * math.sqrt(2.0 / (n - 1) + (m4 / mc.sigma**4 - 3.0) / n)
     cubature = extinction_from_finesse(*inputs, WAVELENGTH)
     assert abs(cubature.sigma - mc.sigma) <= 2.0 * standard_error
+
+
+def _report_inputs(key):
+    """F00, F01 and h of the report's film-extinction row of one table entry."""
+    return [UncertainQuantity(F00, 60.0), UncertainQuantity(*FINESSE_TABLE[key]),
+            UncertainQuantity(THICKNESS, 2e-9)]
+
+
+def _kappa_on_arrays(wavelength_m, f00, f01, h):
+    """cavity_optics._kappa's chain on NumPy arrays of draws, for the Monte Carlo."""
+    def u(f):
+        return 2.0 * math.pi / (2.0 * f + math.pi + np.sqrt(4.0 * f**2 + math.pi**2))
+
+    u00, u01 = u(f00), u(f01)
+    r0 = 1.0 - u00
+    r1 = (1.0 - u01) ** 2 / r0
+    loss = (u01 - u00) * (2.0 - u00 - u01) / r0 * (r0 + r1)
+    return -wavelength_m / (8.0 * math.pi * h) * np.log1p(-loss)
+
+
+def _full_grid(inputs):
+    """(weight, point) at each node of the unfactored tensor grid of inputs:
+    8 Gauss-Hermite nodes per input with sigma > 0, its value alone else."""
+    axes = [[(w, q.value + q.sigma * x) for x, w in zip(_GH_NODES, _GH_WEIGHTS)]
+            if q.sigma else [(1.0, q.value)] for q in inputs]
+    return [(math.prod(w for w, _ in node), [x for _, x in node])
+            for node in itertools.product(*axes)]
+
+
+@pytest.mark.parametrize("key", FINESSE_TABLE)
+def test_array_chain_is_the_library_chain_at_the_cubature_nodes(key):
+    # the Monte Carlo above draws through _kappa_on_arrays; it checks the
+    # library's chain only while the two agree
+    grid = _full_grid(_report_inputs(key))
+    on_arrays = _kappa_on_arrays(WAVELENGTH, *np.array([point for _, point in grid]).T)
+    library = [cavity_optics._kappa(WAVELENGTH, *point) for _, point in grid]
+    assert len(grid) == 512
+    np.testing.assert_allclose(on_arrays, library, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("f00, f01, h", [
+    *([UncertainQuantity(F00, 60.0), UncertainQuantity(*pair), UncertainQuantity(THICKNESS, 2e-9)]
+      for pair in FINESSE_TABLE.values()),
+    [UncertainQuantity(F00, 60.0), UncertainQuantity(F00 * 1.05, 300.0),
+     UncertainQuantity(THICKNESS, 2e-9)],
+    [UncertainQuantity(F00, 60.0), UncertainQuantity(14160.0, 250.0),
+     UncertainQuantity(THICKNESS, 0.0)],
+], ids=[*FINESSE_TABLE, "f01-above-f00", "exact-thickness"])
+def test_factored_extinction_sigma_is_the_full_tensor_sigma(f00, f01, h):
+    # kappa's sigma from its factors' 64 + 8 nodes against the two weighted
+    # sums over all 512 (64 for an exact h), each by math.fsum
+    grid = _full_grid([f00, f01, h])
+    values = [cavity_optics._kappa(WAVELENGTH, *point) for _, point in grid]
+    mean = math.fsum(w * v for (w, _), v in zip(grid, values))
+    sigma = math.sqrt(math.fsum(w * (v - mean) ** 2 for (w, _), v in zip(grid, values)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kappa = extinction_from_finesse(f00, f01, h, WAVELENGTH)
+    negative = f01.value > f00.value
+    assert [w.category for w in caught] == [NegativeExtinctionWarning] * negative
+    assert (kappa.value < 0) == negative
+    assert len(grid) == (512 if h.sigma else 64)
+    assert abs(kappa.sigma / sigma - 1.0) <= 1e-13
 
 
 def _kappa_draws(wavelength_m):

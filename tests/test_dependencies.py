@@ -22,11 +22,14 @@ from cavitycharge.quantities import CODATA
 # and the functions only tests called (finesse_from_reflectivities,
 # sheet_pair_field, potential_exact, potential_quadratic) and the film optics
 # that no command, report row or demo reached (ComplexIndex, DrudeModel,
-# drude_from_transport, lambda_cubed_ratio, power_attenuation)
+# drude_from_transport, lambda_cubed_ratio, power_attenuation); finesse and
+# fsr_from_length moved from ringdown to quantities, which the report reaches
+# without NumPy, and ringdown re-exports them
 OLD_EXPORTS = {
-    "quantities": "CODATA Constants UncertainQuantity propagate_linear propagate_monte_carlo",
-    "ringdown": "RingdownFit RingdownTrace finesse fit_ringdown fsr_from_length "
-                "load_trace_csv pool_linewidths synthesize_trace",
+    "quantities": "CODATA Constants UncertainQuantity finesse fsr_from_length "
+                  "propagate_linear propagate_monte_carlo",
+    "ringdown": "RingdownFit RingdownTrace fit_ringdown load_trace_csv pool_linewidths "
+                "synthesize_trace",
     "cavity_optics": "MirrorState excess_reflection_loss extinction_from_finesse "
                      "r0_from_symmetric_finesse r1_from_asymmetric_finesse resonant_response",
     "film_optics": "drude_index",
@@ -163,9 +166,10 @@ def test_fit_ringdown_loads_only_cli_errors_quantities_and_ringdown(large_traces
 
 
 # the cavitycharge submodules `reproduce-paper` loads: every one but film_optics
+# and ringdown
 REPRODUCE_PAPER_PATH = {
     "budgets", "cavity_optics", "charging", "cli", "electrostatics", "errors", "ion_impact",
-    "quantities", "reports", "ringdown", "rydberg_impact", "scenario",
+    "quantities", "reports", "rydberg_impact", "scenario",
 }
 
 
@@ -266,6 +270,22 @@ def test_budget_commands_load_no_numpy(target, tmp_path):
     assert code == 0
     assert "numpy" not in mods
     assert "cavitycharge.ringdown" not in mods
+
+
+def test_report_path_loads_no_numpy(tmp_path):
+    code, mods = _loaded_by(["reproduce-paper"], tmp_path)
+    assert code == 0
+    assert not {"numpy", "cavitycharge.ringdown"} & set(mods)
+    for statement in ("import cavitycharge.reports",
+                      "from cavitycharge import finesse, fsr_from_length, extinction_from_finesse"):
+        probe = f"import sys; {statement}; print(sorted(sys.modules))"
+        assert not {"numpy", "cavitycharge.ringdown"} & set(ast.literal_eval(_probe(probe)))
+    # ringdown re-exports the two functions it no longer defines
+    same = ast.literal_eval(_probe(
+        "from cavitycharge import finesse, fsr_from_length, ringdown, quantities; "
+        "print([ringdown.finesse is finesse is quantities.finesse, "
+        "ringdown.fsr_from_length is fsr_from_length is quantities.fsr_from_length])"))
+    assert same == [True, True]
 
 
 def test_drude_index_loads_no_numpy():

@@ -8,7 +8,11 @@ finesse-sigma row took its sigma from Gauss-Hermite cubature instead of a
 seeded Monte Carlo, so the report draws no random numbers; it replaced
 reproduce_paper_seed12345.csv, the TOOLKIT_SEED=12345 output, from which
 it differs only in that row's label, computed, relative_deviation and
-note cells. That pin was last regenerated before then when the five
+note cells. It was regenerated when the cubature summed on floats by
+math.fsum and took each film extinction's sigma from its two independent
+factors: two sigma cells moved, kappa_zno_69d 3.078634175337653e-05 to
+...652e-05 and kappa_ann_69d 1.0710906918671595e-05 to ...593e-05, both
+below 4e-16 relative. That pin was last regenerated before then when the five
 film-extinction rows took their sigma from cubature instead of a Monte
 Carlo, and their excess loss without cancellation: their computed values
 moved by at most 5.6e-12 relative. The budget files were last

@@ -20,6 +20,7 @@ from cavitycharge.quantities import (
     UncertainQuantity,
     _cubature,
     _normals,
+    _product_cubature,
     _standard_normals,
     propagate_linear,
     propagate_monte_carlo,
@@ -477,27 +478,62 @@ def test_cubature_gives_exact_moments_of_a_polynomial():
 
 
 def test_cubature_evaluates_an_exact_input_at_its_value_alone():
-    sizes = []
+    calls = []
 
     def f(x, y, z):
-        sizes.append(x.size)
-        assert (y == 4.0).all()
+        calls.append((x, y, z))
+        assert type(x) is type(y) is type(z) is float and y == 4.0
         return x + y + z
 
     inputs = [UncertainQuantity(1.0, 0.5), UncertainQuantity(4.0), UncertainQuantity(2.0, 1.0)]
     q = _cubature(f, inputs)
-    assert sizes == [64]
+    assert len(calls) == 64
     assert q.value == pytest.approx(7.0, rel=1e-15)
     assert q.sigma == pytest.approx(math.hypot(0.5, 1.0), rel=1e-14)
 
 
+def _raise_parameter_error(x):
+    raise ParameterError("from f")
+
+
 @pytest.mark.parametrize("f, error, message", [
-    # the 4 nodes below the value 0 give NaN
-    (np.sqrt, EvaluationError, r"^f is not finite at 4/8 cubature nodes$"),
-    (lambda x: 2.0, ParameterError, r"^f returned shape \(\), expected \(8,\)$"),
+    # math.sqrt raises a math domain error at the 4 nodes below the value 0
+    (math.sqrt, EvaluationError, r"^f is not finite at 4/8 cubature nodes$"),
+    (lambda x: math.inf if x > 0 else x, EvaluationError,
+     r"^f is not finite at 4/8 cubature nodes$"),
+    # a ZeroDivisionError at the lowest node, an OverflowError at the highest
+    (lambda x: 1.0 / (x - _GH_NODES[0]), EvaluationError,
+     r"^f is not finite at 1/8 cubature nodes$"),
+    (lambda x: math.exp(200.0 * x), EvaluationError, r"^f is not finite at 1/8 cubature nodes$"),
+    (lambda x: complex(x, 1.0), ParameterError,
+     r"^f returned \(-4\.14\d*\+1j\) at a cubature node, not a real number$"),
     (lambda x: x * 1e306, EvaluationError,
      r"^the weighted variance over 8 cubature nodes overflows$"),
-], ids=["non-finite", "shape", "overflow"])
+    (_raise_parameter_error, ParameterError, "^from f$"),
+], ids=["non-finite", "inf", "zero-division", "math-overflow", "non-real", "overflow",
+        "toolkit-error"])
 def test_cubature_refuses_what_it_cannot_sum(f, error, message):
     with pytest.raises(error, match=message):
         _cubature(f, [UncertainQuantity(0.0, 1.0)])
+
+
+def test_product_cubature_counts_the_nodes_of_the_full_grid():
+    # the first factor is finite at its 8 nodes and the second not at 1 of its 8:
+    # 8 of the 64 product nodes; two finite values whose product overflows count too
+    x = [UncertainQuantity(1.0, 0.1)]
+    y = [UncertainQuantity(0.0, 1.0)]
+    with pytest.raises(EvaluationError, match=r"^f is not finite at 8/64 cubature nodes$"):
+        _product_cubature([(lambda a: 1.0 / a, x), (lambda b: 1.0 / (b + _GH_NODES[0]), y)])
+    with pytest.raises(EvaluationError, match=r"^f is not finite at 1/64 cubature nodes$"):
+        _product_cubature([(lambda a: a * 1e200 if a > 1.4 else 1.0, x),
+                           (lambda b: b * 1e200 if b > 4 else 1.0, y)])
+
+
+def test_product_cubature_is_the_tensor_rule_of_the_product():
+    # x y z over independent normals, as the factors (x y) and z and as one function
+    inputs = [UncertainQuantity(3.0, 0.1), UncertainQuantity(2.0, 0.2),
+              UncertainQuantity(5.0, 0.5)]
+    whole = _cubature(lambda x, y, z: x * y * z, inputs)
+    factored = _product_cubature([(lambda x, y: x * y, inputs[:2]), (lambda z: z, inputs[2:])])
+    assert factored.value == pytest.approx(whole.value, rel=1e-15)
+    assert factored.sigma == pytest.approx(whole.sigma, rel=1e-14)
