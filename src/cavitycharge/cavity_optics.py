@@ -105,13 +105,13 @@ def r1_from_asymmetric_finesse(f01, r0) -> UncertainQuantity:
     q0 = as_quantity(r0)
     if not 0.0 < q0.value < 1.0:
         raise ParameterError(f"r0 must be in (0,1), got {q0.value}")
-    r1 = _r1(q01.value, q0.value)
-    if not 0.0 < r1 < 1.0:
+    r1 = propagate_linear(_r1, [q01, q0])
+    if not 0.0 < r1.value < 1.0:
         raise ConsistencyError(
-            f"implied r1 = {r1} is outside (0,1); finesse {q01.value} is "
+            f"implied r1 = {r1.value} is outside (0,1); finesse {q01.value} is "
             f"incompatible with r0 = {q0.value}"
         )
-    return propagate_linear(_r1, [q01, q0])
+    return r1
 
 
 def extinction_from_reflectivities(

@@ -17,11 +17,9 @@ deviation uncertainty. Three propagation engines are provided:
   film-extinction sigmas and its finesse sigma use them;
   _positive_at_nodes is the domain rule of both.
 
-propagate_monte_carlo keeps its working set between calls: the standard
-normals of the last seed and its full-length arrays (_StandardNormals).
-Its kernel makes no full-length pass that computes nothing: _summary looks
-for non-finite samples only when their sum is not finite, and each
-block's draws are written in place, with the bits of value + sigma * z.
+propagate_monte_carlo keeps nothing between calls: each call seeds its
+own generator, draws one row per input and calls f once on them, so calls
+with the same seed and sample_count share their draws.
 
 Uncertainties are treated as symmetric Gaussian one-sigma throughout;
 inputs are assumed uncorrelated. A quantity does no arithmetic of its own:
@@ -175,10 +173,6 @@ CODATA = Constants()
 #: Fewest Monte-Carlo draws propagate_monte_carlo accepts.
 MIN_MC_SAMPLES = 1000
 
-# Most draws propagate_monte_carlo's f sees, or _summary compacts, at once: their
-# 64 KB temporaries stay below the allocator's mmap threshold, so freed memory is reused.
-_MC_CHUNK = 8192
-
 # finite-difference step rule: relative 1e-6 with an absolute floor
 _FD_REL_STEP = 1e-6
 _FD_ABS_STEP = 1e-12
@@ -208,13 +202,16 @@ class finite_evaluation:
     def __exit__(self, kind, exc, traceback):
         self._errstate.__exit__(kind, exc, traceback)
         if isinstance(exc, ArithmeticError):
-            raise EvaluationError(
-                f"{self.label}: {type(exc).__name__}: {exc}; an input value is "
-                "outside the floating-point range of the formulas"
-            ) from exc
+            raise EvaluationError(f"{self.label}: {_outside_range(exc)}") from exc
         if isinstance(exc, ToolkitError):
             exc.args = (f"{self.label}: {exc}", *exc.args[1:])
         return False
+
+
+def _outside_range(exc: ArithmeticError) -> str:
+    """The text of the EvaluationError that an ArithmeticError becomes."""
+    return (f"{type(exc).__name__}: {exc}; an input value is "
+            "outside the floating-point range of the formulas")
 
 
 def _require_finite(name: str, value):
@@ -231,11 +228,20 @@ def propagate_linear(
 
     Derivatives are central finite differences with step
     max(1e-6*|x_i|, 1e-12). Valid when f is smooth at the input values and
-    the sigmas are small against the local curvature scale.
+    the sigmas are small against the local curvature scale. A value of f
+    that is not finite, or an ArithmeticError (overflow, division by zero)
+    that f raises, is an EvaluationError.
     """
+    def at(name, point):
+        try:
+            # f's values as Python floats: a NumPy float's ** can differ by an ulp
+            value = float(f(*point))
+        except ArithmeticError as exc:
+            raise EvaluationError(_outside_range(exc)) from exc
+        return _require_finite(name, value)
+
     values = [q.value for q in inputs]
-    # f's values as Python floats: a NumPy float's ** can differ by an ulp
-    y0 = _require_finite("f at the input values", float(f(*values)))
+    y0 = at("f at the input values", values)
     var = 0.0
     for i, q in enumerate(inputs):
         if q.sigma == 0.0:
@@ -245,10 +251,8 @@ def propagate_linear(
         lo = list(values)
         hi[i] += step
         lo[i] -= step
-        deriv = (
-            _require_finite("f at a finite-difference point", float(f(*hi)))
-            - _require_finite("f at a finite-difference point", float(f(*lo)))
-        ) / (2.0 * step)
+        deriv = (at("f at a finite-difference point", hi)
+                 - at("f at a finite-difference point", lo)) / (2.0 * step)
         var += (deriv * q.sigma) ** 2
     return UncertainQuantity(y0, math.sqrt(var))
 
@@ -265,74 +269,6 @@ def fsr_from_length(d_m: float) -> float:
     return CODATA.c / (2.0 * positive("cavity length", d_m))
 
 
-class _NormalsInfo(NamedTuple):
-    hits: int
-    misses: int
-    normals_drawn: int
-
-
-class _StandardNormals:
-    """Read-only standard normals of default_rng(seed), one array per input,
-    and the scratch arrays of the Monte-Carlo calls that read them.
-
-    Row k is the stream rng.normal draws for input k, so q.value + q.sigma
-    * z[k] equals rng.normal(q.value, q.sigma, sample_count) bit for bit.
-    One seed and sample_count are kept, with their generator and rows: a
-    call that needs more rows draws only the missing ones, which continue
-    the same stream, so a 2-input and a 3-input call share their first two
-    rows and no kept row is copied. Another seed refills the rows in place
-    (new rows while a running call reads them); another sample_count drops
-    rows and scratch arrays. A report keeps 2 rows and 2 scratch arrays:
-    3,200,000 bytes at 1e5 draws, so a warm report faults in no pages.
-    """
-
-    def __init__(self) -> None:
-        self._lent = 0  # running calls that read the kept rows
-        self.cache_clear()
-
-    def cache_clear(self) -> None:
-        self._key = None
-        self._rng = None
-        self._rows = []  # the first _drawn hold the kept seed's normals
-        self._drawn = 0
-        self._spare = []  # scratch arrays of the kept sample_count, not lent
-        self.hits = self.misses = self.normals_drawn = 0
-
-    def cache_info(self) -> _NormalsInfo:
-        """Calls served from the kept rows, calls that drew, normals drawn."""
-        return _NormalsInfo(self.hits, self.misses, self.normals_drawn)
-
-    def __call__(self, seed: int, sample_count: int, n_inputs: int) -> list:
-        import numpy as np
-
-        if self._key != (seed, sample_count):
-            if self._key is None or self._key[1] != sample_count:
-                self._rows, self._spare = [], []
-            elif self._lent:
-                self._rows = []  # a running call's rows are never refilled
-            self._key = (seed, sample_count)
-            self._rng = np.random.default_rng(seed)
-            self._drawn = 0
-        drawn = self._drawn
-        if n_inputs > drawn:
-            for k in range(drawn, n_inputs):
-                if k == len(self._rows):
-                    self._rows.append(np.empty(sample_count))
-                row = self._rows[k]
-                row.flags.writeable = True
-                self._rng.standard_normal(out=row)
-                row.flags.writeable = False
-            self._drawn = n_inputs
-            self.misses += 1
-            self.normals_drawn += (n_inputs - drawn) * sample_count
-        else:
-            self.hits += 1
-        return self._rows[:n_inputs]
-
-
-_standard_normals = _StandardNormals()
-
-
 def propagate_monte_carlo(
     f: Callable[..., float],
     inputs: Sequence[UncertainQuantity],
@@ -346,64 +282,44 @@ def propagate_monte_carlo(
     sample_count an int >= MIN_MC_SAMPLES, else ParameterError. Repeated
     calls with the same seed are bit-identical.
 
-    f must be elementwise: sample j of its output may depend only on draw j
-    of each input. It is called once per block of at most 8,192 draws
-    (_MC_CHUNK), with one array of draws per input, and must return an
-    array of the block's shape (n,), else ParameterError; an exception
-    raised by f propagates unchanged. The blocks are written into one
-    output array, so the result equals one call of f on all the draws.
-    Each block's draws, value + sigma * z bit for bit, are written in place
-    into one buffer per input and call, reused by the next block: f must
-    not keep its input arrays (its output is copied before the next block).
+    Input k's draws are value + sigma * z_k, z_k the k-th row of
+    sample_count standard normals from numpy.random.default_rng(seed):
+    rng.normal(value, sigma, sample_count) bit for bit. Every call seeds
+    its own generator and keeps nothing, so calls with the same seed and
+    sample_count share their standard normals (common random numbers).
 
-    Calls with the same seed and sample_count share their standard normals
-    (common random numbers): input k of every such call gets the same row.
-    The rows of the last seed, one samples array and one scratch array,
-    8 * sample_count bytes each (800,000 at the default 1e5 draws), stay
-    in memory and are reused by the next call; a nested call in f gets
-    arrays of its own.
+    f is called once, with one array of draws per input, and must be
+    elementwise: it returns an array of shape (sample_count,), else
+    ParameterError; an exception raised by f propagates unchanged.
 
-    Non-finite samples are tolerated up to 1% of all sample_count draws
-    (with a warning), counted over the whole output, not per block; beyond
-    that, or when their sums overflow, an EvaluationError is raised.
+    Non-finite samples are tolerated up to 1% of the draws (with a
+    warning) and discarded; beyond that, or when the sums of the finite
+    ones overflow, an EvaluationError is raised.
     """
     import numpy as np
 
-    z = _normals(seed, sample_count, len(inputs))
-    # the kept samples and scratch arrays, lent to this call: a call nested in f gets its own
-    cache = _standard_normals
-    samples, scratch = kept = [cache._spare.pop() if cache._spare else np.empty(sample_count)
-                               for _ in range(2)]
-    cache._lent += 1
-    try:
-        buffers = [np.empty(min(sample_count, _MC_CHUNK)) for _ in inputs]
-        for part in _blocks(sample_count):
-            n = part.stop - part.start
-            draws = [buffer[:n] for buffer in buffers]
-            for q, z_k, draw in zip(inputs, z, draws):  # q.value + q.sigma * z, in place
-                np.multiply(q.sigma, z_k[part], out=draw)
-                draw += q.value
-            with np.errstate(all="ignore"):  # non-finite samples are counted below
-                block = np.asarray(f(*draws), dtype=float)
-            # checked per block: slice assignment would broadcast a scalar
-            if block.shape != (n,):
-                raise ParameterError(f"f returned shape {block.shape}, expected ({n},)")
-            samples[part] = block
-        return _summary(samples, scratch)
-    finally:
-        cache._lent -= 1
-        if cache._key is not None and cache._key[1] == sample_count:
-            cache._spare += kept
-
-
-def _normals(seed: int, sample_count: int, n_inputs: int) -> list:
-    """The n_inputs rows of standard normals shared by every Monte-Carlo
-    call with this seed and sample_count, until a call with another seed
-    refills them; ParameterError for a seed that is not an int >= 0 or a
-    sample_count that is not an int >= MIN_MC_SAMPLES (a bool is neither)."""
     _check_count("sample_count", sample_count, MIN_MC_SAMPLES)
     _check_count("seed", seed, 0)
-    return _standard_normals(seed, sample_count, n_inputs)
+    rng = np.random.default_rng(seed)
+    draws = [q.value + q.sigma * rng.standard_normal(sample_count) for q in inputs]
+    with np.errstate(all="ignore"):  # non-finite samples and overflows are checked below
+        samples = np.asarray(f(*draws), dtype=float)
+        if samples.shape != (sample_count,):
+            raise ParameterError(f"f returned shape {samples.shape}, expected ({sample_count},)")
+        finite = np.isfinite(samples)
+        n_bad = sample_count - np.count_nonzero(finite)
+        if n_bad > 0.01 * sample_count:
+            raise EvaluationError(f"{n_bad}/{sample_count} Monte-Carlo samples were non-finite")
+        if n_bad:
+            warnings.warn(f"discarded {n_bad}/{sample_count} non-finite Monte-Carlo samples",
+                          RuntimeWarning, stacklevel=2)
+            samples = samples[finite]
+        mean, sigma = np.mean(samples), np.std(samples, ddof=1)
+    for name, value in (("sum", mean), ("sum of squared deviations", sigma)):
+        if not math.isfinite(value):
+            raise EvaluationError(
+                f"the {name} of {len(samples)} finite Monte-Carlo samples overflows")
+    return UncertainQuantity(float(mean), float(sigma))
 
 
 def _check_count(name: str, value, least: int) -> None:
@@ -412,60 +328,6 @@ def _check_count(name: str, value, least: int) -> None:
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= least):
         raise ParameterError(f"{name} must be an int >= {least}, got {value!r}")
-
-
-def _blocks(sample_count: int):
-    """Consecutive slices of at most _MC_CHUNK draws covering sample_count."""
-    for start in range(0, sample_count, _MC_CHUNK):
-        yield slice(start, min(start + _MC_CHUNK, sample_count))
-
-
-def _summary(samples, scratch) -> UncertainQuantity:
-    """Sample mean and standard deviation of all Monte-Carlo samples
-    (overwritten, as is scratch, an array of their length).
-
-    Up to 1% of them may be non-finite: those are discarded with a
-    RuntimeWarning (pointing at the caller of the public function), and
-    the finite ones are compacted into scratch. More, or finite samples
-    whose sum or squared deviations overflow, raise an EvaluationError.
-    The sum that the mean needs comes first, and the non-finite samples
-    are looked for only when it is not finite (a NaN or an infinity among
-    the samples, or an overflow): a finite sum is the sum of finite
-    samples alone.
-    """
-    import numpy as np
-
-    sample_count = len(samples)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
-        total = np.add.reduce(samples)
-        if not math.isfinite(total):  # an all-finite sum that overflows finds none
-            finite = np.isfinite(samples)
-            n_bad = sample_count - np.count_nonzero(finite)
-            if n_bad > 0.01 * sample_count:
-                raise EvaluationError(
-                    f"{n_bad}/{sample_count} Monte-Carlo samples were non-finite"
-                )
-            if n_bad:
-                warnings.warn(f"discarded {n_bad}/{sample_count} non-finite Monte-Carlo samples",
-                              RuntimeWarning, stacklevel=3)
-                # block by block: no full-length temporary
-                n = 0
-                for part in _blocks(sample_count):
-                    kept = samples[part][finite[part]]
-                    scratch[n:n + len(kept)] = kept
-                    n += len(kept)
-                samples = scratch[:n]
-                total = np.add.reduce(samples)
-        # np.mean and np.std(ddof=1)'s bits, in place: no full-length temporary
-        n = len(samples)  # >= MIN_MC_SAMPLES with at most 1% discarded: never < 2
-        mean = total / n
-        samples -= mean
-        samples *= samples
-        squares = np.add.reduce(samples)
-    for name, value in (("sum", total), ("sum of squared deviations", squares)):
-        if not math.isfinite(value):
-            raise EvaluationError(f"the {name} of {n} finite Monte-Carlo samples overflows")
-    return UncertainQuantity(float(mean), float(np.sqrt(squares / (n - 1))))
 
 
 # The probabilists' Gauss-Hermite rule of 8 nodes (weight exp(-x^2/2)), its
