@@ -381,6 +381,27 @@ def test_monte_carlo_kernels_keep_the_plain_operation_order_bit_for_bit(
                 == _bits(_outcome(lambda: _reference_monte_carlo(f, inputs, 2000, seed)))
 
 
+@pytest.mark.parametrize("case", ["nan", "inf", "overflowing sum", "finite"])
+def test_summary_finds_the_non_finite_samples_its_sum_shows(case):
+    samples = 1.0 + _reference_normals(3, 2000, 1)[0]
+    if case == "nan":
+        samples[17] = np.nan
+    elif case == "inf":
+        samples[1999] = np.inf
+    elif case == "overflowing sum":
+        samples *= 1e305  # every sample finite, their sum not
+        samples += 1e307
+    expected = _outcome(lambda: _reference_summary(samples.copy()))
+    if case == "overflowing sum":  # the plain order leaks NumPy's overflow warning
+        assert np.isfinite(samples).all()
+        expected = ((EvaluationError, "the sum of 2000 finite Monte-Carlo samples overflows"), [])
+    got = _outcome(lambda: propagate_monte_carlo(
+        lambda x: samples.copy(), [UncertainQuantity(1.0, 1.0)], 2000, 3))
+    assert _bits(got) == _bits(expected)
+    if case in ("nan", "inf"):
+        assert expected[1] == [(RuntimeWarning, "discarded 1/2000 non-finite Monte-Carlo samples")]
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: propagate_monte_carlo(lambda x: x * 1e305, [UncertainQuantity(10.0, 1.0)], 2000, 0),
      "the sum of 2000 finite Monte-Carlo samples overflows"),

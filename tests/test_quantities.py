@@ -266,8 +266,45 @@ def test_report_rows_do_not_depend_on_earlier_monte_carlo_calls():
     assert cold == after_other_seed == after_two_inputs
 
 
+@pytest.mark.parametrize("n_inputs", [1, 3])
+def test_monte_carlo_draws_one_row_of_normals_per_input(n_inputs, monkeypatch):
+    inputs = [UncertainQuantity(2.0 + k, 0.1 * (k + 1)) for k in range(n_inputs)]
+    expected = propagate_monte_carlo(_elementwise, inputs, 3000, seed=8)
+    default_rng, drawn = np.random.default_rng, []
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def standard_normal(self, size):
+            drawn.append(size)
+            return self._rng.standard_normal(size)
+
+    monkeypatch.setattr("numpy.random.default_rng", CountingGenerator)
+    assert propagate_monte_carlo(_elementwise, inputs, 3000, seed=8) == expected
+    assert drawn == [3000] * n_inputs
+
+
+def test_monte_carlo_results_do_not_depend_on_earlier_calls():
+    def results(seed, sample_count):
+        return (
+            propagate_monte_carlo(ratio, [LINEWIDTH, FSR], sample_count, seed=seed),
+            propagate_monte_carlo(lambda a, b, c: a * b / c, [LINEWIDTH, FSR, LINEWIDTH],
+                                  sample_count, seed=seed),
+        )
+
+    calls = [(3, 2000), (3, 100_000), (4, 100_000), (3, 2000), (4, 2000), (4, 100_000),
+             (5, 100_000), (5, 100_000), (3, 2000)]
+    first = {}
+    for call in calls:
+        assert first.setdefault(call, results(*call)) == results(*call)
+    # a later call with the same seed and draw count repeats the first bit for bit;
+    # another seed draws other normals
+    assert first[3, 2000][0] != first[4, 2000][0]
+
+
 def test_monte_carlo_f_writing_into_its_draws_changes_no_later_result():
-    inputs = [UncertainQuantity(2.0, 0.3), UncertainQuantity(5.0, 0.2)]
+    inputs =[UncertainQuantity(2.0, 0.3), UncertainQuantity(5.0, 0.2)]
     before = propagate_monte_carlo(lambda x, y: x * y, inputs, 5000, seed=42)
 
     def vandal(x, y):
