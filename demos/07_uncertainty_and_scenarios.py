@@ -27,8 +27,7 @@ print(f"  sigma ratio MC/linear:       {mc.sigma / linear.sigma:.4f}\n")
 
 # the bundled scenario binds every input of the reproduction report
 scn = bundled_scenario()
-print(f"bundled scenario {scn.name!r}: seed {scn.seed}, "
-      f"{scn.mc_samples} Monte-Carlo samples")
+print(f"bundled scenario {scn.name!r}")
 print(f"  trap: {scn.trap.mass_amu:.0f} amu at {scn.trap.secular_hz / 1e3:.0f} kHz")
 print(f"  charges: {scn.charges.q1_e:.0f} e + {scn.charges.q2_e:.0f} e at "
       f"{scn.charges.xq_m * 1e6:.0f} um")

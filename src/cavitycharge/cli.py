@@ -8,9 +8,7 @@ Subcommands::
 
 Exit codes: 0 success, 1 acceptance failure, 2 input error, 3 internal
 error (a fault in the toolkit, reported in one line; `toolkit --debug`
-shows its traceback). The environment variable TOOLKIT_SEED, an integer
->= 0, overrides the scenario seed; reproduce-paper checks it, but its
-report draws no random numbers, so no row depends on it.
+shows its traceback).
 
 Each subcommand imports only what it runs. This module loads `errors` and
 `quantities`, neither of which imports NumPy; fit-ringdown imports
@@ -43,7 +41,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import BUDGET_DEFAULTS, BUDGET_TARGETS
-from .errors import SchemaError, ToolkitError
+from .errors import ToolkitError
 from .quantities import UncertainQuantity, finite_evaluation
 
 EXIT_OK = 0
@@ -69,19 +67,6 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _bind_ringdown()
     return globals()[name]
-
-
-def _seed_override() -> int | None:
-    raw = os.environ.get("TOOLKIT_SEED")
-    if not raw:
-        return None
-    try:
-        seed = int(raw, 10)
-    except ValueError:
-        seed = None
-    if seed is None or seed < 0:
-        raise SchemaError(f"TOOLKIT_SEED must be an integer >= 0, got {raw!r}")
-    return seed
 
 
 # A forked worker costs about 10-13 ms whatever it fits, mostly page faults
@@ -260,7 +245,7 @@ def _cmd_reproduce(args) -> int:
     from . import reports
 
     scn = reports.bundled_scenario()
-    rows = reports.build_report(scn, seed=_seed_override())
+    rows = reports.build_report(scn)
     sys.stdout.write(reports.render_text(rows))
     if args.out:
         Path(args.out).write_text(reports.render_csv(rows), encoding="utf-8")

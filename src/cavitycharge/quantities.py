@@ -229,8 +229,8 @@ def propagate_linear(
     Derivatives are central finite differences with step
     max(1e-6*|x_i|, 1e-12). Valid when f is smooth at the input values and
     the sigmas are small against the local curvature scale. A value of f
-    that is not finite, or an ArithmeticError (overflow, division by zero)
-    that f raises, is an EvaluationError.
+    that is not finite, an ArithmeticError (overflow, division by zero)
+    that f raises, or a variance sum that overflows, is an EvaluationError.
     """
     def at(name, point):
         try:
@@ -253,7 +253,12 @@ def propagate_linear(
         lo[i] -= step
         deriv = (at("f at a finite-difference point", hi)
                  - at("f at a finite-difference point", lo)) / (2.0 * step)
-        var += (deriv * q.sigma) ** 2
+        try:
+            var += (deriv * q.sigma) ** 2
+        except OverflowError as exc:
+            raise EvaluationError(_outside_range(exc)) from exc
+    if not math.isfinite(var):  # float * and + reach inf without raising
+        raise EvaluationError(_outside_range(OverflowError("the variance sum is inf")))
     return UncertainQuantity(y0, math.sqrt(var))
 
 

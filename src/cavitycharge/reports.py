@@ -334,10 +334,10 @@ def build_report(
     """Compute every row of the reference-reproduction report.
 
     The report draws no random numbers: every sigma comes from linear
-    propagation or Gauss-Hermite cubature, so no row reads seed. A seed
-    given is still checked, ParameterError unless it is an int >= 0, as
-    propagate_monte_carlo checks one, so a seeded caller's bad seed is
-    refused rather than dropped.
+    propagation or Gauss-Hermite cubature, so no row reads seed. The
+    argument is kept only because the benchmark's lib-report op passes
+    one; a seed given is still checked, ParameterError unless it is an
+    int >= 0, as propagate_monte_carlo checks one.
 
     A row in BUDGET_ROWS reads its value from budgets.budget_rows, one call
     per (target, manifest inputs); every other row runs its ROWS entry

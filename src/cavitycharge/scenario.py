@@ -8,10 +8,11 @@ serialization is canonical (fixed section/key order, shortest round-trip
 float formatting) so parse(serialize(s)) == s and repeated serializations
 are byte-identical.
 
-Each key is declared once, as a field of its section class (`[meta]` keys are
-`Scenario`'s own): its annotation is its type, it is required when it has no
-default, optional when the default is None, and its range rule, if any, is
-the annotation's metadata, `Annotated[type, rule]`.
+Each key is declared once, as a field of its section class (`[meta]`'s one
+key, name, is `Scenario`'s own): its annotation is its type, float or str,
+it is required when it has no default, optional when the default is None,
+and its range rule, if any, is the annotation's metadata,
+`Annotated[type, rule]`.
 
 The rules run once, in _check_keys, when a section or a Scenario is built (by
 parse_scenario, in Python or by _replace; see quantities.checked): SchemaError
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import Annotated, NamedTuple, Optional, get_args, get_origin
 
 from .errors import SchemaError
-from .quantities import MIN_MC_SAMPLES, checked
+from .quantities import checked
 
 __all__ = [
     "Scenario",
@@ -45,7 +46,6 @@ __all__ = [
 _POS = (lambda v: v > 0, "> 0")
 _NONNEG = (lambda v: v >= 0, ">= 0")
 _UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
-_MC = (lambda v: v >= MIN_MC_SAMPLES, f">= {MIN_MC_SAMPLES}")
 # a parsed value is one stripped line, so a name must be too
 _LINE = (lambda v: v == v.strip() and len(v.splitlines()) < 2, "one line without outer blanks")
 
@@ -129,8 +129,6 @@ class IlluminationSection(NamedTuple):
 @checked
 class Scenario(NamedTuple):
     name: Annotated[str, _LINE] = "unnamed"
-    seed: Annotated[int, _NONNEG] = 0
-    mc_samples: Annotated[int, _MC] = 100_000
     cavity: Optional[CavitySection] = None
     trap: Optional[TrapSection] = None
     charges: Optional[ChargesSection] = None
@@ -181,7 +179,7 @@ class Scenario(NamedTuple):
 
 
 class _Key(NamedTuple):
-    type: type            # float, int or str
+    type: type            # float or str
     default: object       # _REQUIRED for a required key, None for an optional one
     rule: Optional[tuple]  # (test, text), see _POS
 
@@ -216,7 +214,7 @@ _SPECS = {cls: (section, _KEYS[section]) for section, cls in {"meta": Scenario, 
 for cls in _SPECS:
     cls._checked = _check_keys
 # what a value of each key type may be before it is converted
-_ACCEPTED = {float: numbers.Real, int: numbers.Integral, str: str}
+_ACCEPTED = {float: numbers.Real, str: str}
 
 
 def _typed(section: str, key: str, spec: _Key, value):
@@ -268,7 +266,7 @@ def parse_scenario(text: str) -> Scenario:
         if key in values:
             raise SchemaError(f"line {lineno}: duplicate key '{key}' in [{section}]")
         try:
-            values[key] = spec.type(token)  # int() reads base 10 only
+            values[key] = spec.type(token)
         except ValueError:
             raise SchemaError(
                 f"key '{key}' in [{section}]: cannot parse {token!r} as {spec.type.__name__}"
@@ -289,18 +287,9 @@ def serialize_scenario(s: Scenario) -> str:
         obj = s if section == "meta" else getattr(s, section)
         if obj is not None:
             blocks.append("\n".join([f"[{section}]", *(
-                _line(section, key, value)
+                f"{key} = {value}"
                 for key in keys if (value := getattr(obj, key)) is not None)]))
     return "\n\n".join(blocks) + "\n"
-
-
-def _line(section: str, key: str, value) -> str:
-    try:
-        return f"{key} = {value}"
-    except ValueError:  # an int past sys.get_int_max_str_digits(), which int() cannot read back
-        raise SchemaError(
-            f"key '{key}' in [{section}]: cannot write a {value.bit_length()}-bit int as text"
-        ) from None
 
 
 #: Largest scenario file load_scenario reads, in bytes (1 MiB).

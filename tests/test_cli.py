@@ -239,16 +239,14 @@ def test_reproduce_paper_seed_override(capsys, monkeypatch):
     monkeypatch.delenv("TOOLKIT_SEED")
 
 
-def test_malformed_seed_override_is_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("TOOLKIT_SEED", "not-a-seed")
-    assert main(["reproduce-paper"]) == 2
-    assert "TOOLKIT_SEED" in capsys.readouterr().err
-
-
-def test_negative_seed_override_is_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("TOOLKIT_SEED", "-1")
-    assert main(["reproduce-paper"]) == 2
-    assert "TOOLKIT_SEED must be an integer >= 0" in capsys.readouterr().err
+@pytest.mark.parametrize("seed", ["-1", "not-a-seed"])
+def test_reproduce_paper_ignores_toolkit_seed(seed, capsys, monkeypatch):
+    # values the retired TOOLKIT_SEED check refused with exit 2
+    assert main(["reproduce-paper"]) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setenv("TOOLKIT_SEED", seed)
+    assert main(["reproduce-paper"]) == 0
+    assert capsys.readouterr() == expected
 
 
 def _fault(*args, **kwargs):
@@ -394,7 +392,7 @@ _RUN_CASES = {
         ["reproduce-paper", "--out", "report.csv"], "7",
         "reports.report_exit_code = lambda rows: 1", 1,
     ),
-    "reproduce-paper-bad-seed": (["reproduce-paper"], "-1", "", 2),
+    "reproduce-paper-ignored-seed": (["reproduce-paper", "--out", "report.csv"], "-1", "", 0),
     "budget": (["budget", "--scenario", "paper_yb.scenario", "--target", "charging",
                 "--out", "sweep.csv"], None, "", 0),
     "budget-non-finite": (["budget", "--scenario", "{overflow}", "--target", "cooling",
@@ -423,6 +421,18 @@ def test_run_matches_main_in_output_files_and_exit_code(case, tmp_path):
     assert _toolkit(argv, tmp_path / "run", seed, patch, "cli.run()") == old
     if not patch:
         assert _toolkit(argv, tmp_path / "module", seed, patch, None) == old
+
+
+@pytest.mark.parametrize("line", ["seed = 0", "mc_samples = 100000"])
+def test_budget_on_a_scenario_with_a_retired_meta_key_exits_2_naming_it(line, tmp_path):
+    scenario = tmp_path / "retired.scenario"
+    scenario.write_text(bundled_scenario_text().replace("[meta]\n", f"[meta]\n{line}\n"))
+    argv = ["budget", "--scenario", str(scenario), "--target", "gate"]
+    code, out, err, _ = _toolkit(argv, tmp_path / "run", None, "", None)
+    key = line.split()[0]
+    assert (code, out) == (2, b"")
+    assert err.decode().splitlines() == [
+        f"toolkit budget: line 2: unknown key '{key}' in [meta]"]
 
 
 # -- fit-ringdown across forked workers ----------------------------------------

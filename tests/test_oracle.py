@@ -1,7 +1,7 @@
 """Byte-for-byte oracle: the reproduction CSVs, the budget rows and sweeps.
 
 The files under tests/data/ were written by `toolkit reproduce-paper --out`
-(reproduce_paper.csv, the same under any TOOLKIT_SEED or none) and by
+(reproduce_paper.csv, the same whatever TOOLKIT_SEED holds) and by
 `toolkit budget --scenario paper_yb.scenario` for each target (every
 stdout line but the last). reproduce_paper.csv was written when the
 finesse-sigma row took its sigma from Gauss-Hermite cubature instead of a
@@ -48,8 +48,9 @@ def _sweep_hashes(directory: Path) -> dict:
 
 
 def test_reproduce_paper_csv_is_byte_identical(tmp_path, monkeypatch, capsys):
-    # the same bytes under any seed: the report draws no random numbers
-    for seed in (None, "0", "12345"):
+    # the same bytes under any TOOLKIT_SEED, which the CLI ignores, or none:
+    # the report draws no random numbers
+    for seed in (None, "0", "12345", "-1", "not-a-seed"):
         if seed is None:
             monkeypatch.delenv("TOOLKIT_SEED", raising=False)
         else:

@@ -16,6 +16,7 @@ from cavitycharge.quantities import (
     UncertainQuantity,
     _cubature,
     _product_cubature,
+    finesse,
     propagate_linear,
     propagate_monte_carlo,
 )
@@ -104,6 +105,29 @@ def test_finesse_linear_propagation_matches_analytic():
     # consistent with the published 14160 +/- 250 at one sigma
     assert abs(q.value - 14160.0) < 250.0
     assert q.sigma == pytest.approx(245.0, abs=1.0)
+
+
+def test_linear_variance_term_that_overflows_is_an_evaluation_error():
+    # d finesse / d fsr = 1/linewidth, times a 1e160 Hz sigma, squares past the float range
+    with pytest.raises(EvaluationError, match=r"^OverflowError: .*; an input value is outside "
+                                              r"the floating-point range of the formulas$"):
+        finesse(LINEWIDTH, UncertainQuantity(7e9, 1e160))
+
+
+@pytest.mark.parametrize(
+    "f, inputs",
+    [
+        (lambda x: 1e200 * x, [UncertainQuantity(1.0, 1e200)]),
+        (lambda x, y: x + y, [UncertainQuantity(1.0, 1e154)] * 2),
+    ],
+    ids=["term-is-inf", "finite-terms-sum-to-inf"],
+)
+def test_linear_variance_sum_that_reaches_inf_without_raising_is_an_evaluation_error(f, inputs):
+    # float * and + give inf where ** raises; either way the sum is out of range
+    with pytest.raises(EvaluationError, match=r"^OverflowError: the variance sum is inf; an input "
+                                              r"value is outside the floating-point range of the "
+                                              r"formulas$"):
+        propagate_linear(f, inputs)
 
 
 def test_monte_carlo_agrees_with_linear_on_finesse():
