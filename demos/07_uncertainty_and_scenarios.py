@@ -1,15 +1,16 @@
 """Uncertainty propagation engines and scenario files.
 
-Shows the two propagation engines agreeing on a nonlinear chain, and a
-scenario document round-tripping through the canonical serializer.
+Shows the two propagation engines, linear and Gauss-Hermite cubature,
+agreeing on a nonlinear chain, and a scenario document round-tripping
+through the canonical serializer.
 Run:  python demos/07_uncertainty_and_scenarios.py
 """
 
 from cavitycharge import (
     UncertainQuantity,
     parse_scenario,
+    propagate_cubature,
     propagate_linear,
-    propagate_monte_carlo,
     serialize_scenario,
 )
 from cavitycharge.reports import bundled_scenario
@@ -18,12 +19,12 @@ linewidth = UncertainQuantity(523e3, 9e3)
 fsr = UncertainQuantity(7.410e9, 0.013e9)
 
 linear = propagate_linear(lambda d, f: f / d, [linewidth, fsr])
-mc = propagate_monte_carlo(lambda d, f: f / d, [linewidth, fsr], 200_000, seed=0)
+cubature = propagate_cubature(lambda d, f: f / d, [linewidth, fsr])
 
 print("finesse = FSR / linewidth")
 print(f"  linear (finite differences): {linear}")
-print(f"  Monte Carlo (2e5 samples):   {mc}")
-print(f"  sigma ratio MC/linear:       {mc.sigma / linear.sigma:.4f}\n")
+print(f"  cubature (8 x 8 nodes):      {cubature}")
+print(f"  sigma ratio cubature/linear: {cubature.sigma / linear.sigma:.4f}\n")
 
 # the bundled scenario binds every input of the reproduction report
 scn = bundled_scenario()

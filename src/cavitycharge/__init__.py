@@ -5,7 +5,7 @@ reflectivity -> thin-film extinction coefficient, with companion models
 for what stray surface charge on the mirrors does to trapped ions and
 Rydberg atoms, and for how laser-induced photocurrent charges a grounded
 conductive film. Measured values carry one-sigma uncertainties and are
-propagated linearly, by Monte Carlo or by Gauss-Hermite cubature.
+propagated linearly or by Gauss-Hermite cubature.
 
 The namespace is lazy (PEP 562): importing the package loads no
 submodule. ``cavitycharge.fit_ringdown`` or ``from cavitycharge import
@@ -45,7 +45,7 @@ _EXPORTS = {
     for module, names in {
         "quantities": (
             "CODATA", "Constants", "UncertainQuantity", "finesse", "fsr_from_length",
-            "propagate_linear", "propagate_monte_carlo",
+            "propagate_cubature", "propagate_linear",
         ),
         "ringdown": (
             "RingdownFit", "RingdownTrace", "fit_ringdown", "load_trace_csv",

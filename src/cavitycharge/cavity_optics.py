@@ -159,9 +159,10 @@ def extinction_from_finesse(f00, f01, thickness, wavelength_m: float) -> Uncerta
     input, and blind beyond value +/- 4.1445 sigma. kappa factors as
     L(F00, F01) * (-lambda/(8 pi h)), L the log transmission, and the two
     factors are independent, so the 512-node sums are taken from L's
-    8 x 8 nodes and the factor's 8 (quantities._product_cubature, by
-    Goodman's identity Var(XY) = vX vY + vX mY^2 + vY mX^2): 72 calls of
-    the chain, and still the sigma of the 8-node rule per input.
+    8 x 8 nodes and the factor's 8 (quantities._product_cubature, the rule
+    of propagate_cubature for a product, by Goodman's identity Var(XY) =
+    vX vY + vX mY^2 + vY mX^2): 72 calls of the chain, and still the sigma
+    of the 8-node rule per input.
 
     Strictly, kappa ~ 1/h over a normal h has no finite variance, since
     h <= 0 has a positive probability; sigma is that of kappa within the

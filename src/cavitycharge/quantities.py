@@ -2,24 +2,26 @@
 
 All measured inputs in this package are carried as an
 :class:`UncertainQuantity`: a central value and a symmetric one-standard-
-deviation uncertainty. Three propagation engines are provided:
+deviation uncertainty. Two propagation engines are provided, each taking
+f and its inputs (an UncertainQuantity, or a bare number for an exact
+input):
 
 * :func:`propagate_linear` -- first-order (delta-method) propagation with
   central finite-difference derivatives,
-  sigma_y = sqrt(sum_i (df/dx_i * sigma_i)^2).
-* :func:`propagate_monte_carlo` -- draw independent normal samples per
-  input and report the sample mean and standard deviation of f.
-* _cubature -- the mean and standard deviation of f over independent
-  normal inputs by tensor-product Gauss-Hermite cubature, 8 nodes per
-  input: no draws, no seed, f called on floats and its values summed by
-  math.fsum. _product_cubature gives the same rule's moments of a product
-  of independent factors from each factor's own grid. The report's
+  sigma_y = sqrt(sum_i (df/dx_i * sigma_i)^2): f's value at the inputs'
+  values and the sigma of its linearisation there.
+* :func:`propagate_cubature` -- the mean and standard deviation of f over
+  independent normal inputs by tensor-product Gauss-Hermite cubature, 8
+  nodes per input: no draws, no seed, f called on floats and its values
+  summed by math.fsum. The moments are those of the 8-node rule, exact
+  for a polynomial of degree <= 15 in each input. Where the true moment
+  is not finite, as for kappa ~ 1/h or F = FSR/linewidth over a normal
+  h or linewidth (the pole has a positive probability), it is the
+  moment of f within the nodes' span, value +/- 4.1445 sigma.
+  _product_cubature gives the same rule's moments of a product of
+  independent factors from each factor's own grid. The report's
   film-extinction sigmas and its finesse sigma use them;
   _positive_at_nodes is the domain rule of both.
-
-propagate_monte_carlo keeps nothing between calls: each call seeds its
-own generator, draws one row per input and calls f once on them, so calls
-with the same seed and sample_count share their draws.
 
 Uncertainties are treated as symmetric Gaussian one-sigma throughout;
 inputs are assumed uncorrelated. A quantity does no arithmetic of its own:
@@ -41,9 +43,7 @@ overflow, divide by zero or end non-finite raise EvaluationError.
 :func:`fsr_from_length` live here, where both the ring-down fit and the
 report reach them; ``ringdown`` re-exports them.
 
-This module imports NumPy only inside the Monte-Carlo engine, so a caller
-that does not draw (a ``budget`` command, ``reproduce-paper``) never loads
-it.
+This module never imports NumPy.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ import math
 import numbers
 import operator
 import sys
-import warnings
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, EvaluationError, ParameterError, ToolkitError
@@ -68,8 +67,8 @@ __all__ = [
     "finite_evaluation",
     "finesse",
     "fsr_from_length",
+    "propagate_cubature",
     "propagate_linear",
-    "propagate_monte_carlo",
 ]
 
 
@@ -170,9 +169,6 @@ class Constants(NamedTuple):
 
 CODATA = Constants()
 
-#: Fewest Monte-Carlo draws propagate_monte_carlo accepts.
-MIN_MC_SAMPLES = 1000
-
 # finite-difference step rule: relative 1e-6 with an absolute floor
 _FD_REL_STEP = 1e-6
 _FD_ABS_STEP = 1e-12
@@ -228,7 +224,8 @@ def propagate_linear(
 
     Derivatives are central finite differences with step
     max(1e-6*|x_i|, 1e-12). Valid when f is smooth at the input values and
-    the sigmas are small against the local curvature scale. A value of f
+    the sigmas are small against the local curvature scale. Each input is
+    an UncertainQuantity or a bare number, an exact input. A value of f
     that is not finite, an ArithmeticError (overflow, division by zero)
     that f raises, or a variance sum that overflows, is an EvaluationError.
     """
@@ -240,6 +237,7 @@ def propagate_linear(
             raise EvaluationError(_outside_range(exc)) from exc
         return _require_finite(name, value)
 
+    inputs = [as_quantity(q) for q in inputs]
     values = [q.value for q in inputs]
     y0 = at("f at the input values", values)
     var = 0.0
@@ -274,67 +272,6 @@ def fsr_from_length(d_m: float) -> float:
     return CODATA.c / (2.0 * positive("cavity length", d_m))
 
 
-def propagate_monte_carlo(
-    f: Callable[..., float],
-    inputs: Sequence[UncertainQuantity],
-    sample_count: int = 100_000,
-    seed: int = 0,
-) -> UncertainQuantity:
-    """Monte-Carlo uncertainty propagation with an explicit seed.
-
-    Draws independent normal samples for each input and returns the sample
-    mean and standard deviation of f. seed must be an int >= 0 and
-    sample_count an int >= MIN_MC_SAMPLES, else ParameterError. Repeated
-    calls with the same seed are bit-identical.
-
-    Input k's draws are value + sigma * z_k, z_k the k-th row of
-    sample_count standard normals from numpy.random.default_rng(seed):
-    rng.normal(value, sigma, sample_count) bit for bit. Every call seeds
-    its own generator and keeps nothing, so calls with the same seed and
-    sample_count share their standard normals (common random numbers).
-
-    f is called once, with one array of draws per input, and must be
-    elementwise: it returns an array of shape (sample_count,), else
-    ParameterError; an exception raised by f propagates unchanged.
-
-    Non-finite samples are tolerated up to 1% of the draws (with a
-    warning) and discarded; beyond that, or when the sums of the finite
-    ones overflow, an EvaluationError is raised.
-    """
-    import numpy as np
-
-    _check_count("sample_count", sample_count, MIN_MC_SAMPLES)
-    _check_count("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    draws = [q.value + q.sigma * rng.standard_normal(sample_count) for q in inputs]
-    with np.errstate(all="ignore"):  # non-finite samples and overflows are checked below
-        samples = np.asarray(f(*draws), dtype=float)
-        if samples.shape != (sample_count,):
-            raise ParameterError(f"f returned shape {samples.shape}, expected ({sample_count},)")
-        finite = np.isfinite(samples)
-        n_bad = sample_count - np.count_nonzero(finite)
-        if n_bad > 0.01 * sample_count:
-            raise EvaluationError(f"{n_bad}/{sample_count} Monte-Carlo samples were non-finite")
-        if n_bad:
-            warnings.warn(f"discarded {n_bad}/{sample_count} non-finite Monte-Carlo samples",
-                          RuntimeWarning, stacklevel=2)
-            samples = samples[finite]
-        mean, sigma = np.mean(samples), np.std(samples, ddof=1)
-    for name, value in (("sum", mean), ("sum of squared deviations", sigma)):
-        if not math.isfinite(value):
-            raise EvaluationError(
-                f"the {name} of {len(samples)} finite Monte-Carlo samples overflows")
-    return UncertainQuantity(float(mean), float(sigma))
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """ParameterError unless value is an int >= least."""
-    # a NumPy integer is an Integral; a bool is one too, but not a count
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= least):
-        raise ParameterError(f"{name} must be an int >= {least}, got {value!r}")
-
-
 # The probabilists' Gauss-Hermite rule of 8 nodes (weight exp(-x^2/2)), its
 # weights divided by their sum sqrt(2 pi): the expectation over one standard
 # normal, exact for polynomials of degree <= 15. The nodes are the eigenvalues
@@ -347,18 +284,26 @@ _GH_WEIGHTS = (0.00011261453837536762, 0.009635220120788256, 0.11723990766175904
                0.3730122576790773, 0.3730122576790773, 0.11723990766175904,
                0.009635220120788256, 0.00011261453837536762)
 
+#: Most nodes propagate_cubature evaluates f at: 8 per input with sigma > 0,
+#: so six such inputs.
+MAX_CUBATURE_NODES = 8**6
 
-def _cubature(f: Callable[..., float], inputs: Sequence[UncertainQuantity]) -> UncertainQuantity:
+
+def propagate_cubature(f: Callable[..., float],
+                       inputs: Sequence[UncertainQuantity]) -> UncertainQuantity:
     """Mean and standard deviation of f over independent normal inputs, by
     tensor-product Gauss-Hermite cubature.
 
-    f takes one float per input and returns a real number. It is called
+    Each input is an UncertainQuantity or a bare number, an exact input. f
+    takes one float per input and returns a real number. It is called
     once per node of the grid of value + sigma * node over every input's
     nodes: the 8 of _GH_NODES, or the value alone for an input with sigma
-    = 0. The mean is the weighted sum of f's values and the variance the
-    weighted sum of their squared deviations from it, each summed by
-    math.fsum: correctly rounded, so the bits do not depend on the Python
-    version (the built-in sum of floats is compensated from 3.12 on).
+    = 0. A grid of more than MAX_CUBATURE_NODES nodes is a ParameterError,
+    raised before f is called. The mean is the weighted sum of f's values
+    and the variance the weighted sum of their squared deviations from it,
+    each summed by math.fsum: correctly rounded, so the bits do not depend
+    on the Python version (the built-in sum of floats is compensated from
+    3.12 on).
 
     A value of f that is not finite, or a math domain error (ValueError)
     or ArithmeticError (overflow, division by zero) that f raises at a
@@ -367,22 +312,23 @@ def _cubature(f: Callable[..., float], inputs: Sequence[UncertainQuantity]) -> U
     too; a value that is not a real number (a complex, an array) is a
     ParameterError. A ToolkitError that f raises propagates unchanged.
     """
-    return _product_cubature([(f, inputs)])
+    return _product_cubature([(f, [as_quantity(q) for q in inputs])])
 
 
 def _product_cubature(factors) -> UncertainQuantity:
     """Mean and standard deviation of the product of independent factors,
     each (f, inputs) a function of its own inputs, by the tensor rule of
-    _cubature over all their inputs, from each factor's own grid.
+    propagate_cubature over all their inputs, from each factor's own grid.
 
     Over the tensor grid the factors are independent, so the product's
     mean is the product of the factors' means, and its variance is
     Goodman's exact identity (J. Am. Stat. Assoc. 55, 708 (1960)),
     Var(XY) = vX vY + vX mY^2 + vY mX^2, folded over the factors: a
     product of 64- and 8-node factors costs 72 calls of f, not 512. The
-    errors are _cubature's, counted over the full grid: a node is
-    non-finite where a factor is, or where the product of finite factor
-    values overflows.
+    errors are propagate_cubature's: the node limit holds for each
+    factor's grid, and the non-finite nodes are counted over the full
+    grid, a node being non-finite where a factor is, or where the product
+    of finite factor values overflows.
     """
     grids = [_at_nodes(f, inputs) for f, inputs in factors]
     n = math.prod(len(values) for values, _ in grids)
@@ -406,6 +352,9 @@ def _at_nodes(f, inputs) -> tuple[list, tuple]:
     """f's values (NaN where it raised a math error) and the weights at the
     nodes of the tensor grid of inputs, in the same order."""
     axes = [[q.value + q.sigma * x for x in _GH_NODES] if q.sigma else [q.value] for q in inputs]
+    if (n := math.prod(map(len, axes))) > MAX_CUBATURE_NODES:
+        raise ParameterError(f"{n} cubature nodes exceed the limit of {MAX_CUBATURE_NODES}, "
+                             "8 per input with sigma > 0")
     try:
         values = list(itertools.starmap(f, itertools.product(*axes)))
     except ToolkitError:
@@ -462,7 +411,7 @@ def _positive_at_nodes(name: str, x) -> UncertainQuantity:
     """x as an UncertainQuantity when it is positive (else ParameterError,
     as in positive) and still > 0 at its lowest cubature node, value -
     4.1445 sigma; else DomainError naming it: a chain of 1/x or log x has
-    no value there, so _cubature would sum values past its pole."""
+    no value there, so the cubature would sum values past its pole."""
     q = as_quantity(positive(name, x))
     lowest = q.value - q.sigma * _GH_NODES[-1]
     if lowest <= 0:

@@ -52,6 +52,7 @@ section 8) is a test, not a report row.
 from __future__ import annotations
 
 import json
+import numbers
 from importlib import resources
 from typing import NamedTuple, Optional
 
@@ -59,8 +60,8 @@ from . import BUDGET_TARGETS, cavity_optics, charging, electrostatics, ion_impac
 from .budgets import SWEEP_POINTS, budget_report, budget_rows
 from .errors import ParameterError
 from .quantities import (
-    UncertainQuantity, _check_count, _cubature, _positive_at_nodes, finesse, finite_evaluation,
-    fsr_from_length,
+    UncertainQuantity, _positive_at_nodes, finesse, finite_evaluation, fsr_from_length,
+    propagate_cubature,
 )
 from .scenario import Scenario, parse_scenario
 
@@ -237,16 +238,16 @@ def _over(d, f):
 def _finesse_sigma_ratio(scn: Scenario) -> float:
     """The ratio of the sigma of F = FSR/linewidth, over independent normal
     linewidth and FSR, to the finesse row's linear sigma, that sigma by
-    8x8-node Gauss-Hermite cubature (quantities._cubature). Strictly, f/d
-    over a normal d has no finite variance, since d <= 0 has a positive
-    probability; the sigma is that of f/d within the nodes' span, value
-    +/- 4.1445 sigma, which is what a Monte Carlo sees while d <= 0 lies
-    many sigma away. A linewidth or FSR at or below 0 at its lowest node
+    8x8-node Gauss-Hermite cubature (quantities.propagate_cubature).
+    Strictly, f/d over a normal d has no finite variance, since d <= 0 has
+    a positive probability; the sigma is that of f/d within the nodes'
+    span, value +/- 4.1445 sigma, which is what a Monte Carlo sees while
+    d <= 0 lies many sigma away. A linewidth or FSR at or below 0 at its lowest node
     is a DomainError naming it: f/d has a pole there.
     """
     inputs = [_positive_at_nodes("linewidth", _linewidth(scn)),
               _positive_at_nodes("FSR", _fsr(scn))]
-    return _cubature(_over, inputs).sigma / _finesse(scn).sigma
+    return propagate_cubature(_over, inputs).sigma / _finesse(scn).sigma
 
 
 def _kappa(scn: Scenario, f01: float, f01_sigma: float) -> UncertainQuantity:
@@ -337,7 +338,7 @@ def build_report(
     propagation or Gauss-Hermite cubature, so no row reads seed. The
     argument is kept only because the benchmark's lib-report op passes
     one; a seed given is still checked, ParameterError unless it is an
-    int >= 0, as propagate_monte_carlo checks one.
+    int >= 0.
 
     A row in BUDGET_ROWS reads its value from budgets.budget_rows, one call
     per (target, manifest inputs); every other row runs its ROWS entry
@@ -346,8 +347,10 @@ def build_report(
     zero or a non-finite value, its message starting with "row <id>: " or
     "target <target>: ".
     """
-    if seed is not None:
-        _check_count("seed", seed, 0)
+    # a NumPy integer is an Integral; a bool is one too, but not a seed
+    if seed is not None and not (
+            isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+        raise ParameterError(f"seed must be an int >= 0, got {seed!r}")
     scn = bundled_scenario() if scn is None else scn
     manifest = load_manifest()
     budgets = {}

@@ -36,7 +36,7 @@ from cavitycharge.ion_impact import (
     max_equal_charge_for_gate,
     zero_point_spread,
 )
-from cavitycharge.quantities import CODATA, UncertainQuantity, propagate_monte_carlo
+from cavitycharge.quantities import CODATA, UncertainQuantity, propagate_cubature
 from cavitycharge.reports import build_report
 from cavitycharge.ringdown import finesse, fit_ringdown, synthesize_trace
 from cavitycharge.rydberg_impact import (
@@ -122,9 +122,9 @@ def test_03_finesse_from_linewidth():
     assert f.value == pytest.approx(14168.0, abs=1.0)
     assert f.sigma == pytest.approx(245.0, abs=1.0)
     assert abs(f.value - 14160.0) <= 250.0  # inside the printed one sigma
-    mc = propagate_monte_carlo(lambda d, nu: nu / d, [lw, fsr], 100_000, seed=0)
-    assert mc.sigma == pytest.approx(f.sigma, rel=0.20)
-    ok(3, "finesse 14168(245) within printed 14160(250); MC sigma within 20%")
+    cubature = propagate_cubature(lambda d, nu: nu / d, [lw, fsr])
+    assert cubature.sigma == pytest.approx(f.sigma, rel=0.20)
+    ok(3, "finesse 14168(245) within printed 14160(250); cubature sigma within 20%")
 
 
 def test_04_ringdown_fitter_statistics():

@@ -6,8 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from mc_oracle import propagate_monte_carlo, sigma_standard_error
 
 from cavitycharge import cavity_optics
 from cavitycharge.cavity_optics import (
@@ -20,12 +19,8 @@ from cavitycharge.cavity_optics import (
     r1_from_asymmetric_finesse,
     resonant_response,
 )
-from cavitycharge.errors import (
-    ConsistencyError, DomainError, EvaluationError, ParameterError, ToolkitError,
-)
-from cavitycharge.quantities import (
-    _GH_NODES, _GH_WEIGHTS, UncertainQuantity, propagate_linear, propagate_monte_carlo,
-)
+from cavitycharge.errors import ConsistencyError, DomainError, EvaluationError, ParameterError
+from cavitycharge.quantities import _GH_NODES, _GH_WEIGHTS, UncertainQuantity, propagate_linear
 
 mpmath.mp.dps = 50
 
@@ -208,15 +203,14 @@ def test_extinction_cubature_vs_linear_sigma():
 @pytest.mark.parametrize("key", FINESSE_TABLE)
 def test_extinction_cubature_sigma_is_within_two_standard_errors_of_monte_carlo(key, seed):
     # JCGM 101:2008 section 8: a non-Monte-Carlo sigma validated against a
-    # Monte Carlo of the same chain; the standard error of a sample sigma s
-    # from n draws is s/2 sqrt(2/(n-1) + (m4/s^4 - 3)/n), with the sample's
-    # fourth central moment m4 from the same draws (common random numbers)
+    # Monte Carlo of the same chain, with the sample's fourth central moment
+    # m4 from the same draws (common random numbers)
     inputs = _report_inputs(key)
     kappa = functools.partial(_kappa_on_arrays, WAVELENGTH)
     n = 1_000_000
     mc = propagate_monte_carlo(kappa, inputs, n, seed)
     m4 = propagate_monte_carlo(lambda *x: (kappa(*x) - mc.value) ** 4, inputs, n, seed).value
-    standard_error = 0.5 * mc.sigma * math.sqrt(2.0 / (n - 1) + (m4 / mc.sigma**4 - 3.0) / n)
+    standard_error = sigma_standard_error(mc.sigma, m4, n)
     cubature = extinction_from_finesse(*inputs, WAVELENGTH)
     assert abs(cubature.sigma - mc.sigma) <= 2.0 * standard_error
 
@@ -284,136 +278,14 @@ def test_factored_extinction_sigma_is_the_full_tensor_sigma(f00, f01, h):
     assert abs(kappa.sigma / sigma - 1.0) <= 1e-13
 
 
-def _kappa_draws(wavelength_m):
-    """The per-draw extinction as one generic Monte-Carlo function."""
-    def r0(f):
-        return 1.0 - 2.0 * math.pi / (2.0 * f + math.pi + np.sqrt(4.0 * f**2 + math.pi**2))
-
-    def kappa(f00_s, f01_s, h_s):
-        r0_s = r0(f00_s)
-        r1_s = r0(f01_s) ** 2 / r0_s
-        k = -(wavelength_m / (8.0 * math.pi * h_s)) * np.log(1.0 - r0_s**2 + r1_s**2)
-        return np.where((f00_s > 0) & (f01_s > 0) & (h_s > 0), k, np.nan)
-    return kappa
-
-
-def _outcome(call):
-    """(call()'s result, or the type and message of the ToolkitError it
-    raised, and the category and message of each warning it gave)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            result = call()
-        except ToolkitError as exc:
-            result = (type(exc), str(exc))
-    return result, [(w.category, str(w.message)) for w in caught]
-
-
-# -- bit identity with the plain operation order -----------------------------
-# The references below spell out propagate_monte_carlo's recipe on their own:
-# one row of standard normals per input from default_rng(seed), value + sigma * z,
-# isfinite before the sums. They call an elementwise f per block of 8,192 draws,
-# so the engine's one call on all the draws must give the same bits.
-
-def _reference_normals(seed, mc_samples, n_inputs):
-    rng = np.random.default_rng(seed)
-    return [rng.standard_normal(mc_samples) for _ in range(n_inputs)]
-
-
-def _reference_summary(samples):
-    sample_count = len(samples)
-    finite = np.isfinite(samples)
-    n_bad = sample_count - np.count_nonzero(finite)
-    if n_bad > 0.01 * sample_count:
-        raise EvaluationError(f"{n_bad}/{sample_count} Monte-Carlo samples were non-finite")
-    if n_bad:
-        warnings.warn(f"discarded {n_bad}/{sample_count} non-finite Monte-Carlo samples",
-                      RuntimeWarning)
-        samples = samples[finite]
-    n = len(samples)
-    mean = np.add.reduce(samples) / n
-    deviations = samples - mean
-    deviations *= deviations
-    return UncertainQuantity(float(mean), float(np.sqrt(np.add.reduce(deviations) / (n - 1))))
-
-
-def _reference_monte_carlo(f, inputs, sample_count, seed):
-    z = _reference_normals(seed, sample_count, len(inputs))
-    samples = np.empty(sample_count)
-    for start in range(0, sample_count, 8192):
-        part = slice(start, min(start + 8192, sample_count))
-        with np.errstate(all="ignore"):
-            samples[part] = f(*(q.value + q.sigma * z_k[part] for q, z_k in zip(inputs, z)))
-    return _reference_summary(samples)
-
-
-def _bits(outcome):
-    """An _outcome with each number as its bits (NaN equals NaN)."""
-    result, caught = outcome
-    quantities = result if isinstance(result, list) else [result]
-    if all(isinstance(q, UncertainQuantity) for q in quantities):
-        result = [tuple(np.float64(x).tobytes() for x in q) for q in quantities]
-    return result, caught
-
-
-def _log_uniform(low, high):
-    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
-
-
-def _log_uniform_quantity(low, high):
-    # relative sigmas up to 0.6 put up to ~5% of the draws at or below 0,
-    # either side of the 1% limit on non-finite samples
-    return st.tuples(_log_uniform(low, high), _log_uniform(1e-6, 0.6)).map(
-        lambda pair: UncertainQuantity(pair[0], pair[0] * pair[1]))
-
-
-@settings(max_examples=200)
-@given(f00=_log_uniform_quantity(1e2, 1e6),
-       f01s=st.lists(_log_uniform_quantity(1e2, 1e6), min_size=1, max_size=5),
-       h=_log_uniform_quantity(1e-9, 1e-5), wavelength_m=_log_uniform(1e-7, 1e-4),
-       seed=st.integers(0, 2**32))
-def test_monte_carlo_kernels_keep_the_plain_operation_order_bit_for_bit(
-        f00, f01s, h, wavelength_m, seed):
-    for f01 in f01s:
-        for f, inputs in ((_kappa_draws(wavelength_m), [f00, f01, h]),
-                          (lambda d, f: f / d, [f00, f01])):
-            assert _bits(_outcome(lambda: propagate_monte_carlo(f, inputs, 2000, seed))) \
-                == _bits(_outcome(lambda: _reference_monte_carlo(f, inputs, 2000, seed)))
-
-
-@pytest.mark.parametrize("case", ["nan", "inf", "overflowing sum", "finite"])
-def test_summary_finds_the_non_finite_samples_its_sum_shows(case):
-    samples = 1.0 + _reference_normals(3, 2000, 1)[0]
-    if case == "nan":
-        samples[17] = np.nan
-    elif case == "inf":
-        samples[1999] = np.inf
-    elif case == "overflowing sum":
-        samples *= 1e305  # every sample finite, their sum not
-        samples += 1e307
-    expected = _outcome(lambda: _reference_summary(samples.copy()))
-    if case == "overflowing sum":  # the plain order leaks NumPy's overflow warning
-        assert np.isfinite(samples).all()
-        expected = ((EvaluationError, "the sum of 2000 finite Monte-Carlo samples overflows"), [])
-    got = _outcome(lambda: propagate_monte_carlo(
-        lambda x: samples.copy(), [UncertainQuantity(1.0, 1.0)], 2000, 3))
-    assert _bits(got) == _bits(expected)
-    if case in ("nan", "inf"):
-        assert expected[1] == [(RuntimeWarning, "discarded 1/2000 non-finite Monte-Carlo samples")]
-
-
-@pytest.mark.parametrize("call, message", [
-    (lambda: propagate_monte_carlo(lambda x: x * 1e305, [UncertainQuantity(10.0, 1.0)], 2000, 0),
-     "the sum of 2000 finite Monte-Carlo samples overflows"),
-    (lambda: propagate_monte_carlo(lambda x: x * 1e200, [UncertainQuantity(10.0, 1.0)], 2000, 0),
-     "the sum of squared deviations of 2000 finite Monte-Carlo samples overflows"),
-    # kappa's scale -lambda/(8 pi h) is ~1e292 m^-1 for a 1e-300 m film
-    (lambda: extinction_from_finesse(UncertainQuantity(F00, 60.0), UncertainQuantity(14160.0, 250.0),
-                                     UncertainQuantity(1e-300, 1e-301), WAVELENGTH),
-     "the weighted variance over 512 cubature nodes overflows"),
-], ids=["sum", "squared_deviations", "extinction"])
-def test_finite_samples_whose_sums_overflow_are_an_evaluation_error(call, message):
-    assert _outcome(call) == ((EvaluationError, message), [])
+def test_extinction_whose_weighted_variance_overflows_is_an_evaluation_error():
+    # kappa's scale -lambda/(8 pi h) is ~1e292 m^-1 for a 1e-300 m film; no warning either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError,
+                           match="^the weighted variance over 512 cubature nodes overflows$"):
+            extinction_from_finesse(UncertainQuantity(F00, 60.0), UncertainQuantity(14160.0, 250.0),
+                                    UncertainQuantity(1e-300, 1e-301), WAVELENGTH)
 
 
 @pytest.mark.parametrize("f01", [

@@ -24,10 +24,11 @@ from cavitycharge.quantities import CODATA
 # that no command, report row or demo reached (ComplexIndex, DrudeModel,
 # drude_from_transport, lambda_cubed_ratio, power_attenuation); finesse and
 # fsr_from_length moved from ringdown to quantities, which the report reaches
-# without NumPy, and ringdown re-exports them
+# without NumPy, and ringdown re-exports them; propagate_monte_carlo, which
+# only the tests called, left for them (tests/mc_oracle.py)
 OLD_EXPORTS = {
     "quantities": "CODATA Constants UncertainQuantity finesse fsr_from_length "
-                  "propagate_linear propagate_monte_carlo",
+                  "propagate_linear",
     "ringdown": "RingdownFit RingdownTrace fit_ringdown load_trace_csv pool_linewidths "
                 "synthesize_trace",
     "cavity_optics": "MirrorState excess_reflection_loss extinction_from_finesse "
@@ -87,7 +88,7 @@ def test_lazy_namespace_keeps_the_old_surface():
     star = {}
     exec("from cavitycharge import *", star)
     names = [(m, n) for m, listed in OLD_EXPORTS.items() for n in listed.split()]
-    assert len(names) == 48
+    assert len(names) == 47
     for module_name, name in names:
         assert name in cavitycharge.__all__ and name in dir(cavitycharge)
         defined = getattr(getattr(cavitycharge, module_name), name)
@@ -286,6 +287,45 @@ def test_report_path_loads_no_numpy(tmp_path):
         "print([ringdown.finesse is finesse is quantities.finesse, "
         "ringdown.fsr_from_length is fsr_from_length is quantities.fsr_from_length])"))
     assert same == [True, True]
+
+
+def test_propagation_engines_load_no_numpy():
+    probe = (
+        "import sys; from cavitycharge import UncertainQuantity, propagate_cubature, "
+        "propagate_linear; inputs = [UncertainQuantity(523e3, 9e3), 7.41e9]; "
+        "print([engine(lambda d, f: f / d, inputs).sigma > 0 "
+        "for engine in (propagate_cubature, propagate_linear)], 'numpy' in sys.modules)"
+    )
+    assert _probe(probe).strip() == "[True, True] False"
+
+
+def _uses_numpy_random(node) -> bool:
+    """Whether an AST node imports or names numpy.random or default_rng."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "default_rng" or (
+            node.attr == "random" and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.Name):
+        return node.id == "default_rng"
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.random") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.random") or (
+            node.module == "numpy" and any(alias.name == "random" for alias in node.names))
+    return False
+
+
+def test_only_the_synthetic_trace_draws_random_numbers():
+    # no propagation engine draws: numpy.random serves the seeded noise of
+    # ringdown.synthesize_trace alone
+    package = Path(cavitycharge.__file__).resolve().parent
+    users = {
+        (path.stem, getattr(statement, "name", "<module>"))
+        for path in sorted(package.glob("*.py"))
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(statement) if _uses_numpy_random(node)
+    }
+    assert users == {("ringdown", "synthesize_trace")}
 
 
 def test_drude_index_loads_no_numpy():

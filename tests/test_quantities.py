@@ -1,9 +1,8 @@
 import math
-import re
-import tracemalloc
 
 import numpy as np
 import pytest
+from mc_oracle import propagate_monte_carlo, sigma_standard_error
 
 from cavitycharge.cavity_optics import MirrorState
 from cavitycharge.electrostatics import ChargeScenario
@@ -13,12 +12,13 @@ from cavitycharge.quantities import (
     _GH_NODES,
     _GH_WEIGHTS,
     CODATA,
+    MAX_CUBATURE_NODES,
     UncertainQuantity,
-    _cubature,
     _product_cubature,
+    _tensor_weights,
     finesse,
+    propagate_cubature,
     propagate_linear,
-    propagate_monte_carlo,
 )
 from cavitycharge.reports import build_report
 from cavitycharge.ringdown import fit_ringdown, synthesize_trace
@@ -137,25 +137,17 @@ def test_monte_carlo_agrees_with_linear_on_finesse():
     assert mc.sigma == pytest.approx(linear.sigma, rel=0.10)
 
 
-def test_monte_carlo_zero_sigma_inputs():
-    mc = propagate_monte_carlo(
-        lambda x, y: x * y,
-        [UncertainQuantity(3.0), UncertainQuantity(4.0)],
-        sample_count=2000,
-        seed=0,
-    )
-    assert mc.value == 12.0
-    assert mc.sigma == 0.0
+def test_cubature_zero_sigma_inputs():
+    q = propagate_cubature(lambda x, y: x * y, [UncertainQuantity(3.0), UncertainQuantity(4.0)])
+    assert q.value == 12.0
+    assert q.sigma == 0.0
 
 
-def test_monte_carlo_independent_sum_sigma():
-    mc = propagate_monte_carlo(
-        lambda x, y: x + y,
-        [UncertainQuantity(1.0, 1.0), UncertainQuantity(1.0, 1.0)],
-        sample_count=100_000,
-        seed=1,
+def test_cubature_independent_sum_sigma():
+    q = propagate_cubature(
+        lambda x, y: x + y, [UncertainQuantity(1.0, 1.0), UncertainQuantity(1.0, 1.0)]
     )
-    assert mc.sigma == pytest.approx(math.sqrt(2.0), rel=0.05)
+    assert q.sigma == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
 
 def test_monte_carlo_determinism():
@@ -167,41 +159,39 @@ def test_monte_carlo_determinism():
     assert a.value != c.value
 
 
-def test_monte_carlo_rejects_tiny_sample_count():
-    with pytest.raises(ParameterError):
-        propagate_monte_carlo(lambda x: x, [UncertainQuantity(1.0, 0.1)], 10, seed=0)
-
-
-@pytest.mark.parametrize("sample_count", [1000.5, "5000", True])
-def test_monte_carlo_sample_count_is_an_int(sample_count):
-    message = f"^sample_count must be an int >= 1000, got {re.escape(repr(sample_count))}$"
-    with pytest.raises(ParameterError, match=message):
-        propagate_monte_carlo(lambda x: x, [UncertainQuantity(1.0, 0.1)], sample_count)
-
-
-def test_monte_carlo_nonfinite_fraction_errors():
-    # half the draws of x land below zero -> sqrt produces NaN for >1%
-    with pytest.raises(EvaluationError):
-        propagate_monte_carlo(
-            np.sqrt, [UncertainQuantity(0.0, 1.0)], sample_count=2000, seed=0
-        )
-
-
-def test_monte_carlo_error_from_f_propagates_after_one_call():
+def test_cubature_error_from_f_propagates_after_one_call():
     calls = []
 
     def f(x):
-        calls.append(x.shape)
+        calls.append(x)
         raise DomainError("outside the domain")
 
     with pytest.raises(DomainError, match="outside the domain"):
-        propagate_monte_carlo(f, [UncertainQuantity(1.0, 0.1)], 1000, seed=0)
-    assert calls == [(1000,)]
+        propagate_cubature(f, [UncertainQuantity(1.0, 0.1)])
+    assert len(calls) == 1
 
 
-def test_monte_carlo_rejects_f_that_is_not_elementwise():
-    with pytest.raises(ParameterError, match=r"shape \(\), expected \(1000,\)"):
-        propagate_monte_carlo(lambda x: 2.0, [UncertainQuantity(1.0, 0.1)], 1000, seed=0)
+@pytest.mark.parametrize("engine", [propagate_linear, propagate_cubature])
+def test_engines_take_a_bare_number_as_an_exact_input(engine):
+    q = engine(lambda x, y: x * y, [3.0, UncertainQuantity(2.0, 0.1)])
+    assert q.value == pytest.approx(6.0, rel=1e-15)
+    assert q.sigma == pytest.approx(0.3, rel=1e-9)
+    assert engine(math.sqrt, [4]) == (2.0, 0.0)
+
+
+def test_cubature_refuses_more_nodes_than_its_limit_before_calling_f():
+    def f(*x):
+        raise RuntimeError("f was called")
+
+    assert MAX_CUBATURE_NODES == 8**6
+    for k, nodes in ((7, 2_097_152), (12, 68_719_476_736)):
+        with pytest.raises(ParameterError, match=rf"^{nodes} cubature nodes exceed the limit "
+                                                 r"of 262144, 8 per input with sigma > 0$"):
+            propagate_cubature(f, [UncertainQuantity(1.0, 0.1)] * k)
+    # six uncertain inputs and any number of exact ones are within it
+    q = propagate_cubature(lambda *x: math.fsum(x), [UncertainQuantity(1.0, 0.5)] * 6 + [2.0] * 6)
+    assert q.value == pytest.approx(18.0, rel=1e-15)
+    assert q.sigma == pytest.approx(0.5 * math.sqrt(6.0), rel=1e-13)
 
 
 def _elementwise(*draws):
@@ -209,53 +199,6 @@ def _elementwise(*draws):
     for x in draws[1:]:
         y = y * x + np.sqrt(np.abs(x))
     return y
-
-
-@pytest.mark.parametrize("sample_count", [1000, 8192, 8193, 100_000])
-@pytest.mark.parametrize(
-    "inputs",
-    [
-        [(2.0, 0.3)],
-        [(523e3, 9e3), (7.41e9, 0.013e9)],
-        [(22_000.0, 500.0), (-1.5, 2.0), (4e-8, 1e-9)],
-    ],
-)
-def test_monte_carlo_blocks_equal_one_call_on_all_draws(sample_count, inputs):
-    sizes = []
-
-    def f(*draws):
-        sizes.append(draws[0].size)
-        return _elementwise(*draws)
-
-    quantities = [UncertainQuantity(v, s) for v, s in inputs]
-    mc = propagate_monte_carlo(f, quantities, sample_count, seed=4)
-    z = np.random.default_rng(4).standard_normal((len(inputs), sample_count))
-    y = _elementwise(*(q.value + q.sigma * z[i] for i, q in enumerate(quantities)))
-    assert (mc.value, mc.sigma) == (float(np.mean(y)), float(np.std(y, ddof=1)))
-    assert sum(sizes) == sample_count
-
-
-def _nan_in_first_block(n_nan):
-    calls = []
-
-    def f(x):
-        calls.append(x.size)
-        y = x.copy()
-        if len(calls) == 1:
-            y[:n_nan] = np.nan
-        return y
-
-    return f
-
-
-def test_monte_carlo_nonfinite_policy_counts_over_the_whole_output():
-    # 1,100 NaNs, 13% of the first 8,192 draws, are 1.1% of all draws
-    with pytest.raises(EvaluationError, match="1100/100000"):
-        propagate_monte_carlo(_nan_in_first_block(1100), [UncertainQuantity(1.0, 0.1)], 100_000)
-    # 900 NaNs, 11% of those draws, are 0.9% of all draws: a warning only
-    with pytest.warns(RuntimeWarning, match="discarded 900/100000"):
-        mc = propagate_monte_carlo(_nan_in_first_block(900), [UncertainQuantity(1.0, 0.1)], 100_000)
-    assert math.isfinite(mc.value) and math.isfinite(mc.sigma)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 12345])
@@ -281,13 +224,13 @@ def test_monte_carlo_draws_equal_rng_normal_per_input(seed, inputs):
         assert np.array_equal(draw, rng.normal(q.value, q.sigma, 2000))
 
 
-def test_report_rows_do_not_depend_on_earlier_monte_carlo_calls():
-    cold = build_report(seed=5)
-    propagate_monte_carlo(lambda a, b, c: a * b / c, [LINEWIDTH, FSR, LINEWIDTH], 100_000, seed=6)
-    after_other_seed = build_report(seed=5)
-    propagate_monte_carlo(ratio, [LINEWIDTH, FSR], 100_000, seed=5)
-    after_two_inputs = build_report(seed=5)
-    assert cold == after_other_seed == after_two_inputs
+def test_report_rows_do_not_depend_on_earlier_cubature_calls():
+    cold = build_report()
+    propagate_cubature(lambda a, b, c: a * b / c, [LINEWIDTH, FSR, LINEWIDTH])
+    after_three_inputs = build_report()
+    propagate_cubature(ratio, [LINEWIDTH.value, FSR])
+    after_an_exact_input = build_report()
+    assert cold == after_three_inputs == after_an_exact_input
 
 
 @pytest.mark.parametrize("n_inputs", [1, 3])
@@ -309,58 +252,35 @@ def test_monte_carlo_draws_one_row_of_normals_per_input(n_inputs, monkeypatch):
     assert drawn == [3000] * n_inputs
 
 
-def test_monte_carlo_results_do_not_depend_on_earlier_calls():
-    def results(seed, sample_count):
-        return (
-            propagate_monte_carlo(ratio, [LINEWIDTH, FSR], sample_count, seed=seed),
-            propagate_monte_carlo(lambda a, b, c: a * b / c, [LINEWIDTH, FSR, LINEWIDTH],
-                                  sample_count, seed=seed),
-        )
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_sigma_standard_error_is_the_spread_of_sigma_over_seeds(n):
+    # exp(x), x ~ N(0, 0.5^2), has excess kurtosis 5.9: the normal-theory
+    # s/sqrt(2(n-1)) alone is half the observed spread
+    def sigma_and_standard_error(seed):
+        kept = []
+        mc = propagate_monte_carlo(lambda x: kept.append(np.exp(x)) or kept[0],
+                                   [UncertainQuantity(0.0, 0.5)], n, seed)
+        squares = (kept[0] - mc.value) ** 2
+        return mc.sigma, sigma_standard_error(mc.sigma, float(np.mean(squares * squares)), n)
 
-    calls = [(3, 2000), (3, 100_000), (4, 100_000), (3, 2000), (4, 2000), (4, 100_000),
-             (5, 100_000), (5, 100_000), (3, 2000)]
+    sigmas, standard_errors = np.array([sigma_and_standard_error(seed) for seed in range(200)]).T
+    assert np.mean(standard_errors) == pytest.approx(np.std(sigmas, ddof=1), rel=0.20)
+
+
+def test_cubature_results_do_not_depend_on_earlier_calls():
+    # the node weights of each pattern of exact and uncertain inputs are kept
+    def result(spread):
+        inputs = [q if s else q.value for q, s in zip([LINEWIDTH, FSR, LINEWIDTH], spread)]
+        return propagate_cubature(lambda a, b, c: a * b / c, inputs)
+
+    calls = [(1, 1, 0), (1, 1, 1), (0, 1, 1), (1, 1, 0), (1, 0, 1), (1, 1, 1), (0, 0, 1),
+             (0, 0, 1), (1, 1, 0)]
     first = {}
     for call in calls:
-        assert first.setdefault(call, results(*call)) == results(*call)
-    # a later call with the same seed and draw count repeats the first bit for bit;
-    # another seed draws other normals
-    assert first[3, 2000][0] != first[4, 2000][0]
-
-
-def test_monte_carlo_f_writing_into_its_draws_changes_no_later_result():
-    inputs =[UncertainQuantity(2.0, 0.3), UncertainQuantity(5.0, 0.2)]
-    before = propagate_monte_carlo(lambda x, y: x * y, inputs, 5000, seed=42)
-
-    def vandal(x, y):
-        x[:] = 0.0
-        y *= 3.0
-        return x + y
-
-    propagate_monte_carlo(vandal, inputs, 5000, seed=42)
-    after = propagate_monte_carlo(lambda x, y: x * y, inputs, 5000, seed=42)
-    assert (after.value, after.sigma) == (before.value, before.sigma)
-
-
-@pytest.mark.parametrize(
-    "seed",
-    [
-        None,
-        -1,
-        np.int64(-3),
-        1.0,
-        "0",
-        np.random.default_rng(0),
-        np.random.SeedSequence(0),
-        True,
-    ],
-    ids=["none", "negative-int", "negative-np-integer", "float", "str", "generator",
-         "seed-sequence", "bool"],
-)
-def test_monte_carlo_rejects_seed_that_is_not_a_nonnegative_int(seed):
-    calls = []
-    with pytest.raises(ParameterError, match="seed must be an int >= 0"):
-        propagate_monte_carlo(calls.append, [UncertainQuantity(1.0, 0.1)], 1000, seed=seed)
-    assert calls == []
+        assert first.setdefault(call, result(call)) == result(call)
+    _tensor_weights.cache_clear()
+    assert {call: result(call) for call in first} == first
+    assert first[1, 1, 0] != first[1, 0, 1]
 
 
 def test_linear_nonfinite_evaluation_errors():
@@ -378,16 +298,16 @@ def test_linear_nonfinite_evaluation_errors():
     [
         (lambda x, y: x * y, (3.0, 7.0), (0.02, 0.05)),
         (lambda x, y: x / y, (2.0, 9.0), (0.015, 0.07)),
-        (lambda x: np.sqrt(x), (16.0,), (0.1,)),
-        (lambda x, y: np.exp(x / 10) * y, (1.0, 4.0), (0.008, 0.03)),
+        (lambda x: math.sqrt(x), (16.0,), (0.1,)),
+        (lambda x, y: math.exp(x / 10) * y, (1.0, 4.0), (0.008, 0.03)),
     ],
 )
-def test_linear_and_mc_sigma_agree_for_smooth_functions(f, values, sigmas):
+def test_linear_and_cubature_sigma_agree_for_smooth_functions(f, values, sigmas):
     # relative sigmas below 1 percent: the two engines agree within 20%
     inputs = [UncertainQuantity(v, s) for v, s in zip(values, sigmas)]
     lin = propagate_linear(f, inputs)
-    mc = propagate_monte_carlo(f, inputs, sample_count=50_000, seed=11)
-    assert mc.sigma == pytest.approx(lin.sigma, rel=0.20)
+    cubature = propagate_cubature(f, inputs)
+    assert cubature.sigma == pytest.approx(lin.sigma, rel=0.20)
 
 
 def test_validation():
@@ -408,43 +328,6 @@ def test_constants_are_frozen_and_consistent():
     assert CODATA.h == pytest.approx(2.0 * math.pi * CODATA.hbar, rel=1e-14)
     with pytest.raises(Exception):
         CODATA.e = 1.0
-
-
-@pytest.mark.parametrize("inner_seed,inner_count", [(9, 20_000), (10, 20_000), (9, 3000)],
-                         ids=["same-seed-and-count", "other-seed", "other-count"])
-def test_monte_carlo_nested_in_f_shares_no_array_with_its_caller(inner_seed, inner_count):
-    # the inner call runs between the outer's draws and its summary
-    def inner():
-        return propagate_monte_carlo(ratio, [LINEWIDTH, FSR], inner_count, seed=inner_seed)
-
-    def product(x, y):
-        return x * y
-
-    inputs = [UncertainQuantity(2.0, 0.3), UncertainQuantity(5.0, 0.2)]
-    alone = propagate_monte_carlo(product, inputs, 20_000, seed=9), inner()
-    inner_results = []
-
-    def product_calling_inner(x, y):
-        inner_results.append(inner())
-        return product(x, y)
-
-    outer = propagate_monte_carlo(product_calling_inner, inputs, 20_000, seed=9)
-    assert outer == alone[0]
-    assert inner_results == [alone[1]]
-
-
-def test_monte_carlo_keeps_no_memory_between_calls():
-    inputs = [UncertainQuantity(2.0, 0.3), UncertainQuantity(5.0, 0.2)]
-    propagate_monte_carlo(lambda x, y: x * y, inputs, 1000, seed=1)  # loads numpy.random
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        propagate_monte_carlo(lambda x, y: x * y, inputs, 1_000_000, seed=2)
-        kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    # the call's draws and samples are 8,000,000 bytes each
-    assert kept <= 64 * 1024
 
 
 # -- Gauss-Hermite cubature ----------------------------------------------------
@@ -468,7 +351,8 @@ def test_cubature_rule_integrates_the_normal_moments_up_to_degree_15(k):
 
 def test_cubature_gives_exact_moments_of_a_polynomial():
     # x y over independent normals: mean 6, variance 3^2 0.2^2 + 2^2 0.1^2 + 0.1^2 0.2^2
-    q = _cubature(lambda x, y: x * y, [UncertainQuantity(3.0, 0.1), UncertainQuantity(2.0, 0.2)])
+    q = propagate_cubature(lambda x, y: x * y,
+                           [UncertainQuantity(3.0, 0.1), UncertainQuantity(2.0, 0.2)])
     assert q.value == pytest.approx(6.0, rel=1e-14)
     assert q.sigma == pytest.approx(math.sqrt(0.36 + 0.04 + 0.0004), rel=1e-13)
 
@@ -482,7 +366,7 @@ def test_cubature_evaluates_an_exact_input_at_its_value_alone():
         return x + y + z
 
     inputs = [UncertainQuantity(1.0, 0.5), UncertainQuantity(4.0), UncertainQuantity(2.0, 1.0)]
-    q = _cubature(f, inputs)
+    q = propagate_cubature(f, inputs)
     assert len(calls) == 64
     assert q.value == pytest.approx(7.0, rel=1e-15)
     assert q.sigma == pytest.approx(math.hypot(0.5, 1.0), rel=1e-14)
@@ -510,7 +394,7 @@ def _raise_parameter_error(x):
         "toolkit-error"])
 def test_cubature_refuses_what_it_cannot_sum(f, error, message):
     with pytest.raises(error, match=message):
-        _cubature(f, [UncertainQuantity(0.0, 1.0)])
+        propagate_cubature(f, [UncertainQuantity(0.0, 1.0)])
 
 
 def test_product_cubature_counts_the_nodes_of_the_full_grid():
@@ -529,7 +413,7 @@ def test_product_cubature_is_the_tensor_rule_of_the_product():
     # x y z over independent normals, as the factors (x y) and z and as one function
     inputs = [UncertainQuantity(3.0, 0.1), UncertainQuantity(2.0, 0.2),
               UncertainQuantity(5.0, 0.5)]
-    whole = _cubature(lambda x, y, z: x * y * z, inputs)
+    whole = propagate_cubature(lambda x, y, z: x * y * z, inputs)
     factored = _product_cubature([(lambda x, y: x * y, inputs[:2]), (lambda z: z, inputs[2:])])
     assert factored.value == pytest.approx(whole.value, rel=1e-15)
     assert factored.sigma == pytest.approx(whole.sigma, rel=1e-14)

@@ -1,12 +1,13 @@
 import math
+from importlib import resources
 
 import pytest
+from mc_oracle import propagate_monte_carlo, sigma_standard_error
 
 from cavitycharge import BUDGET_DEFAULTS, reports
 from cavitycharge.budgets import budget_rows
 from cavitycharge.cli import build_parser
 from cavitycharge.errors import ParameterError
-from cavitycharge.quantities import propagate_monte_carlo
 from cavitycharge.reports import (
     BUDGET_ROWS,
     BUDGET_TARGETS,
@@ -122,9 +123,8 @@ def test_report_refuses_a_seed_that_is_not_a_nonnegative_int(seed):
 
 
 def test_finesse_cubature_sigma_is_within_two_standard_errors_of_monte_carlo(rows):
-    # as for the film-extinction sigmas (JCGM 101:2008 section 8): the standard
-    # error of a sample sigma s from n draws is s/2 sqrt(2/(n-1) + (m4/s^4 - 3)/n).
-    # Seeds 0-4 are pooled, their mean sigma against the pooled standard error:
+    # as for the film-extinction sigmas (JCGM 101:2008 section 8), against the
+    # standard error of a sample sigma. Seeds 0-4 are pooled, their mean sigma against the pooled standard error:
     # one seed's sigma lies up to 2.2 standard errors from the cubature's,
     # which 20, 40 and 80 nodes give to 1e-15
     by_id = {row.row_id: row for row in rows}
@@ -137,9 +137,25 @@ def test_finesse_cubature_sigma_is_within_two_standard_errors_of_monte_carlo(row
         mc = propagate_monte_carlo(reports._over, inputs, n, seed)
         m4 = propagate_monte_carlo(lambda d, f: (f / d - mc.value) ** 4, inputs, n, seed).value
         sigmas.append(mc.sigma)
-        variances.append(0.25 * mc.sigma**2 * (2.0 / (n - 1) + (m4 / mc.sigma**4 - 3.0) / n))
+        variances.append(sigma_standard_error(mc.sigma, m4, n) ** 2)
     standard_error = math.sqrt(sum(variances)) / len(sigmas)
     assert abs(cubature - sum(sigmas) / len(sigmas)) <= 2.0 * standard_error
+
+
+def test_scenario_linewidth_is_the_pooled_fit_of_the_bundled_traces_to_1_khz():
+    # the report's finesse rests on [cavity] linewidth_hz = 523000 +/- 9000, the
+    # pooled fit of the five bundled traces (523171.7 +/- 8946.7 Hz) rounded to
+    # 1 kHz; the rounded values are compared, as the fit's last bits depend on
+    # the BLAS
+    from cavitycharge.ringdown import fit_ringdown, load_trace_csv, pool_linewidths
+
+    traces = resources.files("cavitycharge").joinpath("data/traces")
+    pooled = pool_linewidths([
+        fit_ringdown(load_trace_csv(traces.joinpath(f"ringdown_{k:02d}.csv"))) for k in range(1, 6)
+    ])
+    cavity = bundled_scenario().cavity
+    assert (round(pooled.value, -3), round(pooled.sigma, -3)) \
+        == (cavity.linewidth_hz, cavity.linewidth_sigma_hz)
 
 
 def test_render_text_structure(rows):
