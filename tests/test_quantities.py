@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from mc_oracle import propagate_monte_carlo, sigma_standard_error
 
 from cavitycharge.cavity_optics import MirrorState
 from cavitycharge.electrostatics import ChargeScenario
-from cavitycharge.errors import DomainError, EvaluationError, ParameterError
+from cavitycharge.errors import DomainError, EvaluationError, ParameterError, ToolkitError
 from cavitycharge.ion_impact import GateParams
 from cavitycharge.quantities import (
     _GH_NODES,
@@ -179,6 +181,32 @@ def test_engines_take_a_bare_number_as_an_exact_input(engine):
     assert engine(math.sqrt, [4]) == (2.0, 0.0)
 
 
+def _never_called(*x):
+    raise RuntimeError("f was called")
+
+
+@pytest.mark.parametrize("engine", [propagate_linear, propagate_cubature])
+@pytest.mark.parametrize("bare", ["1.0", None, math.nan, True], ids=["str", "none", "nan", "bool"])
+def test_engines_refuse_a_bare_input_that_is_not_a_finite_real_before_calling_f(engine, bare):
+    with pytest.raises(ParameterError, match="^value must be a finite real number, got "):
+        engine(_never_called, [UncertainQuantity(2.0, 0.1), bare])
+
+
+@pytest.mark.parametrize("engine", [propagate_linear, propagate_cubature])
+@pytest.mark.parametrize("error", [DomainError, ParameterError, EvaluationError])
+def test_engines_pass_a_toolkit_error_from_f_unchanged(engine, error):
+    raised = error("from f")
+
+    def f(x, y):
+        if (x, y) != (2.0, 5.0):  # a value at the input values only
+            raise raised
+        return x * y
+
+    with pytest.raises(ToolkitError) as caught:
+        engine(f, [UncertainQuantity(2.0, 0.1), UncertainQuantity(5.0, 0.2)])
+    assert caught.value is raised and caught.value.args == ("from f",)
+
+
 def test_cubature_refuses_more_nodes_than_its_limit_before_calling_f():
     def f(*x):
         raise RuntimeError("f was called")
@@ -222,6 +250,20 @@ def test_monte_carlo_draws_equal_rng_normal_per_input(seed, inputs):
     rng = np.random.default_rng(seed)
     for q, draw in zip(quantities, seen, strict=True):
         assert np.array_equal(draw, rng.normal(q.value, q.sigma, 2000))
+
+
+def test_monte_carlo_f_writing_into_its_draws_changes_no_later_result():
+    # each call draws afresh, so common random numbers survive an f that
+    # overwrites the arrays it is given
+    def overwrite(x):
+        y = x.copy()
+        x[:] = 0.0
+        return y
+
+    inputs = [UncertainQuantity(2.0, 0.3)]
+    first = propagate_monte_carlo(overwrite, inputs, 2000, seed=5)
+    assert propagate_monte_carlo(overwrite, inputs, 2000, seed=5) == first
+    assert propagate_monte_carlo(lambda x: x, inputs, 2000, seed=5) == first
 
 
 def test_report_rows_do_not_depend_on_earlier_cubature_calls():
@@ -283,6 +325,34 @@ def test_cubature_results_do_not_depend_on_earlier_calls():
     assert first[1, 1, 0] != first[1, 0, 1]
 
 
+@pytest.mark.parametrize("inner_inputs", [
+    [LINEWIDTH, FSR],
+    [UncertainQuantity(1.0, 0.1), UncertainQuantity(3.0, 0.5)],
+    [LINEWIDTH, FSR.value],
+], ids=["same-inputs", "other-inputs", "an-exact-input"])
+def test_cubature_nested_in_f_gives_the_unnested_result(inner_inputs):
+    alone = propagate_cubature(ratio, inner_inputs)
+
+    def f(d, nu):
+        return ratio(d, nu) * propagate_cubature(ratio, inner_inputs).sigma
+
+    expected = propagate_cubature(lambda d, nu: ratio(d, nu) * alone.sigma, [LINEWIDTH, FSR])
+    assert propagate_cubature(f, [LINEWIDTH, FSR]) == expected
+
+
+def test_cubature_keeps_at_most_32_weight_tables():
+    # 62 patterns of exact and uncertain inputs, 1 to 5 of them
+    def result(spread):
+        inputs = [UncertainQuantity(1.0 + k, 0.5) if s else 1.0 + k for k, s in enumerate(spread)]
+        return propagate_cubature(lambda *x: math.fsum(x) + x[0] * x[-1], inputs)
+
+    spreads = [s for k in range(1, 6) for s in itertools.product((False, True), repeat=k)]
+    _tensor_weights.cache_clear()
+    results = [result(s) for s in spreads]
+    assert _tensor_weights.cache_info().currsize == 32
+    assert [result(s) for s in spreads] == results
+
+
 def test_linear_nonfinite_evaluation_errors():
     with pytest.raises(EvaluationError):
         propagate_linear(lambda x: math.nan, [UncertainQuantity(0.0, 0.1)])
@@ -308,6 +378,26 @@ def test_linear_and_cubature_sigma_agree_for_smooth_functions(f, values, sigmas)
     lin = propagate_linear(f, inputs)
     cubature = propagate_cubature(f, inputs)
     assert cubature.sigma == pytest.approx(lin.sigma, rel=0.20)
+
+
+@pytest.mark.parametrize("f, inputs", [
+    (lambda x: x * x, [UncertainQuantity(0.3, 1.0)]),
+    (np.exp, [UncertainQuantity(0.0, 0.5)]),
+    (lambda x, y: x * y, [UncertainQuantity(1.0, 1.0), UncertainQuantity(2.0, 1.5)]),
+    (np.sin, [UncertainQuantity(1.0, 0.8)]),
+], ids=["square", "exp", "product", "sin"])
+def test_cubature_agrees_with_monte_carlo_where_linear_does_not(f, inputs):
+    # relative sigmas near 1: linear propagation misses the mean or the
+    # sigma by more than 10%, and the cubature is within 2 standard errors
+    # of a 1e5-draw Monte Carlo in both
+    n = 100_000
+    cubature, linear = propagate_cubature(f, inputs), propagate_linear(f, inputs)
+    mc = propagate_monte_carlo(f, inputs, n, seed=0)
+    m4 = propagate_monte_carlo(lambda *x: (f(*x) - mc.value) ** 4, inputs, n, seed=0).value
+    assert abs(cubature.value - mc.value) <= 2.0 * mc.sigma / math.sqrt(n)
+    assert abs(cubature.sigma - mc.sigma) <= 2.0 * sigma_standard_error(mc.sigma, m4, n)
+    assert (abs(linear.value / cubature.value - 1.0) > 0.10
+            or abs(linear.sigma / cubature.sigma - 1.0) > 0.10)
 
 
 def test_validation():
@@ -355,6 +445,24 @@ def test_cubature_gives_exact_moments_of_a_polynomial():
                            [UncertainQuantity(3.0, 0.1), UncertainQuantity(2.0, 0.2)])
     assert q.value == pytest.approx(6.0, rel=1e-14)
     assert q.sigma == pytest.approx(math.sqrt(0.36 + 0.04 + 0.0004), rel=1e-13)
+
+
+def _normal_moment(mu, sigma, n):
+    # E[X^n] of X ~ N(mu, sigma^2), exactly: sum over even j of
+    # C(n, j) mu^(n-j) sigma^j (j - 1)!!
+    return sum(math.comb(n, j) * mu ** (n - j) * sigma**j * math.prod(range(j - 1, 0, -2))
+               for j in range(0, n + 1, 2))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_cubature_gives_the_exact_moments_of_a_power_of_a_normal(k):
+    # X^k has a variance of degree 2k <= 14 in X, within the rule's 15
+    mu, sigma = Fraction(3, 2), Fraction(2, 5)
+    mean = _normal_moment(mu, sigma, k)
+    variance = _normal_moment(mu, sigma, 2 * k) - mean * mean
+    q = propagate_cubature(lambda x: x**k, [UncertainQuantity(float(mu), float(sigma))])
+    assert q.value == pytest.approx(float(mean), rel=1e-13)
+    assert q.sigma == pytest.approx(math.sqrt(variance), rel=1e-12)
 
 
 def test_cubature_evaluates_an_exact_input_at_its_value_alone():
@@ -417,3 +525,33 @@ def test_product_cubature_is_the_tensor_rule_of_the_product():
     factored = _product_cubature([(lambda x, y: x * y, inputs[:2]), (lambda z: z, inputs[2:])])
     assert factored.value == pytest.approx(whole.value, rel=1e-15)
     assert factored.sigma == pytest.approx(whole.sigma, rel=1e-14)
+
+
+_X, _Y, _Z = (UncertainQuantity(3.0, 0.4), UncertainQuantity(1.0, 0.5),
+              UncertainQuantity(5.0, 0.5))
+
+
+@pytest.mark.parametrize("factors", [
+    [(lambda x: x * x, [_X]), (np.exp, [_Y]), (lambda z: 1.0 / z, [_Z])],
+    [(lambda x, y: x * x * np.exp(y), [_X, _Y]), (lambda z: 1.0 / z, [_Z])],
+    [(lambda x: x * x, [_X]), (lambda y, z: np.exp(y) / z, [_Y, _Z])],
+    [(lambda x, z: x * x / z, [_X, _Z]), (np.exp, [_Y])],
+    [(lambda x: x * x, [_X]), (np.exp, [_Y]), (lambda z: 1.0 / z, [_Z]),
+     (lambda c: c, [UncertainQuantity(2.0)])],
+], ids=["x|y|z", "xy|z", "x|yz", "xz|y", "x|y|z|exact"])
+def test_product_cubature_folds_any_split_into_factors(factors):
+    # x^2 e^y / z, as a product of factors each over its own inputs, against
+    # the tensor rule over all of them at once
+    inputs = [q for _, factor_inputs in factors for q in factor_inputs]
+    arity = [len(factor_inputs) for _, factor_inputs in factors]
+
+    def whole(*x):
+        value, start = 1.0, 0
+        for (f, _), n in zip(factors, arity):
+            value, start = value * f(*x[start:start + n]), start + n
+        return value
+
+    factored = _product_cubature(factors)
+    expected = propagate_cubature(whole, inputs)
+    assert factored.value == pytest.approx(expected.value, rel=1e-14)
+    assert factored.sigma == pytest.approx(expected.sigma, rel=1e-13)

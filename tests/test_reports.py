@@ -1,6 +1,7 @@
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 from mc_oracle import propagate_monte_carlo, sigma_standard_error
 
@@ -116,10 +117,16 @@ def test_report_draws_no_normals_and_depends_on_no_seed(rows, monkeypatch):
     assert one == two == rows
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0", np.int64(-3), np.random.default_rng(0),
+                                  np.random.SeedSequence(0)])
 def test_report_refuses_a_seed_that_is_not_a_nonnegative_int(seed):
     with pytest.raises(ParameterError, match="seed must be an int >= 0"):
         build_report(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [None, 0, np.int64(3)], ids=["none", "zero", "np-integer"])
+def test_report_takes_a_seed_that_is_a_nonnegative_int(seed, rows):
+    assert build_report(seed=seed) == rows
 
 
 def test_finesse_cubature_sigma_is_within_two_standard_errors_of_monte_carlo(rows):
