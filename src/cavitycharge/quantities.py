@@ -319,6 +319,11 @@ def _product_cubature(factors) -> UncertainQuantity:
     """Mean and standard deviation of the product of independent factors,
     each (f, inputs) a function of its own inputs, by the tensor rule of
     propagate_cubature over all their inputs, from each factor's own grid.
+    A factor (f, inputs, t) names a transform t of one float: t runs once
+    on each node of each input axis, before the grid is formed, and f
+    takes the transformed values, so f(t(x), t(y)) over an 8 x 8 grid
+    costs 16 calls of t, not 128. A math error in t at an axis node makes
+    every grid node that uses it non-finite, and f is not called there.
 
     Over the tensor grid the factors are independent, so the product's
     mean is the product of the factors' means, and its variance is
@@ -330,7 +335,7 @@ def _product_cubature(factors) -> UncertainQuantity:
     grid, a node being non-finite where a factor is, or where the product
     of finite factor values overflows.
     """
-    grids = [_at_nodes(f, inputs) for f, inputs in factors]
+    grids = [_at_nodes(*factor) for factor in factors]
     n = math.prod(len(values) for values, _ in grids)
     finite = [[v for v in values if math.isfinite(v)] for values, _ in grids]
     n_good = math.prod(map(len, finite))
@@ -348,22 +353,31 @@ def _product_cubature(factors) -> UncertainQuantity:
     return UncertainQuantity(mean, math.sqrt(variance))
 
 
-def _at_nodes(f, inputs) -> tuple[list, tuple]:
-    """f's values (NaN where it raised a math error) and the weights at the
-    nodes of the tensor grid of inputs, in the same order."""
+def _at_nodes(f, inputs, transform=None) -> tuple[list, tuple]:
+    """f's values (NaN where it or the transform raised a math error) and
+    the weights at the nodes of the tensor grid of inputs, in the same
+    order."""
     axes = [[q.value + q.sigma * x for x in _GH_NODES] if q.sigma else [q.value] for q in inputs]
     if (n := math.prod(map(len, axes))) > MAX_CUBATURE_NODES:
         raise ParameterError(f"{n} cubature nodes exceed the limit of {MAX_CUBATURE_NODES}, "
                              "8 per input with sigma > 0")
-    try:
-        values = list(itertools.starmap(f, itertools.product(*axes)))
-    except ToolkitError:
-        raise
-    except (ArithmeticError, ValueError):  # a math domain error, an overflow: node by node
-        values = [_value_at(f, point) for point in itertools.product(*axes)]
+    if transform is not None:  # once per axis node, NaN where it raised a math error
+        axes = [[_value_at(transform, (x,)) for x in axis] for axis in axes]
+    if any(map(math.isnan, itertools.chain(*axes))):  # no call of f where the transform failed
+        values = [math.nan if any(map(math.isnan, point)) else _value_at(f, point)
+                  for point in itertools.product(*axes)]
+    else:
+        try:
+            values = list(itertools.starmap(f, itertools.product(*axes)))
+        except ToolkitError:
+            raise
+        except (ArithmeticError, ValueError):  # a math domain error, an overflow: node by node
+            values = [_value_at(f, point) for point in itertools.product(*axes)]
     if not set(map(type, values)) <= {float}:
         values = [_real(value) for value in values]
-    return values, _tensor_weights(tuple(q.sigma > 0 for q in inputs))
+    spread = tuple(q.sigma > 0 for q in inputs)
+    # a table of more than 8**5 nodes (over 1 MB) is built per call, not kept
+    return values, (_tensor_weights.__wrapped__ if sum(spread) > 5 else _tensor_weights)(spread)
 
 
 def _value_at(f, point) -> float:
@@ -386,7 +400,8 @@ def _tensor_weights(spread: tuple) -> tuple:
     """The node weights of the tensor grid, in itertools.product order, of
     inputs with (True) and without (False) a sigma: the product of each
     input's weight, 1 for an input without a sigma. Kept, as computing
-    them costs about as much as summing them."""
+    them costs about as much as summing them; _at_nodes calls the
+    unkept function for a table of more than 8**5 nodes."""
     return tuple(math.prod(w) for w in itertools.product(
         *(_GH_WEIGHTS if s else (1.0,) for s in spread)))
 

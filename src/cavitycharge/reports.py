@@ -47,10 +47,18 @@ extinctions and the finesse sigma that finesse_mc_linear_sigma compares
 with its linear sigma) come from Gauss-Hermite cubature, so no row
 depends on a seed. The cubature's check by Monte Carlo (JCGM 101:2008
 section 8) is a test, not a report row.
+
+build_report reads the manifest from a parse made once per process and
+kept as immutable records (_manifest), so a library caller that builds
+the report again and again reads and parses the JSON once; a one-shot
+``reproduce-paper`` builds one report and gains nothing from it.
+load_manifest still parses a fresh list of dicts on every call, which
+its caller may change without changing any report.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 from importlib import resources
@@ -117,6 +125,29 @@ def load_manifest() -> list[dict]:
     return json.loads(_data_text("report_manifest.json"))
 
 
+class _Spec(NamedTuple):
+    """One manifest row: its inputs as (name, value) pairs sorted by name,
+    a band's tol as a (lo, hi) tuple."""
+
+    id: str
+    label: str
+    kind: str
+    units: str = ""
+    reference: Optional[float] = None
+    tol: object = None
+    documented: bool = False
+    note: str = ""
+    inputs: tuple = ()
+
+
+@functools.cache
+def _manifest() -> tuple:
+    """The manifest as _Spec records, parsed on the first call only."""
+    return tuple(_Spec(**{**spec, "inputs": tuple(sorted(spec.get("inputs", {}).items())),
+                          "tol": tuple(tol) if isinstance(tol := spec.get("tol"), list) else tol})
+                 for spec in load_manifest())
+
+
 def _relative_deviation(computed: float, reference: float) -> float:
     scale = max(abs(computed), abs(reference))
     if scale == 0.0:
@@ -138,38 +169,37 @@ def _within(kind: str, computed: float, reference, tol) -> bool:
     raise ParameterError(f"unknown tolerance kind {kind!r}")
 
 
-def _make_row(spec: dict, computed) -> ReportRow:
+def _make_row(spec: _Spec, computed) -> ReportRow:
     """The row of spec for a computed float or UncertainQuantity."""
     computed, sigma = (
         (computed.value, computed.sigma)
         if isinstance(computed, UncertainQuantity)
         else (computed, 0.0)
     )
-    kind = spec["kind"]
-    reference = spec.get("reference")
+    reference = spec.reference
     deviation = (
         float(_relative_deviation(computed, reference))
         if reference is not None
         else None
     )
-    if kind == "info":
+    if spec.kind == "info":
         status = "N/A"
-    elif _within(kind, computed, reference, spec["tol"]):
+    elif _within(spec.kind, computed, reference, spec.tol):
         status = "MATCH"
-    elif spec.get("documented", False):
+    elif spec.documented:
         status = "MISMATCH-DOCUMENTED"
     else:
         status = "MISMATCH"
     return ReportRow(
-        row_id=spec["id"],
-        label=spec["label"],
-        units=spec.get("units", ""),
+        row_id=spec.id,
+        label=spec.label,
+        units=spec.units,
         computed=float(computed),
         sigma=float(sigma),
         reference=reference,
         deviation=deviation,
         status=status,
-        note=spec.get("note", ""),
+        note=spec.note,
     )
 
 
@@ -352,15 +382,14 @@ def build_report(
             isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
         raise ParameterError(f"seed must be an int >= 0, got {seed!r}")
     scn = bundled_scenario() if scn is None else scn
-    manifest = load_manifest()
     budgets = {}
     rows = []
-    for spec in manifest:
-        row_id = spec["id"]
-        inputs = spec.get("inputs", {})
+    for spec in _manifest():
+        row_id = spec.id
+        inputs = dict(spec.inputs)
         if row_id in BUDGET_ROWS:
             target, name = BUDGET_ROWS[row_id]
-            key = (target, *sorted(inputs.items()))
+            key = (target, *spec.inputs)
             if key not in budgets:
                 budgets[key] = budget_rows(scn, target, **inputs)
             computed = budgets[key][name]

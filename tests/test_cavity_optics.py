@@ -6,6 +6,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mc_oracle import propagate_monte_carlo, sigma_standard_error
 
 from cavitycharge import cavity_optics
@@ -20,7 +22,13 @@ from cavitycharge.cavity_optics import (
     resonant_response,
 )
 from cavitycharge.errors import ConsistencyError, DomainError, EvaluationError, ParameterError
-from cavitycharge.quantities import _GH_NODES, _GH_WEIGHTS, UncertainQuantity, propagate_linear
+from cavitycharge.quantities import (
+    _GH_NODES,
+    _GH_WEIGHTS,
+    UncertainQuantity,
+    _product_cubature,
+    propagate_linear,
+)
 
 mpmath.mp.dps = 50
 
@@ -286,6 +294,61 @@ def test_extinction_whose_weighted_variance_overflows_is_an_evaluation_error():
                            match="^the weighted variance over 512 cubature nodes overflows$"):
             extinction_from_finesse(UncertainQuantity(F00, 60.0), UncertainQuantity(14160.0, 250.0),
                                     UncertainQuantity(1e-300, 1e-301), WAVELENGTH)
+
+
+def test_extinction_past_the_float_range_of_u_is_an_evaluation_error():
+    # _u squares F: above 1.34e154 only each finesse's top node, 15 of the 64
+    # (F00, F01) nodes, times h's 8
+    with pytest.raises(EvaluationError, match=r"^f is not finite at 120/512 cubature nodes$"):
+        extinction_from_finesse(UncertainQuantity(1e154, 1e153), UncertainQuantity(1e154, 1e153),
+                                UncertainQuantity(3e-8, 2e-9), 1.65e-6)
+
+
+def _outcome(call, *args):
+    """(value, sigma) of call(*args) in hex, or the type and text of its error."""
+    try:
+        kappa = call(*args)
+    except Exception as exc:  # the error itself is the outcome
+        return type(exc), str(exc)
+    return kappa.value.hex(), kappa.sigma.hex()
+
+
+def _extinction_node_by_node(f00, f01, h, wavelength_m):
+    """kappa and its sigma with u = 1 - r0 of each finesse taken inside the
+    function at every node of the (F00, F01) grid, not once per axis node."""
+    def log_transmission(x00, x01):
+        return cavity_optics._log_transmission(cavity_optics._u(x00), cavity_optics._u(x01))
+
+    per_thickness = functools.partial(cavity_optics._per_thickness, wavelength_m)
+    sigma = _product_cubature([(log_transmission, [f00, f01]), (per_thickness, [h])]).sigma
+    return UncertainQuantity(per_thickness(h.value) * log_transmission(f00.value, f01.value), sigma)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda exponent: 10.0**exponent)
+
+
+# a finesse below 1e150, or around the 1.34e154 where _u overflows at all
+# of its nodes or, within a factor 1.6 of it, at some
+_finesse = st.one_of(_log_uniform(0.0, 150.0), _log_uniform(150.0, 160.0),
+                     _log_uniform(153.9, 154.3))
+# a relative sigma of 0 (an exact input) or up to 0.2, so the lowest node, at
+# value - 4.1445 sigma, stays > 0
+_relative_sigma = st.one_of(st.just(0.0), _log_uniform(-8.0, math.log10(0.2)))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(f00=_finesse, f01=_finesse, h=_log_uniform(-12.0, -3.0),
+       s00=_relative_sigma, s01=_relative_sigma, sh=_relative_sigma)
+def test_transformed_extinction_is_the_node_by_node_chain(f00, f01, h, s00, s01, sh):
+    # finesse up to 1e160, past the 1.34e154 where _u overflows: the same
+    # bits, or the same error and text
+    inputs = [UncertainQuantity(f00, s00 * f00), UncertainQuantity(f01, s01 * f01),
+              UncertainQuantity(h, sh * h)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeExtinctionWarning)
+        assert (_outcome(extinction_from_finesse, *inputs, WAVELENGTH)
+                == _outcome(_extinction_node_by_node, *inputs, WAVELENGTH))
 
 
 @pytest.mark.parametrize("f01", [

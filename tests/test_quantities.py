@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from cavitycharge.quantities import (
     UncertainQuantity,
     _product_cubature,
     _tensor_weights,
+    as_quantity,
     finesse,
     propagate_cubature,
     propagate_linear,
@@ -353,6 +355,18 @@ def test_cubature_keeps_at_most_32_weight_tables():
     assert [result(s) for s in spreads] == results
 
 
+def test_cubature_keeps_no_weight_table_of_more_than_8_to_the_5_nodes():
+    # a 6-input table of 8**6 weights is 8.4 MB as a tuple of floats
+    _tensor_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        propagate_cubature(lambda *x: x[0], [UncertainQuantity(1.0 + k, 0.5) for k in range(6)])
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
+
+
 def test_linear_nonfinite_evaluation_errors():
     with pytest.raises(EvaluationError):
         propagate_linear(lambda x: math.nan, [UncertainQuantity(0.0, 0.1)])
@@ -515,6 +529,48 @@ def test_product_cubature_counts_the_nodes_of_the_full_grid():
     with pytest.raises(EvaluationError, match=r"^f is not finite at 1/64 cubature nodes$"):
         _product_cubature([(lambda a: a * 1e200 if a > 1.4 else 1.0, x),
                            (lambda b: b * 1e200 if b > 4 else 1.0, y)])
+
+
+def test_product_cubature_transforms_each_axis_node_once():
+    # f(t(x), t(y), t(z)) over 8 x 8 nodes and an exact z: 17 calls of t, and
+    # the bits of t inside f
+    calls = []
+
+    def t(x):
+        calls.append(x)
+        return math.exp(x)
+
+    inputs = [UncertainQuantity(0.1, 0.2), UncertainQuantity(0.3, 0.1), 2.0]
+    transformed = _product_cubature([(lambda a, b, c: a * b / c, [*map(as_quantity, inputs)], t)])
+    assert len(calls) == 17
+    assert transformed == propagate_cubature(
+        lambda x, y, z: math.exp(x) * math.exp(y) / math.exp(z), inputs)
+
+
+@pytest.mark.parametrize("t, bad", [
+    # y's nodes are 0 +/- 4.14: above 4 one node, below 0 four, at -4.14 one
+    (lambda y: y if y < 4 else math.exp(1000.0), 1),
+    (math.sqrt, 4),
+    (lambda y: 1.0 / (y - _GH_NODES[0]), 1),
+], ids=["overflow", "math-domain", "zero-division"])
+def test_a_math_error_in_a_transform_makes_the_nodes_that_use_it_non_finite(t, bad):
+    # x's 8 nodes are in (0.5, 1.5), where each t is finite; f is called at
+    # no node whose transformed y is missing
+    seen = []
+
+    def f(a, b):
+        seen.append(b)
+        return a + b
+
+    inputs = [UncertainQuantity(1.0, 0.1), UncertainQuantity(0.0, 1.0)]
+    with pytest.raises(EvaluationError, match=rf"^f is not finite at {8 * bad}/64 cubature nodes$"):
+        _product_cubature([(f, inputs, t)])
+    assert len(seen) == 64 - 8 * bad and all(map(math.isfinite, seen))
+
+
+def test_a_toolkit_error_in_a_transform_propagates():
+    with pytest.raises(ParameterError, match="^from f$"):
+        _product_cubature([(lambda a: a, [UncertainQuantity(0.0, 1.0)], _raise_parameter_error)])
 
 
 def test_product_cubature_is_the_tensor_rule_of_the_product():

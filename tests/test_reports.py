@@ -54,6 +54,29 @@ def test_one_film_thickness_feeds_the_extinction_and_the_resistance_rows(rows):
     assert halved == film_rows
 
 
+def test_reports_read_and_parse_the_manifest_once(monkeypatch, rows):
+    scn = bundled_scenario()
+    reads = []
+    data_text = reports._data_text
+    monkeypatch.setattr(reports, "_data_text", lambda name: reads.append(name) or data_text(name))
+    reports._manifest.cache_clear()
+    assert [build_report(scn) for _ in range(3)] == [rows] * 3
+    assert reads == ["report_manifest.json"]
+
+
+def test_changing_a_loaded_manifest_changes_no_report(rows):
+    original = load_manifest()
+    changed = load_manifest()
+    for spec in changed:
+        spec["reference"] = spec["label"] = None
+        spec.get("inputs", {}).clear()
+        if isinstance(spec.get("tol"), list):
+            spec["tol"].reverse()
+    changed.reverse()
+    assert build_report() == rows
+    assert load_manifest() == original != changed
+
+
 def test_no_undocumented_mismatch(rows):
     assert all(r.status != "MISMATCH" for r in rows)
 
