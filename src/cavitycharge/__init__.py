@@ -11,8 +11,15 @@ The namespace is lazy (PEP 562): importing the package loads no
 submodule. ``cavitycharge.fit_ringdown`` or ``from cavitycharge import
 charging`` imports the defining module on first use, so a command loads
 only the modules it runs.
+
+Bundled files (the paper scenario, the report manifest and the sample
+traces under ``data/``) are read with the builtin ``open`` from the path
+``_data_path`` gives, next to this file. The package must therefore be
+installed as files, as pip installs a wheel; a zipped import is not
+supported.
 """
 
+import os
 import sys
 
 __version__ = "0.1.0"
@@ -89,8 +96,13 @@ _SUBMODULES = frozenset({
 __all__ = ["BUDGET_DEFAULTS", "BUDGET_TARGETS", *_EXPORTS]
 
 
+def _data_path(name: str) -> str:
+    """The path of the bundled file data/<name>; the one place that knows it."""
+    return os.path.join(os.path.dirname(__file__), "data", name)
+
+
 def _submodule(name):
-    # __import__, unlike importlib.import_module, goes through the
+    # __import__, unlike a call to import_module, goes through the
     # interpreter's import statement path, which `-X importtime` logs
     __import__(f"{__name__}.{name}")  # the import binds it here
     return sys.modules[f"{__name__}.{name}"]

@@ -16,6 +16,14 @@ Each subcommand imports only what it runs. This module loads `errors` and
 `scenario`, when they run. Only fit-ringdown loads NumPy: the report's
 cubature runs on floats, and no budget target loads it.
 
+Files are read and written with the builtin `open` (bundled files at the
+path `cavitycharge._data_path` gives), so no subcommand loads the standard
+library's resource readers or path objects. reproduce-paper reads the bundled
+data/paper_yb.scenario and data/report_manifest.json; budget reads its
+--scenario file through `scenario.load_scenario`: a path that exists, else
+a bare name (no `/`) of a bundled scenario, else it exits 2 with
+"scenario file not found"; fit-ringdown reads its trace files.
+
 fit-ringdown may fit its traces in forked worker processes. It forks only
 when the process runs one OS thread (counted in /proc/self/task; where that
 cannot be read, it does not fork), two or more CPUs are usable
@@ -37,10 +45,8 @@ import argparse
 import gc
 import os
 import sys
-from importlib import resources
-from pathlib import Path
 
-from . import BUDGET_DEFAULTS, BUDGET_TARGETS
+from . import BUDGET_DEFAULTS, BUDGET_TARGETS, _data_path
 from .errors import ToolkitError
 from .quantities import UncertainQuantity, finite_evaluation
 
@@ -237,31 +243,33 @@ def _cmd_fit_ringdown(args) -> int:
     print(f"# fsr_hz = {fsr.value!r} +/- {fsr.sigma!r}")
     print(f"# finesse = {cavity_finesse.value!r} +/- {cavity_finesse.sigma!r}")
     if args.out:
-        Path(args.out).write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+        _write(args.out, "\n".join(csv_lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_reproduce(args) -> int:
     from . import reports
 
-    scn = reports.bundled_scenario()
-    rows = reports.build_report(scn)
+    rows = reports.build_report()  # of the bundled scenario
     sys.stdout.write(reports.render_text(rows))
     if args.out:
-        Path(args.out).write_text(reports.render_csv(rows), encoding="utf-8")
+        _write(args.out, reports.render_csv(rows))
     return EXIT_ACCEPTANCE if reports.report_exit_code(rows) else EXIT_OK
+
+
+def _write(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _load_scenario_arg(spec: str):
     from . import scenario
 
-    path = Path(spec)
-    if path.exists():
-        return scenario.load_scenario(path)
+    if os.path.exists(spec):
+        return scenario.load_scenario(spec)
     # fall back to the bundled scenarios, so the stock file works by name
-    bundled = resources.files("cavitycharge").joinpath(f"data/{spec}")
-    if "/" not in spec and bundled.is_file():
-        return scenario.parse_scenario(bundled.read_text(encoding="utf-8"))
+    if "/" not in spec and os.path.isfile(_data_path(spec)):
+        return scenario.load_scenario(_data_path(spec))
     raise FileNotFoundError(f"scenario file not found: {spec}")
 
 
@@ -278,7 +286,7 @@ def _cmd_budget(args) -> int:
         print(f"{name},{float(value)!r},{unit}")
     out = args.out or f"budget_{args.target}.csv"
     lines = [sweep_header] + [f"{float(x)!r},{float(y)!r}" for x, y in sweep]
-    Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(out, "\n".join(lines) + "\n")
     print(f"# sweep written to {out} ({len(sweep)} points)")
     return EXIT_OK
 

@@ -54,6 +54,10 @@ the report again and again reads and parses the JSON once; a one-shot
 ``reproduce-paper`` builds one report and gains nothing from it.
 load_manifest still parses a fresh list of dicts on every call, which
 its caller may change without changing any report.
+
+The bundled scenario and manifest are read as UTF-8 with the builtin open
+from cavitycharge._data_path, the data/ directory next to the modules; an
+installed package is files on disk, not a zip archive.
 """
 
 from __future__ import annotations
@@ -61,10 +65,10 @@ from __future__ import annotations
 import functools
 import json
 import numbers
-from importlib import resources
 from typing import NamedTuple, Optional
 
-from . import BUDGET_TARGETS, cavity_optics, charging, electrostatics, ion_impact, rydberg_impact
+from . import (BUDGET_TARGETS, _data_path, cavity_optics, charging, electrostatics, ion_impact,
+               rydberg_impact)
 from .budgets import SWEEP_POINTS, budget_report, budget_rows
 from .errors import ParameterError
 from .quantities import (
@@ -108,9 +112,8 @@ class ReportRow(NamedTuple):
 
 
 def _data_text(name: str) -> str:
-    return resources.files("cavitycharge").joinpath(f"data/{name}").read_text(
-        encoding="utf-8"
-    )
+    with open(_data_path(name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def bundled_scenario_text() -> str:

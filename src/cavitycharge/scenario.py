@@ -22,7 +22,7 @@ record or None, so no record holds one. serialize_scenario only formats.
 
 import math
 import numbers
-from pathlib import Path
+import os
 from typing import Annotated, NamedTuple, Optional, get_args, get_origin
 
 from .errors import SchemaError
@@ -297,7 +297,15 @@ _MAX_FILE_BYTES = 1 << 20
 
 
 def load_scenario(path) -> Scenario:
-    with Path(path).open("rb") as fh:
+    """The scenario in the file at path, a str or an os.PathLike.
+
+    The file holds at most _MAX_FILE_BYTES of UTF-8 text, with or without a
+    leading byte-order mark; a larger file or other bytes are a SchemaError
+    that names path. An empty path names no file (FileNotFoundError); an int
+    is no path (TypeError), although the builtin open would take it as a file
+    descriptor and close it.
+    """
+    with open(os.fspath(path), "rb") as fh:
         data = fh.read(_MAX_FILE_BYTES + 1)  # a device or pipe may never end
     if len(data) > _MAX_FILE_BYTES:
         raise SchemaError(f"{path}: larger than the {_MAX_FILE_BYTES}-byte scenario limit")

@@ -341,10 +341,27 @@ def test_a_scenario_with_the_old_cavity_film_thickness_exits_2(key, tmp_path, ca
     assert f"unknown key '{key}' in [cavity]" in capsys.readouterr().err
 
 
-def test_budget_rejects_bad_scenario_path(capsys):
-    assert main(
-        ["budget", "--scenario", "/nonexistent/x.scenario", "--target", "cooling"]
-    ) == 2
+def _rejected_scenario(spec, capsys) -> None:
+    """budget with scenario spec exits 2, prints one stderr line that names
+    spec, and writes nothing to the current directory."""
+    assert main(["budget", "--scenario", spec, "--target", "cooling"]) == 2
+    assert capsys.readouterr() == ("", f"toolkit budget: scenario file not found: {spec}\n")
+    assert os.listdir() == []
+
+
+def test_budget_rejects_bad_scenario_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _rejected_scenario("/nonexistent/x.scenario", capsys)
+    _rejected_scenario("no_such.scenario", capsys)  # neither local nor bundled
+    _rejected_scenario("", capsys)  # names no file; it is not the current directory
+
+
+@pytest.mark.parametrize("spec", [
+    "./paper_yb.scenario", "data/paper_yb.scenario", "paper_yb.scenario/",
+])
+def test_a_scenario_name_with_a_slash_never_falls_back(spec, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # no local file of that name
+    _rejected_scenario(spec, capsys)
 
 
 def test_budget_resolves_bundled_scenario_by_name(tmp_path, capsys, monkeypatch):
@@ -355,6 +372,17 @@ def test_budget_resolves_bundled_scenario_by_name(tmp_path, capsys, monkeypatch)
     )
     assert code == 0
     assert "delta_x_over_rabi" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec", ["paper_yb.scenario", "./paper_yb.scenario"])
+def test_a_local_scenario_shadows_the_bundled_one(spec, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "paper_yb.scenario").write_text(
+        bundled_scenario_text().replace("name = paper_yb\n", "name = local_copy\n"))
+    assert main(["budget", "--scenario", spec, "--target", "gate", "--out", "s.csv"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# budget target: gate (scenario 'local_copy')\n")
+    assert "delta_x_over_rabi" in out
 
 
 # -- the console entry point --------------------------------------------------

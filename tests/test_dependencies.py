@@ -190,6 +190,25 @@ def test_budget_and_reproduce_paper_load_no_film_optics(argv, tmp_path):
         assert loaded == REPRODUCE_PAPER_PATH
 
 
+@pytest.mark.parametrize("argv", [
+    ["reproduce-paper"],
+    ["budget", "--scenario", "paper_yb.scenario", "--target", "gate", "--out", "sweep.csv"],
+], ids=lambda argv: argv[0])
+def test_commands_under_a_clean_site_load_no_resource_readers(argv, tmp_path):
+    # python -S: no .pth file in site-packages loads these modules first, so
+    # the pin sees what the command itself loads
+    probe = (
+        "import sys\n"
+        "from cavitycharge import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(repr([code, sorted(sys.modules)]), file=sys.stderr)\n"
+    )
+    code, mods = ast.literal_eval(_probe(probe, tmp_path, flags=("-S",)).splitlines()[-1])
+    assert code == 0
+    assert "site" not in mods
+    assert not {"importlib.resources", "pathlib", "zipfile", "tempfile", "numpy"} & set(mods)
+
+
 def test_scenario_loads_no_physics_module():
     probe = "import sys, cavitycharge.scenario; print(sorted(sys.modules))"
     loaded = set(ast.literal_eval(_probe(probe)))

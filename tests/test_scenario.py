@@ -1,4 +1,6 @@
 import math
+import os
+import pathlib
 import re
 
 import numpy as np
@@ -201,6 +203,34 @@ def test_scenario_defaults():
     assert scn.name == "unnamed"
     with pytest.raises(SchemaError):
         scn.trap_config()
+
+
+@pytest.mark.parametrize("kind", [str, pathlib.Path])
+def test_load_scenario_takes_a_str_or_a_path(kind, tmp_path):
+    path = tmp_path / "copy.scenario"
+    path.write_text(bundled_scenario_text(), encoding="utf-8")
+    assert load_scenario(kind(path)) == parse_scenario(bundled_scenario_text())
+
+
+def test_an_empty_path_names_no_file(tmp_path, monkeypatch):
+    # not the current directory, which an empty pathlib.Path would be
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError) as raised:
+        load_scenario("")
+    assert raised.value.filename == ""
+
+
+def test_load_scenario_takes_no_file_descriptor():
+    # the builtin open would read an int as a file descriptor, and close it
+    read, write = os.pipe()
+    os.write(write, MINIMAL.encode("utf-8"))
+    os.close(write)
+    try:
+        with pytest.raises(TypeError):
+            load_scenario(read)
+        os.fstat(read)  # still open
+    finally:
+        os.close(read)
 
 
 def test_non_utf8_file_is_a_schema_error_naming_file_and_byte(tmp_path):
