@@ -22,7 +22,8 @@ library's resource readers or path objects. reproduce-paper reads the bundled
 data/paper_yb.scenario and data/report_manifest.json; budget reads its
 --scenario file through `scenario.load_scenario`: a path that exists, else
 a bare name (no `/`) of a bundled scenario, else it exits 2 with
-"scenario file not found"; fit-ringdown reads its trace files.
+"scenario file not found"; fit-ringdown reads its trace files, once its
+FSR flags are checked (a refused one is named before NumPy is loaded).
 
 fit-ringdown may fit its traces in forked worker processes. It forks only
 when the process runs one OS thread (counted in /proc/self/task; where that
@@ -48,7 +49,7 @@ import sys
 
 from . import BUDGET_DEFAULTS, BUDGET_TARGETS, _data_path
 from .errors import ToolkitError
-from .quantities import UncertainQuantity, finite_evaluation
+from .quantities import UncertainQuantity, finite_evaluation, fsr_from_length, nonnegative, positive
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 1
@@ -58,7 +59,7 @@ EXIT_INTERNAL = 3
 # fit-ringdown's `ringdown` functions, bound in this namespace on first use
 # so that no other subcommand imports ringdown (and NumPy); cli.<name> still
 # resolves, as the benchmark's set-up probe and tracer use it
-_RINGDOWN = ("finesse", "fit_ringdown", "fsr_from_length", "load_trace_csv", "pool_linewidths")
+_RINGDOWN = ("finesse", "fit_ringdown", "load_trace_csv", "pool_linewidths")
 
 
 def _bind_ringdown() -> None:
@@ -200,9 +201,13 @@ def _cmd_fit_ringdown(args) -> int:
     if (args.fsr_hz is None) == (args.length_m is None):
         print("fit-ringdown: provide exactly one of --fsr-hz or --length-m", file=sys.stderr)
         return EXIT_INPUT
+    # the FSR flags are checked, each by its name, before any trace is read
+    if args.fsr_hz is not None:
+        fsr_value = positive("--fsr-hz", args.fsr_hz)
+    else:
+        fsr_value = positive("the FSR c/2d of --length-m", fsr_from_length(args.length_m))
+    fsr = UncertainQuantity(fsr_value, nonnegative("--fsr-sigma-hz", args.fsr_sigma_hz))
     _bind_ringdown()
-    fsr_value = args.fsr_hz if args.fsr_hz is not None else fsr_from_length(args.length_m)
-    fsr = UncertainQuantity(fsr_value, args.fsr_sigma_hz)
 
     own, *others = _shares(args.traces)
     workers = []

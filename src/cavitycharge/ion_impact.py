@@ -21,6 +21,8 @@ delta_x = |omega_x - omega~_x| against the two-qubit Rabi rate.
 Budget helpers invert these monotone chains in closed form to find the
 largest tolerable stray charge (q2 = 0 convention, charges in units of e);
 the cooling budget first solves J0(beta) = sqrt(floor) by Newton's method.
+J0 is summed from its power series on |x| < 8, the only range the cooling
+budget and its sweep reach (beta < 4.81); bessel_j0 refuses the rest.
 
 `trap` is a scenario [trap] section (scenario.TrapSection), whose keys
 were checked against their range rules when it was built. Every function
@@ -50,6 +52,7 @@ from .electrostatics import (
     ChargeScenario,
     ExpansionCoefficients,
     _any,
+    _finite,
     expansion_coefficients,
     field_at,
 )
@@ -165,7 +168,7 @@ def _well(mass_kg: float, k_t: float, c: ExpansionCoefficients):
 
 def _math_of(x):
     """math for a float, numpy for an array (whose caller has loaded it);
-    their sqrt, cos and sin give the same bits per element."""
+    their sqrt gives the same bits per element."""
     if isinstance(x, float):
         return math
     import numpy
@@ -191,64 +194,13 @@ def micromotion_amplitude(trap: TrapSection, x_tilde_m: float, omega_tilde: floa
 
 
 # ---------------------------------------------------------------------------
-# Bessel J0: power series below |x| = 8, Hankel asymptotic form beyond.
-# The asymptotic branch uses rational minimax coefficients in z = 25/x^2
-# (Cephes-style, public domain); absolute error < 1e-10 over |x| <= 20.
+# Bessel J0 on |x| < 8, by its power series; anything else is refused. Only
+# the cooling target calls it: its Newton root lies below j0,1 = 2.405, and
+# its sweep ends at twice the budget charge, where beta is at most twice the
+# root's (x_um = c q / sqrt(k_t + b q) with b > 0), so below 4.81.
 
-_SQ2OPI = 0.79788456080286535588  # sqrt(2/pi)
-_PIO4 = 0.78539816339744830962
-
-_PP = (
-    7.96936729297347051624e-4,
-    8.28352392107440799803e-2,
-    1.23953371646414299388e0,
-    5.44725003058768775090e0,
-    8.74716500199817011941e0,
-    5.30324038235394892183e0,
-    9.99999999999999997821e-1,
-)
-_PQ = (
-    9.24408810558863637013e-4,
-    8.56288474354474431428e-2,
-    1.25352743901058953537e0,
-    5.47097740330417105182e0,
-    8.76190883237069594232e0,
-    5.30605288235394617618e0,
-    1.00000000000000000218e0,
-)
-_QP = (
-    -1.13663838898469149931e-2,
-    -1.28252718670509318512e0,
-    -1.95539544257735972385e1,
-    -9.32060152123768231369e1,
-    -1.77681167980488050595e2,
-    -1.47077505154951170175e2,
-    -5.14105326766599330220e1,
-    -6.05014350600728481186e0,
-)
-_QQ = (  # monic: leading x^7 coefficient is 1
-    6.43178256118178023184e1,
-    8.56430025976980587198e2,
-    3.88240183605401609683e3,
-    7.24046774195652478189e3,
-    5.93072701187316984827e3,
-    2.06209331660327847417e3,
-    2.42005740240291393179e2,
-)
-
-
-def _polevl(x, coef):
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x, coef):
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
+#: bessel_j0 refuses any argument with |x| at or above this.
+_J0_BOUND = 8.0
 
 
 def _j0_series(x, slope=False):
@@ -289,48 +241,34 @@ def _j0_series_array(x):
     return total
 
 
-def _j0_hankel(x):
-    """sqrt(2/(pi x)) (P cos(x - pi/4) - Q sin(x - pi/4)), for x >= 8."""
-    w = 5.0 / x
-    z = w * w
-    p = _polevl(z, _PP) / _polevl(z, _PQ)
-    q = _polevl(z, _QP) / _p1evl(z, _QQ)
-    xn = x - _PIO4
-    m = _math_of(x)
-    return _SQ2OPI * (p * m.cos(xn) - w * q * m.sin(xn)) / m.sqrt(x)
-
-
 def bessel_j0(x):
-    """Bessel function of the first kind, order zero.
+    """Bessel function of the first kind, order zero, for |x| < 8.
 
     J0 is even; computed from the defining power series
-    sum_k (-1)^k (x^2/4)^k / (k!)^2 for |x| < 8 and from the Hankel
-    asymptotic form sqrt(2/(pi x)) (P cos(x - pi/4) - Q sin(x - pi/4))
-    beyond. Takes a float or a NumPy array; each element of an array gets
-    the bits of a scalar call.
+    sum_k (-1)^k (x^2/4)^k / (k!)^2, which is within 2e-14 of J0 over
+    |x| < 8. Takes a real number (not a bool), returned as a float, or a
+    real-valued NumPy array, whose elements each get the bits of a scalar
+    call. Raises ParameterError for anything else, and for a NaN, an
+    infinity or |x| >= 8; an array holding one such element is refused
+    whole, before the series runs.
     """
-    if isinstance(x, (int, float)):
+    if is_real_number(x):
         # floats stay Python floats: a numpy call on a float costs as much
         # as the whole series, and a sweep without numpy makes 200
-        x = abs(float(x))
-        if not math.isfinite(x):
-            raise ParameterError(f"argument must be finite, got {x}")
-        return _j0_series(x)[0] if x < 8.0 else _j0_hankel(x)
-    import numpy as np
-
-    x = np.abs(x.astype(float))
-    if not np.isfinite(x).all():
-        raise ParameterError("argument must be finite")
-    out = np.empty_like(x)
-    small = x < 8.0
-    for part, branch in ((small, _j0_series_array), (~small, _j0_hankel)):
-        if part.any():  # a budget grid stays below 8: Hankel never runs on one
-            out[part] = branch(x[part])
-    return out
+        if not -_J0_BOUND < x < _J0_BOUND:
+            raise ParameterError(f"J0 argument must have |x| < 8, got {x!r}")
+        return _j0_series(abs(float(x)))[0]
+    x = abs(_finite("J0 argument", x).astype(float))
+    if not (x < _J0_BOUND).all():
+        raise ParameterError(
+            f"J0 argument must have |x| < 8, got an array holding |x| = {float(x.max())!r}"
+        )
+    return _j0_series_array(x) if x.size else x
 
 
 def carrier_intensity_factor(x_micromotion_m: float, cooling_wavelength_m: float) -> float:
-    """Carrier intensity reduction J0(beta)^2, beta = 2 pi x_um / lambda_D."""
+    """Carrier intensity reduction J0(beta)^2, beta = 2 pi x_um / lambda_D,
+    for |beta| < 8 (bessel_j0's domain; ParameterError beyond)."""
     beta = 2.0 * math.pi * x_micromotion_m / positive("cooling wavelength", cooling_wavelength_m)
     j0 = bessel_j0(beta)
     return j0 * j0

@@ -1,6 +1,7 @@
 """Each budget sweep, one array call or one call per grid point, equals the
 scalar forward chain bit for bit."""
 
+import hashlib
 import math
 import re
 
@@ -13,7 +14,7 @@ from cavitycharge import budgets, charging
 from cavitycharge import electrostatics as es
 from cavitycharge import ion_impact as ion
 from cavitycharge import rydberg_impact as ryd
-from cavitycharge.errors import StabilityError, ToolkitError
+from cavitycharge.errors import ParameterError, StabilityError, ToolkitError
 from cavitycharge.quantities import CODATA
 from cavitycharge.reports import (
     BUDGET_ROWS,
@@ -152,6 +153,50 @@ def test_log_uniform_variants_sweep_alike_or_fail_alike(xq, secular, alpha, q1, 
         assert results[0] == results[1], target
 
 
+# every key of the bundled [trap] and [charges] sections
+_TRAP_AND_CHARGES = ("mass_amu", "secular_hz", "rf_hz", "cooling_wavelength_m",
+                     "gate_wavelength_m", "cavity_wavelength_m", "gate_rabi_hz",
+                     "q1_e", "q2_e", "xq_m")
+# floors in (0, 1), the smallest float and the largest below 1 among them
+_floor = st.one_of(st.sampled_from([5e-324, 1e-300, 0.5, math.nextafter(1.0, 0.0)]),
+                   st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=200)
+@given(decades=st.lists(st.floats(-6.0, 6.0), min_size=len(_TRAP_AND_CHARGES),
+                        max_size=len(_TRAP_AND_CHARGES)), floor=_floor)
+def test_the_cooling_target_calls_j0_only_below_twice_its_first_zero(decades, floor):
+    # each key at its bundled value times 10**u, u uniform in [-6, 6]: the
+    # Newton root lies below j0,1, and beta(2 q) <= 2 beta(q), so neither the
+    # budget nor its sweep reaches bessel_j0's bound of 8
+    text = _scaled(bundled_scenario_text(),
+                   {key: 10.0**u for key, u in zip(_TRAP_AND_CHARGES, decades)})
+    scn = parse_scenario(text)
+    results = []
+    for path in (lambda: budget_report(scn, "cooling", intensity_floor=floor),
+                 lambda: budgets._report(scn, "cooling", {"intensity_floor": floor}, None)):
+        try:  # another toolkit error (the trap's checks, SearchError) is no J0 refusal
+            rows, _header, sweep = path()
+        except ToolkitError as exc:
+            assert "J0" not in str(exc)
+            results.append(None)
+        else:
+            results.append((rows, np.asarray(sweep, float).tobytes()))
+    assert results[0] == results[1]
+    if results[0] is None:
+        return
+    trap, x_q = scn.trap, scn.charges.xq_m
+    q1 = {name: value for name, value, _unit in rows}["q1_max"]
+    charges = np.array([q1, *np.asarray(sweep, float)[:, 0]])
+    beta = 2.0 * math.pi * ion.micromotion_of_single_charge(trap, x_q, charges)
+    beta /= trap.cooling_wavelength_m
+    # the root is below j0,1; going to q1_max and back through the chain may
+    # add an ulp, which doubles with the charge where b q << k_t
+    rounding = 1.0 + 1e-12
+    assert beta[0] <= ion.BESSEL_J0_FIRST_ZERO * rounding
+    assert beta.max() < 2.0 * ion.BESSEL_J0_FIRST_ZERO * rounding
+
+
 def test_array_micromotion_raises_when_any_charge_opens_the_well():
     trap = parse_scenario(bundled_scenario_text()).trap
     with pytest.raises(StabilityError):
@@ -180,27 +225,55 @@ _J0_ZEROS = [*_floats_around(2.404825557695773, 3), *_floats_around(5.5200781102
 
 
 @pytest.mark.parametrize("x", [
-    np.linspace(0.0, 20.0, 401),  # both branches: series below 8, Hankel from 8
+    np.linspace(0.0, 8.0, 401)[:-1],
     np.array([]),
     np.array([3.0]),
-    np.array([12.0]),
+    np.array(3.0),
     np.linspace(0.01, 7.99, 200),
-    np.linspace(8.0, 40.0, 200),
-    np.array([9.0, 0.5, 8.0, np.nextafter(8.0, 0.0), 30.0, 0.0]),
+    np.array([0.5, np.nextafter(8.0, 0.0), 0.0, 7.0]),
+    np.arange(8),  # an int array
     # each zero next to a larger element, whose series stops sooner
     np.array([_J0_ZEROS[3], 3.0]),
     np.array([*_J0_ZEROS, 7.9]),
-], ids=["both-branches", "empty", "one-below-8", "one-above-8", "all-below-8",
-        "all-above-8", "mixed", "first-zero-next-to-3", "zeros-next-to-7.9"])
-def test_bessel_j0_array_equals_scalar_calls_bit_for_bit(x, monkeypatch):
-    scalar = np.array([ion.bessel_j0(float(v)) for v in x])
-    if (x < 8.0).all():
-        def hankel(part):
-            raise AssertionError(f"the Hankel branch ran on {part!r}")
-
-        monkeypatch.setattr(ion, "_j0_hankel", hankel)
+], ids=["grid-below-8", "empty", "one", "zero-d", "all-below-8", "largest-below-8", "ints",
+        "first-zero-next-to-3", "zeros-next-to-7.9"])
+def test_bessel_j0_array_equals_scalar_calls_bit_for_bit(x):
+    scalar = np.array([ion.bessel_j0(float(v)) for v in x.flat]).reshape(x.shape)
     assert ion.bessel_j0(x).tobytes() == scalar.tobytes()
-    assert ion.bessel_j0(-x).tobytes() == scalar.tobytes()
+    # the negation of a 0-d array is a NumPy scalar, whose J0 is a float
+    assert np.asarray(ion.bessel_j0(-x)).tobytes() == scalar.tobytes()
+
+
+def test_bessel_j0_keeps_its_bits_on_a_dense_grid_below_8():
+    # 8,000 points on [0, 8), both zeros' neighbours and the float below 8,
+    # pinned by the sha256 of their bits: a change to the series shows here
+    grid = np.array([*np.linspace(0.0, 8.0, 8001)[:-1], *_J0_ZEROS, np.nextafter(8.0, 0.0)])
+    pinned = "03487da970b0e5d171119c06737292a4592119ba68888daaed8f5fc23bd301d5"
+    scalar = np.array([ion.bessel_j0(float(v)) for v in grid])
+    assert hashlib.sha256(scalar.tobytes()).hexdigest() == pinned
+    assert ion.bessel_j0(grid).tobytes() == scalar.tobytes()
+
+
+@pytest.mark.parametrize("x", [
+    8.0,
+    -8.0,
+    12.0,
+    np.array([8.0]),
+    np.array([12.0]),
+    np.linspace(8.0, 40.0, 200),
+    np.linspace(0.0, 20.0, 401),
+    np.array([9.0, 0.5, 8.0, np.nextafter(8.0, 0.0), 30.0, 0.0]),
+    np.array([0.5, np.nextafter(8.0, 0.0), -8.0]),
+], ids=["float-8", "float-minus-8", "float-12", "array-8", "array-12", "all-from-8",
+        "0-to-20", "mixed", "mixed-minus-8"])
+def test_bessel_j0_refuses_8_and_beyond_before_any_series_work(x, monkeypatch):
+    def series(*args, **kwargs):
+        raise AssertionError("the series ran on a refused argument")
+
+    monkeypatch.setattr(ion, "_j0_series", series)
+    monkeypatch.setattr(ion, "_j0_series_array", series)
+    with pytest.raises(ParameterError, match=r"^J0 argument must have \|x\| < 8, got "):
+        ion.bessel_j0(x)
 
 
 def test_decoherence_time_is_inf_at_zero_field_for_floats_and_arrays():

@@ -213,6 +213,29 @@ def test_fit_ringdown_finesse_overflow_exits_2_with_one_line(fsr_args, capsys):
     assert len(err) == 1 and err[0].startswith("toolkit fit-ringdown: finesse: OverflowError: ")
 
 
+@pytest.mark.parametrize("fsr_args, refusal", [
+    (["--fsr-hz", "-5"], "--fsr-hz must be positive, got -5.0"),
+    (["--fsr-hz", "0"], "--fsr-hz must be positive, got 0.0"),
+    (["--fsr-hz", "nan"], "--fsr-hz must be positive, got nan"),
+    (["--fsr-hz", "inf"], "--fsr-hz must be positive, got inf"),
+    (["--fsr-hz", "7e9", "--fsr-sigma-hz", "-1"], "--fsr-sigma-hz must be finite and >= 0, got -1.0"),
+    (["--fsr-hz", "7e9", "--fsr-sigma-hz", "nan"], "--fsr-sigma-hz must be finite and >= 0, got nan"),
+    (["--length-m", "1e-320"], "the FSR c/2d of --length-m must be positive, got inf"),
+], ids=["fsr-negative", "fsr-zero", "fsr-nan", "fsr-inf", "sigma-negative", "sigma-nan",
+        "length-too-short"])
+def test_fit_ringdown_refuses_a_bad_fsr_flag_by_name_before_reading_a_trace(
+        fsr_args, refusal, tmp_path, capsys, monkeypatch):
+    def read(path):
+        raise AssertionError(f"a trace was read: {path}")
+
+    monkeypatch.setattr(cli, "_fit_trace", read)
+    missing = str(tmp_path / "no_such_trace.csv")
+    assert main(["fit-ringdown", *fsr_args, missing, bundled_trace_paths()[0]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"toolkit fit-ringdown: {refusal}"]
+
+
 def test_reproduce_paper_exit_and_output(tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert main(["reproduce-paper", "--out", str(out)]) == 0
