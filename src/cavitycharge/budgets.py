@@ -81,8 +81,9 @@ def _report(scn: Scenario, target: str, options: dict, np):
         start = upper / SWEEP_POINTS
         if np is not None:
             grid = np.linspace(start, upper, SWEEP_POINTS)
-            sweep = np.column_stack((grid, figure_of_merit(grid)))
-            complete = np.isfinite(sweep).all()
+            with np.errstate(all="ignore"):  # a non-finite point is refused below
+                sweep = np.column_stack((grid, figure_of_merit(grid)))
+                complete = np.isfinite(sweep).all()
         else:
             # np.linspace's grid: start + i * step, its last point upper itself
             step = (upper - start) / (SWEEP_POINTS - 1)

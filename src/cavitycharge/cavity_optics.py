@@ -27,9 +27,7 @@ The excess loss is formed without cancellation: with u = 1 - r, which
 the inversion computes directly, r0 - r1 = (u01 - u00)(2 - u00 - u01)/r0
 for u01 = 1 - r0(F01), and kappa takes log1p(-(r0 - r1)(r0 + r1)).
 extinction_from_finesse's central value and its Gauss-Hermite sigma
-evaluate this one chain, on floats with math. extinction_from_reflectivities,
-given r0 and r1 themselves, takes the same log1p: r0 - r1 is exact for
-nearby r0, r1. The module imports no NumPy.
+evaluate this one chain, on floats with math. The module imports no NumPy.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import math
 import warnings
 from typing import NamedTuple
 
-from .errors import ConsistencyError, DomainError, ParameterError
+from .errors import ConsistencyError, ParameterError
 from .quantities import (
     UncertainQuantity, _positive_at_nodes, _product_cubature, as_quantity, checked,
     is_real_number, positive, propagate_linear,
@@ -50,7 +48,6 @@ __all__ = [
     "NegativeExtinctionWarning",
     "r0_from_symmetric_finesse",
     "r1_from_asymmetric_finesse",
-    "extinction_from_reflectivities",
     "extinction_from_finesse",
     "excess_reflection_loss",
     "resonant_response",
@@ -112,19 +109,6 @@ def r1_from_asymmetric_finesse(f01, r0) -> UncertainQuantity:
             f"incompatible with r0 = {q0.value}"
         )
     return r1
-
-
-def extinction_from_reflectivities(
-    r0: float, r1: float, thickness_m: float, wavelength_m: float
-) -> float:
-    """kappa from the bare/modified reflectivity pair (double-pass path 2h)."""
-    positive("film thickness", thickness_m)
-    positive("wavelength", wavelength_m)
-    # r0 - r1 is exact for r1/2 <= r0 <= 2 r1 (Sterbenz): no cancellation
-    loss = (r0 - r1) * (r0 + r1)
-    if loss >= 1:
-        raise DomainError(f"log argument 1 - r0^2 + r1^2 = {1.0 - loss} is non-positive")
-    return -(wavelength_m / (8.0 * math.pi * thickness_m)) * math.log1p(-loss)
 
 
 def _log_transmission(u00, u01):
@@ -206,19 +190,12 @@ def excess_reflection_loss(f00, f01) -> UncertainQuantity:
     return propagate_linear(loss, [q00, q01])
 
 
-def resonant_response(mirror_a: MirrorState, mirror_b: MirrorState) -> dict:
-    """On-resonance power transmission and reflection dip.
-
-    Single-sided incidence on mirror a:
+def resonant_response(mirror_a: MirrorState, mirror_b: MirrorState) -> float:
+    """On-resonance power transmission of the cavity of two mirrors,
 
         T_c = T_a T_b / (1 - r_a r_b)^2
-        R_c = ((r_a - r_b (r_a^2 + T_a)) / (1 - r_a r_b))^2
 
     A lossless impedance-matched cavity (T = 1 - r^2 on both mirrors)
-    transmits fully: T_c = 1, R_c = 0.
+    transmits fully: T_c = 1.
     """
-    ra, rb = mirror_a.r, mirror_b.r
-    denom = 1.0 - ra * rb
-    t_c = mirror_a.T * mirror_b.T / denom**2
-    r_c = ((ra - rb * (ra**2 + mirror_a.T)) / denom) ** 2
-    return {"transmission": t_c, "reflection_dip": r_c}
+    return mirror_a.T * mirror_b.T / (1.0 - mirror_a.r * mirror_b.r)**2

@@ -38,7 +38,6 @@ __all__ = [
     "Photocurrent",
     "EquilibriumCharge",
     "CapacitanceBreakdown",
-    "TransportCheck",
     "photocurrent",
     "photoelectron_flux",
     "film_resistance",
@@ -68,11 +67,6 @@ class CapacitanceBreakdown(NamedTuple):
     @property
     def total_f(self) -> float:
         return self.self_f + self.mirror_pair_f + self.electrode_f
-
-
-class TransportCheck(NamedTuple):
-    predicted_resistivity_ohm_m: float
-    relative_deviation: float
 
 
 def photocurrent(illumination: IlluminationSection) -> Photocurrent:
@@ -140,19 +134,9 @@ def capacitance_breakdown(
     )
 
 
-def transport_consistency(
-    resistivity_ohm_m: float, carrier_density_per_m3: float, mobility_m2_per_vs: float
-) -> TransportCheck:
+def transport_consistency(carrier_density_per_m3: float, mobility_m2_per_vs: float) -> float:
     """Resistivity implied by carrier density and mobility, rho = 1/(n e mu),
-    against the measured resistivity.
-
-    relative_deviation is signed, (predicted - measured)/measured.
-    """
-    positive("resistivity", resistivity_ohm_m)
+    in Ohm m; the report compares it with the Hall resistivity."""
     positive("carrier density", carrier_density_per_m3)
     positive("mobility", mobility_m2_per_vs)
-    predicted = 1.0 / (carrier_density_per_m3 * CODATA.e * mobility_m2_per_vs)
-    return TransportCheck(
-        predicted,
-        (predicted - resistivity_ohm_m) / resistivity_ohm_m,
-    )
+    return 1.0 / (carrier_density_per_m3 * CODATA.e * mobility_m2_per_vs)

@@ -27,10 +27,10 @@ A ChargeScenario is checked when it is built: x_Q a real number, finite and
 positive; each charge a finite real number or a real-valued array (NumPy
 dtype kind f, i or u, read from the array's own dtype) of finite elements,
 as single_charge_field checks its charge and charge_for_field its field.
-The charges, and the positions and charges passed to field_at and
-single_charge_field, may be NumPy arrays: each element is one scenario,
-with the bits of a scalar call. The module imports NumPy only to test an
-array that it was given for finite elements.
+The charges of a ChargeScenario and of single_charge_field may be NumPy
+arrays: each element is one scenario, with the bits of a scalar call. The
+position passed to field_at is one real number. The module imports NumPy
+only to test a NumPy value that it was given.
 """
 
 from __future__ import annotations
@@ -74,18 +74,23 @@ class ChargeScenario(NamedTuple):
 
 def _finite(name: str, value):
     """value, when it is a finite real number (quantities.finite) or a
-    real-valued array of finite elements; else ParameterError naming it."""
+    real-valued array of finite elements; else ParameterError naming it, and
+    a NumPy scalar (an np.bool_, say) by its type and value."""
     if is_real_number(value):
         return finite(name, value)
-    if getattr(getattr(value, "dtype", None), "kind", "") not in ("f", "i", "u"):
-        got = f"an array of {value.dtype}" if hasattr(value, "dtype") else repr(value)
-        raise ParameterError(f"{name} must be a real number or a real-valued array, got {got}")
-    import numpy as np  # loaded already: value is one of its arrays
+    if not hasattr(value, "dtype"):
+        got = repr(value)
+    else:
+        import numpy as np  # loaded already: value is one of its objects
 
-    if not np.isfinite(value).all():
-        raise ParameterError(f"{name} must be finite, got an array holding "
-                             f"{float(value[~np.isfinite(value)].flat[0])!r}")
-    return value
+        if getattr(value.dtype, "kind", "") in ("f", "i", "u"):
+            if not np.isfinite(value).all():
+                raise ParameterError(f"{name} must be finite, got an array holding "
+                                     f"{float(value[~np.isfinite(value)].flat[0])!r}")
+            return value
+        got = f"a {value.dtype}, {value!r}" if isinstance(value, np.generic) else (
+            f"an array of {value.dtype}")
+    raise ParameterError(f"{name} must be a real number or a real-valued array, got {got}")
 
 
 class ExpansionCoefficients(NamedTuple):
@@ -111,19 +116,18 @@ def _any(flags) -> bool:
     return flags if isinstance(flags, bool) else flags.any()
 
 
-def _check_domain(x_m, x_q_m: float) -> None:
-    """DomainError unless |x| < x_Q, for x a float or each element of an array;
-    the test is the range it accepts, so a NaN position is refused."""
-    inside = abs(x_m) < x_q_m
-    if not (inside if isinstance(inside, bool) else inside.all()):
-        far = abs(x_m) if isinstance(inside, bool) else abs(x_m).max()
-        raise DomainError(f"|x| = {far} m is outside the model domain |x| < {x_q_m} m")
-
-
 def field_at(s: ChargeScenario, x_m: float) -> float:
-    """Axial stray field E(x) = -(A + 2Bx)/(4 pi eps0), in V/m."""
+    """Axial stray field E(x) = -(A + 2Bx)/(4 pi eps0), in V/m.
+
+    x is a real number (not a bool), else ParameterError, inside the model
+    domain |x| < x_Q, else DomainError; the test is the range it accepts,
+    so a NaN position is a DomainError.
+    """
     c = expansion_coefficients(s)
-    _check_domain(x_m, s.x_q_m)
+    if not is_real_number(x_m):
+        raise ParameterError(f"position x must be a real number, got {x_m!r}")
+    if not abs(x_m) < s.x_q_m:
+        raise DomainError(f"|x| = {abs(x_m)} m is outside the model domain |x| < {s.x_q_m} m")
     return -(c.A + 2.0 * c.B * x_m) * CODATA.k_e
 
 

@@ -268,7 +268,10 @@ def bessel_j0(x):
 
 def carrier_intensity_factor(x_micromotion_m: float, cooling_wavelength_m: float) -> float:
     """Carrier intensity reduction J0(beta)^2, beta = 2 pi x_um / lambda_D,
-    for |beta| < 8 (bessel_j0's domain; ParameterError beyond)."""
+    for |beta| < 8 (bessel_j0's domain; ParameterError beyond). x_um is a
+    finite real number or a real-valued array of finite elements
+    (electrostatics._finite), else ParameterError."""
+    _finite("micromotion amplitude", x_micromotion_m)
     beta = 2.0 * math.pi * x_micromotion_m / positive("cooling wavelength", cooling_wavelength_m)
     j0 = bessel_j0(beta)
     return j0 * j0

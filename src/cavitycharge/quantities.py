@@ -48,7 +48,6 @@ This module never imports NumPy.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -177,26 +176,22 @@ _FD_ABS_STEP = 1e-12
 class finite_evaluation:
     """The finite-output gate: ``with finite_evaluation(label) as check:``.
 
-    When NumPy is loaded, the block runs with its floating-point warnings
-    off; a block that runs without NumPy computes on floats alone. An
-    ArithmeticError it raises (overflow, division by zero) becomes an
-    EvaluationError chained to it, and any ToolkitError gets the prefix
-    "label: ". check returns value, a float or an UncertainQuantity, and
-    raises EvaluationError naming it when the value is not finite (an
-    UncertainQuantity's value and sigma are finite by construction).
+    An ArithmeticError the block raises (overflow, division by zero)
+    becomes an EvaluationError chained to it, and any ToolkitError gets the
+    prefix "label: ". check returns value, a float or an UncertainQuantity,
+    and raises EvaluationError naming it when the value is not finite (an
+    UncertainQuantity's value and sigma are finite by construction). The
+    gate touches no NumPy state: a block that computes with NumPy arrays
+    sets their floating-point error handling itself.
     """
 
     def __init__(self, label: str):
         self.label = label
-        numpy = sys.modules.get("numpy")
-        self._errstate = numpy.errstate(all="ignore") if numpy else contextlib.nullcontext()
 
     def __enter__(self):
-        self._errstate.__enter__()
         return _require_finite
 
     def __exit__(self, kind, exc, traceback):
-        self._errstate.__exit__(kind, exc, traceback)
         if isinstance(exc, ArithmeticError):
             raise EvaluationError(f"{self.label}: {_outside_range(exc)}") from exc
         if isinstance(exc, ToolkitError):

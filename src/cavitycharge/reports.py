@@ -295,7 +295,7 @@ def _kappa(scn: Scenario, f01: float, f01_sigma: float) -> UncertainQuantity:
 def _resonant_transmission(scn: Scenario, vendor_transmission: float) -> float:
     r0 = cavity_optics.r0_from_symmetric_finesse(_f00(scn)).value
     mirror = cavity_optics.MirrorState(r0, vendor_transmission)
-    return cavity_optics.resonant_response(mirror, mirror)["transmission"]
+    return cavity_optics.resonant_response(mirror, mirror)
 
 
 def _single_charge(scn: Scenario, q1_e: float):
@@ -312,13 +312,6 @@ def _blockade_infidelity(scn: Scenario, q1_e: float) -> float:
     rydberg = scn._require("rydberg")
     shift = rydberg_impact.stark_shift(rydberg, _field(scn, q1_e))
     return rydberg_impact.blockade_infidelity(rydberg, shift)
-
-
-def _transport(scn: Scenario, hall_resistivity_ohm_m: float,
-               carrier_density_per_m3: float, mobility_m2_per_vs: float) -> float:
-    return charging.transport_consistency(
-        hall_resistivity_ohm_m, carrier_density_per_m3, mobility_m2_per_vs
-    ).predicted_resistivity_ohm_m
 
 
 # every other row: row id -> f(scn, **manifest inputs), a float or an
@@ -357,8 +350,12 @@ ROWS = {
         scn._require("rydberg"), _field(scn, q1_e)
     ),
     "blockade_infidelity_140e": _blockade_infidelity,
-    "transport_zno1": _transport,
-    "transport_zno2": _transport,
+    **dict.fromkeys(
+        ("transport_zno1", "transport_zno2"),
+        lambda scn, carrier_density_per_m3, mobility_m2_per_vs: charging.transport_consistency(
+            carrier_density_per_m3, mobility_m2_per_vs
+        ),
+    ),
 }
 
 

@@ -38,7 +38,7 @@ from .errors import FitError, ParameterError
 # finesse and fsr_from_length live in quantities, which the report reaches without
 # this module (and NumPy); they are re-exported here
 from .quantities import (
-    UncertainQuantity, checked, finesse, fsr_from_length, nonnegative, positive,
+    UncertainQuantity, checked, finesse, finite, fsr_from_length, nonnegative, positive,
 )
 
 __all__ = [
@@ -122,8 +122,10 @@ def synthesize_trace(
     """Generate a synthetic ring-down trace with additive Gaussian noise.
 
     Deterministic for a fixed seed; the t=0 sample equals v0 exactly when
-    noise_sigma is zero.
+    noise_sigma is zero. v0 is a finite real number (not a bool), else
+    ParameterError.
     """
+    finite("v0", v0)
     positive("linewidth", linewidth_hz)
     positive("duration", duration_s)
     positive("sample rate", sample_rate_hz)

@@ -213,10 +213,8 @@ def test_09_charging(report_rows):
 
 
 def test_10_transport_consistency():
-    zno1 = transport_consistency(8.6e-5, 2e25, 3.7e-3)
-    assert abs(zno1.relative_deviation) < 0.05
-    zno2 = transport_consistency(1.32e-4, 1.5e25, 2.8e-3)
-    assert abs(zno2.relative_deviation) < 0.15
+    assert abs(transport_consistency(2e25, 3.7e-3) / 8.6e-5 - 1.0) < 0.05
+    assert abs(transport_consistency(1.5e25, 2.8e-3) / 1.32e-4 - 1.0) < 0.15
     ok(10, "predicted resistivities within 5% / 15% of Hall values")
 
 

@@ -6,6 +6,7 @@ sign, and each interval option refuses what is not a real number."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -32,8 +33,6 @@ LINEWIDTH = UncertainQuantity(523e3, 9e3)
 CHECKED = [
     (cavity_optics.r0_from_symmetric_finesse, (15000.0,), {0: "finesse F00"}),
     (cavity_optics.r1_from_asymmetric_finesse, (14160.0, R0), {0: "finesse F01"}),
-    (cavity_optics.extinction_from_reflectivities, (R0, 0.9997, 30e-9, 1650e-9),
-     {2: "film thickness", 3: "wavelength"}),
     (cavity_optics.extinction_from_finesse, (15000.0, 14160.0, 30e-9, 1650e-9),
      {0: "finesse F00", 1: "finesse F01", 2: "film thickness", 3: "wavelength"}),
     (cavity_optics.excess_reflection_loss, (15000.0, 14160.0),
@@ -41,8 +40,7 @@ CHECKED = [
     (charging.equilibrium_charge, (1e5, 1e-12, 1e-6), {0: "resistance", 1: "capacitance"}),
     (charging.gaussian_clipping_factor, (1e-4, 2e-4), {0: "beam waist", 1: "x_Q"}),
     (charging.capacitance_breakdown, (125e-6, 2e-4), {0: "mirror radius", 1: "x_Q"}),
-    (charging.transport_consistency, (1e-4, 1e26, 1e-3),
-     {0: "resistivity", 1: "carrier density", 2: "mobility"}),
+    (charging.transport_consistency, (1e26, 1e-3), {0: "carrier density", 1: "mobility"}),
     (electrostatics.ChargeScenario, (1.0, 0.0, 2e-4), {2: "x_Q"}),
     (electrostatics.disc_point_ratios, (125e-6, 2e-4), {0: "radius", 1: "distance"}),
     (electrostatics.single_charge_field, (10.0, 2e-4), {1: "x_Q"}),
@@ -182,7 +180,47 @@ def test_charge_for_field_refuses_a_field_that_is_not_a_finite_number(field):
         electrostatics.charge_for_field(field, 2e-4)
 
 
-@pytest.mark.parametrize("x", [math.nan, np.array([0.0, math.nan])], ids=["scalar", "array"])
-def test_a_nan_position_is_outside_the_model_domain(x):
-    with pytest.raises(DomainError, match=r"^\|x\| = nan m is outside the model domain"):
+@pytest.mark.parametrize("x", [math.nan, 2e-4, -2e-4, math.inf, np.float64(3e-4)], ids=repr)
+def test_a_nan_position_or_one_at_or_beyond_x_q_is_outside_the_model_domain(x):
+    message = f"|x| = {abs(x)} m is outside the model domain |x| < 0.0002 m"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         electrostatics.field_at(electrostatics.ChargeScenario(10.0, 0.0, 2e-4), x)
+
+
+# values that are not a real number, each with its repr in a refusal
+NOT_A_NUMBER = ["1e-8", None, True, np.bool_(True), [1.0], 1j, np.array([0.0]), np.array(0.0)]
+
+
+@pytest.mark.parametrize("x", NOT_A_NUMBER, ids=repr)
+def test_a_position_that_is_not_a_real_number_is_a_parameter_error(x):
+    message = f"position x must be a real number, got {x!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        electrostatics.field_at(electrostatics.ChargeScenario(10.0, 0.0, 2e-4), x)
+
+
+# the arrays aside: a sweep passes an array of micromotion amplitudes
+@pytest.mark.parametrize("x", NOT_A_NUMBER[:-2] + [math.nan, math.inf], ids=repr)
+def test_a_micromotion_amplitude_that_is_not_a_finite_real_number_is_a_parameter_error(x):
+    with pytest.raises(ParameterError, match="^micromotion amplitude must be a "):
+        ion_impact.carrier_intensity_factor(x, 369e-9)
+
+
+@pytest.mark.parametrize("v0", NOT_A_NUMBER + [math.nan, math.inf], ids=repr)
+def test_a_ring_down_amplitude_that_is_not_a_finite_real_number_is_a_parameter_error(v0):
+    message = f"v0 must be a finite real number, got {v0!r}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way to the refusal
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            ringdown.synthesize_trace(v0, 5e3, 4e-4, 1e7)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda b: electrostatics.ChargeScenario(b, 0.0, 2e-4), "charge q1_e"),
+    (ion_impact.bessel_j0, "J0 argument"),
+], ids=["charge", "J0"])
+def test_a_numpy_bool_is_refused_as_a_bool_not_as_an_array(call, name):
+    message = f"{name} must be a real number or a real-valued array, got a bool, {np.bool_(True)!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call(np.bool_(True))
+    with pytest.raises(ParameterError, match="got an array of bool$"):
+        call(np.array([True]))

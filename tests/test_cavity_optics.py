@@ -16,7 +16,6 @@ from cavitycharge.cavity_optics import (
     NegativeExtinctionWarning,
     excess_reflection_loss,
     extinction_from_finesse,
-    extinction_from_reflectivities,
     r0_from_symmetric_finesse,
     r1_from_asymmetric_finesse,
     resonant_response,
@@ -197,13 +196,7 @@ def test_extinction_cubature_vs_linear_sigma():
     f01 = UncertainQuantity(14160.0, 250.0)
     h = UncertainQuantity(THICKNESS, 2e-9)
     cubature = extinction_from_finesse(f00, f01, h, WAVELENGTH)
-
-    def chain(a, b, hh):
-        r0 = (math.sqrt(4 * a**2 + math.pi**2) - math.pi) / (2 * a)
-        r1 = ((math.sqrt(4 * b**2 + math.pi**2) - math.pi) / (2 * b)) ** 2 / r0
-        return extinction_from_reflectivities(r0, r1, hh, WAVELENGTH)
-
-    linear = propagate_linear(chain, [f00, f01, h])
+    linear = propagate_linear(functools.partial(cavity_optics._kappa, WAVELENGTH), [f00, f01, h])
     assert cubature.sigma == pytest.approx(linear.sigma, rel=0.20)
 
 
@@ -363,11 +356,6 @@ def test_extinction_input_at_or_below_zero_at_its_lowest_node_is_a_domain_error(
         )
 
 
-def test_extinction_domain_error_for_invalid_reflectivities():
-    with pytest.raises(DomainError):
-        extinction_from_reflectivities(1.5, 0.1, THICKNESS, WAVELENGTH)
-
-
 def test_extinction_no_excess_loss_is_zero():
     kappa = extinction_from_finesse(
         UncertainQuantity(F00, 0.0),
@@ -410,19 +398,17 @@ def test_extinction_without_cancellation_against_mpmath():
 
 
 @pytest.mark.parametrize("f01", [14160.0, 22120.0, 23339.0])
-def test_extinction_from_reflectivities_against_mpmath(f01):
-    # kappa of the given floats r0, r1; the loss r0^2 - r1^2 is formed as
-    # (r0 - r1)(r0 + r1), r0 - r1 exact, where 1 - r0^2 + r1^2 lost up to
+def test_log_transmission_against_mpmath(f01):
+    # log1p(-(r0^2 - r1^2)) of the given floats u = 1 - r of each finesse;
+    # the loss is formed as (u01 - u00)(2 - u00 - u01)/r0 (r0 + r1), u01 - u00
+    # exact (Sterbenz), where 1 - r0^2 + r1^2 of r0 and r1 would lose up to
     # 3.3e-9 (at F01 = 23339)
-    r0 = float(cavity_optics._r0(F00))
-    r1 = float(cavity_optics._r1(f01, r0))
-    kappa = extinction_from_reflectivities(r0, r1, THICKNESS, WAVELENGTH)
+    u00, u01 = cavity_optics._u(F00), cavity_optics._u(f01)
+    got = cavity_optics._log_transmission(u00, u01)
     with mpmath.workdps(60):
-        r0_mp, r1_mp = mpmath.mpf(r0), mpmath.mpf(r1)
-        exact = -(mpmath.mpf(WAVELENGTH) / (8 * mpmath.pi * mpmath.mpf(THICKNESS))) * mpmath.log(
-            1 - r0_mp**2 + r1_mp**2
-        )
-        assert abs(kappa / exact - 1) <= 4e-15
+        r0 = 1 - mpmath.mpf(u00)
+        r1 = (1 - mpmath.mpf(u01)) ** 2 / r0
+        assert abs(got / mpmath.log(1 - r0**2 + r1**2) - 1) <= 4e-15
 
 
 def test_first_order_expansion_identity():
@@ -477,9 +463,7 @@ def test_excess_reflection_loss_values():
 
 def test_impedance_matched_cavity_transmits_fully():
     m = MirrorState(0.99, 1.0 - 0.99**2)
-    out = resonant_response(m, m)
-    assert out["transmission"] == pytest.approx(1.0, rel=1e-12)
-    assert out["reflection_dip"] == pytest.approx(0.0, abs=1e-12)
+    assert resonant_response(m, m) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_vendor_transmission_case():
@@ -488,15 +472,14 @@ def test_vendor_transmission_case():
     out = resonant_response(m, m)
     # all of 1-r^2 minus the vendor T is loss; T_c = (T/(T+L))^2
     expected = (1.18e-4 / (1.0 - r0**2)) ** 2
-    assert out["transmission"] == pytest.approx(expected, rel=1e-9)
-    assert 0.0 < out["transmission"] < 1.0
+    assert out == pytest.approx(expected, rel=1e-9)
+    assert 0.0 < out < 1.0
 
 
 def test_perfect_back_mirror_blocks_transmission():
     front = MirrorState(0.9, 0.05)
     back = MirrorState(1.0 - 1e-12, 0.0)
-    out = resonant_response(front, back)
-    assert out["transmission"] == pytest.approx(0.0, abs=1e-12)
+    assert resonant_response(front, back) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mirror_state_validation():

@@ -117,20 +117,16 @@ def test_capacitance_breakdown():
 
 
 def test_transport_consistency_reference_rows():
-    zno1 = transport_consistency(8.6e-5, 2e25, 3.7e-3)  # 8.6 mOhm cm, 2e19 cm^-3, 37 cm^2/Vs
-    assert abs(zno1.relative_deviation) < 0.05
-    zno2 = transport_consistency(1.32e-4, 1.5e25, 2.8e-3)
-    assert abs(zno2.relative_deviation) < 0.15
-    assert zno1.predicted_resistivity_ohm_m == pytest.approx(
-        1.0 / (2e25 * sc.e * 3.7e-3), rel=1e-12
-    )
+    zno1 = transport_consistency(2e25, 3.7e-3)  # 2e19 cm^-3, 37 cm^2/Vs
+    assert abs(zno1 / 8.6e-5 - 1.0) < 0.05  # the Hall value, 8.6 mOhm cm
+    zno2 = transport_consistency(1.5e25, 2.8e-3)
+    assert abs(zno2 / 1.32e-4 - 1.0) < 0.15
+    assert zno1 == pytest.approx(1.0 / (2e25 * sc.e * 3.7e-3), rel=1e-12)
 
 
 def test_transport_unit_construction():
     n = 1.0 / (sc.e * 1.0)
-    out = transport_consistency(1.0, n, 1.0)
-    assert out.predicted_resistivity_ohm_m == pytest.approx(1.0, rel=1e-12)
-    assert out.relative_deviation == pytest.approx(0.0, abs=1e-12)
+    assert transport_consistency(n, 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_validation():
@@ -145,6 +141,6 @@ def test_validation():
         with pytest.raises(SchemaError, match=message):
             parse_scenario(text.replace(old, new))
     with pytest.raises(ParameterError, match=r"carrier density must be positive, got -2e\+25"):
-        transport_consistency(1e-4, -2e25, 3.7e-3)
+        transport_consistency(-2e25, 3.7e-3)
     with pytest.raises(ParameterError):
         equilibrium_charge(0.0, 1e-13, 1e-8)

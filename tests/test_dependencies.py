@@ -228,6 +228,18 @@ def test_commands_load_no_dataclasses(argv, tmp_path):
     assert "dataclasses" not in mods
 
 
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "cavitycharge"
+
+
+def _readers():
+    """(path, top-level statement) of every module the field and key pins
+    read: the package, the demos and the benchmark."""
+    for path in [*PACKAGE.glob("*.py"), *REPO.glob("demos/*.py"), *REPO.glob("perfbench/*.py")]:
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            yield path, statement
+
+
 def test_every_scenario_key_is_read():
     # read means read as an attribute outside the schema machinery, which
     # touches every key, or named to Scenario._require, which reads it by name:
@@ -235,21 +247,91 @@ def test_every_scenario_key_is_read():
     # in the benchmark
     from cavitycharge.scenario import _KEYS
 
-    repo = Path(__file__).resolve().parent.parent
-    package = repo / "src" / "cavitycharge"
     read = set()
-    for path in [*package.glob("*.py"), *repo.glob("demos/*.py"), *repo.glob("perfbench/*.py")]:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        if path.name == "scenario.py" and path.parent == package:
-            tree = next(node for node in tree.body
-                        if isinstance(node, ast.ClassDef) and node.name == "Scenario")
-        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        read |= {node.args[1].value for node in ast.walk(tree)
+    for path, statement in _readers():
+        if path == PACKAGE / "scenario.py" and getattr(statement, "name", "") != "Scenario":
+            continue
+        read |= {node.attr for node in ast.walk(statement) if isinstance(node, ast.Attribute)}
+        read |= {node.args[1].value for node in ast.walk(statement)
                  if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "_require"
                  and len(node.args) == 2 and isinstance(node.args[1], ast.Constant)}
     unread = [f"[{section}] {key}" for section, keys in _KEYS.items()
               for key in keys if key not in read]
     assert unread == []
+
+
+# the fields of public result records, and the keys of dicts that public
+# functions return, that only tests read, each with the reason it stays
+UNREAD = {
+    "ringdown.RingdownFit.residual_rms": "the fit's residual quality, a diagnostic for the "
+                                         "run record to report",
+    "quantities.Constants.edition": "the CODATA edition, for the run record's provenance",
+}
+
+
+def test_every_result_field_and_returned_key_is_read_outside_its_definition():
+    # read means read as an attribute (a field) or as a constant subscript (a
+    # key) by the scan of test_every_scenario_key_is_read, in a package module
+    # outside the record's class or the function's def, in a demo or in the
+    # benchmark; the Scenario and its sections are that test's
+    from cavitycharge.scenario import _SPECS
+
+    sections = {cls.__name__ for cls in _SPECS}
+    declared = {}  # (module, record or function, field or key) -> its top-level statement
+    read = {}      # attribute or key -> the top-level statements that read it
+    for path, statement in _readers():
+        name = getattr(statement, "name", "_")
+        if path.parent == PACKAGE and not name.startswith("_") and name not in sections:
+            if isinstance(statement, ast.ClassDef) and any(
+                    getattr(base, "id", "") == "NamedTuple" for base in statement.bases):
+                declared |= {(path.stem, name, node.target.id): statement
+                             for node in statement.body if isinstance(node, ast.AnnAssign)}
+            elif isinstance(statement, ast.FunctionDef):
+                declared |= {(path.stem, name, key.value): statement
+                             for node in ast.walk(statement)
+                             if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict)
+                             for key in node.value.keys if isinstance(key, ast.Constant)}
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Attribute):
+                read.setdefault(node.attr, []).append(statement)
+            elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+                read.setdefault(node.slice.value, []).append(statement)
+    assert len(declared) > 50  # the scan finds the records
+    unread = [".".join(entry) for entry, owner in declared.items()
+              if all(reader is owner for reader in read.get(entry[2], []))]
+    assert sorted(unread) == sorted(UNREAD)
+    assert all(UNREAD.values())
+
+
+# the package's functions that no command and no demo enters, as
+# scripts/traffic.py lists them, each with the reason it stays
+UNENTERED = {
+    "__init__.__dir__": "PEP 562 dir() of the lazy namespace",
+    "cli.__getattr__": "the benchmark's set-up probe reads cli.<name> (perfbench/worker.py:35), "
+                       "and its tracer rebinds those names",
+    "cli._fork_share": "fit-ringdown forks only for shares of 2 MB of traces or more: the "
+                       "benchmark's cli-ringdown and CI's forked step",
+    "cli._collect": "reaps the forked workers of cli._fork_share",
+    "cli.run": "the toolkit console script",
+    "ion_impact._j0_series_array": "the cooling sweep as one array call, which library callers "
+                                   "with NumPy loaded run (the benchmark's lib-budgets)",
+    "quantities._outside_range": "error path: an overflow or a division by zero in a chain",
+    "quantities._real": "error path: a cubature node where f returns what is not a float",
+    "ringdown.RingdownTrace.__len__": "the benchmark's tracer counts samples with len(trace) "
+                                      "(perfbench/tracer.py:84, :90)",
+    "ringdown._loadtxt_rows": "blank or '#' lines among a trace's rows, and piped traces",
+    "scenario.Scenario.trap_config": "the benchmark's budget check (perfbench/workloads.py:310)",
+    "scenario.Scenario.rydberg_config": "the benchmark's budget check "
+                                        "(perfbench/workloads.py:312)",
+}
+
+
+def test_every_function_is_entered_by_a_command_or_a_demo():
+    run = subprocess.run([sys.executable, str(REPO / "scripts" / "traffic.py")],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == sorted(UNENTERED)
+    assert all(UNENTERED.values())
 
 
 def test_no_module_imports_dataclasses():

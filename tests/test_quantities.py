@@ -21,6 +21,7 @@ from cavitycharge.quantities import (
     _tensor_weights,
     as_quantity,
     finesse,
+    finite_evaluation,
     propagate_cubature,
     propagate_linear,
 )
@@ -375,6 +376,19 @@ def test_linear_nonfinite_evaluation_errors():
         propagate_linear(
             lambda x: 1.0 if x == 1.0 else math.inf, [UncertainQuantity(1.0, 0.1)]
         )
+
+
+def test_the_finite_output_gate_leaves_numpy_error_handling_as_it_is():
+    # the gate reads no process state: a block that computes with NumPy
+    # arrays sets their error handling itself, as the budget sweep does
+    before = np.geterr()
+    with finite_evaluation("label") as check:
+        assert np.geterr() == before
+        assert check("value", 2.0) == 2.0
+    # NumPy's own overflow error, an ArithmeticError, becomes the gate's
+    with np.errstate(over="raise"), pytest.raises(EvaluationError, match="^label: Floating"):
+        with finite_evaluation("label"):
+            np.float64(1e300) * np.float64(1e300)
 
 
 @pytest.mark.parametrize(
