@@ -2,11 +2,13 @@
 
 Starts a fresh interpreter with OPENBLAS_NUM_THREADS=1 in a temporary
 working directory. It installs sys.setprofile before the first cavitycharge
-import, then runs the 9 commands through cavitycharge.cli.main
-(reproduce-paper --out, budget for each target on the bundled paper_yb.scenario,
-and fit-ringdown --fsr-hz 7.41e9 on the bundled traces) and every script in
-demos/ with runpy. A command that exits non-zero, or a demo that raises,
-stops the run. Prints, sorted and one a line, every function and method
+import, then runs 12 commands through cavitycharge.cli.main and every
+script in demos/ with runpy. Nine commands must exit 0: reproduce-paper
+--out, budget for each target on the bundled paper_yb.scenario, and
+fit-ringdown --fsr-hz 7.41e9 on the bundled traces. Three must end in
+argparse's SystemExit: --help and budget --help (0), and a budget with an
+unknown --target (2). A command that ends otherwise, or a demo that
+raises, stops the run. Prints, sorted and one a line, every function and method
 defined in src/cavitycharge that was never entered, nested ones included
 and lambdas not, as its module and qualified name (ringdown.fit_ringdown.project
 for a function defined in fit_ringdown). Standard library only; run from
@@ -47,10 +49,20 @@ from cavitycharge import BUDGET_TARGETS, cli
 commands = [["reproduce-paper", "--out", "report.csv"],
             *(["budget", "--scenario", "paper_yb.scenario", "--target", t] for t in BUDGET_TARGETS),
             ["fit-ringdown", "--fsr-hz", "7.41e9", *traces]]
-with contextlib.redirect_stdout(io.StringIO()):
+# help and usage errors, which argparse alone prints, with its exit code
+printed = {("--help",): 0, ("budget", "--help"): 0,
+           ("budget", "--scenario", "paper_yb.scenario", "--target", "warp-drive"): 2}
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     for argv in commands:
         if cli.main(argv) != 0:
             sys.exit(f"toolkit {' '.join(argv)} did not exit 0")
+    for argv, code in printed.items():
+        try:
+            cli.main(list(argv))
+        except SystemExit as exc:
+            if exc.code == code:
+                continue
+        sys.exit(f"toolkit {' '.join(argv)} did not exit {code}")
     for demo in sorted(glob.glob(os.path.join(root, "demos", "*.py"))):
         runpy.run_path(demo, run_name="__main__")
 sys.setprofile(None)

@@ -16,6 +16,15 @@ Each subcommand imports only what it runs. This module loads `errors` and
 `scenario`, when they run. Only fit-ringdown loads NumPy: the report's
 cubature runs on floats, and no budget target loads it.
 
+argparse loads only for help and usage errors. One table, _COMMANDS,
+declares the subcommands and their flags; `_parse` reads a command line
+in its canonical spelling (an optional leading --debug, the subcommand,
+exact long flags each followed by its value, fit-ringdown's traces as one
+run) into the namespace argparse would give it. Any other command line
+(-h, an abbreviation, --flag=value, "--", a usage error) goes to
+`build_parser()`, the argparse parser of the same table, which alone
+prints help and usage text and exits 0 or 2 as argparse does.
+
 Files are read and written with the builtin `open` (bundled files at the
 path `cavitycharge._data_path` gives), so no subcommand loads the standard
 library's resource readers or path objects. reproduce-paper reads the bundled
@@ -42,10 +51,10 @@ other in-process callers use.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 
 from . import BUDGET_DEFAULTS, BUDGET_TARGETS, _data_path
 from .errors import ToolkitError
@@ -296,53 +305,92 @@ def _cmd_budget(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# subcommand -> (its help, its handler, {its positional or flag: the
+# add_argument keywords dest, type, default, required, choices, nargs and help,
+# each left out being argparse's default}), in --help order: what build_parser
+# declares and what _parse accepts
+_COMMANDS = {
+    "fit-ringdown": ("fit decay traces and report finesse", _cmd_fit_ringdown, {
+        "traces": dict(nargs="+", help="two-column CSV traces (t_seconds,v_volts)"),
+        "--fsr-hz": dict(dest="fsr_hz", type=float, help="measured free spectral range"),
+        "--fsr-sigma-hz": dict(dest="fsr_sigma_hz", type=float, default=0.0,
+                               help="FSR one-sigma uncertainty"),
+        "--length-m": dict(dest="length_m", type=float, help="cavity length (FSR = c/2d)"),
+        "--out": dict(dest="out", help="write the per-trace CSV here"),
+    }),
+    "reproduce-paper": ("recompute all bundled reference values and report MATCH status",
+                        _cmd_reproduce, {
+        "--out": dict(dest="out", help="write the report CSV here"),
+    }),
+    "budget": ("stray-charge budget for one target", _cmd_budget, {
+        "--scenario": dict(dest="scenario", required=True, help="scenario file path (bare names "
+                           "fall back to the bundled scenarios, e.g. paper_yb.scenario)"),
+        "--target": dict(dest="target", required=True, choices=BUDGET_TARGETS),
+        **{flag: dict(dest=option, type=float, default=BUDGET_DEFAULTS[option], help=text)
+           for flag, option, text in (
+            ("--intensity-floor", "intensity_floor",
+             "carrier-intensity floor for the cooling target"),
+            ("--modulation-limit", "modulation_limit", "k*x_um cap for the lamb-dicke target"),
+            ("--displacement-m", "displacement_m",
+             "displacement goal for the coupling target (default: cavity wavelength / 8)"),
+            ("--tau-pi-s", "tau_pi_s", "decoherence-time goal for rydberg-coherence"),
+            ("--infidelity", "target_infidelity", "infidelity goal for rydberg-gate"),
+        )},
+        "--out": dict(dest="out", help="sweep CSV path"),
+    }),
+}
+
+
+def build_parser():
+    """The argparse parser that _COMMANDS declares: it prints the help and
+    the usage errors, and parses every argv that _parse leaves to it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
-        prog="toolkit",
-        description="Cavity loss metrology and stray-charge budget toolkit",
-    )
+        prog="toolkit", description="Cavity loss metrology and stray-charge budget toolkit")
     parser.add_argument("--debug", action="store_true",
                         help="show the traceback of an internal error (exit 3)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = sub.add_parser("fit-ringdown", help="fit decay traces and report finesse")
-    p_fit.add_argument("traces", nargs="+", help="two-column CSV traces (t_seconds,v_volts)")
-    p_fit.add_argument("--fsr-hz", type=float, default=None, help="measured free spectral range")
-    p_fit.add_argument("--fsr-sigma-hz", type=float, default=0.0, help="FSR one-sigma uncertainty")
-    p_fit.add_argument("--length-m", type=float, default=None, help="cavity length (FSR = c/2d)")
-    p_fit.add_argument("--out", default=None, help="write the per-trace CSV here")
-    p_fit.set_defaults(func=_cmd_fit_ringdown)
-
-    p_rep = sub.add_parser(
-        "reproduce-paper",
-        help="recompute all bundled reference values and report MATCH status",
-    )
-    p_rep.add_argument("--out", default=None, help="write the report CSV here")
-    p_rep.set_defaults(func=_cmd_reproduce)
-
-    p_bud = sub.add_parser("budget", help="stray-charge budget for one target")
-    p_bud.add_argument("--scenario", required=True,
-                       help="scenario file path (bare names fall back to the "
-                            "bundled scenarios, e.g. paper_yb.scenario)")
-    p_bud.add_argument("--target", required=True, choices=BUDGET_TARGETS)
-    for flag, option, text in (
-        ("--intensity-floor", "intensity_floor",
-         "carrier-intensity floor for the cooling target"),
-        ("--modulation-limit", "modulation_limit", "k*x_um cap for the lamb-dicke target"),
-        ("--displacement-m", "displacement_m",
-         "displacement goal for the coupling target (default: cavity wavelength / 8)"),
-        ("--tau-pi-s", "tau_pi_s", "decoherence-time goal for rydberg-coherence"),
-        ("--infidelity", "target_infidelity", "infidelity goal for rydberg-gate"),
-    ):
-        p_bud.add_argument(flag, dest=option, type=float, default=BUDGET_DEFAULTS[option],
-                           help=text)
-    p_bud.add_argument("--out", default=None, help="sweep CSV path")
-    p_bud.set_defaults(func=_cmd_budget)
+    for command, (text, handler, table) in _COMMANDS.items():
+        p_sub = sub.add_parser(command, help=text)
+        for name, keywords in table.items():
+            p_sub.add_argument(name, **keywords)
+        p_sub.set_defaults(func=handler)
     return parser
 
 
+def _parse(argv):
+    """The namespace argparse gives argv when argv has the canonical
+    spelling: an optional leading --debug, the subcommand, then its exact
+    long flags, each followed by a value that does not start with "-", and
+    fit-ringdown's traces as one run; every value of its type and choices,
+    every required flag given. None for any other argv, which only argparse
+    parses: -h, an abbreviation, --flag=value, "--", a usage error."""
+    debug, run = argv[:1] == ["--debug"], []
+    try:  # no subcommand, an unknown one or flag, a flag without a value, not a float
+        command, *rest = argv[debug:]
+        _, handler, table = _COMMANDS[command]
+        found = {spec.get("dest", name): spec.get("default") for name, spec in table.items()}
+        for k, token in (tokens := iter(enumerate(rest))):
+            if not token.startswith("-"):
+                run.append(k)  # a value that no flag takes
+                continue
+            spec, (_, value) = table[token], next(tokens)
+            found[spec["dest"]] = kept = spec.get("type", str)(value)  # str(a str) is that str
+            if value.startswith("-") or kept not in spec.get("choices", (kept,)):
+                return None
+    except (ValueError, KeyError, StopIteration):
+        return None
+    positional = [name for name in table if not name.startswith("-")]
+    if bool(positional) != bool(run) or run and run[-1] - run[0] >= len(run):
+        return None  # values that no argument takes, no traces, or traces not in one run
+    found.update((name, [rest[k] for k in run]) for name in positional)
+    missing = {name for name, spec in table.items() if spec.get("required")} - set(rest)
+    return None if missing else SimpleNamespace(debug=debug, command=command, func=handler, **found)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ToolkitError, OSError) as exc:

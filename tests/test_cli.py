@@ -408,6 +408,42 @@ def test_a_local_scenario_shadows_the_bundled_one(spec, tmp_path, capsys, monkey
     assert "delta_x_over_rabi" in out
 
 
+# -- help and usage errors, which argparse alone prints ----------------------
+
+DATA = Path(__file__).resolve().parent / "data"
+# the help of the toolkit and of each subcommand, and four usage errors, as
+# tests/data/cli_help.txt and cli_usage_errors.txt hold what they print at
+# COLUMNS=80 (stdout and stderr)
+HELP = [["--help"], *([command, "--help"] for command in
+                      ("fit-ringdown", "reproduce-paper", "budget"))]
+USAGE_ERRORS = [
+    ["fit-ringdown", "--fsr-hz", "-inf", "a.csv"],
+    ["fit-ringdown", "--fsr", "1", "a.csv"],
+    ["fit-ringdown", "a.csv", "--fsr-hz", "1", "b.csv"],
+    ["budget", "--scenario", "paper_yb.scenario", "--target", "gate", "--debug"],
+]
+
+
+def _printed(argvs, code, capsys, monkeypatch):
+    """What main prints for each argv in turn, each ending in SystemExit(code)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in argvs:
+        with pytest.raises(SystemExit) as ended:
+            main(argv)
+        assert ended.value.code == code
+    return capsys.readouterr()
+
+
+def test_help_is_argparse_text_as_pinned(capsys, monkeypatch):
+    printed = _printed(HELP, 0, capsys, monkeypatch)
+    assert (printed.out, printed.err) == ((DATA / "cli_help.txt").read_text(), "")
+
+
+def test_usage_errors_are_argparse_text_as_pinned(capsys, monkeypatch):
+    printed = _printed(USAGE_ERRORS, 2, capsys, monkeypatch)
+    assert (printed.out, printed.err) == ("", (DATA / "cli_usage_errors.txt").read_text())
+
+
 # -- the console entry point --------------------------------------------------
 
 

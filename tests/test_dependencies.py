@@ -10,6 +10,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy
 import pytest
 
 import cavitycharge
@@ -190,23 +191,47 @@ def test_budget_and_reproduce_paper_load_no_film_optics(argv, tmp_path):
         assert loaded == REPRODUCE_PAPER_PATH
 
 
-@pytest.mark.parametrize("argv", [
-    ["reproduce-paper"],
-    ["budget", "--scenario", "paper_yb.scenario", "--target", "gate", "--out", "sweep.csv"],
-], ids=lambda argv: argv[0])
-def test_commands_under_a_clean_site_load_no_resource_readers(argv, tmp_path):
-    # python -S: no .pth file in site-packages loads these modules first, so
-    # the pin sees what the command itself loads
+def _loaded_under_a_clean_site(argv, cwd) -> tuple[int, list[str]]:
+    """Exit code (argparse's, where it exits) and every module loaded by one
+    `toolkit` command under python -S, with NumPy's directory on the path.
+    No .pth file in site-packages then loads a module first, so the modules
+    are those the command itself loads."""
     probe = (
         "import sys\n"
         "from cavitycharge import cli\n"
-        f"code = cli.main({argv!r})\n"
+        "try:\n"
+        f"    code = cli.main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
         "print(repr([code, sorted(sys.modules)]), file=sys.stderr)\n"
     )
-    code, mods = ast.literal_eval(_probe(probe, tmp_path, flags=("-S",)).splitlines()[-1])
+    numpy_dir = os.path.dirname(os.path.dirname(numpy.__file__))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, [os.environ.get("PYTHONPATH"), numpy_dir])))
+        return ast.literal_eval(_probe(probe, cwd, flags=("-S",)).splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce-paper"],
+    ["budget", "--scenario", "paper_yb.scenario", "--target", "gate", "--out", "sweep.csv"],
+    ["fit-ringdown", "--fsr-hz", "7.41e9",
+     str(resources.files("cavitycharge").joinpath("data/traces/ringdown_01.csv"))],
+], ids=lambda argv: argv[0])
+def test_commands_under_a_clean_site_load_no_resource_readers(argv, tmp_path):
+    # nor argparse, with gettext and locale, which only help and usage errors load
+    code, mods = _loaded_under_a_clean_site(argv, tmp_path)
     assert code == 0
     assert "site" not in mods
-    assert not {"importlib.resources", "pathlib", "zipfile", "tempfile", "numpy"} & set(mods)
+    assert not {"importlib.resources", "pathlib", "zipfile", "tempfile"} & set(mods)
+    assert not {"argparse", "gettext", "locale"} & set(mods)
+    assert ("numpy" in mods) == (argv[0] == "fit-ringdown")
+
+
+def test_help_under_a_clean_site_loads_argparse(tmp_path):
+    code, mods = _loaded_under_a_clean_site(["--help"], tmp_path)
+    assert code == 0
+    assert "argparse" in mods
 
 
 def test_scenario_loads_no_physics_module():
