@@ -20,7 +20,6 @@ supported.
 """
 
 import os
-import sys
 
 __version__ = "0.1.0"
 
@@ -105,7 +104,7 @@ def _submodule(name):
     # __import__, unlike a call to import_module, goes through the
     # interpreter's import statement path, which `-X importtime` logs
     __import__(f"{__name__}.{name}")  # the import binds it here
-    return sys.modules[f"{__name__}.{name}"]
+    return globals()[name]
 
 
 def __getattr__(name):

@@ -11,10 +11,18 @@ returned is finite; numerics that overflow, divide by zero or end
 non-finite raise EvaluationError, and any toolkit error raised while a
 target is evaluated starts with "target T: ".
 
-The sweep is evaluated with NumPy when it is already loaded (a library
-caller that has imported it): one array call on the grid. Otherwise (a
-``budget`` command) the figure of merit is called on each grid point,
-a float, and NumPy is never imported. Both give the same bits.
+Each figure of merit composes the physics modules' unchecked formulas
+(electrostatics._expansion, ion_impact._unchecked_well, ...), which the
+public functions call after their checks, with the target's constants
+computed once: the rows' computation has checked the sections, and the
+grid's charges and powers are finite and positive. The sweep
+is evaluated with NumPy when it is already loaded (a library caller that
+has imported it): one array call on the grid, the faster path for a warm
+library caller. Otherwise (a ``budget`` command) the figure of merit is
+called on each grid point, a float, and NumPy is never imported, the
+faster path for a command, which would pay NumPy's import. Either way the
+sweep is a list of (x, y) float tuples with the same bits; this module is
+the one place that looks NumPy up.
 
 The options (intensity_floor, modulation_limit, displacement_m, tau_pi_s,
 target_infidelity) default to ``BUDGET_DEFAULTS``. ``reports`` re-exports
@@ -44,7 +52,7 @@ class _Target(NamedTuple):
     rows: list             # (name, value, unit)
     header: str            # sweep CSV header, "x_name,y_name"
     upper: float           # the sweep grid runs from upper / SWEEP_POINTS to upper
-    figure_of_merit: Callable  # y of x, a float or an array of floats
+    figure_of_merit: Callable  # y of x, a float or an array of floats, unchecked
 
 
 def budget_rows(scn: Scenario, target: str, **options) -> dict[str, float]:
@@ -59,10 +67,9 @@ def budget_report(scn: Scenario, target: str, **options):
     """Budget rows plus a (sweep_variable, figure_of_merit) table.
 
     Returns (rows, sweep_header, sweep) where rows is a list of
-    (name, value, unit) tuples and sweep is a sequence of SWEEP_POINTS
-    (x, y) rows: a (SWEEP_POINTS, 2) array, its y column one array call on
-    the x grid, when NumPy is loaded, else a list of float pairs, y called
-    on each x. The two hold the same bits.
+    (name, value, unit) tuples and sweep is a list of SWEEP_POINTS (x, y)
+    tuples of floats on np.linspace's grid; its bits do not depend on
+    whether NumPy is loaded.
 
     Raises ParameterError for an unknown target, TypeError for an unknown
     option, and EvaluationError when the numerics raise an ArithmeticError
@@ -82,8 +89,10 @@ def _report(scn: Scenario, target: str, options: dict, np):
         if np is not None:
             grid = np.linspace(start, upper, SWEEP_POINTS)
             with np.errstate(all="ignore"):  # a non-finite point is refused below
-                sweep = np.column_stack((grid, figure_of_merit(grid)))
-                complete = np.isfinite(sweep).all()
+                values = figure_of_merit(grid)
+            # a finite upper end makes every grid point finite
+            complete = math.isfinite(upper) and np.isfinite(values).all()
+            sweep = list(zip(grid.tolist(), values.tolist()))
         else:
             # np.linspace's grid: start + i * step, its last point upper itself
             step = (upper - start) / (SWEEP_POINTS - 1)
@@ -94,7 +103,7 @@ def _report(scn: Scenario, target: str, options: dict, np):
             bad = [row for row in sweep if not _finite_row(row)]
             raise EvaluationError(
                 f"{len(bad)} of {len(sweep)} sweep points are not finite, the first "
-                f"({header}) = ({float(bad[0][0])!r}, {float(bad[0][1])!r})"
+                f"({header}) = ({bad[0][0]!r}, {bad[0][1]!r})"
             )
     return rows, header, sweep
 
@@ -145,8 +154,8 @@ def _charging(scn, **_) -> _Target:
     ]
     return _Target(
         rows, "power_w,equilibrium_charge_e", 2.0 * max(illum.power_w, 1e-12),
-        lambda p: charging.equilibrium_charge(
-            resistance, film.capacitance_f, CODATA.e * charging.photoelectron_flux(illum, p),
+        lambda p: charging._equilibrium_charge(
+            resistance, film.capacitance_f, CODATA.e * charging._photoelectron_flux(illum, p),
         ).charge_e,
     )
 
@@ -162,12 +171,10 @@ def _cooling(scn, intensity_floor, **_) -> _Target:
         ("equilibrium_displacement", budget.x_tilde_m, "m"),
         ("field_at_ion", budget.field_v_per_m, "V/m"),
     ]
+    micromotion = _micromotion_of_charge(trap, x_q)
     return _Target(
         rows, "q1_e,carrier_intensity_factor", 2.0 * budget.q1_e,
-        lambda q: ion_impact.carrier_intensity_factor(
-            ion_impact.micromotion_of_single_charge(trap, x_q, q),
-            trap.cooling_wavelength_m,
-        ),
+        lambda q: ion_impact._carrier(micromotion(q), trap.cooling_wavelength_m),
     )
 
 
@@ -185,11 +192,11 @@ def _coupling(scn, displacement_m, **_) -> _Target:
         ("q1_max", q1, "e"),
         ("field_at_ion", electrostatics.field_at(s, x_target), "V/m"),
     ]
+    mass_kg, _, _, k_t = ion_impact._trap(trap)
     return _Target(
         rows, "q1_e,equilibrium_displacement_m", 2.0 * max(q1, 1.0),
-        lambda q: ion_impact.equilibrium_position(
-            trap, electrostatics.ChargeScenario(q, 0.0, x_q)
-        ),
+        lambda q: ion_impact._unchecked_well(mass_kg, k_t,
+                                             electrostatics._expansion(q, 0.0, x_q))[0],
     )
 
 
@@ -206,9 +213,10 @@ def _lamb_dicke(scn, modulation_limit, **_) -> _Target:
         ("field_at_ion", budget.field_v_per_m, "V/m"),
     ]
     k = 2.0 * math.pi / trap.gate_wavelength_m
+    micromotion = _micromotion_of_charge(trap, x_q)
     return _Target(
         rows, "q1_e,gate_modulation_index", 2.0 * max(budget.q1_max_e, 1.0),
-        lambda q: k * ion_impact.micromotion_of_single_charge(trap, x_q, q),
+        lambda q: k * micromotion(q),
     )
 
 
@@ -227,11 +235,16 @@ def _gate(scn, **_) -> _Target:
         ("within_threshold", float(verdict.within_threshold), ""),
         ("equal_charge_bound", bound, "e"),
     ]
+    mass_kg, omega_x, _, k_t = ion_impact._trap(trap)
+
+    def detuning_over_rabi(q):
+        c = electrostatics._expansion(q, q, x_q)
+        omega_t = ion_impact._unchecked_well(mass_kg, k_t, c)[1]
+        return ion_impact._detuning(omega_x, omega_t, gate.rabi_hz)[1]
+
     return _Target(
         rows, "q1_e,detuning_over_rabi", 2.0 * max(abs(charges.q1_e), bound, 1.0),
-        lambda q: ion_impact.gate_detuning_verdict(
-            trap, electrostatics.ChargeScenario(q, q, x_q), gate
-        ).ratio_rabi,
+        detuning_over_rabi,
     )
 
 
@@ -249,7 +262,7 @@ def _rydberg_coherence(scn, tau_pi_s, **_) -> _Target:
     return _Target(
         rows, "q1_e,decoherence_time_s", 2.0 * budget.q1_e,
         lambda q: rydberg_impact._decoherence_time(
-            rydberg, electrostatics.single_charge_field(q, x_q)
+            rydberg, electrostatics._single_charge_field(q, x_q)
         ),
     )
 
@@ -269,10 +282,22 @@ def _rydberg_gate(scn, target_infidelity, **_) -> _Target:
         lambda q: rydberg_impact._blockade_infidelity(
             rydberg,
             rydberg_impact._stark_shift(
-                rydberg, electrostatics.single_charge_field(q, x_q)
+                rydberg, electrostatics._single_charge_field(q, x_q)
             ),
         ),
     )
+
+
+def _micromotion_of_charge(trap, x_q: float) -> Callable:
+    """q -> micromotion_of_single_charge(trap, x_q, q), unchecked."""
+    from . import electrostatics, ion_impact
+    mass_kg, _, omega_rf, k_t = ion_impact._trap(trap)
+
+    def micromotion(q):
+        c = electrostatics._expansion(q, 0.0, x_q)
+        return ion_impact._micromotion(omega_rf, *ion_impact._unchecked_well(mass_kg, k_t, c))
+
+    return micromotion
 
 
 _TARGETS = {

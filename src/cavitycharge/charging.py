@@ -20,8 +20,11 @@ rate eta P lambda/(h c), takes the power apart so that a sweep can vary it.
 film_resistance reads a [film] section (scenario.FilmSection): rho_ohm_m
 and thickness_m, the thickness that the report's extinction rows read too.
 A section checks its keys' range rules when it is built. The other
-functions take plain floats, which they check; the mirror distance is the
-[charges] key xq_m.
+functions and arguments take real numbers, which they check (a bool or a
+NumPy array is a ParameterError); the mirror distance is the [charges] key
+xq_m. _photoelectron_flux and _equilibrium_charge are the unchecked
+formulas that photoelectron_flux and equilibrium_charge call after their
+checks and the charging budget's sweep composes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .quantities import CODATA, positive
+from .quantities import CODATA, finite, nonnegative, positive
 
 if TYPE_CHECKING:
     from .scenario import FilmSection, IlluminationSection
@@ -81,9 +84,13 @@ def photocurrent(illumination: IlluminationSection) -> Photocurrent:
     return Photocurrent(rate, CODATA.e * rate)
 
 
-def photoelectron_flux(illumination: IlluminationSection, power_w):
-    """Photoelectrons per second, eta P lambda/(h c), at power_w (a float or
-    an array) and the section's wavelength and quantum efficiency."""
+def photoelectron_flux(illumination: IlluminationSection, power_w: float) -> float:
+    """Photoelectrons per second, eta P lambda/(h c), at power_w (finite and
+    >= 0) and the section's wavelength and quantum efficiency."""
+    return _photoelectron_flux(illumination, nonnegative("power", power_w))
+
+
+def _photoelectron_flux(illumination: IlluminationSection, power_w):
     return (illumination.quantum_efficiency * power_w * illumination.wavelength_m
             / (CODATA.h * CODATA.c))
 
@@ -97,12 +104,14 @@ def film_resistance(film: FilmSection) -> float:
 def equilibrium_charge(
     resistance_ohm: float, capacitance_f: float, current_a: float
 ) -> EquilibriumCharge:
-    """Steady-state V = IR, Q = RCI (in elementary charges), and RC time.
-
-    current_a may be an array; V and Q then hold one value per current.
-    """
+    """Steady-state V = IR, Q = RCI (in elementary charges), and RC time;
+    the current is a finite real number, else ParameterError."""
     positive("resistance", resistance_ohm)
     positive("capacitance", capacitance_f)
+    return _equilibrium_charge(resistance_ohm, capacitance_f, finite("current", current_a))
+
+
+def _equilibrium_charge(resistance_ohm: float, capacitance_f: float, current_a):
     v = current_a * resistance_ohm
     return EquilibriumCharge(v, capacitance_f * v / CODATA.e, resistance_ohm * capacitance_f)
 

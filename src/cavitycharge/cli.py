@@ -32,7 +32,8 @@ data/paper_yb.scenario and data/report_manifest.json; budget reads its
 --scenario file through `scenario.load_scenario`: a path that exists, else
 a bare name (no `/`) of a bundled scenario, else it exits 2 with
 "scenario file not found"; fit-ringdown reads its trace files, once its
-FSR flags are checked (a refused one is named before NumPy is loaded).
+FSR flags are checked (a refused one is named before NumPy is loaded). An
+empty --out exits 2 before any output.
 
 fit-ringdown may fit its traces in forked worker processes. It forks only
 when the process runs one OS thread (counted in /proc/self/task; where that
@@ -57,7 +58,7 @@ import sys
 from types import SimpleNamespace
 
 from . import BUDGET_DEFAULTS, BUDGET_TARGETS, _data_path
-from .errors import ToolkitError
+from .errors import ParameterError, ToolkitError
 from .quantities import UncertainQuantity, finite_evaluation, fsr_from_length, nonnegative, positive
 
 EXIT_OK = 0
@@ -299,7 +300,7 @@ def _cmd_budget(args) -> int:
     for name, value, unit in rows:
         print(f"{name},{float(value)!r},{unit}")
     out = args.out or f"budget_{args.target}.csv"
-    lines = [sweep_header] + [f"{float(x)!r},{float(y)!r}" for x, y in sweep]
+    lines = [sweep_header] + [f"{x!r},{y!r}" for x, y in sweep]
     _write(out, "\n".join(lines) + "\n")
     print(f"# sweep written to {out} ({len(sweep)} points)")
     return EXIT_OK
@@ -392,6 +393,8 @@ def _parse(argv):
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     try:
+        if args.out == "":  # checked before any output, as a bad flag value is
+            raise ParameterError("--out must name a file, got ''")
         return args.func(args)
     except (ToolkitError, OSError) as exc:
         print(f"toolkit {args.command}: {exc}", file=sys.stderr)

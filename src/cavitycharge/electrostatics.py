@@ -23,14 +23,15 @@ For a 125 um disc seen from 200 um the disc/point ratios are
 U_m/U_p = 0.92 and E_m/E_p = 0.78, close enough to unity that the
 point-charge model is used for the budgets.
 
-A ChargeScenario is checked when it is built: x_Q a real number, finite and
-positive; each charge a finite real number or a real-valued array (NumPy
-dtype kind f, i or u, read from the array's own dtype) of finite elements,
-as single_charge_field checks its charge and charge_for_field its field.
-The charges of a ChargeScenario and of single_charge_field may be NumPy
-arrays: each element is one scenario, with the bits of a scalar call. The
-position passed to field_at is one real number. The module imports NumPy
-only to test a NumPy value that it was given.
+A ChargeScenario is checked when it is built: each charge a finite real
+number and x_Q a positive one (quantities.finite and positive), as
+single_charge_field checks its charge and charge_for_field its field; a
+bool, a NumPy array or any other value is a ParameterError. The position
+passed to field_at is one real number.
+
+_expansion and _single_charge_field are the unchecked formulas, which the
+public functions call after their checks and a budget sweep composes; they
+also compute an array of charges element by element.
 """
 
 from __future__ import annotations
@@ -56,9 +57,8 @@ __all__ = [
 class ChargeScenario(NamedTuple):
     """Stray charges q1 at -x_Q and q2 at +x_Q, in elementary charges.
 
-    q1_e and q2_e must each be a finite real number or a real-valued array of
-    finite elements (one scenario per element), and x_Q a real number, finite
-    and > 0, else ParameterError; a bool is refused.
+    q1_e and q2_e must each be a finite real number, and x_Q a real number,
+    finite and > 0, else ParameterError; a bool is refused.
     """
 
     q1_e: float
@@ -66,31 +66,10 @@ class ChargeScenario(NamedTuple):
     x_q_m: float
 
     def _checked(self):
-        _finite("charge q1_e", self.q1_e)
-        _finite("charge q2_e", self.q2_e)
+        finite("charge q1_e", self.q1_e)
+        finite("charge q2_e", self.q2_e)
         positive("x_Q", self.x_q_m)
         return self
-
-
-def _finite(name: str, value):
-    """value, when it is a finite real number (quantities.finite) or a
-    real-valued array of finite elements; else ParameterError naming it, and
-    a NumPy scalar (an np.bool_, say) by its type and value."""
-    if is_real_number(value):
-        return finite(name, value)
-    if not hasattr(value, "dtype"):
-        got = repr(value)
-    else:
-        import numpy as np  # loaded already: value is one of its objects
-
-        if getattr(value.dtype, "kind", "") in ("f", "i", "u"):
-            if not np.isfinite(value).all():
-                raise ParameterError(f"{name} must be finite, got an array holding "
-                                     f"{float(value[~np.isfinite(value)].flat[0])!r}")
-            return value
-        got = f"a {value.dtype}, {value!r}" if isinstance(value, np.generic) else (
-            f"an array of {value.dtype}")
-    raise ParameterError(f"{name} must be a real number or a real-valued array, got {got}")
 
 
 class ExpansionCoefficients(NamedTuple):
@@ -102,18 +81,17 @@ class ExpansionCoefficients(NamedTuple):
 
 
 def expansion_coefficients(s: ChargeScenario) -> ExpansionCoefficients:
-    q1 = s.q1_e * CODATA.e
-    q2 = s.q2_e * CODATA.e
+    return _expansion(s.q1_e, s.q2_e, s.x_q_m)
+
+
+def _expansion(q1_e, q2_e, x_q_m: float) -> ExpansionCoefficients:
+    q1 = q1_e * CODATA.e
+    q2 = q2_e * CODATA.e
     return ExpansionCoefficients(
-        A=(q2 - q1) / s.x_q_m**2,
-        B=(q1 + q2) / s.x_q_m**3,
+        A=(q2 - q1) / x_q_m**2,
+        B=(q1 + q2) / x_q_m**3,
         s_q=CODATA.e * CODATA.k_e,
     )
-
-
-def _any(flags) -> bool:
-    """Whether a bool, or any element of a NumPy bool array, is true."""
-    return flags if isinstance(flags, bool) else flags.any()
 
 
 def field_at(s: ChargeScenario, x_m: float) -> float:
@@ -149,9 +127,13 @@ def disc_point_ratios(radius_m: float, distance_m: float) -> dict:
 
 def single_charge_field(q1_e: float, x_q_m: float) -> float:
     """Field at the origin from a single charge q1 at distance x_Q (V/m)."""
-    return CODATA.k_e * _finite("charge q1_e", q1_e) * CODATA.e / positive("x_Q", x_q_m)**2
+    return _single_charge_field(finite("charge q1_e", q1_e), positive("x_Q", x_q_m))
+
+
+def _single_charge_field(q1_e, x_q_m: float):
+    return CODATA.k_e * q1_e * CODATA.e / x_q_m**2
 
 
 def charge_for_field(field_v_per_m: float, x_q_m: float) -> float:
     """Charge (in e) at distance x_Q that produces a given field at origin."""
-    return _finite("field", field_v_per_m) * positive("x_Q", x_q_m)**2 / (CODATA.k_e * CODATA.e)
+    return finite("field", field_v_per_m) * positive("x_Q", x_q_m)**2 / (CODATA.k_e * CODATA.e)

@@ -32,15 +32,16 @@ max_charge_for_cooling also reads cooling_wavelength_m, and
 lamb_dicke_budget gate_wavelength_m. `gate` is a GateParams, whose Rabi
 rate and threshold were checked finite and positive when it was built.
 
-The forward chain (equilibrium_position, shifted_frequency,
-micromotion_amplitude, micromotion_of_single_charge, bessel_j0,
-carrier_intensity_factor, gate_detuning_verdict) takes a float or a NumPy
-array of charges (or of their downstream quantities) and evaluates every
-element at once; each element gets the bits of a scalar call (squares
-are written x * x: a float's x**2 is pow(x, 2), which differs from an
-array's x*x by one ulp on about 0.1% of inputs). A float is computed with
-`math` alone; the module imports NumPy only for an array, whose caller has
-loaded it.
+Every public function takes real numbers: a charge, displacement,
+frequency, micromotion amplitude or J0 argument that is not a finite real
+number (a bool, a NumPy array) is a ParameterError. They check their
+arguments, then call the unchecked chain (_unchecked_well, _micromotion,
+_carrier, _detuning), which a budget sweep composes with the trap's constants
+computed once; it computes a float with `math` alone, and an array (the
+sweep's grid, when the caller has loaded NumPy) element by element with a
+float's bits. Squares are written x * x there: a float's x**2 is pow(x, 2),
+which differs from an array's x*x by one ulp on about 0.1% of inputs. Only
+_math_of and _j0_series_array touch NumPy.
 """
 
 from __future__ import annotations
@@ -48,16 +49,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .electrostatics import (
-    ChargeScenario,
-    ExpansionCoefficients,
-    _any,
-    _finite,
-    expansion_coefficients,
-    field_at,
-)
+from .electrostatics import ChargeScenario, ExpansionCoefficients, expansion_coefficients, field_at
 from .errors import ParameterError, SearchError, StabilityError
-from .quantities import CODATA, checked, is_real_number, positive
+from .quantities import CODATA, checked, finite, is_real_number, positive
 
 if TYPE_CHECKING:
     from .scenario import TrapSection
@@ -152,18 +146,47 @@ def _trap(trap: TrapSection):
 
 
 def _well(mass_kg: float, k_t: float, c: ExpansionCoefficients):
-    """(x~, omega~_x) of the well k_t x^2 + s_q (A x + B x^2).
-
-    Raises StabilityError when k_t + s_q B <= 0 (at any element).
-    """
+    """_unchecked_well, once the well is confined: StabilityError when
+    k_t + s_q B <= 0."""
     k_eff = k_t + c.s_q * c.B
-    unstable = k_eff <= 0
-    if _any(unstable):
-        lowest = k_eff if isinstance(unstable, bool) else k_eff.min()
-        raise StabilityError(
-            f"stray charge cancels the trap curvature (k_t + s_q B = {lowest:.3e})"
-        )
+    if k_eff <= 0:
+        raise StabilityError(f"stray charge cancels the trap curvature "
+                             f"(k_t + s_q B = {k_eff:.3e})")
+    return _unchecked_well(mass_kg, k_t, c)
+
+
+# The unchecked chain. Each takes floats, or arrays for the charge and what
+# follows from it, and checks nothing.
+
+
+def _unchecked_well(mass_kg: float, k_t: float, c: ExpansionCoefficients):
+    """(x~, omega~_x) of the well k_t x^2 + s_q (A x + B x^2)."""
+    k_eff = k_t + c.s_q * c.B
     return -0.5 * c.s_q * c.A / k_eff, _math_of(k_eff).sqrt(2.0 * k_eff / mass_kg)
+
+
+def _micromotion(omega_rf: float, x_tilde_m, omega_tilde):
+    """sqrt(2) (omega~_x / Omega_RF) x~, zero giving 0.0, not -0.0."""
+    return math.sqrt(2.0) * (omega_tilde / omega_rf) * x_tilde_m + 0.0
+
+
+def _j0(x):
+    """J0 of a float or of each element of a non-empty array, |x| < 8."""
+    return _j0_series(abs(x))[0] if isinstance(x, float) else _j0_series_array(abs(x))
+
+
+def _carrier(x_micromotion_m, cooling_wavelength_m: float, j0=_j0):
+    """J0(beta)^2, beta = 2 pi x_um / lambda_D; carrier_intensity_factor
+    passes bessel_j0 as j0, which refuses |beta| >= 8."""
+    beta = 2.0 * math.pi * x_micromotion_m / cooling_wavelength_m
+    value = j0(beta)
+    return value * value
+
+
+def _detuning(omega_x: float, omega_tilde, rabi_hz: float):
+    """(delta_x = |omega_x - omega~_x|, delta_x / Omega_2g)."""
+    delta = abs(omega_x - omega_tilde)
+    return delta, delta / (2.0 * math.pi * rabi_hz)
 
 
 def _math_of(x):
@@ -189,8 +212,11 @@ def shifted_frequency(trap: TrapSection, s: ChargeScenario) -> float:
 
 
 def micromotion_amplitude(trap: TrapSection, x_tilde_m: float, omega_tilde: float) -> float:
-    """Excess micromotion sqrt(2) (omega~_x / Omega_RF) x~, in m."""
-    return math.sqrt(2.0) * (omega_tilde / _trap(trap)[2]) * x_tilde_m
+    """Excess micromotion sqrt(2) (omega~_x / Omega_RF) x~, in m; x~ and
+    omega~_x are finite real numbers, else ParameterError."""
+    omega_rf = _trap(trap)[2]
+    return _micromotion(omega_rf, finite("displacement x~", x_tilde_m),
+                        finite("frequency omega~", omega_tilde))
 
 
 # ---------------------------------------------------------------------------
@@ -241,51 +267,39 @@ def _j0_series_array(x):
     return total
 
 
-def bessel_j0(x):
+def bessel_j0(x: float) -> float:
     """Bessel function of the first kind, order zero, for |x| < 8.
 
     J0 is even; computed from the defining power series
     sum_k (-1)^k (x^2/4)^k / (k!)^2, which is within 2e-14 of J0 over
-    |x| < 8. Takes a real number (not a bool), returned as a float, or a
-    real-valued NumPy array, whose elements each get the bits of a scalar
-    call. Raises ParameterError for anything else, and for a NaN, an
-    infinity or |x| >= 8; an array holding one such element is refused
-    whole, before the series runs.
+    |x| < 8. Takes a real number (not a bool) and returns a float. Raises
+    ParameterError for anything else, and for a NaN, an infinity or
+    |x| >= 8, before the series runs.
     """
-    if is_real_number(x):
-        # floats stay Python floats: a numpy call on a float costs as much
-        # as the whole series, and a sweep without numpy makes 200
-        if not -_J0_BOUND < x < _J0_BOUND:
-            raise ParameterError(f"J0 argument must have |x| < 8, got {x!r}")
-        return _j0_series(abs(float(x)))[0]
-    x = abs(_finite("J0 argument", x).astype(float))
-    if not (x < _J0_BOUND).all():
-        raise ParameterError(
-            f"J0 argument must have |x| < 8, got an array holding |x| = {float(x.max())!r}"
-        )
-    return _j0_series_array(x) if x.size else x
+    if not is_real_number(x):
+        raise ParameterError(f"J0 argument must be a real number, got {x!r}")
+    if not -_J0_BOUND < x < _J0_BOUND:
+        raise ParameterError(f"J0 argument must have |x| < 8, got {x!r}")
+    return _j0_series(abs(float(x)))[0]
 
 
 def carrier_intensity_factor(x_micromotion_m: float, cooling_wavelength_m: float) -> float:
     """Carrier intensity reduction J0(beta)^2, beta = 2 pi x_um / lambda_D,
     for |beta| < 8 (bessel_j0's domain; ParameterError beyond). x_um is a
-    finite real number or a real-valued array of finite elements
-    (electrostatics._finite), else ParameterError."""
-    _finite("micromotion amplitude", x_micromotion_m)
-    beta = 2.0 * math.pi * x_micromotion_m / positive("cooling wavelength", cooling_wavelength_m)
-    j0 = bessel_j0(beta)
-    return j0 * j0
+    finite real number, else ParameterError."""
+    return _carrier(finite("micromotion amplitude", x_micromotion_m),
+                    positive("cooling wavelength", cooling_wavelength_m), bessel_j0)
 
 
 def micromotion_of_single_charge(trap: TrapSection, x_q_m: float, q1_e: float) -> float:
     """Micromotion amplitude for a single charge q1 at x_Q (q2 = 0).
 
     Expands the charge once for both x~ and omega~_x. Zero charge gives
-    0.0, not the -0.0 of the chain.
+    0.0.
     """
     mass_kg, _, omega_rf, k_t = _trap(trap)
-    x_t, omega_t = _well(mass_kg, k_t, expansion_coefficients(ChargeScenario(q1_e, 0.0, x_q_m)))
-    return math.sqrt(2.0) * (omega_t / omega_rf) * x_t + 0.0
+    c = expansion_coefficients(ChargeScenario(q1_e, 0.0, x_q_m))
+    return _micromotion(omega_rf, *_well(mass_kg, k_t, c))
 
 
 def max_charge_for_cooling(
@@ -396,9 +410,7 @@ def gate_detuning_verdict(
     (ratio_secular, reported for reference).
     """
     omega_x = _trap(trap)[1]
-    omega_2g = 2.0 * math.pi * gate.rabi_hz
-    delta = abs(omega_x - shifted_frequency(trap, s))
-    ratio_rabi = delta / omega_2g
+    delta, ratio_rabi = _detuning(omega_x, shifted_frequency(trap, s), gate.rabi_hz)
     return GateDetuning(
         delta_x_rad_s=delta,
         ratio_rabi=ratio_rabi,

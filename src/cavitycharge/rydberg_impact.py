@@ -21,15 +21,14 @@ function reads its polarizability `alpha`, and blockade_infidelity and
 max_charge_for_infidelity also its two-photon Rabi frequency `rabi_hz`
 (Omega_R/2pi).
 
-stark_shift, decoherence_time and blockade_infidelity take a float or a
-NumPy array of fields (or shifts) and evaluate every element at once, each
-element with the bits of a scalar call: they square as x * x, since a
-float's x**2 is pow(x, 2), one ulp off an array's x*x on about 0.1% of
-inputs. A float is computed with floats alone; the module imports NumPy
-only for an array, whose caller has loaded it. stark_shift, dephasing and
-decoherence_time refuse a field, and blockade_infidelity a shift, that is
-not a finite real number or a real-valued array of finite elements
-(ParameterError, as electrostatics checks a charge).
+stark_shift, dephasing and decoherence_time refuse a field, and
+blockade_infidelity a shift, that is not a finite real number
+(quantities.finite: a bool or a NumPy array is a ParameterError), then call
+the unchecked formulas _stark_shift, _decoherence_time and
+_blockade_infidelity, which a budget sweep composes. Those also compute an
+array element by element, each with a float's bits: they square as x * x,
+since a float's x**2 is pow(x, 2), one ulp off an array's x*x on about 0.1%
+of inputs.
 """
 
 from __future__ import annotations
@@ -37,9 +36,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .electrostatics import _finite, charge_for_field
+from .electrostatics import charge_for_field
 from .errors import ParameterError
-from .quantities import is_real_number, nonnegative, positive
+from .quantities import finite, is_real_number, nonnegative, positive
 
 if TYPE_CHECKING:
     from .scenario import RydbergSection
@@ -62,24 +61,24 @@ class ChargeFieldBudget(NamedTuple):
 
 def stark_shift(rydberg: RydbergSection, field_v_per_m: float) -> float:
     """Quadratic Stark shift delta_R/2pi = (1/2) alpha E^2, in Hz."""
-    return _stark_shift(rydberg, _finite("field", field_v_per_m))
+    return _stark_shift(rydberg, finite("field", field_v_per_m))
 
 
 def dephasing(rydberg: RydbergSection, field_v_per_m: float, tau_s: float) -> float:
     """Accumulated Ramsey phase pi alpha E^2 tau, in radians."""
-    _finite("field", field_v_per_m)
+    finite("field", field_v_per_m)
     nonnegative("duration", tau_s)
     return math.pi * rydberg.alpha * field_v_per_m**2 * tau_s
 
 
 def decoherence_time(rydberg: RydbergSection, field_v_per_m: float) -> float:
     """Full-decoherence time tau_pi = 1/(alpha E^2); +inf at zero field."""
-    return _decoherence_time(rydberg, _finite("field", field_v_per_m))
+    return _decoherence_time(rydberg, finite("field", field_v_per_m))
 
 
 def blockade_infidelity(rydberg: RydbergSection, stark_shift_hz: float) -> float:
     """Blockade-gate infidelity (1/2)(delta_R/Omega_R)^2."""
-    return _blockade_infidelity(rydberg, _finite("Stark shift", stark_shift_hz))
+    return _blockade_infidelity(rydberg, finite("Stark shift", stark_shift_hz))
 
 
 # The unchecked formulas. A budget sweep composes them, so that a point whose
@@ -92,12 +91,10 @@ def _stark_shift(rydberg: RydbergSection, field_v_per_m):
 
 def _decoherence_time(rydberg: RydbergSection, field_v_per_m):
     rate = rydberg.alpha * (field_v_per_m * field_v_per_m)
-    if isinstance(rate, (int, float)):
-        return 1.0 / rate if rate else math.copysign(math.inf, rate)
-    import numpy as np
-
-    with np.errstate(divide="ignore"):
-        return np.divide(1.0, rate)
+    try:
+        return 1.0 / rate
+    except ZeroDivisionError:  # a float's 1/0; an array's is inf
+        return math.inf
 
 
 def _blockade_infidelity(rydberg: RydbergSection, stark_shift_hz):

@@ -166,12 +166,18 @@ def test_a_scalar_charge_is_finite(q1):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=repr)
-def test_every_element_of_a_charge_array_is_finite(bad):
-    with pytest.raises(ParameterError, match=f"^charge q2_e must be finite, got an array "
-                                             f"holding {bad!r}$"):
-        electrostatics.ChargeScenario(0.0, np.array([10.0, bad]), 2e-4)
-    with pytest.raises(ParameterError, match="^charge q1_e must be finite"):
-        electrostatics.single_charge_field(np.array([bad, 10.0]), 2e-4)
+def test_the_unchecked_charge_formulas_compute_each_element_of_an_array_as_a_float(bad):
+    # what a sweep on NumPy's grid runs: a non-finite element stays its own,
+    # for the sweep to report, and each element has a float call's bits
+    charges = np.array([10.0, bad, -3.0])
+    fields = electrostatics._single_charge_field(charges, 2e-4)
+    expansion = electrostatics._expansion(charges, 1.5, 2e-4)
+    for k, q in enumerate(charges.tolist()):
+        assert fields[k].hex() == electrostatics._single_charge_field(q, 2e-4).hex()
+        for array, value in zip(expansion, electrostatics._expansion(q, 1.5, 2e-4)):
+            assert np.broadcast_to(array, charges.shape)[k].hex() == value.hex()
+    assert electrostatics._single_charge_field(10.0, 2e-4) == (
+        electrostatics.single_charge_field(10.0, 2e-4))
 
 
 @pytest.mark.parametrize("field", [math.nan, math.inf, "1.0", True], ids=repr)
@@ -198,8 +204,7 @@ def test_a_position_that_is_not_a_real_number_is_a_parameter_error(x):
         electrostatics.field_at(electrostatics.ChargeScenario(10.0, 0.0, 2e-4), x)
 
 
-# the arrays aside: a sweep passes an array of micromotion amplitudes
-@pytest.mark.parametrize("x", NOT_A_NUMBER[:-2] + [math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("x", NOT_A_NUMBER + [math.nan, math.inf], ids=repr)
 def test_a_micromotion_amplitude_that_is_not_a_finite_real_number_is_a_parameter_error(x):
     with pytest.raises(ParameterError, match="^micromotion amplitude must be a "):
         ion_impact.carrier_intensity_factor(x, 369e-9)
@@ -214,13 +219,66 @@ def test_a_ring_down_amplitude_that_is_not_a_finite_real_number_is_a_parameter_e
             ringdown.synthesize_trace(v0, 5e3, 4e-4, 1e7)
 
 
-@pytest.mark.parametrize("call, name", [
-    (lambda b: electrostatics.ChargeScenario(b, 0.0, 2e-4), "charge q1_e"),
-    (ion_impact.bessel_j0, "J0 argument"),
-], ids=["charge", "J0"])
-def test_a_numpy_bool_is_refused_as_a_bool_not_as_an_array(call, name):
-    message = f"{name} must be a real number or a real-valued array, got a bool, {np.bool_(True)!r}"
+# -- floats only: each public physics function that once took NumPy arrays ------------
+
+def _illumination():
+    from cavitycharge.reports import bundled_scenario_text
+    from cavitycharge.scenario import parse_scenario
+
+    return parse_scenario(bundled_scenario_text()).illumination
+
+
+# function -> a call with x in the place of the real number it once took as an array
+FLOATS_ONLY = {
+    "ChargeScenario": lambda x: electrostatics.ChargeScenario(x, 0.0, 2e-4),
+    "single_charge_field": lambda x: electrostatics.single_charge_field(x, 2e-4),
+    "charge_for_field": lambda x: electrostatics.charge_for_field(x, 2e-4),
+    "equilibrium_position": lambda x: ion_impact.equilibrium_position(
+        TRAP, electrostatics.ChargeScenario(0.0, x, 2e-4)),
+    "shifted_frequency": lambda x: ion_impact.shifted_frequency(
+        TRAP, electrostatics.ChargeScenario(x, x, 2e-4)),
+    "micromotion_of_single_charge": lambda x: ion_impact.micromotion_of_single_charge(
+        TRAP, 2e-4, x),
+    "micromotion_amplitude-x": lambda x: ion_impact.micromotion_amplitude(TRAP, x, 3e6),
+    "micromotion_amplitude-omega": lambda x: ion_impact.micromotion_amplitude(TRAP, 1e-7, x),
+    "bessel_j0": ion_impact.bessel_j0,
+    "carrier_intensity_factor": lambda x: ion_impact.carrier_intensity_factor(x, 369e-9),
+    "stark_shift": lambda x: rydberg_impact.stark_shift(RYDBERG, x),
+    "dephasing": lambda x: rydberg_impact.dephasing(RYDBERG, x, 1e-6),
+    "decoherence_time": lambda x: rydberg_impact.decoherence_time(RYDBERG, x),
+    "blockade_infidelity": lambda x: rydberg_impact.blockade_infidelity(RYDBERG, x),
+    "equilibrium_charge": lambda x: charging.equilibrium_charge(1.0, 1e-12, x),
+    "photoelectron_flux": lambda x: charging.photoelectron_flux(_illumination(), x),
+}
+
+
+@pytest.mark.parametrize("function", sorted(FLOATS_ONLY))
+@pytest.mark.parametrize("x", [np.array([1.0]), np.array(1.0), np.True_], ids=repr)
+def test_a_public_physics_function_refuses_an_array_or_a_numpy_bool(function, x):
+    with pytest.raises(ParameterError, match=f", got {re.escape(repr(x))}$"):
+        FLOATS_ONLY[function](x)
+
+
+@pytest.mark.parametrize("function", sorted(FLOATS_ONLY))
+def test_a_public_physics_function_takes_a_float(function):
+    assert math.isfinite(np.sum(FLOATS_ONLY[function](1e-8)))
+
+
+@pytest.mark.parametrize("current", ["x", None, True, math.nan, math.inf, 1j, [1e-9]], ids=repr)
+def test_equilibrium_charge_refuses_a_current_that_is_not_a_finite_real_number(current):
+    # each raised a bare TypeError, read True as 1 A, or returned a NaN or complex charge
+    message = f"current must be a finite real number, got {current!r}"
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
-        call(np.bool_(True))
-    with pytest.raises(ParameterError, match="got an array of bool$"):
-        call(np.array([True]))
+        charging.equilibrium_charge(1.0, 1e-12, current)
+
+
+@pytest.mark.parametrize("bad", ["x", None, True, math.nan, -math.inf, 1j], ids=repr)
+@pytest.mark.parametrize("place, name", [(0, "displacement x~"), (1, "frequency omega~")],
+                         ids=["x-tilde", "omega-tilde"])
+def test_micromotion_amplitude_refuses_what_is_not_a_finite_real_number(bad, place, name):
+    # each raised a bare TypeError, returned nan or read True as 1
+    args = [1e-7, 3e6]
+    args[place] = bad
+    message = f"{name} must be a finite real number, got {bad!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        ion_impact.micromotion_amplitude(TRAP, *args)

@@ -236,6 +236,22 @@ def test_fit_ringdown_refuses_a_bad_fsr_flag_by_name_before_reading_a_trace(
     assert captured.err.splitlines() == [f"toolkit fit-ringdown: {refusal}"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["budget", "--scenario", "paper_yb.scenario", "--target", "gate"],
+    ["reproduce-paper"],
+    ["fit-ringdown", "--fsr-hz", "7.41e9", "BUNDLED"],
+], ids=["budget", "reproduce-paper", "fit-ringdown"])
+def test_an_empty_out_is_an_input_error_before_any_output(argv, tmp_path, capsys, monkeypatch):
+    # budget wrote budget_gate.csv, the others wrote no file, and all exited 0
+    monkeypatch.chdir(tmp_path)
+    argv = [arg for a in argv for arg in (bundled_trace_paths()[:1] if a == "BUNDLED" else [a])]
+    assert main([*argv, "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"toolkit {argv[0]}: --out must name a file, got ''\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_reproduce_paper_exit_and_output(tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert main(["reproduce-paper", "--out", str(out)]) == 0

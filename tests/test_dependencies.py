@@ -340,6 +340,9 @@ UNENTERED = {
     "cli.run": "the toolkit console script",
     "ion_impact._j0_series_array": "the cooling sweep as one array call, which library callers "
                                    "with NumPy loaded run (the benchmark's lib-budgets)",
+    "ion_impact.micromotion_of_single_charge": "exported; the sweeps compose its unchecked "
+                                               "chain, and the benchmark's budget check calls "
+                                               "it (perfbench/workloads.py:318, :322)",
     "quantities._outside_range": "error path: an overflow or a division by zero in a chain",
     "quantities._real": "error path: a cubature node where f returns what is not a float",
     "ringdown.RingdownTrace.__len__": "the benchmark's tracer counts samples with len(trace) "

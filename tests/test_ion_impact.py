@@ -123,9 +123,8 @@ def test_bessel_j0_refuses_a_number_at_or_beyond_8(x):
 @pytest.mark.parametrize("x", [True, False, np.bool_(True), "3", None, [1.0], 1j,
                                np.array([True]), np.array([1j]), np.array(["3"])],
                          ids=lambda x: f"{type(x).__name__}-{x!r:.12}")
-def test_bessel_j0_refuses_what_is_not_a_real_number_or_array(x):
-    with pytest.raises(ParameterError, match="^J0 argument must be a real number or a "
-                                             "real-valued array, got "):
+def test_bessel_j0_refuses_what_is_not_a_real_number(x):
+    with pytest.raises(ParameterError, match="^J0 argument must be a real number, got "):
         bessel_j0(x)
 
 

@@ -62,7 +62,7 @@ def _noisy_trace():
     (GateParams(1e4), {"rabi_hz": True}, "Rabi rate must be positive, got True"),
     (GateParams(1e4), {"threshold_ratio": True}, "threshold ratio must be positive, got True"),
     (ChargeScenario(1.0, 0.0, 2e-4), {"x_q_m": True}, "x_Q must be positive, got True"),
-    (ChargeScenario(1.0, 0.0, 2e-4), {"q1_e": "54"}, "charge q1_e must be a real number"),
+    (ChargeScenario(1.0, 0.0, 2e-4), {"q1_e": "54"}, "charge q1_e must be a finite real number"),
     (UncertainQuantity(1.0, 0.1), {"value": "1.5"},
      "value must be a finite real number, got '1.5'"),
     (UncertainQuantity(1.0, 0.1), {"sigma": "0.1"}, "sigma must be finite and >= 0, got '0.1'"),

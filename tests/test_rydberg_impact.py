@@ -135,7 +135,7 @@ def test_a_non_finite_field_or_shift_is_refused(function, bad):
     name, call = _FIELD_OR_SHIFT[function]
     with pytest.raises(ParameterError, match=rf"^{name} must be a finite real number, got {bad!r}$"):
         call(bad)
-    with pytest.raises(ParameterError, match=rf"^{name} must be finite, got an array holding {bad!r}$"):
+    with pytest.raises(ParameterError, match=rf"^{name} must be a finite real number, got array\("):
         call(np.array([1.0, bad, 2.0]))
-    with pytest.raises(ParameterError, match=rf"^{name} must be a real number"):
+    with pytest.raises(ParameterError, match=rf"^{name} must be a finite real number, got True$"):
         call(True)
