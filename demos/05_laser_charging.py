@@ -20,7 +20,6 @@ from cavitycharge.scenario import FilmSection, IlluminationSection
 film = FilmSection(
     rho_ohm_m=1e-4,      # the annealed-film DC resistivity
     thickness_m=30e-9,
-    radius_m=125e-6,
     capacitance_f=0.1e-12,
 )
 illum = IlluminationSection(
@@ -36,7 +35,7 @@ r = film_resistance(film)
 print(f"\nsheet resistance {r:.0f} Ohm/sq; "
       f"grounded film ~ one square -> R = {r / 1e3:.2f} kOhm")
 
-parts = capacitance_breakdown(film.radius_m, 200e-6)
+parts = capacitance_breakdown(125e-6, 200e-6)  # a 125 um mirror radius
 print(f"capacitance: self {parts.self_f * 1e15:.1f} fF + pair "
       f"{parts.mirror_pair_f * 1e15:.1f} fF + electrodes "
       f"{parts.electrode_f * 1e15:.0f} fF ~ {parts.total_f * 1e12:.2f} pF")

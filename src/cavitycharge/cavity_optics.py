@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 from .errors import ConsistencyError, ParameterError
 from .quantities import (
-    UncertainQuantity, _positive_at_nodes, _product_cubature, as_quantity, checked,
-    is_real_number, positive, propagate_linear,
+    UncertainQuantity, _as_float, _positive_at_nodes, _product_cubature, as_quantity, checked,
+    positive, propagate_linear,
 )
 
 __all__ = [
@@ -60,20 +60,22 @@ class NegativeExtinctionWarning(UserWarning):
 
 @checked
 class MirrorState(NamedTuple):
-    """Amplitude reflectivity and power transmission of one mirror."""
+    """Amplitude reflectivity and power transmission of one mirror, each a
+    real number, held as a float: 0 < r < 1 and 0 <= T <= 1 - r^2, else
+    ParameterError."""
 
     r: float
     T: float
 
     def _checked(self):
-        r, t = self
-        if not (is_real_number(r) and 0.0 < r < 1.0):
-            raise ParameterError(f"amplitude reflectivity must be in (0,1), got {r!r}")
-        if not (is_real_number(t) and 0.0 <= t <= 1.0 - r**2):
+        r, t = map(_as_float, self)
+        if r is None or not 0.0 < r < 1.0:
+            raise ParameterError(f"amplitude reflectivity must be in (0,1), got {self.r!r}")
+        if t is None or not 0.0 <= t <= 1.0 - r**2:
             raise ParameterError(
-                f"transmission must be in [0, 1-r^2 = {1 - r ** 2:.3e}], got {t!r}"
+                f"transmission must be in [0, 1-r^2 = {1 - r ** 2:.3e}], got {self.T!r}"
             )
-        return self
+        return r, t
 
 
 def _u(f):
@@ -160,7 +162,7 @@ def extinction_from_finesse(f00, f01, thickness, wavelength_m: float) -> Uncerta
     An input at or below 0 at its lowest node, value - 4.1445 sigma, is a
     DomainError naming it: the chain has no value there.
     """
-    positive("wavelength", wavelength_m)
+    wavelength_m = positive("wavelength", wavelength_m)
     inputs = [_positive_at_nodes(name, x) for name, x in (
         ("finesse F00", f00), ("finesse F01", f01), ("film thickness", thickness))]
     q00, q01, h = inputs

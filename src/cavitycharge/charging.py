@@ -20,9 +20,9 @@ rate eta P lambda/(h c), takes the power apart so that a sweep can vary it.
 film_resistance reads a [film] section (scenario.FilmSection): rho_ohm_m
 and thickness_m, the thickness that the report's extinction rows read too.
 A section checks its keys' range rules when it is built. The other
-functions and arguments take real numbers, which they check (a bool or a
-NumPy array is a ParameterError); the mirror distance is the [charges] key
-xq_m. _photoelectron_flux and _equilibrium_charge are the unchecked
+functions and arguments take real numbers, which they check and convert
+to floats as quantities describes; the mirror distance is the [charges]
+key xq_m. _photoelectron_flux and _equilibrium_charge are the unchecked
 formulas that photoelectron_flux and equilibrium_charge call after their
 checks and the charging budget's sweep composes.
 """
@@ -106,9 +106,9 @@ def equilibrium_charge(
 ) -> EquilibriumCharge:
     """Steady-state V = IR, Q = RCI (in elementary charges), and RC time;
     the current is a finite real number, else ParameterError."""
-    positive("resistance", resistance_ohm)
-    positive("capacitance", capacitance_f)
-    return _equilibrium_charge(resistance_ohm, capacitance_f, finite("current", current_a))
+    resistance = positive("resistance", resistance_ohm)
+    capacitance = positive("capacitance", capacitance_f)
+    return _equilibrium_charge(resistance, capacitance, finite("current", current_a))
 
 
 def _equilibrium_charge(resistance_ohm: float, capacitance_f: float, current_a):
@@ -119,8 +119,8 @@ def _equilibrium_charge(resistance_ohm: float, capacitance_f: float, current_a):
 def gaussian_clipping_factor(beam_waist_m: float, x_q_m: float) -> float:
     """Relative mirror intensity exp(-x_Q^2/w0^2)^2 for a centered focus."""
     waist = positive("beam waist", beam_waist_m)
-    positive("x_Q", x_q_m)
-    return math.exp(-(x_q_m**2) / waist**2) ** 2
+    x_q = positive("x_Q", x_q_m)
+    return math.exp(-(x_q**2) / waist**2) ** 2
 
 
 def capacitance_breakdown(
@@ -132,20 +132,21 @@ def capacitance_breakdown(
 
     Self capacitance of a round plate 8 eps0 r, mirror-pair capacitance
     eps0 pi r^2/(2 x_Q), and the coupling to nearby trap electrodes
-    (dominant, supplied as an input with a 0.1 pF default).
+    (dominant, supplied as an input with a 0.1 pF default; finite and
+    >= 0, else ParameterError).
     """
-    positive("mirror radius", mirror_radius_m)
-    positive("x_Q", x_q_m)
+    radius = positive("mirror radius", mirror_radius_m)
+    x_q = positive("x_Q", x_q_m)
     return CapacitanceBreakdown(
-        self_f=8.0 * CODATA.eps0 * mirror_radius_m,
-        mirror_pair_f=CODATA.eps0 * math.pi * mirror_radius_m**2 / (2.0 * x_q_m),
-        electrode_f=electrode_f,
+        self_f=8.0 * CODATA.eps0 * radius,
+        mirror_pair_f=CODATA.eps0 * math.pi * radius**2 / (2.0 * x_q),
+        electrode_f=nonnegative("electrode capacitance", electrode_f),
     )
 
 
 def transport_consistency(carrier_density_per_m3: float, mobility_m2_per_vs: float) -> float:
     """Resistivity implied by carrier density and mobility, rho = 1/(n e mu),
     in Ohm m; the report compares it with the Hall resistivity."""
-    positive("carrier density", carrier_density_per_m3)
-    positive("mobility", mobility_m2_per_vs)
-    return 1.0 / (carrier_density_per_m3 * CODATA.e * mobility_m2_per_vs)
+    density = positive("carrier density", carrier_density_per_m3)
+    mobility = positive("mobility", mobility_m2_per_vs)
+    return 1.0 / (density * CODATA.e * mobility)

@@ -298,7 +298,7 @@ def _cmd_budget(args) -> int:
     print(f"# budget target: {args.target} (scenario {scn.name!r})")
     print("quantity,value,unit")
     for name, value, unit in rows:
-        print(f"{name},{float(value)!r},{unit}")
+        print(f"{name},{value!r},{unit}")
     out = args.out or f"budget_{args.target}.csv"
     lines = [sweep_header] + [f"{x!r},{y!r}" for x, y in sweep]
     _write(out, "\n".join(lines) + "\n")

@@ -23,11 +23,12 @@ For a 125 um disc seen from 200 um the disc/point ratios are
 U_m/U_p = 0.92 and E_m/E_p = 0.78, close enough to unity that the
 point-charge model is used for the budgets.
 
-A ChargeScenario is checked when it is built: each charge a finite real
-number and x_Q a positive one (quantities.finite and positive), as
-single_charge_field checks its charge and charge_for_field its field; a
-bool, a NumPy array or any other value is a ParameterError. The position
-passed to field_at is one real number.
+A ChargeScenario is checked when it is built: each charge finite and x_Q
+positive (quantities.finite and positive, which take real numbers as
+that module converts them and return floats), and it stores the floats,
+as single_charge_field checks its charge and charge_for_field its field.
+The position passed to field_at is one real number, converted the same
+way.
 
 _expansion and _single_charge_field are the unchecked formulas, which the
 public functions call after their checks and a budget sweep composes; they
@@ -40,7 +41,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, ParameterError
-from .quantities import CODATA, checked, finite, is_real_number, positive
+from .quantities import CODATA, _as_float, checked, finite, positive
 
 __all__ = [
     "ChargeScenario",
@@ -58,7 +59,8 @@ class ChargeScenario(NamedTuple):
     """Stray charges q1 at -x_Q and q2 at +x_Q, in elementary charges.
 
     q1_e and q2_e must each be a finite real number, and x_Q a real number,
-    finite and > 0, else ParameterError; a bool is refused.
+    finite and > 0, else ParameterError; a bool is refused. The record
+    holds each as a float.
     """
 
     q1_e: float
@@ -66,10 +68,8 @@ class ChargeScenario(NamedTuple):
     x_q_m: float
 
     def _checked(self):
-        finite("charge q1_e", self.q1_e)
-        finite("charge q2_e", self.q2_e)
-        positive("x_Q", self.x_q_m)
-        return self
+        return (finite("charge q1_e", self.q1_e), finite("charge q2_e", self.q2_e),
+                positive("x_Q", self.x_q_m))
 
 
 class ExpansionCoefficients(NamedTuple):
@@ -102,11 +102,11 @@ def field_at(s: ChargeScenario, x_m: float) -> float:
     so a NaN position is a DomainError.
     """
     c = expansion_coefficients(s)
-    if not is_real_number(x_m):
+    if (x := _as_float(x_m)) is None:
         raise ParameterError(f"position x must be a real number, got {x_m!r}")
-    if not abs(x_m) < s.x_q_m:
+    if not abs(x) < s.x_q_m:
         raise DomainError(f"|x| = {abs(x_m)} m is outside the model domain |x| < {s.x_q_m} m")
-    return -(c.A + 2.0 * c.B * x_m) * CODATA.k_e
+    return -(c.A + 2.0 * c.B * x) * CODATA.k_e
 
 
 def disc_point_ratios(radius_m: float, distance_m: float) -> dict:

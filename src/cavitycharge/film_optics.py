@@ -29,13 +29,13 @@ def drude_index(
 ) -> complex:
     """Complex index n + i kappa of ZnO with the given carrier density (1/m^3)
     and Hall mobility (m^2/(V s)) at a vacuum wavelength (m)."""
-    positive("carrier density", carrier_density_per_m3)
-    positive("mobility", mobility_m2_per_vs)
-    positive("wavelength", wavelength_m)
+    density = positive("carrier density", carrier_density_per_m3)
+    mobility = positive("mobility", mobility_m2_per_vs)
+    wavelength = positive("wavelength", wavelength_m)
     m_star = _EFFECTIVE_MASS_RATIO * CODATA.m_e
-    omega_p = math.sqrt(carrier_density_per_m3 * CODATA.e**2 / (CODATA.eps0 * m_star))
-    gamma = CODATA.e / (m_star * mobility_m2_per_vs)
-    omega = 2.0 * math.pi * CODATA.c / wavelength_m
+    omega_p = math.sqrt(density * CODATA.e**2 / (CODATA.eps0 * m_star))
+    gamma = CODATA.e / (m_star * mobility)
+    omega = 2.0 * math.pi * CODATA.c / wavelength
     n_tilde = cmath.sqrt(_EPS_INF - omega_p**2 / (omega**2 + 1j * gamma * omega))
     # principal branch gives Re >= 0; imag can be -0.0 for real eps
     return complex(n_tilde.real, abs(n_tilde.imag))

@@ -32,11 +32,12 @@ max_charge_for_cooling also reads cooling_wavelength_m, and
 lamb_dicke_budget gate_wavelength_m. `gate` is a GateParams, whose Rabi
 rate and threshold were checked finite and positive when it was built.
 
-Every public function takes real numbers: a charge, displacement,
-frequency, micromotion amplitude or J0 argument that is not a finite real
-number (a bool, a NumPy array) is a ParameterError. They check their
-arguments, then call the unchecked chain (_unchecked_well, _micromotion,
-_carrier, _detuning), which a budget sweep composes with the trap's constants
+Every public function takes real numbers, which it checks and converts to
+floats as quantities describes: a charge, displacement, frequency,
+micromotion amplitude or J0 argument that is not a finite real number (a
+bool, a NumPy array) is a ParameterError. They check their arguments, then
+call the unchecked chain (_unchecked_well, _micromotion, _carrier,
+_detuning), which a budget sweep composes with the trap's constants
 computed once; it computes a float with `math` alone, and an array (the
 sweep's grid, when the caller has loaded NumPy) element by element with a
 float's bits. Squares are written x * x there: a float's x**2 is pow(x, 2),
@@ -51,7 +52,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .electrostatics import ChargeScenario, ExpansionCoefficients, expansion_coefficients, field_at
 from .errors import ParameterError, SearchError, StabilityError
-from .quantities import CODATA, checked, finite, is_real_number, positive
+from .quantities import CODATA, _as_float, checked, finite, positive
 
 if TYPE_CHECKING:
     from .scenario import TrapSection
@@ -88,15 +89,14 @@ BESSEL_J0_FIRST_ZERO = 2.404825557695773
 class GateParams(NamedTuple):
     """Two-qubit gate Rabi rate, Hz, and the threshold on delta_x / Omega_2g;
     each must be a real number (not a bool), finite and > 0, else
-    ParameterError."""
+    ParameterError. The record holds each as a float."""
 
     rabi_hz: float
     threshold_ratio: float = 0.013
 
     def _checked(self):
-        positive("Rabi rate", self.rabi_hz)
-        positive("threshold ratio", self.threshold_ratio)
-        return self
+        return (positive("Rabi rate", self.rabi_hz),
+                positive("threshold ratio", self.threshold_ratio))
 
 
 class CoolingBudget(NamedTuple):
@@ -276,11 +276,11 @@ def bessel_j0(x: float) -> float:
     ParameterError for anything else, and for a NaN, an infinity or
     |x| >= 8, before the series runs.
     """
-    if not is_real_number(x):
+    if (number := _as_float(x)) is None:
         raise ParameterError(f"J0 argument must be a real number, got {x!r}")
-    if not -_J0_BOUND < x < _J0_BOUND:
+    if not -_J0_BOUND < number < _J0_BOUND:
         raise ParameterError(f"J0 argument must have |x| < 8, got {x!r}")
-    return _j0_series(abs(float(x)))[0]
+    return _j0_series(abs(number))[0]
 
 
 def carrier_intensity_factor(x_micromotion_m: float, cooling_wavelength_m: float) -> float:
@@ -316,9 +316,9 @@ def max_charge_for_cooling(
     x_um = beta lambda_D / (2 pi) for q1 in closed form.
     """
     _trap(trap)  # the trap's checks come before the option's
-    if not (is_real_number(intensity_floor) and 0.0 < intensity_floor < 1.0):
+    if (floor := _as_float(intensity_floor)) is None or not 0.0 < floor < 1.0:
         raise ParameterError(f"intensity floor must be in (0,1), got {intensity_floor!r}")
-    target = math.sqrt(intensity_floor)
+    target = math.sqrt(floor)
     lo, hi = 0.0, BESSEL_J0_FIRST_ZERO
     # J0 = 1 - b^2/4 + b^4/64 inverted, bent to rise to the zero as the floor falls to 0
     w = 1.0 - math.sqrt(target)
@@ -344,8 +344,8 @@ def lamb_dicke_budget(
 ) -> LambDickeBudget:
     """Charge budget from the gate-laser phase-modulation cap k x_um < limit."""
     _trap(trap)  # the trap's checks come before the option's
-    positive("modulation limit", modulation_limit)
-    x_um_max = modulation_limit * trap.gate_wavelength_m / (2.0 * math.pi)
+    limit = positive("modulation limit", modulation_limit)
+    x_um_max = limit * trap.gate_wavelength_m / (2.0 * math.pi)
     q1 = _charge_for_micromotion(trap, x_q_m, x_um_max)
     if q1 == 0.0:
         return LambDickeBudget(0.0, x_um_max, 0.0, 0.0)
@@ -361,17 +361,17 @@ def charge_for_displacement(trap: TrapSection, x_q_m: float, x_tilde_m: float) -
     u = e^2/(4 pi eps0); only displacements below x_q/2 are reachable.
     """
     k_t = _trap(trap)[3]
-    positive("x_Q", x_q_m)
-    if not (is_real_number(x_tilde_m) and 0.0 <= x_tilde_m < 0.5 * x_q_m):
+    x_q = positive("x_Q", x_q_m)
+    if (x_tilde := _as_float(x_tilde_m)) is None or not 0.0 <= x_tilde < 0.5 * x_q:
         raise ParameterError(
             f"displacement {x_tilde_m!r} m outside the reachable range "
-            f"[0, x_q/2 = {0.5 * x_q_m} m)"
+            f"[0, x_q/2 = {0.5 * x_q} m)"
         )
-    if x_tilde_m == 0.0:
+    if x_tilde == 0.0:
         return 0.0
     u = CODATA.e**2 * CODATA.k_e
-    denom = u * (0.5 / x_q_m**2 - x_tilde_m / x_q_m**3)
-    return x_tilde_m * k_t / denom
+    denom = u * (0.5 / x_q**2 - x_tilde / x_q**3)
+    return x_tilde * k_t / denom
 
 
 def _charge_for_micromotion(trap: TrapSection, x_q_m: float, x_um_m: float) -> float:
@@ -382,10 +382,10 @@ def _charge_for_micromotion(trap: TrapSection, x_q_m: float, x_um_m: float) -> f
     is q = x_um (b x_um + sqrt(b^2 x_um^2 + 4 c^2 k_t)) / (2 c^2).
     """
     mass_kg, _, omega_rf, k_t = _trap(trap)
-    positive("x_Q", x_q_m)
+    x_q = positive("x_Q", x_q_m)
     u = CODATA.e**2 * CODATA.k_e
-    b = u / x_q_m**3
-    c = u / (omega_rf * x_q_m**2 * math.sqrt(mass_kg))
+    b = u / x_q**3
+    c = u / (omega_rf * x_q**2 * math.sqrt(mass_kg))
     bx = b * x_um_m
     q = x_um_m * (bx + math.sqrt(bx * bx + 4.0 * c * c * k_t)) / (2.0 * c * c)
     if q > CHARGE_SEARCH_MAX_E:
@@ -426,9 +426,9 @@ def max_equal_charge_for_gate(trap: TrapSection, x_q_m: float, gate: GateParams)
     inversion of omega~_x = omega_x sqrt(1 + s_q B / k_t).
     """
     _, omega_x, _, k_t = _trap(trap)
-    positive("x_Q", x_q_m)
+    x_q = positive("x_Q", x_q_m)
     delta_target = gate.threshold_ratio * (2.0 * math.pi * gate.rabi_hz)
     s_q_b = k_t * ((1.0 + delta_target / omega_x) ** 2 - 1.0)
     b = s_q_b / (CODATA.e * CODATA.k_e)
-    q_total_e = b * x_q_m**3 / CODATA.e
+    q_total_e = b * x_q**3 / CODATA.e
     return 0.5 * q_total_e

@@ -29,11 +29,17 @@ derived values come from the propagation engines.
 
 :func:`checked` declares every record that checks its fields: its
 constructor, _make and _replace all store the record's _checked().
-:func:`is_real_number` is their test for a real number (not a bool).
-:func:`positive` is the one check of a positive argument, in the
-library's functions and records alike: a real number (not a bool),
-finite and > 0, else ParameterError naming the argument;
-:func:`nonnegative` (>= 0) and :func:`finite` are its siblings.
+_as_float is the library's one conversion of a number: a real number
+that is not a bool (an int, a float, a Fraction, a NumPy integer or
+float) becomes a Python float, an int or Fraction past the float range
++/-inf, and anything else None. :func:`positive` is the one check of a
+positive argument, in the library's functions and records alike: that
+float, finite and > 0, else ParameterError naming the argument and
+showing the value given; :func:`nonnegative` (>= 0) and :func:`finite`
+are its siblings. Each returns the float, and its caller computes with
+it, so a NumPy float16 or float32 argument is computed in double
+precision, as its float() would be. :func:`random_seed` checks a random
+seed, an int >= 0.
 
 :func:`finite_evaluation` is the finite-output gate of the report and
 budget chains: every value they return is finite, and numerics that
@@ -53,7 +59,6 @@ import itertools
 import math
 import numbers
 import operator
-import sys
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, EvaluationError, ParameterError, ToolkitError
@@ -71,42 +76,54 @@ __all__ = [
 ]
 
 
-def is_real_number(value) -> bool:
-    """Whether value is a real number; a bool is not, as a scenario key's
-    check refuses it for a float."""
-    return type(value) is float or (
-        isinstance(value, numbers.Real) and not isinstance(value, bool)
-    )
+def _as_float(value):
+    """value as a Python float when it is a real number that is not a bool,
+    else None; an int or Fraction past the float range reads as +/-inf, as
+    its text would."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def positive(name: str, value):
-    """value, when it is a real number (not a bool), finite and > 0, or an
-    UncertainQuantity whose value is; else ParameterError "<name> must be
-    positive, got <the number!r>". NaN fails every comparison, so the test
-    is written as the range it accepts, up to the largest float: an int
-    past it (10**400) would overflow float()."""
-    number = value.value if isinstance(value, UncertainQuantity) else value
-    if not (is_real_number(number) and 0 < number <= _FLOAT_MAX):
-        raise ParameterError(f"{name} must be positive, got {number!r}")
-    return value
+    """value as a float when it is a real number (not a bool), finite and
+    > 0, or value itself when it is an UncertainQuantity whose value is;
+    else ParameterError "<name> must be positive, got <the number!r>"."""
+    if isinstance(value, UncertainQuantity):
+        positive(name, value.value)
+        return value
+    if (number := _as_float(value)) is None or not 0.0 < number < math.inf:
+        raise ParameterError(f"{name} must be positive, got {value!r}")
+    return number
 
 
-def nonnegative(name: str, value):
-    """value, when it is a real number (not a bool), finite and >= 0; else
-    ParameterError "<name> must be finite and >= 0, got <value!r>". The test
-    is the range it accepts, as in positive."""
-    if not (is_real_number(value) and 0 <= value <= _FLOAT_MAX):
+def nonnegative(name: str, value) -> float:
+    """value as a float when it is a real number (not a bool), finite and
+    >= 0; else ParameterError "<name> must be finite and >= 0, got <value!r>"."""
+    if (number := _as_float(value)) is None or not 0.0 <= number < math.inf:
         raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
-    return value
+    return number
 
 
-def finite(name: str, value):
-    """value, when it is a real number (not a bool) and finite; else
-    ParameterError "<name> must be a finite real number, got <value!r>". The
-    test is the range it accepts, as in positive."""
-    if not (is_real_number(value) and -_FLOAT_MAX <= value <= _FLOAT_MAX):
+def finite(name: str, value) -> float:
+    """value as a float when it is a real number (not a bool) and finite;
+    else ParameterError "<name> must be a finite real number, got <value!r>"."""
+    if (number := _as_float(value)) is None or not -math.inf < number < math.inf:
         raise ParameterError(f"{name} must be a finite real number, got {value!r}")
-    return value
+    return number
+
+
+def random_seed(value) -> int:
+    """value as an int when it is an integer >= 0 (a NumPy integer too, not
+    a bool); else ParameterError "seed must be an int >= 0, got <value!r>"."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 0):
+        raise ParameterError(f"seed must be an int >= 0, got {value!r}")
+    return int(value)
 
 
 def checked(cls):
@@ -128,7 +145,7 @@ class UncertainQuantity(NamedTuple):
     sigma: float = 0.0
 
     def _checked(self):
-        return float(finite("value", self.value)), float(nonnegative("sigma", self.sigma))
+        return finite("value", self.value), nonnegative("sigma", self.sigma)
 
     def __str__(self) -> str:
         return f"{self.value:g} +/- {self.sigma:g}"
@@ -139,8 +156,6 @@ def as_quantity(x) -> UncertainQuantity:
     return x if isinstance(x, UncertainQuantity) else UncertainQuantity(x)
 
 
-# the largest finite float; an int compares with it exactly
-_FLOAT_MAX = sys.float_info.max
 # shared with the derived fields hbar and k_e
 _H = 6.62607015e-34
 _EPS0 = 8.8541878188e-12
@@ -385,9 +400,9 @@ def _value_at(f, point) -> float:
 
 
 def _real(value) -> float:
-    if not is_real_number(value):
+    if (number := _as_float(value)) is None:
         raise ParameterError(f"f returned {value!r} at a cubature node, not a real number")
-    return float(value)
+    return number
 
 
 @functools.lru_cache(maxsize=32)

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import functools
 import json
-import numbers
 from typing import NamedTuple, Optional
 
 from . import (BUDGET_TARGETS, _data_path, cavity_optics, charging, electrostatics, ion_impact,
@@ -73,7 +72,7 @@ from .budgets import SWEEP_POINTS, budget_report, budget_rows
 from .errors import ParameterError
 from .quantities import (
     UncertainQuantity, _positive_at_nodes, finesse, finite_evaluation, fsr_from_length,
-    propagate_cubature,
+    propagate_cubature, random_seed,
 )
 from .scenario import Scenario, parse_scenario
 
@@ -173,18 +172,15 @@ def _within(kind: str, computed: float, reference, tol) -> bool:
 
 
 def _make_row(spec: _Spec, computed) -> ReportRow:
-    """The row of spec for a computed float or UncertainQuantity."""
+    """The row of spec for a computed float or UncertainQuantity; every
+    number the row holds is a float, as the checked functions return."""
     computed, sigma = (
         (computed.value, computed.sigma)
         if isinstance(computed, UncertainQuantity)
         else (computed, 0.0)
     )
     reference = spec.reference
-    deviation = (
-        float(_relative_deviation(computed, reference))
-        if reference is not None
-        else None
-    )
+    deviation = _relative_deviation(computed, reference) if reference is not None else None
     if spec.kind == "info":
         status = "N/A"
     elif _within(spec.kind, computed, reference, spec.tol):
@@ -197,8 +193,8 @@ def _make_row(spec: _Spec, computed) -> ReportRow:
         row_id=spec.id,
         label=spec.label,
         units=spec.units,
-        computed=float(computed),
-        sigma=float(sigma),
+        computed=computed,
+        sigma=sigma,
         reference=reference,
         deviation=deviation,
         status=status,
@@ -377,10 +373,8 @@ def build_report(
     zero or a non-finite value, its message starting with "row <id>: " or
     "target <target>: ".
     """
-    # a NumPy integer is an Integral; a bool is one too, but not a seed
-    if seed is not None and not (
-            isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
-        raise ParameterError(f"seed must be an int >= 0, got {seed!r}")
+    if seed is not None:
+        random_seed(seed)
     scn = bundled_scenario() if scn is None else scn
     budgets = {}
     rows = []

@@ -39,6 +39,7 @@ from .errors import FitError, ParameterError
 # this module (and NumPy); they are re-exported here
 from .quantities import (
     UncertainQuantity, checked, finesse, finite, fsr_from_length, nonnegative, positive,
+    random_seed,
 )
 
 __all__ = [
@@ -99,7 +100,8 @@ class RingdownTrace(NamedTuple):
 
 @checked
 class RingdownFit(NamedTuple):
-    """Result of an exponential ring-down fit; linewidth is the FWHM dnu, Hz."""
+    """Result of an exponential ring-down fit; linewidth is the FWHM dnu, Hz,
+    > 0, and residual_rms is finite and >= 0, else ParameterError."""
 
     v0: UncertainQuantity
     linewidth: UncertainQuantity
@@ -107,8 +109,8 @@ class RingdownFit(NamedTuple):
     iterations: int = 0
 
     def _checked(self):
-        positive("fitted linewidth", self.linewidth)
-        return self
+        return (self.v0, positive("fitted linewidth", self.linewidth),
+                nonnegative("residual_rms", self.residual_rms), self.iterations)
 
 
 def synthesize_trace(
@@ -121,15 +123,16 @@ def synthesize_trace(
 ) -> RingdownTrace:
     """Generate a synthetic ring-down trace with additive Gaussian noise.
 
-    Deterministic for a fixed seed; the t=0 sample equals v0 exactly when
-    noise_sigma is zero. v0 is a finite real number (not a bool), else
-    ParameterError.
+    Deterministic for a fixed seed, an int >= 0 (quantities.random_seed);
+    the t=0 sample equals v0 exactly when noise_sigma is zero. v0 is a
+    finite real number (not a bool), else ParameterError.
     """
-    finite("v0", v0)
-    positive("linewidth", linewidth_hz)
-    positive("duration", duration_s)
-    positive("sample rate", sample_rate_hz)
-    nonnegative("noise_sigma", noise_sigma)
+    v0 = finite("v0", v0)
+    linewidth_hz = positive("linewidth", linewidth_hz)
+    duration_s = positive("duration", duration_s)
+    sample_rate_hz = positive("sample rate", sample_rate_hz)
+    noise_sigma = nonnegative("noise_sigma", noise_sigma)
+    seed = random_seed(seed)
     n = int(round(duration_s * sample_rate_hz))
     if n < MIN_SAMPLES:
         raise ParameterError(

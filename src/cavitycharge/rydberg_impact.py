@@ -23,7 +23,7 @@ max_charge_for_infidelity also its two-photon Rabi frequency `rabi_hz`
 
 stark_shift, dephasing and decoherence_time refuse a field, and
 blockade_infidelity a shift, that is not a finite real number
-(quantities.finite: a bool or a NumPy array is a ParameterError), then call
+(quantities.finite, whose float they compute with), then call
 the unchecked formulas _stark_shift, _decoherence_time and
 _blockade_infidelity, which a budget sweep composes. Those also compute an
 array element by element, each with a float's bits: they square as x * x,
@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .electrostatics import charge_for_field
 from .errors import ParameterError
-from .quantities import finite, is_real_number, nonnegative, positive
+from .quantities import _as_float, finite, nonnegative, positive
 
 if TYPE_CHECKING:
     from .scenario import RydbergSection
@@ -66,9 +66,9 @@ def stark_shift(rydberg: RydbergSection, field_v_per_m: float) -> float:
 
 def dephasing(rydberg: RydbergSection, field_v_per_m: float, tau_s: float) -> float:
     """Accumulated Ramsey phase pi alpha E^2 tau, in radians."""
-    finite("field", field_v_per_m)
-    nonnegative("duration", tau_s)
-    return math.pi * rydberg.alpha * field_v_per_m**2 * tau_s
+    field = finite("field", field_v_per_m)
+    tau = nonnegative("duration", tau_s)
+    return math.pi * rydberg.alpha * field**2 * tau
 
 
 def decoherence_time(rydberg: RydbergSection, field_v_per_m: float) -> float:
@@ -111,11 +111,11 @@ def max_charge_for_infidelity(
     or above 0.5 correspond to delta_R >= Omega_R where the perturbative
     population formula no longer applies.
     """
-    if not (is_real_number(target_infidelity) and 0.0 < target_infidelity < 0.5):
+    if (target := _as_float(target_infidelity)) is None or not 0.0 < target < 0.5:
         raise ParameterError(
             f"target infidelity must be in (0, 0.5), got {target_infidelity!r}"
         )
-    delta_hz = rydberg.rabi_hz * math.sqrt(2.0 * target_infidelity)
+    delta_hz = rydberg.rabi_hz * math.sqrt(2.0 * target)
     field = math.sqrt(2.0 * delta_hz / rydberg.alpha)
     return ChargeFieldBudget(charge_for_field(field, x_q_m), field)
 

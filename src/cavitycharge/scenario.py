@@ -21,12 +21,11 @@ record or None, so no record holds one. serialize_scenario only formats.
 """
 
 import math
-import numbers
 import os
 from typing import Annotated, NamedTuple, Optional, get_args, get_origin
 
 from .errors import SchemaError
-from .quantities import checked
+from .quantities import _as_float, checked
 
 __all__ = [
     "Scenario",
@@ -54,8 +53,9 @@ def _check_keys(record):
     """record's values, checked: SchemaError names the first key, in declaration
     order, whose type, finiteness or range rule refuses its value, a [cavity]
     with neither fsr_hz nor length_m, or a Scenario section that is not its
-    section record (which checked its keys when it was built) or None. An int or
-    NumPy value of a float key becomes a float."""
+    section record (which checked its keys when it was built) or None. A float
+    key's value is stored as quantities._as_float converts it: an int, a
+    Fraction or a NumPy number becomes a float."""
     section, keys = _SPECS[type(record)]
     values = []
     for (key, spec), value in zip(keys.items(), record):
@@ -112,7 +112,6 @@ class RydbergSection(NamedTuple):
 class FilmSection(NamedTuple):
     rho_ohm_m: Annotated[float, _POS]
     thickness_m: Annotated[float, _POS]
-    radius_m: Annotated[float, _POS]
     capacitance_f: Annotated[float, _POS]
     thickness_sigma_m: Annotated[float, _NONNEG] = 0.0
 
@@ -213,19 +212,17 @@ _KEYS = {
 _SPECS = {cls: (section, _KEYS[section]) for section, cls in {"meta": Scenario, **_SECTIONS}.items()}
 for cls in _SPECS:
     cls._checked = _check_keys
-# what a value of each key type may be before it is converted
-_ACCEPTED = {float: numbers.Real, str: str}
 
 
 def _typed(section: str, key: str, spec: _Key, value):
-    """value as parse_scenario would read its text, if its type allows."""
-    if isinstance(value, bool) or not isinstance(value, _ACCEPTED[spec.type]):
+    """value as parse_scenario would read its text, if its type allows: a
+    real number as quantities._as_float converts it, a str as a str."""
+    typed = _as_float(value) if spec.type is float else (
+        str(value) if isinstance(value, str) else None)
+    if typed is None:
         raise SchemaError(f"key '{key}' in [{section}] must be of type {spec.type.__name__}, "
                           f"got {value!r}")
-    try:
-        return spec.type(value)
-    except OverflowError:  # an int beyond the float range reads as inf, as its text would
-        return math.inf if value > 0 else -math.inf
+    return typed
 
 
 def _check(section: str, key: str, spec: _Key, value) -> None:

@@ -2,19 +2,27 @@
 one rule (quantities.positive): a real number, not a bool, finite and > 0,
 else ParameterError "<name> must be positive, got <value!r>". Its siblings
 nonnegative and finite check the arguments that may be zero or of either
-sign, and each interval option refuses what is not a real number."""
+sign, and each interval option refuses what is not a real number.
 
+PUBLIC holds one valid call of every public callable. Each real-number
+argument it names ends in a ToolkitError when it is not a finite real
+number, and is computed as its float() when it is one of another type."""
+
+import inspect
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cavitycharge import cavity_optics, charging, electrostatics, film_optics, ion_impact
-from cavitycharge import ringdown, rydberg_impact
-from cavitycharge.errors import DomainError, ParameterError
+import cavitycharge
+from cavitycharge import _data_path, cavity_optics, charging, electrostatics, film_optics
+from cavitycharge import ion_impact, quantities, ringdown, rydberg_impact, scenario
+from cavitycharge.errors import DomainError, ParameterError, SchemaError, ToolkitError
 from cavitycharge.quantities import UncertainQuantity, finite, nonnegative, positive
+from cavitycharge.reports import bundled_scenario_text
 from cavitycharge.scenario import RydbergSection, TrapSection
 
 TRAP = TrapSection(
@@ -28,6 +36,7 @@ TRAP = TrapSection(
 RYDBERG = RydbergSection(alpha=53.4e3, rabi_hz=5e6)
 R0 = cavity_optics.r0_from_symmetric_finesse(15000.0).value
 LINEWIDTH = UncertainQuantity(523e3, 9e3)
+SCENARIO = scenario.parse_scenario(bundled_scenario_text())
 
 # (function, valid arguments, {index of a checked argument: its name in the message})
 CHECKED = [
@@ -219,49 +228,231 @@ def test_a_ring_down_amplitude_that_is_not_a_finite_real_number_is_a_parameter_e
             ringdown.synthesize_trace(v0, 5e3, 4e-4, 1e7)
 
 
-# -- floats only: each public physics function that once took NumPy arrays ------------
-
-def _illumination():
-    from cavitycharge.reports import bundled_scenario_text
-    from cavitycharge.scenario import parse_scenario
-
-    return parse_scenario(bundled_scenario_text()).illumination
+# -- every public callable: a number ends in a float or a ToolkitError -------------
 
 
-# function -> a call with x in the place of the real number it once took as an array
-FLOATS_ONLY = {
-    "ChargeScenario": lambda x: electrostatics.ChargeScenario(x, 0.0, 2e-4),
-    "single_charge_field": lambda x: electrostatics.single_charge_field(x, 2e-4),
-    "charge_for_field": lambda x: electrostatics.charge_for_field(x, 2e-4),
-    "equilibrium_position": lambda x: ion_impact.equilibrium_position(
-        TRAP, electrostatics.ChargeScenario(0.0, x, 2e-4)),
-    "shifted_frequency": lambda x: ion_impact.shifted_frequency(
-        TRAP, electrostatics.ChargeScenario(x, x, 2e-4)),
-    "micromotion_of_single_charge": lambda x: ion_impact.micromotion_of_single_charge(
-        TRAP, 2e-4, x),
-    "micromotion_amplitude-x": lambda x: ion_impact.micromotion_amplitude(TRAP, x, 3e6),
-    "micromotion_amplitude-omega": lambda x: ion_impact.micromotion_amplitude(TRAP, 1e-7, x),
-    "bessel_j0": ion_impact.bessel_j0,
-    "carrier_intensity_factor": lambda x: ion_impact.carrier_intensity_factor(x, 369e-9),
-    "stark_shift": lambda x: rydberg_impact.stark_shift(RYDBERG, x),
-    "dephasing": lambda x: rydberg_impact.dephasing(RYDBERG, x, 1e-6),
-    "decoherence_time": lambda x: rydberg_impact.decoherence_time(RYDBERG, x),
-    "blockade_infidelity": lambda x: rydberg_impact.blockade_infidelity(RYDBERG, x),
-    "equilibrium_charge": lambda x: charging.equilibrium_charge(1.0, 1e-12, x),
-    "photoelectron_flux": lambda x: charging.photoelectron_flux(_illumination(), x),
+def _product(a, b):
+    return a * b
+
+
+TRACE = ringdown.synthesize_trace(1.0, 5e3, 4e-4, 1e7, 0.01)
+FIT = ringdown.fit_ringdown(TRACE)
+CHARGES = electrostatics.ChargeScenario(10.0, 0.0, 2e-4)
+GATE = ion_impact.GateParams(1e4)
+MIRROR = cavity_optics.MirrorState(0.99, 0.005)
+
+# name -> (the callable, one valid call's arguments, the places of its real-number
+# arguments: an index, or (index, index) inside a list argument). An optional key or
+# argument that None leaves out has no place here.
+PUBLIC = {
+    "Constants": (quantities.Constants, (), ()),  # CODATA's record; no function takes one
+    "UncertainQuantity": (UncertainQuantity, (1.0, 0.1), (0, 1)),
+    "as_quantity": (quantities.as_quantity, (2.0,), (0,)),
+    "finesse": (quantities.finesse, (523e3, 7.41e9), (0, 1)),
+    "fsr_from_length": (quantities.fsr_from_length, (20.2e-3,), (0,)),
+    "propagate_cubature": (quantities.propagate_cubature,
+                           (_product, [UncertainQuantity(2.0, 0.1), 3.0]), ((1, 1),)),
+    "propagate_linear": (quantities.propagate_linear,
+                         (_product, [UncertainQuantity(2.0, 0.1), 3.0]), ((1, 1),)),
+    "RingdownTrace": (ringdown.RingdownTrace, tuple(TRACE), ()),
+    "RingdownFit": (ringdown.RingdownFit, (UncertainQuantity(1.0), 5e3, 0.01), (1, 2)),
+    "fit_ringdown": (ringdown.fit_ringdown, (TRACE,), ()),
+    "load_trace_csv": (ringdown.load_trace_csv, (_data_path("traces/ringdown_01.csv"),), ()),
+    "pool_linewidths": (ringdown.pool_linewidths, ([FIT, FIT],), ()),
+    "synthesize_trace": (ringdown.synthesize_trace, (1.0, 5e3, 4e-4, 1e7, 0.01),
+                         (0, 1, 2, 3, 4)),
+    "MirrorState": (cavity_optics.MirrorState, (0.99, 0.005), (0, 1)),
+    "excess_reflection_loss": (cavity_optics.excess_reflection_loss, (15000.0, 14160.0), (0, 1)),
+    "extinction_from_finesse": (cavity_optics.extinction_from_finesse,
+                                (15000.0, 14160.0, 30e-9, 1650e-9), (0, 1, 2, 3)),
+    "r0_from_symmetric_finesse": (cavity_optics.r0_from_symmetric_finesse, (15000.0,), (0,)),
+    "r1_from_asymmetric_finesse": (cavity_optics.r1_from_asymmetric_finesse, (14160.0, R0),
+                                   (0, 1)),
+    "resonant_response": (cavity_optics.resonant_response, (MIRROR, MIRROR), ()),
+    "drude_index": (film_optics.drude_index, (2e25, 37e-4, 1650e-9), (0, 1, 2)),
+    "ChargeScenario": (electrostatics.ChargeScenario, (10.0, 0.0, 2e-4), (0, 1, 2)),
+    "disc_point_ratios": (electrostatics.disc_point_ratios, (125e-6, 2e-4), (0, 1)),
+    "expansion_coefficients": (electrostatics.expansion_coefficients, (CHARGES,), ()),
+    "field_at": (electrostatics.field_at, (CHARGES, 1e-5), (1,)),
+    "single_charge_field": (electrostatics.single_charge_field, (10.0, 2e-4), (0, 1)),
+    "charge_for_field": (electrostatics.charge_for_field, (3.6, 2e-4), (0, 1)),
+    "GateParams": (ion_impact.GateParams, (1e4, 0.013), (0, 1)),
+    "bessel_j0": (ion_impact.bessel_j0, (1.5,), (0,)),
+    "carrier_intensity_factor": (ion_impact.carrier_intensity_factor, (1e-8, 369e-9), (0, 1)),
+    "equilibrium_position": (ion_impact.equilibrium_position, (TRAP, CHARGES), ()),
+    "shifted_frequency": (ion_impact.shifted_frequency, (TRAP, CHARGES), ()),
+    "gate_detuning_verdict": (ion_impact.gate_detuning_verdict, (TRAP, CHARGES, GATE), ()),
+    "zero_point_spread": (ion_impact.zero_point_spread, (TRAP,), ()),
+    "micromotion_amplitude": (ion_impact.micromotion_amplitude, (TRAP, 1e-7, 3e6), (1, 2)),
+    "micromotion_of_single_charge": (ion_impact.micromotion_of_single_charge,
+                                     (TRAP, 2e-4, 10.0), (1, 2)),
+    "max_charge_for_cooling": (ion_impact.max_charge_for_cooling, (TRAP, 2e-4, 0.5), (1, 2)),
+    "lamb_dicke_budget": (ion_impact.lamb_dicke_budget, (TRAP, 2e-4, 0.2), (1, 2)),
+    "charge_for_displacement": (ion_impact.charge_for_displacement, (TRAP, 2e-4, 1e-7), (1, 2)),
+    "max_equal_charge_for_gate": (ion_impact.max_equal_charge_for_gate, (TRAP, 2e-4, GATE),
+                                  (1,)),
+    "stark_shift": (rydberg_impact.stark_shift, (RYDBERG, 300.0), (1,)),
+    "dephasing": (rydberg_impact.dephasing, (RYDBERG, 10.0, 1e-6), (1, 2)),
+    "decoherence_time": (rydberg_impact.decoherence_time, (RYDBERG, 10.0), (1,)),
+    "blockade_infidelity": (rydberg_impact.blockade_infidelity, (RYDBERG, 1e5), (1,)),
+    "max_charge_for_infidelity": (rydberg_impact.max_charge_for_infidelity,
+                                  (RYDBERG, 1e-3, 2e-4), (1, 2)),
+    "charge_for_coherence_time": (rydberg_impact.charge_for_coherence_time,
+                                  (RYDBERG, 5e-6, 2e-4), (1, 2)),
+    "photocurrent": (charging.photocurrent, (SCENARIO.illumination,), ()),
+    "photoelectron_flux": (charging.photoelectron_flux, (SCENARIO.illumination, 2e-4), (1,)),
+    "film_resistance": (charging.film_resistance, (SCENARIO.film,), ()),
+    "equilibrium_charge": (charging.equilibrium_charge, (1e5, 1e-12, 1e-6), (0, 1, 2)),
+    "gaussian_clipping_factor": (charging.gaussian_clipping_factor, (1e-4, 2e-4), (0, 1)),
+    "capacitance_breakdown": (charging.capacitance_breakdown, (125e-6, 2e-4, 0.1e-12),
+                              (0, 1, 2)),
+    "transport_consistency": (charging.transport_consistency, (1e26, 1e-3), (0, 1)),
+    "Scenario": (scenario.Scenario, ("paper", SCENARIO.cavity), ()),
+    "CavitySection": (scenario.CavitySection, (23340.0, 60.0, 1.65e-6, 7.41e9), (0, 1, 2)),
+    "TrapSection": (TrapSection, tuple(TRAP)[:6], (0, 1, 2, 3, 4, 5)),
+    "ChargesSection": (scenario.ChargesSection, (630.0, 630.0, 2e-4), (0, 1, 2)),
+    "RydbergSection": (RydbergSection, (53.4e3, 5e6), (0, 1)),
+    "FilmSection": (scenario.FilmSection, (1e-4, 30e-9, 1e-13), (0, 1, 2)),
+    "IlluminationSection": (scenario.IlluminationSection, (2e-4, 369e-9, 1.0, 1e-4),
+                            (0, 1, 2, 3)),
+    "parse_scenario": (scenario.parse_scenario, (bundled_scenario_text(),), ()),
+    "serialize_scenario": (scenario.serialize_scenario, (SCENARIO,), ()),
+    "load_scenario": (scenario.load_scenario, (_data_path("paper_yb.scenario"),), ()),
 }
 
 
-@pytest.mark.parametrize("function", sorted(FLOATS_ONLY))
-@pytest.mark.parametrize("x", [np.array([1.0]), np.array(1.0), np.True_], ids=repr)
-def test_a_public_physics_function_refuses_an_array_or_a_numpy_bool(function, x):
-    with pytest.raises(ParameterError, match=f", got {re.escape(repr(x))}$"):
-        FLOATS_ONLY[function](x)
+
+def _public_names() -> set:
+    """The package's exports that can be called, and the functions and checked
+    records of the modules that take numbers."""
+    modules = (quantities, ringdown, cavity_optics, film_optics, electrostatics, ion_impact,
+               rydberg_impact, charging, scenario)
+    return {name for name in cavitycharge.__all__ if callable(getattr(cavitycharge, name))} | {
+        name for module in modules for name in module.__all__
+        if inspect.isfunction(value := getattr(module, name)) or hasattr(value, "_checked")}
 
 
-@pytest.mark.parametrize("function", sorted(FLOATS_ONLY))
-def test_a_public_physics_function_takes_a_float(function):
-    assert math.isfinite(np.sum(FLOATS_ONLY[function](1e-8)))
+def test_every_public_callable_has_an_entry():
+    assert set(PUBLIC) == _public_names()
+
+
+def _with(args, place, value) -> list:
+    """args with value at place, an index or (index, index)."""
+    args = list(args)
+    if isinstance(place, tuple):
+        outer, inner = place
+        args[outer] = [*args[outer][:inner], value, *args[outer][inner + 1:]]
+    else:
+        args[place] = value
+    return args
+
+
+def _at(args, place):
+    return args[place[0]][place[1]] if isinstance(place, tuple) else args[place]
+
+
+def _kinds(x: float) -> list:
+    """x as each kind of real number a caller may pass: NumPy floats and
+    integers, a Fraction and an int (clipped to the integer type's range)."""
+    n = int(x)
+    with np.errstate(over="ignore"):  # a float16 past 65504 is inf
+        low = [np.float16(x), np.float32(x)]
+    return [*low, np.float64(x), Fraction(x), n,
+            np.int64(max(min(n, 2**62), -2**62)), np.uint8(max(min(n, 255), 0))]
+
+
+def _bits(result):
+    """Each number in result with its exact bits; a NumPy scalar fails."""
+    if isinstance(result, np.generic):
+        pytest.fail(f"a NumPy scalar in the result: {result!r}")
+    if isinstance(result, float):
+        return "float", result.hex()
+    if isinstance(result, complex):
+        return "complex", result.real.hex(), result.imag.hex()
+    if isinstance(result, np.ndarray):
+        return "array", result.dtype.str, result.shape, result.tobytes()
+    if isinstance(result, dict):
+        return tuple((key, _bits(value)) for key, value in result.items())
+    if isinstance(result, (tuple, list)):
+        return type(result).__name__, tuple(map(_bits, result))
+    assert result is None or isinstance(result, (bool, int, str)), type(result)
+    return type(result).__name__, result
+
+
+def _outcome(function, args):
+    """The bits of function(*args), or the kind of ToolkitError or warning it raises."""
+    try:
+        return _bits(function(*args))
+    except (ToolkitError, Warning) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_a_public_callable_takes_every_real_number_as_its_float(name):
+    function, args, places = PUBLIC[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _bits(function(*args))  # the valid call returns no NumPy scalar
+        for place in places:
+            for bad in NOT_A_NUMBER + [math.nan, math.inf, -math.inf]:
+                with pytest.raises(ToolkitError) as refusal:
+                    function(*_with(args, place, bad))
+                if isinstance(refusal.value, (ParameterError, SchemaError)):
+                    assert repr(bad) in str(refusal.value), (place, bad)
+            for x in _kinds(_at(args, place)):
+                assert _outcome(function, _with(args, place, x)) == _outcome(
+                    function, _with(args, place, float(x))), (place, x)
+
+
+def test_a_charge_scenario_holds_floats():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from a float32's range test
+        s = electrostatics.ChargeScenario(np.float32(100.0), 0, Fraction(1, 5000))
+    assert s == electrostatics.ChargeScenario(q1_e=100.0, q2_e=0.0, x_q_m=0.0002)
+    assert set(map(type, s)) == {float}
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: electrostatics.single_charge_field(x(100.0), 2e-4),
+    lambda x: electrostatics.charge_for_field(x(3.6), 2e-4),
+    lambda x: rydberg_impact.stark_shift(RYDBERG, x(300.0)),
+    lambda x: rydberg_impact.decoherence_time(RYDBERG, x(10.0)),
+], ids=["single_charge_field", "charge_for_field", "stark_shift", "decoherence_time"])
+def test_a_float16_argument_is_computed_in_double_precision(call):
+    # NumPy's promotion ran these in half precision: single_charge_field gave np.float16(nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = call(np.float16)
+    assert type(value) is float and math.isfinite(value)
+    assert value == call(lambda v: float(np.float16(v)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda bad: charging.capacitance_breakdown(125e-6, 2e-4, bad), "electrode capacitance"),
+    (lambda bad: ringdown.RingdownFit(UncertainQuantity(1.0), LINEWIDTH, bad), "residual_rms"),
+], ids=["electrode-capacitance", "residual-rms"])
+@pytest.mark.parametrize("bad", ["1e-13", None, -1e-13, math.nan, math.inf], ids=repr)
+def test_a_record_field_that_was_stored_unchecked_is_finite_and_nonnegative(call, message, bad):
+    # each was stored as given, a str or None included
+    message = f"{message} must be finite and >= 0, got {bad!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("seed", ["1", 1j, math.nan, 1.5, -1, None, True, [1], np.int64(-3)],
+                         ids=repr)
+def test_synthesize_trace_refuses_a_seed_that_is_not_an_int_at_least_0(seed):
+    # "1", 1j, nan and 1.5 raised NumPy's TypeError and -1 its ValueError; None drew a
+    # fresh trace on every call, True and [1] were taken
+    message = f"seed must be an int >= 0, got {seed!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        ringdown.synthesize_trace(1.0, 5e3, 4e-4, 1e7, 0.01, seed)
+
+
+def test_synthesize_trace_takes_a_numpy_integer_seed_as_its_int():
+    one = ringdown.synthesize_trace(1.0, 5e3, 4e-4, 1e7, 0.01, np.int64(3))
+    two = ringdown.synthesize_trace(1.0, 5e3, 4e-4, 1e7, 0.01, 3)
+    assert one.voltages.tobytes() == two.voltages.tobytes()
 
 
 @pytest.mark.parametrize("current", ["x", None, True, math.nan, math.inf, 1j, [1e-9]], ids=repr)

@@ -18,7 +18,7 @@ from cavitycharge.scenario import FilmSection, IlluminationSection, parse_scenar
 ILLUM = IlluminationSection(
     power_w=0.2e-3, wavelength_m=369e-9, quantum_efficiency=1.0, waist_m=100e-6
 )
-FILM = FilmSection(rho_ohm_m=1e-4, thickness_m=30e-9, radius_m=125e-6, capacitance_f=0.1e-12)
+FILM = FilmSection(rho_ohm_m=1e-4, thickness_m=30e-9, capacitance_f=0.1e-12)
 
 
 def test_photocurrent_flux_formula():

@@ -380,6 +380,18 @@ def test_a_scenario_with_the_old_cavity_film_thickness_exits_2(key, tmp_path, ca
     assert f"unknown key '{key}' in [cavity]" in capsys.readouterr().err
 
 
+def test_a_scenario_with_the_old_film_radius_exits_2(tmp_path, capsys):
+    # no command read [film] radius_m; the disc rows take theirs from the manifest
+    scenario = tmp_path / "old.scenario"
+    text = bundled_scenario_text().replace("[film]\n", "[film]\nradius_m = 0.000125\n")
+    scenario.write_text(text)
+    code = main(["budget", "--scenario", str(scenario), "--target", "charging",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert "unknown key 'radius_m' in [film]" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def _rejected_scenario(spec, capsys) -> None:
     """budget with scenario spec exits 2, prints one stderr line that names
     spec, and writes nothing to the current directory."""

@@ -123,6 +123,13 @@ def test_match_iff_within_declared_tolerance(rows):
     assert r.deviation == pytest.approx(0.01, abs=1e-12)
 
 
+def test_every_row_holds_floats(rows):
+    # the checked functions return floats, so _make_row converts nothing
+    for r in rows:
+        assert type(r.computed) is float and type(r.sigma) is float, r.row_id
+        assert r.deviation is None or type(r.deviation) is float, r.row_id
+
+
 def test_report_is_deterministic():
     a = build_report()
     b = build_report()
@@ -264,6 +271,13 @@ def test_budget_rows_are_budget_report_rows_without_the_sweep(scn):
         assert budget_rows(scn, target, tau_pi_s=4e-6) == {n: v for n, v, _unit in rows}
     with pytest.raises(TypeError, match="intensity_flor"):
         budget_rows(scn, "cooling", intensity_flor=0.4)
+
+
+def test_budget_rows_hold_floats_for_the_command_line_options(scn):
+    # what `toolkit budget` prints with repr, each option a float as its parser reads it
+    for target in BUDGET_TARGETS:
+        rows, _header, _sweep = budget_report(scn, target, **BUDGET_DEFAULTS)
+        assert all(type(value) is float for _name, value, _unit in rows), target
 
 
 def test_cli_budget_options_default_to_budget_defaults():

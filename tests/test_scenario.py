@@ -91,7 +91,7 @@ def test_unknown_key_rejected():
     for section, line in [("cavity", "f01 = 14160.0"), ("cavity", "f01_sigma = 250.0"),
                           ("cavity", "film_thickness_m = 3e-08"),
                           ("cavity", "film_thickness_sigma_m = 2e-09"),
-                          ("trap", "gate_occupation = 50"),
+                          ("trap", "gate_occupation = 50"), ("film", "radius_m = 0.000125"),
                           ("meta", "seed = 0"), ("meta", "mc_samples = 100000")]:
         text = bundled_scenario_text().replace(f"[{section}]\n", f"[{section}]\n{line}\n")
         key = line.split()[0]
@@ -160,10 +160,10 @@ def test_missing_section_errors_name_the_section():
 
 def test_the_film_thickness_has_one_home():
     # [film] holds the one film thickness, its sigma the optional last key
-    assert sum(map(len, _KEYS.values())) == 31
+    assert sum(map(len, _KEYS.values())) == 30
     assert list(_KEYS["film"])[-2:] == ["capacitance_f", "thickness_sigma_m"]
     assert not any("thickness" in key for key in _KEYS["cavity"])
-    assert FilmSection(1e-4, 30e-9, 125e-6, 1e-13).thickness_sigma_m == 0.0
+    assert FilmSection(1e-4, 30e-9, 1e-13).thickness_sigma_m == 0.0
     film = parse_scenario(bundled_scenario_text()).film
     assert (film.thickness_m, film.thickness_sigma_m) == (3e-8, 2e-9)
 
